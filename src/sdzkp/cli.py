@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import random
 import sys
@@ -124,6 +125,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_TRIVIAL_WITNESS = {
+    "S_n": "the target itself is a distance-0 witness",
+    "A_n": "the target, or the target times one transposition, is a witness at distance at most 2",
+}
+
+
+def _giant_kind(order: int, degree: int) -> str:
+    """'S_n' or 'A_n' when a group of that order on `degree` points is
+    the symmetric or alternating group, else 'no'."""
+    full = math.factorial(degree)
+    return "S_n" if order == full else "A_n" if 2 * order == full else "no"
+
+
 def cmd_keygen(args) -> int:
     rng = make_rng(args.seed)
     inst, wit = plant_instance(args.n, args.gens, args.k, rng, preset=args.preset)
@@ -133,9 +147,15 @@ def cmd_keygen(args) -> int:
     wit_path = out / "witness.sdw"
     save_instance(inst, inst_path)
     save_witness(wit, wit_path)
+    order = inst.group.order()
+    giant = _giant_kind(order, inst.degree)
     print(f"instance: {inst_path}  (n={inst.degree} k={inst.max_distance} "
-          f"gens={len(inst.generators)} |H|={inst.group.order()})")
+          f"gens={len(inst.generators)} log2|H|={math.log2(order):.1f}  "
+          f"base={len(inst.group.base)}  giant={giant})")
     print(f"witness:  {wit_path}")
+    if giant != "no":
+        print(f"WARNING: H is {giant}, so the statement is trivially solvable: "
+              + _TRIVIAL_WITNESS[giant], file=sys.stderr)
     return EXIT_ACCEPT
 
 

@@ -6,6 +6,14 @@ uniform random sampling, and bounded enumeration.  All of this is exact
 group theory; nothing here is probabilistic unless a caller passes an rng
 for the optional random-word self-check.
 
+The giant groups S_n and A_n skip Schreier-Sims: a transitive group that
+contains an element with a cycle of prime length p, n/2 < p < n-2, is
+primitive and by Jordan's theorem contains A_n (Seress, Permutation Group
+Algorithms, 2003, section 10.2).  Such an element is searched for by
+product replacement seeded from a hash of the generators, so the search is
+deterministic too; when it succeeds the chain of S_n or A_n is written down
+directly, and when it fails nothing is claimed and Schreier-Sims runs.
+
 Intended for desk-scale degrees (up to a few hundred points).  For degree
 at most 256 the chain stores permutations as 256-byte translation tables
 (identity beyond the degree) so composition is bytes.translate.
@@ -13,6 +21,7 @@ at most 256 the chain stores permutations as 256-byte translation tables
 
 from __future__ import annotations
 
+import hashlib
 from functools import cached_property
 from math import prod
 from random import Random
@@ -214,6 +223,124 @@ class _ChainBuilder:
         return self.levels
 
 
+# Below degree 8 no prime lies strictly between n/2 and n-2.
+_GIANT_MIN_DEGREE = 8
+# Product replacement: state size, unchecked warm-up steps, checked steps.
+_PR_SLOTS = 10
+_PR_WARMUP = 50
+_PR_TRIES = 250
+
+
+def _cycle_lengths(p, degree: int) -> list[int]:
+    seen = bytearray(degree)
+    lengths = []
+    for start in range(degree):
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = 1
+            x = p[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+def _is_odd(p, degree: int) -> bool:
+    return (degree - len(_cycle_lengths(p, degree))) % 2 == 1
+
+
+def _is_transitive(gens, degree: int) -> bool:
+    seen = bytearray(degree)
+    seen[0] = 1
+    stack = [0]
+    reached = 1
+    while stack:
+        y = stack.pop()
+        for g in gens:
+            z = g[y]
+            if not seen[z]:
+                seen[z] = 1
+                reached += 1
+                stack.append(z)
+    return reached == degree
+
+
+def _jordan_primes(degree: int) -> frozenset[int]:
+    """The primes p with degree/2 < p < degree - 2."""
+    return frozenset(
+        p for p in range(degree // 2 + 1, degree - 2)
+        if all(p % d for d in range(2, int(p ** 0.5) + 1))
+    )
+
+
+def _certify_giant(ops, gens: tuple[Permutation, ...]) -> bool:
+    """True only if <gens> provably contains A_n.
+
+    The proof is transitivity plus one element with a cycle of prime length
+    p, n/2 < p < n-2.  Its other cycles are shorter than p, so a power of it
+    is a p-cycle; a transitive group with a p-cycle for p > n/2 is primitive,
+    and a primitive group with a p-cycle for p <= n-3 contains A_n (Jordan).
+    False means only that no such element turned up within the try budget.
+    The search is seeded from a hash of the generators, so equal generator
+    lists always get the same answer.
+    """
+    degree = ops.degree
+    raw = [ops.encode(g.images) for g in gens]
+    if not raw or degree < _GIANT_MIN_DEGREE or not _is_transitive(raw, degree):
+        return False
+    primes = _jordan_primes(degree)
+    seed = hashlib.sha256(b"".join(g.to_bytes() for g in gens)).digest()
+    rng = Random(int.from_bytes(seed, "big"))
+    mul = ops.mul
+    slots = [raw[i % len(raw)] for i in range(max(_PR_SLOTS, len(raw)))]
+    acc = ops.ident
+    for step in range(_PR_WARMUP + _PR_TRIES):
+        i, j = rng.sample(range(len(slots)), 2)
+        slots[i] = mul(slots[i], slots[j]) if rng.random() < 0.5 else mul(slots[j], slots[i])
+        acc = mul(acc, slots[i])
+        if step >= _PR_WARMUP and not primes.isdisjoint(_cycle_lengths(acc, degree)):
+            return True
+    return False
+
+
+def _giant_levels(ops, alternating: bool) -> list[_Level]:
+    """The chain of S_n, or of A_n, on base 0, 1, .., written down directly.
+
+    S_n: base 0..n-2, representatives the transpositions (i y), strong
+    generators the adjacent transpositions (j j+1).  A_n: base 0..n-3,
+    representatives the 3-cycles (i y z), strong generators the 3-cycles
+    (j j+1 j+2).  Level i's generators are those fixing 0..i-1.
+    """
+    n = ops.degree
+    ident = list(range(n))
+
+    def cycle(*points):
+        images = ident[:]
+        for a, b in zip(points, points[1:] + points[:1]):
+            images[a] = b
+        return ops.encode(images)
+
+    span = 3 if alternating else 2
+    strong = [cycle(*range(j, j + span)) for j in range(n - span + 1)]
+    levels = []
+    for i in range(n - span + 1):
+        level = _Level(i)
+        level.gens = strong[i:]
+        level.gen_set = set(level.gens)
+        t, t_inv = level.transversal, level.inv_transversal
+        t[i] = t_inv[i] = ops.ident
+        for y in range(i + 1, n):
+            if alternating:
+                z = n - 1 if y != n - 1 else n - 2
+                t[y], t_inv[y] = cycle(i, y, z), cycle(i, z, y)
+            else:
+                t[y] = t_inv[y] = cycle(i, y)
+        level.reps = [t[y] for y in range(i, n)]
+        levels.append(level)
+    return levels
+
+
 class BSGS:
     """Base and strong generating set for the subgroup the generators span.
 
@@ -247,14 +374,6 @@ class BSGS:
             for g in level.gens:
                 seen.setdefault(g, Permutation(self._ops.decode(g)))
         return tuple(seen.values())
-
-    @cached_property
-    def transversals(self) -> tuple[dict[int, Permutation], ...]:
-        """Per level, the map from orbit point to its coset representative."""
-        return tuple(
-            {y: Permutation(self._ops.decode(u)) for y, u in sorted(level.transversal.items())}
-            for level in self._levels
-        )
 
     def _sift_raw(self, p):
         mul = self._ops.mul
@@ -327,22 +446,25 @@ def build_bsgs(generators: Sequence[Permutation], rng: Random | None = None) -> 
 
     Deterministic given the generator list.  Identity generators are ignored
     and duplicates are merged; an all-identity list yields the trivial group.
-    If rng is given, an extra randomized self-check sifts random generator
-    words through the finished chain.
+    S_n and A_n, once certified, get their known chain; every other group
+    goes through Schreier-Sims.  If rng is given, an extra randomized
+    self-check sifts random generator words through the finished chain.
     """
     degree, gens = _normalize(generators)
     ops = _make_ops(degree)
-    builder = _ChainBuilder(ops)
-    levels = builder.run([ops.encode(g.images) for g in gens])
+    raw = [ops.encode(g.images) for g in gens]
+    if _certify_giant(ops, gens):
+        levels = _giant_levels(ops, alternating=not any(_is_odd(g, degree) for g in raw))
+    else:
+        levels = _ChainBuilder(ops).run(raw)
     chain = BSGS(ops, gens, levels)
 
-    # The chain invariant: every strong generator strips to the identity.
-    for level in levels:
-        for g in level.gens:
-            if chain._sift_raw(g) != ops.ident:
-                raise RuntimeError("stabilizer chain failed self-check")
+    # The chain invariant: every input and strong generator strips to the
+    # identity.  Each distinct generator is sifted once.
+    for g in dict.fromkeys([*raw, *(g for level in levels for g in level.gens)]):
+        if chain._sift_raw(g) != ops.ident:
+            raise RuntimeError("stabilizer chain failed self-check")
     if rng is not None and gens:
-        raw = [ops.encode(g.images) for g in gens]
         for _ in range(32):
             word = ops.ident
             for _ in range(rng.randrange(1, 16)):

@@ -2,9 +2,14 @@
 
 Frame layout: u32 LE payload length, then a 1-byte message type, then the
 message body.  The length covers the type byte plus body and is capped at
-16 MiB.  One connection carries all rounds of one session; the verifier
-treats any framing violation, timeout, or failed check as a rejection of
-the whole session, never as a crash.
+16 MiB; the verifier caps each frame it reads at the largest valid message
+of its type for the instance's degree.  One connection carries all rounds
+of one session; the verifier treats any framing violation, timeout, or
+failed check as a rejection of the whole session, never as a crash.
+
+Both ends set TCP_NODELAY: each side writes a small frame and then waits
+for the peer's reply, which under Nagle's algorithm and delayed ACKs costs
+about 40 ms per round.
 """
 
 from __future__ import annotations
@@ -12,16 +17,19 @@ from __future__ import annotations
 import logging
 import socket
 import struct
+import time
 from random import Random
 
 from .instance import SDPInstance, Witness
 from .protocol import (
+    COMMITMENT_BYTES,
     MSG_CHALLENGE,
     MSG_COMMIT,
     MSG_RESPONSE,
     CommitmentMsg,
     decode_response,
     encode_response,
+    max_response_bytes,
     prover_commit,
     prover_respond,
     verifier_challenge,
@@ -44,10 +52,15 @@ def send_frame(sock: socket.socket, msg_type: int, body: bytes) -> None:
     sock.sendall(struct.pack("<I", len(payload)) + payload)
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
+def _recv_exact(sock: socket.socket, count: int, deadline: float | None = None) -> bytes:
     chunks = []
     remaining = count
     while remaining > 0:
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise socket.timeout("session deadline passed")
+            sock.settimeout(left)
         chunk = sock.recv(min(remaining, 1 << 16))
         if not chunk:
             raise SessionError("connection closed mid-frame")
@@ -56,17 +69,23 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_frame(sock: socket.socket) -> tuple[int, bytes]:
-    header = _recv_exact(sock, 4)
+def recv_frame(
+    sock: socket.socket, max_length: int = FRAME_MAX, deadline: float | None = None
+) -> tuple[int, bytes]:
+    """Read one frame.  A length over max_length is refused before its body
+    is read; deadline is a time.monotonic() instant bounding the whole read."""
+    header = _recv_exact(sock, 4, deadline)
     (length,) = struct.unpack("<I", header)
-    if length == 0 or length > FRAME_MAX:
+    if length == 0 or length > max_length:
         raise SessionError(f"invalid frame length {length}")
-    payload = _recv_exact(sock, length)
+    payload = _recv_exact(sock, length, deadline)
     return payload[0], payload[1:]
 
 
-def recv_expected(sock: socket.socket, expected_type: int) -> bytes:
-    msg_type, body = recv_frame(sock)
+def recv_expected(
+    sock: socket.socket, expected_type: int, max_length: int = FRAME_MAX, deadline: float | None = None
+) -> bytes:
+    msg_type, body = recv_frame(sock, max_length, deadline)
     if msg_type != expected_type:
         raise SessionError(f"expected message type {expected_type}, got {msg_type}")
     return body
@@ -84,18 +103,23 @@ def prover_session(sock: socket.socket, inst: SDPInstance, wit: Witness, rounds:
     log.info("prover finished %d rounds", rounds)
 
 
-def verifier_session(sock: socket.socket, inst: SDPInstance, rounds: int, rng: Random) -> bool:
+def verifier_session(
+    sock: socket.socket, inst: SDPInstance, rounds: int, rng: Random, deadline: float | None = None
+) -> bool:
     """Drive the verifier side of one session.
 
-    Returns the decision; every malformed message, unexpected type, timeout
-    or failed round check rejects.  Never raises on peer-controlled input.
+    Returns the decision; every malformed message, unexpected type, oversized
+    frame, timeout, passed deadline (a time.monotonic() instant) or failed
+    round check rejects.  Never raises on peer-controlled input.
     """
+    commit_max = 1 + COMMITMENT_BYTES
+    response_max = 1 + max_response_bytes(inst.degree)
     try:
         for i in range(rounds):
-            commitment = CommitmentMsg.decode(recv_expected(sock, MSG_COMMIT))
+            commitment = CommitmentMsg.decode(recv_expected(sock, MSG_COMMIT, commit_max, deadline))
             challenge = verifier_challenge(rng)
             send_frame(sock, MSG_CHALLENGE, bytes([challenge]))
-            response = decode_response(recv_expected(sock, MSG_RESPONSE))
+            response = decode_response(recv_expected(sock, MSG_RESPONSE, response_max, deadline))
             if not verify_round(inst, commitment, challenge, response):
                 log.info("round %d failed verification", i)
                 return False
@@ -120,7 +144,10 @@ def accept_and_verify(
     rng: Random,
     timeout_s: float | None = None,
 ) -> bool:
-    """Accept one connection and run a verifier session over it."""
+    """Accept one connection and run a verifier session over it.
+
+    timeout_s bounds the wait for a connection, and then the whole session.
+    """
     if timeout_s is not None:
         listener.settimeout(timeout_s)
     try:
@@ -129,10 +156,14 @@ def accept_and_verify(
         log.info("no session: %s", exc)
         return False
     with conn:
-        if timeout_s is not None:
-            conn.settimeout(timeout_s)
+        deadline = None if timeout_s is None else time.monotonic() + timeout_s
+        try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError as exc:
+            log.info("session aborted: %s", exc)
+            return False
         log.info("session with %s", peer)
-        return verifier_session(conn, inst, rounds, rng)
+        return verifier_session(conn, inst, rounds, rng, deadline)
 
 
 def connect_and_prove(
@@ -145,4 +176,5 @@ def connect_and_prove(
     timeout_s: float | None = None,
 ) -> None:
     with socket.create_connection((host, port), timeout=timeout_s) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         prover_session(sock, inst, wit, rounds, rng)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .crypto import (
+    DIGEST_BYTES,
     OPENING_BYTES,
     SEED_BYTES,
     commit,
@@ -42,6 +43,8 @@ MSG_COMMIT = 0x01
 MSG_CHALLENGE = 0x02
 MSG_RESPONSE = 0x03
 
+COMMITMENT_BYTES = 3 * DIGEST_BYTES
+
 PROOF_MAGIC = b"SDP1"
 _MAX_ROUNDS = 1 << 20
 
@@ -61,8 +64,8 @@ class CommitmentMsg:
 
     @classmethod
     def decode(cls, data: bytes) -> "CommitmentMsg":
-        if len(data) != 96:
-            raise ValueError(f"commitment message must be 96 bytes, got {len(data)}")
+        if len(data) != COMMITMENT_BYTES:
+            raise ValueError(f"commitment message must be {COMMITMENT_BYTES} bytes, got {len(data)}")
         return cls(data[0:32], data[32:64], data[64:96])
 
 
@@ -344,6 +347,15 @@ def encode_response(rsp: Response) -> bytes:
     raise ValueError(f"cannot encode response of kind {rsp.kind!r}")
 
 
+def max_response_bytes(n: int) -> int:
+    """Length of the longest encoded response at degree n.
+
+    Kind 2 (two tuples, two openings) for n >= 7; below that kind 0 and 1
+    (one tuple, a seed, two openings) are longer."""
+    tuple_bytes = 4 + 4 * n
+    return 1 + max(2 * tuple_bytes + 2 * OPENING_BYTES, tuple_bytes + SEED_BYTES + 2 * OPENING_BYTES)
+
+
 def decode_response_from(data: bytes, offset: int = 0) -> tuple[Response, int]:
     if len(data) <= offset:
         raise ValueError("empty response")
@@ -397,7 +409,7 @@ def decode_proof(data: bytes) -> NIZKProof:
     commitments = []
     responses = []
     for _ in range(rounds):
-        raw, offset = _take(data, offset, 96)
+        raw, offset = _take(data, offset, COMMITMENT_BYTES)
         commitments.append(CommitmentMsg.decode(raw))
         rsp, offset = decode_response_from(data, offset)
         responses.append(rsp)

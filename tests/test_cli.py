@@ -47,10 +47,28 @@ def test_keygen_writes_loadable_pair(tmp_path, capsys):
     inst_path, wit_path = keygen(tmp_path, "--n", "16", "--gens", "3", "--k", "5")
     out = capsys.readouterr().out
     assert "instance.sdz" in out and "witness.sdw" in out
+    assert "log2|H|=44.3" in out and "base=15" in out and "giant=S_n" in out
     inst = load_instance(inst_path)
     wit = load_witness(wit_path)
     assert inst.degree == 16 and inst.max_distance == 5
     assert validate_witness(inst, wit.element)
+
+
+@pytest.mark.parametrize("preset, gens, seed, giant", [
+    ("general", "3", "7", "S_n"),
+    ("general", "2", "9", "A_n"),
+    ("abelian2", "3", "7", "no"),
+])
+def test_keygen_warns_when_the_group_is_giant(tmp_path, capsys, preset, gens, seed, giant):
+    args = ["keygen", "--out-dir", str(tmp_path), "--n", "16", "--gens", gens, "--k", "4",
+            "--preset", preset, "--seed", seed]
+    assert main(args) == EXIT_ACCEPT
+    captured = capsys.readouterr()
+    assert f"giant={giant}" in captured.out
+    warned = "trivially solvable" in captured.err
+    assert warned == (giant != "no")
+    if giant != "no":
+        assert f"H is {giant}" in captured.err
 
 
 def test_keygen_rejects_impossible_distance(tmp_path, capsys):

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from sdzkp.group import BSGS, build_bsgs
+from sdzkp.group import BSGS, _certify_giant, _ChainBuilder, _make_ops, _normalize, build_bsgs
+from sdzkp.instance import plant_instance
 from sdzkp.perm import Permutation, compose, identity, inverse, random_perm
 
 
@@ -161,3 +162,153 @@ def test_base_and_strong_generators_consistent():
         assert grp.contains(s)
     # base points are pairwise distinct
     assert len(set(grp.base)) == len(grp.base)
+
+
+# --- giant-group certificate against Schreier-Sims ---
+
+def schreier_sims(gens):
+    """The reference chain: plain Schreier-Sims, never the certificate."""
+    degree, kept = _normalize(gens)
+    ops = _make_ops(degree)
+    return BSGS(ops, kept, _ChainBuilder(ops).run([ops.encode(g.images) for g in kept]))
+
+
+def certified(gens):
+    degree, kept = _normalize(gens)
+    return _certify_giant(_make_ops(degree), kept)
+
+
+def cycle_perm(n, *cycles):
+    images = list(range(n))
+    for points in cycles:
+        for a, b in zip(points, points[1:] + points[:1]):
+            images[a] = b
+    return Permutation(tuple(images))
+
+
+def is_odd(p):
+    seen, transpositions = set(), 0
+    for start in range(p.n):
+        x = start
+        while x not in seen:
+            seen.add(x)
+            x = p(x)
+            transpositions += x != start
+    return transpositions % 2 == 1
+
+
+def even_perm(n, rng):
+    p = random_perm(n, rng)
+    return compose(cycle_perm(n, (0, 1)), p) if is_odd(p) else p
+
+
+def assert_same_group(fast, slow, rng, probes=200):
+    assert fast.order() == slow.order()
+    n = fast.degree
+    for _ in range(probes):
+        probe = random_perm(n, rng)
+        assert fast.contains(probe) == slow.contains(probe)
+    for _ in range(probes):
+        assert slow.contains(fast.sample_uniform(rng))
+        assert fast.contains(slow.sample_uniform(rng))
+
+
+@pytest.mark.parametrize("n", [8, 12, 32, 64, 128])
+def test_certified_symmetric_matches_schreier_sims(n):
+    rng = random.Random(300 + n)
+    gens = [random_perm(n, rng) for _ in range(3)]
+    if not any(is_odd(g) for g in gens):
+        gens[0] = compose(cycle_perm(n, (0, 1)), gens[0])
+    assert certified(gens)
+    fast = build_bsgs(gens)
+    assert fast.order() == math.factorial(n)
+    assert fast.base == tuple(range(n - 1))
+    assert_same_group(fast, schreier_sims(gens), rng)
+
+
+@pytest.mark.parametrize("n", [8, 12, 32, 64])
+def test_certified_alternating_matches_schreier_sims(n):
+    rng = random.Random(400 + n)
+    gens = [even_perm(n, rng) for _ in range(3)]
+    assert certified(gens)
+    fast = build_bsgs(gens)
+    assert fast.order() == math.factorial(n) // 2
+    assert fast.base == tuple(range(n - 2))
+    assert_same_group(fast, schreier_sims(gens), rng)
+    # odd permutations are exactly the non-members
+    assert not fast.contains(cycle_perm(n, (0, 1)))
+    assert fast.contains(cycle_perm(n, (0, 1, 2)))
+
+
+def test_certified_chain_enumerates_the_same_elements():
+    n = 8
+    symmetric = [cycle_perm(n, (0, 1)), cycle_perm(n, tuple(range(n)))]
+    alternating = [cycle_perm(n, (0, 1, 2)), cycle_perm(n, tuple(range(1, n)))]
+    for gens in (symmetric, alternating):
+        assert certified(gens)
+        fast, slow = build_bsgs(gens), schreier_sims(gens)
+        assert set(fast.elements(fast.order())) == set(slow.elements(slow.order()))
+
+
+def _non_giant_sets():
+    rng = random.Random(600)
+    n = 16
+    abelian = plant_instance(n, 5, 4, rng, preset="abelian2")[0].generators
+    single_cycle = [cycle_perm(n, tuple(range(n)))]
+    single_random = [random_perm(n, rng)]
+    half = n // 2
+    left = [cycle_perm(n, (0, 1)), cycle_perm(n, tuple(range(half)))]
+    right = [cycle_perm(n, (half, half + 1)), cycle_perm(n, tuple(range(half, n)))]
+    intransitive = left + right
+    # S_4 wr S_4: blocks {4b, .., 4b+3}, permuted among themselves and within
+    blocks = [
+        cycle_perm(n, (0, 1)),
+        cycle_perm(n, (0, 1, 2, 3)),
+        cycle_perm(n, (0, 4), (1, 5), (2, 6), (3, 7)),
+        cycle_perm(n, *[tuple(range(i, n, 4)) for i in range(4)]),
+    ]
+    # S_2 wr S_8 on pairs {2b, 2b+1}
+    pairs = [
+        cycle_perm(n, (0, 1)),
+        cycle_perm(n, (0, 2), (1, 3)),
+        cycle_perm(n, tuple(range(0, n, 2)), tuple(range(1, n, 2))),
+    ]
+    # AGL(1, 13): primitive, holds 13-cycles, but 13 is not below n - 2
+    affine = [Permutation(tuple((x + 1) % 13 for x in range(13))),
+              Permutation(tuple((2 * x) % 13 for x in range(13)))]
+    return {
+        "abelian2": abelian,
+        "single-cycle": single_cycle,
+        "single-random": single_random,
+        "intransitive": intransitive,
+        "imprimitive-S4wrS4": blocks,
+        "imprimitive-S2wrS8": pairs,
+        "primitive-AGL(1,13)": affine,
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_non_giant_sets()))
+def test_non_giant_sets_are_never_certified(name):
+    gens = _non_giant_sets()[name]
+    n = gens[0].n
+    assert not certified(gens)
+    fast, slow = build_bsgs(gens), schreier_sims(gens)
+    assert 2 * slow.order() < math.factorial(n)
+    assert_same_group(fast, slow, random.Random(700))
+    assert fast.base == slow.base
+
+
+def test_build_is_deterministic_for_identical_generators():
+    rng = random.Random(800)
+    for gens in ([random_perm(40, rng) for _ in range(2)], [even_perm(40, rng) for _ in range(2)]):
+        a, b = build_bsgs(gens), build_bsgs(list(gens))
+        assert a.base == b.base and a.order() == b.order()
+        assert a.strong_generators == b.strong_generators
+        ra, rb = random.Random(801), random.Random(801)
+        assert [a.sample_uniform(ra) for _ in range(20)] == [b.sample_uniform(rb) for _ in range(20)]
+
+
+def test_small_degrees_skip_the_certificate():
+    gens = [cycle_perm(7, (0, 1)), cycle_perm(7, tuple(range(7)))]
+    assert not certified(gens)
+    assert build_bsgs(gens).order() == math.factorial(7)

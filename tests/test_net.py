@@ -4,12 +4,21 @@ import random
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
 from sdzkp import net
 from sdzkp.instance import plant_instance
-from sdzkp.protocol import MSG_CHALLENGE, MSG_COMMIT, MSG_RESPONSE
+from sdzkp.protocol import (
+    MSG_CHALLENGE,
+    MSG_COMMIT,
+    MSG_RESPONSE,
+    encode_response,
+    max_response_bytes,
+    prover_commit,
+    prover_respond,
+)
 
 
 @pytest.fixture(scope="module")
@@ -206,3 +215,101 @@ def test_prover_session_rejects_invalid_challenge(planted):
         net.send_frame(b, MSG_CHALLENGE, bytes([9]))
     th.join(10)
     assert errors
+
+
+def tcp_session(inst, wit, rounds, timeout_s, prover_fn=None):
+    """Verifier over real loopback TCP in a thread; returns (ok, seconds)."""
+    listener = net.create_listener("127.0.0.1", 0)
+    host, port = listener.getsockname()
+    result = {}
+
+    def verifier_side():
+        with listener:
+            t0 = time.monotonic()
+            result["ok"] = net.accept_and_verify(listener, inst, rounds, random.Random(107), timeout_s=timeout_s)
+            result["seconds"] = time.monotonic() - t0
+
+    th = threading.Thread(target=verifier_side)
+    th.start()
+    try:
+        if prover_fn is None:
+            net.connect_and_prove(host, port, inst, wit, rounds, random.Random(108), timeout_s=timeout_s)
+        else:
+            prover_fn(host, port)
+    finally:
+        th.join(timeout_s + 10)
+    assert not th.is_alive()
+    return result["ok"], result["seconds"]
+
+
+def test_full_tcp_session_is_not_stalled_by_nagle(planted):
+    # Without TCP_NODELAY every round waits out a delayed ACK (about 40 ms),
+    # so 219 rounds took close to 10 s.
+    inst, wit = planted
+    ok, seconds = tcp_session(inst, wit, 219, timeout_s=30)
+    assert ok
+    assert seconds < 2.0
+
+
+def test_session_deadline_bounds_a_trickling_peer(planted):
+    inst, _ = planted
+    stop = threading.Event()
+
+    def trickler(host, port):
+        # A well-formed commit frame, one byte per 50 ms: each recv returns
+        # well inside the timeout, but the session as a whole must not.
+        frame = struct.pack("<I", 97) + bytes([MSG_COMMIT]) + bytes(96)
+        with socket.create_connection((host, port), timeout=5) as sock:
+            for b in frame:
+                if stop.wait(0.05):
+                    return
+                try:
+                    sock.sendall(bytes([b]))
+                except OSError:
+                    return
+
+    timeout_s = 0.5
+    try:
+        ok, seconds = tcp_session(inst, None, 4, timeout_s, prover_fn=trickler)
+    finally:
+        stop.set()
+    assert not ok
+    assert seconds < timeout_s + 1.0
+
+
+@pytest.mark.parametrize("stage", ["commit", "response"])
+def test_oversized_frame_rejected_before_its_body(planted, stage):
+    inst, _ = planted
+    assert inst.degree == 16
+
+    def impostor(sock):
+        if stage == "response":
+            net.send_frame(sock, MSG_COMMIT, bytes(96))
+            net.recv_expected(sock, MSG_CHALLENGE)
+        # announce 1 MiB, send nothing behind it, and hold the line open
+        # until the verifier hangs up
+        sock.sendall(struct.pack("<I", 1 << 20))
+        sock.recv(1)
+
+    t0 = time.monotonic()
+    ok, _ = run_session(inst, None, 4, impostor)
+    assert not ok
+    assert time.monotonic() - t0 < 2.0
+
+
+@pytest.mark.parametrize("n", [4, 7, 16, 64])
+def test_response_cap_is_the_longest_valid_response(n):
+    rng = random.Random(109)
+    inst, wit = plant_instance(n, 2, 2, rng)
+    state, _ = prover_commit(inst, wit, rng)
+    sizes = [len(encode_response(prover_respond(state, ch))) for ch in (0, 1, 2)]
+    assert max(sizes) == max_response_bytes(n)
+    if n >= 7:
+        assert max_response_bytes(n) + 1 == 8 * n + 74
+
+
+def test_small_degree_tcp_session_accepts():
+    # below degree 7 the longest response is kind 0 or 1, not kind 2
+    inst, wit = plant_instance(4, 2, 2, random.Random(110))
+    ok, _ = tcp_session(inst, wit, 40, timeout_s=10)
+    assert ok
