@@ -51,7 +51,6 @@ from .protocol import (
 )
 from .analysis import (
     ExtractionError,
-    RewindableProver,
     extract_witness,
     honest_rewindable_prover,
     honest_verifier,
@@ -70,7 +69,6 @@ __all__ = [
     "Permutation",
     "ProverState",
     "Response",
-    "RewindableProver",
     "SDPInstance",
     "Transcript",
     "Witness",

@@ -2,8 +2,8 @@
 
 Everything here treats the protocol as an object of study.  The tools are:
 
-* rewindable provers: a frozen coin tape that answers any challenge, so a
-  single committed state can be probed on all of {0, 1, 2};
+* rewinding: a protocol.ProverState is a frozen coin tape that answers any
+  challenge, so a single committed state can be probed on all of {0, 1, 2};
 * a witness extractor that turns three accepting answers (one per
   challenge) under one commitment into an element of H within the bound;
 * cheating provers that pass exactly two chosen challenges per state,
@@ -17,19 +17,25 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations, count, islice
 from random import Random
 from typing import Callable
 
-from .crypto import commit, encode_tuple, expand_mask, fresh_seed, tuple_add, tuple_sub, weight
+from .crypto import expand_mask, fresh_seed, tuple_add, tuple_sub, weight
 from .group import BSGS
 from .instance import SDPInstance, Witness
 from .perm import Permutation, compose, hamming, inverse, random_support_perm
 from .protocol import (
+    CHALLENGES,
+    OPENS,
     CommitmentMsg,
-    Response,
+    ProverState,
     Transcript,
+    commit_round,
+    honest_round,
     prover_commit,
-    prover_respond,
+    require_positive,
+    unmask,
     verifier_challenge,
     verify_round,
 )
@@ -43,37 +49,19 @@ class ExtractionError(Exception):
     """Raised when three transcripts do not admit extraction."""
 
 
-class RewindableProver:
-    """A prover with its per-round coins frozen.
-
-    commitment is fixed at construction; respond(ch) is a pure function of
-    the tape, so callers may query any subset of challenges in any order.
-    """
-
-    def __init__(self, commitment: CommitmentMsg, responder: Callable[[int], Response]):
-        self.commitment = commitment
-        self._responder = responder
-
-    def respond(self, challenge: int) -> Response:
-        if challenge not in (0, 1, 2):
-            raise ValueError(f"challenge must be 0, 1 or 2, got {challenge!r}")
-        return self._responder(challenge)
+def honest_rewindable_prover(inst: SDPInstance, wit: Witness, rng: Random) -> ProverState:
+    return prover_commit(inst, wit, rng)[0]
 
 
-def honest_rewindable_prover(inst: SDPInstance, wit: Witness, rng: Random) -> RewindableProver:
-    state, msg = prover_commit(inst, wit, rng)
-    return RewindableProver(msg, lambda ch: prover_respond(state, ch))
-
-
-def accepted_challenges(inst: SDPInstance, prover: RewindableProver) -> set[int]:
+def accepted_challenges(inst: SDPInstance, prover: ProverState) -> set[int]:
     """Which challenges this committed state would survive."""
     return {
-        ch for ch in (0, 1, 2)
+        ch for ch in CHALLENGES
         if verify_round(inst, prover.commitment, ch, prover.respond(ch))
     }
 
 
-def transcript_for(inst: SDPInstance, prover: RewindableProver, challenge: int) -> Transcript:
+def transcript_for(inst: SDPInstance, prover: ProverState, challenge: int) -> Transcript:
     return Transcript(prover.commitment, challenge, prover.respond(challenge))
 
 
@@ -90,7 +78,7 @@ def extract_witness(inst: SDPInstance, t0: Transcript, t1: Transcript, t2: Trans
     """
     transcripts = (t0, t1, t2)
     by_ch = {t.challenge: t for t in transcripts}
-    if set(by_ch) != {0, 1, 2}:
+    if set(by_ch) != set(CHALLENGES):
         raise ExtractionError(f"need one transcript per challenge, got {sorted(t.challenge for t in transcripts)}")
     com = transcripts[0].commitment
     if any(t.commitment != com for t in transcripts):
@@ -99,38 +87,19 @@ def extract_witness(inst: SDPInstance, t0: Transcript, t1: Transcript, t2: Trans
         if not verify_round(inst, com, ch, t.response):
             raise ExtractionError(f"transcript for challenge {ch} does not verify")
 
-    r0, r1, r2 = by_ch[0].response, by_ch[1].response, by_ch[2].response
-    if r0.seed != r1.seed:
-        raise ExtractionError("binding violation: one seed commitment opened to two seeds")
-    if r0.masked_witness != r2.masked_witness:
-        raise ExtractionError("binding violation: two openings of the masked witness differ")
-    if r1.masked_target != r2.masked_target:
-        raise ExtractionError("binding violation: two openings of the masked target differ")
+    # Every value is opened under two challenges; both openings must agree.
+    for a, b in combinations(CHALLENGES, 2):
+        for name in OPENS[a]:
+            if name in OPENS[b] and getattr(by_ch[a].response, name) != getattr(by_ch[b].response, name):
+                raise ExtractionError(f"binding violation: two openings of the {name.replace('_', ' ')} differ")
 
-    mask = expand_mask(r0.seed, inst.degree)
-    shuffled_witness = Permutation(tuple_sub(r0.masked_witness, mask))
-    shuffled_target = Permutation(tuple_sub(r1.masked_target, mask))
-    shuffle = compose(shuffled_target, inverse(inst.target))
+    r0, r1 = by_ch[0].response, by_ch[1].response
+    shuffled_witness = unmask(r0.masked_witness, r0.seed, inst.degree)
+    shuffle = compose(unmask(r1.masked_target, r1.seed, inst.degree), inverse(inst.target))
     return compose(inverse(shuffle), shuffled_witness)
 
 
 # --- cheating provers ---
-
-def _commit_tuples(inst, z1, z2, seed, rng):
-    c1, o1 = commit(encode_tuple(z1), "C1", rng)
-    c2, o2 = commit(encode_tuple(z2), "C2", rng)
-    c3, o3 = commit(seed, "C3", rng)
-    msg = CommitmentMsg(c1, c2, c3)
-
-    def responder(ch: int) -> Response:
-        if ch == 0:
-            return Response(kind=0, masked_witness=z1, seed=seed, open_witness=o1, open_seed=o3)
-        if ch == 1:
-            return Response(kind=1, masked_target=z2, seed=seed, open_target=o2, open_seed=o3)
-        return Response(kind=2, masked_witness=z1, masked_target=z2, open_witness=o1, open_target=o2)
-
-    return RewindableProver(msg, responder)
-
 
 def _noise_tuple(n: int, k: int, rng: Random) -> tuple[int, ...]:
     """A length-n tuple with exactly k nonzero u32 entries at random positions."""
@@ -140,7 +109,7 @@ def _noise_tuple(n: int, k: int, rng: Random) -> tuple[int, ...]:
     return tuple(noise)
 
 
-def make_cheating_prover(inst: SDPInstance, targets: frozenset[int] | set[int], rng: Random) -> RewindableProver:
+def make_cheating_prover(inst: SDPInstance, targets: frozenset[int] | set[int], rng: Random) -> ProverState:
     """A witness-less prover whose state passes exactly the two challenges
     in `targets`.
 
@@ -179,21 +148,22 @@ def make_cheating_prover(inst: SDPInstance, targets: frozenset[int] | set[int], 
             member = group.sample_uniform(rng)
             z2 = tuple_add(compose(member, inst.target).images, mask)
             z1 = tuple_add(z2, _noise_tuple(n, k, rng))
-        prover = _commit_tuples(inst, z1, z2, seed, rng)
+        prover = commit_round(z1, z2, seed, rng)
         if accepted_challenges(inst, prover) == targets:
             return prover
     raise ValueError(f"could not build a cheating state for {sorted(targets)} on this instance")
 
 
+def _cheating_round_accepted(inst: SDPInstance, targets, rng: Random) -> bool:
+    prover = make_cheating_prover(inst, targets, rng)
+    ch = verifier_challenge(rng)
+    return verify_round(inst, prover.commitment, ch, prover.respond(ch))
+
+
 def cheating_acceptance_rate(inst: SDPInstance, targets, rounds: int, rng: Random) -> float:
     """Fraction of uniformly-challenged rounds a fresh cheating state survives."""
-    hits = 0
-    for _ in range(rounds):
-        prover = make_cheating_prover(inst, targets, rng)
-        ch = verifier_challenge(rng)
-        if verify_round(inst, prover.commitment, ch, prover.respond(ch)):
-            hits += 1
-    return hits / rounds
+    require_positive(rounds)
+    return sum(_cheating_round_accepted(inst, targets, rng) for _ in range(rounds)) / rounds
 
 
 def amplified_cheating_accepts(inst: SDPInstance, targets, rounds: int, trials: int, rng: Random) -> int:
@@ -201,16 +171,9 @@ def amplified_cheating_accepts(inst: SDPInstance, targets, rounds: int, trials: 
 
     Each round uses a fresh cheating state; a session is won only if every
     round verifies, so the expected win rate is (2/3)^rounds."""
-    wins = 0
-    for _ in range(trials):
-        for _ in range(rounds):
-            prover = make_cheating_prover(inst, targets, rng)
-            ch = verifier_challenge(rng)
-            if not verify_round(inst, prover.commitment, ch, prover.respond(ch)):
-                break
-        else:
-            wins += 1
-    return wins
+    return sum(
+        all(_cheating_round_accepted(inst, targets, rng) for _ in range(rounds)) for _ in range(trials)
+    )
 
 
 # --- simulation ---
@@ -220,14 +183,13 @@ def honest_verifier(rng: Random) -> VerifierOracle:
     return lambda _msg: verifier_challenge(rng)
 
 
-def _simulated_state(inst: SDPInstance, guess: int, rng: Random, vary_distance: bool):
+def _simulated_state(inst: SDPInstance, guess: int, rng: Random, vary_distance: bool) -> ProverState:
     """Fake tuple pair for one attempt.  guess in {0,1} plants a uniform
     group element (both membership challenges will verify); guess 2 plants
     a pair at Hamming distance k' <= k (the distance challenge verifies)."""
     if guess < 2:
-        fake = inst.group.sample_uniform(rng)
-        left = fake
-        right = compose(fake, inst.target)
+        left = inst.group.sample_uniform(rng)
+        right = compose(left, inst.target)
     else:
         k = inst.max_distance
         if vary_distance:
@@ -237,9 +199,7 @@ def _simulated_state(inst: SDPInstance, guess: int, rng: Random, vary_distance: 
         right = inst.target
     seed = fresh_seed(rng)
     mask = expand_mask(seed, inst.degree)
-    z1 = tuple_add(left.images, mask)
-    z2 = tuple_add(right.images, mask)
-    return _commit_tuples(inst, z1, z2, seed, rng)
+    return commit_round(tuple_add(left.images, mask), tuple_add(right.images, mask), seed, rng)
 
 
 def simulate(
@@ -257,13 +217,12 @@ def simulate(
     with probability 5/9 against an honest verifier, and all attempts
     failing (probability at most (4/9)^max_rewinds) yields None.
     """
-    if max_rewinds < 1:
-        raise ValueError("need at least one attempt")
+    require_positive(max_rewinds, "attempt")
     for _ in range(max_rewinds):
         guess = rng.randrange(3)
         prover = _simulated_state(inst, guess, rng, vary_distance)
         ch = verifier(prover.commitment)
-        if ch not in (0, 1, 2):
+        if ch not in CHALLENGES:
             raise ValueError(f"verifier oracle returned invalid challenge {ch!r}")
         if (guess < 2 and ch < 2) or (guess == 2 and ch == 2):
             return Transcript(prover.commitment, ch, prover.respond(ch))
@@ -272,12 +231,14 @@ def simulate(
 
 def simulator_attempt_success_rate(inst: SDPInstance, attempts: int, rng: Random) -> float:
     """Empirical per-attempt success probability against an honest verifier."""
+    require_positive(attempts, "attempt")
     verifier = honest_verifier(rng)
     hits = sum(1 for _ in range(attempts) if simulate(inst, verifier, 1, rng) is not None)
     return hits / attempts
 
 
 def simulator_abort_rate(inst: SDPInstance, max_rewinds: int, runs: int, rng: Random) -> float:
+    require_positive(runs, "run")
     verifier = honest_verifier(rng)
     aborts = sum(1 for _ in range(runs) if simulate(inst, verifier, max_rewinds, rng) is None)
     return aborts / runs
@@ -330,11 +291,6 @@ class DistributionReport:
         }
 
 
-def _unmasked_challenge0(inst: SDPInstance, t: Transcript) -> Permutation:
-    mask = expand_mask(t.response.seed, inst.degree)
-    return Permutation(tuple_sub(t.response.masked_witness, mask))
-
-
 def transcript_distribution_test(
     inst: SDPInstance,
     wit: Witness,
@@ -359,41 +315,26 @@ def transcript_distribution_test(
         raise ValueError("too few samples for a meaningful comparison")
 
     index = {p.images: i for i, p in enumerate(inst.group.elements(max_order))}
-    real_counts = [0] * order
-    sim_counts = [0] * order
-    real_ch = Counter()
-    sim_ch = Counter()
-    real_weights = Counter()
-    sim_weights = Counter()
-    real_ok = 0
-    sim_ok = 0
 
-    for _ in range(samples):
-        state, com = prover_commit(inst, wit, rng)
-        ch = verifier_challenge(rng)
-        t = Transcript(com, ch, prover_respond(state, ch))
-        real_ch[ch] += 1
-        if verify_round(inst, com, ch, t.response):
-            real_ok += 1
-        if ch == 0:
-            real_counts[index[_unmasked_challenge0(inst, t).images]] += 1
-        elif ch == 2:
-            real_weights[weight(tuple_sub(t.response.masked_witness, t.response.masked_target))] += 1
+    def tally(transcripts):
+        """Challenge-0 counts per element, challenge counts, challenge-2 weights, accepts."""
+        counts, challenges, weights, ok = [0] * order, Counter(), Counter(), 0
+        for t in transcripts:
+            r = t.response
+            challenges[t.challenge] += 1
+            ok += verify_round(inst, t.commitment, t.challenge, r)
+            if t.challenge == 0:
+                counts[index[unmask(r.masked_witness, r.seed, inst.degree).images]] += 1
+            elif t.challenge == 2:
+                weights[weight(tuple_sub(r.masked_witness, r.masked_target))] += 1
+        return counts, challenges, weights, ok
 
+    real_counts, real_ch, real_weights, real_ok = tally(
+        honest_round(inst, wit, rng, rng) for _ in range(samples)
+    )
     verifier = honest_verifier(rng)
-    produced = 0
-    while produced < samples:
-        t = simulate(inst, verifier, 64, rng)
-        if t is None:
-            continue
-        produced += 1
-        sim_ch[t.challenge] += 1
-        if verify_round(inst, t.commitment, t.challenge, t.response):
-            sim_ok += 1
-        if t.challenge == 0:
-            sim_counts[index[_unmasked_challenge0(inst, t).images]] += 1
-        elif t.challenge == 2:
-            sim_weights[weight(tuple_sub(t.response.masked_witness, t.response.masked_target))] += 1
+    simulated = filter(None, (simulate(inst, verifier, 64, rng) for _ in count()))
+    sim_counts, sim_ch, sim_weights, sim_ok = tally(islice(simulated, samples))
 
     # Drop cells empty on both sides (possible only for tiny samples).
     table = [
@@ -405,14 +346,14 @@ def transcript_distribution_test(
     return DistributionReport(
         group_order=order,
         samples_real=samples,
-        samples_simulated=produced,
+        samples_simulated=samples,
         statistic=float(stat),
         p_value=float(p_value),
         passed=bool(p_value > alpha),
         challenge_counts_real=dict(sorted(real_ch.items())),
         challenge_counts_simulated=dict(sorted(sim_ch.items())),
         acceptance_rate_real=real_ok / samples,
-        acceptance_rate_simulated=sim_ok / produced,
+        acceptance_rate_simulated=sim_ok / samples,
         distance_weights_real=dict(sorted(real_weights.items())),
         distance_weights_simulated=dict(sorted(sim_weights.items())),
     )

@@ -24,7 +24,7 @@ from .instance import (
     save_instance,
     save_witness,
 )
-from .protocol import encode_proof, fs_prove, fs_verify_bytes
+from .protocol import encode_proof, fs_prove, fs_verify_bytes, honest_round, require_positive, verify_round
 
 log = logging.getLogger("sdzkp.cli")
 
@@ -222,18 +222,15 @@ def _report(experiment: str, samples: int, statistic: float, p_value, passed: bo
 
 
 def cmd_analyze(args) -> int:
-    from .protocol import prover_commit, prover_respond, verifier_challenge, verify_round
-
     rng = make_rng(args.seed)
     inst, wit = plant_instance(args.n, args.gens, args.k, rng, preset=args.preset)
 
     if args.experiment == "completeness":
+        require_positive(args.rounds)
         ok = 0
         for _ in range(args.rounds):
-            state, com = prover_commit(inst, wit, rng)
-            ch = verifier_challenge(rng)
-            if verify_round(inst, com, ch, prover_respond(state, ch)):
-                ok += 1
+            t = honest_round(inst, wit, rng, rng)
+            ok += verify_round(inst, t.commitment, t.challenge, t.response)
         rate = ok / args.rounds
         return _report("completeness", args.rounds, rate, None, ok == args.rounds)
 

@@ -405,7 +405,7 @@ class BSGS:
         for level in self._levels:
             rep = level.reps[rng.randrange(len(level.reps))]
             acc = rep if acc is None else mul(acc, rep)
-        return Permutation(self._ops.decode(acc if acc is not None else self._ops.ident))
+        return Permutation._trusted(self._ops.decode(acc if acc is not None else self._ops.ident))
 
     def elements(self, limit: int) -> list[Permutation]:
         """All group elements, in a fixed deterministic order.

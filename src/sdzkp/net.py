@@ -22,6 +22,7 @@ from random import Random
 
 from .instance import SDPInstance, Witness
 from .protocol import (
+    CHALLENGES,
     COMMITMENT_BYTES,
     MSG_CHALLENGE,
     MSG_COMMIT,
@@ -32,6 +33,7 @@ from .protocol import (
     max_response_bytes,
     prover_commit,
     prover_respond,
+    require_positive,
     verifier_challenge,
     verify_round,
 )
@@ -93,11 +95,12 @@ def recv_expected(
 
 def prover_session(sock: socket.socket, inst: SDPInstance, wit: Witness, rounds: int, rng: Random) -> None:
     """Drive the prover side of one session; raises SessionError on violations."""
+    require_positive(rounds)
     for i in range(rounds):
         state, msg = prover_commit(inst, wit, rng)
         send_frame(sock, MSG_COMMIT, msg.encode())
         body = recv_expected(sock, MSG_CHALLENGE)
-        if len(body) != 1 or body[0] not in (0, 1, 2):
+        if len(body) != 1 or body[0] not in CHALLENGES:
             raise SessionError(f"invalid challenge in round {i}")
         send_frame(sock, MSG_RESPONSE, encode_response(prover_respond(state, body[0])))
     log.info("prover finished %d rounds", rounds)
@@ -110,8 +113,10 @@ def verifier_session(
 
     Returns the decision; every malformed message, unexpected type, oversized
     frame, timeout, passed deadline (a time.monotonic() instant) or failed
-    round check rejects.  Never raises on peer-controlled input.
+    round check rejects.  Never raises on peer-controlled input; rounds < 1
+    raises ValueError before anything is read.
     """
+    require_positive(rounds)
     commit_max = 1 + COMMITMENT_BYTES
     response_max = 1 + max_response_bytes(inst.degree)
     try:
@@ -147,7 +152,9 @@ def accept_and_verify(
     """Accept one connection and run a verifier session over it.
 
     timeout_s bounds the wait for a connection, and then the whole session.
+    rounds < 1 raises ValueError before a connection is accepted.
     """
+    require_positive(rounds)
     if timeout_s is not None:
         listener.settimeout(timeout_s)
     try:

@@ -50,6 +50,14 @@ class Permutation:
                 raise ValueError(f"image {v} repeated; not a bijection")
             seen[v] = 1
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap an image tuple known to be a bijection (a product or inverse of
+        valid permutations) unchecked; outside input goes through __init__."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        return perm
+
     @property
     def n(self) -> int:
         return len(self.images)
@@ -104,11 +112,11 @@ def _check_same_degree(a: Permutation, b: Permutation) -> None:
 def compose(a: Permutation, b: Permutation) -> Permutation:
     """a∘b, i.e. i -> a(b(i)). Degrees must match."""
     _check_same_degree(a, b)
-    return Permutation(compose_images(a.images, b.images))
+    return Permutation._trusted(compose_images(a.images, b.images))
 
 
 def inverse(a: Permutation) -> Permutation:
-    return Permutation(invert_images(a.images))
+    return Permutation._trusted(invert_images(a.images))
 
 
 def hamming(a: Permutation, b: Permutation) -> int:

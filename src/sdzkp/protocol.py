@@ -2,11 +2,18 @@
 
 One round: the prover picks a uniform shuffle u from H and a mask seed s,
 commits to Z1 = oneline(u∘h) + mask, Z2 = oneline(u∘g) + mask, and to s
-(slots C1, C2, C3).  The verifier sends a challenge in {0, 1, 2}:
+(slots C1, C2, C3).  The verifier sends a challenge in {0, 1, 2}, and the
+opening table OPENS says which values the answer reveals, in wire order:
 
-  0  reveal Z1 and s; unmasking Z1 must give an element of H (this is u∘h)
-  1  reveal Z2 and s; unmasking Z2 must give w with w∘g^-1 in H (w is u∘g)
-  2  reveal Z1 and Z2; they must differ in at most max_distance positions
+  challenge  opens     the verifier checks the openings, then
+  0          Z1, s     unmasking Z1 must give an element of H (this is u∘h)
+  1          Z2, s     unmasking Z2 must give w with w∘g^-1 in H (w is u∘g)
+  2          Z1, Z2    they must differ in at most max_distance positions
+
+SLOTS says how each value is committed (tag, digest field, opening field)
+and carried on the wire.  The prover, the verifier's commitment checks and
+the response codecs all read these two tables; only the final predicate
+above is written per challenge.
 
 A single round convinces the verifier with soundness error 2/3; sequential
 repetition amplifies.  The non-interactive variant derives challenges by
@@ -17,8 +24,9 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from random import Random
+from typing import Any, Callable, NamedTuple
 
 from .crypto import (
     DIGEST_BYTES,
@@ -49,6 +57,40 @@ PROOF_MAGIC = b"SDP1"
 _MAX_ROUNDS = 1 << 20
 
 _FS_DOMAIN = b"SDZKP-FS-v1"
+
+
+def _take(data: bytes, offset: int, count: int) -> tuple[bytes, int]:
+    end = offset + count
+    if len(data) < end:
+        raise ValueError("truncated message")
+    return data[offset:end], end
+
+
+class Slot(NamedTuple):
+    """How one round value is committed, opened and carried on the wire."""
+
+    tag: str  # commitment tag
+    digest: str  # CommitmentMsg field holding the digest
+    opening: str  # ProverState / Response field holding the opening
+    encode: Callable[[Any], bytes]  # the committed message, also its wire form
+    decode: Callable[[bytes, int], tuple[Any, int]]  # (data, offset) -> (value, next offset)
+    size: Callable[[int], int]  # encoded length at degree n
+
+
+_TUPLE = (encode_tuple, decode_tuple_from, lambda n: 4 + 4 * n)
+_SEED = (lambda seed: seed, lambda data, offset: _take(data, offset, SEED_BYTES), lambda n: SEED_BYTES)
+
+SLOTS = {
+    "masked_witness": Slot("C1", "c1", "open_witness", *_TUPLE),
+    "masked_target": Slot("C2", "c2", "open_target", *_TUPLE),
+    "seed": Slot("C3", "c3", "open_seed", *_SEED),
+}
+
+OPENS = {
+    0: ("masked_witness", "seed"),
+    1: ("masked_target", "seed"),
+    2: ("masked_witness", "masked_target"),
+}
 
 
 @dataclass(frozen=True)
@@ -82,12 +124,21 @@ class Response:
     open_seed: bytes | None = None
 
 
+def _response_layout(names: tuple[str, ...]) -> tuple[str | None, ...]:
+    """What fills each Response field after kind: the ProverState field of
+    the same name where it is opened (a value or its opening), else None."""
+    shown = set(names) | {SLOTS[name].opening for name in names}
+    return tuple(f.name if f.name in shown else None for f in fields(Response)[1:])
+
+
+_RESPONSE_LAYOUT = {ch: _response_layout(names) for ch, names in OPENS.items()}
+
+
 @dataclass(frozen=True)
 class ProverState:
-    """Frozen per-round coin tape; any challenge can be answered from it."""
+    """Frozen per-round coin tape: respond(ch) is a pure function of it, so
+    any challenge can be answered, in any order and more than once."""
 
-    instance: SDPInstance
-    shuffle: Permutation
     seed: bytes
     masked_witness: tuple[int, ...]
     masked_target: tuple[int, ...]
@@ -95,6 +146,9 @@ class ProverState:
     open_target: bytes
     open_seed: bytes
     commitment: CommitmentMsg
+
+    def respond(self, challenge: int) -> Response:
+        return prover_respond(self, challenge)
 
 
 @dataclass(frozen=True)
@@ -114,6 +168,28 @@ class NIZKProof:
         return len(self.commitments)
 
 
+def require_positive(count: int, what: str = "round") -> None:
+    """Refuse a count below 1: a zero-round session would accept without a
+    single check, and a rate over zero trials divides by zero."""
+    if count < 1:
+        raise ValueError(f"need at least one {what}")
+
+
+def unmask(z: tuple[int, ...], seed: bytes, n: int) -> Permutation:
+    """The permutation a masked tuple hides; ValueError if it hides none."""
+    return Permutation(tuple_sub(z, expand_mask(seed, n)))
+
+
+def commit_round(z1: tuple[int, ...], z2: tuple[int, ...], seed: bytes, rng: Random) -> ProverState:
+    """Commit to the masked pair and the seed, slot by slot (C1, C2, C3).
+    The analysis harness commits its cheating and simulated tuples with it."""
+    values = {"masked_witness": z1, "masked_target": z2, "seed": seed}
+    digests, openings = {}, {}
+    for name, slot in SLOTS.items():
+        digests[slot.digest], openings[slot.opening] = commit(slot.encode(values[name]), slot.tag, rng)
+    return ProverState(commitment=CommitmentMsg(**digests), **values, **openings)
+
+
 def prover_commit(inst: SDPInstance, wit: Witness, rng: Random) -> tuple[ProverState, CommitmentMsg]:
     """First move.  Refuses to run on a witness that fails the statement."""
     if not validate_witness(inst, wit.element):
@@ -123,22 +199,8 @@ def prover_commit(inst: SDPInstance, wit: Witness, rng: Random) -> tuple[ProverS
     mask = expand_mask(seed, inst.degree)
     z1 = tuple_add(compose(shuffle, wit.element).images, mask)
     z2 = tuple_add(compose(shuffle, inst.target).images, mask)
-    c1, o1 = commit(encode_tuple(z1), "C1", rng)
-    c2, o2 = commit(encode_tuple(z2), "C2", rng)
-    c3, o3 = commit(seed, "C3", rng)
-    msg = CommitmentMsg(c1, c2, c3)
-    state = ProverState(
-        instance=inst,
-        shuffle=shuffle,
-        seed=seed,
-        masked_witness=z1,
-        masked_target=z2,
-        open_witness=o1,
-        open_target=o2,
-        open_seed=o3,
-        commitment=msg,
-    )
-    return state, msg
+    state = commit_round(z1, z2, seed, rng)
+    return state, state.commitment
 
 
 def verifier_challenge(rng: Random) -> int:
@@ -148,38 +210,9 @@ def verifier_challenge(rng: Random) -> int:
 
 def prover_respond(state: ProverState, challenge: int) -> Response:
     """Third move: open exactly what the challenge demands."""
-    if challenge == 0:
-        return Response(
-            kind=0,
-            masked_witness=state.masked_witness,
-            seed=state.seed,
-            open_witness=state.open_witness,
-            open_seed=state.open_seed,
-        )
-    if challenge == 1:
-        return Response(
-            kind=1,
-            masked_target=state.masked_target,
-            seed=state.seed,
-            open_target=state.open_target,
-            open_seed=state.open_seed,
-        )
-    if challenge == 2:
-        return Response(
-            kind=2,
-            masked_witness=state.masked_witness,
-            masked_target=state.masked_target,
-            open_witness=state.open_witness,
-            open_target=state.open_target,
-        )
-    raise ValueError(f"challenge must be 0, 1 or 2, got {challenge!r}")
-
-
-def _decoded_perm(entries: tuple[int, ...]) -> Permutation | None:
-    try:
-        return Permutation(entries)
-    except ValueError:
-        return None
+    if challenge not in OPENS:
+        raise ValueError(f"challenge must be 0, 1 or 2, got {challenge!r}")
+    return Response(challenge, *[getattr(state, f) if f else None for f in _RESPONSE_LAYOUT[challenge]])
 
 
 def verify_round(inst: SDPInstance, commitment: CommitmentMsg, challenge: int, response: Response) -> bool:
@@ -188,39 +221,28 @@ def verify_round(inst: SDPInstance, commitment: CommitmentMsg, challenge: int, r
         if challenge not in CHALLENGES or response.kind != challenge:
             return False
         n = inst.degree
+        for name in OPENS[challenge]:
+            tag, digest, opening, encode, _, size = SLOTS[name]
+            message = encode(getattr(response, name))
+            if len(message) != size(n) or not verify_commitment(
+                getattr(commitment, digest), message, tag, getattr(response, opening)
+            ):
+                return False
+        if challenge == 2:
+            return weight(tuple_sub(response.masked_witness, response.masked_target)) <= inst.max_distance
         if challenge == 0:
-            z1, seed = response.masked_witness, response.seed
-            if z1 is None or seed is None or len(z1) != n:
-                return False
-            if not verify_commitment(commitment.c1, encode_tuple(z1), "C1", response.open_witness):
-                return False
-            if not verify_commitment(commitment.c3, seed, "C3", response.open_seed):
-                return False
-            unmasked = _decoded_perm(tuple_sub(z1, expand_mask(seed, n)))
-            return unmasked is not None and inst.group.contains(unmasked)
-        if challenge == 1:
-            z2, seed = response.masked_target, response.seed
-            if z2 is None or seed is None or len(z2) != n:
-                return False
-            if not verify_commitment(commitment.c2, encode_tuple(z2), "C2", response.open_target):
-                return False
-            if not verify_commitment(commitment.c3, seed, "C3", response.open_seed):
-                return False
-            unmasked = _decoded_perm(tuple_sub(z2, expand_mask(seed, n)))
-            if unmasked is None:
-                return False
-            shuffle = compose(unmasked, inverse(inst.target))
-            return inst.group.contains(shuffle)
-        z1, z2 = response.masked_witness, response.masked_target
-        if z1 is None or z2 is None or len(z1) != n or len(z2) != n:
-            return False
-        if not verify_commitment(commitment.c1, encode_tuple(z1), "C1", response.open_witness):
-            return False
-        if not verify_commitment(commitment.c2, encode_tuple(z2), "C2", response.open_target):
-            return False
-        return weight(tuple_sub(z1, z2)) <= inst.max_distance
+            return inst.group.contains(unmask(response.masked_witness, response.seed, n))
+        shuffle = compose(unmask(response.masked_target, response.seed, n), inverse(inst.target))
+        return inst.group.contains(shuffle)
     except (ValueError, TypeError, struct.error):
         return False
+
+
+def honest_round(inst: SDPInstance, wit: Witness, prover_rng: Random, verifier_rng: Random) -> Transcript:
+    """One honest round: commit, uniform challenge, response."""
+    state, com = prover_commit(inst, wit, prover_rng)
+    ch = verifier_challenge(verifier_rng)
+    return Transcript(com, ch, prover_respond(state, ch))
 
 
 def run_interactive(
@@ -231,13 +253,10 @@ def run_interactive(
     verifier_rng: Random,
 ) -> bool:
     """Honest in-process session: accept iff every round verifies."""
-    if rounds < 1:
-        raise ValueError("need at least one round")
+    require_positive(rounds)
     for _ in range(rounds):
-        state, com = prover_commit(inst, wit, prover_rng)
-        ch = verifier_challenge(verifier_rng)
-        rsp = prover_respond(state, ch)
-        if not verify_round(inst, com, ch, rsp):
+        t = honest_round(inst, wit, prover_rng, verifier_rng)
+        if not verify_round(inst, t.commitment, t.challenge, t.response):
             return False
     return True
 
@@ -277,12 +296,11 @@ def derive_challenges(
 
 def fs_prove(inst: SDPInstance, wit: Witness, rounds: int, context: bytes, rng: Random) -> NIZKProof:
     """Non-interactive proof: commit to all rounds, derive challenges, respond."""
-    if rounds < 1:
-        raise ValueError("need at least one round")
-    pairs = [prover_commit(inst, wit, rng) for _ in range(rounds)]
-    commitments = tuple(msg for _, msg in pairs)
+    require_positive(rounds)
+    states = [prover_commit(inst, wit, rng)[0] for _ in range(rounds)]
+    commitments = tuple(state.commitment for state in states)
     challenges = derive_challenges(instance_digest(inst), context, commitments, rounds)
-    responses = tuple(prover_respond(state, ch) for (state, _), ch in zip(pairs, challenges))
+    responses = tuple(prover_respond(state, ch) for state, ch in zip(states, challenges))
     return NIZKProof(commitments=commitments, responses=responses)
 
 
@@ -312,39 +330,16 @@ def fs_verify_bytes(inst: SDPInstance, data: bytes, context: bytes) -> bool:
 
 # --- serialization ---
 
-def _take(data: bytes, offset: int, count: int) -> tuple[bytes, int]:
-    end = offset + count
-    if len(data) < end:
-        raise ValueError("truncated message")
-    return data[offset:end], end
-
-
 def encode_response(rsp: Response) -> bytes:
-    if rsp.kind == 0:
-        return (
-            bytes([0])
-            + encode_tuple(rsp.masked_witness)
-            + rsp.seed
-            + rsp.open_witness
-            + rsp.open_seed
-        )
-    if rsp.kind == 1:
-        return (
-            bytes([1])
-            + encode_tuple(rsp.masked_target)
-            + rsp.seed
-            + rsp.open_target
-            + rsp.open_seed
-        )
-    if rsp.kind == 2:
-        return (
-            bytes([2])
-            + encode_tuple(rsp.masked_witness)
-            + encode_tuple(rsp.masked_target)
-            + rsp.open_witness
-            + rsp.open_target
-        )
-    raise ValueError(f"cannot encode response of kind {rsp.kind!r}")
+    """Kind byte, the opened values in OPENS order, then their openings."""
+    if rsp.kind not in OPENS:
+        raise ValueError(f"cannot encode response of kind {rsp.kind!r}")
+    slots = [(name, SLOTS[name]) for name in OPENS[rsp.kind]]
+    return (
+        bytes([rsp.kind])
+        + b"".join(slot.encode(getattr(rsp, name)) for name, slot in slots)
+        + b"".join(getattr(rsp, slot.opening) for _, slot in slots)
+    )
 
 
 def max_response_bytes(n: int) -> int:
@@ -352,34 +347,24 @@ def max_response_bytes(n: int) -> int:
 
     Kind 2 (two tuples, two openings) for n >= 7; below that kind 0 and 1
     (one tuple, a seed, two openings) are longer."""
-    tuple_bytes = 4 + 4 * n
-    return 1 + max(2 * tuple_bytes + 2 * OPENING_BYTES, tuple_bytes + SEED_BYTES + 2 * OPENING_BYTES)
+    return 1 + max(
+        sum(SLOTS[name].size(n) + OPENING_BYTES for name in names) for names in OPENS.values()
+    )
 
 
 def decode_response_from(data: bytes, offset: int = 0) -> tuple[Response, int]:
     if len(data) <= offset:
         raise ValueError("empty response")
     kind = data[offset]
+    if kind not in OPENS:
+        raise ValueError(f"unknown response kind {kind}")
     offset += 1
-    if kind == 0:
-        z1, offset = decode_tuple_from(data, offset)
-        seed, offset = _take(data, offset, SEED_BYTES)
-        o1, offset = _take(data, offset, OPENING_BYTES)
-        o3, offset = _take(data, offset, OPENING_BYTES)
-        return Response(kind=0, masked_witness=z1, seed=seed, open_witness=o1, open_seed=o3), offset
-    if kind == 1:
-        z2, offset = decode_tuple_from(data, offset)
-        seed, offset = _take(data, offset, SEED_BYTES)
-        o2, offset = _take(data, offset, OPENING_BYTES)
-        o3, offset = _take(data, offset, OPENING_BYTES)
-        return Response(kind=1, masked_target=z2, seed=seed, open_target=o2, open_seed=o3), offset
-    if kind == 2:
-        z1, offset = decode_tuple_from(data, offset)
-        z2, offset = decode_tuple_from(data, offset)
-        o1, offset = _take(data, offset, OPENING_BYTES)
-        o2, offset = _take(data, offset, OPENING_BYTES)
-        return Response(kind=2, masked_witness=z1, masked_target=z2, open_witness=o1, open_target=o2), offset
-    raise ValueError(f"unknown response kind {kind}")
+    fields = {}
+    for name in OPENS[kind]:
+        fields[name], offset = SLOTS[name].decode(data, offset)
+    for name in OPENS[kind]:
+        fields[SLOTS[name].opening], offset = _take(data, offset, OPENING_BYTES)
+    return Response(kind=kind, **fields), offset
 
 
 def decode_response(data: bytes) -> Response:

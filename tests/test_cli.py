@@ -193,6 +193,47 @@ def test_loopback_rejects_wrong_witness(tmp_path, capsys):
     assert "REJECT" in capsys.readouterr().out
 
 
+def test_verify_refuses_zero_rounds(tmp_path, capsys):
+    # A peer that connects and sends nothing must never be accepted.
+    inst_path, _ = keygen(tmp_path)
+    port = free_port()
+    result = {}
+
+    def verifier():
+        result["code"] = main([
+            "verify", "--listen", f"127.0.0.1:{port}", "--instance", str(inst_path),
+            "--rounds", "0", "--timeout-ms", "3000", "--seed", "15",
+        ])
+
+    th = threading.Thread(target=verifier)
+    th.start()
+    deadline = time.monotonic() + 3
+    while th.is_alive() and time.monotonic() < deadline:
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=1):
+                th.join(5)
+        except OSError:
+            time.sleep(0.05)
+    th.join(10)
+    captured = capsys.readouterr()
+    assert result["code"] == EXIT_USAGE
+    assert "ACCEPT" not in captured.out
+    assert "error:" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("args", [
+    ["completeness", "--rounds", "0"],
+    ["soundness", "--rounds", "0"],
+    ["simulator", "--attempts", "0"],
+    ["simulator", "--attempts", "10", "--runs", "0"],
+])
+def test_analyze_refuses_zero_counts(args, capsys):
+    assert main(["analyze", *args, "--seed", "25"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: need at least one")
+
+
 def test_analyze_completeness(capsys):
     code = main(["analyze", "completeness", "--rounds", "300", "--seed", "21"])
     report = json.loads(capsys.readouterr().out)

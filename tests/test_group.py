@@ -143,6 +143,18 @@ def test_sample_uniform_stays_inside_group():
         assert grp.sample_uniform(rng) in full
 
 
+@pytest.mark.parametrize("n", [9, 300])  # byte-table chain, tuple chain
+def test_sampled_elements_pass_full_validation(n):
+    # sample_uniform skips revalidation of its product of coset
+    # representatives; the validating constructor is the reference.
+    rng = random.Random(n)
+    grp = build_bsgs([random_perm(n, rng) for _ in range(2)])
+    for _ in range(50):
+        p = grp.sample_uniform(rng)
+        assert type(p.images) is tuple
+        assert Permutation(p.images) == p
+
+
 def test_generator_validation():
     with pytest.raises(ValueError):
         build_bsgs([])

@@ -217,6 +217,29 @@ def test_prover_session_rejects_invalid_challenge(planted):
     assert errors
 
 
+def test_zero_round_sessions_refused_before_any_io(planted):
+    # A zero-round verifier would accept a peer that sent nothing.
+    inst, wit = planted
+    a, b = pair()
+    with a, b:
+        with pytest.raises(ValueError):
+            net.verifier_session(b, inst, 0, random.Random(109))
+        with pytest.raises(ValueError):
+            net.prover_session(a, inst, wit, 0, random.Random(110))
+        for sock in (a, b):
+            sock.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                sock.recv(1)
+    listener = net.create_listener("127.0.0.1", 0)
+    with listener, socket.create_connection(listener.getsockname(), timeout=5):
+        with pytest.raises(ValueError):
+            net.accept_and_verify(listener, inst, 0, random.Random(111), timeout_s=5)
+        # the waiting connection was never accepted by the refused session
+        listener.settimeout(5)
+        conn, _ = listener.accept()
+        conn.close()
+
+
 def tcp_session(inst, wit, rounds, timeout_s, prover_fn=None):
     """Verifier over real loopback TCP in a thread; returns (ok, seconds)."""
     listener = net.create_listener("127.0.0.1", 0)

@@ -54,6 +54,19 @@ def test_associativity():
         assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
 
+def test_unvalidated_results_pass_full_validation():
+    # compose and inverse skip revalidation of their products; the validating
+    # constructor is the reference they must agree with.
+    rng = random.Random(4)
+    for _ in range(100):
+        n = rng.randrange(1, 40)
+        a, b = random_perm(n, rng), random_perm(n, rng)
+        for p in (compose(a, b), inverse(a)):
+            assert type(p.images) is tuple
+            assert Permutation(p.images) == p
+            assert hash(Permutation(p.images)) == hash(p)
+
+
 def test_rejects_non_bijections():
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))

@@ -1,9 +1,12 @@
 """The three-challenge round, amplification, and the hash-derived variant."""
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdzkp.crypto import tuple_add
 from sdzkp.instance import Witness, plant_instance
@@ -11,6 +14,7 @@ from sdzkp.perm import hamming
 from sdzkp.protocol import (
     CHALLENGES,
     CommitmentMsg,
+    ProverState,
     Response,
     decode_proof,
     decode_response,
@@ -20,6 +24,7 @@ from sdzkp.protocol import (
     fs_prove,
     fs_verify,
     fs_verify_bytes,
+    max_response_bytes,
     prover_commit,
     prover_respond,
     run_interactive,
@@ -242,3 +247,74 @@ def test_masked_values_hide_witness(planted):
     s2, _ = prover_commit(inst, wit, rng)
     assert s1.masked_witness != s2.masked_witness
     assert s1.masked_target != s2.masked_target
+
+
+# SHA-256 of a 219-round proof with fixed coins, pinned so that any change to
+# the commitment order, the response layout or the rng schedule shows up.
+@pytest.mark.parametrize("n, gens, k, digest", [
+    (16, 4, 6, "157f07176bd93eeaa8359824b070557d639e643c1a1c4300d4375bed50847f5d"),
+    # below degree 7 the kind 0 and 1 responses are the longest
+    (5, 2, 2, "36ad79c11b530a63380e714e376ff49e39375d6e620f652209b7fcfd03d4c5f4"),
+])
+def test_fs_proof_bytes_are_pinned(n, gens, k, digest):
+    inst, wit = plant_instance(n, gens, k, random.Random(n), preset="general")
+    data = encode_proof(fs_prove(inst, wit, 219, b"ctx", random.Random(7)))
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+_u32 = st.integers(0, (1 << 32) - 1)
+_bytes32 = st.binary(min_size=32, max_size=32)
+
+
+@st.composite
+def _prover_states(draw):
+    """A coin tape with arbitrary contents at an arbitrary small degree."""
+    n = draw(st.integers(1, 16))
+    word_tuple = st.lists(_u32, min_size=n, max_size=n).map(tuple)
+    return n, ProverState(
+        seed=draw(_bytes32),
+        masked_witness=draw(word_tuple),
+        masked_target=draw(word_tuple),
+        open_witness=draw(_bytes32),
+        open_target=draw(_bytes32),
+        open_seed=draw(_bytes32),
+        commitment=CommitmentMsg(draw(_bytes32), draw(_bytes32), draw(_bytes32)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_prover_states())
+def test_response_codec_round_trips_and_meets_the_cap(drawn):
+    n, state = drawn
+    lengths = []
+    for ch in CHALLENGES:
+        rsp = state.respond(ch)
+        data = encode_response(rsp)
+        assert decode_response(data) == rsp
+        lengths.append(len(data))
+    assert max(lengths) == max_response_bytes(n)
+
+
+@pytest.fixture(scope="module")
+def honest_state(planted):
+    inst, wit = planted
+    return prover_commit(inst, wit, random.Random(70))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_decoder_and_verifier_are_total_on_arbitrary_bytes(planted, honest_state, data):
+    inst, _ = planted
+    state, com = honest_state
+    raw = bytearray(encode_response(state.respond(data.draw(st.sampled_from(CHALLENGES)))))
+    for pos, flip in data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)), max_size=3)):
+        raw[pos] ^= flip
+    end = data.draw(st.one_of(st.just(len(raw)), st.integers(0, len(raw))))
+    raw = data.draw(st.one_of(st.just(bytes(raw[:end])), st.binary(max_size=300)))
+    raw += data.draw(st.binary(max_size=4))
+    try:
+        rsp = decode_response(raw)
+    except ValueError:
+        return
+    for ch in CHALLENGES:
+        assert isinstance(verify_round(inst, com, ch, rsp), bool)
