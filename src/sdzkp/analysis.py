@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import combinations, count, islice
 from random import Random
 from typing import Callable
@@ -43,6 +43,9 @@ from .protocol import (
 VerifierOracle = Callable[[CommitmentMsg], int]
 
 _RESAMPLE_BOUND = 64
+
+# A statistical check passes iff the p-value of what it measures exceeds ALPHA.
+ALPHA = 0.001
 
 
 class ExtractionError(Exception):
@@ -244,6 +247,22 @@ def simulator_abort_rate(inst: SDPInstance, max_rewinds: int, runs: int, rng: Ra
     return aborts / runs
 
 
+# --- reports ---
+
+def report_dict(experiment: str, samples: int, statistic: float, p_value, passed: bool, **details) -> dict:
+    """The JSON report of one `sdzkp analyze` experiment."""
+    report = {
+        "experiment": experiment,
+        "samples": samples,
+        "statistic": statistic,
+        "p_value": p_value,
+        "pass": passed,
+    }
+    if details:
+        report["details"] = details
+    return report
+
+
 # --- distribution comparison ---
 
 @dataclass
@@ -264,31 +283,19 @@ class DistributionReport:
     statistic: float
     p_value: float
     passed: bool
-    challenge_counts_real: dict[int, int] = field(default_factory=dict)
-    challenge_counts_simulated: dict[int, int] = field(default_factory=dict)
-    acceptance_rate_real: float = 1.0
-    acceptance_rate_simulated: float = 1.0
-    distance_weights_real: dict[int, int] = field(default_factory=dict)
-    distance_weights_simulated: dict[int, int] = field(default_factory=dict)
+    challenge_counts_real: dict[int, int]
+    challenge_counts_simulated: dict[int, int]
+    acceptance_rate_real: float
+    acceptance_rate_simulated: float
+    distance_weights_real: dict[int, int]
+    distance_weights_simulated: dict[int, int]
 
     def as_dict(self) -> dict:
-        return {
-            "experiment": "distribution",
-            "samples": self.samples_real,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "pass": self.passed,
-            "details": {
-                "group_order": self.group_order,
-                "samples_simulated": self.samples_simulated,
-                "challenge_counts_real": self.challenge_counts_real,
-                "challenge_counts_simulated": self.challenge_counts_simulated,
-                "acceptance_rate_real": self.acceptance_rate_real,
-                "acceptance_rate_simulated": self.acceptance_rate_simulated,
-                "distance_weights_real": self.distance_weights_real,
-                "distance_weights_simulated": self.distance_weights_simulated,
-            },
-        }
+        fields = asdict(self)
+        return report_dict(
+            "distribution", fields.pop("samples_real"), fields.pop("statistic"),
+            fields.pop("p_value"), fields.pop("passed"), **fields,
+        )
 
 
 def transcript_distribution_test(
@@ -297,7 +304,7 @@ def transcript_distribution_test(
     samples: int,
     rng: Random,
     max_order: int = 120,
-    alpha: float = 0.001,
+    alpha: float = ALPHA,
 ) -> DistributionReport:
     """Compare real and simulated transcripts on a small group.
 
@@ -369,9 +376,12 @@ def uniformity_pvalue(counts: dict | Counter, total_categories: int) -> float:
 
 
 def binomial_two_sided_pvalue(hits: int, trials: int, p: float) -> float:
-    """Normal-approximation two-sided p-value for an observed hit count."""
+    """Normal-approximation two-sided p-value for an observed hit count;
+    at p = 0 or 1 it is 1 for the certain count and 0 for any other."""
     from scipy.stats import norm
 
     sd = math.sqrt(p * (1 - p) / trials)
+    if sd == 0:
+        return float(hits == p * trials)
     z = (hits / trials - p) / sd
     return float(2 * norm.sf(abs(z)))

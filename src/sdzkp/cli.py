@@ -49,7 +49,10 @@ def parse_addr(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not host:
         raise ValueError(f"address must be host:port, got {text!r}")
-    return host, int(port)
+    number = int(port)
+    if not 0 <= number <= 65535:
+        raise ValueError(f"port must be in 0..65535, got {number}")
+    return host, number
 
 
 def _add_instance_params(p: argparse.ArgumentParser, n=16, gens=2, k=4, preset="general"):
@@ -207,18 +210,9 @@ def cmd_fs_verify(args) -> int:
     return EXIT_ACCEPT if ok else EXIT_REJECT
 
 
-def _report(experiment: str, samples: int, statistic: float, p_value, passed: bool, **details) -> int:
-    payload = {
-        "experiment": experiment,
-        "samples": samples,
-        "statistic": statistic,
-        "p_value": p_value,
-        "pass": passed,
-    }
-    if details:
-        payload["details"] = details
-    print(json.dumps(payload, indent=2))
-    return EXIT_ACCEPT if passed else EXIT_REJECT
+def _report(report: dict) -> int:
+    print(json.dumps(report, indent=2))
+    return EXIT_ACCEPT if report["pass"] else EXIT_REJECT
 
 
 def cmd_analyze(args) -> int:
@@ -232,32 +226,28 @@ def cmd_analyze(args) -> int:
             t = honest_round(inst, wit, rng, rng)
             ok += verify_round(inst, t.commitment, t.challenge, t.response)
         rate = ok / args.rounds
-        return _report("completeness", args.rounds, rate, None, ok == args.rounds)
+        return _report(analysis.report_dict("completeness", args.rounds, rate, None, ok == args.rounds))
 
     if args.experiment == "soundness":
         targets = {int(c) for c in args.strategy}
         rate = analysis.cheating_acceptance_rate(inst, targets, args.rounds, rng)
         p = analysis.binomial_two_sided_pvalue(round(rate * args.rounds), args.rounds, 2 / 3)
-        return _report(
-            "soundness", args.rounds, rate, p, abs(rate - 2 / 3) <= 0.01,
-            strategy=sorted(targets),
-        )
+        return _report(analysis.report_dict(
+            "soundness", args.rounds, rate, p, p > analysis.ALPHA, strategy=sorted(targets),
+        ))
 
     if args.experiment == "simulator":
         rate = analysis.simulator_attempt_success_rate(inst, args.attempts, rng)
         abort = analysis.simulator_abort_rate(inst, args.max_rewinds, args.runs, rng)
         bound = (4 / 9) ** args.max_rewinds
-        sigma = (bound * (1 - bound) / args.runs) ** 0.5
         p = analysis.binomial_two_sided_pvalue(round(rate * args.attempts), args.attempts, 5 / 9)
-        passed = abs(rate - 5 / 9) <= 0.02 and abort <= bound + 3 * sigma
-        return _report(
-            "simulator", args.attempts, rate, p, passed,
+        p_abort = analysis.binomial_two_sided_pvalue(round(abort * args.runs), args.runs, bound)
+        return _report(analysis.report_dict(
+            "simulator", args.attempts, rate, p, min(p, p_abort) > analysis.ALPHA,
             abort_rate=abort, abort_bound=bound, max_rewinds=args.max_rewinds,
-        )
+        ))
 
-    report = analysis.transcript_distribution_test(inst, wit, args.samples, rng)
-    print(json.dumps(report.as_dict(), indent=2))
-    return EXIT_ACCEPT if report.passed else EXIT_REJECT
+    return _report(analysis.transcript_distribution_test(inst, wit, args.samples, rng).as_dict())
 
 
 _HANDLERS = {

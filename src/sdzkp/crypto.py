@@ -17,6 +17,9 @@ SEED_BYTES = 32
 OPENING_BYTES = 32
 DIGEST_BYTES = 32
 COMMIT_TAGS = ("C1", "C2", "C3")
+# Tuples and permutations are serialized with a u32 length; anything near
+# that bound is nonsense here, so decoders cap the length they allocate for.
+MAX_TUPLE_LENGTH = 1 << 20
 
 _WORD_MASK = 0xFFFFFFFF
 
@@ -85,7 +88,7 @@ def decode_tuple_from(data: bytes, offset: int = 0) -> tuple[tuple[int, ...], in
         raise ValueError("truncated tuple: missing length")
     (n,) = struct.unpack_from("<I", data, offset)
     offset += 4
-    if n == 0 or n > (1 << 24):
+    if n == 0 or n > MAX_TUPLE_LENGTH:
         raise ValueError(f"unreasonable tuple length {n}")
     end = offset + 4 * n
     if len(data) < end:

@@ -3,8 +3,7 @@
 Implements the deterministic Schreier-Sims algorithm.  A BSGS (base and
 strong generating set) supports exact membership tests, the group order,
 uniform random sampling, and bounded enumeration.  All of this is exact
-group theory; nothing here is probabilistic unless a caller passes an rng
-for the optional random-word self-check.
+group theory; nothing here is probabilistic.
 
 The giant groups S_n and A_n skip Schreier-Sims: a transitive group that
 contains an element with a cycle of prime length p, n/2 < p < n-2, is
@@ -53,10 +52,7 @@ class _ByteOps:
 
     @staticmethod
     def inv(a):
-        out = bytearray(256)
-        for i, v in enumerate(a):
-            out[v] = i
-        return bytes(out)
+        return bytes(invert_images(a))
 
 
 class _TupleOps:
@@ -74,13 +70,8 @@ class _TupleOps:
     def decode(self, raw):
         return raw
 
-    @staticmethod
-    def mul(a, b):
-        return compose_images(a, b)
-
-    @staticmethod
-    def inv(a):
-        return invert_images(a)
+    mul = staticmethod(compose_images)
+    inv = staticmethod(invert_images)
 
 
 def _make_ops(degree: int):
@@ -113,6 +104,21 @@ class _Level:
         if g not in self.gen_set:
             self.gens.append(g)
             self.gen_set.add(g)
+
+
+def _sift(levels: list[_Level], mul, p, start: int = 0):
+    """Strip p through levels[start:]; returns (residue, index of the level
+    whose orbit misses p's image, or len(levels))."""
+    for idx in range(start, len(levels)):
+        level = levels[idx]
+        y = p[level.point]
+        if y == level.point:
+            continue
+        u_inv = level.inv_transversal.get(y)
+        if u_inv is None:
+            return p, idx
+        p = mul(u_inv, p)
+    return p, len(levels)
 
 
 class _ChainBuilder:
@@ -159,20 +165,6 @@ class _ChainBuilder:
                     level.inv_transversal[z] = ops.inv(u_z)
                     queue.append(z)
 
-    def sift(self, p, start: int = 0):
-        """Strip p through the chain; returns (residue, level index reached)."""
-        mul = self.ops.mul
-        for idx in range(start, len(self.levels)):
-            level = self.levels[idx]
-            y = p[level.point]
-            if y == level.point:
-                continue
-            u_inv = level.inv_transversal.get(y)
-            if u_inv is None:
-                return p, idx
-            p = mul(u_inv, p)
-        return p, len(self.levels)
-
     def complete_level(self, i: int) -> None:
         """Make level i satisfy the strong generating property.
 
@@ -203,7 +195,7 @@ class _ChainBuilder:
                 if w == level.transversal[z]:
                     continue
                 sgen = mul(level.inv_transversal[z], w)
-                residue, j = self.sift(sgen, i + 1)
+                residue, j = _sift(self.levels, mul, sgen, i + 1)
                 if residue == ident:
                     continue
                 if j == len(self.levels):
@@ -327,7 +319,6 @@ def _giant_levels(ops, alternating: bool) -> list[_Level]:
     for i in range(n - span + 1):
         level = _Level(i)
         level.gens = strong[i:]
-        level.gen_set = set(level.gens)
         t, t_inv = level.transversal, level.inv_transversal
         t[i] = t_inv[i] = ops.ident
         for y in range(i + 1, n):
@@ -375,23 +366,11 @@ class BSGS:
                 seen.setdefault(g, Permutation(self._ops.decode(g)))
         return tuple(seen.values())
 
-    def _sift_raw(self, p):
-        mul = self._ops.mul
-        for level in self._levels:
-            y = p[level.point]
-            if y == level.point:
-                continue
-            u_inv = level.inv_transversal.get(y)
-            if u_inv is None:
-                return None
-            p = mul(u_inv, p)
-        return p
-
     def contains(self, p: Permutation) -> bool:
         """Exact membership test by sifting through the chain."""
         if p.n != self.degree:
             raise ValueError(f"degree mismatch: group acts on {self.degree} points, element on {p.n}")
-        residue = self._sift_raw(self._ops.encode(p.images))
+        residue, _ = _sift(self._levels, self._ops.mul, self._ops.encode(p.images))
         return residue == self._ops.ident
 
     def order(self) -> int:
@@ -441,14 +420,13 @@ def _normalize(generators: Sequence[Permutation]) -> tuple[int, tuple[Permutatio
     return degree, tuple(kept)
 
 
-def build_bsgs(generators: Sequence[Permutation], rng: Random | None = None) -> BSGS:
+def build_bsgs(generators: Sequence[Permutation]) -> BSGS:
     """Build a stabilizer chain for the subgroup generated by `generators`.
 
     Deterministic given the generator list.  Identity generators are ignored
     and duplicates are merged; an all-identity list yields the trivial group.
     S_n and A_n, once certified, get their known chain; every other group
-    goes through Schreier-Sims.  If rng is given, an extra randomized
-    self-check sifts random generator words through the finished chain.
+    goes through Schreier-Sims.
     """
     degree, gens = _normalize(generators)
     ops = _make_ops(degree)
@@ -462,13 +440,6 @@ def build_bsgs(generators: Sequence[Permutation], rng: Random | None = None) -> 
     # The chain invariant: every input and strong generator strips to the
     # identity.  Each distinct generator is sifted once.
     for g in dict.fromkeys([*raw, *(g for level in levels for g in level.gens)]):
-        if chain._sift_raw(g) != ops.ident:
+        if _sift(levels, ops.mul, g)[0] != ops.ident:
             raise RuntimeError("stabilizer chain failed self-check")
-    if rng is not None and gens:
-        for _ in range(32):
-            word = ops.ident
-            for _ in range(rng.randrange(1, 16)):
-                word = ops.mul(word, raw[rng.randrange(len(raw))])
-            if chain._sift_raw(word) != ops.ident:
-                raise RuntimeError("stabilizer chain rejected a generator word")
     return chain

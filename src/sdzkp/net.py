@@ -2,10 +2,11 @@
 
 Frame layout: u32 LE payload length, then a 1-byte message type, then the
 message body.  The length covers the type byte plus body and is capped at
-16 MiB; the verifier caps each frame it reads at the largest valid message
-of its type for the instance's degree.  One connection carries all rounds
-of one session; the verifier treats any framing violation, timeout, or
-failed check as a rejection of the whole session, never as a crash.
+16 MiB; each end caps each frame it reads at the largest valid message of
+its type (the verifier's caps depend on the instance's degree).  One
+connection carries all rounds of one session; the verifier treats any
+framing violation, timeout, or failed check as a rejection of the whole
+session, never as a crash.
 
 Both ends set TCP_NODELAY: each side writes a small frame and then waits
 for the peer's reply, which under Nagle's algorithm and delayed ACKs costs
@@ -99,7 +100,7 @@ def prover_session(sock: socket.socket, inst: SDPInstance, wit: Witness, rounds:
     for i in range(rounds):
         state, msg = prover_commit(inst, wit, rng)
         send_frame(sock, MSG_COMMIT, msg.encode())
-        body = recv_expected(sock, MSG_CHALLENGE)
+        body = recv_expected(sock, MSG_CHALLENGE, 2)
         if len(body) != 1 or body[0] not in CHALLENGES:
             raise SessionError(f"invalid challenge in round {i}")
         send_frame(sock, MSG_RESPONSE, encode_response(prover_respond(state, body[0])))

@@ -8,13 +8,10 @@ positions where their one-line forms differ; it is bi-invariant and never 1.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from random import Random
 
-# Degrees are serialized as u32; anything near that bound is nonsense for
-# this codebase, so parsers cap the degree they will allocate for.
-MAX_DEGREE = 1 << 20
+from .crypto import decode_tuple, decode_tuple_from, encode_tuple
 
 
 def compose_images(a, b):
@@ -73,31 +70,18 @@ class Permutation:
         return tuple(i for i, v in enumerate(self.images) if v != i)
 
     def to_bytes(self) -> bytes:
-        """Canonical encoding: degree as u32 LE, then each image as u32 LE."""
-        n = len(self.images)
-        return struct.pack(f"<I{n}I", n, *self.images)
+        """Canonical encoding: the image tuple as crypto.encode_tuple writes it."""
+        return encode_tuple(self.images)
 
     @classmethod
     def unpack_from(cls, data: bytes, offset: int = 0) -> tuple["Permutation", int]:
         """Decode one permutation starting at offset; returns (perm, next offset)."""
-        if len(data) - offset < 4:
-            raise ValueError("truncated permutation: missing degree")
-        (n,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        if n == 0 or n > MAX_DEGREE:
-            raise ValueError(f"unreasonable permutation degree {n}")
-        end = offset + 4 * n
-        if len(data) < end:
-            raise ValueError("truncated permutation: missing images")
-        images = struct.unpack_from(f"<{n}I", data, offset)
+        images, end = decode_tuple_from(data, offset)
         return cls(images), end
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Permutation":
-        perm, end = cls.unpack_from(data, 0)
-        if end != len(data):
-            raise ValueError("trailing bytes after permutation")
-        return perm
+        return cls(decode_tuple(data))
 
 
 def identity(n: int) -> Permutation:

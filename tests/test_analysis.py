@@ -288,3 +288,10 @@ def test_uniformity_pvalue():
 def test_binomial_pvalue():
     assert binomial_two_sided_pvalue(666, 1000, 2 / 3) > 0.5
     assert binomial_two_sided_pvalue(500, 1000, 2 / 3) < 1e-6
+
+
+def test_binomial_pvalue_at_a_certain_rate():
+    # (4/9)^rewinds underflows to 0.0 for a thousand rewinds
+    assert binomial_two_sided_pvalue(0, 300, (4 / 9) ** 1000) == 1.0
+    assert binomial_two_sided_pvalue(1, 300, 0.0) == 0.0
+    assert binomial_two_sided_pvalue(300, 300, 1.0) == 1.0

@@ -34,6 +34,21 @@ def test_parse_addr():
         parse_addr(":123")
     with pytest.raises(ValueError):
         parse_addr("host:notaport")
+    with pytest.raises(ValueError):
+        parse_addr("127.0.0.1:70000")
+    with pytest.raises(ValueError):
+        parse_addr("127.0.0.1:-1")
+
+
+@pytest.mark.parametrize("command", [["verify", "--listen"], ["prove", "--connect"]])
+def test_out_of_range_port_is_a_usage_error(tmp_path, capsys, command):
+    inst_path, wit_path = keygen(tmp_path)
+    args = [*command, "127.0.0.1:70000", "--instance", str(inst_path), "--timeout-ms", "1000"]
+    if command[0] == "prove":
+        args += ["--witness", str(wit_path)]
+    assert main(args) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error: port must be in 0..65535" in err and "Traceback" not in err
 
 
 def test_make_rng(capsys):
@@ -249,6 +264,16 @@ def test_analyze_soundness(capsys):
     assert report["experiment"] == "soundness"
     assert 0.6 < report["statistic"] < 0.74
     assert (code == EXIT_ACCEPT) == report["pass"]
+
+
+def test_analyze_soundness_passes_an_honest_small_run(capsys):
+    # rate 0.653 over 300 rounds lies 0.5 sd below 2/3, well within chance;
+    # an absolute tolerance of 0.01 would call it a failure
+    code = main(["analyze", "soundness", "--rounds", "300", "--seed", "5"])
+    report = json.loads(capsys.readouterr().out)
+    assert report["p_value"] > 0.5
+    assert report["pass"] is True
+    assert code == EXIT_ACCEPT
 
 
 def test_analyze_simulator(capsys):

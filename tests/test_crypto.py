@@ -7,10 +7,12 @@ import pytest
 from sdzkp.crypto import (
     COMMIT_TAGS,
     DIGEST_BYTES,
+    MAX_TUPLE_LENGTH,
     OPENING_BYTES,
     SEED_BYTES,
     commit,
     decode_tuple,
+    decode_tuple_from,
     encode_tuple,
     expand_mask,
     fresh_seed,
@@ -120,6 +122,16 @@ def test_tuple_codec_rejects_malformed():
         decode_tuple(encode_tuple(()))
     with pytest.raises(ValueError):
         decode_tuple(b"\xff\xff\xff\xff")
+
+
+def test_tuple_decoder_refuses_a_length_past_the_cap():
+    # a full body behind the header: only the cap can refuse it
+    n = MAX_TUPLE_LENGTH + 1
+    data = n.to_bytes(4, "little") + bytes(4 * n)
+    with pytest.raises(ValueError, match="unreasonable"):
+        decode_tuple_from(data)
+    at_cap = MAX_TUPLE_LENGTH.to_bytes(4, "little") + bytes(4 * MAX_TUPLE_LENGTH)
+    assert len(decode_tuple_from(at_cap)[0]) == MAX_TUPLE_LENGTH
 
 
 def test_fresh_seed_length_and_variety():

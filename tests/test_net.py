@@ -217,6 +217,31 @@ def test_prover_session_rejects_invalid_challenge(planted):
     assert errors
 
 
+def test_prover_refuses_an_oversized_challenge_before_its_body(planted):
+    inst, wit = planted
+    a, b = pair()
+    a.settimeout(3)
+    errors = []
+
+    def prover_side():
+        try:
+            with a:
+                net.prover_session(a, inst, wit, 1, random.Random(112))
+        except OSError as exc:
+            errors.append(exc)
+
+    th = threading.Thread(target=prover_side)
+    th.start()
+    with b:
+        net.recv_expected(b, MSG_COMMIT)
+        t0 = time.monotonic()
+        # announce 1 MiB, send nothing behind it, and hold the line open
+        b.sendall(struct.pack("<I", 1 << 20))
+        th.join(10)
+    assert time.monotonic() - t0 < 1.0
+    assert len(errors) == 1 and type(errors[0]) is net.SessionError
+
+
 def test_zero_round_sessions_refused_before_any_io(planted):
     # A zero-round verifier would accept a peer that sent nothing.
     inst, wit = planted

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sdzkp.crypto import MAX_TUPLE_LENGTH, encode_tuple
 from sdzkp.perm import (
     Permutation,
     compose,
@@ -174,6 +175,19 @@ def test_bytes_rejects_malformed():
     bad[4] = 9
     with pytest.raises(ValueError):
         Permutation.from_bytes(bytes(bad))
+
+
+@pytest.mark.parametrize("n", [1, 9, 300])
+def test_bytes_encoding_is_the_tuple_codec(n):
+    p = random_perm(n, random.Random(n))
+    assert p.to_bytes() == encode_tuple(p.images)
+
+
+def test_unpack_refuses_a_degree_past_the_length_cap():
+    n = MAX_TUPLE_LENGTH + 1
+    data = n.to_bytes(4, "little") + bytes(4 * n)
+    with pytest.raises(ValueError, match="unreasonable"):
+        Permutation.unpack_from(data)
 
 
 def test_random_perm_uniform_smoke():
