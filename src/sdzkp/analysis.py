@@ -47,6 +47,9 @@ _RESAMPLE_BOUND = 64
 # A statistical check passes iff the p-value of what it measures exceeds ALPHA.
 ALPHA = 0.001
 
+# The distribution test tallies one chi-square cell per element of H.
+DISTRIBUTION_MAX_ORDER = 120
+
 
 class ExtractionError(Exception):
     """Raised when three transcripts do not admit extraction."""
@@ -186,19 +189,16 @@ def honest_verifier(rng: Random) -> VerifierOracle:
     return lambda _msg: verifier_challenge(rng)
 
 
-def _simulated_state(inst: SDPInstance, guess: int, rng: Random, vary_distance: bool) -> ProverState:
+def _simulated_state(inst: SDPInstance, guess: int, rng: Random) -> ProverState:
     """Fake tuple pair for one attempt.  guess in {0,1} plants a uniform
     group element (both membership challenges will verify); guess 2 plants
-    a pair at Hamming distance k' <= k (the distance challenge verifies)."""
+    a pair at Hamming distance exactly k, the distance of a planted witness
+    (the distance challenge verifies)."""
     if guess < 2:
         left = inst.group.sample_uniform(rng)
         right = compose(left, inst.target)
     else:
-        k = inst.max_distance
-        if vary_distance:
-            choices = [0] + list(range(2, k + 1))
-            k = choices[rng.randrange(len(choices))]
-        left = compose(random_support_perm(inst.degree, k, rng), inst.target)
+        left = compose(random_support_perm(inst.degree, inst.max_distance, rng), inst.target)
         right = inst.target
     seed = fresh_seed(rng)
     mask = expand_mask(seed, inst.degree)
@@ -210,7 +210,6 @@ def simulate(
     verifier: VerifierOracle,
     max_rewinds: int,
     rng: Random,
-    vary_distance: bool = False,
 ) -> Transcript | None:
     """Produce an accepting transcript against `verifier` without a witness.
 
@@ -223,7 +222,7 @@ def simulate(
     require_positive(max_rewinds, "attempt")
     for _ in range(max_rewinds):
         guess = rng.randrange(3)
-        prover = _simulated_state(inst, guess, rng, vary_distance)
+        prover = _simulated_state(inst, guess, rng)
         ch = verifier(prover.commitment)
         if ch not in CHALLENGES:
             raise ValueError(f"verifier oracle returned invalid challenge {ch!r}")
@@ -303,7 +302,6 @@ def transcript_distribution_test(
     wit: Witness,
     samples: int,
     rng: Random,
-    max_order: int = 120,
     alpha: float = ALPHA,
 ) -> DistributionReport:
     """Compare real and simulated transcripts on a small group.
@@ -316,12 +314,12 @@ def transcript_distribution_test(
     from scipy.stats import chi2_contingency
 
     order = inst.group.order()
-    if order > max_order:
-        raise ValueError(f"group order {order} exceeds the test bound {max_order}")
+    if order > DISTRIBUTION_MAX_ORDER:
+        raise ValueError(f"group order {order} exceeds the test bound {DISTRIBUTION_MAX_ORDER}")
     if samples < 10 * order:
         raise ValueError("too few samples for a meaningful comparison")
 
-    index = {p.images: i for i, p in enumerate(inst.group.elements(max_order))}
+    index = {p.images: i for i, p in enumerate(inst.group.elements(DISTRIBUTION_MAX_ORDER))}
 
     def tally(transcripts):
         """Challenge-0 counts per element, challenge counts, challenge-2 weights, accepts."""

@@ -18,6 +18,7 @@ from pathlib import Path
 from . import analysis, net
 from .instance import (
     PRESETS,
+    SDPInstance,
     load_instance,
     load_witness,
     plant_instance,
@@ -134,13 +135,6 @@ _TRIVIAL_WITNESS = {
 }
 
 
-def _giant_kind(order: int, degree: int) -> str:
-    """'S_n' or 'A_n' when a group of that order on `degree` points is
-    the symmetric or alternating group, else 'no'."""
-    full = math.factorial(degree)
-    return "S_n" if order == full else "A_n" if 2 * order == full else "no"
-
-
 def cmd_keygen(args) -> int:
     rng = make_rng(args.seed)
     inst, wit = plant_instance(args.n, args.gens, args.k, rng, preset=args.preset)
@@ -150,10 +144,9 @@ def cmd_keygen(args) -> int:
     wit_path = out / "witness.sdw"
     save_instance(inst, inst_path)
     save_witness(wit, wit_path)
-    order = inst.group.order()
-    giant = _giant_kind(order, inst.degree)
+    giant = inst.group.giant
     print(f"instance: {inst_path}  (n={inst.degree} k={inst.max_distance} "
-          f"gens={len(inst.generators)} log2|H|={math.log2(order):.1f}  "
+          f"gens={len(inst.generators)} log2|H|={math.log2(inst.group.order()):.1f}  "
           f"base={len(inst.group.base)}  giant={giant})")
     print(f"witness:  {wit_path}")
     if giant != "no":
@@ -210,7 +203,9 @@ def cmd_fs_verify(args) -> int:
     return EXIT_ACCEPT if ok else EXIT_REJECT
 
 
-def _report(report: dict) -> int:
+def _report(report: dict, inst: SDPInstance) -> int:
+    # A giant H makes the statement trivially solvable; say so in every report.
+    report.setdefault("details", {})["giant"] = inst.group.giant
     print(json.dumps(report, indent=2))
     return EXIT_ACCEPT if report["pass"] else EXIT_REJECT
 
@@ -226,7 +221,7 @@ def cmd_analyze(args) -> int:
             t = honest_round(inst, wit, rng, rng)
             ok += verify_round(inst, t.commitment, t.challenge, t.response)
         rate = ok / args.rounds
-        return _report(analysis.report_dict("completeness", args.rounds, rate, None, ok == args.rounds))
+        return _report(analysis.report_dict("completeness", args.rounds, rate, None, ok == args.rounds), inst)
 
     if args.experiment == "soundness":
         targets = {int(c) for c in args.strategy}
@@ -234,7 +229,7 @@ def cmd_analyze(args) -> int:
         p = analysis.binomial_two_sided_pvalue(round(rate * args.rounds), args.rounds, 2 / 3)
         return _report(analysis.report_dict(
             "soundness", args.rounds, rate, p, p > analysis.ALPHA, strategy=sorted(targets),
-        ))
+        ), inst)
 
     if args.experiment == "simulator":
         rate = analysis.simulator_attempt_success_rate(inst, args.attempts, rng)
@@ -245,9 +240,9 @@ def cmd_analyze(args) -> int:
         return _report(analysis.report_dict(
             "simulator", args.attempts, rate, p, min(p, p_abort) > analysis.ALPHA,
             abort_rate=abort, abort_bound=bound, max_rewinds=args.max_rewinds,
-        ))
+        ), inst)
 
-    return _report(analysis.transcript_distribution_test(inst, wit, args.samples, rng).as_dict())
+    return _report(analysis.transcript_distribution_test(inst, wit, args.samples, rng).as_dict(), inst)
 
 
 _HANDLERS = {

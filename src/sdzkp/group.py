@@ -10,8 +10,9 @@ contains an element with a cycle of prime length p, n/2 < p < n-2, is
 primitive and by Jordan's theorem contains A_n (Seress, Permutation Group
 Algorithms, 2003, section 10.2).  Such an element is searched for by
 product replacement seeded from a hash of the generators, so the search is
-deterministic too; when it succeeds the chain of S_n or A_n is written down
-directly, and when it fails nothing is claimed and Schreier-Sims runs.
+deterministic too; when it succeeds no chain is stored (membership is a
+parity check, sampling an in-place shuffle), and when it fails nothing is
+claimed and Schreier-Sims runs.
 
 Intended for desk-scale degrees (up to a few hundred points).  For degree
 at most 256 the chain stores permutations as 256-byte translation tables
@@ -22,7 +23,8 @@ from __future__ import annotations
 
 import hashlib
 from functools import cached_property
-from math import prod
+from itertools import permutations
+from math import factorial, prod
 from random import Random
 from typing import Sequence
 
@@ -296,54 +298,26 @@ def _certify_giant(ops, gens: tuple[Permutation, ...]) -> bool:
     return False
 
 
-def _giant_levels(ops, alternating: bool) -> list[_Level]:
-    """The chain of S_n, or of A_n, on base 0, 1, .., written down directly.
-
-    S_n: base 0..n-2, representatives the transpositions (i y), strong
-    generators the adjacent transpositions (j j+1).  A_n: base 0..n-3,
-    representatives the 3-cycles (i y z), strong generators the 3-cycles
-    (j j+1 j+2).  Level i's generators are those fixing 0..i-1.
-    """
-    n = ops.degree
-    ident = list(range(n))
-
-    def cycle(*points):
-        images = ident[:]
-        for a, b in zip(points, points[1:] + points[:1]):
-            images[a] = b
-        return ops.encode(images)
-
-    span = 3 if alternating else 2
-    strong = [cycle(*range(j, j + span)) for j in range(n - span + 1)]
-    levels = []
-    for i in range(n - span + 1):
-        level = _Level(i)
-        level.gens = strong[i:]
-        t, t_inv = level.transversal, level.inv_transversal
-        t[i] = t_inv[i] = ops.ident
-        for y in range(i + 1, n):
-            if alternating:
-                z = n - 1 if y != n - 1 else n - 2
-                t[y], t_inv[y] = cycle(i, y, z), cycle(i, z, y)
-            else:
-                t[y] = t_inv[y] = cycle(i, y)
-        level.reps = [t[y] for y in range(i, n)]
-        levels.append(level)
-    return levels
-
-
 class BSGS:
     """Base and strong generating set for the subgroup the generators span.
 
-    Construct via build_bsgs().  Immutable once built, so instances are safe
-    to share across threads.
+    Construct via build_bsgs().  A certified giant keeps no chain (levels is
+    None) and answers in closed form: it is A_n if alternating, else S_n.
+    Immutable once built, so instances are safe to share across threads.
     """
 
-    def __init__(self, ops, generators: tuple[Permutation, ...], levels: list[_Level]):
+    def __init__(self, ops, generators: tuple[Permutation, ...], levels: list[_Level] | None,
+                 alternating: bool = False):
         self._ops = ops
         self._generators = generators
         self._levels = levels
-        self._order = prod(len(level.transversal) for level in levels)
+        self._alternating = alternating
+        if levels is None:
+            self.base = tuple(range(ops.degree - (2 if alternating else 1)))
+            self._order = factorial(ops.degree) // (2 if alternating else 1)
+        else:
+            self.base = tuple(level.point for level in levels)
+            self._order = prod(len(level.transversal) for level in levels)
 
     @property
     def degree(self) -> int:
@@ -355,11 +329,19 @@ class BSGS:
         return self._generators
 
     @property
-    def base(self) -> tuple[int, ...]:
-        return tuple(level.point for level in self._levels)
+    def giant(self) -> str:
+        """'S_n' or 'A_n' when |H| is n! or n!/2, else 'no'."""
+        full = factorial(self.degree)
+        return "S_n" if self._order == full else "A_n" if 2 * self._order == full else "no"
 
     @cached_property
     def strong_generators(self) -> tuple[Permutation, ...]:
+        if self._levels is None:  # (j j+1) for S_n, (j j+1 j+2) for A_n
+            n, span = self.degree, 3 if self._alternating else 2
+            return tuple(
+                Permutation((*range(j), *range(j + 1, j + span), j, *range(j + span, n)))
+                for j in self.base
+            )
         seen = {}
         for level in self._levels:
             for g in level.gens:
@@ -367,9 +349,11 @@ class BSGS:
         return tuple(seen.values())
 
     def contains(self, p: Permutation) -> bool:
-        """Exact membership test by sifting through the chain."""
+        """Exact membership test: parity on a certified giant, else a sift."""
         if p.n != self.degree:
             raise ValueError(f"degree mismatch: group acts on {self.degree} points, element on {p.n}")
+        if self._levels is None:
+            return not (self._alternating and _is_odd(p.images, self.degree))
         residue, _ = _sift(self._levels, self._ops.mul, self._ops.encode(p.images))
         return residue == self._ops.ident
 
@@ -379,6 +363,19 @@ class BSGS:
 
     def sample_uniform(self, rng: Random) -> Permutation:
         """Uniformly random element: one uniform coset representative per level."""
+        if self._levels is None:
+            # Level i's representatives are (i y) for S_n and (i y z) for A_n;
+            # multiplying by one on the right rotates those positions.
+            n = self.degree
+            images = list(range(n))
+            for i in self.base:
+                y = i + rng.randrange(n - i)
+                if not self._alternating:
+                    images[i], images[y] = images[y], images[i]
+                elif y != i:  # the representative for y == i is the identity
+                    z = n - 1 if y != n - 1 else n - 2
+                    images[i], images[y], images[z] = images[y], images[z], images[i]
+            return Permutation._trusted(tuple(images))
         mul = self._ops.mul
         acc = None
         for level in self._levels:
@@ -394,6 +391,8 @@ class BSGS:
         """
         if self._order > limit:
             raise ValueError(f"group order {self._order} exceeds enumeration limit {limit}")
+        if self._levels is None:
+            return [p for p in map(Permutation, permutations(range(self.degree))) if self.contains(p)]
         mul = self._ops.mul
         elems = [self._ops.ident]
         for level in reversed(self._levels):
@@ -425,21 +424,19 @@ def build_bsgs(generators: Sequence[Permutation]) -> BSGS:
 
     Deterministic given the generator list.  Identity generators are ignored
     and duplicates are merged; an all-identity list yields the trivial group.
-    S_n and A_n, once certified, get their known chain; every other group
-    goes through Schreier-Sims.
+    S_n and A_n, once certified, keep no chain and answer in closed form;
+    every other group goes through Schreier-Sims.
     """
     degree, gens = _normalize(generators)
     ops = _make_ops(degree)
-    raw = [ops.encode(g.images) for g in gens]
     if _certify_giant(ops, gens):
-        levels = _giant_levels(ops, alternating=not any(_is_odd(g, degree) for g in raw))
-    else:
-        levels = _ChainBuilder(ops).run(raw)
-    chain = BSGS(ops, gens, levels)
+        return BSGS(ops, gens, None, alternating=not any(_is_odd(g.images, degree) for g in gens))
+    raw = [ops.encode(g.images) for g in gens]
+    levels = _ChainBuilder(ops).run(raw)
 
     # The chain invariant: every input and strong generator strips to the
     # identity.  Each distinct generator is sifted once.
     for g in dict.fromkeys([*raw, *(g for level in levels for g in level.gens)]):
         if _sift(levels, ops.mul, g)[0] != ops.ident:
             raise RuntimeError("stabilizer chain failed self-check")
-    return chain
+    return BSGS(ops, gens, levels)

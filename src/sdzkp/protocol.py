@@ -263,7 +263,9 @@ def run_interactive(
 
 # --- non-interactive variant ---
 
-def _reduce_to_challenge(shake) -> int:
+def _reduce_to_challenge(prefix, i: int) -> int:
+    shake = prefix.copy()
+    shake.update(struct.pack("<I", i))
     # Rejection sampling over bytes: 255 = 85 * 3, so dropping the value 255
     # leaves a multiple of 3 and byte % 3 is exactly uniform.
     length = 64
@@ -281,17 +283,14 @@ def derive_challenges(
     rounds: int,
 ) -> list[int]:
     """Hash-derived challenges binding the statement, context and all commitments."""
-    base = (
+    prefix = hashlib.shake_256(
         _FS_DOMAIN
         + struct.pack("<I", len(context))
         + context
         + statement_digest
         + b"".join(c.encode() for c in commitments)
     )
-    return [
-        _reduce_to_challenge(hashlib.shake_256(base + struct.pack("<I", i)))
-        for i in range(rounds)
-    ]
+    return [_reduce_to_challenge(prefix, i) for i in range(rounds)]
 
 
 def fs_prove(inst: SDPInstance, wit: Witness, rounds: int, context: bytes, rng: Random) -> NIZKProof:

@@ -23,7 +23,6 @@ from sdzkp.analysis import (
     transcript_for,
     uniformity_pvalue,
 )
-from sdzkp.crypto import tuple_sub, weight
 from sdzkp.instance import plant_instance, validate_witness
 from sdzkp.protocol import Transcript, verify_round
 
@@ -232,21 +231,6 @@ def test_simulate_validates_inputs(planted):
         simulate(inst, honest_verifier(rng), 0, rng)
     with pytest.raises(ValueError):
         simulate(inst, lambda _m: 9, 8, rng)
-
-
-def test_simulate_vary_distance(planted):
-    inst, _ = planted
-    rng = random.Random(90)
-    weights = set()
-    produced = 0
-    while produced < 60:
-        t = simulate(inst, lambda _m: 2, 64, rng, vary_distance=True)
-        if t is None:
-            continue
-        produced += 1
-        weights.add(weight(tuple_sub(t.response.masked_witness, t.response.masked_target)))
-    assert weights <= set([0] + list(range(2, inst.max_distance + 1)))
-    assert len(weights) > 1
 
 
 def test_distribution_report_on_small_group(small_abelian):

@@ -303,3 +303,18 @@ def test_cli_requires_subcommand():
         main([])
     with pytest.raises(SystemExit):
         main(["not-a-command"])
+
+
+# Seed 1's two generators both fix point 13 and generate A_15 there, so H is
+# not giant on 16 points; seeds 2 and 9 give S_16 and A_16.
+@pytest.mark.parametrize("argv, giant", [
+    (["completeness", "--rounds", "10", "--seed", "1"], "no"),
+    (["completeness", "--rounds", "10", "--seed", "2"], "S_n"),
+    (["completeness", "--rounds", "10", "--seed", "9"], "A_n"),
+    (["soundness", "--rounds", "30", "--seed", "9"], "A_n"),
+    (["simulator", "--attempts", "30", "--runs", "30", "--seed", "9"], "A_n"),
+    (["distribution", "--samples", "1200", "--seed", "1"], "no"),  # abelian2
+])
+def test_analyze_reports_whether_the_group_is_giant(capsys, argv, giant):
+    main(["analyze", *argv])
+    assert json.loads(capsys.readouterr().out)["details"]["giant"] == giant

@@ -1,11 +1,12 @@
 """Stabilizer-chain construction checked against brute-force closure."""
 
+import hashlib
 import math
 import random
 
 import pytest
 
-from sdzkp.group import BSGS, _certify_giant, _ChainBuilder, _make_ops, _normalize, build_bsgs
+from sdzkp.group import BSGS, _certify_giant, _ChainBuilder, _Level, _make_ops, _normalize, build_bsgs
 from sdzkp.instance import plant_instance
 from sdzkp.perm import Permutation, compose, identity, inverse, random_perm
 
@@ -324,3 +325,64 @@ def test_small_degrees_skip_the_certificate():
     gens = [cycle_perm(7, (0, 1)), cycle_perm(7, tuple(range(7)))]
     assert not certified(gens)
     assert build_bsgs(gens).order() == math.factorial(7)
+
+
+# --- closed forms of a certified giant ---
+
+def certified_giant(n, alternating):
+    """A certified S_n, or A_n, from a transposition or 3-cycle and a long cycle."""
+    if alternating:
+        gens = [cycle_perm(n, (0, 1, 2)), cycle_perm(n, tuple(range(1, n) if n % 2 == 0 else range(n)))]
+    else:
+        gens = [cycle_perm(n, (0, 1)), cycle_perm(n, tuple(range(n)))]
+    assert certified(gens)
+    return build_bsgs(gens)
+
+
+@pytest.mark.parametrize("alternating", [False, True])
+def test_certified_giant_keeps_no_chain(alternating):
+    grp = certified_giant(64, alternating)
+    assert not any(isinstance(value, _Level) for value in vars(grp).values())
+    assert grp.order() == math.factorial(64) // (2 if alternating else 1)
+    span = 3 if alternating else 2
+    assert grp.strong_generators == tuple(cycle_perm(64, tuple(range(j, j + span))) for j in grp.base)
+
+
+# SHA-256 of 20 draws from Random(n), computed with the stabilizer chain the
+# closed form replaced; n = 300 is past the byte-table limit.
+@pytest.mark.parametrize("n, alternating, digest", [
+    (9, False, "dad8a61df2f42117af84a6c553316556270584284719b4feaef51a9e7be5fe10"),
+    (9, True, "21da412ea1d040fab885e052eaa77391a1a19dd3f8570907b0e09248ce63fb87"),
+    (300, False, "565c77f30dd0cc9a837044486a432ff317024ef3462eacb50d43f52dc84165a1"),
+    (300, True, "7189b30c8474a09fb53f82e7b937d38f98191d75de13c6a6d33aa601edc82ddb"),
+])
+def test_certified_giant_draws_are_pinned(n, alternating, digest):
+    grp = certified_giant(n, alternating)
+    rng = random.Random(n)
+    data = b"".join(grp.sample_uniform(rng).to_bytes() for _ in range(20))
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("alternating", [False, True])
+def test_certified_giant_refuses_wrong_degree(alternating):
+    grp = certified_giant(12, alternating)
+    for n in (11, 13):
+        with pytest.raises(ValueError):
+            grp.contains(identity(n))
+
+
+@pytest.mark.parametrize("n", [8, 128])  # S_128 could never be enumerated
+def test_certified_giant_checks_the_limit_first(n):
+    with pytest.raises(ValueError):
+        certified_giant(n, alternating=False).elements(100)
+
+
+def test_giant_compares_the_order_with_n_factorial():
+    a5 = [cycle_perm(5, (0, 1, 2)), cycle_perm(5, (0, 1, 2, 3, 4))]
+    s5 = [cycle_perm(5, (0, 1)), cycle_perm(5, (0, 1, 2, 3, 4))]
+    assert build_bsgs(s5).giant == "S_n"  # below degree 8: Schreier-Sims
+    assert build_bsgs(a5).giant == "A_n"
+    assert certified_giant(12, alternating=False).giant == "S_n"
+    assert certified_giant(12, alternating=True).giant == "A_n"
+    for name, gens in _non_giant_sets().items():
+        assert build_bsgs(gens).giant == "no", name

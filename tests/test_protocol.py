@@ -252,7 +252,8 @@ def test_masked_values_hide_witness(planted):
 # SHA-256 of a 219-round proof with fixed coins, pinned so that any change to
 # the commitment order, the response layout or the rng schedule shows up.
 @pytest.mark.parametrize("n, gens, k, digest", [
-    (16, 4, 6, "157f07176bd93eeaa8359824b070557d639e643c1a1c4300d4375bed50847f5d"),
+    (16, 4, 6, "157f07176bd93eeaa8359824b070557d639e643c1a1c4300d4375bed50847f5d"),  # H = A_16
+    (12, 3, 4, "58d0eff0d82c5f7e9e265f3374cdfe994ddee88cea4da8b166d3ed9c6b53e0b8"),  # H = S_12
     # below degree 7 the kind 0 and 1 responses are the longest
     (5, 2, 2, "36ad79c11b530a63380e714e376ff49e39375d6e620f652209b7fcfd03d4c5f4"),
 ])
