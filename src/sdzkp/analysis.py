@@ -101,7 +101,7 @@ def extract_witness(inst: SDPInstance, t0: Transcript, t1: Transcript, t2: Trans
 
     r0, r1 = by_ch[0].response, by_ch[1].response
     shuffled_witness = unmask(r0.masked_witness, r0.seed, inst.degree)
-    shuffle = compose(unmask(r1.masked_target, r1.seed, inst.degree), inverse(inst.target))
+    shuffle = compose(unmask(r1.masked_target, r1.seed, inst.degree), inst.target_inverse)
     return compose(inverse(shuffle), shuffled_witness)
 
 

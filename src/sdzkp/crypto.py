@@ -3,7 +3,10 @@
 Commitments are SHA3-256 over (ASCII tag || 32-byte opening || message);
 the tag separates the three commitment slots of a round.  Masks are drawn
 from SHAKE-256 keyed by a 32-byte seed and consumed as little-endian u32
-words, so masked tuples live in (Z / 2^32)^n.
+words, so masked tuples live in (Z / 2^32)^n.  Tuple arithmetic packs each
+tuple into one integer, a u32 word per 32-bit lane, and adds or subtracts
+all lanes at once with carries kept inside each lane (Hacker's Delight,
+2nd ed., section 2-18).
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
+from functools import lru_cache
 from random import Random
 
 SEED_BYTES = 32
@@ -20,8 +24,6 @@ COMMIT_TAGS = ("C1", "C2", "C3")
 # Tuples and permutations are serialized with a u32 length; anything near
 # that bound is nonsense here, so decoders cap the length they allocate for.
 MAX_TUPLE_LENGTH = 1 << 20
-
-_WORD_MASK = 0xFFFFFFFF
 
 
 def _commit_digest(tag: str, opening: bytes, message: bytes) -> bytes:
@@ -57,23 +59,49 @@ def expand_mask(seed: bytes, n: int) -> tuple[int, ...]:
     return struct.unpack(f"<{n}I", stream)
 
 
-def tuple_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Componentwise sum mod 2^32."""
+@lru_cache(maxsize=8)  # bounded: a decoded tuple's length comes from a peer
+def _lanes(n: int) -> tuple[struct.Struct, int, int, int]:
+    """The codec of n u32 words and three lane masks of the packed integer:
+    every bit, each lane's top bit, each lane's low 31 bits."""
+    every = (1 << (32 * n)) - 1
+    high = int.from_bytes(b"\x00\x00\x00\x80" * n, "little")
+    return struct.Struct(f"<{n}I"), every, high, every ^ high
+
+
+def _packed(codec: struct.Struct, t: tuple[int, ...]) -> int:
+    try:
+        return int.from_bytes(codec.pack(*t), "little")
+    except struct.error as exc:
+        raise ValueError(f"tuple entries must be u32 words: {exc}") from None
+
+
+def _common_length(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return tuple((x + y) & _WORD_MASK for x, y in zip(a, b))
+    return len(a)
+
+
+def tuple_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Componentwise sum mod 2^32 of two equal-length tuples of u32 words
+    (integers in [0, 2^32)); ValueError on any other entry."""
+    codec, _, high, low = _lanes(_common_length(a, b))
+    x, y = _packed(codec, a), _packed(codec, b)
+    s = ((x & low) + (y & low)) ^ ((x ^ y) & high)
+    return codec.unpack(s.to_bytes(codec.size, "little"))
 
 
 def tuple_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Componentwise difference mod 2^32."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return tuple((x - y) & _WORD_MASK for x, y in zip(a, b))
+    """Componentwise difference mod 2^32 of two equal-length tuples of u32
+    words (integers in [0, 2^32)); ValueError on any other entry."""
+    codec, every, high, low = _lanes(_common_length(a, b))
+    x, y = _packed(codec, a), _packed(codec, b)
+    d = ((x | high) - (y & low)) ^ ((x ^ y ^ every) & high)
+    return codec.unpack(d.to_bytes(codec.size, "little"))
 
 
 def weight(t: tuple[int, ...]) -> int:
     """Number of nonzero entries."""
-    return sum(1 for x in t if x != 0)
+    return len(t) - t.count(0)
 
 
 def encode_tuple(t: tuple[int, ...]) -> bytes:

@@ -314,6 +314,8 @@ class BSGS:
         self._alternating = alternating
         if levels is None:
             self.base = tuple(range(ops.degree - (2 if alternating else 1)))
+            # Level i's draw in sample_uniform: (i, range size, its bit length).
+            self._draws = tuple((i, ops.degree - i, (ops.degree - i).bit_length()) for i in self.base)
             self._order = factorial(ops.degree) // (2 if alternating else 1)
         else:
             self.base = tuple(level.point for level in levels)
@@ -365,12 +367,18 @@ class BSGS:
         """Uniformly random element: one uniform coset representative per level."""
         if self._levels is None:
             # Level i's representatives are (i y) for S_n and (i y z) for A_n;
-            # multiplying by one on the right rotates those positions.
-            n = self.degree
+            # multiplying by one on the right rotates those positions.  y - i
+            # is drawn with the getrandbits calls rng.randrange(n - i) makes,
+            # so seeded draws and the rng state after them match it exactly.
+            n, alternating = self.degree, self._alternating
+            getrandbits = rng.getrandbits
             images = list(range(n))
-            for i in self.base:
-                y = i + rng.randrange(n - i)
-                if not self._alternating:
+            for i, m, k in self._draws:
+                r = getrandbits(k)
+                while r >= m:
+                    r = getrandbits(k)
+                y = i + r
+                if not alternating:
                     images[i], images[y] = images[y], images[i]
                 elif y != i:  # the representative for y == i is the identity
                     z = n - 1 if y != n - 1 else n - 2

@@ -12,10 +12,11 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from random import Random
 
 from .group import BSGS, build_bsgs
-from .perm import Permutation, compose, hamming, random_perm, random_support_perm
+from .perm import Permutation, compose, hamming, inverse, random_perm, random_support_perm
 
 INSTANCE_MAGIC = b"SDZ1"
 WITNESS_MAGIC = b"SDW1"
@@ -49,6 +50,11 @@ class SDPInstance:
                 raise ValueError("generator degree mismatch")
         if self.group.degree != self.degree:
             raise ValueError("group degree mismatch")
+
+    @cached_property
+    def target_inverse(self) -> Permutation:
+        """g^-1, computed once: challenge 1 and the extractor multiply by it."""
+        return inverse(self.target)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ positions where their one-line forms differ; it is bi-invariant and never 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ne
 from random import Random
 
 from .crypto import decode_tuple, decode_tuple_from, encode_tuple
@@ -106,7 +107,7 @@ def inverse(a: Permutation) -> Permutation:
 def hamming(a: Permutation, b: Permutation) -> int:
     """Number of points where the one-line forms differ. Never equals 1."""
     _check_same_degree(a, b)
-    return sum(1 for x, y in zip(a.images, b.images) if x != y)
+    return sum(map(ne, a.images, b.images))
 
 
 def random_perm(n: int, rng: Random) -> Permutation:

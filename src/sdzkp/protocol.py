@@ -43,7 +43,7 @@ from .crypto import (
     weight,
 )
 from .instance import SDPInstance, Witness, instance_digest, validate_witness
-from .perm import Permutation, compose, inverse
+from .perm import Permutation, compose
 
 CHALLENGES = (0, 1, 2)
 
@@ -232,7 +232,7 @@ def verify_round(inst: SDPInstance, commitment: CommitmentMsg, challenge: int, r
             return weight(tuple_sub(response.masked_witness, response.masked_target)) <= inst.max_distance
         if challenge == 0:
             return inst.group.contains(unmask(response.masked_witness, response.seed, n))
-        shuffle = compose(unmask(response.masked_target, response.seed, n), inverse(inst.target))
+        shuffle = compose(unmask(response.masked_target, response.seed, n), inst.target_inverse)
         return inst.group.contains(shuffle)
     except (ValueError, TypeError, struct.error):
         return False

@@ -1,8 +1,11 @@
 """Commitments, mask expansion, and tuple arithmetic."""
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdzkp.crypto import (
     COMMIT_TAGS,
@@ -21,6 +24,7 @@ from sdzkp.crypto import (
     verify_commitment,
     weight,
 )
+from sdzkp.perm import hamming, random_perm
 
 
 def test_commit_verify_round_trip():
@@ -93,10 +97,69 @@ def test_tuple_arithmetic_wraps_mod_2_32():
         tuple_sub((1,), (1, 2))
 
 
+# Words at the edges of a 32-bit lane: the carry or borrow into bit 31 and
+# out of bit 31 is where a lane-parallel sum could leak into its neighbour.
+EDGE_WORDS = (0, 1, 2**31 - 1, 2**31, 2**32 - 1)
+
+
+def plain_add(a, b):
+    return tuple((x + y) % 2**32 for x, y in zip(a, b))
+
+
+def plain_sub(a, b):
+    return tuple((x - y) % 2**32 for x, y in zip(a, b))
+
+
+def assert_matches_the_per_word_formula(a, b):
+    assert tuple_add(a, b) == plain_add(a, b)
+    assert tuple_sub(a, b) == plain_sub(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 128, 300])
+def test_lane_arithmetic_matches_the_per_word_formula(n):
+    for x, y in product(EDGE_WORDS, repeat=2):
+        assert_matches_the_per_word_formula((x,) * n, (y,) * n)
+    rng = random.Random(n)
+    words = [*EDGE_WORDS, *(rng.getrandbits(32) for _ in range(5))]
+    for _ in range(50):
+        a, b = tuple(rng.choices(words, k=n)), tuple(rng.choices(words, k=n))
+        assert_matches_the_per_word_formula(a, b)
+
+
+u32_pairs = st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)), min_size=1, max_size=300)
+
+
+@given(u32_pairs)
+@settings(max_examples=100, deadline=None)
+def test_lane_arithmetic_property(pairs):
+    a, b = tuple(x for x, _ in pairs), tuple(y for _, y in pairs)
+    assert_matches_the_per_word_formula(a, b)
+    assert tuple_sub(tuple_add(a, b), b) == a
+
+
+@pytest.mark.parametrize("bad", [-1, 2**32, 2**64, 1.5, "1", None])
+@pytest.mark.parametrize("op", [tuple_add, tuple_sub])
+def test_tuple_arithmetic_refuses_words_outside_u32(op, bad):
+    with pytest.raises(ValueError):
+        op((0, bad), (1, 2))
+    with pytest.raises(ValueError):
+        op((1, 2), (bad, 0))
+
+
 def test_weight():
     assert weight(()) == 0
     assert weight((0, 0, 0)) == 0
     assert weight((0, 5, 0, 1)) == 2
+
+
+def test_weight_and_hamming_equal_a_plain_count():
+    rng = random.Random(37)
+    for n in (1, 2, 16, 128, 300):
+        t = tuple(rng.choice((0, 0, 1, 2**32 - 1)) for _ in range(n))
+        assert weight(t) == sum(1 for x in t if x != 0)
+        a, b = random_perm(n, rng), random_perm(n, rng)
+        assert hamming(a, b) == sum(1 for i in range(n) if a(i) != b(i))
+        assert hamming(a, b) == weight(tuple_sub(a.images, b.images))
 
 
 def test_tuple_codec_round_trip():

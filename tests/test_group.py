@@ -363,6 +363,36 @@ def test_certified_giant_draws_are_pinned(n, alternating, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+def randrange_walk(grp, rng):
+    """The certified giant's draw written with rng.randrange, the reference
+    for the getrandbits calls that sample_uniform makes itself."""
+    n = grp.degree
+    images = list(range(n))
+    for i in grp.base:
+        y = i + rng.randrange(n - i)
+        if grp.giant == "S_n":
+            images[i], images[y] = images[y], images[i]
+        elif y != i:
+            z = n - 1 if y != n - 1 else n - 2
+            images[i], images[y], images[z] = images[y], images[z], images[i]
+    return tuple(images)
+
+
+@pytest.mark.parametrize("n", [9, 128, 300])
+@pytest.mark.parametrize("alternating", [False, True])
+def test_certified_giant_draws_match_the_randrange_walk(n, alternating):
+    grp = certified_giant(n, alternating)
+    for seed in range(50):
+        fast, slow = random.Random(seed), random.Random(seed)
+        assert grp.sample_uniform(fast).images == randrange_walk(grp, slow)
+        assert fast.random() == slow.random()  # same number of bits consumed
+    system = random.SystemRandom()
+    for _ in range(50):
+        p = grp.sample_uniform(system)
+        assert Permutation(p.images) == p
+        assert grp.contains(p) and not (alternating and is_odd(p))
+
+
 @pytest.mark.parametrize("alternating", [False, True])
 def test_certified_giant_refuses_wrong_degree(alternating):
     grp = certified_giant(12, alternating)

@@ -21,7 +21,7 @@ from sdzkp.instance import (
     witness_from_bytes,
     witness_to_bytes,
 )
-from sdzkp.perm import Permutation, hamming
+from sdzkp.perm import Permutation, compose, hamming, inverse
 
 
 def test_planted_distance_is_exact():
@@ -113,6 +113,13 @@ def test_make_instance_validation():
         make_instance(target, [gen], 7)
     with pytest.raises(ValueError):
         make_instance(Permutation((1, 0)), [gen], 0)
+
+
+def test_target_inverse_is_computed_once():
+    inst, _ = plant_instance(16, 3, 4, random.Random(47))
+    assert inst.target_inverse == inverse(inst.target)
+    assert inst.target_inverse is inst.target_inverse
+    assert compose(inst.target, inst.target_inverse).is_identity()
 
 
 def test_instance_bytes_round_trip():

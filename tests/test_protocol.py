@@ -28,6 +28,7 @@ from sdzkp.protocol import (
     prover_commit,
     prover_respond,
     run_interactive,
+    unmask,
     verifier_challenge,
     verify_round,
 )
@@ -119,6 +120,15 @@ def test_non_permutation_unmask_rejected(planted):
     z[0] = z[1]
     forged = dataclasses.replace(rsp, masked_witness=tuple(z))
     assert not verify_round(inst, com, 0, forged)
+
+
+def test_unmask_refuses_words_outside_u32_with_value_error(planted):
+    # the extractor's and the CLI's callers of unmask catch ValueError only
+    inst, wit = planted
+    state, _ = prover_commit(inst, wit, random.Random(60))
+    for bad in (-1, 2**32, 2**40):
+        with pytest.raises(ValueError):
+            unmask((bad, *state.masked_witness[1:]), state.seed, inst.degree)
 
 
 def test_verifier_challenge_range_and_distribution():
