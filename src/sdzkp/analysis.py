@@ -21,10 +21,10 @@ from itertools import combinations, count, islice
 from random import Random
 from typing import Callable
 
-from .crypto import expand_mask, fresh_seed, tuple_add, tuple_sub, weight
+from .crypto import apply_mask, fresh_seed, tuple_add, tuple_sub, weight
 from .group import BSGS
 from .instance import SDPInstance, Witness
-from .perm import Permutation, compose, hamming, inverse, random_support_perm
+from .perm import Permutation, compose, compose_images, hamming, inverse, random_support_perm
 from .protocol import (
     CHALLENGES,
     OPENS,
@@ -138,21 +138,21 @@ def make_cheating_prover(inst: SDPInstance, targets: frozenset[int] | set[int], 
 
     for _ in range(_RESAMPLE_BOUND):
         seed = fresh_seed(rng)
-        mask = expand_mask(seed, n)
         if targets == frozenset({0, 1}):
             fake = group.sample_uniform(rng)
             if hamming(fake, inst.target) <= k:
                 continue
-            shuffle = group.sample_uniform(rng)
-            z1 = tuple_add(compose(shuffle, fake).images, mask)
-            z2 = tuple_add(compose(shuffle, inst.target).images, mask)
+            u = group.sample_uniform(rng).images
+            z1, z2 = apply_mask(
+                seed, n, compose_images(u, fake.images), compose_images(u, inst.target.images)
+            )
         elif targets == frozenset({0, 2}):
             member = group.sample_uniform(rng)
-            z1 = tuple_add(member.images, mask)
+            (z1,) = apply_mask(seed, n, member.images)
             z2 = tuple_add(z1, _noise_tuple(n, k, rng))
         else:
-            member = group.sample_uniform(rng)
-            z2 = tuple_add(compose(member, inst.target).images, mask)
+            member = group.sample_uniform(rng).images
+            (z2,) = apply_mask(seed, n, compose_images(member, inst.target.images))
             z1 = tuple_add(z2, _noise_tuple(n, k, rng))
         prover = commit_round(z1, z2, seed, rng)
         if accepted_challenges(inst, prover) == targets:
@@ -201,8 +201,7 @@ def _simulated_state(inst: SDPInstance, guess: int, rng: Random) -> ProverState:
         left = compose(random_support_perm(inst.degree, inst.max_distance, rng), inst.target)
         right = inst.target
     seed = fresh_seed(rng)
-    mask = expand_mask(seed, inst.degree)
-    return commit_round(tuple_add(left.images, mask), tuple_add(right.images, mask), seed, rng)
+    return commit_round(*apply_mask(seed, inst.degree, left.images, right.images), seed, rng)
 
 
 def simulate(
@@ -364,22 +363,11 @@ def transcript_distribution_test(
     )
 
 
-def uniformity_pvalue(counts: dict | Counter, total_categories: int) -> float:
-    """One-sample chi-square p-value of counts against the uniform law."""
-    from scipy.stats import chisquare
-
-    observed = [counts.get(i, 0) for i in range(total_categories)]
-    _, p = chisquare(observed)
-    return float(p)
-
-
 def binomial_two_sided_pvalue(hits: int, trials: int, p: float) -> float:
     """Normal-approximation two-sided p-value for an observed hit count;
     at p = 0 or 1 it is 1 for the certain count and 0 for any other."""
-    from scipy.stats import norm
-
     sd = math.sqrt(p * (1 - p) / trials)
     if sd == 0:
         return float(hits == p * trials)
     z = (hits / trials - p) / sd
-    return float(2 * norm.sf(abs(z)))
+    return math.erfc(abs(z) / math.sqrt(2))

@@ -6,7 +6,9 @@ from SHAKE-256 keyed by a 32-byte seed and consumed as little-endian u32
 words, so masked tuples live in (Z / 2^32)^n.  Tuple arithmetic packs each
 tuple into one integer, a u32 word per 32-bit lane, and adds or subtracts
 all lanes at once with carries kept inside each lane (Hacker's Delight,
-2nd ed., section 2-18).
+2nd ed., section 2-18).  A round's mask stays one such integer, read
+straight from the SHAKE stream: apply_mask and remove_mask add it to, or
+take it from, each tuple without ever splitting it into words.
 """
 
 from __future__ import annotations
@@ -49,14 +51,17 @@ def verify_commitment(digest: bytes, message: bytes, tag: str, opening: bytes) -
     return hmac.compare_digest(digest, _commit_digest(tag, opening, message))
 
 
-def expand_mask(seed: bytes, n: int) -> tuple[int, ...]:
-    """First 4n bytes of SHAKE-256(seed) as n little-endian u32 words."""
+def _mask_stream(seed: bytes, n: int) -> bytes:
     if len(seed) != SEED_BYTES:
         raise ValueError(f"seed must be {SEED_BYTES} bytes, got {len(seed)}")
     if n < 1:
         raise ValueError("mask length must be positive")
-    stream = hashlib.shake_256(seed).digest(4 * n)
-    return struct.unpack(f"<{n}I", stream)
+    return hashlib.shake_256(seed).digest(4 * n)
+
+
+def expand_mask(seed: bytes, n: int) -> tuple[int, ...]:
+    """First 4n bytes of SHAKE-256(seed) as n little-endian u32 words."""
+    return struct.unpack(f"<{n}I", _mask_stream(seed, n))
 
 
 @lru_cache(maxsize=8)  # bounded: a decoded tuple's length comes from a peer
@@ -72,7 +77,19 @@ def _packed(codec: struct.Struct, t: tuple[int, ...]) -> int:
     try:
         return int.from_bytes(codec.pack(*t), "little")
     except struct.error as exc:
-        raise ValueError(f"tuple entries must be u32 words: {exc}") from None
+        raise ValueError(f"need {codec.size // 4} u32 words: {exc}") from None
+
+
+def _add_lanes(lanes: tuple[struct.Struct, int, int, int], x: int, y: int) -> tuple[int, ...]:
+    codec, _, high, low = lanes
+    s = ((x & low) + (y & low)) ^ ((x ^ y) & high)
+    return codec.unpack(s.to_bytes(codec.size, "little"))
+
+
+def _sub_lanes(lanes: tuple[struct.Struct, int, int, int], x: int, y: int) -> tuple[int, ...]:
+    codec, every, high, low = lanes
+    d = ((x | high) - (y & low)) ^ ((x ^ y ^ every) & high)
+    return codec.unpack(d.to_bytes(codec.size, "little"))
 
 
 def _common_length(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -84,19 +101,32 @@ def _common_length(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 def tuple_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Componentwise sum mod 2^32 of two equal-length tuples of u32 words
     (integers in [0, 2^32)); ValueError on any other entry."""
-    codec, _, high, low = _lanes(_common_length(a, b))
-    x, y = _packed(codec, a), _packed(codec, b)
-    s = ((x & low) + (y & low)) ^ ((x ^ y) & high)
-    return codec.unpack(s.to_bytes(codec.size, "little"))
+    lanes = _lanes(_common_length(a, b))
+    return _add_lanes(lanes, _packed(lanes[0], a), _packed(lanes[0], b))
 
 
 def tuple_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Componentwise difference mod 2^32 of two equal-length tuples of u32
     words (integers in [0, 2^32)); ValueError on any other entry."""
-    codec, every, high, low = _lanes(_common_length(a, b))
-    x, y = _packed(codec, a), _packed(codec, b)
-    d = ((x | high) - (y & low)) ^ ((x ^ y ^ every) & high)
-    return codec.unpack(d.to_bytes(codec.size, "little"))
+    lanes = _lanes(_common_length(a, b))
+    return _sub_lanes(lanes, _packed(lanes[0], a), _packed(lanes[0], b))
+
+
+def apply_mask(seed: bytes, n: int, *words: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """tuple_add(w, expand_mask(seed, n)) for each w, from one SHAKE draw.
+
+    Each w must be n u32 words (ValueError otherwise); all of them get the
+    same mask, which is never split into words."""
+    lanes = _lanes(n)
+    mask = int.from_bytes(_mask_stream(seed, n), "little")
+    return tuple(_add_lanes(lanes, _packed(lanes[0], w), mask) for w in words)
+
+
+def remove_mask(z: tuple[int, ...], seed: bytes, n: int) -> tuple[int, ...]:
+    """tuple_sub(z, expand_mask(seed, n)): one lane subtraction.  ValueError
+    unless z is n u32 words."""
+    lanes = _lanes(n)
+    return _sub_lanes(lanes, _packed(lanes[0], z), int.from_bytes(_mask_stream(seed, n), "little"))
 
 
 def weight(t: tuple[int, ...]) -> int:

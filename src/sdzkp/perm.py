@@ -9,7 +9,7 @@ positions where their one-line forms differ; it is bi-invariant and never 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import ne
+from operator import itemgetter, ne
 from random import Random
 
 from .crypto import decode_tuple, decode_tuple_from, encode_tuple
@@ -17,7 +17,9 @@ from .crypto import decode_tuple, decode_tuple_from, encode_tuple
 
 def compose_images(a, b):
     """One-line form of a∘b for raw image tuples (b applied first)."""
-    return tuple(map(a.__getitem__, b))
+    # itemgetter gathers every image in one C loop, several times faster than
+    # map(a.__getitem__, b); given a single index it returns a bare item.
+    return itemgetter(*b)(a) if len(b) > 1 else tuple(map(a.__getitem__, b))
 
 
 def invert_images(a):
@@ -51,7 +53,9 @@ class Permutation:
     @classmethod
     def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
         """Wrap an image tuple known to be a bijection (a product or inverse of
-        valid permutations) unchecked; outside input goes through __init__."""
+        valid permutations, or words already checked to be one, as
+        protocol.unmask does) unchecked; other outside input goes through
+        __init__."""
         perm = object.__new__(cls)
         object.__setattr__(perm, "images", images)
         return perm

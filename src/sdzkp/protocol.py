@@ -32,18 +32,18 @@ from .crypto import (
     DIGEST_BYTES,
     OPENING_BYTES,
     SEED_BYTES,
+    apply_mask,
     commit,
     decode_tuple_from,
     encode_tuple,
-    expand_mask,
     fresh_seed,
-    tuple_add,
+    remove_mask,
     tuple_sub,
     verify_commitment,
     weight,
 )
 from .instance import SDPInstance, Witness, instance_digest, validate_witness
-from .perm import Permutation, compose
+from .perm import Permutation, compose, compose_images
 
 CHALLENGES = (0, 1, 2)
 
@@ -176,8 +176,14 @@ def require_positive(count: int, what: str = "round") -> None:
 
 
 def unmask(z: tuple[int, ...], seed: bytes, n: int) -> Permutation:
-    """The permutation a masked tuple hides; ValueError if it hides none."""
-    return Permutation(tuple_sub(z, expand_mask(seed, n)))
+    """The permutation a masked tuple hides; ValueError if it hides none.
+
+    remove_mask yields exactly n u32 words, so they form a permutation of
+    {0, .., n-1} iff all are below n and all are distinct."""
+    images = remove_mask(z, seed, n)
+    if max(images) >= n or len(set(images)) != n:
+        raise ValueError("unmasked tuple is not a permutation")
+    return Permutation._trusted(images)
 
 
 def commit_round(z1: tuple[int, ...], z2: tuple[int, ...], seed: bytes, rng: Random) -> ProverState:
@@ -194,11 +200,12 @@ def prover_commit(inst: SDPInstance, wit: Witness, rng: Random) -> tuple[ProverS
     """First move.  Refuses to run on a witness that fails the statement."""
     if not validate_witness(inst, wit.element):
         raise ValueError("witness does not satisfy the statement")
-    shuffle = inst.group.sample_uniform(rng)
+    u = inst.group.sample_uniform(rng).images
     seed = fresh_seed(rng)
-    mask = expand_mask(seed, inst.degree)
-    z1 = tuple_add(compose(shuffle, wit.element).images, mask)
-    z2 = tuple_add(compose(shuffle, inst.target).images, mask)
+    # The one-line forms of u∘h and u∘g go straight into lanes: no Permutation.
+    z1, z2 = apply_mask(
+        seed, inst.degree, compose_images(u, wit.element.images), compose_images(u, inst.target.images)
+    )
     state = commit_round(z1, z2, seed, rng)
     return state, state.commitment
 
@@ -217,6 +224,8 @@ def prover_respond(state: ProverState, challenge: int) -> Response:
 
 def verify_round(inst: SDPInstance, commitment: CommitmentMsg, challenge: int, response: Response) -> bool:
     """Check one round.  Total on untrusted input: returns False, never raises."""
+    if not isinstance(commitment, CommitmentMsg) or not isinstance(response, Response):
+        return False
     try:
         if challenge not in CHALLENGES or response.kind != challenge:
             return False
@@ -305,7 +314,11 @@ def fs_prove(inst: SDPInstance, wit: Witness, rounds: int, context: bytes, rng: 
 
 def fs_verify(inst: SDPInstance, proof: NIZKProof, context: bytes) -> bool:
     """Check a non-interactive proof.  False on any malformed or failing round."""
+    if not isinstance(proof, NIZKProof):
+        return False
     try:
+        if not all(isinstance(com, CommitmentMsg) for com in proof.commitments):
+            return False
         rounds = len(proof.commitments)
         if rounds < 1 or len(proof.responses) != rounds:
             return False

@@ -21,7 +21,6 @@ from sdzkp.analysis import (
     simulator_attempt_success_rate,
     transcript_distribution_test,
     transcript_for,
-    uniformity_pvalue,
 )
 from sdzkp.instance import plant_instance, validate_witness
 from sdzkp.protocol import Transcript, verify_round
@@ -262,11 +261,49 @@ def test_distribution_test_input_validation(planted, small_abelian):
         transcript_distribution_test(inst, wit, 5, rng)
 
 
-def test_uniformity_pvalue():
-    flat = {i: 100 for i in range(10)}
-    assert uniformity_pvalue(flat, 10) > 0.5
-    skewed = {0: 500, 1: 10}
-    assert uniformity_pvalue(skewed, 10) < 1e-6
+# (hits, trials, p, 2 * scipy.stats.norm.sf(|z|)), computed with scipy 1.17.1
+# when the p-value still came from scipy: a grid of |z| from 0 to 10 in
+# steps of 0.5, both tails, and the rates the CLI tests against.
+SCIPY_BINOMIAL_PVALUES = (
+    (5000, 10000, 0.5, 1.0),
+    (5025, 10000, 0.5, 0.6170750774519813),
+    (5050, 10000, 0.5, 0.3173105078629137),
+    (5075, 10000, 0.5, 0.13361440253771864),
+    (5100, 10000, 0.5, 0.0455002638963582),
+    (5125, 10000, 0.5, 0.012419330651552577),
+    (5150, 10000, 0.5, 0.0026997960632601627),
+    (5175, 10000, 0.5, 0.0004652581580710632),
+    (5200, 10000, 0.5, 6.334248366623876e-05),
+    (5225, 10000, 0.5, 6.795346249460348e-06),
+    (5250, 10000, 0.5, 5.733031437583741e-07),
+    (5275, 10000, 0.5, 3.797912493177669e-08),
+    (5300, 10000, 0.5, 1.9731752900753246e-09),
+    (5325, 10000, 0.5, 8.032001167718529e-11),
+    (5350, 10000, 0.5, 2.559625087771559e-12),
+    (5375, 10000, 0.5, 6.381783345821954e-14),
+    (5400, 10000, 0.5, 1.2441921148542763e-15),
+    (5425, 10000, 0.5, 1.8959069644407175e-17),
+    (5450, 10000, 0.5, 2.257176811907535e-19),
+    (5475, 10000, 0.5, 2.0989030150725664e-21),
+    (5500, 10000, 0.5, 1.523970604831963e-23),
+    (4500, 10000, 0.5, 1.5239706048321166e-23),
+    (4975, 10000, 0.5, 0.6170750774519734),
+    (666, 1000, 0.6666666666666666, 0.964329408270324),
+    (700, 1000, 0.6666666666666666, 0.025347318677468277),
+    (600, 1000, 0.6666666666666666, 7.7442164310441e-06),
+    (500, 1000, 0.6666666666666666, 5.089468973814369e-29),
+    (200, 300, 0.6666666666666666, 1.0),
+    (180, 300, 0.6666666666666666, 0.014305878435429657),
+    (1111, 2000, 0.5555555555555556, 0.9960105938185161),
+    (1200, 2000, 0.5555555555555556, 6.334248366624096e-05),
+    (2, 300, 0.007707346629258937, 0.8367026065132961),
+    (1, 1000, 0.001, 1.0),
+)
+
+
+@pytest.mark.parametrize("hits, trials, p, expected", SCIPY_BINOMIAL_PVALUES)
+def test_binomial_pvalue_matches_scipy(hits, trials, p, expected):
+    assert binomial_two_sided_pvalue(hits, trials, p) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_binomial_pvalue():

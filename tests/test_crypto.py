@@ -13,12 +13,14 @@ from sdzkp.crypto import (
     MAX_TUPLE_LENGTH,
     OPENING_BYTES,
     SEED_BYTES,
+    apply_mask,
     commit,
     decode_tuple,
     decode_tuple_from,
     encode_tuple,
     expand_mask,
     fresh_seed,
+    remove_mask,
     tuple_add,
     tuple_sub,
     verify_commitment,
@@ -144,6 +146,50 @@ def test_tuple_arithmetic_refuses_words_outside_u32(op, bad):
         op((0, bad), (1, 2))
     with pytest.raises(ValueError):
         op((1, 2), (bad, 0))
+
+
+def assert_masking_matches_the_tuple_reference(seed, words):
+    n = len(words)
+    mask = expand_mask(seed, n)
+    z = tuple_add(words, mask)
+    assert apply_mask(seed, n, words) == (z,)
+    assert apply_mask(seed, n, words, words) == (z, z)
+    assert remove_mask(z, seed, n) == words
+    assert remove_mask(words, seed, n) == tuple_sub(words, mask)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 128, 300])
+def test_masking_matches_the_tuple_reference_on_edge_words(n):
+    rng = random.Random(n)
+    for w in EDGE_WORDS:
+        assert_masking_matches_the_tuple_reference(rng.randbytes(SEED_BYTES), (w,) * n)
+    for _ in range(20):
+        assert_masking_matches_the_tuple_reference(rng.randbytes(SEED_BYTES), tuple(rng.choices(EDGE_WORDS, k=n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 128, 300])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_masking_property(n, data):
+    seed = data.draw(st.binary(min_size=SEED_BYTES, max_size=SEED_BYTES))
+    word = st.one_of(st.sampled_from(EDGE_WORDS), st.integers(0, 2**32 - 1))
+    words = data.draw(st.lists(word, min_size=n, max_size=n))
+    assert_masking_matches_the_tuple_reference(seed, tuple(words))
+
+
+@pytest.mark.parametrize("words", [(0, -1, 2), (0, 2**32, 2), (0, 1.5, 2), (0, "1", 2), (0, None, 2), (0, 1), (0, 1, 2, 3)])
+def test_masking_refuses_what_the_tuple_reference_refuses(words):
+    seed = bytes(SEED_BYTES)
+    for op in (tuple_add, tuple_sub, lambda t, _: apply_mask(seed, 3, t), lambda t, _: remove_mask(t, seed, 3)):
+        with pytest.raises(ValueError):
+            op(words, expand_mask(seed, 3))
+
+
+def test_masking_validates_seed_and_length():
+    with pytest.raises(ValueError):
+        apply_mask(b"short", 3, (0, 1, 2))
+    with pytest.raises(ValueError):
+        remove_mask((), bytes(SEED_BYTES), 0)
 
 
 def test_weight():

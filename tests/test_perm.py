@@ -8,6 +8,7 @@ from sdzkp.crypto import MAX_TUPLE_LENGTH, encode_tuple
 from sdzkp.perm import (
     Permutation,
     compose,
+    compose_images,
     hamming,
     identity,
     inverse,
@@ -21,6 +22,16 @@ def test_compose_applies_right_factor_first():
     b = Permutation((2, 1, 0))
     # (a∘b)(i) = a(b(i)): hand-evaluated
     assert compose(a, b).images == (2, 0, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 128, 300])
+def test_compose_images_matches_the_per_point_formula(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        a, b = random_perm(n, rng).images, random_perm(n, rng).images
+        composed = compose_images(a, b)
+        assert type(composed) is tuple
+        assert composed == tuple(a[b[i]] for i in range(n))
 
 
 def test_compose_identity_neutral():

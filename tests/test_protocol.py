@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdzkp.crypto import tuple_add
+from sdzkp.crypto import expand_mask, tuple_add, tuple_sub
 from sdzkp.instance import Witness, plant_instance
-from sdzkp.perm import hamming
+from sdzkp.perm import Permutation, hamming
 from sdzkp.protocol import (
     CHALLENGES,
     CommitmentMsg,
+    NIZKProof,
     ProverState,
     Response,
     decode_proof,
@@ -129,6 +130,82 @@ def test_unmask_refuses_words_outside_u32_with_value_error(planted):
     for bad in (-1, 2**32, 2**40):
         with pytest.raises(ValueError):
             unmask((bad, *state.masked_witness[1:]), state.seed, inst.degree)
+
+
+def _outcome(unmasker, z, seed, n):
+    try:
+        return unmasker(z, seed, n)
+    except ValueError:
+        return ValueError
+
+
+def assert_unmask_matches_the_reference(z, seed, n):
+    """unmask raises ValueError exactly when the validating constructor does
+    on tuple_sub(z, mask), and otherwise returns an equal Permutation."""
+    expected = _outcome(lambda z, seed, n: Permutation(tuple_sub(z, expand_mask(seed, n))), z, seed, n)
+    got = _outcome(unmask, z, seed, n)
+    assert got == expected
+    if expected is not ValueError:
+        assert type(got) is Permutation and type(got.images) is tuple
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 128])
+def test_unmask_matches_the_validating_constructor(n):
+    seed = random.Random(n).randbytes(32)
+    below = tuple(range(n - 1))
+    hidden = [
+        tuple(range(n)),  # a permutation
+        (*below, n),  # the value n, every word distinct
+        (*below, 2**32 - 1),  # the top u32 word, every word distinct
+        (*below, n - 2) if n > 1 else (1,),  # a duplicate (or, at n = 1, the value n)
+        tuple(reversed(range(n))),
+    ]
+    for words in hidden:
+        z = tuple_add(words, expand_mask(seed, n))
+        assert_unmask_matches_the_reference(z, seed, n)
+        assert_unmask_matches_the_reference(z[:-1], seed, n)  # wrong lengths
+        assert_unmask_matches_the_reference(z + (0,), seed, n)
+        for bad in (1.5, "1", None, -1, 2**32):  # not a u32 word
+            assert_unmask_matches_the_reference((bad, *z[1:]), seed, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_unmask_matches_the_validating_constructor_on_arbitrary_words(data):
+    n = data.draw(st.integers(1, 8))
+    seed = data.draw(st.binary(min_size=32, max_size=32))
+    word = st.one_of(st.integers(0, n), st.sampled_from((2**32 - 1, 2**31)))
+    words = tuple(data.draw(st.lists(word, min_size=n - 1, max_size=n + 1)))
+    z = tuple_add(words, expand_mask(seed, len(words))) if words else ()
+    assert_unmask_matches_the_reference(z, seed, n)
+
+
+def test_verify_round_is_total_on_non_messages(planted, honest_state):
+    inst, _ = planted
+    state, com = honest_state
+    for ch in CHALLENGES:
+        for rsp in (None, "response", b"", 0):
+            assert verify_round(inst, com, ch, rsp) is False
+        for bad_com in (None, "commitment", com.encode()):
+            assert verify_round(inst, bad_com, ch, state.respond(ch)) is False
+
+
+def test_fs_verify_is_total_on_non_proofs(planted):
+    inst, wit = planted
+    proof = fs_prove(inst, wit, 3, b"", random.Random(71))
+    assert fs_verify(inst, proof, b"")
+    for bad in (
+        None,
+        "proof",
+        encode_proof(proof),
+        (proof.commitments, proof.responses),
+        NIZKProof(proof.commitments, (None,) * 3),
+        NIZKProof(proof.commitments, ("response",) * 3),
+        NIZKProof((None,) * 3, proof.responses),
+        NIZKProof((0,) * 3, proof.responses),
+        NIZKProof(None, None),
+    ):
+        assert fs_verify(inst, bad, b"") is False
 
 
 def test_verifier_challenge_range_and_distribution():
