@@ -21,7 +21,7 @@ from itertools import combinations, count, islice
 from random import Random
 from typing import Callable
 
-from .crypto import apply_mask, fresh_seed, tuple_add, tuple_sub, weight
+from .crypto import apply_mask, differing_words, fresh_seed, tuple_add
 from .group import BSGS
 from .instance import SDPInstance, Witness
 from .perm import Permutation, compose, compose_images, hamming, inverse, random_support_perm
@@ -123,9 +123,9 @@ def make_cheating_prover(inst: SDPInstance, targets: frozenset[int] | set[int], 
     membership challenges pass, and the distance challenge fails as long as
     the fake sits further than the bound from the target (resampled until
     it does).  {0,2} / {1,2}: put a real group element behind the covered
-    membership challenge and derive the other masked tuple by adding noise
-    of weight exactly k, so the distance challenge passes while the
-    uncovered membership challenge unmasks to garbage.
+    membership challenge and mask it beside itself plus noise of weight
+    exactly k, so the distance challenge passes while the uncovered
+    membership challenge unmasks to garbage.
 
     Raises ValueError if, after bounded resampling, some state refuses to
     fail its third challenge (possible only for tiny or degenerate groups).
@@ -147,13 +147,11 @@ def make_cheating_prover(inst: SDPInstance, targets: frozenset[int] | set[int], 
                 seed, n, compose_images(u, fake.images), compose_images(u, inst.target.images)
             )
         elif targets == frozenset({0, 2}):
-            member = group.sample_uniform(rng)
-            (z1,) = apply_mask(seed, n, member.images)
-            z2 = tuple_add(z1, _noise_tuple(n, k, rng))
-        else:
             member = group.sample_uniform(rng).images
-            (z2,) = apply_mask(seed, n, compose_images(member, inst.target.images))
-            z1 = tuple_add(z2, _noise_tuple(n, k, rng))
+            z1, z2 = apply_mask(seed, n, member, tuple_add(member, _noise_tuple(n, k, rng)))
+        else:
+            member = compose_images(group.sample_uniform(rng).images, inst.target.images)
+            z2, z1 = apply_mask(seed, n, member, tuple_add(member, _noise_tuple(n, k, rng)))
         prover = commit_round(z1, z2, seed, rng)
         if accepted_challenges(inst, prover) == targets:
             return prover
@@ -330,7 +328,7 @@ def transcript_distribution_test(
             if t.challenge == 0:
                 counts[index[unmask(r.masked_witness, r.seed, inst.degree).images]] += 1
             elif t.challenge == 2:
-                weights[weight(tuple_sub(r.masked_witness, r.masked_target))] += 1
+                weights[differing_words(r.masked_witness, r.masked_target)] += 1
         return counts, challenges, weights, ok
 
     real_counts, real_ch, real_weights, real_ok = tally(

@@ -6,9 +6,9 @@ from SHAKE-256 keyed by a 32-byte seed and consumed as little-endian u32
 words, so masked tuples live in (Z / 2^32)^n.  Tuple arithmetic packs each
 tuple into one integer, a u32 word per 32-bit lane, and adds or subtracts
 all lanes at once with carries kept inside each lane (Hacker's Delight,
-2nd ed., section 2-18).  A round's mask stays one such integer, read
-straight from the SHAKE stream: apply_mask and remove_mask add it to, or
-take it from, each tuple without ever splitting it into words.
+2nd ed., section 2-18).  A round's mask is one such integer, read from
+SHAKE.  A masked tuple exists only as its encoding, the committed message
+and wire form, which apply_mask writes from lanes and remove_mask reads.
 """
 
 from __future__ import annotations
@@ -80,53 +80,59 @@ def _packed(codec: struct.Struct, t: tuple[int, ...]) -> int:
         raise ValueError(f"need {codec.size // 4} u32 words: {exc}") from None
 
 
-def _add_lanes(lanes: tuple[struct.Struct, int, int, int], x: int, y: int) -> tuple[int, ...]:
+def _add_lanes(lanes: tuple[struct.Struct, int, int, int], x: int, y: int) -> bytes:
     codec, _, high, low = lanes
     s = ((x & low) + (y & low)) ^ ((x ^ y) & high)
-    return codec.unpack(s.to_bytes(codec.size, "little"))
+    return s.to_bytes(codec.size, "little")
 
 
-def _sub_lanes(lanes: tuple[struct.Struct, int, int, int], x: int, y: int) -> tuple[int, ...]:
+def _sub_lanes(lanes: tuple[struct.Struct, int, int, int], x: int, y: int) -> bytes:
     codec, every, high, low = lanes
     d = ((x | high) - (y & low)) ^ ((x ^ y ^ every) & high)
-    return codec.unpack(d.to_bytes(codec.size, "little"))
-
-
-def _common_length(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return len(a)
+    return d.to_bytes(codec.size, "little")
 
 
 def tuple_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Componentwise sum mod 2^32 of two equal-length tuples of u32 words
     (integers in [0, 2^32)); ValueError on any other entry."""
-    lanes = _lanes(_common_length(a, b))
-    return _add_lanes(lanes, _packed(lanes[0], a), _packed(lanes[0], b))
+    lanes = _lanes(len(a))  # _packed refuses a b of another length
+    return lanes[0].unpack(_add_lanes(lanes, _packed(lanes[0], a), _packed(lanes[0], b)))
 
 
 def tuple_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     """Componentwise difference mod 2^32 of two equal-length tuples of u32
     words (integers in [0, 2^32)); ValueError on any other entry."""
-    lanes = _lanes(_common_length(a, b))
-    return _sub_lanes(lanes, _packed(lanes[0], a), _packed(lanes[0], b))
+    lanes = _lanes(len(a))  # _packed refuses a b of another length
+    return lanes[0].unpack(_sub_lanes(lanes, _packed(lanes[0], a), _packed(lanes[0], b)))
 
 
-def apply_mask(seed: bytes, n: int, *words: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """tuple_add(w, expand_mask(seed, n)) for each w, from one SHAKE draw.
-
-    Each w must be n u32 words (ValueError otherwise); all of them get the
-    same mask, which is never split into words."""
+def apply_mask(seed: bytes, n: int, *images: tuple[int, ...]) -> tuple[bytes, ...]:
+    """encode_tuple(tuple_add(w, expand_mask(seed, n))) for each w, from one
+    SHAKE draw.  Each w must be n u32 words (ValueError otherwise); all get
+    the same mask, and each lane sum goes straight into its encoding."""
     lanes = _lanes(n)
     mask = int.from_bytes(_mask_stream(seed, n), "little")
-    return tuple(_add_lanes(lanes, _packed(lanes[0], w), mask) for w in words)
+    return tuple(n.to_bytes(4, "little") + _add_lanes(lanes, _packed(lanes[0], w), mask) for w in images)
 
 
-def remove_mask(z: tuple[int, ...], seed: bytes, n: int) -> tuple[int, ...]:
-    """tuple_sub(z, expand_mask(seed, n)): one lane subtraction.  ValueError
-    unless z is n u32 words."""
+def remove_mask(z: bytes, seed: bytes, n: int) -> tuple[int, ...]:
+    """tuple_sub(decode_tuple(z), expand_mask(seed, n)): one lane subtraction.
+    ValueError unless z is a bytes object holding the encoding of n words."""
     lanes = _lanes(n)
-    return _sub_lanes(lanes, _packed(lanes[0], z), int.from_bytes(_mask_stream(seed, n), "little"))
+    if not isinstance(z, bytes) or len(z) != 4 + lanes[0].size or z[:4] != n.to_bytes(4, "little"):
+        raise ValueError(f"masked tuple is not the encoding of {n} u32 words")
+    mask = int.from_bytes(_mask_stream(seed, n), "little")
+    return lanes[0].unpack(_sub_lanes(lanes, int.from_bytes(z[4:], "little"), mask))
+
+
+def differing_words(a: bytes, b: bytes) -> int:
+    """weight(tuple_sub(decode_tuple(a), decode_tuple(b))) for equal-length
+    encodings: the nonzero lanes of a ^ b, as a u32 difference is 0 iff a ^ b is."""
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    _, _, high, low = _lanes(-(-len(a) // 4))  # a trailing partial word counts as one
+    x = int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
+    return ((((x & low) + low) | x) & high).bit_count()
 
 
 def weight(t: tuple[int, ...]) -> int:
@@ -140,18 +146,23 @@ def encode_tuple(t: tuple[int, ...]) -> bytes:
     return struct.pack(f"<I{n}I", n, *t)
 
 
-def decode_tuple_from(data: bytes, offset: int = 0) -> tuple[tuple[int, ...], int]:
-    """Decode one length-prefixed tuple; returns (tuple, next offset)."""
+def tuple_span(data: bytes, offset: int = 0) -> tuple[bytes, int]:
+    """One length-prefixed tuple's encoding, as it stands; returns (encoding, next offset)."""
     if len(data) - offset < 4:
         raise ValueError("truncated tuple: missing length")
     (n,) = struct.unpack_from("<I", data, offset)
-    offset += 4
     if n == 0 or n > MAX_TUPLE_LENGTH:
         raise ValueError(f"unreasonable tuple length {n}")
-    end = offset + 4 * n
+    end = offset + 4 + 4 * n
     if len(data) < end:
         raise ValueError("truncated tuple: missing entries")
-    return struct.unpack_from(f"<{n}I", data, offset), end
+    return data[offset:end], end
+
+
+def decode_tuple_from(data: bytes, offset: int = 0) -> tuple[tuple[int, ...], int]:
+    """Decode one length-prefixed tuple; returns (tuple, next offset)."""
+    span, end = tuple_span(data, offset)
+    return struct.unpack_from(f"<{len(span) // 4 - 1}I", span, 4), end
 
 
 def decode_tuple(data: bytes) -> tuple[int, ...]:

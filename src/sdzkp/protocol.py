@@ -8,12 +8,12 @@ opening table OPENS says which values the answer reveals, in wire order:
   challenge  opens     the verifier checks the openings, then
   0          Z1, s     unmasking Z1 must give an element of H (this is u∘h)
   1          Z2, s     unmasking Z2 must give w with w∘g^-1 in H (w is u∘g)
-  2          Z1, Z2    they must differ in at most max_distance positions
+  2          Z1, Z2    they must differ in at most max_distance words
 
 SLOTS says how each value is committed (tag, digest field, opening field)
-and carried on the wire.  The prover, the verifier's commitment checks and
-the response codecs all read these two tables; only the final predicate
-above is written per challenge.
+and read off the wire; every value is its own committed message and wire
+form.  The prover, the verifier's checks and the response codecs all read
+these two tables; only the final predicate above is written per challenge.
 
 A single round convinces the verifier with soundness error 2/3; sequential
 repetition amplifies.  The non-interactive variant derives challenges by
@@ -26,7 +26,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, fields
 from random import Random
-from typing import Any, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .crypto import (
     DIGEST_BYTES,
@@ -34,13 +34,11 @@ from .crypto import (
     SEED_BYTES,
     apply_mask,
     commit,
-    decode_tuple_from,
-    encode_tuple,
+    differing_words,
     fresh_seed,
     remove_mask,
-    tuple_sub,
+    tuple_span,
     verify_commitment,
-    weight,
 )
 from .instance import SDPInstance, Witness, instance_digest, validate_witness
 from .perm import Permutation, compose, compose_images
@@ -67,18 +65,17 @@ def _take(data: bytes, offset: int, count: int) -> tuple[bytes, int]:
 
 
 class Slot(NamedTuple):
-    """How one round value is committed, opened and carried on the wire."""
+    """How a round value is committed and read; v is canonical iff decode(v, 0) == (v, size(n))."""
 
     tag: str  # commitment tag
     digest: str  # CommitmentMsg field holding the digest
     opening: str  # ProverState / Response field holding the opening
-    encode: Callable[[Any], bytes]  # the committed message, also its wire form
-    decode: Callable[[bytes, int], tuple[Any, int]]  # (data, offset) -> (value, next offset)
+    decode: Callable[[bytes, int], tuple[bytes, int]]  # (data, offset) -> (value, next offset)
     size: Callable[[int], int]  # encoded length at degree n
 
 
-_TUPLE = (encode_tuple, decode_tuple_from, lambda n: 4 + 4 * n)
-_SEED = (lambda seed: seed, lambda data, offset: _take(data, offset, SEED_BYTES), lambda n: SEED_BYTES)
+_TUPLE = (tuple_span, lambda n: 4 + 4 * n)
+_SEED = (lambda data, offset: _take(data, offset, SEED_BYTES), lambda n: SEED_BYTES)
 
 SLOTS = {
     "masked_witness": Slot("C1", "c1", "open_witness", *_TUPLE),
@@ -116,8 +113,8 @@ class Response:
     """Challenge-dependent opening.  Fields not revealed stay None."""
 
     kind: int
-    masked_witness: tuple[int, ...] | None = None
-    masked_target: tuple[int, ...] | None = None
+    masked_witness: bytes | None = None
+    masked_target: bytes | None = None
     seed: bytes | None = None
     open_witness: bytes | None = None
     open_target: bytes | None = None
@@ -140,8 +137,8 @@ class ProverState:
     any challenge can be answered, in any order and more than once."""
 
     seed: bytes
-    masked_witness: tuple[int, ...]
-    masked_target: tuple[int, ...]
+    masked_witness: bytes
+    masked_target: bytes
     open_witness: bytes
     open_target: bytes
     open_seed: bytes
@@ -175,7 +172,13 @@ def require_positive(count: int, what: str = "round") -> None:
         raise ValueError(f"need at least one {what}")
 
 
-def unmask(z: tuple[int, ...], seed: bytes, n: int) -> Permutation:
+def _proof_rounds(rounds: int) -> int:
+    if not 1 <= rounds <= _MAX_ROUNDS:  # one cap, so that decode_proof reads every proof made
+        raise ValueError(f"unreasonable round count {rounds}")
+    return rounds
+
+
+def unmask(z: bytes, seed: bytes, n: int) -> Permutation:
     """The permutation a masked tuple hides; ValueError if it hides none.
 
     remove_mask yields exactly n u32 words, so they form a permutation of
@@ -186,13 +189,13 @@ def unmask(z: tuple[int, ...], seed: bytes, n: int) -> Permutation:
     return Permutation._trusted(images)
 
 
-def commit_round(z1: tuple[int, ...], z2: tuple[int, ...], seed: bytes, rng: Random) -> ProverState:
+def commit_round(z1: bytes, z2: bytes, seed: bytes, rng: Random) -> ProverState:
     """Commit to the masked pair and the seed, slot by slot (C1, C2, C3).
     The analysis harness commits its cheating and simulated tuples with it."""
     values = {"masked_witness": z1, "masked_target": z2, "seed": seed}
     digests, openings = {}, {}
     for name, slot in SLOTS.items():
-        digests[slot.digest], openings[slot.opening] = commit(slot.encode(values[name]), slot.tag, rng)
+        digests[slot.digest], openings[slot.opening] = commit(values[name], slot.tag, rng)
     return ProverState(commitment=CommitmentMsg(**digests), **values, **openings)
 
 
@@ -231,14 +234,14 @@ def verify_round(inst: SDPInstance, commitment: CommitmentMsg, challenge: int, r
             return False
         n = inst.degree
         for name in OPENS[challenge]:
-            tag, digest, opening, encode, _, size = SLOTS[name]
-            message = encode(getattr(response, name))
-            if len(message) != size(n) or not verify_commitment(
+            tag, digest, opening, decode, size = SLOTS[name]
+            message = getattr(response, name)
+            if decode(message, 0) != (message, size(n)) or not verify_commitment(
                 getattr(commitment, digest), message, tag, getattr(response, opening)
             ):
                 return False
         if challenge == 2:
-            return weight(tuple_sub(response.masked_witness, response.masked_target)) <= inst.max_distance
+            return differing_words(response.masked_witness, response.masked_target) <= inst.max_distance
         if challenge == 0:
             return inst.group.contains(unmask(response.masked_witness, response.seed, n))
         shuffle = compose(unmask(response.masked_target, response.seed, n), inst.target_inverse)
@@ -304,7 +307,7 @@ def derive_challenges(
 
 def fs_prove(inst: SDPInstance, wit: Witness, rounds: int, context: bytes, rng: Random) -> NIZKProof:
     """Non-interactive proof: commit to all rounds, derive challenges, respond."""
-    require_positive(rounds)
+    _proof_rounds(rounds)
     states = [prover_commit(inst, wit, rng)[0] for _ in range(rounds)]
     commitments = tuple(state.commitment for state in states)
     challenges = derive_challenges(instance_digest(inst), context, commitments, rounds)
@@ -319,8 +322,8 @@ def fs_verify(inst: SDPInstance, proof: NIZKProof, context: bytes) -> bool:
     try:
         if not all(isinstance(com, CommitmentMsg) for com in proof.commitments):
             return False
-        rounds = len(proof.commitments)
-        if rounds < 1 or len(proof.responses) != rounds:
+        rounds = _proof_rounds(len(proof.commitments))
+        if len(proof.responses) != rounds:
             return False
         challenges = derive_challenges(instance_digest(inst), context, proof.commitments, rounds)
         return all(
@@ -346,11 +349,11 @@ def encode_response(rsp: Response) -> bytes:
     """Kind byte, the opened values in OPENS order, then their openings."""
     if rsp.kind not in OPENS:
         raise ValueError(f"cannot encode response of kind {rsp.kind!r}")
-    slots = [(name, SLOTS[name]) for name in OPENS[rsp.kind]]
+    names = OPENS[rsp.kind]
     return (
         bytes([rsp.kind])
-        + b"".join(slot.encode(getattr(rsp, name)) for name, slot in slots)
-        + b"".join(getattr(rsp, slot.opening) for _, slot in slots)
+        + b"".join(getattr(rsp, name) for name in names)
+        + b"".join(getattr(rsp, SLOTS[name].opening) for name in names)
     )
 
 
@@ -399,9 +402,7 @@ def decode_proof(data: bytes) -> NIZKProof:
         raise ValueError("bad proof magic")
     if len(data) < 8:
         raise ValueError("truncated proof header")
-    (rounds,) = struct.unpack_from("<I", data, 4)
-    if rounds == 0 or rounds > _MAX_ROUNDS:
-        raise ValueError(f"unreasonable round count {rounds}")
+    rounds = _proof_rounds(struct.unpack_from("<I", data, 4)[0])
     offset = 8
     commitments = []
     responses = []

@@ -1,6 +1,7 @@
 """Extraction, cheating strategies, simulation, and distribution checks."""
 
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from sdzkp.analysis import (
     transcript_for,
 )
 from sdzkp.instance import plant_instance, validate_witness
-from sdzkp.protocol import Transcript, verify_round
+from sdzkp.protocol import CHALLENGES, Transcript, encode_response, verify_round
 
 TARGET_SETS = [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})]
 
@@ -316,3 +317,41 @@ def test_binomial_pvalue_at_a_certain_rate():
     assert binomial_two_sided_pvalue(0, 300, (4 / 9) ** 1000) == 1.0
     assert binomial_two_sided_pvalue(1, 300, 0.0) == 0.0
     assert binomial_two_sided_pvalue(300, 300, 1.0) == 1.0
+
+
+def _state_digest(state):
+    """SHA-256 over a state's commitment and its three encoded responses."""
+    h = hashlib.sha256(state.commitment.encode())
+    for ch in CHALLENGES:
+        h.update(encode_response(state.respond(ch)))
+    return h.hexdigest()
+
+
+# Pinned so that any change to how the cheating provers and the simulator
+# draw their coins or build their masked tuples shows up.  Each state has
+# its own seeded rng: 80 + the two targets for a cheater, 90 + the guess for
+# the simulator.
+@pytest.mark.parametrize("preset, n, gens, k, instance_seed, digests", [
+    ("abelian2", 16, 5, 4, 71, (
+        "70d8ac26c033ab0ad3a5d1384b4b36aeb18cfedfd1b3277ee4605c081e3ff392",
+        "39dc96755a72420f8a4c5ca1d2395cfc133376abb83d3283df54cdc804e25d46",
+        "4714b23239fed788df8b17b7123704257743a36b91e7c8a2624dc8a1787e3acb",
+        "29d23a062a99d47698e32eb86109be1072e39da7b7c4383fab03a2a2b03672ed",
+        "bdd7b4a369e1fc106b727611f9e5f2ffffaa45387537e4557e679dfe41089681",
+        "e7aa9b0a5af76916d3e6bb42cdec6663b6cc468e9d09477c55c20c1d7a71f2e3",
+    )),
+    ("general", 16, 4, 6, 70, (  # a certified S_16
+        "6c442f72117d5f561282b0bb390b73cb7d7cd7e190190d71f0a9d2bab3ae009e",
+        "933d83959b4c30e6ce6bafd78e960d4d71c741723f6e99b0284dce39b08c1125",
+        "8a6980133fb09c8f7548aae86304ef8b929a94ef5558dca232814e2d4ad4ced5",
+        "5ca700a1a8516f1d00ee31b313a9844ecf9f82dec51a3e05f532e58cbcefdc1c",
+        "6f039dbe7a3ae0193ce071a8559d48fe6bea3563a48bcfae895a8a4d6d83a680",
+        "627758ee1f4bbe0d3757d88be6d435e337b849cba65e8b6683a51356c9745a12",
+    )),
+])
+def test_analysis_prover_states_are_pinned(preset, n, gens, k, instance_seed, digests):
+    inst, _ = plant_instance(n, gens, k, random.Random(instance_seed), preset=preset)
+    assert (inst.group.giant == "S_n") == (preset == "general")
+    states = [make_cheating_prover(inst, targets, random.Random(80 + sum(targets))) for targets in TARGET_SETS]
+    states += [analysis._simulated_state(inst, guess, random.Random(90 + guess)) for guess in CHALLENGES]
+    assert tuple(_state_digest(state) for state in states) == digests

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+import sdzkp.protocol
 from sdzkp.cli import EXIT_ACCEPT, EXIT_REJECT, EXIT_USAGE, main, make_rng, parse_addr
 from sdzkp.instance import load_instance, load_witness, validate_witness
 
@@ -138,6 +139,23 @@ def test_fs_verify_rejects_corrupt_and_truncated(tmp_path, capsys):
 
     missing = tmp_path / "missing.sdp"
     assert main(["fs-verify", "--instance", str(inst_path), "--proof", str(missing)]) == EXIT_USAGE
+    capsys.readouterr()
+
+
+def test_fs_prove_refuses_more_rounds_than_a_proof_holds(tmp_path, capsys, monkeypatch):
+    # decode_proof reads at most protocol._MAX_ROUNDS rounds, so fs-prove
+    # must not write a longer proof that every fs-verify rejects
+    inst_path, wit_path = keygen(tmp_path)
+    monkeypatch.setattr(sdzkp.protocol, "_MAX_ROUNDS", 3)
+    proof = tmp_path / "p.sdp"
+    args = ["fs-prove", "--instance", str(inst_path), "--witness", str(wit_path),
+            "--proof", str(proof), "--seed", "9"]
+    assert main([*args, "--rounds", "4"]) == EXIT_USAGE
+    assert not proof.exists()
+    err = capsys.readouterr().err
+    assert "error: unreasonable round count 4" in err and "Traceback" not in err
+    assert main([*args, "--rounds", "3"]) == EXIT_ACCEPT
+    assert main(["fs-verify", "--instance", str(inst_path), "--proof", str(proof)]) == EXIT_ACCEPT
     capsys.readouterr()
 
 

@@ -17,11 +17,13 @@ from sdzkp.crypto import (
     commit,
     decode_tuple,
     decode_tuple_from,
+    differing_words,
     encode_tuple,
     expand_mask,
     fresh_seed,
     remove_mask,
     tuple_add,
+    tuple_span,
     tuple_sub,
     verify_commitment,
     weight,
@@ -151,11 +153,11 @@ def test_tuple_arithmetic_refuses_words_outside_u32(op, bad):
 def assert_masking_matches_the_tuple_reference(seed, words):
     n = len(words)
     mask = expand_mask(seed, n)
-    z = tuple_add(words, mask)
+    z = encode_tuple(tuple_add(words, mask))
     assert apply_mask(seed, n, words) == (z,)
     assert apply_mask(seed, n, words, words) == (z, z)
     assert remove_mask(z, seed, n) == words
-    assert remove_mask(words, seed, n) == tuple_sub(words, mask)
+    assert remove_mask(encode_tuple(words), seed, n) == tuple_sub(words, mask)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 128, 300])
@@ -177,19 +179,74 @@ def test_masking_property(n, data):
     assert_masking_matches_the_tuple_reference(seed, tuple(words))
 
 
-@pytest.mark.parametrize("words", [(0, -1, 2), (0, 2**32, 2), (0, 1.5, 2), (0, "1", 2), (0, None, 2), (0, 1), (0, 1, 2, 3)])
-def test_masking_refuses_what_the_tuple_reference_refuses(words):
+_THREE = encode_tuple((0, 1, 2))
+
+
+# remove_mask takes an encoding, which cannot hold a word outside u32; each
+# such case is paired with an encoding that is not the canonical one of 3
+# words: a wrong length prefix at the right length, a short or long
+# encoding, or a value that is not bytes (the plain word tuple among them).
+@pytest.mark.parametrize("words, encoding", [
+    ((0, -1, 2), (2).to_bytes(4, "little") + _THREE[4:]),
+    ((0, 2**32, 2), _THREE + bytes(4)),
+    ((0, 1.5, 2), _THREE[:-1]),
+    ((0, "1", 2), bytearray(_THREE)),
+    ((0, None, 2), (0, 1, 2)),
+    ((0, 1), encode_tuple((0, 1))),
+    ((0, 1, 2, 3), encode_tuple((0, 1, 2, 3))),
+], ids=[f"words{i}" for i in range(7)])
+def test_masking_refuses_what_the_tuple_reference_refuses(words, encoding):
     seed = bytes(SEED_BYTES)
-    for op in (tuple_add, tuple_sub, lambda t, _: apply_mask(seed, 3, t), lambda t, _: remove_mask(t, seed, 3)):
+    for op in (tuple_add, tuple_sub, lambda t, _: apply_mask(seed, 3, t)):
         with pytest.raises(ValueError):
             op(words, expand_mask(seed, 3))
+    with pytest.raises(ValueError):
+        remove_mask(encoding, seed, 3)
 
 
 def test_masking_validates_seed_and_length():
     with pytest.raises(ValueError):
         apply_mask(b"short", 3, (0, 1, 2))
     with pytest.raises(ValueError):
-        remove_mask((), bytes(SEED_BYTES), 0)
+        remove_mask(_THREE, b"short", 3)
+    with pytest.raises(ValueError):
+        remove_mask(encode_tuple(()), bytes(SEED_BYTES), 0)
+
+
+def assert_differing_words_match_the_reference(a, b):
+    ea, eb = encode_tuple(a), encode_tuple(b)
+    assert differing_words(ea, eb) == weight(tuple_sub(decode_tuple(ea), decode_tuple(eb)))
+    assert differing_words(ea, eb) == sum(x != y for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 128, 300])
+def test_differing_words_match_the_reference_on_edge_words(n):
+    for x, y in product(EDGE_WORDS, repeat=2):
+        assert_differing_words_match_the_reference((x,) * n, (y,) * n)
+    rng = random.Random(n)
+    for _ in range(50):
+        a = tuple(rng.choices(EDGE_WORDS, k=n))
+        # every word differs from its partner in at most one bit, if at all
+        b = tuple(x ^ (rng.choice((0, 1 << rng.randrange(32)))) for x in a)
+        assert_differing_words_match_the_reference(a, b)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_differing_words_property(data):
+    word = st.one_of(st.sampled_from(EDGE_WORDS), st.integers(0, 2**32 - 1))
+    a = data.draw(st.lists(word, min_size=1, max_size=64))
+    b = [data.draw(st.one_of(st.just(x), word, st.integers(0, 31).map(lambda s, x=x: x ^ (1 << s)))) for x in a]
+    assert_differing_words_match_the_reference(tuple(a), tuple(b))
+
+
+def test_differing_words_refuses_unequal_lengths():
+    with pytest.raises(ValueError):
+        differing_words(encode_tuple((0, 1)), encode_tuple((0, 1, 2)))
+    with pytest.raises(ValueError):
+        differing_words(_THREE, _THREE[:-1])
+    # a trailing partial word still counts as one word
+    assert differing_words(_THREE + b"\x01", _THREE + b"\x00") == 1
 
 
 def test_weight():
@@ -206,6 +263,7 @@ def test_weight_and_hamming_equal_a_plain_count():
         a, b = random_perm(n, rng), random_perm(n, rng)
         assert hamming(a, b) == sum(1 for i in range(n) if a(i) != b(i))
         assert hamming(a, b) == weight(tuple_sub(a.images, b.images))
+        assert hamming(a, b) == differing_words(a.to_bytes(), b.to_bytes())
 
 
 def test_tuple_codec_round_trip():
@@ -216,6 +274,8 @@ def test_tuple_codec_round_trip():
         data = encode_tuple(t)
         assert len(data) == 4 + 4 * n
         assert decode_tuple(data) == t
+        # the span is the encoding itself, wherever it stands
+        assert tuple_span(b"xy" + data + b"z", 2) == (data, len(data) + 2)
 
 
 def test_tuple_codec_rejects_malformed():

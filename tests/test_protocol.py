@@ -8,15 +8,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdzkp.crypto import expand_mask, tuple_add, tuple_sub
+import sdzkp.protocol
+from sdzkp.crypto import (
+    apply_mask,
+    decode_tuple,
+    encode_tuple,
+    expand_mask,
+    fresh_seed,
+    tuple_add,
+    tuple_sub,
+    verify_commitment,
+)
 from sdzkp.instance import Witness, plant_instance
 from sdzkp.perm import Permutation, hamming
 from sdzkp.protocol import (
     CHALLENGES,
     CommitmentMsg,
     NIZKProof,
+    OPENS,
+    SLOTS,
     ProverState,
     Response,
+    commit_round,
     decode_proof,
     decode_response,
     derive_challenges,
@@ -87,7 +100,7 @@ def test_tampered_masked_tuple_rejected(planted):
     rng = random.Random(56)
     state, com = prover_commit(inst, wit, rng)
     rsp = prover_respond(state, 0)
-    bumped = tuple_add(rsp.masked_witness, (1,) + (0,) * 15)
+    bumped = encode_tuple(tuple_add(decode_tuple(rsp.masked_witness), (1,) + (0,) * 15))
     forged = dataclasses.replace(rsp, masked_witness=bumped)
     assert not verify_round(inst, com, 0, forged)
 
@@ -110,26 +123,71 @@ def test_missing_fields_rejected(planted):
 
 
 def test_non_permutation_unmask_rejected(planted):
-    # a masked tuple opening to a non-bijection must fail challenge 0
+    # a masked tuple opening to a non-bijection must fail challenges 0 and 1
     # even with freshly honest commitments over the forged value
     inst, wit = planted
     rng = random.Random(59)
-    state, com = prover_commit(inst, wit, rng)
-    rsp = prover_respond(state, 0)
-    # flip two entries of the masked tuple so the unmasked images collide
-    z = list(rsp.masked_witness)
-    z[0] = z[1]
-    forged = dataclasses.replace(rsp, masked_witness=tuple(z))
-    assert not verify_round(inst, com, 0, forged)
+    n = inst.degree
+    seed = fresh_seed(rng)
+    # every image below n, two of them equal: only the bijection check can refuse
+    images = wit.element.images
+    collided = (images[1], *images[1:])
+    state = commit_round(*apply_mask(seed, n, collided, collided), seed, rng)
+    for ch in CHALLENGES:
+        rsp = state.respond(ch)
+        for name in OPENS[ch]:
+            slot = SLOTS[name]
+            assert verify_commitment(getattr(state.commitment, slot.digest), getattr(rsp, name), slot.tag,
+                                     getattr(rsp, slot.opening))
+    assert not verify_round(inst, state.commitment, 0, state.respond(0))
+    assert not verify_round(inst, state.commitment, 1, state.respond(1))
+    assert verify_round(inst, state.commitment, 2, state.respond(2))  # the openings themselves are sound
+    with pytest.raises(ValueError, match="not a permutation"):
+        unmask(state.masked_witness, seed, n)
 
 
-def test_unmask_refuses_words_outside_u32_with_value_error(planted):
+def non_canonical_encodings(z):
+    """Stand-ins for the encoding z of n words that are not that encoding:
+    a wrong length prefix at the right length, short and long encodings,
+    and values that are not bytes (the plain word tuple among them)."""
+    n = int.from_bytes(z[:4], "little")
+    return [
+        (n + 1).to_bytes(4, "little") + z[4:],
+        (n - 1).to_bytes(4, "little") + z[4:],
+        z[:-1],
+        z[:-4],
+        z + b"\x00",
+        z + bytes(4),
+        decode_tuple(z),
+        bytearray(z),
+        None,
+    ]
+
+
+def test_unmask_refuses_non_canonical_encodings_with_value_error(planted):
     # the extractor's and the CLI's callers of unmask catch ValueError only
     inst, wit = planted
     state, _ = prover_commit(inst, wit, random.Random(60))
-    for bad in (-1, 2**32, 2**40):
+    assert unmask(state.masked_witness, state.seed, inst.degree)
+    for bad in non_canonical_encodings(state.masked_witness):
         with pytest.raises(ValueError):
-            unmask((bad, *state.masked_witness[1:]), state.seed, inst.degree)
+            unmask(bad, state.seed, inst.degree)
+
+
+def test_verify_round_rejects_honestly_committed_non_canonical_encodings(planted):
+    inst, wit = planted
+    rng = random.Random(61)
+    honest, _ = prover_commit(inst, wit, rng)
+    z1, z2, seed = honest.masked_witness, honest.masked_target, honest.seed
+    assert all(verify_round(inst, honest.commitment, ch, honest.respond(ch)) for ch in CHALLENGES)
+    for bad1, bad2 in zip(non_canonical_encodings(z1), non_canonical_encodings(z2)):
+        if not isinstance(bad1, bytes):
+            continue  # only bytes can be committed
+        # the forged value beside an honest one, and a pair forged alike
+        for pair, challenges in (((bad1, z2), (0, 2)), ((z1, bad2), (1, 2)), ((bad1, bad2), CHALLENGES)):
+            state = commit_round(*pair, seed, rng)
+            for ch in challenges:
+                assert not verify_round(inst, state.commitment, ch, state.respond(ch))
 
 
 def _outcome(unmasker, z, seed, n):
@@ -140,10 +198,11 @@ def _outcome(unmasker, z, seed, n):
 
 
 def assert_unmask_matches_the_reference(z, seed, n):
-    """unmask raises ValueError exactly when the validating constructor does
-    on tuple_sub(z, mask), and otherwise returns an equal Permutation."""
+    """unmask of z's encoding raises ValueError exactly when the validating
+    constructor does on tuple_sub(z, mask), and otherwise returns an equal
+    Permutation."""
     expected = _outcome(lambda z, seed, n: Permutation(tuple_sub(z, expand_mask(seed, n))), z, seed, n)
-    got = _outcome(unmask, z, seed, n)
+    got = _outcome(unmask, encode_tuple(z), seed, n)
     assert got == expected
     if expected is not ValueError:
         assert type(got) is Permutation and type(got.images) is tuple
@@ -165,8 +224,10 @@ def test_unmask_matches_the_validating_constructor(n):
         assert_unmask_matches_the_reference(z, seed, n)
         assert_unmask_matches_the_reference(z[:-1], seed, n)  # wrong lengths
         assert_unmask_matches_the_reference(z + (0,), seed, n)
-        for bad in (1.5, "1", None, -1, 2**32):  # not a u32 word
-            assert_unmask_matches_the_reference((bad, *z[1:]), seed, n)
+        # an encoding cannot hold a word outside u32; what stands in for one
+        # is an encoding that is not canonical
+        for bad in non_canonical_encodings(encode_tuple(z)):
+            assert _outcome(unmask, bad, seed, n) is ValueError
 
 
 @settings(max_examples=200, deadline=None)
@@ -206,6 +267,24 @@ def test_fs_verify_is_total_on_non_proofs(planted):
         NIZKProof(None, None),
     ):
         assert fs_verify(inst, bad, b"") is False
+
+
+def test_proving_verifying_and_decoding_share_one_round_cap(planted, monkeypatch):
+    inst, wit = planted
+    proof = fs_prove(inst, wit, 4, b"", random.Random(72))
+    assert fs_verify(inst, proof, b"") and fs_verify_bytes(inst, encode_proof(proof), b"")
+    monkeypatch.setattr(sdzkp.protocol, "_MAX_ROUNDS", 3)
+    rng = random.Random(73)
+    before = rng.getstate()
+    with pytest.raises(ValueError, match="unreasonable round count 4"):
+        fs_prove(inst, wit, 4, b"", rng)
+    assert rng.getstate() == before  # refused before a single commitment
+    assert fs_verify(inst, proof, b"") is False
+    assert fs_verify_bytes(inst, encode_proof(proof), b"") is False
+    with pytest.raises(ValueError, match="unreasonable round count 4"):
+        decode_proof(encode_proof(proof))
+    at_cap = fs_prove(inst, wit, 3, b"", rng)
+    assert fs_verify(inst, at_cap, b"") and fs_verify_bytes(inst, encode_proof(at_cap), b"")
 
 
 def test_verifier_challenge_range_and_distribution():
@@ -358,7 +437,7 @@ _bytes32 = st.binary(min_size=32, max_size=32)
 def _prover_states(draw):
     """A coin tape with arbitrary contents at an arbitrary small degree."""
     n = draw(st.integers(1, 16))
-    word_tuple = st.lists(_u32, min_size=n, max_size=n).map(tuple)
+    word_tuple = st.lists(_u32, min_size=n, max_size=n).map(lambda words: encode_tuple(tuple(words)))
     return n, ProverState(
         seed=draw(_bytes32),
         masked_witness=draw(word_tuple),
