@@ -306,10 +306,9 @@ def transcript_distribution_test(
     Draws `samples` transcripts per side (real: honest prover and verifier;
     simulated: rewinding simulator with enough attempts that aborts are
     negligible), then chi-square-tests whether the unmasked challenge-0
-    permutation is identically distributed over H on both sides.
+    permutation is identically distributed over H on both sides
+    (`chi2_contingency`; its tail is A&S 26.4.4/26.4.5 in closed form).
     """
-    from scipy.stats import chi2_contingency
-
     order = inst.group.order()
     if order > DISTRIBUTION_MAX_ORDER:
         raise ValueError(f"group order {order} exceeds the test bound {DISTRIBUTION_MAX_ORDER}")
@@ -343,15 +342,15 @@ def transcript_distribution_test(
         [real_counts[i] for i in range(order) if real_counts[i] + sim_counts[i] > 0],
         [sim_counts[i] for i in range(order) if real_counts[i] + sim_counts[i] > 0],
     ]
-    stat, p_value, _, _ = chi2_contingency(table)
+    stat, p_value = chi2_contingency(table)
 
     return DistributionReport(
         group_order=order,
         samples_real=samples,
         samples_simulated=samples,
-        statistic=float(stat),
-        p_value=float(p_value),
-        passed=bool(p_value > alpha),
+        statistic=stat,
+        p_value=p_value,
+        passed=p_value > alpha,
         challenge_counts_real=dict(sorted(real_ch.items())),
         challenge_counts_simulated=dict(sorted(sim_ch.items())),
         acceptance_rate_real=real_ok / samples,
@@ -369,3 +368,32 @@ def binomial_two_sided_pvalue(hits: int, trials: int, p: float) -> float:
         return float(hits == p * trials)
     z = (hits / trials - p) / sd
     return math.erfc(abs(z) / math.sqrt(2))
+
+
+def chi2_sf(x: float, df: int) -> float:
+    """Upper tail Q(df/2, x/2) of chi-square at integer df >= 1: the finite sums of
+    Abramowitz & Stegun 26.4.4 (even df) and 26.4.5 (odd df).  Each term is positive
+    and taken in logs, so nothing cancels and a large x cannot overflow."""
+    h, odd = x / 2, df % 2
+    if h <= 0:
+        return 1.0
+    exps = (a * math.log(h) - h - math.lgamma(a + 1) for a in (j + odd / 2 for j in range(df // 2)))
+    return math.fsum(map(math.exp, exps)) + (math.erfc(math.sqrt(h)) if odd else 0.0)
+
+
+def chi2_contingency(table: list[list[int]]) -> tuple[float, float]:
+    """(statistic, p-value) of Pearson's chi-square test of independence on a table
+    of counts, expected count e = row sum * column sum / total.  At df = 1 Yates'
+    correction shrinks each |o - e| by min(0.5, |o - e|); at df = 0 the answer is
+    (0, 1).  Raises ValueError if an expected count is zero."""
+    rows, cols = [sum(r) for r in table], [sum(c) for c in zip(*table)]
+    if min(rows + cols, default=0) <= 0:
+        raise ValueError("the contingency table has an empty row or column")
+    total, df = sum(rows), (len(rows) - 1) * (len(cols) - 1)
+    if df == 0:
+        return 0.0, 1.0
+    yates = 0.5 if df == 1 else 0.0
+    observed = (o for row in table for o in row)
+    expected = (r * c / total for r in rows for c in cols)
+    stat = math.fsum(max(abs(o - e) - yates, 0.0) ** 2 / e for o, e in zip(observed, expected))
+    return stat, chi2_sf(stat, df)

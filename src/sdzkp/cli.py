@@ -56,6 +56,13 @@ def parse_addr(text: str) -> tuple[str, int]:
     return host, number
 
 
+def timeout_ms(text: str) -> int:
+    ms = int(text)
+    if not 1 <= ms <= 2**31 - 1:
+        raise argparse.ArgumentTypeError(f"must be in 1..{2**31 - 1} ms, got {ms}")
+    return ms
+
+
 def _add_instance_params(p: argparse.ArgumentParser, n=16, gens=2, k=4, preset="general"):
     p.add_argument("--n", type=int, default=n, help="degree (number of points)")
     p.add_argument("--gens", type=int, default=gens, help="number of generators")
@@ -77,14 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--witness", required=True)
     p.add_argument("--rounds", type=int, default=219)
-    p.add_argument("--timeout-ms", type=int, default=30000)
+    p.add_argument("--timeout-ms", type=timeout_ms, default=30000)
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("verify", help="listen for one prover session and decide")
     p.add_argument("--listen", required=True, help="bind address host:port (port 0 picks one)")
     p.add_argument("--instance", required=True)
     p.add_argument("--rounds", type=int, default=219)
-    p.add_argument("--timeout-ms", type=int, default=30000)
+    p.add_argument("--timeout-ms", type=timeout_ms, default=30000)
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("fs-prove", help="write a non-interactive proof file")

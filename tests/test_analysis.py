@@ -12,6 +12,8 @@ from sdzkp.analysis import (
     accepted_challenges,
     amplified_cheating_accepts,
     binomial_two_sided_pvalue,
+    chi2_contingency,
+    chi2_sf,
     cheating_acceptance_rate,
     extract_witness,
     honest_rewindable_prover,
@@ -317,6 +319,152 @@ def test_binomial_pvalue_at_a_certain_rate():
     assert binomial_two_sided_pvalue(0, 300, (4 / 9) ** 1000) == 1.0
     assert binomial_two_sided_pvalue(1, 300, 0.0) == 0.0
     assert binomial_two_sided_pvalue(300, 300, 1.0) == 1.0
+
+
+# (df, x, chi2.sf(x, df)), computed with scipy 1.17.1 when the distribution
+# test still called scipy: for each df, x = 1e-6 and x near chi2.isf(p, df) for
+# p = 0.999, 0.5, 1e-3, 1e-10, 1e-50, 1e-150 and 1e-300.
+SCIPY_CHI2_SF = (
+    (1, 1e-06, 0.9992021155721779),
+    (1, 1.571e-06, 0.9989999354327569),
+    (1, 0.4549, 0.5000171607517765),
+    (1, 10.83, 0.0009986863791802592),
+    (1, 41.82, 1.0007451242596191e-10),
+    (1, 224.4, 9.923697307995505e-51),
+    (1, 683.8, 9.966882464170919e-151),
+    (1, 1374.0, 9.382576632975123e-301),
+    (2, 1e-06, 0.999999500000125),
+    (2, 0.002001, 0.99900000033325),
+    (2, 1.386, 0.5000735956957677),
+    (2, 13.82, 0.0009977577964843118),
+    (2, 46.05, 1.000851292084052e-10),
+    (2, 230.3, 9.794683541393966e-51),
+    (2, 690.8, 9.878385051771714e-151),
+    (2, 1382.0, 7.98937865328314e-301),
+    (3, 1e-06, 0.9999999997340385),
+    (3, 0.0243, 0.9989998516811252),
+    (3, 2.366, 0.4999950903659851),
+    (3, 16.27, 0.0009982232399054186),
+    (3, 49.54, 1.0010575930190157e-10),
+    (3, 235.3, 9.881873957937042e-51),
+    (3, 696.9, 9.868131297704666e-151),
+    (3, 1388.0, 1.1832510772456708e-300),
+    (4, 1e-06, 0.999999999999875),
+    (4, 0.0908, 0.9990000875426415),
+    (4, 3.357, 0.4999520607477308),
+    (4, 18.47, 0.0009985695222055114),
+    (4, 52.67, 9.990193434456516e-11),
+    (4, 239.8, 1.0245140548289537e-50),
+    (4, 702.5, 1.0021073171639773e-150),
+    (4, 1395.0, 8.390064178926673e-301),
+    (7, 1e-06, 1.0),
+    (7, 0.5985, 0.9989999658629091),
+    (7, 6.346, 0.4999786661506235),
+    (7, 24.32, 0.0010007658891631787),
+    (7, 60.9, 9.977908031800638e-11),
+    (7, 252.1, 9.89900621876517e-51),
+    (7, 717.8, 1.0013713127776817e-150),
+    (7, 1412.0, 9.773941430918972e-301),
+    (15, 1e-06, 1.0),
+    (15, 3.483, 0.998999456163171),
+    (15, 14.34, 0.49991470512173164),
+    (15, 37.7, 0.0009990843015883135),
+    (15, 79.15, 9.986509492987943e-11),
+    (15, 279.5, 1.0012170395075238e-50),
+    (15, 752.8, 1.0202144252993982e-150),
+    (15, 1452.0, 1.0716716568152714e-300),
+    (31, 1e-06, 1.0),
+    (31, 12.2, 0.9989969404955968),
+    (31, 30.34, 0.4997918096735474),
+    (31, 61.1, 0.0009995343175044418),
+    (31, 109.7, 1.0043560019198889e-10),
+    (31, 325.0, 9.999847432501986e-51),
+    (31, 812.0, 9.79457742008629e-151),
+    (31, 1521.0, 9.516971205747008e-301),
+    (63, 1e-06, 1.0),
+    (63, 33.91, 0.9989980647893993),
+    (63, 62.33, 0.5001645822260244),
+    (63, 103.4, 0.0010092270914614885),
+    (63, 162.5, 9.889153325837071e-11),
+    (63, 401.2, 1.0120586979189981e-50),
+    (63, 911.6, 1.0083428047173987e-150),
+    (63, 1638.0, 1.0395597839005473e-300),
+    (119, 1e-06, 1.0),
+    (119, 76.95, 0.9990013685692435),
+    (119, 118.3, 0.5008822311457249),
+    (119, 172.4, 0.0010030282242829123),
+    (119, 244.8, 9.961482380556603e-11),
+    (119, 515.3, 1.0111851555481519e-50),
+    (119, 1060.0, 9.751376404964156e-151),
+    (119, 1813.0, 1.2340369824257986e-300),
+)
+
+
+# (table, statistic, p-value) of scipy.stats.chi2_contingency, computed with
+# scipy 1.17.1: a 2x2 table (Yates' correction), a single column (df = 0), the
+# tables that `analyze distribution --samples 2000|320 --seed 5` built, and a
+# random 2x120 table of counts from 10 to 39.
+SCIPY_CONTINGENCY = (
+    pytest.param([[12, 5], [3, 9]], 4.171457749766574, 0.04111041419430694, id='yates-df1'),
+    pytest.param([[7], [11]], 0.0, 1.0, id='df0'),
+    pytest.param(
+        [
+            [22, 18, 24, 24, 17, 17, 13, 21, 26, 24, 23, 26, 20, 26, 25, 18, 18, 15, 23, 19, 23,
+             22, 18, 24, 21, 26, 17, 19, 13, 21, 24, 15],
+            [31, 28, 28, 28, 16, 21, 18, 26, 39, 23, 22, 18, 34, 30, 22, 22, 16, 27, 26, 23, 22,
+             16, 26, 23, 19, 30, 22, 29, 25, 18, 24, 25],
+        ],
+        21.847897652188287, 0.887732367325576, id='cli-samples2000-seed5',
+    ),
+    pytest.param(
+        [
+            [4, 2, 2, 1, 2, 2, 1, 7, 4, 3, 3, 3, 6, 3, 3, 2, 4, 4, 3, 3, 3, 5, 2, 0, 0, 4, 4, 3,
+             0, 5, 6, 3],
+            [5, 5, 2, 4, 8, 5, 7, 3, 3, 1, 6, 1, 4, 3, 2, 6, 4, 4, 6, 3, 4, 5, 7, 6, 3, 6, 2, 1,
+             1, 4, 6, 6],
+        ],
+        32.17734136519502, 0.4081906726490693, id='cli-samples320-seed5',
+    ),
+    pytest.param(
+        [
+            [24, 29, 21, 18, 14, 15, 37, 31, 10, 20, 26, 24, 38, 29, 12, 20, 27, 39, 29, 32, 11,
+             33, 22, 15, 32, 24, 33, 23, 15, 15, 17, 11, 13, 14, 26, 37, 39, 28, 12, 34, 32, 22,
+             35, 33, 38, 13, 39, 19, 16, 31, 17, 33, 35, 23, 38, 12, 34, 18, 39, 16, 22, 18, 20,
+             35, 11, 16, 32, 38, 10, 38, 23, 11, 38, 22, 37, 25, 14, 10, 17, 23, 33, 39, 37, 13,
+             29, 10, 13, 34, 28, 16, 38, 37, 16, 20, 10, 38, 12, 14, 27, 39, 10, 26, 12, 28, 25,
+             27, 39, 16, 23, 12, 22, 16, 30, 34, 12, 32, 28, 14, 15, 29],
+            [33, 11, 11, 18, 27, 31, 29, 37, 14, 33, 18, 33, 28, 11, 13, 37, 32, 22, 38, 17, 15,
+             29, 26, 11, 33, 21, 37, 31, 26, 28, 28, 34, 32, 12, 37, 21, 13, 37, 38, 28, 21, 24,
+             16, 22, 16, 28, 33, 10, 22, 35, 29, 20, 10, 23, 13, 16, 17, 24, 18, 20, 36, 12, 19,
+             30, 19, 13, 26, 35, 11, 10, 22, 34, 27, 35, 23, 25, 21, 32, 34, 17, 28, 33, 12, 23,
+             30, 17, 13, 34, 22, 26, 21, 37, 27, 21, 14, 31, 19, 15, 32, 36, 38, 18, 10, 11, 35,
+             15, 18, 15, 13, 29, 14, 10, 11, 11, 24, 16, 35, 22, 19, 29],
+        ],
+        381.51537806511965, 2.9184506505780636e-29, id='random-2x120',
+    ),
+)
+
+
+@pytest.mark.parametrize("df, x, expected", SCIPY_CHI2_SF)
+def test_chi2_sf_matches_scipy(df, x, expected):
+    assert chi2_sf(x, df) == pytest.approx(expected, rel=1e-10, abs=0)
+
+
+def test_chi2_sf_at_zero():
+    assert chi2_sf(0.0, 1) == chi2_sf(0.0, 4) == 1.0
+
+
+@pytest.mark.parametrize("table, statistic, p_value", SCIPY_CONTINGENCY)
+def test_chi2_contingency_matches_scipy(table, statistic, p_value):
+    stat, p = chi2_contingency(table)
+    assert stat == pytest.approx(statistic, rel=1e-10, abs=0)
+    assert p == pytest.approx(p_value, rel=1e-10, abs=0)
+
+
+@pytest.mark.parametrize("table", [[[0, 0, 0], [4, 5, 6]], [[3, 0, 2], [1, 0, 7]], [[], []]])
+def test_chi2_contingency_rejects_a_zero_expected_count(table):
+    with pytest.raises(ValueError):
+        chi2_contingency(table)
 
 
 def _state_digest(state):

@@ -1,13 +1,18 @@
 """End-to-end command-line behavior, including a loopback proof session."""
 
 import json
+import os
 import random
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import sdzkp.cli
 import sdzkp.protocol
 from sdzkp.cli import EXIT_ACCEPT, EXIT_REJECT, EXIT_USAGE, main, make_rng, parse_addr
 from sdzkp.instance import load_instance, load_witness, validate_witness
@@ -50,6 +55,23 @@ def test_out_of_range_port_is_a_usage_error(tmp_path, capsys, command):
     assert main(args) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "error: port must be in 0..65535" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("timeout", ["0", "-5", "100000000000000"])
+@pytest.mark.parametrize("command", [["verify", "--listen"], ["prove", "--connect"]])
+def test_out_of_range_timeout_is_a_usage_error(tmp_path, capsys, command, timeout):
+    # 0 made the listener non-blocking, so `verify` printed its listening line
+    # and then REJECT; 10^14 ms overflowed time_t inside the socket calls.
+    inst_path, wit_path = keygen(tmp_path)
+    args = [*command, f"127.0.0.1:{free_port()}", "--instance", str(inst_path), f"--timeout-ms={timeout}"]
+    if command[0] == "prove":
+        args += ["--witness", str(wit_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--timeout-ms: must be in 1..2147483647 ms" in err
+    assert "listening on" not in err and "Traceback" not in err
 
 
 def test_make_rng(capsys):
@@ -314,6 +336,19 @@ def test_analyze_distribution(capsys):
     assert report["experiment"] == "distribution"
     assert set(report) == {"experiment", "samples", "statistic", "p_value", "pass", "details"}
     assert (code == EXIT_ACCEPT) == report["pass"]
+
+
+def test_analyze_distribution_needs_no_scipy():
+    # A None entry in sys.modules makes every import of scipy raise ImportError.
+    script = (
+        "import sys; sys.modules['scipy'] = None; from sdzkp.cli import main; "
+        "sys.exit(main(['analyze', 'distribution', '--samples', '320', '--seed', '5']))"
+    )
+    src = str(Path(sdzkp.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == EXIT_ACCEPT, result.stderr
+    assert json.loads(result.stdout)["pass"] is True
 
 
 def test_cli_requires_subcommand():
