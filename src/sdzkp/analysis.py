@@ -33,9 +33,10 @@ from .protocol import (
     Transcript,
     commit_round,
     honest_round,
+    masked_round,
+    opened_member,
     prover_commit,
     require_positive,
-    unmask,
     verifier_challenge,
     verify_round,
 )
@@ -76,11 +77,12 @@ def transcript_for(inst: SDPInstance, prover: ProverState, challenge: int) -> Tr
 def extract_witness(inst: SDPInstance, t0: Transcript, t1: Transcript, t2: Transcript) -> Permutation:
     """Witness from three accepting transcripts sharing one commitment.
 
-    The transcripts must carry challenges {0, 1, 2} in any order.  Unmasking
-    the challenge-0 reply gives u∘h, the challenge-1 reply gives u∘g; then
-    h = (u∘g ∘ g^-1)^-1 ∘ (u∘h).  Inconsistencies that the commitment scheme
-    is supposed to rule out (diverging seeds or masked tuples under equal
-    digests) are reported loudly rather than silently tolerated.
+    The transcripts must carry challenges {0, 1, 2} in any order.  The
+    challenge-0 reply opens u∘h and the challenge-1 reply opens u
+    (opened_member); then h = u^-1 ∘ (u∘h).  Inconsistencies that the
+    commitment scheme is supposed to rule out (diverging seeds or masked
+    tuples under equal digests) are reported loudly rather than silently
+    tolerated.
     """
     transcripts = (t0, t1, t2)
     by_ch = {t.challenge: t for t in transcripts}
@@ -99,10 +101,8 @@ def extract_witness(inst: SDPInstance, t0: Transcript, t1: Transcript, t2: Trans
             if name in OPENS[b] and getattr(by_ch[a].response, name) != getattr(by_ch[b].response, name):
                 raise ExtractionError(f"binding violation: two openings of the {name.replace('_', ' ')} differ")
 
-    r0, r1 = by_ch[0].response, by_ch[1].response
-    shuffled_witness = unmask(r0.masked_witness, r0.seed, inst.degree)
-    shuffle = compose(unmask(r1.masked_target, r1.seed, inst.degree), inst.target_inverse)
-    return compose(inverse(shuffle), shuffled_witness)
+    u = opened_member(inst, 1, by_ch[1].response)
+    return compose(inverse(u), opened_member(inst, 0, by_ch[0].response))
 
 
 # --- cheating provers ---
@@ -138,21 +138,17 @@ def make_cheating_prover(inst: SDPInstance, targets: frozenset[int] | set[int], 
 
     for _ in range(_RESAMPLE_BOUND):
         seed = fresh_seed(rng)
-        if targets == frozenset({0, 1}):
+        if 2 not in targets:
             fake = group.sample_uniform(rng)
             if hamming(fake, inst.target) <= k:
                 continue
-            u = group.sample_uniform(rng).images
-            z1, z2 = apply_mask(
-                seed, n, compose_images(u, fake.images), compose_images(u, inst.target.images)
-            )
-        elif targets == frozenset({0, 2}):
+            prover = masked_round(inst, group.sample_uniform(rng).images, fake.images, seed, rng)
+        else:  # the noise goes on Z2 when 0 is covered, on Z1 when 1 is
             member = group.sample_uniform(rng).images
-            z1, z2 = apply_mask(seed, n, member, tuple_add(member, _noise_tuple(n, k, rng)))
-        else:
-            member = compose_images(group.sample_uniform(rng).images, inst.target.images)
-            z2, z1 = apply_mask(seed, n, member, tuple_add(member, _noise_tuple(n, k, rng)))
-        prover = commit_round(z1, z2, seed, rng)
+            if 1 in targets:
+                member = compose_images(member, inst.target.images)
+            pair = apply_mask(seed, n, member, tuple_add(member, _noise_tuple(n, k, rng)))
+            prover = commit_round(*(pair if 0 in targets else pair[::-1]), seed, rng)
         if accepted_challenges(inst, prover) == targets:
             return prover
     raise ValueError(f"could not build a cheating state for {sorted(targets)} on this instance")
@@ -188,18 +184,15 @@ def honest_verifier(rng: Random) -> VerifierOracle:
 
 
 def _simulated_state(inst: SDPInstance, guess: int, rng: Random) -> ProverState:
-    """Fake tuple pair for one attempt.  guess in {0,1} plants a uniform
-    group element (both membership challenges will verify); guess 2 plants
-    a pair at Hamming distance exactly k, the distance of a planted witness
-    (the distance challenge verifies)."""
+    """Fake round for one attempt.  guess in {0,1} is an honest round for the
+    fake witness e, the identity (both membership challenges will verify);
+    guess 2 masks τ∘g beside g for a uniform τ moving exactly k points, the
+    distance of a planted witness (the distance challenge verifies)."""
+    e = tuple(range(inst.degree))
     if guess < 2:
-        left = inst.group.sample_uniform(rng)
-        right = compose(left, inst.target)
-    else:
-        left = compose(random_support_perm(inst.degree, inst.max_distance, rng), inst.target)
-        right = inst.target
-    seed = fresh_seed(rng)
-    return commit_round(*apply_mask(seed, inst.degree, left.images, right.images), seed, rng)
+        return masked_round(inst, inst.group.sample_uniform(rng).images, e, fresh_seed(rng), rng)
+    tau = random_support_perm(inst.degree, inst.max_distance, rng)
+    return masked_round(inst, e, compose_images(tau.images, inst.target.images), fresh_seed(rng), rng)
 
 
 def simulate(
@@ -325,7 +318,7 @@ def transcript_distribution_test(
             challenges[t.challenge] += 1
             ok += verify_round(inst, t.commitment, t.challenge, r)
             if t.challenge == 0:
-                counts[index[unmask(r.masked_witness, r.seed, inst.degree).images]] += 1
+                counts[index[opened_member(inst, 0, r).images]] += 1
             elif t.challenge == 2:
                 weights[differing_words(r.masked_witness, r.masked_target)] += 1
         return counts, challenges, weights, ok

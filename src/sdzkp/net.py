@@ -94,13 +94,16 @@ def recv_expected(
     return body
 
 
-def prover_session(sock: socket.socket, inst: SDPInstance, wit: Witness, rounds: int, rng: Random) -> None:
-    """Drive the prover side of one session; raises SessionError on violations."""
+def prover_session(
+    sock: socket.socket, inst: SDPInstance, wit: Witness, rounds: int, rng: Random, deadline: float | None = None
+) -> None:
+    """Drive the prover side of one session; raises SessionError on violations
+    and socket.timeout once the deadline (a time.monotonic() instant) passes."""
     require_positive(rounds)
     for i in range(rounds):
         state, msg = prover_commit(inst, wit, rng)
         send_frame(sock, MSG_COMMIT, msg.encode())
-        body = recv_expected(sock, MSG_CHALLENGE, 2)
+        body = recv_expected(sock, MSG_CHALLENGE, 2, deadline)
         if len(body) != 1 or body[0] not in CHALLENGES:
             raise SessionError(f"invalid challenge in round {i}")
         send_frame(sock, MSG_RESPONSE, encode_response(prover_respond(state, body[0])))
@@ -183,6 +186,9 @@ def connect_and_prove(
     rng: Random,
     timeout_s: float | None = None,
 ) -> None:
+    """Connect and run a prover session; timeout_s bounds the connect, and
+    then the whole session."""
     with socket.create_connection((host, port), timeout=timeout_s) as sock:
+        deadline = None if timeout_s is None else time.monotonic() + timeout_s
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        prover_session(sock, inst, wit, rounds, rng)
+        prover_session(sock, inst, wit, rounds, rng, deadline)

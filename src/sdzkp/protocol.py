@@ -199,17 +199,32 @@ def commit_round(z1: bytes, z2: bytes, seed: bytes, rng: Random) -> ProverState:
     return ProverState(commitment=CommitmentMsg(**digests), **values, **openings)
 
 
+def masked_round(
+    inst: SDPInstance, u: tuple[int, ...], x: tuple[int, ...], seed: bytes, rng: Random
+) -> ProverState:
+    """Commit to Z1 = oneline(u∘x) + mask and Z2 = oneline(u∘g) + mask under
+    one seed: the round of every prover that claims x, honest (x = h) or not.
+    u and x are image tuples; their products go straight into lanes."""
+    z1, z2 = apply_mask(seed, inst.degree, compose_images(u, x), compose_images(u, inst.target.images))
+    return commit_round(z1, z2, seed, rng)
+
+
+def opened_member(inst: SDPInstance, challenge: int, response: Response) -> Permutation:
+    """The element that a challenge-0 or challenge-1 opening claims lies in H:
+    unmask(Z1) = u∘h at 0, unmask(Z2)∘g^-1 = u at 1.  ValueError if the
+    opening hides no permutation."""
+    if challenge not in (0, 1):
+        raise ValueError(f"challenge {challenge!r} opens no group element")
+    opened = unmask(getattr(response, OPENS[challenge][0]), response.seed, inst.degree)
+    return compose(opened, inst.target_inverse) if challenge else opened
+
+
 def prover_commit(inst: SDPInstance, wit: Witness, rng: Random) -> tuple[ProverState, CommitmentMsg]:
     """First move.  Refuses to run on a witness that fails the statement."""
     if not validate_witness(inst, wit.element):
         raise ValueError("witness does not satisfy the statement")
     u = inst.group.sample_uniform(rng).images
-    seed = fresh_seed(rng)
-    # The one-line forms of u∘h and u∘g go straight into lanes: no Permutation.
-    z1, z2 = apply_mask(
-        seed, inst.degree, compose_images(u, wit.element.images), compose_images(u, inst.target.images)
-    )
-    state = commit_round(z1, z2, seed, rng)
+    state = masked_round(inst, u, wit.element.images, fresh_seed(rng), rng)
     return state, state.commitment
 
 
@@ -242,10 +257,7 @@ def verify_round(inst: SDPInstance, commitment: CommitmentMsg, challenge: int, r
                 return False
         if challenge == 2:
             return differing_words(response.masked_witness, response.masked_target) <= inst.max_distance
-        if challenge == 0:
-            return inst.group.contains(unmask(response.masked_witness, response.seed, n))
-        shuffle = compose(unmask(response.masked_target, response.seed, n), inst.target_inverse)
-        return inst.group.contains(shuffle)
+        return inst.group.contains(opened_member(inst, challenge, response))
     except (ValueError, TypeError, struct.error):
         return False
 
@@ -398,6 +410,10 @@ def encode_proof(proof: NIZKProof) -> bytes:
 
 
 def decode_proof(data: bytes) -> NIZKProof:
+    """Parse proof bytes.  Any other buffer is copied to bytes once, so every
+    field is bytes; memoryview refuses an int or a str (TypeError)."""
+    if not isinstance(data, bytes):
+        data = memoryview(data).tobytes()
     if data[:4] != PROOF_MAGIC:
         raise ValueError("bad proof magic")
     if len(data) < 8:

@@ -7,6 +7,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdzkp import net
 from sdzkp.instance import plant_instance
@@ -323,6 +325,111 @@ def test_session_deadline_bounds_a_trickling_peer(planted):
         stop.set()
     assert not ok
     assert seconds < timeout_s + 1.0
+
+
+def test_prover_deadline_bounds_a_trickling_verifier(planted):
+    inst, wit = planted
+    listener = net.create_listener("127.0.0.1", 0)
+    listener.settimeout(5)
+    host, port = listener.getsockname()
+    stop = threading.Event()
+
+    def trickler():
+        # Well-formed challenge frames, one byte per 300 ms: each recv returns
+        # well inside the prover's timeout, but the session as a whole must not.
+        frame = struct.pack("<I", 2) + bytes([MSG_CHALLENGE, 0])
+        with listener:
+            conn, _ = listener.accept()
+        with conn:
+            while True:
+                for b in frame:
+                    if stop.wait(0.3):
+                        return
+                    try:
+                        conn.sendall(bytes([b]))
+                    except OSError:
+                        return
+
+    th = threading.Thread(target=trickler)
+    th.start()
+    timeout_s = 0.5
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(socket.timeout):
+            net.connect_and_prove(host, port, inst, wit, 4, random.Random(109), timeout_s=timeout_s)
+        seconds = time.monotonic() - t0
+    finally:
+        stop.set()
+        th.join(5)
+    assert not th.is_alive()
+    assert seconds < timeout_s + 1.0
+
+
+@pytest.fixture(scope="module")
+def foreign_frames(planted):
+    """Well-formed bodies a peer can replay: a real commitment, and real
+    responses of every kind to another commitment, so none of them opens it."""
+    inst, wit = planted
+    rng = random.Random(110)
+    commitment = prover_commit(inst, wit, rng)[1].encode()
+    other, _ = prover_commit(inst, wit, rng)
+    return [(MSG_COMMIT, commitment)] + [(MSG_RESPONSE, encode_response(other.respond(ch))) for ch in range(3)]
+
+
+def _frames(foreign):
+    """A peer's byte stream: frames with honest, wrong or oversized lengths
+    (None is honest), any type byte and garbage or replayed bodies, cut into
+    chunks with stalls."""
+    body = st.one_of(st.binary(max_size=300), st.sampled_from(foreign))
+    length = st.one_of(st.none(), st.integers(0, 300), st.integers(0, 2**32 - 1))
+    msg_type = st.one_of(st.sampled_from((MSG_COMMIT, MSG_CHALLENGE, MSG_RESPONSE)), st.integers(0, 255))
+
+    @st.composite
+    def frame(draw):
+        b = draw(body)
+        typ, b = b if isinstance(b, tuple) else (draw(msg_type), b)
+        n = draw(length)
+        return struct.pack("<I", 1 + len(b) if n is None else n) + bytes([typ]) + b
+
+    @st.composite
+    def stream(draw):
+        data = b"".join(draw(st.lists(frame(), min_size=1, max_size=6)))
+        cuts = sorted(draw(st.lists(st.integers(0, len(data)), max_size=4)))
+        stalls = draw(st.lists(st.floats(0, 0.05), min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+        bounds = [0, *cuts, len(data)]
+        return [(data[a:b], stall) for a, b, stall in zip(bounds, bounds[1:], stalls)]
+
+    return stream()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_verifier_rejects_an_adversarial_peer_without_raising(planted, foreign_frames, data):
+    inst, _ = planted
+    chunks = data.draw(_frames(foreign_frames))
+    a, b = pair()
+
+    def peer():
+        with a:
+            for chunk, stall in chunks:
+                time.sleep(stall)
+                try:
+                    a.sendall(chunk)
+                except OSError:
+                    return
+
+    th = threading.Thread(target=peer)
+    th.start()
+    timeout_s = 0.5
+    t0 = time.monotonic()
+    try:
+        with b:
+            ok = net.verifier_session(b, inst, 2, random.Random(111), time.monotonic() + timeout_s)
+    finally:
+        th.join(5)
+    assert not th.is_alive()
+    assert ok is False
+    assert time.monotonic() - t0 < timeout_s + 1.0
 
 
 @pytest.mark.parametrize("stage", ["commit", "response"])

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ import sdzkp.protocol
 from sdzkp.crypto import (
     apply_mask,
     decode_tuple,
+    differing_words,
     encode_tuple,
     expand_mask,
     fresh_seed,
@@ -20,7 +22,7 @@ from sdzkp.crypto import (
     verify_commitment,
 )
 from sdzkp.instance import Witness, plant_instance
-from sdzkp.perm import Permutation, hamming
+from sdzkp.perm import Permutation, compose_images, hamming, random_perm
 from sdzkp.protocol import (
     CHALLENGES,
     CommitmentMsg,
@@ -38,7 +40,9 @@ from sdzkp.protocol import (
     fs_prove,
     fs_verify,
     fs_verify_bytes,
+    masked_round,
     max_response_bytes,
+    opened_member,
     prover_commit,
     prover_respond,
     run_interactive,
@@ -241,6 +245,32 @@ def test_unmask_matches_the_validating_constructor_on_arbitrary_words(data):
     assert_unmask_matches_the_reference(z, seed, n)
 
 
+@pytest.mark.parametrize("preset, gens, k, instance_seed", [
+    ("abelian2", 5, 4, 71),
+    ("general", 4, 6, 70),  # a certified S_16
+])
+def test_masked_round_and_opened_member_match_their_definitions(preset, gens, k, instance_seed):
+    inst, wit = plant_instance(16, gens, k, random.Random(instance_seed), preset=preset)
+    assert (inst.group.giant == "S_n") == (preset == "general")
+    n, g = inst.degree, inst.target.images
+    rng = random.Random(62)
+    # the witness, a member of H, and a permutation that is almost surely in neither
+    for x in (wit.element.images, inst.group.sample_uniform(rng).images, random_perm(n, rng).images):
+        u = inst.group.sample_uniform(rng).images
+        seed = fresh_seed(rng)
+        state = masked_round(inst, u, x, seed, rng)
+        mask = expand_mask(seed, n)
+        assert state.seed == seed
+        assert state.masked_witness == encode_tuple(tuple_add(compose_images(u, x), mask))
+        assert state.masked_target == encode_tuple(tuple_add(compose_images(u, g), mask))
+        assert opened_member(inst, 0, state.respond(0)) == Permutation(compose_images(u, x))
+        assert opened_member(inst, 1, state.respond(1)) == Permutation(u)
+        rsp = state.respond(2)
+        assert differing_words(rsp.masked_witness, rsp.masked_target) == hamming(Permutation(x), inst.target)
+        with pytest.raises(ValueError):
+            opened_member(inst, 2, rsp)
+
+
 def test_verify_round_is_total_on_non_messages(planted, honest_state):
     inst, _ = planted
     state, com = honest_state
@@ -340,6 +370,21 @@ def test_fs_proof_bytes_round_trip(planted):
     back = decode_proof(data)
     assert back == proof
     assert fs_verify_bytes(inst, data, b"")
+
+
+def test_proof_in_any_byte_buffer_verifies(planted):
+    inst, wit = planted
+    data = encode_proof(fs_prove(inst, wit, 8, b"", random.Random(66)))
+    for buffer in (bytearray(data), memoryview(data), memoryview(bytearray(data))):
+        assert decode_proof(buffer) == decode_proof(data)
+        assert fs_verify_bytes(inst, buffer, b"")
+    # not buffers: refused at once (bytes(10**9) would allocate a gigabyte)
+    for bad in (10**9, data.decode("latin-1"), None):
+        t0 = time.monotonic()
+        assert fs_verify_bytes(inst, bad, b"") is False
+        with pytest.raises(TypeError):
+            decode_proof(bad)
+        assert time.monotonic() - t0 < 1.0
 
 
 def test_fs_single_byte_flips_reject(planted):
