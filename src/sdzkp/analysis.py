@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from itertools import combinations, count, islice
+from itertools import count, islice
 from random import Random
 from typing import Callable
 
@@ -52,12 +52,15 @@ ALPHA = 0.001
 DISTRIBUTION_MAX_ORDER = 120
 
 
+_SLOT_NAMES = ("masked witness", "masked target", "seed")
+
+
 class ExtractionError(Exception):
     """Raised when three transcripts do not admit extraction."""
 
 
 def honest_rewindable_prover(inst: SDPInstance, wit: Witness, rng: Random) -> ProverState:
-    return prover_commit(inst, wit, rng)[0]
+    return prover_commit(inst, wit, rng)
 
 
 def accepted_challenges(inst: SDPInstance, prover: ProverState) -> set[int]:
@@ -96,10 +99,11 @@ def extract_witness(inst: SDPInstance, t0: Transcript, t1: Transcript, t2: Trans
             raise ExtractionError(f"transcript for challenge {ch} does not verify")
 
     # Every value is opened under two challenges; both openings must agree.
-    for a, b in combinations(CHALLENGES, 2):
-        for name in OPENS[a]:
-            if name in OPENS[b] and getattr(by_ch[a].response, name) != getattr(by_ch[b].response, name):
-                raise ExtractionError(f"binding violation: two openings of the {name.replace('_', ' ')} differ")
+    opened = {}
+    for ch, t in sorted(by_ch.items()):
+        for slot, value in zip(OPENS[ch], t.response.values):
+            if opened.setdefault(slot, value) != value:
+                raise ExtractionError(f"binding violation: two openings of the {_SLOT_NAMES[slot]} differ")
 
     u = opened_member(inst, 1, by_ch[1].response)
     return compose(inverse(u), opened_member(inst, 0, by_ch[0].response))
@@ -320,7 +324,7 @@ def transcript_distribution_test(
             if t.challenge == 0:
                 counts[index[opened_member(inst, 0, r).images]] += 1
             elif t.challenge == 2:
-                weights[differing_words(r.masked_witness, r.masked_target)] += 1
+                weights[differing_words(*r.values)] += 1
         return counts, challenges, weights, ok
 
     real_counts, real_ch, real_weights, real_ok = tally(

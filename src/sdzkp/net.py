@@ -35,6 +35,7 @@ from .protocol import (
     prover_commit,
     prover_respond,
     require_positive,
+    require_witness,
     verifier_challenge,
     verify_round,
 )
@@ -101,8 +102,8 @@ def prover_session(
     and socket.timeout once the deadline (a time.monotonic() instant) passes."""
     require_positive(rounds)
     for i in range(rounds):
-        state, msg = prover_commit(inst, wit, rng)
-        send_frame(sock, MSG_COMMIT, msg.encode())
+        state = prover_commit(inst, wit, rng)
+        send_frame(sock, MSG_COMMIT, state.commitment.encode())
         body = recv_expected(sock, MSG_CHALLENGE, 2, deadline)
         if len(body) != 1 or body[0] not in CHALLENGES:
             raise SessionError(f"invalid challenge in round {i}")
@@ -187,7 +188,11 @@ def connect_and_prove(
     timeout_s: float | None = None,
 ) -> None:
     """Connect and run a prover session; timeout_s bounds the connect, and
-    then the whole session."""
+    then the whole session.  A witness that fails the statement, or rounds
+    < 1, raises ValueError before connecting, so it costs the verifier no
+    session."""
+    require_witness(inst, wit)
+    require_positive(rounds)
     with socket.create_connection((host, port), timeout=timeout_s) as sock:
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

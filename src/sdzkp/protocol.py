@@ -1,19 +1,21 @@
 """The three-round proof of knowledge of a close subgroup element.
 
 One round: the prover picks a uniform shuffle u from H and a mask seed s,
-commits to Z1 = oneline(u∘h) + mask, Z2 = oneline(u∘g) + mask, and to s
-(slots C1, C2, C3).  The verifier sends a challenge in {0, 1, 2}, and the
-opening table OPENS says which values the answer reveals, in wire order:
+and commits to three values, its slots: 0 is Z1 = oneline(u∘h) + mask,
+1 is Z2 = oneline(u∘g) + mask, 2 is s.  Slot i is committed under tag
+crypto.COMMIT_TAGS[i] into CommitmentMsg field i.  The verifier sends a
+challenge in {0, 1, 2}, and the opening table OPENS says which slots the
+answer reveals, in wire order:
 
   challenge  opens     the verifier checks the openings, then
   0          Z1, s     unmasking Z1 must give an element of H (this is u∘h)
   1          Z2, s     unmasking Z2 must give w with w∘g^-1 in H (w is u∘g)
   2          Z1, Z2    they must differ in at most max_distance words
 
-SLOTS says how each value is committed (tag, digest field, opening field)
-and read off the wire; every value is its own committed message and wire
-form.  The prover, the verifier's checks and the response codecs all read
-these two tables; only the final predicate above is written per challenge.
+Every value is its own committed message and wire form: slot_span reads
+one off the wire and slot_size gives its length.  The prover, the
+verifier's checks and the response codecs all follow OPENS; only the
+final predicate above is written per challenge.
 
 A single round convinces the verifier with soundness error 2/3; sequential
 repetition amplifies.  The non-interactive variant derives challenges by
@@ -24,11 +26,12 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from random import Random
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .crypto import (
+    COMMIT_TAGS,
     DIGEST_BYTES,
     OPENING_BYTES,
     SEED_BYTES,
@@ -43,7 +46,11 @@ from .crypto import (
 from .instance import SDPInstance, Witness, instance_digest, validate_witness
 from .perm import Permutation, compose, compose_images
 
-CHALLENGES = (0, 1, 2)
+Z1, Z2, SEED = 0, 1, 2
+
+OPENS = {0: (Z1, SEED), 1: (Z2, SEED), 2: (Z1, Z2)}
+
+CHALLENGES = tuple(OPENS)
 
 MSG_COMMIT = 0x01
 MSG_CHALLENGE = 0x02
@@ -64,35 +71,19 @@ def _take(data: bytes, offset: int, count: int) -> tuple[bytes, int]:
     return data[offset:end], end
 
 
-class Slot(NamedTuple):
-    """How a round value is committed and read; v is canonical iff decode(v, 0) == (v, size(n))."""
-
-    tag: str  # commitment tag
-    digest: str  # CommitmentMsg field holding the digest
-    opening: str  # ProverState / Response field holding the opening
-    decode: Callable[[bytes, int], tuple[bytes, int]]  # (data, offset) -> (value, next offset)
-    size: Callable[[int], int]  # encoded length at degree n
+def slot_span(slot: int, data: bytes, offset: int = 0) -> tuple[bytes, int]:
+    """The value of a slot at offset, as it stands; returns (value, next offset).
+    A value v is canonical at degree n iff slot_span(slot, v) == (v, slot_size(slot, n))."""
+    return _take(data, offset, SEED_BYTES) if slot == SEED else tuple_span(data, offset)
 
 
-_TUPLE = (tuple_span, lambda n: 4 + 4 * n)
-_SEED = (lambda data, offset: _take(data, offset, SEED_BYTES), lambda n: SEED_BYTES)
-
-SLOTS = {
-    "masked_witness": Slot("C1", "c1", "open_witness", *_TUPLE),
-    "masked_target": Slot("C2", "c2", "open_target", *_TUPLE),
-    "seed": Slot("C3", "c3", "open_seed", *_SEED),
-}
-
-OPENS = {
-    0: ("masked_witness", "seed"),
-    1: ("masked_target", "seed"),
-    2: ("masked_witness", "masked_target"),
-}
+def slot_size(slot: int, n: int) -> int:
+    """Encoded length of a slot's value at degree n."""
+    return SEED_BYTES if slot == SEED else 4 + 4 * n
 
 
-@dataclass(frozen=True)
-class CommitmentMsg:
-    """The three 32-byte commitment digests of one round."""
+class CommitmentMsg(NamedTuple):
+    """The three 32-byte commitment digests of one round, one per slot."""
 
     c1: bytes
     c2: bytes
@@ -110,38 +101,31 @@ class CommitmentMsg:
 
 @dataclass(frozen=True)
 class Response:
-    """Challenge-dependent opening.  Fields not revealed stay None."""
+    """What challenge `kind` opens: the values of the slots OPENS[kind], in
+    that order, and their commitment openings in the same order."""
 
     kind: int
-    masked_witness: bytes | None = None
-    masked_target: bytes | None = None
-    seed: bytes | None = None
-    open_witness: bytes | None = None
-    open_target: bytes | None = None
-    open_seed: bytes | None = None
+    values: tuple[bytes, ...]
+    openings: tuple[bytes, ...]
 
 
-def _response_layout(names: tuple[str, ...]) -> tuple[str | None, ...]:
-    """What fills each Response field after kind: the ProverState field of
-    the same name where it is opened (a value or its opening), else None."""
-    shown = set(names) | {SLOTS[name].opening for name in names}
-    return tuple(f.name if f.name in shown else None for f in fields(Response)[1:])
-
-
-_RESPONSE_LAYOUT = {ch: _response_layout(names) for ch, names in OPENS.items()}
+def _opens_its_slots(rsp: Response) -> bool:
+    """Whether rsp holds one bytes value and one bytes opening per slot of OPENS[rsp.kind]."""
+    width = len(OPENS[rsp.kind])
+    return all(
+        isinstance(part, tuple) and len(part) == width and all(isinstance(b, bytes) for b in part)
+        for part in (rsp.values, rsp.openings)
+    )
 
 
 @dataclass(frozen=True)
 class ProverState:
     """Frozen per-round coin tape: respond(ch) is a pure function of it, so
-    any challenge can be answered, in any order and more than once."""
+    any challenge can be answered, in any order and more than once.
+    values and openings hold one entry per slot (Z1, Z2, seed)."""
 
-    seed: bytes
-    masked_witness: bytes
-    masked_target: bytes
-    open_witness: bytes
-    open_target: bytes
-    open_seed: bytes
+    values: tuple[bytes, bytes, bytes]
+    openings: tuple[bytes, bytes, bytes]
     commitment: CommitmentMsg
 
     def respond(self, challenge: int) -> Response:
@@ -192,11 +176,9 @@ def unmask(z: bytes, seed: bytes, n: int) -> Permutation:
 def commit_round(z1: bytes, z2: bytes, seed: bytes, rng: Random) -> ProverState:
     """Commit to the masked pair and the seed, slot by slot (C1, C2, C3).
     The analysis harness commits its cheating and simulated tuples with it."""
-    values = {"masked_witness": z1, "masked_target": z2, "seed": seed}
-    digests, openings = {}, {}
-    for name, slot in SLOTS.items():
-        digests[slot.digest], openings[slot.opening] = commit(values[name], slot.tag, rng)
-    return ProverState(commitment=CommitmentMsg(**digests), **values, **openings)
+    values = (z1, z2, seed)
+    digests, openings = zip(*(commit(value, tag, rng) for value, tag in zip(values, COMMIT_TAGS)))
+    return ProverState(values, openings, CommitmentMsg(*digests))
 
 
 def masked_round(
@@ -215,17 +197,23 @@ def opened_member(inst: SDPInstance, challenge: int, response: Response) -> Perm
     opening hides no permutation."""
     if challenge not in (0, 1):
         raise ValueError(f"challenge {challenge!r} opens no group element")
-    opened = unmask(getattr(response, OPENS[challenge][0]), response.seed, inst.degree)
+    z, seed = response.values  # OPENS[challenge]: a masked tuple, then the seed
+    opened = unmask(z, seed, inst.degree)
     return compose(opened, inst.target_inverse) if challenge else opened
 
 
-def prover_commit(inst: SDPInstance, wit: Witness, rng: Random) -> tuple[ProverState, CommitmentMsg]:
-    """First move.  Refuses to run on a witness that fails the statement."""
+def require_witness(inst: SDPInstance, wit: Witness) -> None:
+    """Refuse a witness that fails the statement: no round can be honest."""
     if not validate_witness(inst, wit.element):
         raise ValueError("witness does not satisfy the statement")
+
+
+def prover_commit(inst: SDPInstance, wit: Witness, rng: Random) -> ProverState:
+    """First move; the state's commitment is the message to send.  Refuses
+    to run on a witness that fails the statement."""
+    require_witness(inst, wit)
     u = inst.group.sample_uniform(rng).images
-    state = masked_round(inst, u, wit.element.images, fresh_seed(rng), rng)
-    return state, state.commitment
+    return masked_round(inst, u, wit.element.images, fresh_seed(rng), rng)
 
 
 def verifier_challenge(rng: Random) -> int:
@@ -237,7 +225,8 @@ def prover_respond(state: ProverState, challenge: int) -> Response:
     """Third move: open exactly what the challenge demands."""
     if challenge not in OPENS:
         raise ValueError(f"challenge must be 0, 1 or 2, got {challenge!r}")
-    return Response(challenge, *[getattr(state, f) if f else None for f in _RESPONSE_LAYOUT[challenge]])
+    slots = OPENS[challenge]
+    return Response(challenge, tuple(state.values[i] for i in slots), tuple(state.openings[i] for i in slots))
 
 
 def verify_round(inst: SDPInstance, commitment: CommitmentMsg, challenge: int, response: Response) -> bool:
@@ -245,18 +234,16 @@ def verify_round(inst: SDPInstance, commitment: CommitmentMsg, challenge: int, r
     if not isinstance(commitment, CommitmentMsg) or not isinstance(response, Response):
         return False
     try:
-        if challenge not in CHALLENGES or response.kind != challenge:
+        if challenge not in CHALLENGES or response.kind != challenge or not _opens_its_slots(response):
             return False
         n = inst.degree
-        for name in OPENS[challenge]:
-            tag, digest, opening, decode, size = SLOTS[name]
-            message = getattr(response, name)
-            if decode(message, 0) != (message, size(n)) or not verify_commitment(
-                getattr(commitment, digest), message, tag, getattr(response, opening)
+        for slot, value, opening in zip(OPENS[challenge], response.values, response.openings):
+            if slot_span(slot, value) != (value, slot_size(slot, n)) or not verify_commitment(
+                commitment[slot], value, COMMIT_TAGS[slot], opening
             ):
                 return False
         if challenge == 2:
-            return differing_words(response.masked_witness, response.masked_target) <= inst.max_distance
+            return differing_words(*response.values) <= inst.max_distance
         return inst.group.contains(opened_member(inst, challenge, response))
     except (ValueError, TypeError, struct.error):
         return False
@@ -264,9 +251,9 @@ def verify_round(inst: SDPInstance, commitment: CommitmentMsg, challenge: int, r
 
 def honest_round(inst: SDPInstance, wit: Witness, prover_rng: Random, verifier_rng: Random) -> Transcript:
     """One honest round: commit, uniform challenge, response."""
-    state, com = prover_commit(inst, wit, prover_rng)
+    state = prover_commit(inst, wit, prover_rng)
     ch = verifier_challenge(verifier_rng)
-    return Transcript(com, ch, prover_respond(state, ch))
+    return Transcript(state.commitment, ch, prover_respond(state, ch))
 
 
 def run_interactive(
@@ -320,7 +307,7 @@ def derive_challenges(
 def fs_prove(inst: SDPInstance, wit: Witness, rounds: int, context: bytes, rng: Random) -> NIZKProof:
     """Non-interactive proof: commit to all rounds, derive challenges, respond."""
     _proof_rounds(rounds)
-    states = [prover_commit(inst, wit, rng)[0] for _ in range(rounds)]
+    states = [prover_commit(inst, wit, rng) for _ in range(rounds)]
     commitments = tuple(state.commitment for state in states)
     challenges = derive_challenges(instance_digest(inst), context, commitments, rounds)
     responses = tuple(prover_respond(state, ch) for state, ch in zip(states, challenges))
@@ -361,12 +348,9 @@ def encode_response(rsp: Response) -> bytes:
     """Kind byte, the opened values in OPENS order, then their openings."""
     if rsp.kind not in OPENS:
         raise ValueError(f"cannot encode response of kind {rsp.kind!r}")
-    names = OPENS[rsp.kind]
-    return (
-        bytes([rsp.kind])
-        + b"".join(getattr(rsp, name) for name in names)
-        + b"".join(getattr(rsp, SLOTS[name].opening) for name in names)
-    )
+    if not _opens_its_slots(rsp):
+        raise ValueError(f"a kind {rsp.kind} response must hold one bytes value and opening per slot it opens")
+    return bytes([rsp.kind]) + b"".join(rsp.values) + b"".join(rsp.openings)
 
 
 def max_response_bytes(n: int) -> int:
@@ -374,9 +358,7 @@ def max_response_bytes(n: int) -> int:
 
     Kind 2 (two tuples, two openings) for n >= 7; below that kind 0 and 1
     (one tuple, a seed, two openings) are longer."""
-    return 1 + max(
-        sum(SLOTS[name].size(n) + OPENING_BYTES for name in names) for names in OPENS.values()
-    )
+    return 1 + max(sum(slot_size(slot, n) + OPENING_BYTES for slot in slots) for slots in OPENS.values())
 
 
 def decode_response_from(data: bytes, offset: int = 0) -> tuple[Response, int]:
@@ -386,12 +368,14 @@ def decode_response_from(data: bytes, offset: int = 0) -> tuple[Response, int]:
     if kind not in OPENS:
         raise ValueError(f"unknown response kind {kind}")
     offset += 1
-    fields = {}
-    for name in OPENS[kind]:
-        fields[name], offset = SLOTS[name].decode(data, offset)
-    for name in OPENS[kind]:
-        fields[SLOTS[name].opening], offset = _take(data, offset, OPENING_BYTES)
-    return Response(kind=kind, **fields), offset
+    values, openings = [], []
+    for slot in OPENS[kind]:
+        value, offset = slot_span(slot, data, offset)
+        values.append(value)
+    for _ in OPENS[kind]:
+        opening, offset = _take(data, offset, OPENING_BYTES)
+        openings.append(opening)
+    return Response(kind, tuple(values), tuple(openings)), offset
 
 
 def decode_response(data: bytes) -> Response:

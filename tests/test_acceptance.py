@@ -72,7 +72,8 @@ def test_c01_completeness():
     for n, preset, gens, k in cases:
         inst, wit = plant_instance(n, gens, k, rng, preset=preset)
         for _ in range(rounds_per_case):
-            state, com = prover_commit(inst, wit, rng)
+            state = prover_commit(inst, wit, rng)
+            com = state.commitment
             ch = verifier_challenge(rng)
             total += 1
             if verify_round(inst, com, ch, prover_respond(state, ch)):
@@ -322,7 +323,8 @@ def test_c09_mutation_robustness():
     inst, wit = plant_instance(16, 4, 6, rng)
     seed = 424242
     expected_ch = random.Random(seed).randrange(3)
-    state, com = prover_commit(inst, wit, rng)
+    state = prover_commit(inst, wit, rng)
+    com = state.commitment
     rsp = prover_respond(state, expected_ch)
     stream = _frame(MSG_COMMIT, com.encode()) + _frame(MSG_RESPONSE, encode_response(rsp))
     assert _replay_verifier(inst, stream, seed)  # sanity: unmutated stream accepts

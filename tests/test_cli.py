@@ -248,6 +248,20 @@ def test_loopback_rejects_wrong_witness(tmp_path, capsys):
     assert "REJECT" in capsys.readouterr().out
 
 
+def test_prove_refuses_a_failing_witness_before_dialling(tmp_path, capsys):
+    inst_path, _ = keygen(tmp_path / "a", "--seed", "1")
+    _, foreign_wit = keygen(tmp_path / "b", "--seed", "2")
+    assert not validate_witness(load_instance(inst_path), load_witness(foreign_wit).element)
+    capsys.readouterr()
+    # nothing listens on the port: dialling first would fail with "connection refused"
+    code = main([
+        "prove", "--connect", f"127.0.0.1:{free_port()}", "--instance", str(inst_path),
+        "--witness", str(foreign_wit), "--rounds", "8", "--timeout-ms", "2000",
+    ])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.strip() == "error: witness does not satisfy the statement"
+
+
 def test_verify_refuses_zero_rounds(tmp_path, capsys):
     # A peer that connects and sends nothing must never be accepted.
     inst_path, _ = keygen(tmp_path)

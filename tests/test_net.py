@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdzkp import net
-from sdzkp.instance import plant_instance
+from sdzkp.instance import plant_instance, validate_witness
 from sdzkp.protocol import (
     MSG_CHALLENGE,
     MSG_COMMIT,
@@ -371,8 +371,8 @@ def foreign_frames(planted):
     responses of every kind to another commitment, so none of them opens it."""
     inst, wit = planted
     rng = random.Random(110)
-    commitment = prover_commit(inst, wit, rng)[1].encode()
-    other, _ = prover_commit(inst, wit, rng)
+    commitment = prover_commit(inst, wit, rng).commitment.encode()
+    other = prover_commit(inst, wit, rng)
     return [(MSG_COMMIT, commitment)] + [(MSG_RESPONSE, encode_response(other.respond(ch))) for ch in range(3)]
 
 
@@ -456,7 +456,7 @@ def test_oversized_frame_rejected_before_its_body(planted, stage):
 def test_response_cap_is_the_longest_valid_response(n):
     rng = random.Random(109)
     inst, wit = plant_instance(n, 2, 2, rng)
-    state, _ = prover_commit(inst, wit, rng)
+    state = prover_commit(inst, wit, rng)
     sizes = [len(encode_response(prover_respond(state, ch))) for ch in (0, 1, 2)]
     assert max(sizes) == max_response_bytes(n)
     if n >= 7:
@@ -468,3 +468,22 @@ def test_small_degree_tcp_session_accepts():
     inst, wit = plant_instance(4, 2, 2, random.Random(110))
     ok, _ = tcp_session(inst, wit, 40, timeout_s=10)
     assert ok
+
+
+@pytest.mark.parametrize("foreign_witness, rounds, error", [
+    pytest.param(True, 4, "witness", id="foreign-witness"),
+    pytest.param(False, 0, "at least one round", id="zero-rounds"),
+])
+def test_prover_refuses_what_it_cannot_finish_before_connecting(planted, foreign_witness, rounds, error):
+    # a session the prover cannot finish would still use up the verifier's one session
+    inst, wit = planted
+    if foreign_witness:
+        _, wit = plant_instance(16, 4, 6, random.Random(112))
+        assert not validate_witness(inst, wit.element)
+    with net.create_listener("127.0.0.1", 0) as listener:
+        port = listener.getsockname()[1]
+        with pytest.raises(ValueError, match=error):
+            net.connect_and_prove("127.0.0.1", port, inst, wit, rounds, random.Random(113), timeout_s=5)
+        listener.settimeout(0.5)
+        with pytest.raises(socket.timeout):
+            listener.accept()

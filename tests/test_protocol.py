@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import sdzkp.protocol
 from sdzkp.crypto import (
+    COMMIT_TAGS,
     apply_mask,
     decode_tuple,
     differing_words,
@@ -28,7 +29,9 @@ from sdzkp.protocol import (
     CommitmentMsg,
     NIZKProof,
     OPENS,
-    SLOTS,
+    SEED,
+    Z1,
+    Z2,
     ProverState,
     Response,
     commit_round,
@@ -62,7 +65,8 @@ def test_honest_round_accepts_every_challenge(planted):
     inst, wit = planted
     rng = random.Random(51)
     for _ in range(30):
-        state, com = prover_commit(inst, wit, rng)
+        state = prover_commit(inst, wit, rng)
+        com = state.commitment
         for ch in CHALLENGES:
             rsp = prover_respond(state, ch)
             assert verify_round(inst, com, ch, rsp)
@@ -91,7 +95,8 @@ def test_commit_refuses_bad_witness(planted):
 def test_challenge_response_mismatch_rejected(planted):
     inst, wit = planted
     rng = random.Random(55)
-    state, com = prover_commit(inst, wit, rng)
+    state = prover_commit(inst, wit, rng)
+    com = state.commitment
     for ch in CHALLENGES:
         for other in CHALLENGES:
             rsp = prover_respond(state, other)
@@ -102,28 +107,32 @@ def test_challenge_response_mismatch_rejected(planted):
 def test_tampered_masked_tuple_rejected(planted):
     inst, wit = planted
     rng = random.Random(56)
-    state, com = prover_commit(inst, wit, rng)
+    state = prover_commit(inst, wit, rng)
+    com = state.commitment
     rsp = prover_respond(state, 0)
-    bumped = encode_tuple(tuple_add(decode_tuple(rsp.masked_witness), (1,) + (0,) * 15))
-    forged = dataclasses.replace(rsp, masked_witness=bumped)
+    z1, seed = rsp.values
+    bumped = encode_tuple(tuple_add(decode_tuple(z1), (1,) + (0,) * 15))
+    forged = dataclasses.replace(rsp, values=(bumped, seed))
     assert not verify_round(inst, com, 0, forged)
 
 
 def test_wrong_seed_rejected(planted):
     inst, wit = planted
     rng = random.Random(57)
-    state, com = prover_commit(inst, wit, rng)
+    state = prover_commit(inst, wit, rng)
+    com = state.commitment
     rsp = prover_respond(state, 1)
-    forged = dataclasses.replace(rsp, seed=bytes(32))
+    forged = dataclasses.replace(rsp, values=(rsp.values[0], bytes(32)))
     assert not verify_round(inst, com, 1, forged)
 
 
 def test_missing_fields_rejected(planted):
     inst, wit = planted
     rng = random.Random(58)
-    state, com = prover_commit(inst, wit, rng)
-    assert not verify_round(inst, com, 0, Response(kind=0))
-    assert not verify_round(inst, com, 2, Response(kind=2, masked_witness=state.masked_witness))
+    state = prover_commit(inst, wit, rng)
+    com = state.commitment
+    assert not verify_round(inst, com, 0, Response(0, (), ()))
+    assert not verify_round(inst, com, 2, Response(2, (state.values[Z1],), ()))
 
 
 def test_non_permutation_unmask_rejected(planted):
@@ -139,15 +148,13 @@ def test_non_permutation_unmask_rejected(planted):
     state = commit_round(*apply_mask(seed, n, collided, collided), seed, rng)
     for ch in CHALLENGES:
         rsp = state.respond(ch)
-        for name in OPENS[ch]:
-            slot = SLOTS[name]
-            assert verify_commitment(getattr(state.commitment, slot.digest), getattr(rsp, name), slot.tag,
-                                     getattr(rsp, slot.opening))
+        for slot, value, opening in zip(OPENS[ch], rsp.values, rsp.openings):
+            assert verify_commitment(state.commitment[slot], value, COMMIT_TAGS[slot], opening)
     assert not verify_round(inst, state.commitment, 0, state.respond(0))
     assert not verify_round(inst, state.commitment, 1, state.respond(1))
     assert verify_round(inst, state.commitment, 2, state.respond(2))  # the openings themselves are sound
     with pytest.raises(ValueError, match="not a permutation"):
-        unmask(state.masked_witness, seed, n)
+        unmask(state.values[Z1], seed, n)
 
 
 def non_canonical_encodings(z):
@@ -171,18 +178,18 @@ def non_canonical_encodings(z):
 def test_unmask_refuses_non_canonical_encodings_with_value_error(planted):
     # the extractor's and the CLI's callers of unmask catch ValueError only
     inst, wit = planted
-    state, _ = prover_commit(inst, wit, random.Random(60))
-    assert unmask(state.masked_witness, state.seed, inst.degree)
-    for bad in non_canonical_encodings(state.masked_witness):
+    state = prover_commit(inst, wit, random.Random(60))
+    assert unmask(state.values[Z1], state.values[SEED], inst.degree)
+    for bad in non_canonical_encodings(state.values[Z1]):
         with pytest.raises(ValueError):
-            unmask(bad, state.seed, inst.degree)
+            unmask(bad, state.values[SEED], inst.degree)
 
 
 def test_verify_round_rejects_honestly_committed_non_canonical_encodings(planted):
     inst, wit = planted
     rng = random.Random(61)
-    honest, _ = prover_commit(inst, wit, rng)
-    z1, z2, seed = honest.masked_witness, honest.masked_target, honest.seed
+    honest = prover_commit(inst, wit, rng)
+    z1, z2, seed = honest.values
     assert all(verify_round(inst, honest.commitment, ch, honest.respond(ch)) for ch in CHALLENGES)
     for bad1, bad2 in zip(non_canonical_encodings(z1), non_canonical_encodings(z2)):
         if not isinstance(bad1, bytes):
@@ -260,13 +267,13 @@ def test_masked_round_and_opened_member_match_their_definitions(preset, gens, k,
         seed = fresh_seed(rng)
         state = masked_round(inst, u, x, seed, rng)
         mask = expand_mask(seed, n)
-        assert state.seed == seed
-        assert state.masked_witness == encode_tuple(tuple_add(compose_images(u, x), mask))
-        assert state.masked_target == encode_tuple(tuple_add(compose_images(u, g), mask))
+        assert state.values[SEED] == seed
+        assert state.values[Z1] == encode_tuple(tuple_add(compose_images(u, x), mask))
+        assert state.values[Z2] == encode_tuple(tuple_add(compose_images(u, g), mask))
         assert opened_member(inst, 0, state.respond(0)) == Permutation(compose_images(u, x))
         assert opened_member(inst, 1, state.respond(1)) == Permutation(u)
         rsp = state.respond(2)
-        assert differing_words(rsp.masked_witness, rsp.masked_target) == hamming(Permutation(x), inst.target)
+        assert differing_words(*rsp.values) == hamming(Permutation(x), inst.target)
         with pytest.raises(ValueError):
             opened_member(inst, 2, rsp)
 
@@ -277,8 +284,29 @@ def test_verify_round_is_total_on_non_messages(planted, honest_state):
     for ch in CHALLENGES:
         for rsp in (None, "response", b"", 0):
             assert verify_round(inst, com, ch, rsp) is False
-        for bad_com in (None, "commitment", com.encode()):
+        for bad_com in (None, "commitment", com.encode(), tuple(com)):
             assert verify_round(inst, bad_com, ch, state.respond(ch)) is False
+
+
+def misshapen(rsp):
+    """rsp with values or openings that do not hold one bytes entry per slot
+    its kind opens: one short, one over, none, None, a list, a non-bytes entry."""
+    for field in ("values", "openings"):
+        part = getattr(rsp, field)
+        for bad in (part[:1], part + part[:1], (), None, list(part), (part[0], bytearray(part[1])), (None, part[1])):
+            yield dataclasses.replace(rsp, **{field: bad})
+
+
+def test_verify_round_and_encode_response_refuse_a_misshapen_response(planted, honest_state):
+    # an extra entry would otherwise verify: zip stops at the shorter of slots and values
+    inst, _ = planted
+    state, com = honest_state
+    for ch in CHALLENGES:
+        assert verify_round(inst, com, ch, state.respond(ch))
+        for bad in misshapen(state.respond(ch)):
+            assert verify_round(inst, com, ch, bad) is False
+            with pytest.raises(ValueError):
+                encode_response(bad)
 
 
 def test_fs_verify_is_total_on_non_proofs(planted):
@@ -330,7 +358,7 @@ def test_verifier_challenge_range_and_distribution():
 def test_response_codec_round_trip(planted):
     inst, wit = planted
     rng = random.Random(61)
-    state, _ = prover_commit(inst, wit, rng)
+    state = prover_commit(inst, wit, rng)
     for ch in CHALLENGES:
         rsp = prover_respond(state, ch)
         assert decode_response(encode_response(rsp)) == rsp
@@ -339,7 +367,7 @@ def test_response_codec_round_trip(planted):
 def test_response_codec_rejects_malformed(planted):
     inst, wit = planted
     rng = random.Random(62)
-    state, _ = prover_commit(inst, wit, rng)
+    state = prover_commit(inst, wit, rng)
     data = encode_response(prover_respond(state, 2))
     with pytest.raises(ValueError):
         decode_response(data[:-1])
@@ -454,10 +482,10 @@ def test_masked_values_hide_witness(planted):
     # the same witness masked twice yields unrelated-looking tuples
     inst, wit = planted
     rng = random.Random(69)
-    s1, _ = prover_commit(inst, wit, rng)
-    s2, _ = prover_commit(inst, wit, rng)
-    assert s1.masked_witness != s2.masked_witness
-    assert s1.masked_target != s2.masked_target
+    s1 = prover_commit(inst, wit, rng)
+    s2 = prover_commit(inst, wit, rng)
+    assert s1.values[Z1] != s2.values[Z1]
+    assert s1.values[Z2] != s2.values[Z2]
 
 
 # SHA-256 of a 219-round proof with fixed coins, pinned so that any change to
@@ -484,12 +512,8 @@ def _prover_states(draw):
     n = draw(st.integers(1, 16))
     word_tuple = st.lists(_u32, min_size=n, max_size=n).map(lambda words: encode_tuple(tuple(words)))
     return n, ProverState(
-        seed=draw(_bytes32),
-        masked_witness=draw(word_tuple),
-        masked_target=draw(word_tuple),
-        open_witness=draw(_bytes32),
-        open_target=draw(_bytes32),
-        open_seed=draw(_bytes32),
+        values=(draw(word_tuple), draw(word_tuple), draw(_bytes32)),
+        openings=(draw(_bytes32), draw(_bytes32), draw(_bytes32)),
         commitment=CommitmentMsg(draw(_bytes32), draw(_bytes32), draw(_bytes32)),
     )
 
@@ -510,7 +534,8 @@ def test_response_codec_round_trips_and_meets_the_cap(drawn):
 @pytest.fixture(scope="module")
 def honest_state(planted):
     inst, wit = planted
-    return prover_commit(inst, wit, random.Random(70))
+    state = prover_commit(inst, wit, random.Random(70))
+    return state, state.commitment
 
 
 @settings(max_examples=60, deadline=None)
