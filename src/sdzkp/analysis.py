@@ -159,9 +159,11 @@ def make_cheating_prover(inst: SDPInstance, targets: frozenset[int] | set[int], 
 
 
 def _cheating_round_accepted(inst: SDPInstance, targets, rng: Random) -> bool:
-    prover = make_cheating_prover(inst, targets, rng)
-    ch = verifier_challenge(rng)
-    return verify_round(inst, prover.commitment, ch, prover.respond(ch))
+    """One uniformly challenged round of a fresh cheating state.  The state
+    passes exactly `targets` (make_cheating_prover checked that), so the
+    round is won iff the challenge is one of them."""
+    make_cheating_prover(inst, targets, rng)
+    return verifier_challenge(rng) in targets
 
 
 def cheating_acceptance_rate(inst: SDPInstance, targets, rounds: int, rng: Random) -> float:

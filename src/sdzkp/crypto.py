@@ -28,8 +28,14 @@ COMMIT_TAGS = ("C1", "C2", "C3")
 MAX_TUPLE_LENGTH = 1 << 20
 
 
+_TAG_BYTES = {tag: tag.encode("ascii") for tag in COMMIT_TAGS}
+
+
 def _commit_digest(tag: str, opening: bytes, message: bytes) -> bytes:
-    return hashlib.sha3_256(tag.encode("ascii") + opening + message).digest()
+    h = hashlib.sha3_256(_TAG_BYTES[tag])
+    h.update(opening)
+    h.update(message)
+    return h.digest()
 
 
 def commit(message: bytes, tag: str, rng: Random) -> tuple[bytes, bytes]:

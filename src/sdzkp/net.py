@@ -21,6 +21,7 @@ import struct
 import time
 from random import Random
 
+from .crypto import fresh_seed
 from .instance import SDPInstance, Witness
 from .protocol import (
     CHALLENGES,
@@ -31,8 +32,8 @@ from .protocol import (
     CommitmentMsg,
     decode_response,
     encode_response,
+    masked_round,
     max_response_bytes,
-    prover_commit,
     prover_respond,
     require_positive,
     require_witness,
@@ -99,10 +100,14 @@ def prover_session(
     sock: socket.socket, inst: SDPInstance, wit: Witness, rounds: int, rng: Random, deadline: float | None = None
 ) -> None:
     """Drive the prover side of one session; raises SessionError on violations
-    and socket.timeout once the deadline (a time.monotonic() instant) passes."""
+    and socket.timeout once the deadline (a time.monotonic() instant) passes.
+    A witness that fails the statement, or rounds < 1, raises ValueError
+    before the first frame is sent."""
     require_positive(rounds)
+    require_witness(inst, wit)
+    group, h = inst.group, wit.element.images
     for i in range(rounds):
-        state = prover_commit(inst, wit, rng)
+        state = masked_round(inst, group.sample_uniform(rng).images, h, fresh_seed(rng), rng)
         send_frame(sock, MSG_COMMIT, state.commitment.encode())
         body = recv_expected(sock, MSG_CHALLENGE, 2, deadline)
         if len(body) != 1 or body[0] not in CHALLENGES:

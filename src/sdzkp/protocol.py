@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from operator import itemgetter
 from random import Random
 from typing import NamedTuple
 
@@ -51,6 +52,9 @@ Z1, Z2, SEED = 0, 1, 2
 OPENS = {0: (Z1, SEED), 1: (Z2, SEED), 2: (Z1, Z2)}
 
 CHALLENGES = tuple(OPENS)
+
+# Each challenge opens two slots, so each getter returns a pair.
+_OPENED = {challenge: itemgetter(*slots) for challenge, slots in OPENS.items()}
 
 MSG_COMMIT = 0x01
 MSG_CHALLENGE = 0x02
@@ -111,11 +115,15 @@ class Response:
 
 def _opens_its_slots(rsp: Response) -> bool:
     """Whether rsp holds one bytes value and one bytes opening per slot of OPENS[rsp.kind]."""
-    width = len(OPENS[rsp.kind])
-    return all(
-        isinstance(part, tuple) and len(part) == width and all(isinstance(b, bytes) for b in part)
-        for part in (rsp.values, rsp.openings)
-    )
+    values, openings, width = rsp.values, rsp.openings, len(OPENS[rsp.kind])
+    if not (isinstance(values, tuple) and isinstance(openings, tuple)):
+        return False
+    if len(values) != width or len(openings) != width:
+        return False
+    for part in values + openings:
+        if not isinstance(part, bytes):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -176,9 +184,10 @@ def unmask(z: bytes, seed: bytes, n: int) -> Permutation:
 def commit_round(z1: bytes, z2: bytes, seed: bytes, rng: Random) -> ProverState:
     """Commit to the masked pair and the seed, slot by slot (C1, C2, C3).
     The analysis harness commits its cheating and simulated tuples with it."""
-    values = (z1, z2, seed)
-    digests, openings = zip(*(commit(value, tag, rng) for value, tag in zip(values, COMMIT_TAGS)))
-    return ProverState(values, openings, CommitmentMsg(*digests))
+    c1, o1 = commit(z1, COMMIT_TAGS[Z1], rng)
+    c2, o2 = commit(z2, COMMIT_TAGS[Z2], rng)
+    c3, o3 = commit(seed, COMMIT_TAGS[SEED], rng)
+    return ProverState((z1, z2, seed), (o1, o2, o3), CommitmentMsg(c1, c2, c3))
 
 
 def masked_round(
@@ -203,17 +212,18 @@ def opened_member(inst: SDPInstance, challenge: int, response: Response) -> Perm
 
 
 def require_witness(inst: SDPInstance, wit: Witness) -> None:
-    """Refuse a witness that fails the statement: no round can be honest."""
+    """Refuse a witness that fails the statement: no round can be honest.
+    Every honest prover calls it once, before its first round."""
     if not validate_witness(inst, wit.element):
         raise ValueError("witness does not satisfy the statement")
 
 
 def prover_commit(inst: SDPInstance, wit: Witness, rng: Random) -> ProverState:
     """First move; the state's commitment is the message to send.  Refuses
-    to run on a witness that fails the statement."""
+    to run on a witness that fails the statement.  A prover that runs many
+    rounds checks the witness once and then makes this masked_round call."""
     require_witness(inst, wit)
-    u = inst.group.sample_uniform(rng).images
-    return masked_round(inst, u, wit.element.images, fresh_seed(rng), rng)
+    return masked_round(inst, inst.group.sample_uniform(rng).images, wit.element.images, fresh_seed(rng), rng)
 
 
 def verifier_challenge(rng: Random) -> int:
@@ -225,8 +235,8 @@ def prover_respond(state: ProverState, challenge: int) -> Response:
     """Third move: open exactly what the challenge demands."""
     if challenge not in OPENS:
         raise ValueError(f"challenge must be 0, 1 or 2, got {challenge!r}")
-    slots = OPENS[challenge]
-    return Response(challenge, tuple(state.values[i] for i in slots), tuple(state.openings[i] for i in slots))
+    opened = _OPENED[challenge]
+    return Response(challenge, opened(state.values), opened(state.openings))
 
 
 def verify_round(inst: SDPInstance, commitment: CommitmentMsg, challenge: int, response: Response) -> bool:
@@ -263,11 +273,15 @@ def run_interactive(
     prover_rng: Random,
     verifier_rng: Random,
 ) -> bool:
-    """Honest in-process session: accept iff every round verifies."""
+    """Honest in-process session: accept iff every round verifies.  The
+    rounds draw their coins as honest_round does."""
     require_positive(rounds)
+    require_witness(inst, wit)
+    group, h = inst.group, wit.element.images
     for _ in range(rounds):
-        t = honest_round(inst, wit, prover_rng, verifier_rng)
-        if not verify_round(inst, t.commitment, t.challenge, t.response):
+        state = masked_round(inst, group.sample_uniform(prover_rng).images, h, fresh_seed(prover_rng), prover_rng)
+        ch = verifier_challenge(verifier_rng)
+        if not verify_round(inst, state.commitment, ch, prover_respond(state, ch)):
             return False
     return True
 
@@ -307,7 +321,9 @@ def derive_challenges(
 def fs_prove(inst: SDPInstance, wit: Witness, rounds: int, context: bytes, rng: Random) -> NIZKProof:
     """Non-interactive proof: commit to all rounds, derive challenges, respond."""
     _proof_rounds(rounds)
-    states = [prover_commit(inst, wit, rng) for _ in range(rounds)]
+    require_witness(inst, wit)
+    group, h = inst.group, wit.element.images
+    states = [masked_round(inst, group.sample_uniform(rng).images, h, fresh_seed(rng), rng) for _ in range(rounds)]
     commitments = tuple(state.commitment for state in states)
     challenges = derive_challenges(instance_digest(inst), context, commitments, rounds)
     responses = tuple(prover_respond(state, ch) for state, ch in zip(states, challenges))
@@ -367,15 +383,13 @@ def decode_response_from(data: bytes, offset: int = 0) -> tuple[Response, int]:
     kind = data[offset]
     if kind not in OPENS:
         raise ValueError(f"unknown response kind {kind}")
-    offset += 1
-    values, openings = [], []
-    for slot in OPENS[kind]:
-        value, offset = slot_span(slot, data, offset)
-        values.append(value)
-    for _ in OPENS[kind]:
-        opening, offset = _take(data, offset, OPENING_BYTES)
-        openings.append(opening)
-    return Response(kind, tuple(values), tuple(openings)), offset
+    first, second = OPENS[kind]
+    value1, offset = slot_span(first, data, offset + 1)
+    value2, offset = slot_span(second, data, offset)
+    middle, end = offset + OPENING_BYTES, offset + 2 * OPENING_BYTES
+    if len(data) < end:
+        raise ValueError("truncated message")
+    return Response(kind, (value1, value2), (data[offset:middle], data[middle:end])), end
 
 
 def decode_response(data: bytes) -> Response:
@@ -407,9 +421,11 @@ def decode_proof(data: bytes) -> NIZKProof:
     commitments = []
     responses = []
     for _ in range(rounds):
-        raw, offset = _take(data, offset, COMMITMENT_BYTES)
-        commitments.append(CommitmentMsg.decode(raw))
-        rsp, offset = decode_response_from(data, offset)
+        c2, c3, end = offset + DIGEST_BYTES, offset + 2 * DIGEST_BYTES, offset + COMMITMENT_BYTES
+        if len(data) < end:
+            raise ValueError("truncated message")
+        commitments.append(CommitmentMsg(data[offset:c2], data[c2:c3], data[c3:end]))
+        rsp, offset = decode_response_from(data, end)
         responses.append(rsp)
     if offset != len(data):
         raise ValueError("trailing bytes after proof")

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sdzkp.protocol
 from sdzkp import net
 from sdzkp.instance import plant_instance, validate_witness
 from sdzkp.protocol import (
@@ -114,6 +115,24 @@ def test_honest_session_accepts(planted):
     ok, errors = run_session(inst, wit, 32)
     assert ok
     assert not errors
+
+
+def test_prover_session_checks_the_witness_once(planted, monkeypatch):
+    inst, wit = planted
+    calls = []
+    check = sdzkp.protocol.validate_witness
+    monkeypatch.setattr(sdzkp.protocol, "validate_witness", lambda i, h: calls.append(h) or check(i, h))
+    ok, errors = run_session(inst, wit, 219)
+    assert ok and not errors
+    assert calls == [wit.element]
+
+    _, foreign = plant_instance(16, 4, 6, random.Random(112))
+    a, b = pair()
+    with b:
+        with a, pytest.raises(ValueError, match="witness"):
+            net.prover_session(a, inst, foreign, 219, random.Random(101))
+        assert b.recv(1) == b""  # the prover hung up without sending a frame
+    assert len(calls) == 2
 
 
 def test_impostor_sends_garbage_commit(planted):

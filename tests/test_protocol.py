@@ -22,7 +22,7 @@ from sdzkp.crypto import (
     tuple_sub,
     verify_commitment,
 )
-from sdzkp.instance import Witness, plant_instance
+from sdzkp.instance import Witness, plant_instance, validate_witness
 from sdzkp.perm import Permutation, compose_images, hamming, random_perm
 from sdzkp.protocol import (
     CHALLENGES,
@@ -77,6 +77,42 @@ def test_run_interactive_accepts(planted):
     assert run_interactive(inst, wit, 219, random.Random(52), random.Random(53))
     with pytest.raises(ValueError):
         run_interactive(inst, wit, 0, random.Random(52), random.Random(53))
+
+
+@pytest.fixture
+def witness_checks(monkeypatch):
+    """The witnesses the protocol module checks, in call order."""
+    calls = []
+    check = sdzkp.protocol.validate_witness
+
+    def counted(inst, h):
+        calls.append(h)
+        return check(inst, h)
+
+    monkeypatch.setattr(sdzkp.protocol, "validate_witness", counted)
+    return calls
+
+
+def foreign_witness(inst):
+    _, wit = plant_instance(16, 4, 6, random.Random(112))
+    assert not validate_witness(inst, wit.element)
+    return wit
+
+
+@pytest.mark.parametrize("prove", [
+    pytest.param(lambda inst, wit, rng: fs_verify(inst, fs_prove(inst, wit, 219, b"ctx", rng), b"ctx"), id="fs_prove"),
+    pytest.param(lambda inst, wit, rng: run_interactive(inst, wit, 219, rng, random.Random(58)), id="run_interactive"),
+])
+def test_multi_round_prover_checks_the_witness_once(planted, witness_checks, prove):
+    inst, wit = planted
+    assert prove(inst, wit, random.Random(56))
+    assert witness_checks == [wit.element]
+    rng = random.Random(57)
+    coins = rng.getstate()
+    with pytest.raises(ValueError, match="witness"):
+        prove(inst, foreign_witness(inst), rng)
+    assert rng.getstate() == coins  # refused before the first commitment drew a coin
+    assert len(witness_checks) == 2
 
 
 def test_commit_refuses_bad_witness(planted):
@@ -495,6 +531,8 @@ def test_masked_values_hide_witness(planted):
     (12, 3, 4, "58d0eff0d82c5f7e9e265f3374cdfe994ddee88cea4da8b166d3ed9c6b53e0b8"),  # H = S_12
     # below degree 7 the kind 0 and 1 responses are the longest
     (5, 2, 2, "36ad79c11b530a63380e714e376ff49e39375d6e620f652209b7fcfd03d4c5f4"),
+    # the shape of the nizk-n128-giant benchmark workload
+    (128, 3, 32, "ffedf54c23d24f510fe862fe5ab72e39519cc04400d2d9ec2cfb6488bc5b63f5"),  # H = S_128
 ])
 def test_fs_proof_bytes_are_pinned(n, gens, k, digest):
     inst, wit = plant_instance(n, gens, k, random.Random(n), preset="general")
