@@ -37,6 +37,7 @@ from .protocol import (
     opened_member,
     prover_commit,
     require_positive,
+    require_witness,
     verifier_challenge,
     verify_round,
 )
@@ -329,6 +330,7 @@ def transcript_distribution_test(
                 weights[differing_words(*r.values)] += 1
         return counts, challenges, weights, ok
 
+    require_witness(inst, wit)
     real_counts, real_ch, real_weights, real_ok = tally(
         honest_round(inst, wit, rng, rng) for _ in range(samples)
     )

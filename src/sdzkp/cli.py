@@ -7,7 +7,6 @@ Set SDZKP_LOG=debug|info|warning|error to control logging.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -15,19 +14,13 @@ import random
 import sys
 from pathlib import Path
 
-from . import analysis, net
-from .instance import (
-    PRESETS,
-    SDPInstance,
-    load_instance,
-    load_witness,
-    plant_instance,
-    save_instance,
-    save_witness,
-)
-from .protocol import encode_proof, fs_prove, fs_verify_bytes, honest_round, require_positive, verify_round
+# Each handler imports the layers it runs, so a command loads no layer it
+# does not use, and `verify` can bind and announce its port before any.
 
 log = logging.getLogger("sdzkp.cli")
+
+# instance.PRESETS, spelled out so that building the parser loads no layer.
+PRESETS = ("general", "abelian2")
 
 EXIT_ACCEPT = 0
 EXIT_REJECT = 1
@@ -143,6 +136,8 @@ _TRIVIAL_WITNESS = {
 
 
 def cmd_keygen(args) -> int:
+    from .instance import plant_instance, save_instance, save_witness
+
     rng = make_rng(args.seed)
     inst, wit = plant_instance(args.n, args.gens, args.k, rng, preset=args.preset)
     out = Path(args.out_dir)
@@ -163,6 +158,9 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_prove(args) -> int:
+    from . import net
+    from .instance import load_instance, load_witness
+
     inst = load_instance(args.instance)
     wit = load_witness(args.witness)
     host, port = parse_addr(args.connect)
@@ -175,12 +173,20 @@ def cmd_prove(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst = load_instance(args.instance)
+    import socket
+
     host, port = parse_addr(args.listen)
-    listener = net.create_listener(host, port)
-    with listener:
+    if args.rounds < 1:
+        raise ValueError("need at least one round")
+    # Bind and announce first: the kernel queues the prover's connection and
+    # first frame while this process loads its layers and the instance.
+    with socket.create_server((host, port), backlog=1) as listener:
         bound = listener.getsockname()
         print(f"listening on {bound[0]}:{bound[1]}", file=sys.stderr, flush=True)
+        from . import net
+        from .instance import load_instance
+
+        inst = load_instance(args.instance)
         ok = net.accept_and_verify(
             listener, inst, args.rounds, make_rng(args.seed),
             timeout_s=args.timeout_ms / 1000,
@@ -190,6 +196,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fs_prove(args) -> int:
+    from .instance import load_instance, load_witness
+    from .protocol import encode_proof, fs_prove
+
     inst = load_instance(args.instance)
     wit = load_witness(args.witness)
     proof = fs_prove(inst, wit, args.rounds, args.context.encode(), make_rng(args.seed))
@@ -199,6 +208,9 @@ def cmd_fs_prove(args) -> int:
 
 
 def cmd_fs_verify(args) -> int:
+    from .instance import load_instance
+    from .protocol import fs_verify_bytes
+
     inst = load_instance(args.instance)
     try:
         data = Path(args.proof).read_bytes()
@@ -210,7 +222,9 @@ def cmd_fs_verify(args) -> int:
     return EXIT_ACCEPT if ok else EXIT_REJECT
 
 
-def _report(report: dict, inst: SDPInstance) -> int:
+def _report(report: dict, inst) -> int:
+    import json
+
     # A giant H makes the statement trivially solvable; say so in every report.
     report.setdefault("details", {})["giant"] = inst.group.giant
     print(json.dumps(report, indent=2))
@@ -218,11 +232,16 @@ def _report(report: dict, inst: SDPInstance) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis
+    from .instance import plant_instance
+    from .protocol import honest_round, require_positive, require_witness, verify_round
+
     rng = make_rng(args.seed)
     inst, wit = plant_instance(args.n, args.gens, args.k, rng, preset=args.preset)
 
     if args.experiment == "completeness":
         require_positive(args.rounds)
+        require_witness(inst, wit)
         ok = 0
         for _ in range(args.rounds):
             t = honest_round(inst, wit, rng, rng)

@@ -144,14 +144,6 @@ def verifier_session(
         return False
 
 
-def create_listener(host: str, port: int) -> socket.socket:
-    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    listener.bind((host, port))
-    listener.listen(1)
-    return listener
-
-
 def accept_and_verify(
     listener: socket.socket,
     inst: SDPInstance,

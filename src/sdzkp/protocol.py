@@ -260,8 +260,12 @@ def verify_round(inst: SDPInstance, commitment: CommitmentMsg, challenge: int, r
 
 
 def honest_round(inst: SDPInstance, wit: Witness, prover_rng: Random, verifier_rng: Random) -> Transcript:
-    """One honest round: commit, uniform challenge, response."""
-    state = prover_commit(inst, wit, prover_rng)
+    """One honest round: commit, uniform challenge, response.  It draws the
+    coins prover_commit draws but does not check the witness: a caller runs
+    require_witness once, before its first round."""
+    state = masked_round(
+        inst, inst.group.sample_uniform(prover_rng).images, wit.element.images, fresh_seed(prover_rng), prover_rng
+    )
     ch = verifier_challenge(verifier_rng)
     return Transcript(state.commitment, ch, prover_respond(state, ch))
 
@@ -273,15 +277,12 @@ def run_interactive(
     prover_rng: Random,
     verifier_rng: Random,
 ) -> bool:
-    """Honest in-process session: accept iff every round verifies.  The
-    rounds draw their coins as honest_round does."""
+    """Honest in-process session: accept iff every round verifies."""
     require_positive(rounds)
     require_witness(inst, wit)
-    group, h = inst.group, wit.element.images
     for _ in range(rounds):
-        state = masked_round(inst, group.sample_uniform(prover_rng).images, h, fresh_seed(prover_rng), prover_rng)
-        ch = verifier_challenge(verifier_rng)
-        if not verify_round(inst, state.commitment, ch, prover_respond(state, ch)):
+        t = honest_round(inst, wit, prover_rng, verifier_rng)
+        if not verify_round(inst, t.commitment, t.challenge, t.response):
             return False
     return True
 

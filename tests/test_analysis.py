@@ -7,6 +7,7 @@ import random
 import pytest
 
 import sdzkp.analysis as analysis
+import sdzkp.protocol
 from sdzkp.analysis import (
     ExtractionError,
     accepted_challenges,
@@ -252,6 +253,24 @@ def test_distribution_report_on_small_group(small_abelian):
     assert sim_counts[2] < sim_counts[0] and sim_counts[2] < sim_counts[1]
     d = report.as_dict()
     assert set(d) == {"experiment", "samples", "statistic", "p_value", "pass", "details"}
+
+
+def test_distribution_test_checks_the_witness_once(small_abelian, monkeypatch):
+    inst, wit = small_abelian
+    checks = []
+    check = sdzkp.protocol.validate_witness
+    monkeypatch.setattr(sdzkp.protocol, "validate_witness", lambda inst, h: checks.append(h) or check(inst, h))
+    samples = 10 * inst.group.order()
+    assert transcript_distribution_test(inst, wit, samples, random.Random(93)).acceptance_rate_real == 1.0
+    assert checks == [wit.element]
+    _, foreign = plant_instance(16, 5, 4, random.Random(94), preset="abelian2")
+    assert not validate_witness(inst, foreign.element)
+    rng = random.Random(95)
+    coins = rng.getstate()
+    with pytest.raises(ValueError, match="witness"):
+        transcript_distribution_test(inst, foreign, samples, rng)
+    assert rng.getstate() == coins  # refused before the first commitment drew a coin
+    assert len(checks) == 2
 
 
 def test_distribution_test_input_validation(planted, small_abelian):

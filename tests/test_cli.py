@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import sdzkp.cli
+import sdzkp.instance
+import sdzkp.net
 import sdzkp.protocol
 from sdzkp.cli import EXIT_ACCEPT, EXIT_REJECT, EXIT_USAGE, main, make_rng, parse_addr
 from sdzkp.instance import load_instance, load_witness, validate_witness
@@ -288,6 +290,138 @@ def test_verify_refuses_zero_rounds(tmp_path, capsys):
     assert result["code"] == EXIT_USAGE
     assert "ACCEPT" not in captured.out
     assert "error:" in captured.err and "Traceback" not in captured.err
+    assert "listening on" not in captured.err  # refused before binding
+
+
+@pytest.mark.parametrize("bad", ["missing", "corrupt"])
+def test_verify_listens_then_fails_on_a_bad_instance(tmp_path, capsys, monkeypatch, bad):
+    # verify binds and announces its port before it loads the instance; a
+    # prover that dialled in the meantime must fail cleanly, not hang or crash.
+    inst_path, wit_path = keygen(tmp_path)
+    bad_path = tmp_path / "bad.sdz"
+    if bad == "corrupt":
+        bad_path.write_bytes(inst_path.read_bytes()[:40])
+    capsys.readouterr()
+    loading, dialled = threading.Event(), threading.Event()
+    real_load, real_session = sdzkp.instance.load_instance, sdzkp.net.prover_session
+
+    def load_once_the_prover_dialled(path):
+        if Path(path) == bad_path:
+            loading.set()
+            dialled.wait(10)
+        return real_load(path)
+
+    def session_after_the_dial(*args, **kwargs):
+        dialled.set()
+        return real_session(*args, **kwargs)
+
+    monkeypatch.setattr(sdzkp.instance, "load_instance", load_once_the_prover_dialled)
+    monkeypatch.setattr(sdzkp.net, "prover_session", session_after_the_dial)
+    port = free_port()
+    result = {}
+
+    def verifier():
+        result["code"] = main([
+            "verify", "--listen", f"127.0.0.1:{port}", "--instance", str(bad_path),
+            "--rounds", "8", "--timeout-ms", "5000", "--seed", "16",
+        ])
+
+    th = threading.Thread(target=verifier)
+    th.start()
+    try:
+        assert loading.wait(10), "verify never reached the instance load"
+        prover_code = main([
+            "prove", "--connect", f"127.0.0.1:{port}", "--instance", str(inst_path),
+            "--witness", str(wit_path), "--rounds", "8", "--timeout-ms", "5000", "--seed", "17",
+        ])
+    finally:
+        dialled.set()
+        th.join(10)
+    assert not th.is_alive()
+    captured = capsys.readouterr()
+    assert dialled.is_set() and result["code"] == EXIT_USAGE
+    assert prover_code != EXIT_ACCEPT
+    assert "ACCEPT" not in captured.out and "proof session completed" not in captured.out
+    assert "Traceback" not in captured.err
+    listening = captured.err.index(f"listening on 127.0.0.1:{port}")
+    assert captured.err.index("error:", listening) > listening
+
+
+def test_cli_offers_every_preset():
+    assert sdzkp.cli.PRESETS == sdzkp.instance.PRESETS
+
+
+# Runs one CLI command in a fresh interpreter, then prints the sdzkp modules it
+# loaded as the last line of stdout.
+_LOADED_MODULES = (
+    "import json, sys\n"
+    "from sdzkp.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'sdzkp')))\n"
+    "sys.exit(code)\n"
+)
+
+
+def _src_env():
+    src = str(Path(sdzkp.cli.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _cli_process(*args):
+    return subprocess.Popen(
+        [sys.executable, "-c", _LOADED_MODULES, *map(str, args)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_src_env(),
+    )
+
+
+def _loaded_modules(proc, timeout=60):
+    out, err = proc.communicate(timeout=timeout)
+    assert proc.returncode == EXIT_ACCEPT, err
+    return out, json.loads(out.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_layer():
+    script = "import json, sys, sdzkp.cli; print(json.dumps(sorted(m for m in sys.modules if 'sdzkp' in m)))"
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == ["sdzkp", "sdzkp.cli"]
+
+
+@pytest.mark.parametrize("command", ["keygen", "fs-prove", "fs-verify"])
+def test_offline_commands_load_neither_net_nor_analysis(tmp_path, capsys, command):
+    inst_path, wit_path = keygen(tmp_path)
+    proof = tmp_path / "p.sdp"
+    assert main(["fs-prove", "--instance", str(inst_path), "--witness", str(wit_path),
+                 "--proof", str(proof), "--rounds", "8", "--seed", "9"]) == EXIT_ACCEPT
+    capsys.readouterr()
+    args = {
+        "keygen": ["--out-dir", tmp_path / "again", "--seed", "7"],
+        "fs-prove": ["--instance", inst_path, "--witness", wit_path, "--proof", tmp_path / "q.sdp",
+                     "--rounds", "8", "--seed", "9"],
+        "fs-verify": ["--instance", inst_path, "--proof", proof],
+    }[command]
+    _, loaded = _loaded_modules(_cli_process(command, *args))
+    assert "sdzkp.instance" in loaded
+    assert "sdzkp.net" not in loaded and "sdzkp.analysis" not in loaded
+
+
+def test_loopback_session_leaves_analysis_unloaded(tmp_path):
+    inst_path, wit_path = keygen(tmp_path)
+    common = ["--instance", inst_path, "--rounds", "8", "--timeout-ms", "20000"]
+    verifier = _cli_process("verify", "--listen", "127.0.0.1:0", *common)
+    try:
+        line = verifier.stderr.readline()
+        assert line.startswith("listening on 127.0.0.1:"), line
+        port = int(line.rsplit(":", 1)[1])
+        prover = _cli_process("prove", "--connect", f"127.0.0.1:{port}", "--witness", wit_path, *common)
+        prover_out, prover_loaded = _loaded_modules(prover)
+        verdict, verifier_loaded = _loaded_modules(verifier)
+    finally:
+        verifier.kill()
+        verifier.communicate()
+    assert "proof session completed" in prover_out and verdict.splitlines()[0] == "ACCEPT"
+    for loaded in (prover_loaded, verifier_loaded):
+        assert "sdzkp.net" in loaded and "sdzkp.analysis" not in loaded
 
 
 @pytest.mark.parametrize("args", [
@@ -301,6 +435,15 @@ def test_analyze_refuses_zero_counts(args, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1].startswith("error: need at least one")
+
+
+def test_analyze_completeness_checks_the_witness_once(capsys, monkeypatch):
+    checks = []
+    check = sdzkp.protocol.validate_witness
+    monkeypatch.setattr(sdzkp.protocol, "validate_witness", lambda inst, h: checks.append(h) or check(inst, h))
+    assert main(["analyze", "completeness", "--rounds", "300", "--seed", "21"]) == EXIT_ACCEPT
+    assert json.loads(capsys.readouterr().out)["statistic"] == 1.0
+    assert len(checks) == 1
 
 
 def test_analyze_completeness(capsys):

@@ -195,7 +195,7 @@ def test_commit_without_witness_fails_rounds(planted):
 
 def test_tcp_listener_accept_and_prove(planted):
     inst, wit = planted
-    listener = net.create_listener("127.0.0.1", 0)
+    listener = socket.create_server(("127.0.0.1", 0), backlog=1)
     host, port = listener.getsockname()
     result = {}
 
@@ -212,7 +212,7 @@ def test_tcp_listener_accept_and_prove(planted):
 
 def test_accept_timeout_rejects(planted):
     inst, _ = planted
-    listener = net.create_listener("127.0.0.1", 0)
+    listener = socket.create_server(("127.0.0.1", 0), backlog=1)
     with listener:
         assert not net.accept_and_verify(listener, inst, 4, random.Random(105), timeout_s=0.2)
 
@@ -276,7 +276,7 @@ def test_zero_round_sessions_refused_before_any_io(planted):
             sock.setblocking(False)
             with pytest.raises(BlockingIOError):
                 sock.recv(1)
-    listener = net.create_listener("127.0.0.1", 0)
+    listener = socket.create_server(("127.0.0.1", 0), backlog=1)
     with listener, socket.create_connection(listener.getsockname(), timeout=5):
         with pytest.raises(ValueError):
             net.accept_and_verify(listener, inst, 0, random.Random(111), timeout_s=5)
@@ -288,7 +288,7 @@ def test_zero_round_sessions_refused_before_any_io(planted):
 
 def tcp_session(inst, wit, rounds, timeout_s, prover_fn=None):
     """Verifier over real loopback TCP in a thread; returns (ok, seconds)."""
-    listener = net.create_listener("127.0.0.1", 0)
+    listener = socket.create_server(("127.0.0.1", 0), backlog=1)
     host, port = listener.getsockname()
     result = {}
 
@@ -348,7 +348,7 @@ def test_session_deadline_bounds_a_trickling_peer(planted):
 
 def test_prover_deadline_bounds_a_trickling_verifier(planted):
     inst, wit = planted
-    listener = net.create_listener("127.0.0.1", 0)
+    listener = socket.create_server(("127.0.0.1", 0), backlog=1)
     listener.settimeout(5)
     host, port = listener.getsockname()
     stop = threading.Event()
@@ -499,7 +499,7 @@ def test_prover_refuses_what_it_cannot_finish_before_connecting(planted, foreign
     if foreign_witness:
         _, wit = plant_instance(16, 4, 6, random.Random(112))
         assert not validate_witness(inst, wit.element)
-    with net.create_listener("127.0.0.1", 0) as listener:
+    with socket.create_server(("127.0.0.1", 0), backlog=1) as listener:
         port = listener.getsockname()[1]
         with pytest.raises(ValueError, match=error):
             net.connect_and_prove("127.0.0.1", port, inst, wit, rounds, random.Random(113), timeout_s=5)
