@@ -1,13 +1,13 @@
 """Command-line interface: key generation, proof sessions, analysis.
 
 Exit codes: 0 accept / success, 1 reject, 2 usage or input errors.
-Set SDZKP_LOG=debug|info|warning|error to control logging.
+Set SDZKP_LOG=debug|info|warning|error to control logging; logging is
+loaded only when it is set.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import os
 import random
@@ -16,8 +16,6 @@ from pathlib import Path
 
 # Each handler imports the layers it runs, so a command loads no layer it
 # does not use, and `verify` can bind and announce its port before any.
-
-log = logging.getLogger("sdzkp.cli")
 
 # instance.PRESETS, spelled out so that building the parser loads no layer.
 PRESETS = ("general", "abelian2")
@@ -282,9 +280,12 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("SDZKP_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(name)s %(levelname)s %(message)s")
+    level = os.environ.get("SDZKP_LOG")
+    if level:
+        import logging
+
+        logging.basicConfig(level=getattr(logging, level.upper(), logging.WARNING),
+                            format="%(name)s %(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
-from functools import cached_property
 from random import Random
+from typing import NamedTuple
 
 from .group import BSGS, build_bsgs
 from .perm import Permutation, compose, hamming, inverse, random_perm, random_support_perm
@@ -28,37 +27,53 @@ PRESETS = ("general", "abelian2")
 _MAX_GENS = 1 << 16
 
 
-@dataclass(frozen=True)
 class SDPInstance:
-    """Public statement: find h in H = <generators> with d(h, target) <= max_distance."""
+    """Public statement: find h in H = <generators> with d(h, target) <= max_distance.
 
-    degree: int
-    max_distance: int
-    target: Permutation
-    generators: tuple[Permutation, ...]
-    group: BSGS = field(compare=False, repr=False)
+    Two instances are equal when their degree, bound, target and generators
+    are; group is the chain built from the generators."""
 
-    def __post_init__(self):
-        if not 0 <= self.max_distance <= self.degree:
-            raise ValueError(f"distance bound {self.max_distance} out of range for degree {self.degree}")
-        if self.max_distance == 1:
+    __slots__ = ("degree", "max_distance", "target", "generators", "group", "_target_inverse")
+
+    def __init__(
+        self, degree: int, max_distance: int, target: Permutation, generators: tuple[Permutation, ...], group: BSGS
+    ):
+        if not 0 <= max_distance <= degree:
+            raise ValueError(f"distance bound {max_distance} out of range for degree {degree}")
+        if max_distance == 1:
             raise ValueError("distance bound 1 is unsatisfiable for permutations")
-        if self.target.n != self.degree:
+        if target.n != degree:
             raise ValueError("target degree mismatch")
-        for g in self.generators:
-            if g.n != self.degree:
+        for g in generators:
+            if g.n != degree:
                 raise ValueError("generator degree mismatch")
-        if self.group.degree != self.degree:
+        if group.degree != degree:
             raise ValueError("group degree mismatch")
+        self.degree = degree
+        self.max_distance = max_distance
+        self.target = target
+        self.generators = generators
+        self.group = group
+        self._target_inverse = None
 
-    @cached_property
+    def _statement(self) -> tuple:
+        return self.degree, self.max_distance, self.target, self.generators
+
+    def __eq__(self, other):
+        return self._statement() == other._statement() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._statement())
+
+    @property
     def target_inverse(self) -> Permutation:
         """g^-1, computed once: challenge 1 and the extractor multiply by it."""
-        return inverse(self.target)
+        if self._target_inverse is None:
+            self._target_inverse = inverse(self.target)
+        return self._target_inverse
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     element: Permutation
 
 

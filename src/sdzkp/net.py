@@ -8,16 +8,27 @@ connection carries all rounds of one session; the verifier treats any
 framing violation, timeout, or failed check as a rejection of the whole
 session, never as a crash.
 
-Both ends set TCP_NODELAY: each side writes a small frame and then waits
-for the peer's reply, which under Nagle's algorithm and delayed ACKs costs
-about 40 ms per round.
+The two ends overlap a session's rounds without moving a byte: each sends
+the same frames in the same order, and draws its coins in the same order,
+as a lock-step session would.  The prover draws and commits round i+1
+before it waits for challenge i; the verifier checks round i only after it
+has sent challenge i+1, so each side computes while the other's frame is
+in flight.  The verifier checks the last round before it returns, so it
+still checks every round before it accepts.
+
+Each session reads its connection through one buffer: a recv takes what
+has arrived, up to 64 KiB, so a frame that came with the previous one (the
+prover writes response i and commitment i+1 back to back) costs no system
+call.  Both ends set TCP_NODELAY, since every frame is small: under
+Nagle's algorithm and delayed ACKs a frame written while the previous
+one is unacknowledged waits about 40 ms.
 """
 
 from __future__ import annotations
 
-import logging
 import socket
 import struct
+import sys
 import time
 from random import Random
 
@@ -41,9 +52,18 @@ from .protocol import (
     verify_round,
 )
 
-log = logging.getLogger("sdzkp.net")
-
 FRAME_MAX = 16 * 1024 * 1024
+
+_RECV_CHUNK = 1 << 16
+
+
+def _log(msg: str, *args) -> None:
+    """Log at INFO on "sdzkp.net" if the logging module is loaded.  If nothing
+    loaded it, no handler is configured and the record would be dropped, so
+    a session does not import logging just to drop its records."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("sdzkp.net").info(msg, *args)
 
 
 class SessionError(OSError):
@@ -57,40 +77,56 @@ def send_frame(sock: socket.socket, msg_type: int, body: bytes) -> None:
     sock.sendall(struct.pack("<I", len(payload)) + payload)
 
 
-def _recv_exact(sock: socket.socket, count: int, deadline: float | None = None) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining > 0:
+def _recv_exact(
+    sock: socket.socket, count: int, deadline: float | None = None, buffer: bytearray | None = None
+) -> bytes:
+    """count bytes from sock.  With a buffer (a session's bytes read but not
+    yet consumed), they come from it first, each recv takes up to 64 KiB,
+    and what it reads past count stays in the buffer; without one, no byte
+    past count is read."""
+    pending = bytearray() if buffer is None else buffer
+    while len(pending) < count:
         if deadline is not None:
             left = deadline - time.monotonic()
             if left <= 0:
                 raise socket.timeout("session deadline passed")
             sock.settimeout(left)
-        chunk = sock.recv(min(remaining, 1 << 16))
+        want = count - len(pending)
+        chunk = sock.recv(want if buffer is None else max(want, _RECV_CHUNK))
         if not chunk:
             raise SessionError("connection closed mid-frame")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+        pending += chunk
+    data = bytes(pending[:count])
+    del pending[:count]
+    return data
 
 
 def recv_frame(
-    sock: socket.socket, max_length: int = FRAME_MAX, deadline: float | None = None
+    sock: socket.socket,
+    max_length: int = FRAME_MAX,
+    deadline: float | None = None,
+    buffer: bytearray | None = None,
 ) -> tuple[int, bytes]:
     """Read one frame.  A length over max_length is refused before its body
-    is read; deadline is a time.monotonic() instant bounding the whole read."""
-    header = _recv_exact(sock, 4, deadline)
+    is awaited; deadline is a time.monotonic() instant bounding the whole
+    read.  buffer is the session's read buffer (see _recv_exact); without
+    one, no byte past the frame is read."""
+    header = _recv_exact(sock, 4, deadline, buffer)
     (length,) = struct.unpack("<I", header)
     if length == 0 or length > max_length:
         raise SessionError(f"invalid frame length {length}")
-    payload = _recv_exact(sock, length, deadline)
+    payload = _recv_exact(sock, length, deadline, buffer)
     return payload[0], payload[1:]
 
 
 def recv_expected(
-    sock: socket.socket, expected_type: int, max_length: int = FRAME_MAX, deadline: float | None = None
+    sock: socket.socket,
+    expected_type: int,
+    max_length: int = FRAME_MAX,
+    deadline: float | None = None,
+    buffer: bytearray | None = None,
 ) -> bytes:
-    msg_type, body = recv_frame(sock, max_length, deadline)
+    msg_type, body = recv_frame(sock, max_length, deadline, buffer)
     if msg_type != expected_type:
         raise SessionError(f"expected message type {expected_type}, got {msg_type}")
     return body
@@ -102,18 +138,25 @@ def prover_session(
     """Drive the prover side of one session; raises SessionError on violations
     and socket.timeout once the deadline (a time.monotonic() instant) passes.
     A witness that fails the statement, or rounds < 1, raises ValueError
-    before the first frame is sent."""
+    before the first frame is sent.  Round i+1 is drawn and committed before
+    challenge i is awaited, and sent after response i."""
     require_positive(rounds)
     require_witness(inst, wit)
     group, h = inst.group, wit.element.images
+    states = (masked_round(inst, group.sample_uniform(rng).images, h, fresh_seed(rng), rng) for _ in range(rounds))
+    buffer = bytearray()
+    state = next(states)
+    send_frame(sock, MSG_COMMIT, state.commitment.encode())
     for i in range(rounds):
-        state = masked_round(inst, group.sample_uniform(rng).images, h, fresh_seed(rng), rng)
-        send_frame(sock, MSG_COMMIT, state.commitment.encode())
-        body = recv_expected(sock, MSG_CHALLENGE, 2, deadline)
+        following = next(states, None)  # round i+1, drawn while challenge i is in flight
+        body = recv_expected(sock, MSG_CHALLENGE, 2, deadline, buffer)
         if len(body) != 1 or body[0] not in CHALLENGES:
             raise SessionError(f"invalid challenge in round {i}")
         send_frame(sock, MSG_RESPONSE, encode_response(prover_respond(state, body[0])))
-    log.info("prover finished %d rounds", rounds)
+        if following is not None:
+            send_frame(sock, MSG_COMMIT, following.commitment.encode())
+            state = following
+    _log("prover finished %d rounds", rounds)
 
 
 def verifier_session(
@@ -123,25 +166,35 @@ def verifier_session(
 
     Returns the decision; every malformed message, unexpected type, oversized
     frame, timeout, passed deadline (a time.monotonic() instant) or failed
-    round check rejects.  Never raises on peer-controlled input; rounds < 1
-    raises ValueError before anything is read.
+    round check rejects.  Round i is checked once challenge i+1 is sent, and
+    the last round before the decision.  Never raises on peer-controlled
+    input; rounds < 1 raises ValueError before anything is read.
     """
     require_positive(rounds)
     commit_max = 1 + COMMITMENT_BYTES
     response_max = 1 + max_response_bytes(inst.degree)
+    buffer = bytearray()
     try:
+        unchecked = None  # the previous round: commitment, challenge, response
         for i in range(rounds):
-            commitment = CommitmentMsg.decode(recv_expected(sock, MSG_COMMIT, commit_max, deadline))
+            commitment = CommitmentMsg.decode(recv_expected(sock, MSG_COMMIT, commit_max, deadline, buffer))
             challenge = verifier_challenge(rng)
             send_frame(sock, MSG_CHALLENGE, bytes([challenge]))
-            response = decode_response(recv_expected(sock, MSG_RESPONSE, response_max, deadline))
-            if not verify_round(inst, commitment, challenge, response):
-                log.info("round %d failed verification", i)
+            if unchecked is not None and not _round_verifies(inst, i - 1, unchecked):
                 return False
-        return True
+            response = decode_response(recv_expected(sock, MSG_RESPONSE, response_max, deadline, buffer))
+            unchecked = (commitment, challenge, response)
+        return _round_verifies(inst, rounds - 1, unchecked)
     except (SessionError, ValueError, OSError) as exc:
-        log.info("session aborted: %s", exc)
+        _log("session aborted: %s", exc)
         return False
+
+
+def _round_verifies(inst: SDPInstance, index: int, round_: tuple) -> bool:
+    if verify_round(inst, *round_):
+        return True
+    _log("round %d failed verification", index)
+    return False
 
 
 def accept_and_verify(
@@ -162,16 +215,16 @@ def accept_and_verify(
     try:
         conn, peer = listener.accept()
     except (OSError, socket.timeout) as exc:
-        log.info("no session: %s", exc)
+        _log("no session: %s", exc)
         return False
     with conn:
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
         try:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError as exc:
-            log.info("session aborted: %s", exc)
+            _log("session aborted: %s", exc)
             return False
-        log.info("session with %s", peer)
+        _log("session with %s", peer)
         return verifier_session(conn, inst, rounds, rng, deadline)
 
 

@@ -8,7 +8,6 @@ positions where their one-line forms differ; it is bi-invariant and never 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter, ne
 from random import Random
 
@@ -30,12 +29,17 @@ def invert_images(a):
     return tuple(inv)
 
 
-@dataclass(frozen=True)
 class Permutation:
     """An immutable permutation stored as its one-line image tuple."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
+    def __init__(self, images):
+        object.__setattr__(self, "images", images)
+        self.__post_init__()
+
+    # sdzbench/spans.py times every checked construction by wrapping this
+    # method under this name.
     def __post_init__(self):
         images = tuple(self.images)
         object.__setattr__(self, "images", images)
@@ -59,6 +63,20 @@ class Permutation:
         perm = object.__new__(cls)
         object.__setattr__(perm, "images", images)
         return perm
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to {name!r}: Permutation is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.images == other.images if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
+
+    def __repr__(self) -> str:
+        return f"Permutation(images={self.images!r})"
 
     @property
     def n(self) -> int:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 from operator import itemgetter
 from random import Random
 from typing import NamedTuple
@@ -103,8 +102,7 @@ class CommitmentMsg(NamedTuple):
         return cls(data[0:32], data[32:64], data[64:96])
 
 
-@dataclass(frozen=True)
-class Response:
+class Response(NamedTuple):
     """What challenge `kind` opens: the values of the slots OPENS[kind], in
     that order, and their commitment openings in the same order."""
 
@@ -126,8 +124,7 @@ def _opens_its_slots(rsp: Response) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ProverState:
+class ProverState(NamedTuple):
     """Frozen per-round coin tape: respond(ch) is a pure function of it, so
     any challenge can be answered, in any order and more than once.
     values and openings hold one entry per slot (Z1, Z2, seed)."""
@@ -140,15 +137,13 @@ class ProverState:
         return prover_respond(self, challenge)
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(NamedTuple):
     commitment: CommitmentMsg
     challenge: int
     response: Response
 
 
-@dataclass(frozen=True)
-class NIZKProof:
+class NIZKProof(NamedTuple):
     commitments: tuple[CommitmentMsg, ...]
     responses: tuple[Response, ...]
 

@@ -6,7 +6,6 @@ tolerances are sized so that an honest implementation passes with large
 margin and a broken one cannot.
 """
 
-import dataclasses
 import random
 import socket
 import struct

@@ -1,6 +1,5 @@
 """Extraction, cheating strategies, simulation, and distribution checks."""
 
-import dataclasses
 import hashlib
 import random
 
@@ -110,7 +109,7 @@ def test_extractor_requires_verifying_transcripts(planted):
     prover = honest_rewindable_prover(inst, wit, rng)
     t0, t1, t2 = (transcript_for(inst, prover, ch) for ch in (0, 1, 2))
     z1, _ = t0.response.values
-    broken = Transcript(t0.commitment, 0, dataclasses.replace(t0.response, values=(z1, bytes(32))))
+    broken = Transcript(t0.commitment, 0, t0.response._replace(values=(z1, bytes(32))))
     with pytest.raises(ExtractionError):
         extract_witness(inst, broken, t1, t2)
 
@@ -133,7 +132,7 @@ def test_extractor_reports_binding_violations(planted, monkeypatch):
     with pytest.raises(ExtractionError, match="masked witness"):
         extract_witness(inst, t0, t1, alien_witness)
 
-    mixed = dataclasses.replace(a.respond(2), values=(a.respond(2).values[0], b.respond(2).values[1]))
+    mixed = a.respond(2)._replace(values=(a.respond(2).values[0], b.respond(2).values[1]))
     with pytest.raises(ExtractionError, match="masked target"):
         extract_witness(inst, t0, t1, Transcript(a.commitment, 2, mixed))
 

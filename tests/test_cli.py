@@ -352,32 +352,36 @@ def test_cli_offers_every_preset():
 
 
 # Runs one CLI command in a fresh interpreter, then prints the sdzkp modules it
-# loaded as the last line of stdout.
+# loaded, and logging and dataclasses if it loaded them, as the last line of
+# stdout.
 _LOADED_MODULES = (
     "import json, sys\n"
     "from sdzkp.cli import main\n"
     "code = main(sys.argv[1:])\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'sdzkp')))\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('sdzkp', 'logging', 'dataclasses'))))\n"
     "sys.exit(code)\n"
 )
 
 
-def _src_env():
+def _src_env(**extra):
     src = str(Path(sdzkp.cli.__file__).parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("SDZKP_LOG", None)
+    return {**env, **extra}
 
 
-def _cli_process(*args):
+def _cli_process(*args, **env):
     return subprocess.Popen(
         [sys.executable, "-c", _LOADED_MODULES, *map(str, args)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_src_env(),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_src_env(**env),
     )
 
 
 def _loaded_modules(proc, timeout=60):
+    """(stdout, stderr, loaded modules) of a finished _cli_process."""
     out, err = proc.communicate(timeout=timeout)
     assert proc.returncode == EXIT_ACCEPT, err
-    return out, json.loads(out.splitlines()[-1])
+    return out, err, json.loads(out.splitlines()[-1])
 
 
 def test_importing_the_cli_loads_no_layer():
@@ -400,28 +404,42 @@ def test_offline_commands_load_neither_net_nor_analysis(tmp_path, capsys, comman
                      "--rounds", "8", "--seed", "9"],
         "fs-verify": ["--instance", inst_path, "--proof", proof],
     }[command]
-    _, loaded = _loaded_modules(_cli_process(command, *args))
+    _, _, loaded = _loaded_modules(_cli_process(command, *args))
     assert "sdzkp.instance" in loaded
     assert "sdzkp.net" not in loaded and "sdzkp.analysis" not in loaded
+    assert "logging" not in loaded and "dataclasses" not in loaded
 
 
-def test_loopback_session_leaves_analysis_unloaded(tmp_path):
+def _loopback_session(tmp_path, **verifier_env):
+    """A real `sdzkp verify` and `sdzkp prove` process over loopback; returns
+    each one's (stdout, stderr, loaded modules), the prover's first."""
     inst_path, wit_path = keygen(tmp_path)
     common = ["--instance", inst_path, "--rounds", "8", "--timeout-ms", "20000"]
-    verifier = _cli_process("verify", "--listen", "127.0.0.1:0", *common)
+    verifier = _cli_process("verify", "--listen", "127.0.0.1:0", *common, **verifier_env)
     try:
         line = verifier.stderr.readline()
         assert line.startswith("listening on 127.0.0.1:"), line
         port = int(line.rsplit(":", 1)[1])
         prover = _cli_process("prove", "--connect", f"127.0.0.1:{port}", "--witness", wit_path, *common)
-        prover_out, prover_loaded = _loaded_modules(prover)
-        verdict, verifier_loaded = _loaded_modules(verifier)
+        prover_run = _loaded_modules(prover)
+        verifier_run = _loaded_modules(verifier)
     finally:
         verifier.kill()
         verifier.communicate()
-    assert "proof session completed" in prover_out and verdict.splitlines()[0] == "ACCEPT"
-    for loaded in (prover_loaded, verifier_loaded):
+    assert "proof session completed" in prover_run[0] and verifier_run[0].splitlines()[0] == "ACCEPT"
+    return prover_run, verifier_run
+
+
+def test_loopback_session_leaves_analysis_unloaded(tmp_path):
+    for _, _, loaded in _loopback_session(tmp_path):
         assert "sdzkp.net" in loaded and "sdzkp.analysis" not in loaded
+        assert "logging" not in loaded and "dataclasses" not in loaded
+
+
+def test_sdzkp_log_loads_logging_and_logs_the_session(tmp_path):
+    prover_run, (_, verifier_err, verifier_loaded) = _loopback_session(tmp_path, SDZKP_LOG="info")
+    assert "logging" in verifier_loaded and "logging" not in prover_run[2]
+    assert "sdzkp.net INFO session with" in verifier_err
 
 
 @pytest.mark.parametrize("args", [

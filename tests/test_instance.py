@@ -115,6 +115,16 @@ def test_make_instance_validation():
         make_instance(Permutation((1, 0)), [gen], 0)
 
 
+def test_instances_compare_by_their_statement():
+    gen, target = Permutation((1, 0, 2)), Permutation((2, 1, 0))
+    inst = make_instance(target, [gen], 2)
+    same = make_instance(Permutation((2, 1, 0)), [Permutation((1, 0, 2))], 2)
+    assert same.group is not inst.group
+    assert same == inst and hash(same) == hash(inst)
+    assert make_instance(target, [gen], 3) != inst
+    assert make_instance(gen, [gen], 2) != inst
+
+
 def test_target_inverse_is_computed_once():
     inst, _ = plant_instance(16, 3, 4, random.Random(47))
     assert inst.target_inverse == inverse(inst.target)

@@ -1,5 +1,7 @@
 """Framed transport and the interactive session drivers."""
 
+import hashlib
+import logging
 import random
 import socket
 import struct
@@ -77,6 +79,26 @@ def test_recv_frame_detects_eof():
             net.recv_frame(b)
 
 
+def frame(msg_type, body):
+    return struct.pack("<I", 1 + len(body)) + bytes([msg_type]) + body
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["bare", "buffered"])
+def test_two_frames_in_one_write_come_back_in_order(buffered):
+    first, second = frame(MSG_RESPONSE, b"response"), frame(MSG_COMMIT, b"commitment")
+    buffer = bytearray() if buffered else None
+    a, b = pair()
+    with a, b:
+        a.sendall(first + second)
+        assert net.recv_frame(b, buffer=buffer) == (MSG_RESPONSE, b"response")
+        if buffered:
+            # the second frame came with the first, so reading it needs no recv
+            assert buffer == second
+            b.setblocking(False)
+        assert net.recv_frame(b, buffer=buffer) == (MSG_COMMIT, b"commitment")
+        assert not buffer
+
+
 def test_recv_expected_type_mismatch():
     a, b = pair()
     with a, b:
@@ -115,6 +137,62 @@ def test_honest_session_accepts(planted):
     ok, errors = run_session(inst, wit, 32)
     assert ok
     assert not errors
+
+
+class _Recorder:
+    """A socket that hashes every byte it sends."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sent = hashlib.sha256()
+
+    def sendall(self, data):
+        self.sent.update(data)
+        self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_session_bytes_are_pinned():
+    # Each side's bytes depend on the frame layout, the order of its frames
+    # and the order in which it draws its coins; overlapping the rounds
+    # must change none of them.
+    inst, wit = plant_instance(64, 3, 16, random.Random(120))
+    a, b = pair()
+    prover, verifier = _Recorder(a), _Recorder(b)
+    th = threading.Thread(target=net.prover_session, args=(prover, inst, wit, 219, random.Random(121)))
+    th.start()
+    with a, b:
+        ok = net.verifier_session(verifier, inst, 219, random.Random(122))
+        th.join(10)
+    assert ok and not th.is_alive()
+    assert prover.sent.hexdigest() == "53553ed67d7447e3dc5df3aeb36c11d786a1c1312a5673b4fe16634d01ba7998"
+    assert verifier.sent.hexdigest() == "7b95078da55fcfe6ee7d6358ccf6a3ee42c2100a80ce1aaca80c442b2f3fbce1"
+
+
+@pytest.mark.parametrize("rounds, bad_round", [(1, 0), (219, 109), (219, 218)], ids=["only", "middle", "last"])
+def test_verifier_rejects_one_flipped_response_byte(planted, monkeypatch, caplog, rounds, bad_round):
+    # The verifier checks round i after it sends challenge i+1, and the last
+    # round before it decides; a session that skipped that check would
+    # accept the last case.
+    inst, wit = planted
+    sent = []
+    honest_encode = net.encode_response
+
+    def flip_one_byte(rsp):
+        data = honest_encode(rsp)
+        if len(sent) == bad_round:
+            data = data[:-1] + bytes([data[-1] ^ 1])
+        sent.append(data)
+        return data
+
+    monkeypatch.setattr(net, "encode_response", flip_one_byte)
+    with caplog.at_level(logging.INFO, logger="sdzkp.net"):
+        ok, _ = run_session(inst, wit, rounds)
+    assert ok is False
+    assert len(sent) > bad_round
+    assert f"round {bad_round} failed verification" in caplog.text
 
 
 def test_prover_session_checks_the_witness_once(planted, monkeypatch):

@@ -79,6 +79,18 @@ def test_unvalidated_results_pass_full_validation():
             assert hash(Permutation(p.images)) == hash(p)
 
 
+def test_permutation_is_an_immutable_value():
+    p = Permutation([1, 0, 2])
+    assert p == Permutation((1, 0, 2)) and p != Permutation((0, 1, 2)) and p != (1, 0, 2)
+    assert {p: "p"}[Permutation((1, 0, 2))] == "p"
+    assert repr(p) == "Permutation(images=(1, 0, 2))"
+    with pytest.raises(AttributeError):
+        p.images = (0, 1, 2)
+    with pytest.raises(AttributeError):
+        del p.images
+    assert p.images == (1, 0, 2)
+
+
 def test_rejects_non_bijections():
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))

@@ -1,6 +1,5 @@
 """The three-challenge round, amplification, and the hash-derived variant."""
 
-import dataclasses
 import hashlib
 import random
 import time
@@ -148,7 +147,7 @@ def test_tampered_masked_tuple_rejected(planted):
     rsp = prover_respond(state, 0)
     z1, seed = rsp.values
     bumped = encode_tuple(tuple_add(decode_tuple(z1), (1,) + (0,) * 15))
-    forged = dataclasses.replace(rsp, values=(bumped, seed))
+    forged = rsp._replace(values=(bumped, seed))
     assert not verify_round(inst, com, 0, forged)
 
 
@@ -158,7 +157,7 @@ def test_wrong_seed_rejected(planted):
     state = prover_commit(inst, wit, rng)
     com = state.commitment
     rsp = prover_respond(state, 1)
-    forged = dataclasses.replace(rsp, values=(rsp.values[0], bytes(32)))
+    forged = rsp._replace(values=(rsp.values[0], bytes(32)))
     assert not verify_round(inst, com, 1, forged)
 
 
@@ -330,7 +329,7 @@ def misshapen(rsp):
     for field in ("values", "openings"):
         part = getattr(rsp, field)
         for bad in (part[:1], part + part[:1], (), None, list(part), (part[0], bytearray(part[1])), (None, part[1])):
-            yield dataclasses.replace(rsp, **{field: bad})
+            yield rsp._replace(**{field: bad})
 
 
 def test_verify_round_and_encode_response_refuse_a_misshapen_response(planted, honest_state):
