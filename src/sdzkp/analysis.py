@@ -31,6 +31,7 @@ from .protocol import (
     CommitmentMsg,
     ProverState,
     Transcript,
+    challenge_holds,
     commit_round,
     honest_round,
     masked_round,
@@ -38,6 +39,8 @@ from .protocol import (
     prover_commit,
     require_positive,
     require_witness,
+    slot_opens,
+    uniform_challenge,
     verifier_challenge,
     verify_round,
 )
@@ -65,10 +68,18 @@ def honest_rewindable_prover(inst: SDPInstance, wit: Witness, rng: Random) -> Pr
 
 
 def accepted_challenges(inst: SDPInstance, prover: ProverState) -> set[int]:
-    """Which challenges this committed state would survive."""
+    """Which challenges this committed state would survive: the set of ch
+    with verify_round(inst, prover.commitment, ch, prover.respond(ch)), with
+    each slot's opening checked once rather than under both challenges that
+    open it."""
+    commitment, values = prover.commitment, prover.values
+    if not isinstance(commitment, CommitmentMsg):
+        return set()
+    opens = [slot_opens(inst, commitment, slot, value, opening)
+             for slot, (value, opening) in enumerate(zip(values, prover.openings))]
     return {
-        ch for ch in CHALLENGES
-        if verify_round(inst, prover.commitment, ch, prover.respond(ch))
+        ch for ch, (a, b) in OPENS.items()  # each challenge opens two slots
+        if opens[a] and opens[b] and challenge_holds(inst, ch, (values[a], values[b]))
     }
 
 
@@ -115,8 +126,14 @@ def extract_witness(inst: SDPInstance, t0: Transcript, t1: Transcript, t2: Trans
 def _noise_tuple(n: int, k: int, rng: Random) -> tuple[int, ...]:
     """A length-n tuple with exactly k nonzero u32 entries at random positions."""
     noise = [0] * n
+    getrandbits = rng.getrandbits
     for pos in rng.sample(range(n), k):
-        noise[pos] = rng.randrange(1, 1 << 32)
+        # 1 + a uniform r < 2^32 - 1, drawn with the getrandbits calls
+        # rng.randrange(1, 1 << 32) makes.
+        r = getrandbits(32)
+        while r == 0xFFFFFFFF:
+            r = getrandbits(32)
+        noise[pos] = 1 + r
     return tuple(noise)
 
 
@@ -218,7 +235,7 @@ def simulate(
     """
     require_positive(max_rewinds, "attempt")
     for _ in range(max_rewinds):
-        guess = rng.randrange(3)
+        guess = uniform_challenge(rng)  # not verifier_challenge: the guess is the simulator's own coin
         prover = _simulated_state(inst, guess, rng)
         ch = verifier(prover.commitment)
         if ch not in CHALLENGES:

@@ -42,7 +42,9 @@ def commit(message: bytes, tag: str, rng: Random) -> tuple[bytes, bytes]:
     """Commit to message under the given slot tag; returns (digest, opening)."""
     if tag not in COMMIT_TAGS:
         raise ValueError(f"unknown commitment tag {tag!r}")
-    opening = rng.randbytes(OPENING_BYTES)
+    # rng.randbytes(OPENING_BYTES) without its Python frame: the same single
+    # getrandbits call, so seeded openings and the rng state after match it.
+    opening = rng.getrandbits(8 * OPENING_BYTES).to_bytes(OPENING_BYTES, "little")
     return _commit_digest(tag, opening, message), opening
 
 
@@ -179,4 +181,5 @@ def decode_tuple(data: bytes) -> tuple[int, ...]:
 
 
 def fresh_seed(rng: Random) -> bytes:
-    return rng.randbytes(SEED_BYTES)
+    """rng.randbytes(SEED_BYTES), drawn with the one getrandbits call it makes."""
+    return rng.getrandbits(8 * SEED_BYTES).to_bytes(SEED_BYTES, "little")

@@ -319,6 +319,9 @@ class BSGS:
             self._order = factorial(ops.degree) // (2 if alternating else 1)
         else:
             self.base = tuple(level.point for level in levels)
+            # Level i's draw in sample_uniform: (its representatives, their
+            # count, the count's bit length).
+            self._draws = tuple((level.reps, len(level.reps), len(level.reps).bit_length()) for level in levels)
             self._order = prod(len(level.transversal) for level in levels)
 
     @property
@@ -364,14 +367,15 @@ class BSGS:
         return self._order
 
     def sample_uniform(self, rng: Random) -> Permutation:
-        """Uniformly random element: one uniform coset representative per level."""
+        """Uniformly random element: one uniform coset representative per level.
+        Each level's index is drawn with the getrandbits calls
+        rng.randrange(m) makes for its m choices, so seeded draws and the rng
+        state after them match it exactly."""
+        getrandbits = rng.getrandbits
         if self._levels is None:
             # Level i's representatives are (i y) for S_n and (i y z) for A_n;
-            # multiplying by one on the right rotates those positions.  y - i
-            # is drawn with the getrandbits calls rng.randrange(n - i) makes,
-            # so seeded draws and the rng state after them match it exactly.
+            # multiplying by one on the right rotates those positions.
             n, alternating = self.degree, self._alternating
-            getrandbits = rng.getrandbits
             images = list(range(n))
             for i, m, k in self._draws:
                 r = getrandbits(k)
@@ -386,9 +390,11 @@ class BSGS:
             return Permutation._trusted(tuple(images))
         mul = self._ops.mul
         acc = None
-        for level in self._levels:
-            rep = level.reps[rng.randrange(len(level.reps))]
-            acc = rep if acc is None else mul(acc, rep)
+        for reps, m, k in self._draws:
+            r = getrandbits(k)
+            while r >= m:
+                r = getrandbits(k)
+            acc = reps[r] if acc is None else mul(acc, reps[r])
         return Permutation._trusted(self._ops.decode(acc if acc is not None else self._ops.ident))
 
     def elements(self, limit: int) -> list[Permutation]:

@@ -31,7 +31,8 @@ class SDPInstance:
     """Public statement: find h in H = <generators> with d(h, target) <= max_distance.
 
     Two instances are equal when their degree, bound, target and generators
-    are; group is the chain built from the generators."""
+    are; group is the chain built from the generators.  Immutable, so the
+    cached target_inverse always inverts target."""
 
     __slots__ = ("degree", "max_distance", "target", "generators", "group", "_target_inverse")
 
@@ -49,12 +50,13 @@ class SDPInstance:
                 raise ValueError("generator degree mismatch")
         if group.degree != degree:
             raise ValueError("group degree mismatch")
-        self.degree = degree
-        self.max_distance = max_distance
-        self.target = target
-        self.generators = generators
-        self.group = group
-        self._target_inverse = None
+        for name, value in zip(self.__slots__, (degree, max_distance, target, generators, group, None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to {name!r}: SDPInstance is immutable")
+
+    __delattr__ = __setattr__
 
     def _statement(self) -> tuple:
         return self.degree, self.max_distance, self.target, self.generators
@@ -69,7 +71,7 @@ class SDPInstance:
     def target_inverse(self) -> Permutation:
         """g^-1, computed once: challenge 1 and the extractor multiply by it."""
         if self._target_inverse is None:
-            self._target_inverse = inverse(self.target)
+            object.__setattr__(self, "_target_inverse", inverse(self.target))
         return self._target_inverse
 
 

@@ -142,6 +142,13 @@ def prover_session(
     challenge i is awaited, and sent after response i."""
     require_positive(rounds)
     require_witness(inst, wit)
+    _prove_rounds(sock, inst, wit, rounds, rng, deadline)
+
+
+def _prove_rounds(
+    sock: socket.socket, inst: SDPInstance, wit: Witness, rounds: int, rng: Random, deadline: float | None
+) -> None:
+    """prover_session once its caller has checked rounds and the witness."""
     group, h = inst.group, wit.element.images
     states = (masked_round(inst, group.sample_uniform(rng).images, h, fresh_seed(rng), rng) for _ in range(rounds))
     buffer = bytearray()
@@ -246,4 +253,4 @@ def connect_and_prove(
     with socket.create_connection((host, port), timeout=timeout_s) as sock:
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        prover_session(sock, inst, wit, rounds, rng, deadline)
+        _prove_rounds(sock, inst, wit, rounds, rng, deadline)

@@ -164,4 +164,4 @@ def random_support_perm(n: int, m: int, rng: Random) -> Permutation:
     images = list(range(n))
     for p, v in zip(points, values):
         images[p] = v
-    return Permutation(tuple(images))
+    return Permutation._trusted(tuple(images))  # the identity with its moved points permuted among themselves

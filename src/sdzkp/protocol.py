@@ -15,7 +15,10 @@ answer reveals, in wire order:
 Every value is its own committed message and wire form: slot_span reads
 one off the wire and slot_size gives its length.  The prover, the
 verifier's checks and the response codecs all follow OPENS; only the
-final predicate above is written per challenge.
+final predicate above is written per challenge.  verify_round checks each
+slot a challenge opens with slot_opens, then the predicate with
+challenge_holds; the analysis harness uses the two to check each of a
+state's three slots once and then all three predicates.
 
 A single round convinces the verifier with soundness error 2/3; sequential
 repetition amplifies.  The non-interactive variant derives challenges by
@@ -201,7 +204,11 @@ def opened_member(inst: SDPInstance, challenge: int, response: Response) -> Perm
     opening hides no permutation."""
     if challenge not in (0, 1):
         raise ValueError(f"challenge {challenge!r} opens no group element")
-    z, seed = response.values  # OPENS[challenge]: a masked tuple, then the seed
+    return _member(inst, challenge, *response.values)
+
+
+def _member(inst: SDPInstance, challenge: int, z: bytes, seed: bytes) -> Permutation:
+    """opened_member on the values OPENS[challenge] lists: a masked tuple, then the seed."""
     opened = unmask(z, seed, inst.degree)
     return compose(opened, inst.target_inverse) if challenge else opened
 
@@ -221,9 +228,19 @@ def prover_commit(inst: SDPInstance, wit: Witness, rng: Random) -> ProverState:
     return masked_round(inst, inst.group.sample_uniform(rng).images, wit.element.images, fresh_seed(rng), rng)
 
 
+def uniform_challenge(rng: Random) -> int:
+    """Uniform draw from {0, 1, 2}, made with the getrandbits calls
+    rng.randrange(3) makes, so seeded draws and the rng state after them
+    match it exactly."""
+    r = rng.getrandbits(2)
+    while r == 3:
+        r = rng.getrandbits(2)
+    return r
+
+
 def verifier_challenge(rng: Random) -> int:
     """Uniform challenge from {0, 1, 2}."""
-    return rng.randrange(3)
+    return uniform_challenge(rng)
 
 
 def prover_respond(state: ProverState, challenge: int) -> Response:
@@ -234,22 +251,41 @@ def prover_respond(state: ProverState, challenge: int) -> Response:
     return Response(challenge, opened(state.values), opened(state.openings))
 
 
+def slot_opens(inst: SDPInstance, commitment: CommitmentMsg, slot: int, value: bytes, opening: bytes) -> bool:
+    """Whether value is a canonical value of the slot at the instance's degree
+    and opening opens the slot's digest in commitment to it.  Total on
+    untrusted input: returns False, never raises."""
+    try:
+        return slot_span(slot, value) == (value, slot_size(slot, inst.degree)) and verify_commitment(
+            commitment[slot], value, COMMIT_TAGS[slot], opening
+        )
+    except (ValueError, TypeError, struct.error):
+        return False
+
+
+def challenge_holds(inst: SDPInstance, challenge: int, values: tuple[bytes, ...]) -> bool:
+    """The check a challenge makes on the values it opened, in OPENS order,
+    once slot_opens holds for each.  Total: returns False, never raises."""
+    try:
+        if challenge == 2:
+            return differing_words(*values) <= inst.max_distance
+        return inst.group.contains(_member(inst, challenge, *values))
+    except (ValueError, TypeError, struct.error):
+        return False
+
+
 def verify_round(inst: SDPInstance, commitment: CommitmentMsg, challenge: int, response: Response) -> bool:
-    """Check one round.  Total on untrusted input: returns False, never raises."""
+    """Check one round: every slot the challenge opens, then its check.
+    Total on untrusted input: returns False, never raises."""
     if not isinstance(commitment, CommitmentMsg) or not isinstance(response, Response):
         return False
     try:
         if challenge not in CHALLENGES or response.kind != challenge or not _opens_its_slots(response):
             return False
-        n = inst.degree
         for slot, value, opening in zip(OPENS[challenge], response.values, response.openings):
-            if slot_span(slot, value) != (value, slot_size(slot, n)) or not verify_commitment(
-                commitment[slot], value, COMMIT_TAGS[slot], opening
-            ):
+            if not slot_opens(inst, commitment, slot, value, opening):
                 return False
-        if challenge == 2:
-            return differing_words(*response.values) <= inst.max_distance
-        return inst.group.contains(opened_member(inst, challenge, response))
+        return challenge_holds(inst, challenge, response.values)
     except (ValueError, TypeError, struct.error):
         return False
 

@@ -146,6 +146,39 @@ def test_cheating_prover_profiles_exact(planted):
             assert accepted_challenges(inst, prover) == targets
 
 
+def verified_challenges(inst, prover):
+    """accepted_challenges' reference: one whole verify_round per challenge."""
+    return {ch for ch in CHALLENGES if verify_round(inst, prover.commitment, ch, prover.respond(ch))}
+
+
+def corrupted(prover):
+    """The state with one slot's value, opening or digest broken: a flipped
+    first or last byte, a cut, or not bytes at all; then a bare-tuple commitment."""
+    for field in ("values", "openings", "commitment"):
+        parts = getattr(prover, field)
+        for slot, part in enumerate(parts):
+            for bad in (bytes([part[0] ^ 1]) + part[1:], part[:-1] + bytes([part[-1] ^ 0x80]), part[:-4], None):
+                broken = parts[:slot] + (bad,) + parts[slot + 1:]
+                yield prover._replace(**{field: type(parts)(*broken) if field == "commitment" else broken})
+    yield prover._replace(commitment=tuple(prover.commitment))
+
+
+@pytest.mark.parametrize("fixture", ["planted", "small_abelian"])
+def test_accepted_challenges_equals_one_verify_round_per_challenge(fixture, request):
+    inst, wit = request.getfixturevalue(fixture)
+    rng = random.Random(86)
+    for _ in range(3):
+        states = [honest_rewindable_prover(inst, wit, rng)]
+        states += [make_cheating_prover(inst, targets, rng) for targets in TARGET_SETS]
+        states += [analysis._simulated_state(inst, guess, rng) for guess in CHALLENGES]
+        for prover in states:
+            expected = verified_challenges(inst, prover)
+            assert len(expected) >= 2
+            assert accepted_challenges(inst, prover) == expected
+            for broken in corrupted(prover):
+                assert accepted_challenges(inst, broken) == verified_challenges(inst, broken)
+
+
 def test_cheating_prover_rejects_bad_targets(planted):
     inst, _ = planted
     rng = random.Random(81)

@@ -303,7 +303,8 @@ def test_verify_listens_then_fails_on_a_bad_instance(tmp_path, capsys, monkeypat
         bad_path.write_bytes(inst_path.read_bytes()[:40])
     capsys.readouterr()
     loading, dialled = threading.Event(), threading.Event()
-    real_load, real_session = sdzkp.instance.load_instance, sdzkp.net.prover_session
+    result = {}
+    real_load, real_session = sdzkp.instance.load_instance, sdzkp.net._prove_rounds
 
     def load_once_the_prover_dialled(path):
         if Path(path) == bad_path:
@@ -312,13 +313,14 @@ def test_verify_listens_then_fails_on_a_bad_instance(tmp_path, capsys, monkeypat
         return real_load(path)
 
     def session_after_the_dial(*args, **kwargs):
+        result["dialled"] = True  # dialled itself is also set below, so that no failure hangs the verifier
         dialled.set()
         return real_session(*args, **kwargs)
 
     monkeypatch.setattr(sdzkp.instance, "load_instance", load_once_the_prover_dialled)
-    monkeypatch.setattr(sdzkp.net, "prover_session", session_after_the_dial)
+    # connect_and_prove runs the session's rounds through _prove_rounds once it has dialled
+    monkeypatch.setattr(sdzkp.net, "_prove_rounds", session_after_the_dial)
     port = free_port()
-    result = {}
 
     def verifier():
         result["code"] = main([
@@ -339,7 +341,7 @@ def test_verify_listens_then_fails_on_a_bad_instance(tmp_path, capsys, monkeypat
         th.join(10)
     assert not th.is_alive()
     captured = capsys.readouterr()
-    assert dialled.is_set() and result["code"] == EXIT_USAGE
+    assert result.get("dialled") and result["code"] == EXIT_USAGE
     assert prover_code != EXIT_ACCEPT
     assert "ACCEPT" not in captured.out and "proof session completed" not in captured.out
     assert "Traceback" not in captured.err

@@ -132,6 +132,23 @@ def test_target_inverse_is_computed_once():
     assert compose(inst.target, inst.target_inverse).is_identity()
 
 
+@pytest.mark.parametrize("name", ["degree", "max_distance", "target", "generators", "group", "_target_inverse", "x"])
+def test_instance_refuses_assignment_and_deletion(name):
+    # A reassigned target would leave the cached target_inverse inverting the old one.
+    inst, _ = plant_instance(16, 3, 4, random.Random(47))
+    other, _ = plant_instance(16, 3, 4, random.Random(48))
+    for fresh in (False, True):  # before and after the cache is filled
+        if fresh:
+            assert inst.target_inverse == inverse(inst.target)
+        before = {slot: getattr(inst, slot) for slot in type(inst).__slots__}
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(inst, name, getattr(other, name, None))
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(inst, name)
+        assert {slot: getattr(inst, slot) for slot in type(inst).__slots__} == before
+    assert inst.target_inverse == inverse(inst.target)
+
+
 def test_instance_bytes_round_trip():
     rng = random.Random(46)
     for preset in ("general", "abelian2"):

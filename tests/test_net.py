@@ -288,6 +288,17 @@ def test_tcp_listener_accept_and_prove(planted):
     assert result["ok"]
 
 
+def test_connect_and_prove_checks_the_witness_once(planted, monkeypatch):
+    # checked before the dial; the session it then runs does not check again
+    inst, wit = planted
+    calls = []
+    check = sdzkp.protocol.validate_witness
+    monkeypatch.setattr(sdzkp.protocol, "validate_witness", lambda i, h: calls.append(h) or check(i, h))
+    ok, _ = tcp_session(inst, wit, 16, timeout_s=10)
+    assert ok
+    assert calls == [wit.element]
+
+
 def test_accept_timeout_rejects(planted):
     inst, _ = planted
     listener = socket.create_server(("127.0.0.1", 0), backlog=1)

@@ -148,6 +148,18 @@ def test_random_support_perm_moves_exactly_m():
         assert len(tau.support()) == m
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 16, 64, 256, 257, 300])
+def test_random_support_perm_passes_full_validation(n):
+    # random_support_perm wraps its images unchecked; the validating
+    # constructor is the reference, at every support size the degree allows.
+    rng = random.Random(n)
+    for m in [0, *range(2, n + 1)]:
+        tau = random_support_perm(n, m, rng)
+        assert type(tau.images) is tuple
+        assert Permutation(tau.images) == tau
+        assert len(tau.support()) == m
+
+
 def test_random_support_perm_edge_cases():
     rng = random.Random(8)
     assert random_support_perm(5, 0, rng) == identity(5)
