@@ -21,10 +21,10 @@ from itertools import count, islice
 from random import Random
 from typing import Callable
 
-from .crypto import apply_mask, differing_words, fresh_seed, tuple_add
+from .crypto import apply_mask, differing_words, encode_words, fresh_seed, tuple_add
 from .group import BSGS
 from .instance import SDPInstance, Witness
-from .perm import Permutation, compose, compose_images, hamming, inverse, random_support_perm
+from .perm import Permutation, compose, hamming, inverse, random_support_perm
 from .protocol import (
     CHALLENGES,
     OPENS,
@@ -37,6 +37,7 @@ from .protocol import (
     masked_round,
     opened_member,
     prover_commit,
+    prover_round,
     require_positive,
     require_witness,
     slot_opens,
@@ -75,7 +76,7 @@ def accepted_challenges(inst: SDPInstance, prover: ProverState) -> set[int]:
     commitment, values = prover.commitment, prover.values
     if not isinstance(commitment, CommitmentMsg):
         return set()
-    opens = [slot_opens(inst, commitment, slot, value, opening)
+    opens = [slot_opens(inst, commitment[slot], slot, value, opening)
              for slot, (value, opening) in enumerate(zip(values, prover.openings))]
     return {
         ch for ch, (a, b) in OPENS.items()  # each challenge opens two slots
@@ -157,6 +158,7 @@ def make_cheating_prover(inst: SDPInstance, targets: frozenset[int] | set[int], 
         raise ValueError(f"targets must be two distinct challenges, got {sorted(targets)}")
     n, k = inst.degree, inst.max_distance
     group: BSGS = inst.group
+    ops = group.ops
 
     for _ in range(_RESAMPLE_BOUND):
         seed = fresh_seed(rng)
@@ -164,12 +166,14 @@ def make_cheating_prover(inst: SDPInstance, targets: frozenset[int] | set[int], 
             fake = group.sample_uniform(rng)
             if hamming(fake, inst.target) <= k:
                 continue
-            prover = masked_round(inst, group.sample_uniform(rng).images, fake.images, seed, rng)
+            prover = masked_round(inst, group.sample_raw(rng), ops.encode(fake.images), seed, rng)
         else:  # the noise goes on Z2 when 0 is covered, on Z1 when 1 is
-            member = group.sample_uniform(rng).images
+            member = group.sample_raw(rng)
             if 1 in targets:
-                member = compose_images(member, inst.target.images)
-            pair = apply_mask(seed, n, member, tuple_add(member, _noise_tuple(n, k, rng)))
+                member = ops.mul(member, inst.target_tables[0])
+            # the noisy words are arbitrary u32s, not the words of any permutation
+            noisy = tuple_add(ops.decode(member), _noise_tuple(n, k, rng))
+            pair = apply_mask(seed, n, ops.words(member), encode_words(noisy))
             prover = commit_round(*(pair if 0 in targets else pair[::-1]), seed, rng)
         if accepted_challenges(inst, prover) == targets:
             return prover
@@ -212,11 +216,11 @@ def _simulated_state(inst: SDPInstance, guess: int, rng: Random) -> ProverState:
     fake witness e, the identity (both membership challenges will verify);
     guess 2 masks τ∘g beside g for a uniform τ moving exactly k points, the
     distance of a planted witness (the distance challenge verifies)."""
-    e = tuple(range(inst.degree))
+    ops = inst.group.ops
     if guess < 2:
-        return masked_round(inst, inst.group.sample_uniform(rng).images, e, fresh_seed(rng), rng)
-    tau = random_support_perm(inst.degree, inst.max_distance, rng)
-    return masked_round(inst, e, compose_images(tau.images, inst.target.images), fresh_seed(rng), rng)
+        return prover_round(inst, ops.ident, rng)
+    tau = ops.encode(random_support_perm(inst.degree, inst.max_distance, rng).images)
+    return masked_round(inst, ops.ident, ops.mul(tau, inst.target_tables[0]), fresh_seed(rng), rng)
 
 
 def simulate(

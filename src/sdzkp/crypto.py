@@ -8,7 +8,9 @@ tuple into one integer, a u32 word per 32-bit lane, and adds or subtracts
 all lanes at once with carries kept inside each lane (Hacker's Delight,
 2nd ed., section 2-18).  A round's mask is one such integer, read from
 SHAKE.  A masked tuple exists only as its encoding, the committed message
-and wire form, which apply_mask writes from lanes and remove_mask reads.
+and wire form.  apply_mask writes it from the n u32 words (4n bytes, as
+encode_words writes them) of each tuple it masks, and remove_mask gives
+those words back; the group's raw form spreads into and out of them.
 """
 
 from __future__ import annotations
@@ -114,23 +116,29 @@ def tuple_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return lanes[0].unpack(_sub_lanes(lanes, _packed(lanes[0], a), _packed(lanes[0], b)))
 
 
-def apply_mask(seed: bytes, n: int, *images: tuple[int, ...]) -> tuple[bytes, ...]:
-    """encode_tuple(tuple_add(w, expand_mask(seed, n))) for each w, from one
-    SHAKE draw.  Each w must be n u32 words (ValueError otherwise); all get
-    the same mask, and each lane sum goes straight into its encoding."""
+def apply_mask(seed: bytes, n: int, *words: bytes) -> tuple[bytes, ...]:
+    """encode_tuple(tuple_add(w, expand_mask(seed, n))) for each tuple w,
+    given as encode_words(w), from one SHAKE draw.  Each must be n u32 words,
+    4n bytes of any values (ValueError otherwise); all get the same mask, and
+    each lane sum goes straight into its encoding."""
     lanes = _lanes(n)
     mask = int.from_bytes(_mask_stream(seed, n), "little")
-    return tuple(n.to_bytes(4, "little") + _add_lanes(lanes, _packed(lanes[0], w), mask) for w in images)
+    prefix = n.to_bytes(4, "little")
+    for w in words:
+        if len(w) != lanes[0].size:
+            raise ValueError(f"need {n} u32 words, got {len(w)} bytes")
+    return tuple(prefix + _add_lanes(lanes, int.from_bytes(w, "little"), mask) for w in words)
 
 
-def remove_mask(z: bytes, seed: bytes, n: int) -> tuple[int, ...]:
-    """tuple_sub(decode_tuple(z), expand_mask(seed, n)): one lane subtraction.
-    ValueError unless z is a bytes object holding the encoding of n words."""
+def remove_mask(z: bytes, seed: bytes, n: int) -> bytes:
+    """encode_words(tuple_sub(decode_tuple(z), expand_mask(seed, n))): one
+    lane subtraction.  ValueError unless z is a bytes object holding the
+    encoding of n words."""
     lanes = _lanes(n)
     if not isinstance(z, bytes) or len(z) != 4 + lanes[0].size or z[:4] != n.to_bytes(4, "little"):
         raise ValueError(f"masked tuple is not the encoding of {n} u32 words")
     mask = int.from_bytes(_mask_stream(seed, n), "little")
-    return lanes[0].unpack(_sub_lanes(lanes, int.from_bytes(z[4:], "little"), mask))
+    return _sub_lanes(lanes, int.from_bytes(z[4:], "little"), mask)
 
 
 def differing_words(a: bytes, b: bytes) -> int:
@@ -152,6 +160,11 @@ def encode_tuple(t: tuple[int, ...]) -> bytes:
     """Length-prefixed canonical encoding: count u32 LE, then entries u32 LE."""
     n = len(t)
     return struct.pack(f"<I{n}I", n, *t)
+
+
+def encode_words(t: tuple[int, ...]) -> bytes:
+    """encode_tuple(t) without its length prefix: the entries as u32 LE words."""
+    return struct.pack(f"<{len(t)}I", *t)
 
 
 def tuple_span(data: bytes, offset: int = 0) -> tuple[bytes, int]:

@@ -16,25 +16,34 @@ claimed and Schreier-Sims runs.
 
 Intended for desk-scale degrees (up to a few hundred points).  For degree
 at most 256 the chain stores permutations as 256-byte translation tables
-(identity beyond the degree) so composition is bytes.translate.
+(identity beyond the degree) so composition is bytes.translate; above that,
+as image tuples.  This raw form is also what a proof round composes, masks
+and unmasks (BSGS.ops, sample_raw, contains_raw); which of the two forms a
+degree gets is decided only here, by make_ops.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from functools import cached_property
 from itertools import permutations
 from math import factorial, prod
 from random import Random
 from typing import Sequence
 
+from .crypto import encode_words
 from .perm import Permutation, compose_images, invert_images
 
 _BYTES_IDENT = bytes(range(256))
 
 
 class _ByteOps:
-    """Permutations as padded 256-byte tables; compose via C-level translate."""
+    """Permutations as padded 256-byte tables; compose via C-level translate.
+
+    words(a) spreads a's n images into n little-endian u32 words, one slice
+    assignment; from_words(d) takes them back, or None unless they are a
+    permutation of 0..n-1."""
 
     __slots__ = ("degree", "ident")
 
@@ -56,6 +65,24 @@ class _ByteOps:
     def inv(a):
         return bytes(invert_images(a))
 
+    def words(self, a) -> bytearray:
+        n = self.degree
+        lanes = bytearray(4 * n)
+        lanes[::4] = a[:n]
+        return lanes
+
+    def from_words(self, d: bytes):
+        n = self.degree
+        table = d[::4] + _BYTES_IDENT[n:]
+        # maketrans maps each image back to the last position holding it, so
+        # composing gives the identity iff no image repeats; an image at or
+        # past n repeats one of the padding's.
+        if table.translate(bytes.maketrans(table, _BYTES_IDENT)) != _BYTES_IDENT:
+            return None
+        # The n images hold exactly one zero, so the other 3n zero bytes must
+        # be every upper byte of every word.
+        return table if d.count(0) == 3 * n + 1 else None
+
 
 class _TupleOps:
     """Plain image tuples, for degrees past the byte-table limit."""
@@ -75,8 +102,16 @@ class _TupleOps:
     mul = staticmethod(compose_images)
     inv = staticmethod(invert_images)
 
+    words = staticmethod(encode_words)
 
-def _make_ops(degree: int):
+    def from_words(self, d: bytes):
+        images = struct.unpack(f"<{self.degree}I", d)
+        return images if max(images) < self.degree and len(set(images)) == self.degree else None
+
+
+def make_ops(degree: int):
+    """The raw form of permutations of this degree: byte tables up to 256
+    points, image tuples past that."""
     return _ByteOps(degree) if degree <= 256 else _TupleOps(degree)
 
 
@@ -304,11 +339,14 @@ class BSGS:
     Construct via build_bsgs().  A certified giant keeps no chain (levels is
     None) and answers in closed form: it is A_n if alternating, else S_n.
     Immutable once built, so instances are safe to share across threads.
+    ops is the raw form of its elements (make_ops); sample_raw and
+    contains_raw work on that form, sample_uniform and contains on
+    Permutations.
     """
 
     def __init__(self, ops, generators: tuple[Permutation, ...], levels: list[_Level] | None,
                  alternating: bool = False):
-        self._ops = ops
+        self.ops = ops
         self._generators = generators
         self._levels = levels
         self._alternating = alternating
@@ -326,7 +364,7 @@ class BSGS:
 
     @property
     def degree(self) -> int:
-        return self._ops.degree
+        return self.ops.degree
 
     @property
     def generators(self) -> tuple[Permutation, ...]:
@@ -350,17 +388,21 @@ class BSGS:
         seen = {}
         for level in self._levels:
             for g in level.gens:
-                seen.setdefault(g, Permutation(self._ops.decode(g)))
+                seen.setdefault(g, Permutation(self.ops.decode(g)))
         return tuple(seen.values())
 
     def contains(self, p: Permutation) -> bool:
         """Exact membership test: parity on a certified giant, else a sift."""
         if p.n != self.degree:
             raise ValueError(f"degree mismatch: group acts on {self.degree} points, element on {p.n}")
+        return self.contains_raw(self.ops.encode(p.images))
+
+    def contains_raw(self, raw) -> bool:
+        """contains for an element in the raw form of self.ops."""
         if self._levels is None:
-            return not (self._alternating and _is_odd(p.images, self.degree))
-        residue, _ = _sift(self._levels, self._ops.mul, self._ops.encode(p.images))
-        return residue == self._ops.ident
+            return not (self._alternating and _is_odd(raw, self.degree))
+        residue, _ = _sift(self._levels, self.ops.mul, raw)
+        return residue == self.ops.ident
 
     def order(self) -> int:
         """|H|, the product of the orbit sizes along the chain."""
@@ -371,6 +413,10 @@ class BSGS:
         Each level's index is drawn with the getrandbits calls
         rng.randrange(m) makes for its m choices, so seeded draws and the rng
         state after them match it exactly."""
+        return Permutation._trusted(self.ops.decode(self.sample_raw(rng)))
+
+    def sample_raw(self, rng: Random):
+        """sample_uniform in the raw form of self.ops, from the same draws."""
         getrandbits = rng.getrandbits
         if self._levels is None:
             # Level i's representatives are (i y) for S_n and (i y z) for A_n;
@@ -387,15 +433,15 @@ class BSGS:
                 elif y != i:  # the representative for y == i is the identity
                     z = n - 1 if y != n - 1 else n - 2
                     images[i], images[y], images[z] = images[y], images[z], images[i]
-            return Permutation._trusted(tuple(images))
-        mul = self._ops.mul
+            return self.ops.encode(images)
+        mul = self.ops.mul
         acc = None
         for reps, m, k in self._draws:
             r = getrandbits(k)
             while r >= m:
                 r = getrandbits(k)
             acc = reps[r] if acc is None else mul(acc, reps[r])
-        return Permutation._trusted(self._ops.decode(acc if acc is not None else self._ops.ident))
+        return acc if acc is not None else self.ops.ident
 
     def elements(self, limit: int) -> list[Permutation]:
         """All group elements, in a fixed deterministic order.
@@ -407,11 +453,11 @@ class BSGS:
             raise ValueError(f"group order {self._order} exceeds enumeration limit {limit}")
         if self._levels is None:
             return [p for p in map(Permutation, permutations(range(self.degree))) if self.contains(p)]
-        mul = self._ops.mul
-        elems = [self._ops.ident]
+        mul = self.ops.mul
+        elems = [self.ops.ident]
         for level in reversed(self._levels):
             elems = [mul(u, e) for u in level.reps for e in elems]
-        return [Permutation(self._ops.decode(e)) for e in elems]
+        return [Permutation(self.ops.decode(e)) for e in elems]
 
 
 def _normalize(generators: Sequence[Permutation]) -> tuple[int, tuple[Permutation, ...]]:
@@ -442,7 +488,7 @@ def build_bsgs(generators: Sequence[Permutation]) -> BSGS:
     every other group goes through Schreier-Sims.
     """
     degree, gens = _normalize(generators)
-    ops = _make_ops(degree)
+    ops = make_ops(degree)
     if _certify_giant(ops, gens):
         return BSGS(ops, gens, None, alternating=not any(_is_odd(g.images, degree) for g in gens))
     raw = [ops.encode(g.images) for g in gens]

@@ -15,7 +15,7 @@ from random import Random
 from typing import NamedTuple
 
 from .group import BSGS, build_bsgs
-from .perm import Permutation, compose, hamming, inverse, random_perm, random_support_perm
+from .perm import Permutation, compose, hamming, random_perm, random_support_perm
 
 INSTANCE_MAGIC = b"SDZ1"
 WITNESS_MAGIC = b"SDW1"
@@ -32,9 +32,10 @@ class SDPInstance:
 
     Two instances are equal when their degree, bound, target and generators
     are; group is the chain built from the generators.  Immutable, so the
-    cached target_inverse always inverts target."""
+    cached target_tables always hold target and its inverse.  Copies and
+    pickles rebuild it from the constructor arguments."""
 
-    __slots__ = ("degree", "max_distance", "target", "generators", "group", "_target_inverse")
+    __slots__ = ("degree", "max_distance", "target", "generators", "group", "_target_tables")
 
     def __init__(
         self, degree: int, max_distance: int, target: Permutation, generators: tuple[Permutation, ...], group: BSGS
@@ -58,6 +59,9 @@ class SDPInstance:
 
     __delattr__ = __setattr__
 
+    def __reduce__(self):
+        return SDPInstance, (self.degree, self.max_distance, self.target, self.generators, self.group)
+
     def _statement(self) -> tuple:
         return self.degree, self.max_distance, self.target, self.generators
 
@@ -68,11 +72,14 @@ class SDPInstance:
         return hash(self._statement())
 
     @property
-    def target_inverse(self) -> Permutation:
-        """g^-1, computed once: challenge 1 and the extractor multiply by it."""
-        if self._target_inverse is None:
-            object.__setattr__(self, "_target_inverse", inverse(self.target))
-        return self._target_inverse
+    def target_tables(self) -> tuple:
+        """(g, g^-1) in the raw form of group.ops, computed once: every round
+        composes with g, and challenge 1 with g^-1."""
+        if self._target_tables is None:
+            ops = self.group.ops
+            g = ops.encode(self.target.images)
+            object.__setattr__(self, "_target_tables", (g, ops.inv(g)))
+        return self._target_tables
 
 
 class Witness(NamedTuple):

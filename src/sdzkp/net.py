@@ -32,7 +32,6 @@ import sys
 import time
 from random import Random
 
-from .crypto import fresh_seed
 from .instance import SDPInstance, Witness
 from .protocol import (
     CHALLENGES,
@@ -43,9 +42,9 @@ from .protocol import (
     CommitmentMsg,
     decode_response,
     encode_response,
-    masked_round,
     max_response_bytes,
     prover_respond,
+    prover_round,
     require_positive,
     require_witness,
     verifier_challenge,
@@ -149,8 +148,8 @@ def _prove_rounds(
     sock: socket.socket, inst: SDPInstance, wit: Witness, rounds: int, rng: Random, deadline: float | None
 ) -> None:
     """prover_session once its caller has checked rounds and the witness."""
-    group, h = inst.group, wit.element.images
-    states = (masked_round(inst, group.sample_uniform(rng).images, h, fresh_seed(rng), rng) for _ in range(rounds))
+    h = inst.group.ops.encode(wit.element.images)
+    states = (prover_round(inst, h, rng) for _ in range(rounds))
     buffer = bytearray()
     state = next(states)
     send_frame(sock, MSG_COMMIT, state.commitment.encode())

@@ -57,9 +57,9 @@ class Permutation:
     @classmethod
     def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
         """Wrap an image tuple known to be a bijection (a product or inverse of
-        valid permutations, or words already checked to be one, as
-        protocol.unmask does) unchecked; other outside input goes through
-        __init__."""
+        valid permutations, or a raw form the group's ops already checked to
+        be one, as protocol.unmask does) unchecked; other outside input goes
+        through __init__."""
         perm = object.__new__(cls)
         object.__setattr__(perm, "images", images)
         return perm
@@ -68,6 +68,10 @@ class Permutation:
         raise AttributeError(f"cannot assign to {name!r}: Permutation is immutable")
 
     __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, never __setattr__
+        return Permutation, (self.images,)
 
     def __eq__(self, other):
         return self.images == other.images if other.__class__ is self.__class__ else NotImplemented

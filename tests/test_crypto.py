@@ -19,6 +19,7 @@ from sdzkp.crypto import (
     decode_tuple_from,
     differing_words,
     encode_tuple,
+    encode_words,
     expand_mask,
     fresh_seed,
     remove_mask,
@@ -154,10 +155,10 @@ def assert_masking_matches_the_tuple_reference(seed, words):
     n = len(words)
     mask = expand_mask(seed, n)
     z = encode_tuple(tuple_add(words, mask))
-    assert apply_mask(seed, n, words) == (z,)
-    assert apply_mask(seed, n, words, words) == (z, z)
-    assert remove_mask(z, seed, n) == words
-    assert remove_mask(encode_tuple(words), seed, n) == tuple_sub(words, mask)
+    assert apply_mask(seed, n, encode_words(words)) == (z,)
+    assert apply_mask(seed, n, encode_words(words), bytearray(encode_words(words))) == (z, z)
+    assert remove_mask(z, seed, n) == encode_words(words)
+    assert remove_mask(encode_tuple(words), seed, n) == encode_words(tuple_sub(words, mask))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 128, 300])
@@ -197,16 +198,26 @@ _THREE = encode_tuple((0, 1, 2))
 ], ids=[f"words{i}" for i in range(7)])
 def test_masking_refuses_what_the_tuple_reference_refuses(words, encoding):
     seed = bytes(SEED_BYTES)
-    for op in (tuple_add, tuple_sub, lambda t, _: apply_mask(seed, 3, t)):
+    for op in (tuple_add, tuple_sub):
         with pytest.raises(ValueError):
             op(words, expand_mask(seed, 3))
     with pytest.raises(ValueError):
         remove_mask(encoding, seed, 3)
 
 
+# apply_mask takes words as encode_words writes them, which cannot hold a
+# word outside u32; it refuses any length but 4n bytes.
+@pytest.mark.parametrize("words", [b"", bytes(8), bytes(11), bytes(13), bytes(16), _THREE])
+def test_apply_mask_refuses_words_of_another_length(words):
+    with pytest.raises(ValueError):
+        apply_mask(bytes(SEED_BYTES), 3, words)
+    with pytest.raises(ValueError):
+        apply_mask(bytes(SEED_BYTES), 3, encode_words((0, 1, 2)), words)
+
+
 def test_masking_validates_seed_and_length():
     with pytest.raises(ValueError):
-        apply_mask(b"short", 3, (0, 1, 2))
+        apply_mask(b"short", 3, encode_words((0, 1, 2)))
     with pytest.raises(ValueError):
         remove_mask(_THREE, b"short", 3)
     with pytest.raises(ValueError):

@@ -56,7 +56,7 @@ def cycle_perm(n, points):
 def randrange_walk(grp, rng):
     """The chain's draw written with rng.randrange: one uniform coset
     representative per level, multiplied on the right."""
-    ops = grp._ops
+    ops = grp.ops
     acc = ops.ident
     for level in grp._levels:
         acc = ops.mul(acc, level.reps[rng.randrange(len(level.reps))])

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from sdzkp.group import BSGS, _certify_giant, _ChainBuilder, _Level, _make_ops, _normalize, build_bsgs
+from sdzkp.group import BSGS, _certify_giant, _ChainBuilder, _Level, make_ops, _normalize, build_bsgs
 from sdzkp.instance import plant_instance
 from sdzkp.perm import Permutation, compose, identity, inverse, random_perm
 
@@ -182,13 +182,13 @@ def test_base_and_strong_generators_consistent():
 def schreier_sims(gens):
     """The reference chain: plain Schreier-Sims, never the certificate."""
     degree, kept = _normalize(gens)
-    ops = _make_ops(degree)
+    ops = make_ops(degree)
     return BSGS(ops, kept, _ChainBuilder(ops).run([ops.encode(g.images) for g in kept]))
 
 
 def certified(gens):
     degree, kept = _normalize(gens)
-    return _certify_giant(_make_ops(degree), kept)
+    return _certify_giant(make_ops(degree), kept)
 
 
 def cycle_perm(n, *cycles):

@@ -1,5 +1,7 @@
 """Instance planting, witness checks, and the on-disk formats."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -21,7 +23,8 @@ from sdzkp.instance import (
     witness_from_bytes,
     witness_to_bytes,
 )
-from sdzkp.perm import Permutation, compose, hamming, inverse
+from sdzkp.perm import Permutation, hamming, inverse
+from sdzkp.protocol import encode_proof, fs_prove, fs_verify_bytes
 
 
 def test_planted_distance_is_exact():
@@ -125,28 +128,58 @@ def test_instances_compare_by_their_statement():
     assert make_instance(gen, [gen], 2) != inst
 
 
-def test_target_inverse_is_computed_once():
-    inst, _ = plant_instance(16, 3, 4, random.Random(47))
-    assert inst.target_inverse == inverse(inst.target)
-    assert inst.target_inverse is inst.target_inverse
-    assert compose(inst.target, inst.target_inverse).is_identity()
+def tables_of(inst):
+    """(g, g^-1) in the raw form of the instance's group, computed afresh."""
+    ops = inst.group.ops
+    return ops.encode(inst.target.images), ops.encode(inverse(inst.target).images)
 
 
-@pytest.mark.parametrize("name", ["degree", "max_distance", "target", "generators", "group", "_target_inverse", "x"])
+def test_target_tables_are_computed_once():
+    for n in (16, 260):  # byte tables, then image tuples
+        inst, _ = plant_instance(n, 3, 4, random.Random(47))
+        g, g_inv = inst.target_tables
+        assert (g, g_inv) == tables_of(inst)
+        assert inst.target_tables is inst.target_tables
+        assert inst.group.ops.mul(g, g_inv) == inst.group.ops.ident
+
+
+@pytest.mark.parametrize("name", ["degree", "max_distance", "target", "generators", "group", "_target_tables", "x"])
 def test_instance_refuses_assignment_and_deletion(name):
-    # A reassigned target would leave the cached target_inverse inverting the old one.
+    # A reassigned target would leave the cached target_tables holding the old one.
     inst, _ = plant_instance(16, 3, 4, random.Random(47))
     other, _ = plant_instance(16, 3, 4, random.Random(48))
     for fresh in (False, True):  # before and after the cache is filled
         if fresh:
-            assert inst.target_inverse == inverse(inst.target)
+            assert inst.target_tables == tables_of(inst)
         before = {slot: getattr(inst, slot) for slot in type(inst).__slots__}
         with pytest.raises(AttributeError, match="immutable"):
             setattr(inst, name, getattr(other, name, None))
         with pytest.raises(AttributeError, match="immutable"):
             delattr(inst, name)
         assert {slot: getattr(inst, slot) for slot in type(inst).__slots__} == before
-    assert inst.target_inverse == inverse(inst.target)
+    assert inst.target_tables == tables_of(inst)
+
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
+@pytest.mark.parametrize("n", [16, 260])  # byte tables, then image tuples
+def test_instance_copies_and_pickles(round_trip, n):
+    inst, wit = plant_instance(n, 3, 4, random.Random(47))
+    assert inst.target_tables  # a filled cache is rebuilt, not carried over
+    back = round_trip(inst)
+    assert back == inst and back.group.order() == inst.group.order()
+    assert back.target_tables == tables_of(inst)
+    for name in ("target", "_target_tables"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(back, name, None)
+    proof = encode_proof(fs_prove(inst, wit, 16, b"ctx", random.Random(49)))
+    assert fs_verify_bytes(back, proof, b"ctx")
 
 
 def test_instance_bytes_round_trip():

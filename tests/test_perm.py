@@ -1,5 +1,7 @@
 """Permutation arithmetic, the Hamming metric, and the byte encoding."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -89,6 +91,17 @@ def test_permutation_is_an_immutable_value():
     with pytest.raises(AttributeError):
         del p.images
     assert p.images == (1, 0, 2)
+
+
+@pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_permutation_copies_and_pickles(round_trip):
+    p = Permutation((2, 0, 3, 1))
+    q = round_trip(p)
+    assert q == p and type(q.images) is tuple and hash(q) == hash(p)
+    with pytest.raises(AttributeError, match="immutable"):
+        q.images = (0, 1, 2, 3)
+    assert p.images == q.images == (2, 0, 3, 1)
 
 
 def test_rejects_non_bijections():

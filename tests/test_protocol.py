@@ -15,6 +15,7 @@ from sdzkp.crypto import (
     decode_tuple,
     differing_words,
     encode_tuple,
+    encode_words,
     expand_mask,
     fresh_seed,
     tuple_add,
@@ -180,7 +181,7 @@ def test_non_permutation_unmask_rejected(planted):
     # every image below n, two of them equal: only the bijection check can refuse
     images = wit.element.images
     collided = (images[1], *images[1:])
-    state = commit_round(*apply_mask(seed, n, collided, collided), seed, rng)
+    state = commit_round(*apply_mask(seed, n, encode_words(collided), encode_words(collided)), seed, rng)
     for ch in CHALLENGES:
         rsp = state.respond(ch)
         for slot, value, opening in zip(OPENS[ch], rsp.values, rsp.openings):
@@ -211,7 +212,7 @@ def non_canonical_encodings(z):
 
 
 def test_unmask_refuses_non_canonical_encodings_with_value_error(planted):
-    # the extractor's and the CLI's callers of unmask catch ValueError only
+    # unmasking refuses with ValueError only, which opened_member's callers catch
     inst, wit = planted
     state = prover_commit(inst, wit, random.Random(60))
     assert unmask(state.values[Z1], state.values[SEED], inst.degree)
@@ -300,7 +301,7 @@ def test_masked_round_and_opened_member_match_their_definitions(preset, gens, k,
     for x in (wit.element.images, inst.group.sample_uniform(rng).images, random_perm(n, rng).images):
         u = inst.group.sample_uniform(rng).images
         seed = fresh_seed(rng)
-        state = masked_round(inst, u, x, seed, rng)
+        state = masked_round(inst, inst.group.ops.encode(u), inst.group.ops.encode(x), seed, rng)
         mask = expand_mask(seed, n)
         assert state.values[SEED] == seed
         assert state.values[Z1] == encode_tuple(tuple_add(compose_images(u, x), mask))
@@ -532,11 +533,22 @@ def test_masked_values_hide_witness(planted):
     (5, 2, 2, "36ad79c11b530a63380e714e376ff49e39375d6e620f652209b7fcfd03d4c5f4"),
     # the shape of the nizk-n128-giant benchmark workload
     (128, 3, 32, "ffedf54c23d24f510fe862fe5ab72e39519cc04400d2d9ec2cfb6488bc5b63f5"),  # H = S_128
+    # past the byte-table limit: group elements are image tuples
+    (260, 3, 65, "4c09bd564b0aa36f2233956d5efff9604229cc2ac3a4183bd2354b46e083b6c7"),  # H = A_260
 ])
 def test_fs_proof_bytes_are_pinned(n, gens, k, digest):
     inst, wit = plant_instance(n, gens, k, random.Random(n), preset="general")
     data = encode_proof(fs_prove(inst, wit, 219, b"ctx", random.Random(7)))
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_fs_proof_bytes_are_pinned_on_a_tuple_chain():
+    # an 8-level stabilizer chain past the byte-table limit, so sampling and
+    # membership sift on image tuples
+    inst, wit = plant_instance(260, 8, 64, random.Random(260), preset="abelian2")
+    assert inst.group.giant == "no" and len(inst.group.base) == 8
+    data = encode_proof(fs_prove(inst, wit, 219, b"ctx", random.Random(7)))
+    assert hashlib.sha256(data).hexdigest() == "b7c9ff4496f28f1c2308fe2ef8092358a798e6b4d5b20ed88b639796e550b117"
 
 
 _u32 = st.integers(0, (1 << 32) - 1)

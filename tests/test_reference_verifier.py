@@ -1,0 +1,181 @@
+"""fs_verify_bytes against a reference verifier written from the plain helpers.
+
+The reference decodes the proof into objects, derives the challenges, opens
+each commitment with crypto.verify_commitment, unmasks with
+tuple_sub(decode_tuple(z), expand_mask(seed, n)), builds the opened member
+with the validating Permutation constructor, compose and contains, and
+counts challenge-2 differences with weight.  It shares none of the raw-form
+code (byte tables, lane slices, the one-subtraction unmask) that
+fs_verify_bytes runs, so each verdict is checked against the definition.
+"""
+
+import random
+import struct
+
+import pytest
+
+from sdzkp.analysis import make_cheating_prover
+from sdzkp.crypto import (
+    COMMIT_TAGS,
+    apply_mask,
+    decode_tuple,
+    encode_tuple,
+    encode_words,
+    expand_mask,
+    fresh_seed,
+    tuple_add,
+    tuple_sub,
+    verify_commitment,
+    weight,
+)
+from sdzkp.instance import instance_digest, plant_instance
+from sdzkp.perm import Permutation, compose, inverse
+from sdzkp.protocol import (
+    OPENS,
+    SEED,
+    NIZKProof,
+    commit_round,
+    decode_proof,
+    derive_challenges,
+    encode_proof,
+    fs_prove,
+    fs_verify_bytes,
+    prover_commit,
+    verify_round,
+)
+
+
+def reference_round(inst, commitment, challenge, response) -> bool:
+    """One round by definition: kind, openings, then the challenge's predicate."""
+    n = inst.degree
+    if response.kind != challenge:
+        return False
+    words = {}
+    for slot, value, opening in zip(OPENS[challenge], response.values, response.openings):
+        if not verify_commitment(commitment[slot], value, COMMIT_TAGS[slot], opening):
+            return False
+        if slot != SEED:
+            words[slot] = decode_tuple(value)
+            if len(words[slot]) != n:
+                return False
+    if challenge == 2:
+        a, b = words.values()
+        return weight(tuple_sub(a, b)) <= inst.max_distance
+    (z,), seed = words.values(), response.values[1]
+    try:
+        member = Permutation(tuple_sub(z, expand_mask(seed, n)))
+    except ValueError:
+        return False
+    if challenge == 1:
+        member = compose(member, inverse(inst.target))
+    return inst.group.contains(member)
+
+
+def reference_verify(inst, data, context) -> bool:
+    try:
+        proof = decode_proof(data)
+    except (ValueError, TypeError, struct.error):
+        return False
+    challenges = derive_challenges(instance_digest(inst), context, proof.commitments, proof.rounds)
+    return all(
+        reference_round(inst, com, ch, rsp) for com, ch, rsp in zip(proof.commitments, challenges, proof.responses)
+    )
+
+
+# (degree, generators, k, preset): A_5-or-S_5 at n = 5, S_12, A_16, a
+# 5-level abelian2 chain, the benchmark's S_128, and A_260, past the
+# byte-table limit.
+FAMILIES = {
+    "n5": (5, 2, 2, "general"),
+    "S12": (12, 3, 4, "general"),
+    "A16": (16, 4, 6, "general"),
+    "abelian2-16": (16, 5, 4, "abelian2"),
+    "S128": (128, 3, 32, "general"),
+    "A260": (260, 3, 65, "general"),
+}
+
+
+@pytest.fixture(scope="module", params=FAMILIES.values(), ids=FAMILIES)
+def family(request):
+    n, gens, k, preset = request.param
+    return plant_instance(n, gens, k, random.Random(n), preset=preset)
+
+
+def assert_verifiers_agree(inst, data, context=b"ctx"):
+    got = fs_verify_bytes(inst, data, context)
+    assert got is reference_verify(inst, data, context)
+    return got
+
+
+def test_honest_proofs_and_their_mutations_agree(family):
+    inst, wit = family
+    rng = random.Random(inst.degree + 1)
+    data = encode_proof(fs_prove(inst, wit, 6, b"ctx", rng))
+    assert assert_verifiers_agree(inst, data)
+    assert not assert_verifiers_agree(inst, data, b"other")
+    flips = bytearray(data)
+    for _ in range(1000):
+        pos = rng.randrange(len(flips))
+        flips[pos] ^= rng.randrange(1, 256)
+        assert_verifiers_agree(inst, bytes(flips))
+        flips[pos] = data[pos]
+    for end in sorted(rng.sample(range(len(data)), 40)) + [len(data) - 1]:
+        assert not assert_verifiers_agree(inst, data[:end])
+    for extra in (b"\x00", b"\xff", bytes([rng.randrange(256)])):
+        assert not assert_verifiers_agree(inst, data + extra)
+
+
+def proof_opening(inst, wit, state, challenge, rng, context=b"ctx"):
+    """A proof whose first round is state, followed by two honest rounds
+    drawn until the derived challenge of that first round is `challenge`."""
+    while True:
+        states = [state] + [prover_commit(inst, wit, rng) for _ in range(2)]
+        commitments = tuple(s.commitment for s in states)
+        challenges = derive_challenges(instance_digest(inst), context, commitments, len(states))
+        if challenges[0] == challenge:
+            responses = tuple(s.respond(ch) for s, ch in zip(states, challenges))
+            return encode_proof(NIZKProof(commitments, responses))
+
+
+def forged_state(inst, words1, words2, rng):
+    """A state committing to arbitrary u32 words under one fresh mask."""
+    seed = fresh_seed(rng)
+    return commit_round(*apply_mask(seed, inst.degree, encode_words(words1), encode_words(words2)), seed, rng)
+
+
+def test_a_borrowing_lane_is_refused_by_both(family):
+    # Words at or past 2^31 borrow in the lane subtraction's top bit; every
+    # such unmasked word must be refused, as the validating constructor does.
+    inst, wit = family
+    rng = random.Random(inst.degree + 2)
+    images = wit.element.images
+    for bad in (2**31, 2**31 + images[0], 2**32 - 1, 2**31 - 1, inst.degree):
+        words = (bad, *images[1:])
+        state = forged_state(inst, words, words, rng)
+        for ch in (0, 1):
+            assert not verify_round(inst, state.commitment, ch, state.respond(ch))
+            assert not reference_round(inst, state.commitment, ch, state.respond(ch))
+            assert not assert_verifiers_agree(inst, proof_opening(inst, wit, state, ch, rng))
+
+
+def test_noisy_cheaters_arbitrary_words_agree(family):
+    # make_cheating_prover masks a member beside itself plus noise: the noisy
+    # words are arbitrary u32s, which apply_mask must take as they are.
+    inst, wit = family
+    rng = random.Random(inst.degree + 3)
+    for targets in ({0, 2}, {1, 2}, {0, 1}):
+        for _ in range(3):
+            state = make_cheating_prover(inst, targets, rng)
+            for ch in (0, 1, 2):
+                expected = reference_round(inst, state.commitment, ch, state.respond(ch))
+                assert verify_round(inst, state.commitment, ch, state.respond(ch)) is expected
+                assert expected == (ch in targets)
+                assert assert_verifiers_agree(inst, proof_opening(inst, wit, state, ch, rng)) is (ch in targets)
+
+
+def test_apply_mask_takes_arbitrary_words():
+    rng = random.Random(5)
+    for n in (1, 5, 16, 260):
+        words = tuple(rng.choice((0, 1, n, 2**31 - 1, 2**31, 2**32 - 1, rng.getrandbits(32))) for _ in range(n))
+        seed = fresh_seed(rng)
+        assert apply_mask(seed, n, encode_words(words)) == (encode_tuple(tuple_add(words, expand_mask(seed, n))),)
