@@ -76,7 +76,7 @@ def accepted_challenges(inst: SDPInstance, prover: ProverState) -> set[int]:
     commitment, values = prover.commitment, prover.values
     if not isinstance(commitment, CommitmentMsg):
         return set()
-    opens = [slot_opens(inst, commitment[slot], slot, value, opening)
+    opens = [slot_opens(inst, commitment, slot, value, opening)
              for slot, (value, opening) in enumerate(zip(values, prover.openings))]
     return {
         ch for ch, (a, b) in OPENS.items()  # each challenge opens two slots
@@ -166,9 +166,10 @@ def make_cheating_prover(inst: SDPInstance, targets: frozenset[int] | set[int], 
             fake = group.sample_uniform(rng)
             if hamming(fake, inst.target) <= k:
                 continue
-            prover = masked_round(inst, group.sample_raw(rng), ops.encode(fake.images), seed, rng)
+            u = ops.encode(group.sample_uniform(rng).images)
+            prover = masked_round(inst, u, ops.encode(fake.images), seed, rng)
         else:  # the noise goes on Z2 when 0 is covered, on Z1 when 1 is
-            member = group.sample_raw(rng)
+            member = ops.encode(group.sample_uniform(rng).images)
             if 1 in targets:
                 member = ops.mul(member, inst.target_tables[0])
             # the noisy words are arbitrary u32s, not the words of any permutation

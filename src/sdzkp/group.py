@@ -18,8 +18,8 @@ Intended for desk-scale degrees (up to a few hundred points).  For degree
 at most 256 the chain stores permutations as 256-byte translation tables
 (identity beyond the degree) so composition is bytes.translate; above that,
 as image tuples.  This raw form is also what a proof round composes, masks
-and unmasks (BSGS.ops, sample_raw, contains_raw); which of the two forms a
-degree gets is decided only here, by make_ops.
+and unmasks (BSGS.ops, and BSGS.contains takes it); which of the two forms
+a degree gets is decided only here, by make_ops.
 """
 
 from __future__ import annotations
@@ -339,9 +339,8 @@ class BSGS:
     Construct via build_bsgs().  A certified giant keeps no chain (levels is
     None) and answers in closed form: it is A_n if alternating, else S_n.
     Immutable once built, so instances are safe to share across threads.
-    ops is the raw form of its elements (make_ops); sample_raw and
-    contains_raw work on that form, sample_uniform and contains on
-    Permutations.
+    ops is the raw form of its elements (make_ops), which contains also
+    takes.
     """
 
     def __init__(self, ops, generators: tuple[Permutation, ...], levels: list[_Level] | None,
@@ -391,17 +390,17 @@ class BSGS:
                 seen.setdefault(g, Permutation(self.ops.decode(g)))
         return tuple(seen.values())
 
-    def contains(self, p: Permutation) -> bool:
-        """Exact membership test: parity on a certified giant, else a sift."""
-        if p.n != self.degree:
-            raise ValueError(f"degree mismatch: group acts on {self.degree} points, element on {p.n}")
-        return self.contains_raw(self.ops.encode(p.images))
-
-    def contains_raw(self, raw) -> bool:
-        """contains for an element in the raw form of self.ops."""
+    def contains(self, p) -> bool:
+        """Exact membership test: parity on a certified giant, else a sift.
+        p is a Permutation of the group's degree, or an element already in
+        the raw form of self.ops (as a proof round unmasks one)."""
+        if isinstance(p, Permutation):
+            if p.n != self.degree:
+                raise ValueError(f"degree mismatch: group acts on {self.degree} points, element on {p.n}")
+            p = self.ops.encode(p.images)
         if self._levels is None:
-            return not (self._alternating and _is_odd(raw, self.degree))
-        residue, _ = _sift(self._levels, self.ops.mul, raw)
+            return not (self._alternating and _is_odd(p, self.degree))
+        residue, _ = _sift(self._levels, self.ops.mul, p)
         return residue == self.ops.ident
 
     def order(self) -> int:
@@ -413,10 +412,6 @@ class BSGS:
         Each level's index is drawn with the getrandbits calls
         rng.randrange(m) makes for its m choices, so seeded draws and the rng
         state after them match it exactly."""
-        return Permutation._trusted(self.ops.decode(self.sample_raw(rng)))
-
-    def sample_raw(self, rng: Random):
-        """sample_uniform in the raw form of self.ops, from the same draws."""
         getrandbits = rng.getrandbits
         if self._levels is None:
             # Level i's representatives are (i y) for S_n and (i y z) for A_n;
@@ -433,7 +428,7 @@ class BSGS:
                 elif y != i:  # the representative for y == i is the identity
                     z = n - 1 if y != n - 1 else n - 2
                     images[i], images[y], images[z] = images[y], images[z], images[i]
-            return self.ops.encode(images)
+            return Permutation._trusted(tuple(images))
         mul = self.ops.mul
         acc = None
         for reps, m, k in self._draws:
@@ -441,7 +436,7 @@ class BSGS:
             while r >= m:
                 r = getrandbits(k)
             acc = reps[r] if acc is None else mul(acc, reps[r])
-        return acc if acc is not None else self.ops.ident
+        return Permutation._trusted(self.ops.decode(acc if acc is not None else self.ops.ident))
 
     def elements(self, limit: int) -> list[Permutation]:
         """All group elements, in a fixed deterministic order.

@@ -58,8 +58,8 @@ class Permutation:
     def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
         """Wrap an image tuple known to be a bijection (a product or inverse of
         valid permutations, or a raw form the group's ops already checked to
-        be one, as protocol.unmask does) unchecked; other outside input goes
-        through __init__."""
+        be one, as protocol.opened_member does) unchecked; other outside
+        input goes through __init__."""
         perm = object.__new__(cls)
         object.__setattr__(perm, "images", images)
         return perm

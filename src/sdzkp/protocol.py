@@ -21,13 +21,10 @@ A round works on the group's raw elements (group.make_ops: byte tables up
 to degree 256, image tuples past it): masked_round composes u with x and
 with g and spreads each product into u32 lanes for the mask, and unmasking
 takes the lanes straight back to a raw element, which challenge 1 composes
-with the raw g^-1 the instance caches.  One round check, _round_holds,
-runs slot_opens on each slot a challenge opens, then the predicate with
-challenge_holds.  verify_round calls it after its shape checks on
-untrusted objects; fs_verify, after the same shape checks, and
-fs_verify_bytes, on slices of the proof buffer that it walks once and
-decodes into no objects, share one loop over the rounds.  The analysis
-harness uses the two halves of the round check to check each of a
+with the raw g^-1 the instance caches and the group's contains tests as it
+stands.  verify_round, the one round check of every verifier, checks
+each slot a challenge opens with slot_opens, then the predicate with
+challenge_holds; the analysis harness uses the two to check each of a
 state's three slots once and then all three predicates.
 
 A single round convinces the verifier with soundness error 2/3; sequential
@@ -39,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from itertools import chain
 from operator import itemgetter
 from random import Random
 from typing import NamedTuple
@@ -57,7 +53,6 @@ from .crypto import (
     tuple_span,
     verify_commitment,
 )
-from .group import make_ops
 from .instance import SDPInstance, Witness, instance_digest, validate_witness
 from .perm import Permutation
 
@@ -182,21 +177,6 @@ def _proof_rounds(rounds: int) -> int:
     return rounds
 
 
-def unmask(z: bytes, seed: bytes, n: int) -> Permutation:
-    """The permutation a masked tuple hides; ValueError if it hides none.
-
-    remove_mask yields exactly n u32 words, and the raw form's from_words
-    takes them back iff they are a permutation of {0, .., n-1}."""
-    ops = make_ops(n)
-    return _permutation(ops, ops.from_words(remove_mask(z, seed, n)))
-
-
-def _permutation(ops, raw) -> Permutation:
-    if raw is None:
-        raise ValueError("unmasked tuple is not a permutation")
-    return Permutation._trusted(ops.decode(raw))
-
-
 def commit_round(z1: bytes, z2: bytes, seed: bytes, rng: Random) -> ProverState:
     """Commit to the masked pair and the seed, slot by slot (C1, C2, C3).
     The analysis harness commits its cheating and simulated tuples with it."""
@@ -220,7 +200,8 @@ def prover_round(inst: SDPInstance, h, rng: Random) -> ProverState:
     """The honest round for a witness h in the raw form of inst.group.ops: u
     uniform in H, then a fresh seed, then the three commitments, in that coin
     order.  It does not check the witness."""
-    return masked_round(inst, inst.group.sample_raw(rng), h, fresh_seed(rng), rng)
+    u = inst.group.ops.encode(inst.group.sample_uniform(rng).images)
+    return masked_round(inst, u, h, fresh_seed(rng), rng)
 
 
 def opened_member(inst: SDPInstance, challenge: int, response: Response) -> Permutation:
@@ -229,12 +210,18 @@ def opened_member(inst: SDPInstance, challenge: int, response: Response) -> Perm
     opening hides no permutation."""
     if challenge not in (0, 1):
         raise ValueError(f"challenge {challenge!r} opens no group element")
-    return _permutation(inst.group.ops, _member(inst, challenge, *response.values))
+    member = _member(inst, challenge, *response.values)
+    if member is None:
+        raise ValueError("unmasked tuple is not a permutation")
+    return Permutation._trusted(inst.group.ops.decode(member))
 
 
 def _member(inst: SDPInstance, challenge: int, z: bytes, seed: bytes):
     """opened_member on the values OPENS[challenge] lists (a masked tuple, then
-    the seed), in raw form; None if the tuple hides no permutation."""
+    the seed), in raw form; None if the tuple hides no permutation.
+    remove_mask yields exactly n u32 words (ValueError unless z is a
+    canonical masked tuple), and the raw form's from_words takes them back
+    iff they are a permutation of {0, .., n-1}."""
     ops = inst.group.ops
     opened = ops.from_words(remove_mask(z, seed, inst.degree))
     return ops.mul(opened, inst.target_tables[1]) if challenge and opened is not None else opened
@@ -278,14 +265,14 @@ def prover_respond(state: ProverState, challenge: int) -> Response:
     return Response(challenge, opened(state.values), opened(state.openings))
 
 
-def slot_opens(inst: SDPInstance, digest: bytes, slot: int, value: bytes, opening: bytes) -> bool:
+def slot_opens(inst: SDPInstance, commitment: CommitmentMsg, slot: int, value: bytes, opening: bytes) -> bool:
     """Whether value is a canonical value of the slot at the instance's degree
-    (see slot_span) and opening opens digest, the slot's commitment, to it.
+    (see slot_span) and opening opens the slot's digest in commitment to it.
     Total on untrusted input: returns False, never raises."""
     try:
         n = inst.degree
         canonical = len(value) == slot_size(slot, n) and (slot == SEED or value[:4] == n.to_bytes(4, "little"))
-        return canonical and verify_commitment(digest, value, COMMIT_TAGS[slot], opening)
+        return canonical and verify_commitment(commitment[slot], value, COMMIT_TAGS[slot], opening)
     except (ValueError, TypeError, struct.error):
         return False
 
@@ -297,33 +284,23 @@ def challenge_holds(inst: SDPInstance, challenge: int, values: tuple[bytes, ...]
         if challenge == 2:
             return differing_words(*values) <= inst.max_distance
         member = _member(inst, challenge, *values)
-        return member is not None and inst.group.contains_raw(member)
+        return member is not None and inst.group.contains(member)
     except (ValueError, TypeError, struct.error):
         return False
 
 
-def _round_holds(inst: SDPInstance, commitment, challenge: int, values, openings) -> bool:
-    """The one round check, for a challenge in OPENS: each slot it opens is
-    canonical and opens its digest (commitment[slot]), then the challenge's
-    predicate.  values and openings hold the two opened slots in OPENS order.
-    Total on untrusted values: returns False, never raises."""
-    first, second = OPENS[challenge]
-    return (
-        slot_opens(inst, commitment[first], first, values[0], openings[0])
-        and slot_opens(inst, commitment[second], second, values[1], openings[1])
-        and challenge_holds(inst, challenge, values)
-    )
-
-
 def verify_round(inst: SDPInstance, commitment: CommitmentMsg, challenge: int, response: Response) -> bool:
-    """Check one round: the shape of the untrusted objects, then the round
-    check.  Total on untrusted input: returns False, never raises."""
+    """Check one round: every slot the challenge opens, then its check.
+    Total on untrusted input: returns False, never raises."""
     if not isinstance(commitment, CommitmentMsg) or not isinstance(response, Response):
         return False
     try:
         if challenge not in CHALLENGES or response.kind != challenge or not _opens_its_slots(response):
             return False
-        return _round_holds(inst, commitment, challenge, response.values, response.openings)
+        for slot, value, opening in zip(OPENS[challenge], response.values, response.openings):
+            if not slot_opens(inst, commitment, slot, value, opening):
+                return False
+        return challenge_holds(inst, challenge, response.values)
     except (ValueError, TypeError, struct.error):
         return False
 
@@ -372,18 +349,16 @@ def _reduce_to_challenge(prefix, i: int) -> int:
 def derive_challenges(
     statement_digest: bytes,
     context: bytes,
-    commitments,
+    commitments: tuple[CommitmentMsg, ...],
     rounds: int,
 ) -> list[int]:
-    """Hash-derived challenges binding the statement, context and all
-    commitments: each round's three digests in slot order, as a CommitmentMsg
-    or any other sequence of them."""
+    """Hash-derived challenges binding the statement, context and all commitments."""
     prefix = hashlib.shake_256(
         _FS_DOMAIN
         + struct.pack("<I", len(context))
         + context
         + statement_digest
-        + b"".join(chain.from_iterable(commitments))
+        + b"".join(c.encode() for c in commitments)
     )
     return [_reduce_to_challenge(prefix, i) for i in range(rounds)]
 
@@ -407,52 +382,36 @@ def fs_verify(inst: SDPInstance, proof: NIZKProof, context: bytes) -> bool:
     try:
         if not all(isinstance(com, CommitmentMsg) for com in proof.commitments):
             return False
-        if not all(isinstance(rsp, Response) and rsp.kind in OPENS and _opens_its_slots(rsp) for rsp in proof.responses):
-            return False
         rounds = _proof_rounds(len(proof.commitments))
         if len(proof.responses) != rounds:
             return False
-        return _proof_holds(inst, context, proof.commitments, proof.responses)
+        challenges = derive_challenges(instance_digest(inst), context, proof.commitments, rounds)
+        return all(
+            verify_round(inst, com, ch, rsp)
+            for com, ch, rsp in zip(proof.commitments, challenges, proof.responses)
+        )
     except (ValueError, TypeError, struct.error):
         return False
 
 
 def fs_verify_bytes(inst: SDPInstance, data: bytes, context: bytes) -> bool:
-    """fs_verify on serialized proof bytes, checked in place: one walk with
-    decode_proof's refusals (each counts as rejection), then the round check
-    on each round's slices; no CommitmentMsg or Response is built."""
+    """fs_verify on serialized proof bytes; parse failures count as rejection."""
     try:
-        commitments, responses = _read_proof(data)
+        proof = decode_proof(data)
     except (ValueError, TypeError, struct.error):
         return False
-    return _proof_holds(inst, context, commitments, responses)
-
-
-def _proof_holds(inst: SDPInstance, context: bytes, commitments, responses) -> bool:
-    """The one loop of both verifiers: each round's (kind, values, openings)
-    must carry the challenge derived from all commitments and pass the round
-    check.  Responses are Response objects or the same fields as slices."""
-    challenges = derive_challenges(instance_digest(inst), context, commitments, len(commitments))
-    return all(
-        kind == ch and _round_holds(inst, com, ch, values, openings)
-        for com, ch, (kind, values, openings) in zip(commitments, challenges, responses)
-    )
+    return fs_verify(inst, proof, context)
 
 
 # --- serialization ---
 
 def encode_response(rsp: Response) -> bytes:
     """Kind byte, the opened values in OPENS order, then their openings."""
-    return b"".join(_response_parts(rsp))
-
-
-def _response_parts(rsp: Response) -> tuple[bytes, ...]:
-    """encode_response's parts, in order; ValueError on a misshapen response."""
     if rsp.kind not in OPENS:
         raise ValueError(f"cannot encode response of kind {rsp.kind!r}")
     if not _opens_its_slots(rsp):
         raise ValueError(f"a kind {rsp.kind} response must hold one bytes value and opening per slot it opens")
-    return (bytes([rsp.kind]), *rsp.values, *rsp.openings)
+    return bytes([rsp.kind]) + b"".join(rsp.values) + b"".join(rsp.openings)
 
 
 def max_response_bytes(n: int) -> int:
@@ -464,13 +423,6 @@ def max_response_bytes(n: int) -> int:
 
 
 def decode_response_from(data: bytes, offset: int = 0) -> tuple[Response, int]:
-    fields, end = _read_response(data, offset)
-    return Response(*fields), end
-
-
-def _read_response(data: bytes, offset: int) -> tuple[tuple, int]:
-    """The response at offset as (kind, values, openings), slices of data in
-    OPENS order; returns it and the next offset."""
     if len(data) <= offset:
         raise ValueError("empty response")
     kind = data[offset]
@@ -482,7 +434,7 @@ def _read_response(data: bytes, offset: int) -> tuple[tuple, int]:
     middle, end = offset + OPENING_BYTES, offset + 2 * OPENING_BYTES
     if len(data) < end:
         raise ValueError("truncated message")
-    return (kind, (value1, value2), (data[offset:middle], data[middle:end])), end
+    return Response(kind, (value1, value2), (data[offset:middle], data[middle:end])), end
 
 
 def decode_response(data: bytes) -> Response:
@@ -493,23 +445,16 @@ def decode_response(data: bytes) -> Response:
 
 
 def encode_proof(proof: NIZKProof) -> bytes:
-    """Magic, round count, then each round's commitment and response, joined once."""
     parts = [PROOF_MAGIC, struct.pack("<I", proof.rounds)]
     for com, rsp in zip(proof.commitments, proof.responses):
-        parts += com.encode(), *_response_parts(rsp)
+        parts.append(com.encode())
+        parts.append(encode_response(rsp))
     return b"".join(parts)
 
 
 def decode_proof(data: bytes) -> NIZKProof:
     """Parse proof bytes.  Any other buffer is copied to bytes once, so every
     field is bytes; memoryview refuses an int or a str (TypeError)."""
-    commitments, responses = _read_proof(data)
-    return NIZKProof(tuple(CommitmentMsg(*com) for com in commitments), tuple(Response(*rsp) for rsp in responses))
-
-
-def _read_proof(data: bytes) -> tuple[list, list]:
-    """Walk proof bytes once: each round's three digests and its response's
-    (kind, values, openings), all slices.  Raises what decode_proof raises."""
     if not isinstance(data, bytes):
         data = memoryview(data).tobytes()
     if data[:4] != PROOF_MAGIC:
@@ -524,9 +469,9 @@ def _read_proof(data: bytes) -> tuple[list, list]:
         c2, c3, end = offset + DIGEST_BYTES, offset + 2 * DIGEST_BYTES, offset + COMMITMENT_BYTES
         if len(data) < end:
             raise ValueError("truncated message")
-        commitments.append((data[offset:c2], data[c2:c3], data[c3:end]))
-        rsp, offset = _read_response(data, end)
+        commitments.append(CommitmentMsg(data[offset:c2], data[c2:c3], data[c3:end]))
+        rsp, offset = decode_response_from(data, end)
         responses.append(rsp)
     if offset != len(data):
         raise ValueError("trailing bytes after proof")
-    return commitments, responses
+    return NIZKProof(commitments=tuple(commitments), responses=tuple(responses))

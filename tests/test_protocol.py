@@ -3,6 +3,7 @@
 import hashlib
 import random
 import time
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +23,8 @@ from sdzkp.crypto import (
     tuple_sub,
     verify_commitment,
 )
-from sdzkp.instance import Witness, plant_instance, validate_witness
-from sdzkp.perm import Permutation, compose_images, hamming, random_perm
+from sdzkp.instance import Witness, make_instance, plant_instance, validate_witness
+from sdzkp.perm import Permutation, compose_images, hamming, identity, random_perm
 from sdzkp.protocol import (
     CHALLENGES,
     CommitmentMsg,
@@ -49,7 +50,6 @@ from sdzkp.protocol import (
     prover_commit,
     prover_respond,
     run_interactive,
-    unmask,
     verifier_challenge,
     verify_round,
 )
@@ -169,6 +169,17 @@ def test_missing_fields_rejected(planted):
     com = state.commitment
     assert not verify_round(inst, com, 0, Response(0, (), ()))
     assert not verify_round(inst, com, 2, Response(2, (state.values[Z1],), ()))
+
+
+@cache
+def _trivial_instance(n):
+    return make_instance(identity(n), (identity(n),), 0)
+
+
+def unmask(z, seed, n):
+    """The permutation that the verifier unmasks from a challenge-0 opening
+    of z under seed at degree n (opened_member on a degree-n instance)."""
+    return opened_member(_trivial_instance(n), 0, Response(0, (z, seed), (b"", b"")))
 
 
 def test_non_permutation_unmask_rejected(planted):
