@@ -24,7 +24,7 @@ from typing import Callable
 from .crypto import apply_mask, differing_words, encode_words, fresh_seed, tuple_add
 from .group import BSGS
 from .instance import SDPInstance, Witness
-from .perm import Permutation, compose, hamming, inverse, random_support_perm
+from .perm import Permutation, _sample, compose, hamming, inverse, random_support_perm
 from .protocol import (
     CHALLENGES,
     OPENS,
@@ -128,7 +128,7 @@ def _noise_tuple(n: int, k: int, rng: Random) -> tuple[int, ...]:
     """A length-n tuple with exactly k nonzero u32 entries at random positions."""
     noise = [0] * n
     getrandbits = rng.getrandbits
-    for pos in rng.sample(range(n), k):
+    for pos in _sample(n, k, rng):
         # 1 + a uniform r < 2^32 - 1, drawn with the getrandbits calls
         # rng.randrange(1, 1 << 32) makes.
         r = getrandbits(32)
@@ -171,7 +171,7 @@ def make_cheating_prover(inst: SDPInstance, targets: frozenset[int] | set[int], 
         else:  # the noise goes on Z2 when 0 is covered, on Z1 when 1 is
             member = ops.encode(group.sample_uniform(rng).images)
             if 1 in targets:
-                member = ops.mul(member, inst.target_tables[0])
+                member = ops.then(inst.target_tables[0], member)
             # the noisy words are arbitrary u32s, not the words of any permutation
             noisy = tuple_add(ops.decode(member), _noise_tuple(n, k, rng))
             pair = apply_mask(seed, n, ops.words(member), encode_words(noisy))
@@ -221,7 +221,7 @@ def _simulated_state(inst: SDPInstance, guess: int, rng: Random) -> ProverState:
     if guess < 2:
         return prover_round(inst, ops.ident, rng)
     tau = ops.encode(random_support_perm(inst.degree, inst.max_distance, rng).images)
-    return masked_round(inst, ops.ident, ops.mul(tau, inst.target_tables[0]), fresh_seed(rng), rng)
+    return masked_round(inst, ops.ident, ops.then(inst.target_tables[0], tau), fresh_seed(rng), rng)
 
 
 def simulate(

@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations
 from math import factorial, prod
+from operator import itemgetter
 from random import Random
 from typing import Sequence
 
 from .crypto import encode_words
-from .perm import Permutation, compose_images, invert_images
+from .perm import Permutation, _sample, invert_images
 
 _BYTES_IDENT = bytes(range(256))
 
@@ -41,9 +42,11 @@ _BYTES_IDENT = bytes(range(256))
 class _ByteOps:
     """Permutations as padded 256-byte tables; compose via C-level translate.
 
-    words(a) spreads a's n images into n little-endian u32 words, one slice
-    assignment; from_words(d) takes them back, or None unless they are a
-    permutation of 0..n-1."""
+    then(p, a) is the product a∘p, its factors named in the order they act:
+    for tables that is bytes.translate itself, so no product calls a Python
+    function.  words(a) spreads a's n images into n little-endian u32 words,
+    one slice assignment; from_words(d) takes them back, or None unless they
+    are a permutation of 0..n-1."""
 
     __slots__ = ("degree", "ident")
 
@@ -57,13 +60,12 @@ class _ByteOps:
     def decode(self, raw):
         return tuple(raw[: self.degree])
 
-    @staticmethod
-    def mul(a, b):
-        return b.translate(a)
+    then = staticmethod(bytes.translate)
 
     @staticmethod
     def inv(a):
-        return bytes(invert_images(a))
+        # a table maps a[i] back to i: the inverse, as one C call
+        return bytes.maketrans(a, _BYTES_IDENT)
 
     def words(self, a) -> bytearray:
         n = self.degree
@@ -99,7 +101,10 @@ class _TupleOps:
     def decode(self, raw):
         return raw
 
-    mul = staticmethod(compose_images)
+    @staticmethod
+    def then(p, a):
+        return itemgetter(*p)(a)  # compose_images(a, p); degree > 256 here
+
     inv = staticmethod(invert_images)
 
     words = staticmethod(encode_words)
@@ -143,9 +148,9 @@ class _Level:
             self.gen_set.add(g)
 
 
-def _sift(levels: list[_Level], mul, p, start: int = 0):
+def _sift(levels: list[_Level], then, p, start: int = 0):
     """Strip p through levels[start:]; returns (residue, index of the level
-    whose orbit misses p's image, or len(levels))."""
+    whose orbit misses p's image, or len(levels)).  then is ops.then."""
     for idx in range(start, len(levels)):
         level = levels[idx]
         y = p[level.point]
@@ -154,7 +159,7 @@ def _sift(levels: list[_Level], mul, p, start: int = 0):
         u_inv = level.inv_transversal.get(y)
         if u_inv is None:
             return p, idx
-        p = mul(u_inv, p)
+        p = then(p, u_inv)
     return p, len(levels)
 
 
@@ -186,6 +191,7 @@ class _ChainBuilder:
         Existing representatives are kept untouched so earlier Schreier
         checks against them remain valid."""
         ops = self.ops
+        then, inv = ops.then, ops.inv
         t = level.transversal
         if not t:
             t[level.point] = ops.ident
@@ -197,9 +203,9 @@ class _ChainBuilder:
             for g in level.gens:
                 z = g[y]
                 if z not in t:
-                    u_z = ops.mul(g, u_y)
+                    u_z = then(u_y, g)
                     t[z] = u_z
-                    level.inv_transversal[z] = ops.inv(u_z)
+                    level.inv_transversal[z] = inv(u_z)
                     queue.append(z)
 
     def complete_level(self, i: int) -> None:
@@ -212,7 +218,7 @@ class _ChainBuilder:
         """
         level = self.levels[i]
         self.extend_orbit(level)
-        mul = self.ops.mul
+        then = self.ops.then
         ident = self.ops.ident
         verified = level.verified
         # level.gens and hence this orbit never change inside this call;
@@ -227,12 +233,12 @@ class _ChainBuilder:
                 if key in verified:
                     continue
                 verified.add(key)
-                w = mul(g, u_y)
+                w = then(u_y, g)
                 z = g[y]
                 if w == level.transversal[z]:
                     continue
-                sgen = mul(level.inv_transversal[z], w)
-                residue, j = _sift(self.levels, mul, sgen, i + 1)
+                sgen = then(w, level.inv_transversal[z])
+                residue, j = _sift(self.levels, then, sgen, i + 1)
                 if residue == ident:
                     continue
                 if j == len(self.levels):
@@ -261,22 +267,36 @@ _PR_TRIES = 250
 
 
 def _cycle_lengths(p, degree: int) -> list[int]:
+    """The lengths of p's cycles, in the order of their smallest points."""
     seen = bytearray(degree)
     lengths = []
     for start in range(degree):
-        length = 0
-        x = start
-        while not seen[x]:
+        if seen[start]:
+            continue
+        length = 1
+        x = p[start]
+        while x != start:
             seen[x] = 1
             x = p[x]
             length += 1
-        if length:
-            lengths.append(length)
+        lengths.append(length)
     return lengths
 
 
 def _is_odd(p, degree: int) -> bool:
-    return (degree - len(_cycle_lengths(p, degree))) % 2 == 1
+    """Parity of p: the number of transpositions its cycles split into, one
+    per step along a cycle back to its smallest point."""
+    seen = bytearray(degree)
+    swaps = 0
+    for start in range(degree):
+        if seen[start]:
+            continue
+        x = p[start]
+        while x != start:
+            seen[x] = 1
+            x = p[x]
+            swaps += 1
+    return swaps & 1 == 1
 
 
 def _is_transitive(gens, degree: int) -> bool:
@@ -295,6 +315,7 @@ def _is_transitive(gens, degree: int) -> bool:
     return reached == degree
 
 
+@lru_cache(maxsize=64)  # degrees come from instance files; keep a few
 def _jordan_primes(degree: int) -> frozenset[int]:
     """The primes p with degree/2 < p < degree - 2."""
     return frozenset(
@@ -321,13 +342,13 @@ def _certify_giant(ops, gens: tuple[Permutation, ...]) -> bool:
     primes = _jordan_primes(degree)
     seed = hashlib.sha256(b"".join(g.to_bytes() for g in gens)).digest()
     rng = Random(int.from_bytes(seed, "big"))
-    mul = ops.mul
+    then = ops.then
     slots = [raw[i % len(raw)] for i in range(max(_PR_SLOTS, len(raw)))]
     acc = ops.ident
     for step in range(_PR_WARMUP + _PR_TRIES):
-        i, j = rng.sample(range(len(slots)), 2)
-        slots[i] = mul(slots[i], slots[j]) if rng.random() < 0.5 else mul(slots[j], slots[i])
-        acc = mul(acc, slots[i])
+        i, j = _sample(len(slots), 2, rng)
+        slots[i] = then(slots[j], slots[i]) if rng.random() < 0.5 else then(slots[i], slots[j])
+        acc = then(slots[i], acc)
         if step >= _PR_WARMUP and not primes.isdisjoint(_cycle_lengths(acc, degree)):
             return True
     return False
@@ -352,7 +373,8 @@ class BSGS:
         if levels is None:
             self.base = tuple(range(ops.degree - (2 if alternating else 1)))
             # Level i's draw in sample_uniform: (i, range size, its bit length).
-            self._draws = tuple((i, ops.degree - i, (ops.degree - i).bit_length()) for i in self.base)
+            sizes = range(ops.degree, ops.degree - len(self.base), -1)
+            self._draws = tuple(zip(self.base, sizes, map(int.bit_length, sizes)))
             self._order = factorial(ops.degree) // (2 if alternating else 1)
         else:
             self.base = tuple(level.point for level in levels)
@@ -400,7 +422,7 @@ class BSGS:
             p = self.ops.encode(p.images)
         if self._levels is None:
             return not (self._alternating and _is_odd(p, self.degree))
-        residue, _ = _sift(self._levels, self.ops.mul, p)
+        residue, _ = _sift(self._levels, self.ops.then, p)
         return residue == self.ops.ident
 
     def order(self) -> int:
@@ -429,13 +451,13 @@ class BSGS:
                     z = n - 1 if y != n - 1 else n - 2
                     images[i], images[y], images[z] = images[y], images[z], images[i]
             return Permutation._trusted(tuple(images))
-        mul = self.ops.mul
+        then = self.ops.then
         acc = None
         for reps, m, k in self._draws:
             r = getrandbits(k)
             while r >= m:
                 r = getrandbits(k)
-            acc = reps[r] if acc is None else mul(acc, reps[r])
+            acc = reps[r] if acc is None else then(reps[r], acc)
         return Permutation._trusted(self.ops.decode(acc if acc is not None else self.ops.ident))
 
     def elements(self, limit: int) -> list[Permutation]:
@@ -448,10 +470,10 @@ class BSGS:
             raise ValueError(f"group order {self._order} exceeds enumeration limit {limit}")
         if self._levels is None:
             return [p for p in map(Permutation, permutations(range(self.degree))) if self.contains(p)]
-        mul = self.ops.mul
+        then = self.ops.then
         elems = [self.ops.ident]
         for level in reversed(self._levels):
-            elems = [mul(u, e) for u in level.reps for e in elems]
+            elems = [then(e, u) for u in level.reps for e in elems]
         return [Permutation(self.ops.decode(e)) for e in elems]
 
 
@@ -492,6 +514,6 @@ def build_bsgs(generators: Sequence[Permutation]) -> BSGS:
     # The chain invariant: every input and strong generator strips to the
     # identity.  Each distinct generator is sifted once.
     for g in dict.fromkeys([*raw, *(g for level in levels for g in level.gens)]):
-        if _sift(levels, ops.mul, g)[0] != ops.ident:
+        if _sift(levels, ops.then, g)[0] != ops.ident:
             raise RuntimeError("stabilizer chain failed self-check")
     return BSGS(ops, gens, levels)

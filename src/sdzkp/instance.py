@@ -15,7 +15,7 @@ from random import Random
 from typing import NamedTuple
 
 from .group import BSGS, build_bsgs
-from .perm import Permutation, compose, hamming, random_perm, random_support_perm
+from .perm import Permutation, _shuffle, compose, hamming, random_perm, random_support_perm
 
 INSTANCE_MAGIC = b"SDZ1"
 WITNESS_MAGIC = b"SDW1"
@@ -106,7 +106,7 @@ def _abelian2_generators(n: int, num_gens: int, rng: Random) -> list[Permutation
     if n < 2:
         raise ValueError("abelian2 preset needs degree at least 2")
     points = list(range(n))
-    rng.shuffle(points)
+    _shuffle(points, rng)
     pairs = [(points[2 * i], points[2 * i + 1]) for i in range(n // 2)]
     gens = []
     for _ in range(num_gens):
@@ -117,7 +117,7 @@ def _abelian2_generators(n: int, num_gens: int, rng: Random) -> list[Permutation
         images = list(range(n))
         for a, b in chosen:
             images[a], images[b] = images[b], images[a]
-        gens.append(Permutation(tuple(images)))
+        gens.append(Permutation._trusted(tuple(images)))  # the identity with pairs swapped
     return gens
 
 

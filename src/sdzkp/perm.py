@@ -8,6 +8,7 @@ positions where their one-line forms differ; it is bi-invariant and never 1.
 
 from __future__ import annotations
 
+from math import ceil, log
 from operator import itemgetter, ne
 from random import Random
 
@@ -29,6 +30,9 @@ def invert_images(a):
     return tuple(inv)
 
 
+_PLAIN_INTS = frozenset((int, bool))
+
+
 class Permutation:
     """An immutable permutation stored as its one-line image tuple."""
 
@@ -44,6 +48,11 @@ class Permutation:
         images = tuple(self.images)
         object.__setattr__(self, "images", images)
         n = len(images)
+        # C-level accept path: plain ints (or bools) that sort to 0..n-1.
+        # Anything else, int subclasses included, takes the loop below, which
+        # accepts or names the first offending image.
+        if n and set(map(type, images)) <= _PLAIN_INTS and sorted(images) == list(range(n)):
+            return
         if n == 0:
             raise ValueError("permutation degree must be at least 1")
         seen = bytearray(n)
@@ -136,13 +145,58 @@ def hamming(a: Permutation, b: Permutation) -> int:
     return sum(map(ne, a.images, b.images))
 
 
+def _shuffle(x: list, rng: Random) -> None:
+    """rng.shuffle(x), drawn with the getrandbits calls its _randbelow makes
+    (CPython 3.10-3.12): the same order and the same rng state after."""
+    getrandbits = rng.getrandbits
+    for m in range(len(x), 1, -1):  # swap x[m - 1] with a uniform x[j], j < m
+        b = m.bit_length()
+        j = getrandbits(b)
+        while j >= m:
+            j = getrandbits(b)
+        x[m - 1], x[j] = x[j], x[m - 1]
+
+
+def _sample(n: int, k: int, rng: Random) -> list[int]:
+    """rng.sample(range(n), k), drawn with the getrandbits calls it makes
+    (CPython 3.10-3.12): a pool of the unpicked when n is at most its set
+    size, else redraws against a set of the picked."""
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    if n <= setsize:
+        pool = list(range(n))
+        picked = []
+        for m in range(n, n - k, -1):
+            b = m.bit_length()
+            j = getrandbits(b)
+            while j >= m:
+                j = getrandbits(b)
+            picked.append(pool[j])
+            pool[j] = pool[m - 1]
+        return picked
+    b = n.bit_length()
+    picked = []
+    seen = set()
+    for _ in range(k):
+        j = getrandbits(b)
+        while j >= n or j in seen:
+            j = getrandbits(b)
+        seen.add(j)
+        picked.append(j)
+    return picked
+
+
 def random_perm(n: int, rng: Random) -> Permutation:
     """Uniformly random permutation of degree n."""
     if n < 1:
         raise ValueError("degree must be at least 1")
     images = list(range(n))
-    rng.shuffle(images)
-    return Permutation(tuple(images))
+    _shuffle(images, rng)
+    return Permutation._trusted(tuple(images))
 
 
 def random_support_perm(n: int, m: int, rng: Random) -> Permutation:
@@ -159,10 +213,10 @@ def random_support_perm(n: int, m: int, rng: Random) -> Permutation:
         raise ValueError("no permutation moves exactly one point")
     if m < 0 or m > n:
         raise ValueError(f"support size {m} out of range for degree {n}")
-    points = rng.sample(range(n), m)
+    points = _sample(n, m, rng)
     values = points[:]
     while True:
-        rng.shuffle(values)
+        _shuffle(values, rng)
         if all(p != v for p, v in zip(points, values)):
             break
     images = list(range(n))

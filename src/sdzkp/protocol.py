@@ -192,7 +192,7 @@ def masked_round(inst: SDPInstance, u, x, seed: bytes, rng: Random) -> ProverSta
     u and x are in the raw form of inst.group.ops; each product is spread
     straight into the u32 lanes apply_mask masks."""
     ops = inst.group.ops
-    z1, z2 = apply_mask(seed, inst.degree, ops.words(ops.mul(u, x)), ops.words(ops.mul(u, inst.target_tables[0])))
+    z1, z2 = apply_mask(seed, inst.degree, ops.words(ops.then(x, u)), ops.words(ops.then(inst.target_tables[0], u)))
     return commit_round(z1, z2, seed, rng)
 
 
@@ -224,7 +224,7 @@ def _member(inst: SDPInstance, challenge: int, z: bytes, seed: bytes):
     iff they are a permutation of {0, .., n-1}."""
     ops = inst.group.ops
     opened = ops.from_words(remove_mask(z, seed, inst.degree))
-    return ops.mul(opened, inst.target_tables[1]) if challenge and opened is not None else opened
+    return ops.then(inst.target_tables[1], opened) if challenge and opened is not None else opened
 
 
 def require_witness(inst: SDPInstance, wit: Witness) -> None:

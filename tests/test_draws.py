@@ -2,20 +2,28 @@
 
 sample_uniform, the challenges, the simulator's guess, the cheating noise,
 commitment openings and mask seeds call rng.getrandbits themselves instead
-of rng.randrange or rng.randbytes.  Each must return what the stdlib call
-returns and leave the rng where it leaves it, so seeded proofs stay
-byte-identical; the next rng.random() tells the two states apart.
+of rng.randrange or rng.randbytes, and perm._sample and perm._shuffle walk
+rng.sample and rng.shuffle for random_perm, random_support_perm, the
+abelian2 generators, the giant certificate and the noise positions.  Each
+must return what the stdlib call returns and leave the rng where it leaves
+it, so seeded instances and proofs stay byte-identical; the next
+rng.random() tells the two states apart.
 """
 
+import math
 import random
+import struct
 
 import pytest
 
 import sdzkp.analysis as analysis
+import sdzkp.group as group
+import sdzkp.instance as instance
+import sdzkp.perm as perm
 from sdzkp.crypto import COMMIT_TAGS, OPENING_BYTES, SEED_BYTES, commit, fresh_seed, verify_commitment
 from sdzkp.group import build_bsgs
-from sdzkp.instance import plant_instance
-from sdzkp.perm import Permutation
+from sdzkp.instance import instance_to_bytes, plant_instance, witness_to_bytes
+from sdzkp.perm import Permutation, _sample, _shuffle, random_perm, random_support_perm
 from sdzkp.protocol import uniform_challenge, verifier_challenge
 
 SEEDS = range(50)
@@ -59,7 +67,7 @@ def randrange_walk(grp, rng):
     ops = grp.ops
     acc = ops.ident
     for level in grp._levels:
-        acc = ops.mul(acc, level.reps[rng.randrange(len(level.reps))])
+        acc = ops.then(level.reps[rng.randrange(len(level.reps))], acc)
     return ops.decode(acc)
 
 
@@ -135,3 +143,134 @@ def test_commit_openings_and_seeds_match_randbytes():
             assert verify_commitment(digest, b"message", tag, opening)
         assert fresh_seed(fast) == slow.randbytes(SEED_BYTES)
         assert same_state(fast, slow)
+
+
+# --- rng.sample and rng.shuffle ---
+
+def stdlib_sample(n, k, rng):
+    return rng.sample(range(n), k)
+
+
+def stdlib_shuffle(x, rng):
+    rng.shuffle(x)
+
+
+def takes_set_branch(n, k):
+    """rng.sample's choice: a pool of n when n is at most its set size (21,
+    plus 4^ceil(log4(3k)) past k = 5), else redraws against a set."""
+    return n > 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+
+
+# Each side of both branch boundaries, k = n (whose last pick is from a pool
+# of one, still one getrandbits(1) call), and k = 0.
+SAMPLES = [(1, 1), (5, 0), (10, 2), (21, 2), (22, 2), (24, 2), (16, 4), (16, 16), (40, 8), (85, 8), (86, 8),
+           (100, 6), (277, 75), (278, 75), (300, 75), (300, 300)]
+
+
+def test_sample_cases_take_both_branches():
+    assert {takes_set_branch(n, k) for n, k in SAMPLES} == {False, True}
+    assert not takes_set_branch(277, 75) and takes_set_branch(278, 75)
+
+
+@pytest.mark.parametrize("n, k", SAMPLES)
+def test_sample_matches_rng_sample(n, k):
+    for fast, slow in paired_rngs():
+        assert _sample(n, k, fast) == slow.sample(range(n), k)
+        assert same_state(fast, slow)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 128, 256, 257, 300])
+def test_shuffle_matches_rng_shuffle(n):
+    for fast, slow in paired_rngs():
+        x, y = list(range(n)), list(range(n))
+        _shuffle(x, fast)
+        slow.shuffle(y)
+        assert x == y
+        assert same_state(fast, slow)
+
+
+def test_shuffle_matches_rng_shuffle_at_every_length():
+    for n in range(2, 301):
+        for fast, slow in ((random.Random(n), random.Random(n)), (Rejecting(n), Rejecting(n))):
+            x, y = list(range(n)), list(range(n))
+            _shuffle(x, fast)
+            slow.shuffle(y)
+            assert x == y
+            assert same_state(fast, slow)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 128, 300])
+def test_random_perm_matches_rng_shuffle(n):
+    for fast, slow in paired_rngs():
+        images = list(range(n))
+        slow.shuffle(images)
+        drawn = random_perm(n, fast)
+        assert drawn.images == tuple(images)
+        assert Permutation(drawn.images) == drawn
+        assert same_state(fast, slow)
+
+
+def stdlib_support_perm(n, m, rng):
+    """random_support_perm written with rng.sample and rng.shuffle."""
+    points = rng.sample(range(n), m)
+    values = points[:]
+    while True:
+        rng.shuffle(values)
+        if all(p != v for p, v in zip(points, values)):
+            break
+    images = list(range(n))
+    for p, v in zip(points, values):
+        images[p] = v
+    return tuple(images)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (16, 4), (16, 16), (128, 32), (300, 75), (300, 300)])
+def test_random_support_perm_matches_rng_sample_and_shuffle(n, m):
+    for fast, slow in paired_rngs():
+        assert random_support_perm(n, m, fast).images == stdlib_support_perm(n, m, slow)
+        assert same_state(fast, slow)
+
+
+@pytest.mark.parametrize("n, gens, k, preset", [(16, 3, 4, "general"), (64, 3, 16, "general"),
+                                                (16, 5, 4, "abelian2"), (64, 16, 16, "abelian2"),
+                                                (260, 8, 64, "abelian2")])
+def test_planting_matches_the_stdlib_helpers(monkeypatch, n, gens, k, preset):
+    """plant_instance with every helper it reaches swapped for rng.sample and
+    rng.shuffle: the generators, the certificate, h and tau all agree."""
+    seeds = range(10) if n < 260 else range(2)
+    fast_rngs = [random.Random(seed) for seed in seeds] + [Rejecting(seed) for seed in seeds]
+    slow_rngs = [random.Random(seed) for seed in seeds] + [Rejecting(seed) for seed in seeds]
+    planted = [plant_instance(n, gens, k, rng, preset=preset) for rng in fast_rngs]
+    for module in (perm, instance, group):
+        for name, stdlib in (("_sample", stdlib_sample), ("_shuffle", stdlib_shuffle)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, stdlib)
+    for (inst, wit), fast, slow in zip(planted, fast_rngs, slow_rngs):
+        expected = plant_instance(n, gens, k, slow, preset=preset)
+        assert instance_to_bytes(inst) + witness_to_bytes(wit) == instance_to_bytes(expected[0]) + witness_to_bytes(
+            expected[1])
+        assert same_state(fast, slow)
+
+
+@pytest.mark.parametrize("n, count", [(8, 3), (64, 3), (64, 24), (300, 2)])
+def test_certificate_search_matches_rng_sample(monkeypatch, n, count):
+    """The elements the giant certificate tests, with its slot pairs drawn by
+    _sample and by rng.sample; 24 generators make slots past the pool branch."""
+    rng = random.Random(n + count)
+    gens = tuple(random_perm(n, rng) for _ in range(count))
+
+    def search():
+        tested = []
+        with monkeypatch.context() as patched:
+            cycle_lengths = group._cycle_lengths
+
+            def recording(p, degree):
+                tested.append(struct.pack(f"<{degree}I", *p[:degree]))
+                return cycle_lengths(p, degree)
+
+            patched.setattr(group, "_cycle_lengths", recording)
+            return group._certify_giant(group.make_ops(n), gens), tested
+
+    fast = search()
+    monkeypatch.setattr(group, "_sample", stdlib_sample)
+    assert search() == fast

@@ -1,14 +1,18 @@
 """Stabilizer-chain construction checked against brute-force closure."""
 
 import hashlib
+import itertools
 import math
 import random
+import struct
 
 import pytest
 
+import sdzkp.group as group
+
 from sdzkp.group import BSGS, _certify_giant, _ChainBuilder, _Level, make_ops, _normalize, build_bsgs
 from sdzkp.instance import plant_instance
-from sdzkp.perm import Permutation, compose, identity, inverse, random_perm
+from sdzkp.perm import Permutation, compose, compose_images, identity, inverse, invert_images, random_perm
 
 
 def closure(gens):
@@ -325,6 +329,84 @@ def test_small_degrees_skip_the_certificate():
     gens = [cycle_perm(7, (0, 1)), cycle_perm(7, tuple(range(7)))]
     assert not certified(gens)
     assert build_bsgs(gens).order() == math.factorial(7)
+
+
+def parity_probes(n, rng):
+    """The identity, a transposition, an n-cycle, a product of a 2-cycle and
+    a 3-cycle, and random permutations of degree n."""
+    probes = [identity(n), cycle_perm(n, (0, n - 1)), cycle_perm(n, tuple(range(n)))]
+    if n >= 5:
+        probes.append(cycle_perm(n, (0, 1), (2, 3, 4)))
+    return probes + [random_perm(n, rng) for _ in range(40)]
+
+
+@pytest.mark.parametrize("n", [9, 128, 256, 260, 300])
+def test_parity_walk_matches_the_cycle_count(n):
+    rng = random.Random(n)
+    ops = make_ops(n)
+    for p in parity_probes(n, rng):
+        expected = (n - len(group._cycle_lengths(p.images, n))) % 2 == 1
+        assert expected == is_odd(p)
+        assert group._is_odd(p.images, n) == expected
+        assert group._is_odd(ops.encode(p.images), n) == expected  # a byte table up to n = 256
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 9, 128, 255, 256, 260])
+def test_raw_inverse_and_then_match_the_image_tuple_forms(n):
+    """ops.inv (bytes.maketrans for tables) against invert_images, and
+    ops.then(q, a) against a∘q; every permutation of degree up to 6."""
+    rng = random.Random(n)
+    ops = make_ops(n)
+    probes = map(Permutation, itertools.permutations(range(n))) if n <= 6 else parity_probes(n, rng)
+    for p in probes:
+        a, q = ops.encode(p.images), ops.encode(random_perm(n, rng).images)
+        assert ops.inv(a) == ops.encode(invert_images(p.images))
+        assert ops.then(a, ops.inv(a)) == ops.then(ops.inv(a), a) == ops.ident
+        assert ops.then(q, a) == ops.encode(compose_images(p.images, ops.decode(q)))
+
+
+def shuffled_gens(n, count, seed):
+    """count permutations of degree n, each a stdlib shuffle of 0..n-1."""
+    rng = random.Random(seed)
+    gens = []
+    for _ in range(count):
+        images = list(range(n))
+        rng.shuffle(images)
+        gens.append(Permutation(tuple(images)))
+    return tuple(gens)
+
+
+# (verdict, elements tested for a prime cycle, SHA-256 of those elements as
+# u32 words), computed while the search drew its slot pair with rng.sample.
+# 24 generators make 24 slots, past the 21 where rng.sample's pool branch
+# stops; one 64-cycle spans a transitive group that is no giant, so every
+# checked step is tested.
+@pytest.mark.parametrize("gens, pin", [
+    pytest.param(shuffled_gens(8, 3, 11), (True, 1,
+                 "ec96d4ccbb323f858770843de80e37c795e8d1c422014492a2235f458814ba31"), id="8x3"),
+    pytest.param(shuffled_gens(64, 3, 67), (True, 14,
+                 "6d4bf9492a13e63cc3f66e51cfef071d743220fceec46532db13fc18ef0c7cbd"), id="64x3"),
+    pytest.param(shuffled_gens(64, 24, 88), (True, 1,
+                 "8893619a08c0c972dd679a1a209375d3d858bc2188fe2929f5e6c0cac0516b0b"), id="64x24"),
+    pytest.param(shuffled_gens(128, 3, 131), (True, 14,
+                 "30035ca4cdaa65a193cae5874f383a9b4f24a36d21f8bf687d595dbd8e0166d7"), id="128x3"),
+    pytest.param(shuffled_gens(260, 3, 263), (True, 42,
+                 "e3b83393ab344b48aded0c2da0b82f0c8be9b2919955d177eeeefaa415ef9688"), id="260x3"),
+    pytest.param((cycle_perm(64, tuple(range(64))),),
+                 (False, 250, "e619da5b514f068cb6fbea3db92b8b4e337be16b018857a94f751aff4446a501"), id="c64"),
+])
+def test_certificate_search_is_pinned(monkeypatch, gens, pin):
+    n = gens[0].n
+    tested = []
+    cycle_lengths = group._cycle_lengths
+
+    def recording(p, degree):
+        tested.append(struct.pack(f"<{degree}I", *p[:degree]))
+        return cycle_lengths(p, degree)
+
+    monkeypatch.setattr(group, "_cycle_lengths", recording)
+    verdict = _certify_giant(make_ops(n), gens)
+    assert (verdict, len(tested), hashlib.sha256(b"".join(tested)).hexdigest()) == pin
 
 
 # --- closed forms of a certified giant ---

@@ -1,6 +1,7 @@
 """Instance planting, witness checks, and the on-disk formats."""
 
 import copy
+import hashlib
 import pickle
 import random
 
@@ -35,6 +36,23 @@ def test_planted_distance_is_exact():
         assert inst.max_distance == k
         assert hamming(wit.element, inst.target) == k
         assert validate_witness(inst, wit.element)
+
+
+# SHA-256 of instance_to_bytes + witness_to_bytes for
+# plant_instance(n, gens, k, Random(n), preset), computed while planting still
+# drew through rng.shuffle and rng.sample; the n = 260 abelian2 instance is
+# the tuple chain the FS proof pin plants.
+@pytest.mark.parametrize("n, gens, k, preset, digest", [
+    (16, 3, 4, "general", "6a16a0145f9df1ab7e54f83df75f6b8df5551f59d27c630aa1bca38450cc6297"),  # A_16
+    (128, 3, 32, "general", "258abc83c79cdebb29b917b0bcdb62c3d8fa24239446952da9350948962a55cd"),  # S_128
+    (260, 3, 65, "general", "fe53a32f92a5ee44582497882b940c6cb9e0949fec4b3f344b3845772a1eb976"),  # A_260
+    (16, 5, 4, "abelian2", "aa1b2b25ce9caaafeeca29dbc464800942d7745c729b7482ed68f36862f2ed45"),
+    (260, 8, 64, "abelian2", "d3c76535bcde6988174619cb69d27086737a2cb69db023b161453ae221a4dd27"),
+])
+def test_planted_instances_are_pinned(n, gens, k, preset, digest):
+    inst, wit = plant_instance(n, gens, k, random.Random(n), preset=preset)
+    data = instance_to_bytes(inst) + witness_to_bytes(wit)
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_planting_rejects_bad_distance():
@@ -140,7 +158,7 @@ def test_target_tables_are_computed_once():
         g, g_inv = inst.target_tables
         assert (g, g_inv) == tables_of(inst)
         assert inst.target_tables is inst.target_tables
-        assert inst.group.ops.mul(g, g_inv) == inst.group.ops.ident
+        assert inst.group.ops.then(g_inv, g) == inst.group.ops.ident
 
 
 @pytest.mark.parametrize("name", ["degree", "max_distance", "target", "generators", "group", "_target_tables", "x"])

@@ -1,10 +1,14 @@
 """Permutation arithmetic, the Hamming metric, and the byte encoding."""
 
 import copy
+import hashlib
 import pickle
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdzkp.crypto import MAX_TUPLE_LENGTH, encode_tuple
 from sdzkp.perm import (
@@ -113,6 +117,68 @@ def test_rejects_non_bijections():
         Permutation(())
 
 
+def element_wise_check(images):
+    """The constructor's element-wise loop, as the reference for its C-level
+    accept path: None where the loop accepts, else the message it raises."""
+    n = len(images)
+    if n == 0:
+        return "permutation degree must be at least 1"
+    seen = bytearray(n)
+    for v in images:
+        if not isinstance(v, int) or not 0 <= v < n:
+            return f"image {v!r} out of range for degree {n}"
+        if seen[v]:
+            return f"image {v} repeated; not a bijection"
+        seen[v] = 1
+    return None
+
+
+class Index(int):
+    """An int subclass: the loop accepts it, the accept path leaves it to the loop."""
+
+
+@st.composite
+def image_tuples(draw):
+    """A permutation of 0..n-1, n in 1..300, with up to four entries replaced
+    by an int subclass, a bool, a float, a negative, an out-of-range int or a
+    repeat."""
+    n = draw(st.integers(1, 300))
+    images = list(draw(st.permutations(range(n))))
+    for _ in range(draw(st.integers(0, 4))):
+        images[draw(st.integers(0, n - 1))] = draw(st.one_of(
+            st.integers(0, n - 1).map(Index),
+            st.booleans(),
+            st.floats(allow_nan=True),
+            st.integers(-3, -1),
+            st.integers(n, n + 3),
+            st.sampled_from(images),
+        ))
+    return tuple(images)
+
+
+@settings(max_examples=400, deadline=None)
+@given(image_tuples())
+def test_constructor_accepts_exactly_what_the_loop_accepts(images):
+    expected = element_wise_check(images)
+    if expected is None:
+        assert Permutation(images).images == images
+        assert Permutation(list(images)).images == images
+    else:
+        with pytest.raises(ValueError) as refused:
+            Permutation(images)
+        assert str(refused.value) == expected
+
+
+@pytest.mark.parametrize("images", [(), (True,), (False,), (True, False), (1, True), (0, 1.0), (0, Index(1))])
+def test_constructor_edge_cases_match_the_loop(images):
+    expected = element_wise_check(images)
+    if expected is None:
+        assert Permutation(images).images == images
+    else:
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            Permutation(images)
+
+
 def test_degree_mismatch_raises():
     a = Permutation((0, 1))
     b = Permutation((0, 1, 2))
@@ -171,6 +237,16 @@ def test_random_support_perm_passes_full_validation(n):
         assert type(tau.images) is tuple
         assert Permutation(tau.images) == tau
         assert len(tau.support()) == m
+
+
+def test_random_support_perm_set_branch_is_pinned():
+    # 75 of 300 points: rng.sample's set branch, since 300 exceeds the 277
+    # points its pool branch takes for 75 picks.  SHA-256 of the draw, as
+    # rng.sample and rng.shuffle made it.
+    tau = random_support_perm(300, 75, random.Random(300))
+    assert len(tau.support()) == 75
+    assert hashlib.sha256(tau.to_bytes()).hexdigest() == (
+        "65263aab6c00eed6ace715a3938548840b9d68134d92aec9ba15f407a719b61c")
 
 
 def test_random_support_perm_edge_cases():
