@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import permutations
-from math import factorial, prod
-from operator import itemgetter
+from math import factorial, isqrt, prod
 from random import Random
 from typing import Sequence
 
 from .crypto import encode_words
-from .perm import Permutation, _sample, invert_images
+from .perm import Permutation, _sample, compose_images, invert_images
 
 _BYTES_IDENT = bytes(range(256))
 
@@ -103,7 +102,7 @@ class _TupleOps:
 
     @staticmethod
     def then(p, a):
-        return itemgetter(*p)(a)  # compose_images(a, p); degree > 256 here
+        return compose_images(a, p)
 
     inv = staticmethod(invert_images)
 
@@ -284,19 +283,7 @@ def _cycle_lengths(p, degree: int) -> list[int]:
 
 
 def _is_odd(p, degree: int) -> bool:
-    """Parity of p: the number of transpositions its cycles split into, one
-    per step along a cycle back to its smallest point."""
-    seen = bytearray(degree)
-    swaps = 0
-    for start in range(degree):
-        if seen[start]:
-            continue
-        x = p[start]
-        while x != start:
-            seen[x] = 1
-            x = p[x]
-            swaps += 1
-    return swaps & 1 == 1
+    return (degree - len(_cycle_lengths(p, degree))) % 2 == 1
 
 
 def _is_transitive(gens, degree: int) -> bool:
@@ -315,13 +302,13 @@ def _is_transitive(gens, degree: int) -> bool:
     return reached == degree
 
 
-@lru_cache(maxsize=64)  # degrees come from instance files; keep a few
 def _jordan_primes(degree: int) -> frozenset[int]:
-    """The primes p with degree/2 < p < degree - 2."""
-    return frozenset(
-        p for p in range(degree // 2 + 1, degree - 2)
-        if all(p % d for d in range(2, int(p ** 0.5) + 1))
-    )
+    """The primes p with degree/2 < p < degree - 2, by a sieve below degree."""
+    sieve = bytearray([1]) * degree
+    for d in range(2, isqrt(degree) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, degree, d)))
+    return frozenset(p for p in range(degree // 2 + 1, degree - 2) if sieve[p])
 
 
 def _certify_giant(ops, gens: tuple[Permutation, ...]) -> bool:
@@ -373,8 +360,7 @@ class BSGS:
         if levels is None:
             self.base = tuple(range(ops.degree - (2 if alternating else 1)))
             # Level i's draw in sample_uniform: (i, range size, its bit length).
-            sizes = range(ops.degree, ops.degree - len(self.base), -1)
-            self._draws = tuple(zip(self.base, sizes, map(int.bit_length, sizes)))
+            self._draws = tuple((i, ops.degree - i, (ops.degree - i).bit_length()) for i in self.base)
             self._order = factorial(ops.degree) // (2 if alternating else 1)
         else:
             self.base = tuple(level.point for level in levels)

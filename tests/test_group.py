@@ -331,6 +331,12 @@ def test_small_degrees_skip_the_certificate():
     assert build_bsgs(gens).order() == math.factorial(7)
 
 
+def test_jordan_primes_match_trial_division():
+    for n in range(600):
+        expected = {p for p in range(n // 2 + 1, n - 2) if all(p % d for d in range(2, math.isqrt(p) + 1))}
+        assert group._jordan_primes(n) == expected, n
+
+
 def parity_probes(n, rng):
     """The identity, a transposition, an n-cycle, a product of a 2-cycle and
     a 3-cycle, and random permutations of degree n."""
