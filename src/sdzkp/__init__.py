@@ -27,7 +27,7 @@ _HOME = {
     **dict.fromkeys(("commit", "expand_mask", "tuple_add", "tuple_sub", "verify_commitment", "weight"), "crypto"),
     **dict.fromkeys(
         ("CommitmentMsg", "NIZKProof", "ProverState", "Response", "Transcript", "decode_proof", "encode_proof",
-         "fs_prove", "fs_verify", "fs_verify_bytes", "prover_commit", "prover_respond", "run_interactive",
+         "fs_prove", "fs_verify_bytes", "prover_commit", "prover_respond", "run_interactive",
          "verifier_challenge", "verify_round"),
         "protocol",
     ),
@@ -56,53 +56,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BSGS",
-    "CommitmentMsg",
-    "ExtractionError",
-    "NIZKProof",
-    "Permutation",
-    "ProverState",
-    "Response",
-    "SDPInstance",
-    "Transcript",
-    "Witness",
-    "brute_force_distance",
-    "build_bsgs",
-    "commit",
-    "compose",
-    "decode_proof",
-    "encode_proof",
-    "expand_mask",
-    "extract_witness",
-    "fs_prove",
-    "fs_verify",
-    "fs_verify_bytes",
-    "hamming",
-    "honest_rewindable_prover",
-    "honest_verifier",
-    "identity",
-    "instance_digest",
-    "inverse",
-    "load_instance",
-    "load_witness",
-    "make_cheating_prover",
-    "make_instance",
-    "plant_instance",
-    "prover_commit",
-    "prover_respond",
-    "random_perm",
-    "random_support_perm",
-    "run_interactive",
-    "save_instance",
-    "save_witness",
-    "simulate",
-    "transcript_distribution_test",
-    "tuple_add",
-    "tuple_sub",
-    "validate_witness",
-    "verifier_challenge",
-    "verify_commitment",
-    "verify_round",
-    "weight",
-]
+__all__ = sorted(name for name, home in _HOME.items() if name != home)

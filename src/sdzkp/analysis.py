@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
 from itertools import count, islice
 from random import Random
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .crypto import apply_mask, differing_words, encode_words, fresh_seed, tuple_add
 from .group import BSGS
@@ -283,8 +282,7 @@ def report_dict(experiment: str, samples: int, statistic: float, p_value, passed
 
 # --- distribution comparison ---
 
-@dataclass
-class DistributionReport:
+class DistributionReport(NamedTuple):
     """Real-versus-simulated transcript statistics.
 
     The headline statistic is the chi-square comparison of the unmasked
@@ -309,7 +307,7 @@ class DistributionReport:
     distance_weights_simulated: dict[int, int]
 
     def as_dict(self) -> dict:
-        fields = asdict(self)
+        fields = self._asdict()
         return report_dict(
             "distribution", fields.pop("samples_real"), fields.pop("statistic"),
             fields.pop("p_value"), fields.pop("passed"), **fields,

@@ -346,13 +346,9 @@ def _reduce_to_challenge(prefix, i: int) -> int:
         length *= 2
 
 
-def derive_challenges(
-    statement_digest: bytes,
-    context: bytes,
-    commitments: tuple[CommitmentMsg, ...],
-    rounds: int,
-) -> list[int]:
-    """Hash-derived challenges binding the statement, context and all commitments."""
+def derive_challenges(statement_digest: bytes, context: bytes, commitments: tuple[CommitmentMsg, ...]) -> list[int]:
+    """One hash-derived challenge per commitment, binding the statement,
+    the context and all commitments."""
     prefix = hashlib.shake_256(
         _FS_DOMAIN
         + struct.pack("<I", len(context))
@@ -360,7 +356,7 @@ def derive_challenges(
         + statement_digest
         + b"".join(c.encode() for c in commitments)
     )
-    return [_reduce_to_challenge(prefix, i) for i in range(rounds)]
+    return [_reduce_to_challenge(prefix, i) for i in range(len(commitments))]
 
 
 def fs_prove(inst: SDPInstance, wit: Witness, rounds: int, context: bytes, rng: Random) -> NIZKProof:
@@ -370,37 +366,22 @@ def fs_prove(inst: SDPInstance, wit: Witness, rounds: int, context: bytes, rng: 
     h = inst.group.ops.encode(wit.element.images)
     states = [prover_round(inst, h, rng) for _ in range(rounds)]
     commitments = tuple(state.commitment for state in states)
-    challenges = derive_challenges(instance_digest(inst), context, commitments, rounds)
+    challenges = derive_challenges(instance_digest(inst), context, commitments)
     responses = tuple(prover_respond(state, ch) for state, ch in zip(states, challenges))
     return NIZKProof(commitments=commitments, responses=responses)
 
 
-def fs_verify(inst: SDPInstance, proof: NIZKProof, context: bytes) -> bool:
-    """Check a non-interactive proof.  False on any malformed or failing round."""
-    if not isinstance(proof, NIZKProof):
-        return False
-    try:
-        if not all(isinstance(com, CommitmentMsg) for com in proof.commitments):
-            return False
-        rounds = _proof_rounds(len(proof.commitments))
-        if len(proof.responses) != rounds:
-            return False
-        challenges = derive_challenges(instance_digest(inst), context, proof.commitments, rounds)
-        return all(
-            verify_round(inst, com, ch, rsp)
-            for com, ch, rsp in zip(proof.commitments, challenges, proof.responses)
-        )
-    except (ValueError, TypeError, struct.error):
-        return False
-
-
 def fs_verify_bytes(inst: SDPInstance, data: bytes, context: bytes) -> bool:
-    """fs_verify on serialized proof bytes; parse failures count as rejection."""
+    """Check a serialized non-interactive proof.  False on any malformed
+    buffer or failing round."""
     try:
         proof = decode_proof(data)
+        challenges = derive_challenges(instance_digest(inst), context, proof.commitments)
     except (ValueError, TypeError, struct.error):
         return False
-    return fs_verify(inst, proof, context)
+    return all(
+        verify_round(inst, com, ch, rsp) for com, ch, rsp in zip(proof.commitments, challenges, proof.responses)
+    )
 
 
 # --- serialization ---

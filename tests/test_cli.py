@@ -412,6 +412,11 @@ def test_offline_commands_load_neither_net_nor_analysis(tmp_path, capsys, comman
     assert "logging" not in loaded and "dataclasses" not in loaded
 
 
+def test_analyze_loads_no_dataclasses():
+    _, _, loaded = _loaded_modules(_cli_process("analyze", "distribution", "--samples", 320, "--seed", 5))
+    assert "sdzkp.analysis" in loaded and "dataclasses" not in loaded
+
+
 def _loopback_session(tmp_path, **verifier_env):
     """A real `sdzkp verify` and `sdzkp prove` process over loopback; returns
     each one's (stdout, stderr, loaded modules), the prover's first."""

@@ -42,7 +42,6 @@ from sdzkp.protocol import (
     encode_proof,
     encode_response,
     fs_prove,
-    fs_verify,
     fs_verify_bytes,
     masked_round,
     max_response_bytes,
@@ -100,7 +99,10 @@ def foreign_witness(inst):
 
 
 @pytest.mark.parametrize("prove", [
-    pytest.param(lambda inst, wit, rng: fs_verify(inst, fs_prove(inst, wit, 219, b"ctx", rng), b"ctx"), id="fs_prove"),
+    pytest.param(
+        lambda inst, wit, rng: fs_verify_bytes(inst, encode_proof(fs_prove(inst, wit, 219, b"ctx", rng)), b"ctx"),
+        id="fs_prove",
+    ),
     pytest.param(lambda inst, wit, rng: run_interactive(inst, wit, 219, rng, random.Random(58)), id="run_interactive"),
 ])
 def test_multi_round_prover_checks_the_witness_once(planted, witness_checks, prove):
@@ -359,11 +361,11 @@ def test_verify_round_and_encode_response_refuse_a_misshapen_response(planted, h
 def test_fs_verify_is_total_on_non_proofs(planted):
     inst, wit = planted
     proof = fs_prove(inst, wit, 3, b"", random.Random(71))
-    assert fs_verify(inst, proof, b"")
+    assert fs_verify_bytes(inst, encode_proof(proof), b"")
     for bad in (
         None,
         "proof",
-        encode_proof(proof),
+        proof,
         (proof.commitments, proof.responses),
         NIZKProof(proof.commitments, (None,) * 3),
         NIZKProof(proof.commitments, ("response",) * 3),
@@ -371,25 +373,24 @@ def test_fs_verify_is_total_on_non_proofs(planted):
         NIZKProof((0,) * 3, proof.responses),
         NIZKProof(None, None),
     ):
-        assert fs_verify(inst, bad, b"") is False
+        assert fs_verify_bytes(inst, bad, b"") is False
 
 
 def test_proving_verifying_and_decoding_share_one_round_cap(planted, monkeypatch):
     inst, wit = planted
     proof = fs_prove(inst, wit, 4, b"", random.Random(72))
-    assert fs_verify(inst, proof, b"") and fs_verify_bytes(inst, encode_proof(proof), b"")
+    assert fs_verify_bytes(inst, encode_proof(proof), b"")
     monkeypatch.setattr(sdzkp.protocol, "_MAX_ROUNDS", 3)
     rng = random.Random(73)
     before = rng.getstate()
     with pytest.raises(ValueError, match="unreasonable round count 4"):
         fs_prove(inst, wit, 4, b"", rng)
     assert rng.getstate() == before  # refused before a single commitment
-    assert fs_verify(inst, proof, b"") is False
     assert fs_verify_bytes(inst, encode_proof(proof), b"") is False
     with pytest.raises(ValueError, match="unreasonable round count 4"):
         decode_proof(encode_proof(proof))
     at_cap = fs_prove(inst, wit, 3, b"", rng)
-    assert fs_verify(inst, at_cap, b"") and fs_verify_bytes(inst, encode_proof(at_cap), b"")
+    assert fs_verify_bytes(inst, encode_proof(at_cap), b"")
 
 
 def test_verifier_challenge_range_and_distribution():
@@ -433,8 +434,8 @@ def test_fs_round_trip(planted):
     rng = random.Random(63)
     proof = fs_prove(inst, wit, 40, b"ctx", rng)
     assert proof.rounds == 40
-    assert fs_verify(inst, proof, b"ctx")
-    assert not fs_verify(inst, proof, b"other-ctx")
+    assert fs_verify_bytes(inst, encode_proof(proof), b"ctx")
+    assert not fs_verify_bytes(inst, encode_proof(proof), b"other-ctx")
 
 
 def test_fs_proof_bytes_round_trip(planted):
@@ -483,11 +484,11 @@ def test_fs_challenges_deterministic(planted):
     proof = fs_prove(inst, wit, 10, b"ctx", rng)
     from sdzkp.instance import instance_digest
 
-    c1 = derive_challenges(instance_digest(inst), b"ctx", proof.commitments, 10)
-    c2 = derive_challenges(instance_digest(inst), b"ctx", proof.commitments, 10)
+    c1 = derive_challenges(instance_digest(inst), b"ctx", proof.commitments)
+    c2 = derive_challenges(instance_digest(inst), b"ctx", proof.commitments)
     assert c1 == c2
     assert all(ch in CHALLENGES for ch in c1)
-    c3 = derive_challenges(instance_digest(inst), b"different", proof.commitments, 10)
+    c3 = derive_challenges(instance_digest(inst), b"different", proof.commitments)
     assert c1 != c3 or len(c1) < 4  # 10 rounds virtually never collide
 
 
@@ -498,7 +499,7 @@ def test_fs_challenge_distribution(planted):
     proof = fs_prove(inst, wit, 600, b"", rng)
     from sdzkp.instance import instance_digest
 
-    for ch in derive_challenges(instance_digest(inst), b"", proof.commitments, 600):
+    for ch in derive_challenges(instance_digest(inst), b"", proof.commitments):
         counts[ch] += 1
     assert all(140 < c < 260 for c in counts)
 

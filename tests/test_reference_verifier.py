@@ -76,7 +76,7 @@ def reference_verify(inst, data, context) -> bool:
         proof = decode_proof(data)
     except (ValueError, TypeError, struct.error):
         return False
-    challenges = derive_challenges(instance_digest(inst), context, proof.commitments, proof.rounds)
+    challenges = derive_challenges(instance_digest(inst), context, proof.commitments)
     return all(
         reference_round(inst, com, ch, rsp) for com, ch, rsp in zip(proof.commitments, challenges, proof.responses)
     )
@@ -131,7 +131,7 @@ def proof_opening(inst, wit, state, challenge, rng, context=b"ctx"):
     while True:
         states = [state] + [prover_commit(inst, wit, rng) for _ in range(2)]
         commitments = tuple(s.commitment for s in states)
-        challenges = derive_challenges(instance_digest(inst), context, commitments, len(states))
+        challenges = derive_challenges(instance_digest(inst), context, commitments)
         if challenges[0] == challenge:
             responses = tuple(s.respond(ch) for s, ch in zip(states, challenges))
             return encode_proof(NIZKProof(commitments, responses))
