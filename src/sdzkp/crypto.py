@@ -1,16 +1,17 @@
 """Hash-based commitments and the seeded masking used to blind image tuples.
 
-Commitments are SHA3-256 over (ASCII tag || 32-byte opening || message);
-the tag separates the three commitment slots of a round.  Masks are drawn
-from SHAKE-256 keyed by a 32-byte seed and consumed as little-endian u32
-words, so masked tuples live in (Z / 2^32)^n.  Tuple arithmetic packs each
-tuple into one integer, a u32 word per 32-bit lane, and adds or subtracts
-all lanes at once with carries kept inside each lane (Hacker's Delight,
-2nd ed., section 2-18).  A round's mask is one such integer, read from
-SHAKE.  A masked tuple exists only as its encoding, the committed message
-and wire form.  apply_mask writes it from the n u32 words (4n bytes, as
-encode_words writes them) of each tuple it masks, and remove_mask gives
-those words back; the group's raw form spreads into and out of them.
+Commitments are SHA3-256 over (ASCII tag || 32-byte opening || message),
+hashed in place by commit and verify_commitment; the tag separates the
+three commitment slots of a round.  Masks are drawn from SHAKE-256 keyed by
+a 32-byte seed and consumed as little-endian u32 words, so masked tuples
+live in (Z / 2^32)^n.  Tuple arithmetic packs each tuple into one integer,
+a u32 word per 32-bit lane, and adds or subtracts all lanes at once with
+carries kept inside each lane (Hacker's Delight, 2nd ed., section 2-18).
+A round's mask is one such integer, read from SHAKE.  A masked tuple exists
+only as its encoding, the committed message and wire form.  apply_mask
+writes it from n u32 words (4n bytes, as encode_words writes them) and
+remove_mask gives the words back; the group's raw form spreads into and out
+of them.  _add_lanes and _sub_lanes are the one lane sum and difference.
 """
 
 from __future__ import annotations
@@ -33,13 +34,6 @@ MAX_TUPLE_LENGTH = 1 << 20
 _TAG_BYTES = {tag: tag.encode("ascii") for tag in COMMIT_TAGS}
 
 
-def _commit_digest(tag: str, opening: bytes, message: bytes) -> bytes:
-    h = hashlib.sha3_256(_TAG_BYTES[tag])
-    h.update(opening)
-    h.update(message)
-    return h.digest()
-
-
 def commit(message: bytes, tag: str, rng: Random) -> tuple[bytes, bytes]:
     """Commit to message under the given slot tag; returns (digest, opening)."""
     if tag not in COMMIT_TAGS:
@@ -47,25 +41,24 @@ def commit(message: bytes, tag: str, rng: Random) -> tuple[bytes, bytes]:
     # rng.randbytes(OPENING_BYTES) without its Python frame: the same single
     # getrandbits call, so seeded openings and the rng state after match it.
     opening = rng.getrandbits(8 * OPENING_BYTES).to_bytes(OPENING_BYTES, "little")
-    return _commit_digest(tag, opening, message), opening
+    return hashlib.sha3_256(_TAG_BYTES[tag] + opening + message).digest(), opening
 
 
 def verify_commitment(digest: bytes, message: bytes, tag: str, opening: bytes) -> bool:
-    """Check an opened commitment.  Total: never raises on malformed input."""
+    """Check an opened commitment: digest must be commit's hash of the same
+    tag, opening and message.  Total: never raises on malformed input."""
     if tag not in COMMIT_TAGS:
         return False
     if not isinstance(digest, bytes) or not isinstance(opening, bytes) or not isinstance(message, bytes):
         return False
     if len(digest) != DIGEST_BYTES or len(opening) != OPENING_BYTES:
         return False
-    return hmac.compare_digest(digest, _commit_digest(tag, opening, message))
+    return hmac.compare_digest(digest, hashlib.sha3_256(_TAG_BYTES[tag] + opening + message).digest())
 
 
 def _mask_stream(seed: bytes, n: int) -> bytes:
-    if len(seed) != SEED_BYTES:
-        raise ValueError(f"seed must be {SEED_BYTES} bytes, got {len(seed)}")
-    if n < 1:
-        raise ValueError("mask length must be positive")
+    if n < 1 or not isinstance(seed, bytes) or len(seed) != SEED_BYTES:
+        raise ValueError(f"a mask needs a {SEED_BYTES}-byte seed and a positive length")
     return hashlib.shake_256(seed).digest(4 * n)
 
 
@@ -124,20 +117,25 @@ def apply_mask(seed: bytes, n: int, *words: bytes) -> tuple[bytes, ...]:
     lanes = _lanes(n)
     mask = int.from_bytes(_mask_stream(seed, n), "little")
     prefix = n.to_bytes(4, "little")
+    masked = []
     for w in words:
         if len(w) != lanes[0].size:
             raise ValueError(f"need {n} u32 words, got {len(w)} bytes")
-    return tuple(prefix + _add_lanes(lanes, int.from_bytes(w, "little"), mask) for w in words)
+        masked.append(prefix + _add_lanes(lanes, int.from_bytes(w, "little"), mask))
+    return tuple(masked)
 
 
 def remove_mask(z: bytes, seed: bytes, n: int) -> bytes:
     """encode_words(tuple_sub(decode_tuple(z), expand_mask(seed, n))): one
     lane subtraction.  ValueError unless z is a bytes object holding the
-    encoding of n words."""
+    encoding of n words and seed is one _mask_stream takes."""
     lanes = _lanes(n)
     if not isinstance(z, bytes) or len(z) != 4 + lanes[0].size or z[:4] != n.to_bytes(4, "little"):
         raise ValueError(f"masked tuple is not the encoding of {n} u32 words")
-    mask = int.from_bytes(_mask_stream(seed, n), "little")
+    # _mask_stream(seed, n), written out: this runs in every challenge-0 and -1 round
+    if n < 1 or not isinstance(seed, bytes) or len(seed) != SEED_BYTES:
+        raise ValueError(f"a mask needs a {SEED_BYTES}-byte seed and a positive length")
+    mask = int.from_bytes(hashlib.shake_256(seed).digest(lanes[0].size), "little")
     return _sub_lanes(lanes, int.from_bytes(z[4:], "little"), mask)
 
 

@@ -33,7 +33,7 @@ from random import Random
 from typing import Sequence
 
 from .crypto import encode_words
-from .perm import Permutation, _sample, compose_images, invert_images
+from .perm import Permutation, compose_images, invert_images
 
 _BYTES_IDENT = bytes(range(256))
 
@@ -329,11 +329,27 @@ def _certify_giant(ops, gens: tuple[Permutation, ...]) -> bool:
     primes = _jordan_primes(degree)
     seed = hashlib.sha256(b"".join(g.to_bytes() for g in gens)).digest()
     rng = Random(int.from_bytes(seed, "big"))
-    then = ops.then
+    then, getrandbits = ops.then, rng.getrandbits
     slots = [raw[i % len(raw)] for i in range(max(_PR_SLOTS, len(raw)))]
+    # Each step's pair is rng.sample(range(count), 2), drawn with the
+    # getrandbits calls it makes.  Up to 21 slots it walks a pool: the second
+    # pick is below count - 1, and the pool's last slot stands in for the
+    # first pick.  Past 21 it walks a set: the second pick is redrawn until it
+    # differs from the first.
+    count = len(slots)
+    pool = count <= 21
+    second = count - 1 if pool else count
+    bits, second_bits = count.bit_length(), second.bit_length()
     acc = ops.ident
     for step in range(_PR_WARMUP + _PR_TRIES):
-        i, j = _sample(len(slots), 2, rng)
+        i = getrandbits(bits)
+        while i >= count:
+            i = getrandbits(bits)
+        j = getrandbits(second_bits)
+        while j >= second or (j == i and not pool):
+            j = getrandbits(second_bits)
+        if j == i:
+            j = count - 1
         slots[i] = then(slots[j], slots[i]) if rng.random() < 0.5 else then(slots[i], slots[j])
         acc = then(slots[i], acc)
         if step >= _PR_WARMUP and not primes.isdisjoint(_cycle_lengths(acc, degree)):
@@ -424,7 +440,7 @@ class BSGS:
         if self._levels is None:
             # Level i's representatives are (i y) for S_n and (i y z) for A_n;
             # multiplying by one on the right rotates those positions.
-            n, alternating = self.degree, self._alternating
+            n, alternating = self.ops.degree, self._alternating
             images = list(range(n))
             for i, m, k in self._draws:
                 r = getrandbits(k)

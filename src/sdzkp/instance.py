@@ -31,11 +31,13 @@ class SDPInstance:
     """Public statement: find h in H = <generators> with d(h, target) <= max_distance.
 
     Two instances are equal when their degree, bound, target and generators
-    are; group is the chain built from the generators.  Immutable, so the
-    cached target_tables always hold target and its inverse.  Copies and
-    pickles rebuild it from the constructor arguments."""
+    are; group is the chain built from the generators.  target_tables is
+    (g, g^-1) in the raw form of group.ops, built with the instance: every
+    round composes with g, and challenge 1 with g^-1.  Immutable, so it
+    always holds target and its inverse.  Copies and pickles rebuild it from
+    the constructor arguments."""
 
-    __slots__ = ("degree", "max_distance", "target", "generators", "group", "_target_tables")
+    __slots__ = ("degree", "max_distance", "target", "generators", "group", "target_tables")
 
     def __init__(
         self, degree: int, max_distance: int, target: Permutation, generators: tuple[Permutation, ...], group: BSGS
@@ -51,7 +53,9 @@ class SDPInstance:
                 raise ValueError("generator degree mismatch")
         if group.degree != degree:
             raise ValueError("group degree mismatch")
-        for name, value in zip(self.__slots__, (degree, max_distance, target, generators, group, None)):
+        ops = group.ops
+        g = ops.encode(target.images)
+        for name, value in zip(self.__slots__, (degree, max_distance, target, generators, group, (g, ops.inv(g)))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):
@@ -70,16 +74,6 @@ class SDPInstance:
 
     def __hash__(self) -> int:
         return hash(self._statement())
-
-    @property
-    def target_tables(self) -> tuple:
-        """(g, g^-1) in the raw form of group.ops, computed once: every round
-        composes with g, and challenge 1 with g^-1."""
-        if self._target_tables is None:
-            ops = self.group.ops
-            g = ops.encode(self.target.images)
-            object.__setattr__(self, "_target_tables", (g, ops.inv(g)))
-        return self._target_tables
 
 
 class Witness(NamedTuple):

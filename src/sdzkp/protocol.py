@@ -12,20 +12,20 @@ answer reveals, in wire order:
   1          Z2, s     unmasking Z2 must give w with w∘g^-1 in H (w is u∘g)
   2          Z1, Z2    they must differ in at most max_distance words
 
-Every value is its own committed message and wire form: slot_span reads
-one off the wire and slot_size gives its length.  The prover, the
-verifier's checks and the response codecs all follow OPENS; only the
-final predicate above is written per challenge.
+Every value is its own committed message and wire form, slot_size long.
+The prover, the verifier's checks and the response codecs all follow
+OPENS; only the final predicate above is written per challenge.
 
 A round works on the group's raw elements (group.make_ops: byte tables up
 to degree 256, image tuples past it): masked_round composes u with x and
-with g and spreads each product into u32 lanes for the mask, and unmasking
-takes the lanes straight back to a raw element, which challenge 1 composes
-with the raw g^-1 the instance caches and the group's contains tests as it
-stands.  verify_round, the one round check of every verifier, checks
-each slot a challenge opens with slot_opens, then the predicate with
-challenge_holds; the analysis harness uses the two to check each of a
-state's three slots once and then all three predicates.
+with g, spreads each product into the u32 lanes crypto.apply_mask masks,
+and commits through commit_round and crypto.commit.  verify_round, the one
+round check of every verifier, checks each slot a challenge opens with
+slot_opens, then the predicate with challenge_holds: crypto.remove_mask
+gives back the words of a raw element, which challenge 1 composes with the
+raw g^-1 the instance caches and the group's contains tests as it stands.
+The analysis harness uses the two to check each of a state's slots once and
+then all three predicates.  _read_rounds is the one response parser.
 
 A single round convinces the verifier with soundness error 2/3; sequential
 repetition amplifies.  The non-interactive variant derives challenges by
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from itertools import chain, repeat
 from operator import itemgetter
 from random import Random
 from typing import NamedTuple
@@ -43,14 +44,13 @@ from typing import NamedTuple
 from .crypto import (
     COMMIT_TAGS,
     DIGEST_BYTES,
+    MAX_TUPLE_LENGTH,
     OPENING_BYTES,
     SEED_BYTES,
     apply_mask,
     commit,
     differing_words,
-    fresh_seed,
     remove_mask,
-    tuple_span,
     verify_commitment,
 )
 from .instance import SDPInstance, Witness, instance_digest, validate_witness
@@ -77,23 +77,11 @@ _MAX_ROUNDS = 1 << 20
 _FS_DOMAIN = b"SDZKP-FS-v1"
 
 
-def _take(data: bytes, offset: int, count: int) -> tuple[bytes, int]:
-    end = offset + count
-    if len(data) < end:
-        raise ValueError("truncated message")
-    return data[offset:end], end
-
-
-def slot_span(slot: int, data: bytes, offset: int = 0) -> tuple[bytes, int]:
-    """The value of a slot at offset, as it stands; returns (value, next offset).
-    A value v is canonical at degree n iff slot_span(slot, v) == (v, slot_size(slot, n)):
-    it is slot_size(slot, n) bytes long and, for a masked tuple, its length
-    prefix is n."""
-    return _take(data, offset, SEED_BYTES) if slot == SEED else tuple_span(data, offset)
-
-
 def slot_size(slot: int, n: int) -> int:
-    """Encoded length of a slot's value at degree n."""
+    """Encoded length of a slot's value at degree n.  A value is canonical
+    at degree n iff it is a bytes object of this length and, for a masked
+    tuple, its u32 length prefix is n.  slot_opens, challenge_holds and
+    _read_rounds write this length out, so a new slot form changes all four."""
     return SEED_BYTES if slot == SEED else 4 + 4 * n
 
 
@@ -126,9 +114,7 @@ class Response(NamedTuple):
 def _opens_its_slots(rsp: Response) -> bool:
     """Whether rsp holds one bytes value and one bytes opening per slot of OPENS[rsp.kind]."""
     values, openings, width = rsp.values, rsp.openings, len(OPENS[rsp.kind])
-    if not (isinstance(values, tuple) and isinstance(openings, tuple)):
-        return False
-    if len(values) != width or len(openings) != width:
+    if not (isinstance(values, tuple) and isinstance(openings, tuple) and len(values) == len(openings) == width):
         return False
     for part in values + openings:
         if not isinstance(part, bytes):
@@ -201,7 +187,8 @@ def prover_round(inst: SDPInstance, h, rng: Random) -> ProverState:
     uniform in H, then a fresh seed, then the three commitments, in that coin
     order.  It does not check the witness."""
     u = inst.group.ops.encode(inst.group.sample_uniform(rng).images)
-    return masked_round(inst, u, h, fresh_seed(rng), rng)
+    # fresh_seed(rng), written out: its frame would cost a call a round
+    return masked_round(inst, u, h, rng.getrandbits(8 * SEED_BYTES).to_bytes(SEED_BYTES, "little"), rng)
 
 
 def opened_member(inst: SDPInstance, challenge: int, response: Response) -> Permutation:
@@ -267,11 +254,12 @@ def prover_respond(state: ProverState, challenge: int) -> Response:
 
 def slot_opens(inst: SDPInstance, commitment: CommitmentMsg, slot: int, value: bytes, opening: bytes) -> bool:
     """Whether value is a canonical value of the slot at the instance's degree
-    (see slot_span) and opening opens the slot's digest in commitment to it.
+    (see slot_size) and opening opens the slot's digest in commitment to it.
     Total on untrusted input: returns False, never raises."""
     try:
         n = inst.degree
-        canonical = len(value) == slot_size(slot, n) and (slot == SEED or value[:4] == n.to_bytes(4, "little"))
+        size = SEED_BYTES if slot == SEED else 4 + 4 * n  # slot_size(slot, n)
+        canonical = len(value) == size and (slot == SEED or value[:4] == n.to_bytes(4, "little"))
         return canonical and verify_commitment(commitment[slot], value, COMMIT_TAGS[slot], opening)
     except (ValueError, TypeError, struct.error):
         return False
@@ -279,10 +267,13 @@ def slot_opens(inst: SDPInstance, commitment: CommitmentMsg, slot: int, value: b
 
 def challenge_holds(inst: SDPInstance, challenge: int, values: tuple[bytes, ...]) -> bool:
     """The check a challenge makes on the values it opened, in OPENS order,
-    once slot_opens holds for each.  Total: returns False, never raises."""
+    once slot_opens holds for each.  It checks the values' form too, so any
+    other input is refused.  Total: returns False, never raises."""
     try:
         if challenge == 2:
-            return differing_words(*values) <= inst.max_distance
+            (z1, z2), n = values, inst.degree
+            canonical = isinstance(z1, bytes) and isinstance(z2, bytes) and z1[:4] == z2[:4] == n.to_bytes(4, "little")
+            return canonical and len(z1) == len(z2) == 4 + 4 * n and differing_words(z1, z2) <= inst.max_distance
         member = _member(inst, challenge, *values)
         return member is not None and inst.group.contains(member)
     except (ValueError, TypeError, struct.error):
@@ -333,30 +324,29 @@ def run_interactive(
 
 # --- non-interactive variant ---
 
-def _reduce_to_challenge(prefix, i: int) -> int:
-    shake = prefix.copy()
-    shake.update(struct.pack("<I", i))
-    # Rejection sampling over bytes: 255 = 85 * 3, so dropping the value 255
-    # leaves a multiple of 3 and byte % 3 is exactly uniform.
-    length = 64
-    while True:
-        for b in shake.digest(length):
-            if b != 255:
-                return b % 3
-        length *= 2
-
-
 def derive_challenges(statement_digest: bytes, context: bytes, commitments: tuple[CommitmentMsg, ...]) -> list[int]:
     """One hash-derived challenge per commitment, binding the statement,
-    the context and all commitments."""
+    the context and all commitments (each CommitmentMsg is its digests)."""
     prefix = hashlib.shake_256(
         _FS_DOMAIN
         + struct.pack("<I", len(context))
         + context
         + statement_digest
-        + b"".join(c.encode() for c in commitments)
+        + b"".join(chain.from_iterable(commitments))
     )
-    return [_reduce_to_challenge(prefix, i) for i in range(len(commitments))]
+    challenges = []
+    for i in range(len(commitments)):
+        shake = prefix.copy()
+        shake.update(struct.pack("<I", i))
+        # Rejection sampling over bytes: 255 = 85 * 3, so dropping the value
+        # 255 leaves a multiple of 3 and the first other byte % 3 is exactly
+        # uniform.  The stream is read further only past a run of 255s.
+        length, stream = 1, shake.digest(1).lstrip(b"\xff")
+        while not stream:
+            length *= 64
+            stream = shake.digest(length).lstrip(b"\xff")
+        challenges.append(stream[0] % 3)
+    return challenges
 
 
 def fs_prove(inst: SDPInstance, wit: Witness, rounds: int, context: bytes, rng: Random) -> NIZKProof:
@@ -365,9 +355,9 @@ def fs_prove(inst: SDPInstance, wit: Witness, rounds: int, context: bytes, rng: 
     require_witness(inst, wit)
     h = inst.group.ops.encode(wit.element.images)
     states = [prover_round(inst, h, rng) for _ in range(rounds)]
-    commitments = tuple(state.commitment for state in states)
+    commitments = tuple([state.commitment for state in states])
     challenges = derive_challenges(instance_digest(inst), context, commitments)
-    responses = tuple(prover_respond(state, ch) for state, ch in zip(states, challenges))
+    responses = tuple(map(prover_respond, states, challenges))
     return NIZKProof(commitments=commitments, responses=responses)
 
 
@@ -379,9 +369,7 @@ def fs_verify_bytes(inst: SDPInstance, data: bytes, context: bytes) -> bool:
         challenges = derive_challenges(instance_digest(inst), context, proof.commitments)
     except (ValueError, TypeError, struct.error):
         return False
-    return all(
-        verify_round(inst, com, ch, rsp) for com, ch, rsp in zip(proof.commitments, challenges, proof.responses)
-    )
+    return all(map(verify_round, repeat(inst), proof.commitments, challenges, proof.responses))
 
 
 # --- serialization ---
@@ -403,28 +391,6 @@ def max_response_bytes(n: int) -> int:
     return 1 + max(sum(slot_size(slot, n) + OPENING_BYTES for slot in slots) for slots in OPENS.values())
 
 
-def decode_response_from(data: bytes, offset: int = 0) -> tuple[Response, int]:
-    if len(data) <= offset:
-        raise ValueError("empty response")
-    kind = data[offset]
-    if kind not in OPENS:
-        raise ValueError(f"unknown response kind {kind}")
-    first, second = OPENS[kind]
-    value1, offset = slot_span(first, data, offset + 1)
-    value2, offset = slot_span(second, data, offset)
-    middle, end = offset + OPENING_BYTES, offset + 2 * OPENING_BYTES
-    if len(data) < end:
-        raise ValueError("truncated message")
-    return Response(kind, (value1, value2), (data[offset:middle], data[middle:end])), end
-
-
-def decode_response(data: bytes) -> Response:
-    rsp, end = decode_response_from(data, 0)
-    if end != len(data):
-        raise ValueError("trailing bytes after response")
-    return rsp
-
-
 def encode_proof(proof: NIZKProof) -> bytes:
     parts = [PROOF_MAGIC, struct.pack("<I", proof.rounds)]
     for com, rsp in zip(proof.commitments, proof.responses):
@@ -443,16 +409,49 @@ def decode_proof(data: bytes) -> NIZKProof:
     if len(data) < 8:
         raise ValueError("truncated proof header")
     rounds = _proof_rounds(struct.unpack_from("<I", data, 4)[0])
-    offset = 8
-    commitments = []
-    responses = []
-    for _ in range(rounds):
-        c2, c3, end = offset + DIGEST_BYTES, offset + 2 * DIGEST_BYTES, offset + COMMITMENT_BYTES
-        if len(data) < end:
-            raise ValueError("truncated message")
-        commitments.append(CommitmentMsg(data[offset:c2], data[c2:c3], data[c3:end]))
-        rsp, offset = decode_response_from(data, end)
-        responses.append(rsp)
-    if offset != len(data):
+    commitments, responses, end = _read_rounds(data, 8, rounds, with_commitments=True)
+    if end != len(data):
         raise ValueError("trailing bytes after proof")
     return NIZKProof(commitments=tuple(commitments), responses=tuple(responses))
+
+
+def decode_response(data: bytes) -> Response:
+    _, (rsp,), end = _read_rounds(data, 0, 1, with_commitments=False)
+    if end != len(data):
+        raise ValueError("trailing bytes after response")
+    return rsp
+
+
+def _read_rounds(data: bytes, offset: int, rounds: int, with_commitments: bool):
+    """The one response parser: reads rounds responses from offset, each
+    after its round's commitment when with_commitments; returns
+    (commitments, responses, end offset).  ValueError if data ends first."""
+    size = len(data)
+    commitments, responses = [], []
+    for _ in range(rounds):
+        if with_commitments:
+            c2, c3, end = offset + DIGEST_BYTES, offset + 2 * DIGEST_BYTES, offset + COMMITMENT_BYTES
+            commitments.append(CommitmentMsg(data[offset:c2], data[c2:c3], data[c3:end]))
+            offset = end
+        if size <= offset:
+            raise ValueError("truncated message")
+        kind, offset = data[offset], offset + 1
+        if kind not in OPENS:
+            raise ValueError(f"unknown response kind {kind}")
+        values = []
+        for slot in OPENS[kind]:
+            if slot == SEED:
+                end = offset + SEED_BYTES
+            else:  # a masked tuple: a u32 count, then that many u32 words (crypto.tuple_span)
+                count = int.from_bytes(data[offset : offset + 4], "little")
+                if not 0 < count <= MAX_TUPLE_LENGTH:
+                    raise ValueError(f"unreasonable tuple length {count}")
+                end = offset + 4 + 4 * count
+            values.append(data[offset:end])
+            offset = end
+        middle, end = offset + OPENING_BYTES, offset + 2 * OPENING_BYTES
+        if size < end:
+            raise ValueError("truncated message")
+        responses.append(Response(kind, tuple(values), (data[offset:middle], data[middle:end])))
+        offset = end
+    return commitments, responses, offset

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import struct
 
 import pytest
 
@@ -25,8 +26,18 @@ from sdzkp.analysis import (
     transcript_distribution_test,
     transcript_for,
 )
+from sdzkp.crypto import COMMIT_TAGS, commit, encode_tuple, remove_mask, tuple_add
 from sdzkp.instance import plant_instance, validate_witness
-from sdzkp.protocol import CHALLENGES, Transcript, encode_response, verify_round
+from sdzkp.protocol import (
+    CHALLENGES,
+    OPENS,
+    SEED,
+    Transcript,
+    challenge_holds,
+    encode_response,
+    slot_opens,
+    verify_round,
+)
 
 TARGET_SETS = [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})]
 
@@ -177,6 +188,82 @@ def test_accepted_challenges_equals_one_verify_round_per_challenge(fixture, requ
             assert accepted_challenges(inst, prover) == expected
             for broken in corrupted(prover):
                 assert accepted_challenges(inst, broken) == verified_challenges(inst, broken)
+
+
+def opens_then_holds(inst, commitment, challenge, response):
+    """verify_round's two steps: slot_opens for each slot the challenge
+    opens, then challenge_holds on the opened values."""
+    opened = zip(OPENS[challenge], response.values, response.openings)
+    return all(slot_opens(inst, commitment, *each) for each in opened) and challenge_holds(
+        inst, challenge, response.values)
+
+
+def _with_prefix(z, n):
+    return n.to_bytes(4, "little") + z[4:]
+
+
+@pytest.mark.parametrize("fixture", ["planted", "small_abelian"])
+def test_slot_opens_then_challenge_holds_is_verify_round(fixture, request):
+    """For every challenge to honest, cheating and simulated states, the two
+    steps give verify_round's verdict.  Each step also refuses, on its own,
+    values it is not meant to take: each malformed value below is committed
+    or masked so that only the step's own form check can refuse it."""
+    inst, wit = request.getfixturevalue(fixture)
+    n, rng = inst.degree, random.Random(87)
+    states = [honest_rewindable_prover(inst, wit, rng) for _ in range(3)]
+    states += [make_cheating_prover(inst, targets, rng) for targets in TARGET_SETS]
+    states += [analysis._simulated_state(inst, guess, rng) for guess in CHALLENGES]
+    verdicts = []
+    for state in states:
+        for ch in CHALLENGES:
+            verdict = verify_round(inst, state.commitment, ch, state.respond(ch))
+            assert opens_then_holds(inst, state.commitment, ch, state.respond(ch)) is verdict
+            verdicts.append(verdict)
+    assert verdicts.count(True) >= 3 * 3 + 3 * 2 + 3 * 1 and False in verdicts
+
+    honest = states[0]
+    com, values, openings = honest.commitment, honest.values, honest.openings
+    assert all(slot_opens(inst, com, slot, values[slot], openings[slot]) for slot in range(3))
+    assert all(challenge_holds(inst, ch, tuple(values[slot] for slot in OPENS[ch])) for ch in CHALLENGES)
+
+    def foreign(value):  # the same bytes as a str, None, or a bytearray
+        return [value.decode("latin-1"), None, bytearray(value)]
+
+    for slot in range(3):
+        value, opening = values[slot], openings[slot]
+        # a commitment message whose digest is no bytes, or 31 bytes
+        for digest in [*foreign(com[slot]), com[slot][:31]]:
+            assert slot_opens(inst, com._replace(**{com._fields[slot]: digest}), slot, value, opening) is False
+        for bad in foreign(value):
+            assert slot_opens(inst, com, slot, bad, opening) is False
+        for bad in foreign(opening):
+            assert slot_opens(inst, com, slot, value, bad) is False
+    for ch in CHALLENGES:
+        opened = tuple(values[slot] for slot in OPENS[ch])
+        for position in range(2):
+            for bad in foreign(opened[position]):
+                assert challenge_holds(inst, ch, opened[:position] + (bad,) + opened[position + 1:]) is False
+
+    # a 31-byte seed, committed, with Z1 masked under it: only its length is wrong
+    short_seed = values[SEED][:31]
+    words = struct.unpack(f"<{n}I", remove_mask(values[0], values[SEED], n))
+    short_mask = struct.unpack(f"<{n}I", hashlib.shake_256(short_seed).digest(4 * n))
+    z1 = encode_tuple(tuple_add(words, short_mask))
+    digest, opening = commit(short_seed, COMMIT_TAGS[SEED], rng)
+    assert slot_opens(inst, com._replace(c3=digest), SEED, short_seed, opening) is False
+    assert challenge_holds(inst, 0, (z1, short_seed)) is False
+
+    # masked tuples, committed, whose length prefix is n + 1 or n - 1
+    for count in (n + 1, n - 1):
+        for slot in (0, 1):
+            bad = _with_prefix(values[slot], count)
+            digest, opening = commit(bad, COMMIT_TAGS[slot], rng)
+            assert slot_opens(inst, com._replace(**{com._fields[slot]: digest}), slot, bad, opening) is False
+        z1, z2 = (_with_prefix(values[slot], count) for slot in (0, 1))
+        assert challenge_holds(inst, 0, (z1, values[SEED])) is False
+        assert challenge_holds(inst, 1, (z2, values[SEED])) is False
+        assert challenge_holds(inst, 2, (z1, z2)) is False
+        assert challenge_holds(inst, 2, (z1, values[1])) is False
 
 
 def test_cheating_prover_rejects_bad_targets(planted):

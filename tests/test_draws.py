@@ -4,12 +4,14 @@ sample_uniform, the challenges, the simulator's guess, the cheating noise,
 commitment openings and mask seeds call rng.getrandbits themselves instead
 of rng.randrange or rng.randbytes, and perm._sample and perm._shuffle walk
 rng.sample and rng.shuffle for random_perm, random_support_perm, the
-abelian2 generators, the giant certificate and the noise positions.  Each
+abelian2 generators and the noise positions; the giant certificate draws
+its slot pairs inline, as rng.sample(range(slots), 2) does.  Each
 must return what the stdlib call returns and leave the rng where it leaves
 it, so seeded instances and proofs stay byte-identical; the next
 rng.random() tells the two states apart.
 """
 
+import hashlib
 import math
 import random
 import struct
@@ -252,25 +254,45 @@ def test_planting_matches_the_stdlib_helpers(monkeypatch, n, gens, k, preset):
         assert same_state(fast, slow)
 
 
+def reference_certificate_search(ops, gens):
+    """group._certify_giant's product-replacement walk written with
+    rng.sample(range(len(slots)), 2) for each slot pair: its answer and the
+    elements it tests for a Jordan cycle, each as u32 words."""
+    degree = ops.degree
+    raw = [ops.encode(g.images) for g in gens]
+    if not group._is_transitive(raw, degree):
+        return False, []
+    primes = group._jordan_primes(degree)
+    rng = random.Random(int.from_bytes(hashlib.sha256(b"".join(g.to_bytes() for g in gens)).digest(), "big"))
+    slots = [raw[i % len(raw)] for i in range(max(group._PR_SLOTS, len(raw)))]
+    acc, tested = ops.ident, []
+    for step in range(group._PR_WARMUP + group._PR_TRIES):
+        i, j = rng.sample(range(len(slots)), 2)
+        slots[i] = ops.then(slots[j], slots[i]) if rng.random() < 0.5 else ops.then(slots[i], slots[j])
+        acc = ops.then(slots[i], acc)
+        if step >= group._PR_WARMUP:
+            tested.append(struct.pack(f"<{degree}I", *acc[:degree]))
+            if not primes.isdisjoint(group._cycle_lengths(acc, degree)):
+                return True, tested
+    return False, tested
+
+
 @pytest.mark.parametrize("n, count", [(8, 3), (64, 3), (64, 24), (300, 2)])
 def test_certificate_search_matches_rng_sample(monkeypatch, n, count):
-    """The elements the giant certificate tests, with its slot pairs drawn by
-    _sample and by rng.sample; 24 generators make slots past the pool branch."""
+    """The elements the giant certificate tests, with its slot pairs drawn
+    inline and by rng.sample; 24 generators make slots past the pool branch."""
     rng = random.Random(n + count)
     gens = tuple(random_perm(n, rng) for _ in range(count))
+    tested = []
+    cycle_lengths = group._cycle_lengths
 
-    def search():
-        tested = []
-        with monkeypatch.context() as patched:
-            cycle_lengths = group._cycle_lengths
+    def recording(p, degree):
+        tested.append(struct.pack(f"<{degree}I", *p[:degree]))
+        return cycle_lengths(p, degree)
 
-            def recording(p, degree):
-                tested.append(struct.pack(f"<{degree}I", *p[:degree]))
-                return cycle_lengths(p, degree)
-
-            patched.setattr(group, "_cycle_lengths", recording)
-            return group._certify_giant(group.make_ops(n), gens), tested
-
-    fast = search()
-    monkeypatch.setattr(group, "_sample", stdlib_sample)
-    assert search() == fast
+    ops = group.make_ops(n)
+    with monkeypatch.context() as patched:
+        patched.setattr(group, "_cycle_lengths", recording)
+        certified = group._certify_giant(ops, gens)
+    assert tested and (certified, tested) == reference_certificate_search(ops, gens)
+    assert takes_set_branch(max(group._PR_SLOTS, count), 2) == (count == 24)
