@@ -8,10 +8,11 @@ live in (Z / 2^32)^n.  Tuple arithmetic packs each tuple into one integer,
 a u32 word per 32-bit lane, and adds or subtracts all lanes at once with
 carries kept inside each lane (Hacker's Delight, 2nd ed., section 2-18).
 A round's mask is one such integer, read from SHAKE.  A masked tuple exists
-only as its encoding, the committed message and wire form.  apply_mask
-writes it from n u32 words (4n bytes, as encode_words writes them) and
-remove_mask gives the words back; the group's raw form spreads into and out
-of them.  _add_lanes and _sub_lanes are the one lane sum and difference.
+only as its encoding, the committed message and wire form, which
+_is_tuple_encoding tests and tuple_span reads.  apply_mask writes it from n
+u32 words (4n bytes, as encode_words writes them), remove_mask gives them
+back.  _mask_stream is the one seed check; _add_lanes and _sub_lanes are
+the one lane sum and difference.
 """
 
 from __future__ import annotations
@@ -127,16 +128,12 @@ def apply_mask(seed: bytes, n: int, *words: bytes) -> tuple[bytes, ...]:
 
 def remove_mask(z: bytes, seed: bytes, n: int) -> bytes:
     """encode_words(tuple_sub(decode_tuple(z), expand_mask(seed, n))): one
-    lane subtraction.  ValueError unless z is a bytes object holding the
-    encoding of n words and seed is one _mask_stream takes."""
-    lanes = _lanes(n)
-    if not isinstance(z, bytes) or len(z) != 4 + lanes[0].size or z[:4] != n.to_bytes(4, "little"):
+    lane subtraction.  ValueError unless _is_tuple_encoding(z, n) holds and
+    seed is one _mask_stream takes."""
+    if not _is_tuple_encoding(z, n):
         raise ValueError(f"masked tuple is not the encoding of {n} u32 words")
-    # _mask_stream(seed, n), written out: this runs in every challenge-0 and -1 round
-    if n < 1 or not isinstance(seed, bytes) or len(seed) != SEED_BYTES:
-        raise ValueError(f"a mask needs a {SEED_BYTES}-byte seed and a positive length")
-    mask = int.from_bytes(hashlib.shake_256(seed).digest(lanes[0].size), "little")
-    return _sub_lanes(lanes, int.from_bytes(z[4:], "little"), mask)
+    mask = int.from_bytes(_mask_stream(seed, n), "little")
+    return _sub_lanes(_lanes(n), int.from_bytes(z[4:], "little"), mask)
 
 
 def differing_words(a: bytes, b: bytes) -> int:
@@ -163,6 +160,11 @@ def encode_tuple(t: tuple[int, ...]) -> bytes:
 def encode_words(t: tuple[int, ...]) -> bytes:
     """encode_tuple(t) without its length prefix: the entries as u32 LE words."""
     return struct.pack(f"<{len(t)}I", *t)
+
+
+def _is_tuple_encoding(z: bytes, n: int) -> bool:
+    """Whether z is encode_tuple of n u32 words: bytes, 4 + 4n long, prefix n."""
+    return isinstance(z, bytes) and len(z) == 4 + 4 * n and z[:4] == n.to_bytes(4, "little")
 
 
 def tuple_span(data: bytes, offset: int = 0) -> tuple[bytes, int]:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from functools import cached_property
 from itertools import permutations
 from math import factorial, isqrt, prod
 from random import Random
@@ -399,20 +398,6 @@ class BSGS:
         """'S_n' or 'A_n' when |H| is n! or n!/2, else 'no'."""
         full = factorial(self.degree)
         return "S_n" if self._order == full else "A_n" if 2 * self._order == full else "no"
-
-    @cached_property
-    def strong_generators(self) -> tuple[Permutation, ...]:
-        if self._levels is None:  # (j j+1) for S_n, (j j+1 j+2) for A_n
-            n, span = self.degree, 3 if self._alternating else 2
-            return tuple(
-                Permutation((*range(j), *range(j + 1, j + span), j, *range(j + span, n)))
-                for j in self.base
-            )
-        seen = {}
-        for level in self._levels:
-            for g in level.gens:
-                seen.setdefault(g, Permutation(self.ops.decode(g)))
-        return tuple(seen.values())
 
     def contains(self, p) -> bool:
         """Exact membership test: parity on a certified giant, else a sift.

@@ -12,9 +12,11 @@ answer reveals, in wire order:
   1          Z2, s     unmasking Z2 must give w with w∘g^-1 in H (w is u∘g)
   2          Z1, Z2    they must differ in at most max_distance words
 
-Every value is its own committed message and wire form, slot_size long.
-The prover, the verifier's checks and the response codecs all follow
-OPENS; only the final predicate above is written per challenge.
+Every value is its own committed message and wire form, slot_size long; a
+masked tuple's form is crypto's (_is_tuple_encoding tests it, tuple_span
+reads it), and CommitmentMsg is the one commitment layout.  The prover, the
+verifier's checks and the response codecs all follow OPENS; only the final
+predicate above is written per challenge.
 
 A round works on the group's raw elements (group.make_ops: byte tables up
 to degree 256, image tuples past it): masked_round composes u with x and
@@ -44,13 +46,15 @@ from typing import NamedTuple
 from .crypto import (
     COMMIT_TAGS,
     DIGEST_BYTES,
-    MAX_TUPLE_LENGTH,
     OPENING_BYTES,
     SEED_BYTES,
+    _is_tuple_encoding,
     apply_mask,
     commit,
     differing_words,
+    fresh_seed,
     remove_mask,
+    tuple_span,
     verify_commitment,
 )
 from .instance import SDPInstance, Witness, instance_digest, validate_witness
@@ -80,8 +84,7 @@ _FS_DOMAIN = b"SDZKP-FS-v1"
 def slot_size(slot: int, n: int) -> int:
     """Encoded length of a slot's value at degree n.  A value is canonical
     at degree n iff it is a bytes object of this length and, for a masked
-    tuple, its u32 length prefix is n.  slot_opens, challenge_holds and
-    _read_rounds write this length out, so a new slot form changes all four."""
+    tuple, its u32 length prefix is n (crypto._is_tuple_encoding)."""
     return SEED_BYTES if slot == SEED else 4 + 4 * n
 
 
@@ -187,8 +190,7 @@ def prover_round(inst: SDPInstance, h, rng: Random) -> ProverState:
     uniform in H, then a fresh seed, then the three commitments, in that coin
     order.  It does not check the witness."""
     u = inst.group.ops.encode(inst.group.sample_uniform(rng).images)
-    # fresh_seed(rng), written out: its frame would cost a call a round
-    return masked_round(inst, u, h, rng.getrandbits(8 * SEED_BYTES).to_bytes(SEED_BYTES, "little"), rng)
+    return masked_round(inst, u, h, fresh_seed(rng), rng)
 
 
 def opened_member(inst: SDPInstance, challenge: int, response: Response) -> Permutation:
@@ -258,8 +260,7 @@ def slot_opens(inst: SDPInstance, commitment: CommitmentMsg, slot: int, value: b
     Total on untrusted input: returns False, never raises."""
     try:
         n = inst.degree
-        size = SEED_BYTES if slot == SEED else 4 + 4 * n  # slot_size(slot, n)
-        canonical = len(value) == size and (slot == SEED or value[:4] == n.to_bytes(4, "little"))
+        canonical = len(value) == slot_size(SEED, n) if slot == SEED else _is_tuple_encoding(value, n)
         return canonical and verify_commitment(commitment[slot], value, COMMIT_TAGS[slot], opening)
     except (ValueError, TypeError, struct.error):
         return False
@@ -272,8 +273,8 @@ def challenge_holds(inst: SDPInstance, challenge: int, values: tuple[bytes, ...]
     try:
         if challenge == 2:
             (z1, z2), n = values, inst.degree
-            canonical = isinstance(z1, bytes) and isinstance(z2, bytes) and z1[:4] == z2[:4] == n.to_bytes(4, "little")
-            return canonical and len(z1) == len(z2) == 4 + 4 * n and differing_words(z1, z2) <= inst.max_distance
+            canonical = _is_tuple_encoding(z1, n) and _is_tuple_encoding(z2, n)
+            return canonical and differing_words(z1, z2) <= inst.max_distance
         member = _member(inst, challenge, *values)
         return member is not None and inst.group.contains(member)
     except (ValueError, TypeError, struct.error):
@@ -430,8 +431,8 @@ def _read_rounds(data: bytes, offset: int, rounds: int, with_commitments: bool):
     commitments, responses = [], []
     for _ in range(rounds):
         if with_commitments:
-            c2, c3, end = offset + DIGEST_BYTES, offset + 2 * DIGEST_BYTES, offset + COMMITMENT_BYTES
-            commitments.append(CommitmentMsg(data[offset:c2], data[c2:c3], data[c3:end]))
+            end = offset + COMMITMENT_BYTES
+            commitments.append(CommitmentMsg.decode(data[offset:end]))
             offset = end
         if size <= offset:
             raise ValueError("truncated message")
@@ -441,14 +442,10 @@ def _read_rounds(data: bytes, offset: int, rounds: int, with_commitments: bool):
         values = []
         for slot in OPENS[kind]:
             if slot == SEED:
-                end = offset + SEED_BYTES
-            else:  # a masked tuple: a u32 count, then that many u32 words (crypto.tuple_span)
-                count = int.from_bytes(data[offset : offset + 4], "little")
-                if not 0 < count <= MAX_TUPLE_LENGTH:
-                    raise ValueError(f"unreasonable tuple length {count}")
-                end = offset + 4 + 4 * count
-            values.append(data[offset:end])
-            offset = end
+                value, offset = data[offset : offset + SEED_BYTES], offset + SEED_BYTES
+            else:
+                value, offset = tuple_span(data, offset)
+            values.append(value)
         middle, end = offset + OPENING_BYTES, offset + 2 * OPENING_BYTES
         if size < end:
             raise ValueError("truncated message")

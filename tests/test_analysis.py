@@ -26,16 +26,24 @@ from sdzkp.analysis import (
     transcript_distribution_test,
     transcript_for,
 )
-from sdzkp.crypto import COMMIT_TAGS, commit, encode_tuple, remove_mask, tuple_add
-from sdzkp.instance import plant_instance, validate_witness
+from sdzkp.crypto import COMMIT_TAGS, _is_tuple_encoding, commit, encode_tuple, remove_mask, tuple_add
+from sdzkp.instance import instance_digest, plant_instance, validate_witness
 from sdzkp.protocol import (
     CHALLENGES,
     OPENS,
     SEED,
+    NIZKProof,
     Transcript,
     challenge_holds,
+    commit_round,
+    derive_challenges,
+    encode_proof,
     encode_response,
+    fs_verify_bytes,
+    max_response_bytes,
+    prover_round,
     slot_opens,
+    slot_size,
     verify_round,
 )
 
@@ -264,6 +272,59 @@ def test_slot_opens_then_challenge_holds_is_verify_round(fixture, request):
         assert challenge_holds(inst, 1, (z2, values[SEED])) is False
         assert challenge_holds(inst, 2, (z1, z2)) is False
         assert challenge_holds(inst, 2, (z1, values[1])) is False
+
+
+def _misshapen_tuples(z, n):
+    """Stand-ins for the masked tuple z at degree n: the prefix n + 1 or
+    n - 1 at the right length, one word short under prefix n, and the
+    canonical encoding of n - 1 words."""
+    return [_with_prefix(z, n + 1), _with_prefix(z, n - 1), z[:-4], _with_prefix(z[:-4], n - 1)]
+
+
+@pytest.mark.parametrize("n, gens, k", [(5, 2, 2), (256, 3, 64), (257, 3, 64)])
+def test_wire_forms_hold_at_the_byte_table_boundary(n, gens, k):
+    """Degree 256 is the last with byte-table elements, 257 the first with
+    image tuples, and below 7 the kind 0 and 1 responses are the longest.
+    Every committed value has its slot's form, the longest response is
+    max_response_bytes long, and each reader refuses a committed masked
+    tuple of another form."""
+    inst, wit = plant_instance(n, gens, k, random.Random(n), preset="general")
+    rng = random.Random(88)
+    h = inst.group.ops.encode(wit.element.images)
+    states = [prover_round(inst, h, rng) for _ in range(3)]
+    states += [make_cheating_prover(inst, targets, rng) for targets in TARGET_SETS]
+    states += [analysis._simulated_state(inst, guess, rng) for guess in CHALLENGES]
+    for state in states:
+        for slot, value in enumerate(state.values):
+            assert type(value) is bytes and len(value) == slot_size(slot, n)
+            assert slot == SEED or _is_tuple_encoding(value, n)
+    lengths = [len(encode_response(state.respond(ch))) for state in states for ch in CHALLENGES]
+    assert max(lengths) == max_response_bytes(n)
+
+    z1, z2, seed = states[0].values
+    assert len(remove_mask(z1, seed, n)) == 4 * n
+    for bad1, bad2 in zip(_misshapen_tuples(z1, n), _misshapen_tuples(z2, n)):
+        for slot, bad in ((0, bad1), (1, bad2)):
+            digest, opening = commit(bad, COMMIT_TAGS[slot], rng)
+            com = states[0].commitment._replace(**{states[0].commitment._fields[slot]: digest})
+            assert slot_opens(inst, com, slot, bad, opening) is False
+            assert challenge_holds(inst, slot, (bad, seed)) is False  # challenge 0 opens Z1, 1 opens Z2
+            with pytest.raises(ValueError):
+                remove_mask(bad, seed, n)
+        assert challenge_holds(inst, 2, (bad1, z2)) is False
+        assert challenge_holds(inst, 2, (z1, bad2)) is False
+
+    # a proof whose every round commits both masked tuples in the form under
+    # test, so each challenge opens one; the canonical pair verifies
+    def proof(pair):
+        rounds = [commit_round(*pair, seed, rng) for _ in range(4)]
+        commitments = tuple(state.commitment for state in rounds)
+        challenges = derive_challenges(instance_digest(inst), b"", commitments)
+        return encode_proof(NIZKProof(commitments, tuple(s.respond(ch) for s, ch in zip(rounds, challenges))))
+
+    assert fs_verify_bytes(inst, proof((z1, z2)), b"")
+    for pair in zip(_misshapen_tuples(z1, n), _misshapen_tuples(z2, n)):
+        assert fs_verify_bytes(inst, proof(pair), b"") is False
 
 
 def test_cheating_prover_rejects_bad_targets(planted):
