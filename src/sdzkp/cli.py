@@ -17,8 +17,10 @@ from pathlib import Path
 # Each handler imports the layers it runs, so a command loads no layer it
 # does not use, and `verify` can bind and announce its port before any.
 
-# instance.PRESETS, spelled out so that building the parser loads no layer.
+# instance.PRESETS and protocol.ROUNDS, spelled out so that building the
+# parser loads no layer.
 PRESETS = ("general", "abelian2")
+ROUNDS = 219
 
 EXIT_ACCEPT = 0
 EXIT_REJECT = 1
@@ -74,14 +76,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connect", required=True, help="verifier address host:port")
     p.add_argument("--instance", required=True)
     p.add_argument("--witness", required=True)
-    p.add_argument("--rounds", type=int, default=219)
+    p.add_argument("--rounds", type=int, default=ROUNDS)
     p.add_argument("--timeout-ms", type=timeout_ms, default=30000)
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("verify", help="listen for one prover session and decide")
     p.add_argument("--listen", required=True, help="bind address host:port (port 0 picks one)")
     p.add_argument("--instance", required=True)
-    p.add_argument("--rounds", type=int, default=219)
+    p.add_argument("--rounds", type=int, default=ROUNDS)
     p.add_argument("--timeout-ms", type=timeout_ms, default=30000)
     p.add_argument("--seed", type=int, default=None)
 
@@ -89,13 +91,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--witness", required=True)
     p.add_argument("--proof", required=True, help="output path")
-    p.add_argument("--rounds", type=int, default=219)
+    p.add_argument("--rounds", type=int, default=ROUNDS)
     p.add_argument("--context", default="", help="domain-separation string bound into the proof")
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("fs-verify", help="check a non-interactive proof file")
     p.add_argument("--instance", required=True)
     p.add_argument("--proof", required=True)
+    p.add_argument("--rounds", type=int, default=ROUNDS, help="the exact round count a proof must hold")
     p.add_argument("--context", default="")
 
     p = sub.add_parser("analyze", help="statistical experiments; prints a JSON report")
@@ -207,15 +210,16 @@ def cmd_fs_prove(args) -> int:
 
 def cmd_fs_verify(args) -> int:
     from .instance import load_instance
-    from .protocol import fs_verify_bytes
+    from .protocol import fs_verify_bytes, require_positive
 
+    require_positive(args.rounds)
     inst = load_instance(args.instance)
     try:
         data = Path(args.proof).read_bytes()
     except OSError as exc:
         print(f"error: cannot read proof: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    ok = fs_verify_bytes(inst, data, args.context.encode())
+    ok = fs_verify_bytes(inst, data, args.context.encode(), args.rounds)
     print("ACCEPT" if ok else "REJECT")
     return EXIT_ACCEPT if ok else EXIT_REJECT
 

@@ -1,12 +1,10 @@
 """Length-prefixed TCP transport for interactive proof sessions.
 
 Frame layout: u32 LE payload length, then a 1-byte message type, then the
-message body.  The length covers the type byte plus body and is capped at
-16 MiB; each end caps each frame it reads at the largest valid message of
-its type (the verifier's caps depend on the instance's degree).  One
-connection carries all rounds of one session; the verifier treats any
-framing violation, timeout, or failed check as a rejection of the whole
-session, never as a crash.
+message body.  The length covers the type byte plus body; send_frame
+refuses a payload over 16 MiB.  One connection carries all rounds of one
+session; the verifier treats any framing violation, timeout, or failed
+check as a rejection of the whole session, never as a crash.
 
 The two ends overlap a session's rounds without moving a byte: each sends
 the same frames in the same order, and draws its coins in the same order,
@@ -16,12 +14,15 @@ has sent challenge i+1, so each side computes while the other's frame is
 in flight.  The verifier checks the last round before it returns, so it
 still checks every round before it accepts.
 
-Each session reads its connection through one buffer: a recv takes what
-has arrived, up to 64 KiB, so a frame that came with the previous one (the
-prover writes response i and commitment i+1 back to back) costs no system
-call.  Both ends set TCP_NODELAY, since every frame is small: under
-Nagle's algorithm and delayed ACKs a frame written while the previous
-one is unacknowledged waits about 40 ms.
+Every frame is read one way: through the session's buffer, capped at the
+largest valid message of its type (the verifier's caps depend on the
+instance's degree), and under the session deadline, a time.monotonic()
+instant that bounds the whole session however slowly a peer sends.  A
+recv takes what has arrived, up to 64 KiB, so a frame that came with the
+previous one (the prover writes response i and commitment i+1 back to
+back) costs no system call.  Both ends set TCP_NODELAY, since every frame
+is small: under Nagle's algorithm and delayed ACKs a frame written while
+the previous one is unacknowledged waits about 40 ms.
 """
 
 from __future__ import annotations
@@ -76,40 +77,29 @@ def send_frame(sock: socket.socket, msg_type: int, body: bytes) -> None:
     sock.sendall(struct.pack("<I", len(payload)) + payload)
 
 
-def _recv_exact(
-    sock: socket.socket, count: int, deadline: float | None = None, buffer: bytearray | None = None
-) -> bytes:
-    """count bytes from sock.  With a buffer (a session's bytes read but not
-    yet consumed), they come from it first, each recv takes up to 64 KiB,
-    and what it reads past count stays in the buffer; without one, no byte
-    past count is read."""
-    pending = bytearray() if buffer is None else buffer
-    while len(pending) < count:
-        if deadline is not None:
-            left = deadline - time.monotonic()
-            if left <= 0:
-                raise socket.timeout("session deadline passed")
-            sock.settimeout(left)
-        want = count - len(pending)
-        chunk = sock.recv(want if buffer is None else max(want, _RECV_CHUNK))
+def _recv_exact(sock: socket.socket, count: int, deadline: float, buffer: bytearray) -> bytes:
+    """count bytes from sock, read through buffer (the session's bytes read
+    but not yet consumed): each recv takes up to 64 KiB under what is left
+    of the deadline, and what it reads past count stays in the buffer."""
+    while len(buffer) < count:
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise socket.timeout("session deadline passed")
+        sock.settimeout(left)
+        chunk = sock.recv(max(count - len(buffer), _RECV_CHUNK))
         if not chunk:
             raise SessionError("connection closed mid-frame")
-        pending += chunk
-    data = bytes(pending[:count])
-    del pending[:count]
+        buffer += chunk
+    data = bytes(buffer[:count])
+    del buffer[:count]
     return data
 
 
-def recv_frame(
-    sock: socket.socket,
-    max_length: int = FRAME_MAX,
-    deadline: float | None = None,
-    buffer: bytearray | None = None,
-) -> tuple[int, bytes]:
-    """Read one frame.  A length over max_length is refused before its body
-    is awaited; deadline is a time.monotonic() instant bounding the whole
-    read.  buffer is the session's read buffer (see _recv_exact); without
-    one, no byte past the frame is read."""
+def recv_frame(sock: socket.socket, max_length: int, deadline: float, buffer: bytearray) -> tuple[int, bytes]:
+    """Read one frame through the session's buffer.  A length over
+    max_length (the largest valid message of the expected type) is refused
+    before its body is awaited; deadline is a time.monotonic() instant
+    bounding the whole read."""
     header = _recv_exact(sock, 4, deadline, buffer)
     (length,) = struct.unpack("<I", header)
     if length == 0 or length > max_length:
@@ -119,11 +109,7 @@ def recv_frame(
 
 
 def recv_expected(
-    sock: socket.socket,
-    expected_type: int,
-    max_length: int = FRAME_MAX,
-    deadline: float | None = None,
-    buffer: bytearray | None = None,
+    sock: socket.socket, expected_type: int, max_length: int, deadline: float, buffer: bytearray
 ) -> bytes:
     msg_type, body = recv_frame(sock, max_length, deadline, buffer)
     if msg_type != expected_type:
@@ -132,7 +118,7 @@ def recv_expected(
 
 
 def prover_session(
-    sock: socket.socket, inst: SDPInstance, wit: Witness, rounds: int, rng: Random, deadline: float | None = None
+    sock: socket.socket, inst: SDPInstance, wit: Witness, rounds: int, rng: Random, deadline: float
 ) -> None:
     """Drive the prover side of one session; raises SessionError on violations
     and socket.timeout once the deadline (a time.monotonic() instant) passes.
@@ -145,7 +131,7 @@ def prover_session(
 
 
 def _prove_rounds(
-    sock: socket.socket, inst: SDPInstance, wit: Witness, rounds: int, rng: Random, deadline: float | None
+    sock: socket.socket, inst: SDPInstance, wit: Witness, rounds: int, rng: Random, deadline: float
 ) -> None:
     """prover_session once its caller has checked rounds and the witness."""
     h = inst.group.ops.encode(wit.element.images)
@@ -165,9 +151,7 @@ def _prove_rounds(
     _log("prover finished %d rounds", rounds)
 
 
-def verifier_session(
-    sock: socket.socket, inst: SDPInstance, rounds: int, rng: Random, deadline: float | None = None
-) -> bool:
+def verifier_session(sock: socket.socket, inst: SDPInstance, rounds: int, rng: Random, deadline: float) -> bool:
     """Drive the verifier side of one session.
 
     Returns the decision; every malformed message, unexpected type, oversized
@@ -191,7 +175,7 @@ def verifier_session(
             response = decode_response(recv_expected(sock, MSG_RESPONSE, response_max, deadline, buffer))
             unchecked = (commitment, challenge, response)
         return _round_verifies(inst, rounds - 1, unchecked)
-    except (SessionError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         _log("session aborted: %s", exc)
         return False
 
@@ -203,28 +187,21 @@ def _round_verifies(inst: SDPInstance, index: int, round_: tuple) -> bool:
     return False
 
 
-def accept_and_verify(
-    listener: socket.socket,
-    inst: SDPInstance,
-    rounds: int,
-    rng: Random,
-    timeout_s: float | None = None,
-) -> bool:
+def accept_and_verify(listener: socket.socket, inst: SDPInstance, rounds: int, rng: Random, timeout_s: float) -> bool:
     """Accept one connection and run a verifier session over it.
 
     timeout_s bounds the wait for a connection, and then the whole session.
     rounds < 1 raises ValueError before a connection is accepted.
     """
     require_positive(rounds)
-    if timeout_s is not None:
-        listener.settimeout(timeout_s)
+    listener.settimeout(timeout_s)
     try:
         conn, peer = listener.accept()
-    except (OSError, socket.timeout) as exc:
+    except OSError as exc:
         _log("no session: %s", exc)
         return False
     with conn:
-        deadline = None if timeout_s is None else time.monotonic() + timeout_s
+        deadline = time.monotonic() + timeout_s
         try:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError as exc:
@@ -241,7 +218,7 @@ def connect_and_prove(
     wit: Witness,
     rounds: int,
     rng: Random,
-    timeout_s: float | None = None,
+    timeout_s: float,
 ) -> None:
     """Connect and run a prover session; timeout_s bounds the connect, and
     then the whole session.  A witness that fails the statement, or rounds
@@ -250,6 +227,6 @@ def connect_and_prove(
     require_witness(inst, wit)
     require_positive(rounds)
     with socket.create_connection((host, port), timeout=timeout_s) as sock:
-        deadline = None if timeout_s is None else time.monotonic() + timeout_s
+        deadline = time.monotonic() + timeout_s
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         _prove_rounds(sock, inst, wit, rounds, rng, deadline)

@@ -158,9 +158,9 @@ def _shuffle(x: list, rng: Random) -> None:
 
 
 def _sample(n: int, k: int, rng: Random) -> list[int]:
-    """rng.sample(range(n), k), drawn with the getrandbits calls it makes
-    (CPython 3.10-3.12): a pool of the unpicked when n is at most its set
-    size, else redraws against a set of the picked."""
+    """rng.sample(range(n), k).  Its pool branch (n at most the stdlib's set
+    size) is inlined here, with the getrandbits calls rng.sample makes
+    (CPython 3.10-3.12); past that size rng.sample itself draws."""
     if not 0 <= k <= n:
         raise ValueError("Sample larger than population or is negative")
     getrandbits = rng.getrandbits
@@ -178,16 +178,7 @@ def _sample(n: int, k: int, rng: Random) -> list[int]:
             picked.append(pool[j])
             pool[j] = pool[m - 1]
         return picked
-    b = n.bit_length()
-    picked = []
-    seen = set()
-    for _ in range(k):
-        j = getrandbits(b)
-        while j >= n or j in seen:
-            j = getrandbits(b)
-        seen.add(j)
-        picked.append(j)
-    return picked
+    return rng.sample(range(n), k)
 
 
 def random_perm(n: int, rng: Random) -> Permutation:

@@ -78,6 +78,10 @@ COMMITMENT_BYTES = 3 * DIGEST_BYTES
 PROOF_MAGIC = b"SDP1"
 _MAX_ROUNDS = 1 << 20
 
+# The default round count: the least t with (2/3)^t <= 2^-128, that is
+# t * log2(3/2) >= 128.
+ROUNDS = 219
+
 _FS_DOMAIN = b"SDZKP-FS-v1"
 
 
@@ -362,10 +366,14 @@ def fs_prove(inst: SDPInstance, wit: Witness, rounds: int, context: bytes, rng: 
     return NIZKProof(commitments=commitments, responses=responses)
 
 
-def fs_verify_bytes(inst: SDPInstance, data: bytes, context: bytes) -> bool:
+def fs_verify_bytes(inst: SDPInstance, data: bytes, context: bytes, rounds: int = ROUNDS) -> bool:
     """Check a serialized non-interactive proof.  False on any malformed
-    buffer or failing round."""
+    buffer or failing round, and unless the proof holds exactly `rounds`
+    rounds: the verifier, not the prover, sets the soundness error, so the
+    count after the magic is read before any round is decoded."""
     try:
+        if struct.unpack_from("<I", data, 4) != (rounds,):
+            return False
         proof = decode_proof(data)
         challenges = derive_challenges(instance_digest(inst), context, proof.commitments)
     except (ValueError, TypeError, struct.error):

@@ -282,7 +282,6 @@ def _replay_verifier(inst, stream: bytes, seed: int) -> bool:
     """Feed a recorded prover byte stream to a fresh verifier session."""
     a, b = socket.socketpair()
     a.settimeout(5)
-    b.settimeout(0.25)
 
     def feeder():
         try:
@@ -299,7 +298,7 @@ def _replay_verifier(inst, stream: bytes, seed: int) -> bool:
     th.start()
     try:
         with b:
-            return net.verifier_session(b, inst, 1, random.Random(seed))
+            return net.verifier_session(b, inst, 1, random.Random(seed), time.monotonic() + 0.25)
     finally:
         th.join(10)
 
@@ -382,14 +381,14 @@ def test_c09_mutation_robustness():
 
     # 300 mutations of a full non-interactive proof
     proof_bytes = encode_proof(fs_prove(inst, wit, 8, b"fuzz", rng))
-    assert fs_verify_bytes(inst, proof_bytes, b"fuzz")
+    assert fs_verify_bytes(inst, proof_bytes, b"fuzz", 8)
     for _ in range(300):
         data = bytearray(proof_bytes)
         pos = rng.randrange(len(data))
         data[pos] ^= 1 + rng.randrange(255)
         mutations += 1
         try:
-            if fs_verify_bytes(inst, bytes(data), b"fuzz"):
+            if fs_verify_bytes(inst, bytes(data), b"fuzz", 8):
                 accepts += 1
         except Exception:
             crashes += 1

@@ -322,9 +322,9 @@ def test_wire_forms_hold_at_the_byte_table_boundary(n, gens, k):
         challenges = derive_challenges(instance_digest(inst), b"", commitments)
         return encode_proof(NIZKProof(commitments, tuple(s.respond(ch) for s, ch in zip(rounds, challenges))))
 
-    assert fs_verify_bytes(inst, proof((z1, z2)), b"")
+    assert fs_verify_bytes(inst, proof((z1, z2)), b"", 4)
     for pair in zip(_misshapen_tuples(z1, n), _misshapen_tuples(z2, n)):
-        assert fs_verify_bytes(inst, proof(pair), b"") is False
+        assert fs_verify_bytes(inst, proof(pair), b"", 4) is False
 
 
 def test_cheating_prover_rejects_bad_targets(planted):

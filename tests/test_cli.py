@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, including a loopback proof session."""
 
 import json
+import math
 import os
 import random
 import socket
@@ -16,8 +17,10 @@ import sdzkp.cli
 import sdzkp.instance
 import sdzkp.net
 import sdzkp.protocol
+from sdzkp.analysis import make_cheating_prover
 from sdzkp.cli import EXIT_ACCEPT, EXIT_REJECT, EXIT_USAGE, main, make_rng, parse_addr
-from sdzkp.instance import load_instance, load_witness, validate_witness
+from sdzkp.instance import instance_digest, load_instance, load_witness, validate_witness
+from sdzkp.protocol import NIZKProof, derive_challenges, encode_proof, fs_verify_bytes
 
 
 def keygen(tmp_path, *extra):
@@ -133,11 +136,12 @@ def test_fs_prove_and_verify(tmp_path, capsys):
     assert proof.exists()
     capsys.readouterr()
 
-    code = main(["fs-verify", "--instance", str(inst_path), "--proof", str(proof), "--context", "unit"])
+    verify = ["fs-verify", "--instance", str(inst_path), "--proof", str(proof), "--rounds", "24"]
+    code = main([*verify, "--context", "unit"])
     assert code == EXIT_ACCEPT
     assert "ACCEPT" in capsys.readouterr().out
 
-    code = main(["fs-verify", "--instance", str(inst_path), "--proof", str(proof), "--context", "other"])
+    code = main([*verify, "--context", "other"])
     assert code == EXIT_REJECT
     assert "REJECT" in capsys.readouterr().out
 
@@ -151,18 +155,19 @@ def test_fs_verify_rejects_corrupt_and_truncated(tmp_path, capsys):
     ])
     data = proof.read_bytes()
 
+    verify = ["fs-verify", "--instance", str(inst_path), "--rounds", "8", "--proof"]
     truncated = tmp_path / "t.sdp"
     truncated.write_bytes(data[: len(data) // 2])
-    assert main(["fs-verify", "--instance", str(inst_path), "--proof", str(truncated)]) == EXIT_REJECT
+    assert main([*verify, str(truncated)]) == EXIT_REJECT
 
     flipped = bytearray(data)
     flipped[len(flipped) // 3] ^= 0x20
     corrupt = tmp_path / "c.sdp"
     corrupt.write_bytes(bytes(flipped))
-    assert main(["fs-verify", "--instance", str(inst_path), "--proof", str(corrupt)]) == EXIT_REJECT
+    assert main([*verify, str(corrupt)]) == EXIT_REJECT
 
     missing = tmp_path / "missing.sdp"
-    assert main(["fs-verify", "--instance", str(inst_path), "--proof", str(missing)]) == EXIT_USAGE
+    assert main([*verify, str(missing)]) == EXIT_USAGE
     capsys.readouterr()
 
 
@@ -179,7 +184,7 @@ def test_fs_prove_refuses_more_rounds_than_a_proof_holds(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert "error: unreasonable round count 4" in err and "Traceback" not in err
     assert main([*args, "--rounds", "3"]) == EXIT_ACCEPT
-    assert main(["fs-verify", "--instance", str(inst_path), "--proof", str(proof)]) == EXIT_ACCEPT
+    assert main(["fs-verify", "--instance", str(inst_path), "--proof", str(proof), "--rounds", "3"]) == EXIT_ACCEPT
     capsys.readouterr()
 
 
@@ -191,7 +196,7 @@ def test_fs_verify_rejects_wrong_instance(tmp_path, capsys):
         "fs-prove", "--instance", str(inst_path), "--witness", str(wit_path),
         "--proof", str(proof), "--rounds", "8", "--seed", "9",
     ])
-    assert main(["fs-verify", "--instance", str(other_path), "--proof", str(proof)]) == EXIT_REJECT
+    assert main(["fs-verify", "--instance", str(other_path), "--proof", str(proof), "--rounds", "8"]) == EXIT_REJECT
     capsys.readouterr()
 
 
@@ -353,6 +358,49 @@ def test_cli_offers_every_preset():
     assert sdzkp.cli.PRESETS == sdzkp.instance.PRESETS
 
 
+def test_cli_rounds_are_the_protocol_rounds_and_reach_128_bits():
+    # One round has soundness error 2/3, so t rounds give t * log2(3/2) bits.
+    assert sdzkp.cli.ROUNDS == sdzkp.protocol.ROUNDS == 219
+    assert 218 * math.log2(3 / 2) < 128 <= 219 * math.log2(3 / 2)
+    required = {
+        "prove": ["--connect", "h:1", "--instance", "i", "--witness", "w"],
+        "verify": ["--listen", "h:1", "--instance", "i"],
+        "fs-prove": ["--instance", "i", "--witness", "w", "--proof", "p"],
+        "fs-verify": ["--instance", "i", "--proof", "p"],
+    }
+    parser = sdzkp.cli.build_parser()
+    for command, args in required.items():
+        assert parser.parse_args([command, *args]).rounds == 219
+
+
+def test_fs_verify_refuses_a_one_round_forgery_at_the_default_count(tmp_path, capsys):
+    # A witness-less state that passes challenges 0 and 1, redrawn until the
+    # challenge derived from its commitment is one of them: a valid
+    # one-round proof, so a verifier that took the prover's count would
+    # accept it, made without a witness with probability 2/3.
+    inst_path, _ = keygen(tmp_path)
+    inst = load_instance(inst_path)
+    rng = random.Random(99)
+    while True:
+        state = make_cheating_prover(inst, {0, 1}, rng)
+        (challenge,) = derive_challenges(instance_digest(inst), b"", (state.commitment,))
+        if challenge in (0, 1):
+            break
+    data = encode_proof(NIZKProof((state.commitment,), (state.respond(challenge),)))
+    assert fs_verify_bytes(inst, data, b"", 1)
+    assert fs_verify_bytes(inst, data, b"") is False
+    forged = tmp_path / "forged.sdp"
+    forged.write_bytes(data)
+    capsys.readouterr()
+    verify = ["fs-verify", "--instance", str(inst_path), "--proof", str(forged)]
+    assert main(verify) == EXIT_REJECT
+    assert main([*verify, "--rounds", "1"]) == EXIT_ACCEPT
+    assert main([*verify, "--rounds", "0"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out.split() == ["REJECT", "ACCEPT"]
+    assert captured.err.splitlines()[-1] == "error: need at least one round"
+
+
 # Runs one CLI command in a fresh interpreter, then prints the sdzkp modules it
 # loaded, and logging and dataclasses if it loaded them, as the last line of
 # stdout.
@@ -404,7 +452,7 @@ def test_offline_commands_load_neither_net_nor_analysis(tmp_path, capsys, comman
         "keygen": ["--out-dir", tmp_path / "again", "--seed", "7"],
         "fs-prove": ["--instance", inst_path, "--witness", wit_path, "--proof", tmp_path / "q.sdp",
                      "--rounds", "8", "--seed", "9"],
-        "fs-verify": ["--instance", inst_path, "--proof", proof],
+        "fs-verify": ["--instance", inst_path, "--proof", proof, "--rounds", "8"],
     }[command]
     _, _, loaded = _loaded_modules(_cli_process(command, *args))
     assert "sdzkp.instance" in loaded

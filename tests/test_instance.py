@@ -197,7 +197,7 @@ def test_instance_copies_and_pickles(round_trip, n):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(back, name, None)
     proof = encode_proof(fs_prove(inst, wit, 16, b"ctx", random.Random(49)))
-    assert fs_verify_bytes(back, proof, b"ctx")
+    assert fs_verify_bytes(back, proof, b"ctx", 16)
 
 
 def test_instance_bytes_round_trip():

@@ -1,6 +1,7 @@
 """Framed transport and the interactive session drivers."""
 
 import hashlib
+import inspect
 import logging
 import random
 import socket
@@ -16,6 +17,7 @@ import sdzkp.protocol
 from sdzkp import net
 from sdzkp.instance import plant_instance, validate_witness
 from sdzkp.protocol import (
+    COMMITMENT_BYTES,
     MSG_CHALLENGE,
     MSG_COMMIT,
     MSG_RESPONSE,
@@ -39,11 +41,37 @@ def pair():
     return a, b
 
 
+def soon(seconds=10):
+    """A session deadline: a time.monotonic() instant `seconds` from now."""
+    return time.monotonic() + seconds
+
+
+COMMIT_FRAME_MAX = 1 + COMMITMENT_BYTES  # the verifier's cap on a commitment frame
+
+
+def test_every_read_is_buffered_capped_and_deadline_bound():
+    # One read path: no read, session driver or entry point has a mode
+    # without the session buffer, a per-type cap or the session deadline.
+    required = {
+        net._recv_exact: ("deadline", "buffer"),
+        net.recv_frame: ("max_length", "deadline", "buffer"),
+        net.recv_expected: ("max_length", "deadline", "buffer"),
+        net.prover_session: ("deadline",),
+        net.verifier_session: ("deadline",),
+        net.accept_and_verify: ("timeout_s",),
+        net.connect_and_prove: ("timeout_s",),
+    }
+    for fn, names in required.items():
+        params = inspect.signature(fn).parameters
+        for name in names:
+            assert params[name].default is inspect.Parameter.empty, (fn.__name__, name)
+
+
 def test_frame_round_trip():
     a, b = pair()
     with a, b:
         net.send_frame(a, MSG_COMMIT, b"hello")
-        msg_type, body = net.recv_frame(b)
+        msg_type, body = net.recv_frame(b, 6, soon(), bytearray())
         assert msg_type == MSG_COMMIT and body == b"hello"
 
 
@@ -52,7 +80,7 @@ def test_frame_rejects_zero_length():
     with a, b:
         a.sendall(struct.pack("<I", 0))
         with pytest.raises(net.SessionError):
-            net.recv_frame(b)
+            net.recv_frame(b, COMMIT_FRAME_MAX, soon(), bytearray())
 
 
 def test_frame_rejects_oversize_length():
@@ -60,7 +88,7 @@ def test_frame_rejects_oversize_length():
     with a, b:
         a.sendall(struct.pack("<I", net.FRAME_MAX + 1))
         with pytest.raises(net.SessionError):
-            net.recv_frame(b)
+            net.recv_frame(b, net.FRAME_MAX, soon(), bytearray())
 
 
 def test_send_frame_rejects_oversize_body():
@@ -76,26 +104,24 @@ def test_recv_frame_detects_eof():
         a.sendall(struct.pack("<I", 10) + b"\x01")
         a.close()
         with pytest.raises(net.SessionError):
-            net.recv_frame(b)
+            net.recv_frame(b, COMMIT_FRAME_MAX, soon(), bytearray())
 
 
 def frame(msg_type, body):
     return struct.pack("<I", 1 + len(body)) + bytes([msg_type]) + body
 
 
-@pytest.mark.parametrize("buffered", [False, True], ids=["bare", "buffered"])
-def test_two_frames_in_one_write_come_back_in_order(buffered):
+def test_two_frames_in_one_write_come_back_in_order():
     first, second = frame(MSG_RESPONSE, b"response"), frame(MSG_COMMIT, b"commitment")
-    buffer = bytearray() if buffered else None
+    buffer = bytearray()
     a, b = pair()
     with a, b:
         a.sendall(first + second)
-        assert net.recv_frame(b, buffer=buffer) == (MSG_RESPONSE, b"response")
-        if buffered:
-            # the second frame came with the first, so reading it needs no recv
-            assert buffer == second
-            b.setblocking(False)
-        assert net.recv_frame(b, buffer=buffer) == (MSG_COMMIT, b"commitment")
+        assert net.recv_frame(b, COMMIT_FRAME_MAX, soon(), buffer) == (MSG_RESPONSE, b"response")
+        # the second frame came with the first, so reading it needs no recv
+        assert buffer == second
+        b.setblocking(False)
+        assert net.recv_frame(b, COMMIT_FRAME_MAX, soon(), buffer) == (MSG_COMMIT, b"commitment")
         assert not buffer
 
 
@@ -104,7 +130,7 @@ def test_recv_expected_type_mismatch():
     with a, b:
         net.send_frame(a, MSG_RESPONSE, b"x")
         with pytest.raises(net.SessionError):
-            net.recv_expected(b, MSG_COMMIT)
+            net.recv_expected(b, MSG_COMMIT, COMMIT_FRAME_MAX, soon(), bytearray())
 
 
 def run_session(inst, wit, rounds, prover_fn=None):
@@ -116,7 +142,7 @@ def run_session(inst, wit, rounds, prover_fn=None):
         try:
             with a:
                 if prover_fn is None:
-                    net.prover_session(a, inst, wit, rounds, random.Random(101))
+                    net.prover_session(a, inst, wit, rounds, random.Random(101), soon())
                 else:
                     prover_fn(a)
         except (net.SessionError, OSError) as exc:
@@ -126,7 +152,7 @@ def run_session(inst, wit, rounds, prover_fn=None):
     th.start()
     try:
         with b:
-            ok = net.verifier_session(b, inst, rounds, random.Random(102))
+            ok = net.verifier_session(b, inst, rounds, random.Random(102), soon())
     finally:
         th.join(10)
     return ok, errors
@@ -161,10 +187,10 @@ def test_session_bytes_are_pinned():
     inst, wit = plant_instance(64, 3, 16, random.Random(120))
     a, b = pair()
     prover, verifier = _Recorder(a), _Recorder(b)
-    th = threading.Thread(target=net.prover_session, args=(prover, inst, wit, 219, random.Random(121)))
+    th = threading.Thread(target=net.prover_session, args=(prover, inst, wit, 219, random.Random(121), soon()))
     th.start()
     with a, b:
-        ok = net.verifier_session(verifier, inst, 219, random.Random(122))
+        ok = net.verifier_session(verifier, inst, 219, random.Random(122), soon())
         th.join(10)
     assert ok and not th.is_alive()
     assert prover.sent.hexdigest() == "53553ed67d7447e3dc5df3aeb36c11d786a1c1312a5673b4fe16634d01ba7998"
@@ -208,7 +234,7 @@ def test_prover_session_checks_the_witness_once(planted, monkeypatch):
     a, b = pair()
     with b:
         with a, pytest.raises(ValueError, match="witness"):
-            net.prover_session(a, inst, foreign, 219, random.Random(101))
+            net.prover_session(a, inst, foreign, 219, random.Random(101), soon())
         assert b.recv(1) == b""  # the prover hung up without sending a frame
     assert len(calls) == 2
 
@@ -238,7 +264,7 @@ def test_impostor_disconnects_mid_session(planted):
 
     def impostor(sock):
         net.send_frame(sock, MSG_COMMIT, bytes(96))
-        net.recv_expected(sock, MSG_CHALLENGE)
+        net.recv_expected(sock, MSG_CHALLENGE, 2, soon(), bytearray())
         # hang up instead of responding
 
     ok, _ = run_session(inst, wit, 4, impostor)
@@ -250,7 +276,7 @@ def test_impostor_sends_malformed_response(planted):
 
     def impostor(sock):
         net.send_frame(sock, MSG_COMMIT, bytes(96))
-        net.recv_expected(sock, MSG_CHALLENGE)
+        net.recv_expected(sock, MSG_CHALLENGE, 2, soon(), bytearray())
         net.send_frame(sock, MSG_RESPONSE, b"\x07garbage")
 
     ok, _ = run_session(inst, wit, 4, impostor)
@@ -264,7 +290,7 @@ def test_commit_without_witness_fails_rounds(planted):
     def impostor(sock):
         for _ in range(2):
             net.send_frame(sock, MSG_COMMIT, bytes(96))
-            net.recv_expected(sock, MSG_CHALLENGE)
+            net.recv_expected(sock, MSG_CHALLENGE, 2, soon(), bytearray())
             net.send_frame(sock, MSG_RESPONSE, b"\x00" + b"\x00" * 200)
 
     ok, _ = run_session(inst, wit, 2, impostor)
@@ -314,14 +340,14 @@ def test_prover_session_rejects_invalid_challenge(planted):
     def prover_side():
         try:
             with a:
-                net.prover_session(a, inst, wit, 1, random.Random(106))
+                net.prover_session(a, inst, wit, 1, random.Random(106), soon())
         except net.SessionError as exc:
             errors.append(exc)
 
     th = threading.Thread(target=prover_side)
     th.start()
     with b:
-        net.recv_expected(b, MSG_COMMIT)
+        net.recv_expected(b, MSG_COMMIT, COMMIT_FRAME_MAX, soon(), bytearray())
         net.send_frame(b, MSG_CHALLENGE, bytes([9]))
     th.join(10)
     assert errors
@@ -330,20 +356,19 @@ def test_prover_session_rejects_invalid_challenge(planted):
 def test_prover_refuses_an_oversized_challenge_before_its_body(planted):
     inst, wit = planted
     a, b = pair()
-    a.settimeout(3)
     errors = []
 
     def prover_side():
         try:
             with a:
-                net.prover_session(a, inst, wit, 1, random.Random(112))
+                net.prover_session(a, inst, wit, 1, random.Random(112), soon(3))
         except OSError as exc:
             errors.append(exc)
 
     th = threading.Thread(target=prover_side)
     th.start()
     with b:
-        net.recv_expected(b, MSG_COMMIT)
+        net.recv_expected(b, MSG_COMMIT, COMMIT_FRAME_MAX, soon(), bytearray())
         t0 = time.monotonic()
         # announce 1 MiB, send nothing behind it, and hold the line open
         b.sendall(struct.pack("<I", 1 << 20))
@@ -358,9 +383,9 @@ def test_zero_round_sessions_refused_before_any_io(planted):
     a, b = pair()
     with a, b:
         with pytest.raises(ValueError):
-            net.verifier_session(b, inst, 0, random.Random(109))
+            net.verifier_session(b, inst, 0, random.Random(109), soon())
         with pytest.raises(ValueError):
-            net.prover_session(a, inst, wit, 0, random.Random(110))
+            net.prover_session(a, inst, wit, 0, random.Random(110), soon())
         for sock in (a, b):
             sock.setblocking(False)
             with pytest.raises(BlockingIOError):
@@ -532,7 +557,7 @@ def test_verifier_rejects_an_adversarial_peer_without_raising(planted, foreign_f
     t0 = time.monotonic()
     try:
         with b:
-            ok = net.verifier_session(b, inst, 2, random.Random(111), time.monotonic() + timeout_s)
+            ok = net.verifier_session(b, inst, 2, random.Random(111), soon(timeout_s))
     finally:
         th.join(5)
     assert not th.is_alive()
@@ -548,7 +573,7 @@ def test_oversized_frame_rejected_before_its_body(planted, stage):
     def impostor(sock):
         if stage == "response":
             net.send_frame(sock, MSG_COMMIT, bytes(96))
-            net.recv_expected(sock, MSG_CHALLENGE)
+            net.recv_expected(sock, MSG_CHALLENGE, 2, soon(), bytearray())
         # announce 1 MiB, send nothing behind it, and hold the line open
         # until the verifier hangs up
         sock.sendall(struct.pack("<I", 1 << 20))

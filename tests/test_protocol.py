@@ -361,7 +361,7 @@ def test_verify_round_and_encode_response_refuse_a_misshapen_response(planted, h
 def test_fs_verify_is_total_on_non_proofs(planted):
     inst, wit = planted
     proof = fs_prove(inst, wit, 3, b"", random.Random(71))
-    assert fs_verify_bytes(inst, encode_proof(proof), b"")
+    assert fs_verify_bytes(inst, encode_proof(proof), b"", 3)
     for bad in (
         None,
         "proof",
@@ -373,24 +373,36 @@ def test_fs_verify_is_total_on_non_proofs(planted):
         NIZKProof((0,) * 3, proof.responses),
         NIZKProof(None, None),
     ):
-        assert fs_verify_bytes(inst, bad, b"") is False
+        assert fs_verify_bytes(inst, bad, b"", 3) is False
 
 
 def test_proving_verifying_and_decoding_share_one_round_cap(planted, monkeypatch):
     inst, wit = planted
     proof = fs_prove(inst, wit, 4, b"", random.Random(72))
-    assert fs_verify_bytes(inst, encode_proof(proof), b"")
+    assert fs_verify_bytes(inst, encode_proof(proof), b"", 4)
     monkeypatch.setattr(sdzkp.protocol, "_MAX_ROUNDS", 3)
     rng = random.Random(73)
     before = rng.getstate()
     with pytest.raises(ValueError, match="unreasonable round count 4"):
         fs_prove(inst, wit, 4, b"", rng)
     assert rng.getstate() == before  # refused before a single commitment
-    assert fs_verify_bytes(inst, encode_proof(proof), b"") is False
+    assert fs_verify_bytes(inst, encode_proof(proof), b"", 4) is False
     with pytest.raises(ValueError, match="unreasonable round count 4"):
         decode_proof(encode_proof(proof))
     at_cap = fs_prove(inst, wit, 3, b"", rng)
-    assert fs_verify_bytes(inst, encode_proof(at_cap), b"")
+    assert fs_verify_bytes(inst, encode_proof(at_cap), b"", 3)
+
+
+@pytest.mark.parametrize("rounds", [218, 220])
+def test_fs_verify_requires_its_own_round_count(planted, rounds):
+    # The verifier sets the soundness error: a proof one round short of the
+    # default, or one round over it, is refused there and accepted only at
+    # its own count.
+    inst, wit = planted
+    data = encode_proof(fs_prove(inst, wit, rounds, b"", random.Random(rounds)))
+    assert fs_verify_bytes(inst, data, b"") is False
+    assert fs_verify_bytes(inst, data, b"", 219) is False
+    assert fs_verify_bytes(inst, data, b"", rounds)
 
 
 def test_verifier_challenge_range_and_distribution():
@@ -434,8 +446,8 @@ def test_fs_round_trip(planted):
     rng = random.Random(63)
     proof = fs_prove(inst, wit, 40, b"ctx", rng)
     assert proof.rounds == 40
-    assert fs_verify_bytes(inst, encode_proof(proof), b"ctx")
-    assert not fs_verify_bytes(inst, encode_proof(proof), b"other-ctx")
+    assert fs_verify_bytes(inst, encode_proof(proof), b"ctx", 40)
+    assert not fs_verify_bytes(inst, encode_proof(proof), b"other-ctx", 40)
 
 
 def test_fs_proof_bytes_round_trip(planted):
@@ -445,7 +457,7 @@ def test_fs_proof_bytes_round_trip(planted):
     data = encode_proof(proof)
     back = decode_proof(data)
     assert back == proof
-    assert fs_verify_bytes(inst, data, b"")
+    assert fs_verify_bytes(inst, data, b"", 8)
 
 
 def test_proof_in_any_byte_buffer_verifies(planted):
@@ -453,11 +465,11 @@ def test_proof_in_any_byte_buffer_verifies(planted):
     data = encode_proof(fs_prove(inst, wit, 8, b"", random.Random(66)))
     for buffer in (bytearray(data), memoryview(data), memoryview(bytearray(data))):
         assert decode_proof(buffer) == decode_proof(data)
-        assert fs_verify_bytes(inst, buffer, b"")
+        assert fs_verify_bytes(inst, buffer, b"", 8)
     # not buffers: refused at once (bytes(10**9) would allocate a gigabyte)
     for bad in (10**9, data.decode("latin-1"), None):
         t0 = time.monotonic()
-        assert fs_verify_bytes(inst, bad, b"") is False
+        assert fs_verify_bytes(inst, bad, b"", 8) is False
         with pytest.raises(TypeError):
             decode_proof(bad)
         assert time.monotonic() - t0 < 1.0
@@ -472,10 +484,10 @@ def test_fs_single_byte_flips_reject(planted):
         pos = rng.randrange(len(data))
         old = data[pos]
         data[pos] ^= 1 + rng.randrange(255)
-        assert not fs_verify_bytes(inst, bytes(data), b"ctx")
+        assert not fs_verify_bytes(inst, bytes(data), b"ctx", 6)
         data[pos] = old
     # sanity: restored bytes still verify
-    assert fs_verify_bytes(inst, bytes(data), b"ctx")
+    assert fs_verify_bytes(inst, bytes(data), b"ctx", 6)
 
 
 def test_fs_challenges_deterministic(planted):
@@ -523,7 +535,7 @@ def test_proof_codec_rejects_malformed(planted):
         decode_proof(b"NOPE" + data[4:])
     with pytest.raises(ValueError):
         decode_proof(b"")
-    assert not fs_verify_bytes(inst, data[:-1], b"")
+    assert not fs_verify_bytes(inst, data[:-1], b"", 3)
 
 
 def test_masked_values_hide_witness(planted):

@@ -1,12 +1,13 @@
 """fs_verify_bytes against a reference verifier written from the plain helpers.
 
-The reference decodes the proof into objects, derives the challenges, opens
-each commitment with crypto.verify_commitment, unmasks with
-tuple_sub(decode_tuple(z), expand_mask(seed, n)), builds the opened member
-with the validating Permutation constructor, compose and contains, and
-counts challenge-2 differences with weight.  It shares none of the raw-form
-code (byte tables, lane slices, the one-subtraction unmask) that
-fs_verify_bytes runs, so each verdict is checked against the definition.
+The reference decodes the proof into objects, requires the round count the
+verifier asks for, derives the challenges, opens each commitment with
+crypto.verify_commitment, unmasks with tuple_sub(decode_tuple(z),
+expand_mask(seed, n)), builds the opened member with the validating
+Permutation constructor, compose and contains, and counts challenge-2
+differences with weight.  It shares none of the raw-form code (byte
+tables, lane slices, the one-subtraction unmask) that fs_verify_bytes
+runs, so each verdict is checked against the definition.
 """
 
 import random
@@ -71,10 +72,12 @@ def reference_round(inst, commitment, challenge, response) -> bool:
     return inst.group.contains(member)
 
 
-def reference_verify(inst, data, context) -> bool:
+def reference_verify(inst, data, context, rounds) -> bool:
     try:
         proof = decode_proof(data)
     except (ValueError, TypeError, struct.error):
+        return False
+    if proof.rounds != rounds:
         return False
     challenges = derive_challenges(instance_digest(inst), context, proof.commitments)
     return all(
@@ -101,9 +104,9 @@ def family(request):
     return plant_instance(n, gens, k, random.Random(n), preset=preset)
 
 
-def assert_verifiers_agree(inst, data, context=b"ctx"):
-    got = fs_verify_bytes(inst, data, context)
-    assert got is reference_verify(inst, data, context)
+def assert_verifiers_agree(inst, data, rounds, context=b"ctx"):
+    got = fs_verify_bytes(inst, data, context, rounds)
+    assert got is reference_verify(inst, data, context, rounds)
     return got
 
 
@@ -111,18 +114,19 @@ def test_honest_proofs_and_their_mutations_agree(family):
     inst, wit = family
     rng = random.Random(inst.degree + 1)
     data = encode_proof(fs_prove(inst, wit, 6, b"ctx", rng))
-    assert assert_verifiers_agree(inst, data)
-    assert not assert_verifiers_agree(inst, data, b"other")
+    assert assert_verifiers_agree(inst, data, 6)
+    assert not assert_verifiers_agree(inst, data, 6, b"other")
+    assert not assert_verifiers_agree(inst, data, 5)
     flips = bytearray(data)
     for _ in range(1000):
         pos = rng.randrange(len(flips))
         flips[pos] ^= rng.randrange(1, 256)
-        assert_verifiers_agree(inst, bytes(flips))
+        assert_verifiers_agree(inst, bytes(flips), 6)
         flips[pos] = data[pos]
     for end in sorted(rng.sample(range(len(data)), 40)) + [len(data) - 1]:
-        assert not assert_verifiers_agree(inst, data[:end])
+        assert not assert_verifiers_agree(inst, data[:end], 6)
     for extra in (b"\x00", b"\xff", bytes([rng.randrange(256)])):
-        assert not assert_verifiers_agree(inst, data + extra)
+        assert not assert_verifiers_agree(inst, data + extra, 6)
 
 
 def proof_opening(inst, wit, state, challenge, rng, context=b"ctx"):
@@ -155,7 +159,7 @@ def test_a_borrowing_lane_is_refused_by_both(family):
         for ch in (0, 1):
             assert not verify_round(inst, state.commitment, ch, state.respond(ch))
             assert not reference_round(inst, state.commitment, ch, state.respond(ch))
-            assert not assert_verifiers_agree(inst, proof_opening(inst, wit, state, ch, rng))
+            assert not assert_verifiers_agree(inst, proof_opening(inst, wit, state, ch, rng), 3)
 
 
 def test_noisy_cheaters_arbitrary_words_agree(family):
@@ -170,7 +174,7 @@ def test_noisy_cheaters_arbitrary_words_agree(family):
                 expected = reference_round(inst, state.commitment, ch, state.respond(ch))
                 assert verify_round(inst, state.commitment, ch, state.respond(ch)) is expected
                 assert expected == (ch in targets)
-                assert assert_verifiers_agree(inst, proof_opening(inst, wit, state, ch, rng)) is (ch in targets)
+                assert assert_verifiers_agree(inst, proof_opening(inst, wit, state, ch, rng), 3) is (ch in targets)
 
 
 def test_apply_mask_takes_arbitrary_words():
