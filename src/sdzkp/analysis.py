@@ -32,13 +32,12 @@ from .protocol import (
     Transcript,
     challenge_holds,
     commit_round,
-    honest_round,
+    honest_rounds,
     masked_round,
     opened_member,
     prover_commit,
     prover_round,
     require_positive,
-    require_witness,
     slot_opens,
     uniform_challenge,
     verifier_challenge,
@@ -85,6 +84,13 @@ def accepted_challenges(inst: SDPInstance, prover: ProverState) -> set[int]:
 
 def transcript_for(inst: SDPInstance, prover: ProverState, challenge: int) -> Transcript:
     return Transcript(prover.commitment, challenge, prover.respond(challenge))
+
+
+def completeness_rate(inst: SDPInstance, wit: Witness, rounds: int, rng: Random) -> float:
+    """Fraction of `rounds` honest rounds, each challenged uniformly from rng
+    after it is drawn, that verify."""
+    states = honest_rounds(inst, wit, rounds, rng)
+    return sum(verify_round(inst, *transcript_for(inst, s, verifier_challenge(rng))) for s in states) / rounds
 
 
 # --- extraction ---
@@ -245,7 +251,7 @@ def simulate(
         if ch not in CHALLENGES:
             raise ValueError(f"verifier oracle returned invalid challenge {ch!r}")
         if (guess < 2 and ch < 2) or (guess == 2 and ch == 2):
-            return Transcript(prover.commitment, ch, prover.respond(ch))
+            return transcript_for(inst, prover, ch)
     return None
 
 
@@ -350,9 +356,8 @@ def transcript_distribution_test(
                 weights[differing_words(*r.values)] += 1
         return counts, challenges, weights, ok
 
-    require_witness(inst, wit)
     real_counts, real_ch, real_weights, real_ok = tally(
-        honest_round(inst, wit, rng, rng) for _ in range(samples)
+        transcript_for(inst, state, verifier_challenge(rng)) for state in honest_rounds(inst, wit, samples, rng)
     )
     verifier = honest_verifier(rng)
     simulated = filter(None, (simulate(inst, verifier, 64, rng) for _ in count()))

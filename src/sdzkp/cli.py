@@ -39,6 +39,14 @@ def make_rng(seed: int | None) -> random.Random:
     return random.Random(seed)
 
 
+def _warn_if_few_rounds(rounds: int) -> None:
+    """Warn on stderr when a verifier's round count is below ROUNDS, that is
+    when its soundness error (2/3)^rounds is above 2^-128."""
+    if rounds < ROUNDS:
+        print(f"WARNING: {rounds} rounds give {rounds * math.log2(3 / 2):.1f} bits of soundness, "
+              f"below the 128 bits of the default {ROUNDS}", file=sys.stderr)
+
+
 def parse_addr(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not host:
@@ -184,6 +192,7 @@ def cmd_verify(args) -> int:
     with socket.create_server((host, port), backlog=1) as listener:
         bound = listener.getsockname()
         print(f"listening on {bound[0]}:{bound[1]}", file=sys.stderr, flush=True)
+        _warn_if_few_rounds(args.rounds)
         from . import net
         from .instance import load_instance
 
@@ -213,6 +222,7 @@ def cmd_fs_verify(args) -> int:
     from .protocol import fs_verify_bytes, require_positive
 
     require_positive(args.rounds)
+    _warn_if_few_rounds(args.rounds)
     inst = load_instance(args.instance)
     try:
         data = Path(args.proof).read_bytes()
@@ -236,20 +246,13 @@ def _report(report: dict, inst) -> int:
 def cmd_analyze(args) -> int:
     from . import analysis
     from .instance import plant_instance
-    from .protocol import honest_round, require_positive, require_witness, verify_round
 
     rng = make_rng(args.seed)
     inst, wit = plant_instance(args.n, args.gens, args.k, rng, preset=args.preset)
 
     if args.experiment == "completeness":
-        require_positive(args.rounds)
-        require_witness(inst, wit)
-        ok = 0
-        for _ in range(args.rounds):
-            t = honest_round(inst, wit, rng, rng)
-            ok += verify_round(inst, t.commitment, t.challenge, t.response)
-        rate = ok / args.rounds
-        return _report(analysis.report_dict("completeness", args.rounds, rate, None, ok == args.rounds), inst)
+        rate = analysis.completeness_rate(inst, wit, args.rounds, rng)
+        return _report(analysis.report_dict("completeness", args.rounds, rate, None, rate == 1.0), inst)
 
     if args.experiment == "soundness":
         targets = {int(c) for c in args.strategy}

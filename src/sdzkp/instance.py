@@ -152,7 +152,8 @@ def plant_instance(
         group=group,
     )
     wit = Witness(element=h)
-    assert hamming(h, target) == k
+    if hamming(h, target) != k:
+        raise RuntimeError("planted witness failed self-check")
     return inst, wit
 
 

@@ -31,7 +31,9 @@ import socket
 import struct
 import sys
 import time
+from itertools import chain
 from random import Random
+from typing import Iterator
 
 from .instance import SDPInstance, Witness
 from .protocol import (
@@ -41,13 +43,13 @@ from .protocol import (
     MSG_COMMIT,
     MSG_RESPONSE,
     CommitmentMsg,
+    ProverState,
     decode_response,
     encode_response,
+    honest_rounds,
     max_response_bytes,
     prover_respond,
-    prover_round,
     require_positive,
-    require_witness,
     verifier_challenge,
     verify_round,
 )
@@ -125,30 +127,24 @@ def prover_session(
     A witness that fails the statement, or rounds < 1, raises ValueError
     before the first frame is sent.  Round i+1 is drawn and committed before
     challenge i is awaited, and sent after response i."""
-    require_positive(rounds)
-    require_witness(inst, wit)
-    _prove_rounds(sock, inst, wit, rounds, rng, deadline)
+    _prove_rounds(sock, honest_rounds(inst, wit, rounds, rng), deadline)
 
 
-def _prove_rounds(
-    sock: socket.socket, inst: SDPInstance, wit: Witness, rounds: int, rng: Random, deadline: float
-) -> None:
-    """prover_session once its caller has checked rounds and the witness."""
-    h = inst.group.ops.encode(wit.element.images)
-    states = (prover_round(inst, h, rng) for _ in range(rounds))
+def _prove_rounds(sock: socket.socket, states: Iterator[ProverState], deadline: float) -> None:
+    """Run the session's rounds, one per state of the honest_rounds iterator
+    states, which draws each state only when it is taken."""
     buffer = bytearray()
     state = next(states)
     send_frame(sock, MSG_COMMIT, state.commitment.encode())
-    for i in range(rounds):
-        following = next(states, None)  # round i+1, drawn while challenge i is in flight
+    for i, following in enumerate(chain(states, (None,))):  # round i+1, drawn while challenge i is in flight
         body = recv_expected(sock, MSG_CHALLENGE, 2, deadline, buffer)
         if len(body) != 1 or body[0] not in CHALLENGES:
             raise SessionError(f"invalid challenge in round {i}")
         send_frame(sock, MSG_RESPONSE, encode_response(prover_respond(state, body[0])))
         if following is not None:
             send_frame(sock, MSG_COMMIT, following.commitment.encode())
-            state = following
-    _log("prover finished %d rounds", rounds)
+        state = following
+    _log("prover finished %d rounds", i + 1)
 
 
 def verifier_session(sock: socket.socket, inst: SDPInstance, rounds: int, rng: Random, deadline: float) -> bool:
@@ -224,9 +220,8 @@ def connect_and_prove(
     then the whole session.  A witness that fails the statement, or rounds
     < 1, raises ValueError before connecting, so it costs the verifier no
     session."""
-    require_witness(inst, wit)
-    require_positive(rounds)
+    states = honest_rounds(inst, wit, rounds, rng)
     with socket.create_connection((host, port), timeout=timeout_s) as sock:
         deadline = time.monotonic() + timeout_s
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        _prove_rounds(sock, inst, wit, rounds, rng, deadline)
+        _prove_rounds(sock, states, deadline)

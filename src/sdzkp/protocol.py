@@ -41,7 +41,7 @@ import struct
 from itertools import chain, repeat
 from operator import itemgetter
 from random import Random
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .crypto import (
     COMMIT_TAGS,
@@ -192,7 +192,7 @@ def masked_round(inst: SDPInstance, u, x, seed: bytes, rng: Random) -> ProverSta
 def prover_round(inst: SDPInstance, h, rng: Random) -> ProverState:
     """The honest round for a witness h in the raw form of inst.group.ops: u
     uniform in H, then a fresh seed, then the three commitments, in that coin
-    order.  It does not check the witness."""
+    order.  It does not check the witness; honest_rounds does."""
     u = inst.group.ops.encode(inst.group.sample_uniform(rng).images)
     return masked_round(inst, u, h, fresh_seed(rng), rng)
 
@@ -220,19 +220,22 @@ def _member(inst: SDPInstance, challenge: int, z: bytes, seed: bytes):
     return ops.then(inst.target_tables[1], opened) if challenge and opened is not None else opened
 
 
-def require_witness(inst: SDPInstance, wit: Witness) -> None:
-    """Refuse a witness that fails the statement: no round can be honest.
-    Every honest prover calls it once, before its first round."""
+def honest_rounds(inst: SDPInstance, wit: Witness, rounds: int, rng: Random) -> Iterator[ProverState]:
+    """The one checked source of honest rounds.  Before any coin is drawn it
+    refuses rounds < 1 and a witness that fails the statement (no round could
+    be honest); then it encodes h once and returns a lazy iterator of
+    `rounds` prover_round states, each drawn from rng only when taken."""
+    require_positive(rounds)
     if not validate_witness(inst, wit.element):
         raise ValueError("witness does not satisfy the statement")
+    h = inst.group.ops.encode(wit.element.images)
+    return map(prover_round, repeat(inst, rounds), repeat(h), repeat(rng))
 
 
 def prover_commit(inst: SDPInstance, wit: Witness, rng: Random) -> ProverState:
-    """First move; the state's commitment is the message to send.  Refuses
-    to run on a witness that fails the statement.  A prover that runs many
-    rounds checks the witness once and then runs prover_round per round."""
-    require_witness(inst, wit)
-    return prover_round(inst, inst.group.ops.encode(wit.element.images), rng)
+    """First move of one checked honest round; the state's commitment is the
+    message to send."""
+    return next(honest_rounds(inst, wit, 1, rng))
 
 
 def uniform_challenge(rng: Random) -> int:
@@ -301,15 +304,6 @@ def verify_round(inst: SDPInstance, commitment: CommitmentMsg, challenge: int, r
         return False
 
 
-def honest_round(inst: SDPInstance, wit: Witness, prover_rng: Random, verifier_rng: Random) -> Transcript:
-    """One honest round: commit, uniform challenge, response.  It draws the
-    coins prover_commit draws but does not check the witness: a caller runs
-    require_witness once, before its first round."""
-    state = prover_round(inst, inst.group.ops.encode(wit.element.images), prover_rng)
-    ch = verifier_challenge(verifier_rng)
-    return Transcript(state.commitment, ch, prover_respond(state, ch))
-
-
 def run_interactive(
     inst: SDPInstance,
     wit: Witness,
@@ -318,11 +312,9 @@ def run_interactive(
     verifier_rng: Random,
 ) -> bool:
     """Honest in-process session: accept iff every round verifies."""
-    require_positive(rounds)
-    require_witness(inst, wit)
-    for _ in range(rounds):
-        t = honest_round(inst, wit, prover_rng, verifier_rng)
-        if not verify_round(inst, t.commitment, t.challenge, t.response):
+    for state in honest_rounds(inst, wit, rounds, prover_rng):
+        ch = verifier_challenge(verifier_rng)
+        if not verify_round(inst, state.commitment, ch, prover_respond(state, ch)):
             return False
     return True
 
@@ -356,10 +348,7 @@ def derive_challenges(statement_digest: bytes, context: bytes, commitments: tupl
 
 def fs_prove(inst: SDPInstance, wit: Witness, rounds: int, context: bytes, rng: Random) -> NIZKProof:
     """Non-interactive proof: commit to all rounds, derive challenges, respond."""
-    _proof_rounds(rounds)
-    require_witness(inst, wit)
-    h = inst.group.ops.encode(wit.element.images)
-    states = [prover_round(inst, h, rng) for _ in range(rounds)]
+    states = list(honest_rounds(inst, wit, _proof_rounds(rounds), rng))
     commitments = tuple([state.commitment for state in states])
     challenges = derive_challenges(instance_digest(inst), context, commitments)
     responses = tuple(map(prover_respond, states, challenges))

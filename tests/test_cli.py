@@ -373,6 +373,21 @@ def test_cli_rounds_are_the_protocol_rounds_and_reach_128_bits():
         assert parser.parse_args([command, *args]).rounds == 219
 
 
+def test_fs_verify_warns_below_the_default_round_count(tmp_path, capsys):
+    inst_path, wit_path = keygen(tmp_path)
+    for rounds in (218, 219):
+        proof = tmp_path / f"p{rounds}.sdp"
+        assert main(["fs-prove", "--instance", str(inst_path), "--witness", str(wit_path),
+                     "--proof", str(proof), "--rounds", str(rounds), "--seed", "3"]) == EXIT_ACCEPT
+        capsys.readouterr()
+        assert main(["fs-verify", "--instance", str(inst_path), "--proof", str(proof),
+                     "--rounds", str(rounds)]) == EXIT_ACCEPT
+        captured = capsys.readouterr()
+        assert captured.out == "ACCEPT\n"
+        warning = "WARNING: 218 rounds give 127.5 bits of soundness, below the 128 bits of the default 219\n"
+        assert captured.err == (warning if rounds == 218 else "")
+
+
 def test_fs_verify_refuses_a_one_round_forgery_at_the_default_count(tmp_path, capsys):
     # A witness-less state that passes challenges 0 and 1, redrawn until the
     # challenge derived from its commitment is one of them: a valid
@@ -489,6 +504,23 @@ def test_loopback_session_leaves_analysis_unloaded(tmp_path):
     for _, _, loaded in _loopback_session(tmp_path):
         assert "sdzkp.net" in loaded and "sdzkp.analysis" not in loaded
         assert "logging" not in loaded and "dataclasses" not in loaded
+
+
+def test_verify_warns_after_listening_below_the_default_round_count(tmp_path):
+    inst_path, wit_path = keygen(tmp_path)
+    common = ["--instance", inst_path, "--rounds", "8", "--timeout-ms", "20000"]
+    verifier = _cli_process("verify", "--listen", "127.0.0.1:0", *common)
+    try:
+        listening, warning = verifier.stderr.readline(), verifier.stderr.readline()
+        assert listening.startswith("listening on 127.0.0.1:"), listening
+        assert warning == "WARNING: 8 rounds give 4.7 bits of soundness, below the 128 bits of the default 219\n"
+        port = int(listening.rsplit(":", 1)[1])
+        prover = _cli_process("prove", "--connect", f"127.0.0.1:{port}", "--witness", wit_path, *common)
+        assert "proof session completed" in _loaded_modules(prover)[0]
+        assert _loaded_modules(verifier)[0].splitlines()[0] == "ACCEPT"
+    finally:
+        verifier.kill()
+        verifier.communicate()
 
 
 def test_sdzkp_log_loads_logging_and_logs_the_session(tmp_path):

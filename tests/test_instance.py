@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import sdzkp.instance
 from sdzkp.group import build_bsgs
 from sdzkp.instance import (
     Witness,
@@ -24,7 +25,7 @@ from sdzkp.instance import (
     witness_from_bytes,
     witness_to_bytes,
 )
-from sdzkp.perm import Permutation, hamming, inverse
+from sdzkp.perm import Permutation, hamming, identity, inverse
 from sdzkp.protocol import encode_proof, fs_prove, fs_verify_bytes
 
 
@@ -258,3 +259,10 @@ def test_instance_digest_stable_and_sensitive():
     assert d1 == d2 and len(d1) == 32
     other, _ = plant_instance(8, 3, 4, rng)
     assert instance_digest(other) != d1
+
+
+def test_plant_instance_self_check_raises_without_assert(monkeypatch):
+    # a RuntimeError, not an assert, so the check survives python -O
+    monkeypatch.setattr(sdzkp.instance, "random_support_perm", lambda n, k, rng: identity(n))
+    with pytest.raises(RuntimeError, match="self-check"):
+        plant_instance(16, 2, 4, random.Random(1))

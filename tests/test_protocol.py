@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdzkp.protocol
+from sdzkp.analysis import accepted_challenges, completeness_rate
 from sdzkp.crypto import (
     COMMIT_TAGS,
     apply_mask,
@@ -43,11 +44,13 @@ from sdzkp.protocol import (
     encode_response,
     fs_prove,
     fs_verify_bytes,
+    honest_rounds,
     masked_round,
     max_response_bytes,
     opened_member,
     prover_commit,
     prover_respond,
+    prover_round,
     run_interactive,
     verifier_challenge,
     verify_round,
@@ -104,6 +107,9 @@ def foreign_witness(inst):
         id="fs_prove",
     ),
     pytest.param(lambda inst, wit, rng: run_interactive(inst, wit, 219, rng, random.Random(58)), id="run_interactive"),
+    pytest.param(lambda inst, wit, rng: accepted_challenges(inst, prover_commit(inst, wit, rng)) == set(CHALLENGES),
+                 id="prover_commit"),
+    pytest.param(lambda inst, wit, rng: completeness_rate(inst, wit, 219, rng) == 1.0, id="analyze_completeness"),
 ])
 def test_multi_round_prover_checks_the_witness_once(planted, witness_checks, prove):
     inst, wit = planted
@@ -115,6 +121,25 @@ def test_multi_round_prover_checks_the_witness_once(planted, witness_checks, pro
         prove(inst, foreign_witness(inst), rng)
     assert rng.getstate() == coins  # refused before the first commitment drew a coin
     assert len(witness_checks) == 2
+
+
+def test_honest_rounds_checks_first_then_draws_prover_rounds_lazily(planted):
+    inst, wit = planted
+    for rounds, witness in ((0, wit), (5, foreign_witness(inst))):
+        rng = random.Random(59)
+        coins = rng.getstate()
+        with pytest.raises(ValueError):
+            honest_rounds(inst, witness, rounds, rng)
+        assert rng.getstate() == coins  # refused before a coin was drawn
+    h = inst.group.ops.encode(wit.element.images)
+    rng, plain = random.Random(60), random.Random(60)
+    states = honest_rounds(inst, wit, 5, rng)
+    first = next(states)
+    assert first == prover_round(inst, h, plain)
+    assert rng.getstate() == plain.getstate()  # one state taken, one round's coins drawn
+    rng, plain = random.Random(61), random.Random(61)
+    assert list(honest_rounds(inst, wit, 5, rng)) == [prover_round(inst, h, plain) for _ in range(5)]
+    assert rng.getstate() == plain.getstate()
 
 
 def test_commit_refuses_bad_witness(planted):
