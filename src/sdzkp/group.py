@@ -363,13 +363,14 @@ class BSGS:
     None) and answers in closed form: it is A_n if alternating, else S_n.
     Immutable once built, so instances are safe to share across threads.
     ops is the raw form of its elements (make_ops), which contains also
-    takes.
+    takes.  generators are the generators as given to build_bsgs, identity
+    entries and duplicates included.
     """
 
     def __init__(self, ops, generators: tuple[Permutation, ...], levels: list[_Level] | None,
                  alternating: bool = False):
         self.ops = ops
-        self._generators = generators
+        self.generators = generators
         self._levels = levels
         self._alternating = alternating
         if levels is None:
@@ -387,11 +388,6 @@ class BSGS:
     @property
     def degree(self) -> int:
         return self.ops.degree
-
-    @property
-    def generators(self) -> tuple[Permutation, ...]:
-        """The normalized input generators (identity dropped, duplicates merged)."""
-        return self._generators
 
     @property
     def giant(self) -> str:
@@ -486,15 +482,17 @@ def _normalize(generators: Sequence[Permutation]) -> tuple[int, tuple[Permutatio
 def build_bsgs(generators: Sequence[Permutation]) -> BSGS:
     """Build a stabilizer chain for the subgroup generated by `generators`.
 
-    Deterministic given the generator list.  Identity generators are ignored
-    and duplicates are merged; an all-identity list yields the trivial group.
-    S_n and A_n, once certified, keep no chain and answer in closed form;
-    every other group goes through Schreier-Sims.
+    Deterministic given the generator list.  The group keeps the list as
+    given; the build ignores identity generators and merges duplicates, so
+    an all-identity list yields the trivial group.  S_n and A_n, once
+    certified, keep no chain and answer in closed form; every other group
+    goes through Schreier-Sims.
     """
-    degree, gens = _normalize(generators)
+    given = tuple(generators)
+    degree, gens = _normalize(given)
     ops = make_ops(degree)
     if _certify_giant(ops, gens):
-        return BSGS(ops, gens, None, alternating=not any(_is_odd(g.images, degree) for g in gens))
+        return BSGS(ops, given, None, alternating=not any(_is_odd(g.images, degree) for g in gens))
     raw = [ops.encode(g.images) for g in gens]
     levels = _ChainBuilder(ops).run(raw)
 
@@ -503,4 +501,4 @@ def build_bsgs(generators: Sequence[Permutation]) -> BSGS:
     for g in dict.fromkeys([*raw, *(g for level in levels for g in level.gens)]):
         if _sift(levels, ops.then, g)[0] != ops.ident:
             raise RuntimeError("stabilizer chain failed self-check")
-    return BSGS(ops, gens, levels)
+    return BSGS(ops, given, levels)

@@ -22,16 +22,19 @@ WITNESS_MAGIC = b"SDW1"
 
 PRESETS = ("general", "abelian2")
 
-# Generator counts are sanity-capped on parse so a corrupt header cannot
-# drive allocation; real instances use a handful of generators.
+# Generator counts are capped, by the instance constructor and by the
+# reader before it allocates, so a corrupt header cannot drive allocation
+# and every instance that can be made can be read back; real instances use
+# a handful of generators.
 _MAX_GENS = 1 << 16
 
 
 class SDPInstance:
-    """Public statement: find h in H = <generators> with d(h, target) <= max_distance.
+    """Public statement: find h in H with d(h, target) <= max_distance.
 
-    Two instances are equal when their degree, bound, target and generators
-    are; group is the chain built from the generators.  target_tables is
+    group is H, built from the statement's generators; degree and
+    generators are read from it, so H has one definition.  Two instances are
+    equal when their bound, target and generators are.  target_tables is
     (g, g^-1) in the raw form of group.ops, built with the instance: every
     round composes with g, and challenge 1 with g^-1.  Immutable, so it
     always holds target and its inverse.  Copies and pickles rebuild it from
@@ -39,20 +42,16 @@ class SDPInstance:
 
     __slots__ = ("degree", "max_distance", "target", "generators", "group", "target_tables")
 
-    def __init__(
-        self, degree: int, max_distance: int, target: Permutation, generators: tuple[Permutation, ...], group: BSGS
-    ):
+    def __init__(self, target: Permutation, group: BSGS, max_distance: int):
+        degree, generators = group.degree, group.generators
         if not 0 <= max_distance <= degree:
             raise ValueError(f"distance bound {max_distance} out of range for degree {degree}")
         if max_distance == 1:
             raise ValueError("distance bound 1 is unsatisfiable for permutations")
         if target.n != degree:
             raise ValueError("target degree mismatch")
-        for g in generators:
-            if g.n != degree:
-                raise ValueError("generator degree mismatch")
-        if group.degree != degree:
-            raise ValueError("group degree mismatch")
+        if len(generators) > _MAX_GENS:
+            raise ValueError(f"unreasonable generator count {len(generators)}")
         ops = group.ops
         g = ops.encode(target.images)
         for name, value in zip(self.__slots__, (degree, max_distance, target, generators, group, (g, ops.inv(g)))):
@@ -64,10 +63,10 @@ class SDPInstance:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return SDPInstance, (self.degree, self.max_distance, self.target, self.generators, self.group)
+        return SDPInstance, (self.target, self.group, self.max_distance)
 
     def _statement(self) -> tuple:
-        return self.degree, self.max_distance, self.target, self.generators
+        return self.max_distance, self.target, self.generators
 
     def __eq__(self, other):
         return self._statement() == other._statement() if other.__class__ is self.__class__ else NotImplemented
@@ -82,15 +81,7 @@ class Witness(NamedTuple):
 
 def make_instance(target: Permutation, generators, max_distance: int) -> SDPInstance:
     """Assemble an instance from explicit parts, building the stabilizer chain."""
-    gens = tuple(generators)
-    group = build_bsgs(gens)
-    return SDPInstance(
-        degree=target.n,
-        max_distance=max_distance,
-        target=target,
-        generators=gens,
-        group=group,
-    )
+    return SDPInstance(target, build_bsgs(generators), max_distance)
 
 
 def _abelian2_generators(n: int, num_gens: int, rng: Random) -> list[Permutation]:
@@ -143,18 +134,10 @@ def plant_instance(
     group = build_bsgs(gens)
     h = group.sample_uniform(rng)
     tau = random_support_perm(n, k, rng)
-    target = compose(tau, h)
-    inst = SDPInstance(
-        degree=n,
-        max_distance=k,
-        target=target,
-        generators=tuple(gens),
-        group=group,
-    )
-    wit = Witness(element=h)
-    if hamming(h, target) != k:
+    inst = SDPInstance(compose(tau, h), group, k)
+    if hamming(h, inst.target) != k:
         raise RuntimeError("planted witness failed self-check")
-    return inst, wit
+    return inst, Witness(element=h)
 
 
 def validate_witness(inst: SDPInstance, h: Permutation) -> bool:

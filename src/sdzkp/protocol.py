@@ -27,7 +27,7 @@ slot_opens, then the predicate with challenge_holds: crypto.remove_mask
 gives back the words of a raw element, which challenge 1 composes with the
 raw g^-1 the instance caches and the group's contains tests as it stands.
 The analysis harness uses the two to check each of a state's slots once and
-then all three predicates.  _read_rounds is the one response parser.
+then all three predicates.  _read_response is the one response parser.
 
 A single round convinces the verifier with soundness error 2/3; sequential
 repetition amplifies.  The non-interactive variant derives challenges by
@@ -407,45 +407,41 @@ def decode_proof(data: bytes) -> NIZKProof:
     if len(data) < 8:
         raise ValueError("truncated proof header")
     rounds = _proof_rounds(struct.unpack_from("<I", data, 4)[0])
-    commitments, responses, end = _read_rounds(data, 8, rounds, with_commitments=True)
-    if end != len(data):
+    commitments, responses, offset = [], [], 8
+    for _ in range(rounds):
+        end = offset + COMMITMENT_BYTES
+        commitments.append(CommitmentMsg.decode(data[offset:end]))
+        rsp, offset = _read_response(data, end)
+        responses.append(rsp)
+    if offset != len(data):
         raise ValueError("trailing bytes after proof")
     return NIZKProof(commitments=tuple(commitments), responses=tuple(responses))
 
 
 def decode_response(data: bytes) -> Response:
-    _, (rsp,), end = _read_rounds(data, 0, 1, with_commitments=False)
+    rsp, end = _read_response(data, 0)
     if end != len(data):
         raise ValueError("trailing bytes after response")
     return rsp
 
 
-def _read_rounds(data: bytes, offset: int, rounds: int, with_commitments: bool):
-    """The one response parser: reads rounds responses from offset, each
-    after its round's commitment when with_commitments; returns
-    (commitments, responses, end offset).  ValueError if data ends first."""
+def _read_response(data: bytes, offset: int) -> tuple[Response, int]:
+    """The one response parser: reads one response from offset; returns it
+    and its end offset.  ValueError if data ends first."""
     size = len(data)
-    commitments, responses = [], []
-    for _ in range(rounds):
-        if with_commitments:
-            end = offset + COMMITMENT_BYTES
-            commitments.append(CommitmentMsg.decode(data[offset:end]))
-            offset = end
-        if size <= offset:
-            raise ValueError("truncated message")
-        kind, offset = data[offset], offset + 1
-        if kind not in OPENS:
-            raise ValueError(f"unknown response kind {kind}")
-        values = []
-        for slot in OPENS[kind]:
-            if slot == SEED:
-                value, offset = data[offset : offset + SEED_BYTES], offset + SEED_BYTES
-            else:
-                value, offset = tuple_span(data, offset)
-            values.append(value)
-        middle, end = offset + OPENING_BYTES, offset + 2 * OPENING_BYTES
-        if size < end:
-            raise ValueError("truncated message")
-        responses.append(Response(kind, tuple(values), (data[offset:middle], data[middle:end])))
-        offset = end
-    return commitments, responses, offset
+    if size <= offset:
+        raise ValueError("truncated message")
+    kind, offset = data[offset], offset + 1
+    if kind not in OPENS:
+        raise ValueError(f"unknown response kind {kind}")
+    values = []
+    for slot in OPENS[kind]:
+        if slot == SEED:
+            value, offset = data[offset : offset + SEED_BYTES], offset + SEED_BYTES
+        else:
+            value, offset = tuple_span(data, offset)
+        values.append(value)
+    middle, end = offset + OPENING_BYTES, offset + 2 * OPENING_BYTES
+    if size < end:
+        raise ValueError("truncated message")
+    return Response(kind, tuple(values), (data[offset:middle], data[middle:end])), end

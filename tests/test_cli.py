@@ -120,6 +120,14 @@ def test_keygen_rejects_impossible_distance(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_keygen_refuses_more_generators_than_an_instance_file_reads(tmp_path, capsys):
+    out_dir = tmp_path / "keys"
+    code = main(["keygen", "--out-dir", str(out_dir), "--n", "8", "--gens", "65537", "--seed", "1"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines()[-1] == "error: unreasonable generator count 65537"
+    assert not out_dir.exists()
+
+
 def test_unknown_input_files_are_usage_errors(tmp_path):
     missing = str(tmp_path / "nope.sdz")
     assert main(["fs-verify", "--instance", missing, "--proof", missing]) == EXIT_USAGE
@@ -482,21 +490,35 @@ def test_analyze_loads_no_dataclasses():
 
 def _loopback_session(tmp_path, **verifier_env):
     """A real `sdzkp verify` and `sdzkp prove` process over loopback; returns
-    each one's (stdout, stderr, loaded modules), the prover's first."""
+    each one's (stdout, stderr, loaded modules), the prover's first.  The
+    verifier's stderr goes to a file, polled for its port, so no line is
+    lost to a pipe reader's read-ahead."""
     inst_path, wit_path = keygen(tmp_path)
     common = ["--instance", inst_path, "--rounds", "8", "--timeout-ms", "20000"]
-    verifier = _cli_process("verify", "--listen", "127.0.0.1:0", *common, **verifier_env)
+    err_path = tmp_path / "verifier.err"
+    with open(err_path, "w") as err_file:
+        verifier = subprocess.Popen(
+            [sys.executable, "-c", _LOADED_MODULES, "verify", "--listen", "127.0.0.1:0", *map(str, common)],
+            stdout=subprocess.PIPE, stderr=err_file, text=True, env=_src_env(**verifier_env),
+        )
     try:
-        line = verifier.stderr.readline()
+        deadline = time.monotonic() + 60
+        while "\n" not in err_path.read_text():
+            assert verifier.poll() is None and time.monotonic() < deadline, err_path.read_text()
+            time.sleep(0.01)
+        line = err_path.read_text().splitlines()[0]
         assert line.startswith("listening on 127.0.0.1:"), line
         port = int(line.rsplit(":", 1)[1])
         prover = _cli_process("prove", "--connect", f"127.0.0.1:{port}", "--witness", wit_path, *common)
         prover_run = _loaded_modules(prover)
-        verifier_run = _loaded_modules(verifier)
+        out, _, loaded = _loaded_modules(verifier)
     finally:
         verifier.kill()
         verifier.communicate()
+    verifier_run = out, err_path.read_text(), loaded
     assert "proof session completed" in prover_run[0] and verifier_run[0].splitlines()[0] == "ACCEPT"
+    assert "WARNING: 8 rounds give 4.7 bits of soundness, below the 128 bits of the default 219" in \
+        verifier_run[1].splitlines()
     return prover_run, verifier_run
 
 

@@ -25,7 +25,7 @@ from sdzkp.instance import (
     witness_from_bytes,
     witness_to_bytes,
 )
-from sdzkp.perm import Permutation, hamming, identity, inverse
+from sdzkp.perm import Permutation, hamming, identity, inverse, random_perm
 from sdzkp.protocol import encode_proof, fs_prove, fs_verify_bytes
 
 
@@ -212,6 +212,54 @@ def test_instance_bytes_round_trip():
         assert back.target == inst.target
         assert back.generators == inst.generators
         assert back.group.order() == inst.group.order()
+
+
+def _made_instances():
+    """Instances from every path that makes one: planting (a certified giant
+    and a chain, at byte-table and tuple degrees), explicit parts, the
+    reader, and copies and pickles of each."""
+    rng = random.Random(50)
+    made = [plant_instance(n, 3, 4, rng, preset=preset)[0] for n in (16, 260) for preset in sdzkp.instance.PRESETS]
+    made.append(make_instance(Permutation((2, 1, 0)), [Permutation((1, 0, 2))], 2))
+    made += [instance_from_bytes(instance_to_bytes(inst)) for inst in made]
+    return made + [round_trip(inst) for inst in made for round_trip in ROUND_TRIPS.values()]
+
+
+def test_instance_takes_its_generators_and_degree_from_its_group():
+    for inst in _made_instances():
+        assert inst.generators is inst.group.generators
+        assert inst.degree == inst.group.degree == inst.target.n
+
+
+def test_one_constructor_takes_target_group_and_bound():
+    gen, target = Permutation((1, 0, 2)), Permutation((2, 1, 0))
+    inst = sdzkp.instance.SDPInstance(target, build_bsgs([gen]), 2)
+    assert inst == make_instance(target, [gen], 2)
+    with pytest.raises(ValueError, match="target degree mismatch"):
+        sdzkp.instance.SDPInstance(Permutation((1, 0)), build_bsgs([gen]), 0)
+
+
+def test_generators_round_trip_as_given():
+    g, e = Permutation((1, 2, 0, 4, 3)), identity(5)
+    assert build_bsgs([g, g, e]).generators == (g, g, e)
+    inst = make_instance(Permutation((2, 0, 1, 3, 4)), [g, g, e], 2)
+    assert inst.generators == (g, g, e)
+    data = instance_to_bytes(inst)
+    back = instance_from_bytes(data)
+    assert back.generators == (g, g, e)
+    assert instance_to_bytes(back) == data and instance_digest(back) == instance_digest(inst)
+
+
+def test_constructor_refuses_more_generators_than_the_reader_reads():
+    # Every instance that can be made can be read back: the constructor and
+    # instance_from_bytes share one cap.
+    cap = sdzkp.instance._MAX_GENS
+    rng = random.Random(51)
+    target, gen = random_perm(8, rng), random_perm(8, rng)
+    with pytest.raises(ValueError, match=f"unreasonable generator count {cap + 1}"):
+        make_instance(target, [gen] * (cap + 1), 4)
+    inst = make_instance(target, [gen] * cap, 4)
+    assert instance_from_bytes(instance_to_bytes(inst)) == inst
 
 
 def test_instance_bytes_rejects_malformed():

@@ -24,6 +24,7 @@ from sdzkp.crypto import (
     tuple_sub,
     verify_commitment,
 )
+from sdzkp.group import _ChainBuilder, _Level, _normalize, _sift
 from sdzkp.instance import Witness, make_instance, plant_instance, validate_witness
 from sdzkp.perm import Permutation, compose_images, hamming, identity, random_perm
 from sdzkp.protocol import (
@@ -571,6 +572,36 @@ def test_masked_values_hide_witness(planted):
     s2 = prover_commit(inst, wit, rng)
     assert s1.values[Z1] != s2.values[Z1]
     assert s1.values[Z2] != s2.values[Z2]
+
+
+def _transport(inst, points):
+    """An element of H that maps each of points as the target does, or None.
+    The chain's base starts with points, so sifting the target through those
+    levels leaves a residue r that fixes them, and g∘r^-1 lies in H."""
+    ops, g = inst.group.ops, inst.target_tables[0]
+    builder = _ChainBuilder(ops)
+    builder.levels = [_Level(p) for p in points]
+    levels = builder.run([ops.encode(gen.images) for gen in _normalize(inst.generators)[1]])
+    residue, stop = _sift(levels[: len(points)], ops.then, g)
+    return None if stop < len(points) else Permutation(ops.decode(ops.then(ops.inv(residue), g)))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a challenge-2 opening reveals D")
+def test_a_challenge_2_opening_gives_no_witness():
+    """Z1 and Z2 agree exactly where u∘h and u∘g do, that is off D = {i :
+    h(i) != g(i)}, and any h' in H that agrees with g off D is a witness.
+    Once an opening hides D, the agreeing points are a uniform (n - k)-set,
+    on which an element of H agrees with g with negligible probability."""
+    rng = random.Random(90)
+    recovered = 0
+    for _ in range(20):
+        inst, wit = plant_instance(64, 16, 16, rng, preset="abelian2")
+        proof = fs_prove(inst, wit, 219, b"ctx", rng)
+        z1, z2 = next(rsp.values for rsp in proof.responses if rsp.kind == 2)
+        agree = [i for i, (a, b) in enumerate(zip(decode_tuple(z1), decode_tuple(z2))) if a == b]
+        found = _transport(inst, agree)
+        recovered += found is not None and validate_witness(inst, found)
+    assert recovered == 0
 
 
 # SHA-256 of a 219-round proof with fixed coins, pinned so that any change to
