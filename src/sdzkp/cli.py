@@ -219,17 +219,24 @@ def cmd_fs_prove(args) -> int:
 
 def cmd_fs_verify(args) -> int:
     from .instance import load_instance
-    from .protocol import fs_verify_bytes, require_positive
+    from .protocol import fs_verify_bytes, max_proof_bytes, require_positive
 
     require_positive(args.rounds)
     _warn_if_few_rounds(args.rounds)
     inst = load_instance(args.instance)
+    limit = max_proof_bytes(inst.degree, args.rounds)
     try:
-        data = Path(args.proof).read_bytes()
+        # Read at most one byte past the longest proof of this degree and
+        # round count, which refuses a longer file, in reads of at most 64 KiB
+        # from any kind of file: a read allocates all it asks for first.
+        with open(args.proof, "rb") as f:
+            data = bytearray()
+            while len(data) <= limit and (chunk := f.read(min(1 << 16, limit + 1 - len(data)))):
+                data += chunk
     except OSError as exc:
         print(f"error: cannot read proof: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    ok = fs_verify_bytes(inst, data, args.context.encode(), args.rounds)
+    ok = len(data) <= limit and fs_verify_bytes(inst, data, args.context.encode(), args.rounds)
     print("ACCEPT" if ok else "REJECT")
     return EXIT_ACCEPT if ok else EXIT_REJECT
 

@@ -11,8 +11,9 @@ A round's mask is one such integer, read from SHAKE.  A masked tuple exists
 only as its encoding, the committed message and wire form, which
 _is_tuple_encoding tests and tuple_span reads.  apply_mask writes it from n
 u32 words (4n bytes, as encode_words writes them), remove_mask gives them
-back.  _mask_stream is the one seed check; _add_lanes and _sub_lanes are
-the one lane sum and difference.
+back through _unmask, which takes the tuple as canonical.  _mask_stream is
+the one seed check and the one mask read; _add_lanes and _sub_lanes are the
+one lane sum and difference.
 """
 
 from __future__ import annotations
@@ -127,11 +128,17 @@ def apply_mask(seed: bytes, n: int, *words: bytes) -> tuple[bytes, ...]:
 
 
 def remove_mask(z: bytes, seed: bytes, n: int) -> bytes:
-    """encode_words(tuple_sub(decode_tuple(z), expand_mask(seed, n))): one
-    lane subtraction.  ValueError unless _is_tuple_encoding(z, n) holds and
-    seed is one _mask_stream takes."""
+    """encode_words(tuple_sub(decode_tuple(z), expand_mask(seed, n))).
+    ValueError unless _is_tuple_encoding(z, n) holds and seed is one
+    _mask_stream takes."""
     if not _is_tuple_encoding(z, n):
         raise ValueError(f"masked tuple is not the encoding of {n} u32 words")
+    return _unmask(z, seed, n)
+
+
+def _unmask(z: bytes, seed: bytes, n: int) -> bytes:
+    """remove_mask on a z taken as canonical: one SHAKE read (ValueError
+    unless seed is one _mask_stream takes), one lane subtraction."""
     mask = int.from_bytes(_mask_stream(seed, n), "little")
     return _sub_lanes(_lanes(n), int.from_bytes(z[4:], "little"), mask)
 

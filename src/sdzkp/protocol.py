@@ -16,18 +16,22 @@ Every value is its own committed message and wire form, slot_size long; a
 masked tuple's form is crypto's (_is_tuple_encoding tests it, tuple_span
 reads it), and CommitmentMsg is the one commitment layout.  The prover, the
 verifier's checks and the response codecs all follow OPENS; only the final
-predicate above is written per challenge.
+predicate above is written per challenge, once, in _holds, which takes its
+masked tuples as canonical.
 
 A round works on the group's raw elements (group.make_ops: byte tables up
 to degree 256, image tuples past it): masked_round composes u with x and
 with g, spreads each product into the u32 lanes crypto.apply_mask masks,
-and commits through commit_round and crypto.commit.  verify_round, the one
-round check of every verifier, checks each slot a challenge opens with
-slot_opens, then the predicate with challenge_holds: crypto.remove_mask
-gives back the words of a raw element, which challenge 1 composes with the
-raw g^-1 the instance caches and the group's contains tests as it stands.
-The analysis harness uses the two to check each of a state's slots once and
-then all three predicates.  _read_response is the one response parser.
+and commits through commit_round and crypto.commit.  At challenges 0 and 1
+_holds unmasks with crypto._unmask into the words of a raw element, which
+challenge 1 composes with the raw g^-1 the instance caches and the group's
+contains tests as it stands.  verify_round, the round check of sessions and
+the analysis harness, checks each slot a challenge opens with slot_opens
+(the value's form, then its opening), then calls _holds; challenge_holds
+checks the masked tuples' form, then calls _holds.
+fs_verify_bytes checks a proof's rounds in place, on slices of its buffer,
+with the same checks, each made once.  _read_response is the one parser of
+a single response, _append_response the one writer.
 
 A single round convinces the verifier with soundness error 2/3; sequential
 repetition amplifies.  The non-interactive variant derives challenges by
@@ -49,6 +53,7 @@ from .crypto import (
     OPENING_BYTES,
     SEED_BYTES,
     _is_tuple_encoding,
+    _unmask,
     apply_mask,
     commit,
     differing_words,
@@ -200,24 +205,34 @@ def prover_round(inst: SDPInstance, h, rng: Random) -> ProverState:
 def opened_member(inst: SDPInstance, challenge: int, response: Response) -> Permutation:
     """The element that a challenge-0 or challenge-1 opening claims lies in H:
     unmask(Z1) = u∘h at 0, unmask(Z2)∘g^-1 = u at 1.  ValueError if the
-    opening hides no permutation."""
+    opening hides no permutation, or its values are not canonical."""
     if challenge not in (0, 1):
         raise ValueError(f"challenge {challenge!r} opens no group element")
-    member = _member(inst, challenge, *response.values)
+    member = _member(inst, challenge, remove_mask(*response.values, inst.degree))
     if member is None:
         raise ValueError("unmasked tuple is not a permutation")
     return Permutation._trusted(inst.group.ops.decode(member))
 
 
-def _member(inst: SDPInstance, challenge: int, z: bytes, seed: bytes):
-    """opened_member on the values OPENS[challenge] lists (a masked tuple, then
-    the seed), in raw form; None if the tuple hides no permutation.
-    remove_mask yields exactly n u32 words (ValueError unless z is a
-    canonical masked tuple), and the raw form's from_words takes them back
-    iff they are a permutation of {0, .., n-1}."""
+def _member(inst: SDPInstance, challenge: int, words: bytes):
+    """The raw element that the n unmasked u32 words of a challenge-0 or
+    challenge-1 opening claim lies in H; None unless the words are a
+    permutation of {0, .., n-1}, which the raw form's from_words tests."""
     ops = inst.group.ops
-    opened = ops.from_words(remove_mask(z, seed, inst.degree))
+    opened = ops.from_words(words)
     return ops.then(inst.target_tables[1], opened) if challenge and opened is not None else opened
+
+
+def _holds(inst: SDPInstance, challenge: int, value: bytes, other: bytes) -> bool:
+    """The predicate of a challenge on the two values it opens, in OPENS
+    order, its masked tuples taken as canonical; each predicate is written
+    here only.  Challenges 0 and 1 unmask the tuple under the seed (which
+    crypto._mask_stream checks) and test the member in H; challenge 2
+    counts the words the tuples differ in."""
+    if challenge == 2:
+        return differing_words(value, other) <= inst.max_distance
+    member = _member(inst, challenge, _unmask(value, other, inst.degree))
+    return member is not None and inst.group.contains(member)
 
 
 def honest_rounds(inst: SDPInstance, wit: Witness, rounds: int, rng: Random) -> Iterator[ProverState]:
@@ -275,21 +290,20 @@ def slot_opens(inst: SDPInstance, commitment: CommitmentMsg, slot: int, value: b
 
 def challenge_holds(inst: SDPInstance, challenge: int, values: tuple[bytes, ...]) -> bool:
     """The check a challenge makes on the values it opened, in OPENS order,
-    once slot_opens holds for each.  It checks the values' form too, so any
-    other input is refused.  Total: returns False, never raises."""
+    once slot_opens holds for each: each value's form, then _holds.  Total
+    on any other input: returns False, never raises."""
     try:
-        if challenge == 2:
-            (z1, z2), n = values, inst.degree
-            canonical = _is_tuple_encoding(z1, n) and _is_tuple_encoding(z2, n)
-            return canonical and differing_words(z1, z2) <= inst.max_distance
-        member = _member(inst, challenge, *values)
-        return member is not None and inst.group.contains(member)
+        (z, other), n = values, inst.degree
+        # _holds unmasks only with a seed that crypto._mask_stream takes
+        canonical = _is_tuple_encoding(z, n) and (challenge != 2 or _is_tuple_encoding(other, n))
+        return canonical and _holds(inst, challenge, z, other)
     except (ValueError, TypeError, struct.error):
         return False
 
 
 def verify_round(inst: SDPInstance, commitment: CommitmentMsg, challenge: int, response: Response) -> bool:
-    """Check one round: every slot the challenge opens, then its check.
+    """Check one round: every slot the challenge opens (slot_opens, which
+    checks each value's form), then the challenge's predicate (_holds).
     Total on untrusted input: returns False, never raises."""
     if not isinstance(commitment, CommitmentMsg) or not isinstance(response, Response):
         return False
@@ -299,7 +313,7 @@ def verify_round(inst: SDPInstance, commitment: CommitmentMsg, challenge: int, r
         for slot, value, opening in zip(OPENS[challenge], response.values, response.openings):
             if not slot_opens(inst, commitment, slot, value, opening):
                 return False
-        return challenge_holds(inst, challenge, response.values)
+        return _holds(inst, challenge, *response.values)
     except (ValueError, TypeError, struct.error):
         return False
 
@@ -321,18 +335,19 @@ def run_interactive(
 
 # --- non-interactive variant ---
 
-def derive_challenges(statement_digest: bytes, context: bytes, commitments: tuple[CommitmentMsg, ...]) -> list[int]:
+def derive_challenges(
+    statement_digest: bytes, context: bytes, commitments: tuple[CommitmentMsg, ...] | bytes
+) -> list[int]:
     """One hash-derived challenge per commitment, binding the statement,
-    the context and all commitments (each CommitmentMsg is its digests)."""
-    prefix = hashlib.shake_256(
-        _FS_DOMAIN
-        + struct.pack("<I", len(context))
-        + context
-        + statement_digest
-        + b"".join(chain.from_iterable(commitments))
-    )
+    the context and all commitments: the rounds' CommitmentMsg tuples (each
+    is its digests), or their bytes one after another, as a proof holds them."""
+    if isinstance(commitments, bytes):
+        rounds, joined = len(commitments) // COMMITMENT_BYTES, commitments
+    else:
+        rounds, joined = len(commitments), b"".join(chain.from_iterable(commitments))
+    prefix = hashlib.shake_256(_FS_DOMAIN + struct.pack("<I", len(context)) + context + statement_digest + joined)
     challenges = []
-    for i in range(len(commitments)):
+    for i in range(rounds):
         shake = prefix.copy()
         shake.update(struct.pack("<I", i))
         # Rejection sampling over bytes: 255 = 85 * 3, so dropping the value
@@ -356,29 +371,104 @@ def fs_prove(inst: SDPInstance, wit: Witness, rounds: int, context: bytes, rng: 
 
 
 def fs_verify_bytes(inst: SDPInstance, data: bytes, context: bytes, rounds: int = ROUNDS) -> bool:
-    """Check a serialized non-interactive proof.  False on any malformed
-    buffer or failing round, and unless the proof holds exactly `rounds`
-    rounds: the verifier, not the prover, sets the soundness error, so the
-    count after the magic is read before any round is decoded."""
+    """Check a serialized non-interactive proof in place.  False on any
+    malformed buffer or failing round, and unless the proof holds exactly
+    `rounds` rounds: the verifier, not the prover, sets the soundness error,
+    so the count after the magic is read before any round.
+
+    One walk finds every round from its kind byte (_round_starts); the
+    challenges are derived from the commitments' bytes as they stand; then
+    each round is checked on slices of the buffer: the kind byte against
+    its challenge, each opened masked tuple's form (the walk fixes every
+    length, so a seed is canonical as it lies), each opening with
+    verify_commitment, and the predicate with _holds."""
     try:
-        if struct.unpack_from("<I", data, 4) != (rounds,):
+        if not isinstance(data, bytes):
+            data = memoryview(data).tobytes()  # refuses an int or a str (TypeError)
+        if data[:4] != PROOF_MAGIC or struct.unpack_from("<I", data, 4) != (_proof_rounds(rounds),):
             return False
-        proof = decode_proof(data)
-        challenges = derive_challenges(instance_digest(inst), context, proof.commitments)
+        # A round is its commitment, slot i's digest at field i, then its response.
+        n = inst.degree
+        layouts = {kind: _response_layout(kind, n, COMMITMENT_BYTES) for kind in OPENS}
+        starts = _round_starts(data, {kind: end for kind, (end, _) in layouts.items()}, rounds)
+        if starts is None:
+            return False
+        commitments = b"".join([data[start : start + COMMITMENT_BYTES] for start in starts])
+        challenges = derive_challenges(instance_digest(inst), context, commitments)
     except (ValueError, TypeError, struct.error):
         return False
-    return all(map(verify_round, repeat(inst), proof.commitments, challenges, proof.responses))
+    for start, challenge in zip(starts, challenges):
+        if data[start + COMMITMENT_BYTES] != challenge:
+            return False
+        values = []
+        for slot, value_at, value_end, opening_at in layouts[challenge][1]:
+            value = data[start + value_at : start + value_end]
+            if slot != SEED and not _is_tuple_encoding(value, n):
+                return False
+            digest = data[start + slot * DIGEST_BYTES : start + (slot + 1) * DIGEST_BYTES]
+            opening = data[start + opening_at : start + opening_at + OPENING_BYTES]
+            if not verify_commitment(digest, value, COMMIT_TAGS[slot], opening):
+                return False
+            values.append(value)
+        if not _holds(inst, challenge, *values):
+            return False
+    return True
+
+
+def _round_starts(data: bytes, lengths: dict[int, int], rounds: int) -> list[int] | None:
+    """Where each of a proof's `rounds` rounds starts, past its 8-byte header,
+    given each kind's round length: a round's kind byte follows its
+    commitment.  None on an unknown kind, and unless the last round ends
+    where data does."""
+    starts, offset, size = [], 8, len(data)
+    for _ in range(rounds):
+        if offset + COMMITMENT_BYTES >= size:
+            return None
+        length = lengths.get(data[offset + COMMITMENT_BYTES])
+        if length is None:
+            return None
+        starts.append(offset)
+        offset += length
+    return starts if offset == size else None
 
 
 # --- serialization ---
 
-def encode_response(rsp: Response) -> bytes:
-    """Kind byte, the opened values in OPENS order, then their openings."""
+_KIND_BYTES = {kind: bytes([kind]) for kind in OPENS}
+
+
+def _append_response(parts: list[bytes], rsp: Response) -> None:
+    """Append rsp's wire form to parts: kind byte, the opened values in OPENS
+    order, then their openings.  ValueError unless rsp opens its slots."""
     if rsp.kind not in OPENS:
         raise ValueError(f"cannot encode response of kind {rsp.kind!r}")
     if not _opens_its_slots(rsp):
         raise ValueError(f"a kind {rsp.kind} response must hold one bytes value and opening per slot it opens")
-    return bytes([rsp.kind]) + b"".join(rsp.values) + b"".join(rsp.openings)
+    parts.append(_KIND_BYTES[rsp.kind])
+    parts += rsp.values
+    parts += rsp.openings
+
+
+def encode_response(rsp: Response) -> bytes:
+    """Kind byte, the opened values in OPENS order, then their openings."""
+    parts = []
+    _append_response(parts, rsp)
+    return b"".join(parts)
+
+
+def _response_layout(kind: int, n: int, at: int = 0) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+    """Where an encoded kind `kind` response at degree n lies, its kind byte
+    at offset `at`: its end, and for each slot OPENS[kind] lists, in order,
+    (slot, value start, value end, opening start).  The kind byte comes
+    first, then the values (slot_size each), then their openings."""
+    slots = OPENS[kind]
+    at += 1
+    openings = at + sum(slot_size(slot, n) for slot in slots)
+    parts = []
+    for i, slot in enumerate(slots):
+        parts.append((slot, at, at + slot_size(slot, n), openings + i * OPENING_BYTES))
+        at += slot_size(slot, n)
+    return openings + len(slots) * OPENING_BYTES, tuple(parts)
 
 
 def max_response_bytes(n: int) -> int:
@@ -386,14 +476,20 @@ def max_response_bytes(n: int) -> int:
 
     Kind 2 (two tuples, two openings) for n >= 7; below that kind 0 and 1
     (one tuple, a seed, two openings) are longer."""
-    return 1 + max(sum(slot_size(slot, n) + OPENING_BYTES for slot in slots) for slots in OPENS.values())
+    return max(_response_layout(kind, n)[0] for kind in OPENS)
+
+
+def max_proof_bytes(n: int, rounds: int) -> int:
+    """Length of the longest encoded proof of `rounds` rounds at degree n."""
+    return 8 + rounds * (COMMITMENT_BYTES + max_response_bytes(n))
 
 
 def encode_proof(proof: NIZKProof) -> bytes:
+    """Magic, round count, then per round its three digests and its response."""
     parts = [PROOF_MAGIC, struct.pack("<I", proof.rounds)]
     for com, rsp in zip(proof.commitments, proof.responses):
-        parts.append(com.encode())
-        parts.append(encode_response(rsp))
+        parts += com
+        _append_response(parts, rsp)
     return b"".join(parts)
 
 

@@ -179,6 +179,41 @@ def test_fs_verify_rejects_corrupt_and_truncated(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _limit_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
+def test_fs_verify_refuses_a_file_longer_than_any_proof(tmp_path):
+    # A 1 TiB sparse file uses no disk blocks; read whole, it raised an
+    # uncaught MemoryError.  The process runs with 4 GiB of address space, so
+    # a read of the whole file fails at once instead of filling memory.  At
+    # 10^8 rounds the longest proof is far past 4 GiB, and a read that asked
+    # for that many bytes would fail the same way on a short file or pipe.
+    inst_path, wit_path = keygen(tmp_path)
+    proof, huge = tmp_path / "p.sdp", tmp_path / "huge.sdp"
+    assert main(["fs-prove", "--instance", str(inst_path), "--witness", str(wit_path),
+                 "--proof", str(proof), "--seed", "9"]) == EXIT_ACCEPT
+    with open(huge, "wb") as f:
+        f.truncate(1 << 40)
+    piped = proof.read_bytes()
+    for path, rounds, stdin, verdict, code in (
+        (huge, 219, None, "REJECT", EXIT_REJECT),
+        (proof, 219, None, "ACCEPT", EXIT_ACCEPT),
+        (proof, 10**8, None, "REJECT", EXIT_REJECT),
+        ("/dev/stdin", 219, piped, "ACCEPT", EXIT_ACCEPT),
+        ("/dev/stdin", 10**8, piped, "REJECT", EXIT_REJECT),
+    ):
+        result = subprocess.run(
+            [sys.executable, "-m", "sdzkp.cli", "fs-verify", "--instance", str(inst_path), "--proof", str(path),
+             "--rounds", str(rounds)],
+            input=stdin, capture_output=True, env=_src_env(), timeout=60, preexec_fn=_limit_address_space,
+        )
+        assert (result.stdout, result.returncode) == (f"{verdict}\n".encode(), code), result.stderr
+        assert b"Traceback" not in result.stderr
+
+
 def test_fs_prove_refuses_more_rounds_than_a_proof_holds(tmp_path, capsys, monkeypatch):
     # decode_proof reads at most protocol._MAX_ROUNDS rounds, so fs-prove
     # must not write a longer proof that every fs-verify rejects

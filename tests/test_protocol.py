@@ -382,6 +382,8 @@ def test_verify_round_and_encode_response_refuse_a_misshapen_response(planted, h
             assert verify_round(inst, com, ch, bad) is False
             with pytest.raises(ValueError):
                 encode_response(bad)
+            with pytest.raises(ValueError):
+                encode_proof(NIZKProof((com,), (bad,)))
 
 
 def test_fs_verify_is_total_on_non_proofs(planted):

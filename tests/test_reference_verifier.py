@@ -32,6 +32,7 @@ from sdzkp.crypto import (
 from sdzkp.instance import instance_digest, plant_instance
 from sdzkp.perm import Permutation, compose, inverse
 from sdzkp.protocol import (
+    COMMITMENT_BYTES,
     OPENS,
     SEED,
     NIZKProof,
@@ -39,6 +40,7 @@ from sdzkp.protocol import (
     decode_proof,
     derive_challenges,
     encode_proof,
+    encode_response,
     fs_prove,
     fs_verify_bytes,
     prover_commit,
@@ -127,6 +129,37 @@ def test_honest_proofs_and_their_mutations_agree(family):
         assert not assert_verifiers_agree(inst, data[:end], 6)
     for extra in (b"\x00", b"\xff", bytes([rng.randrange(256)])):
         assert not assert_verifiers_agree(inst, data + extra, 6)
+    # fs_verify_bytes finds each round in place from its kind byte and the
+    # degree; these cases move what that walk reads: every kind byte value at
+    # the first and the last round, each opened masked tuple's count prefix
+    # in a challenge-0/1 round and in a challenge-2 round (as it lies, then
+    # committed to, so each opening holds), and the buffer cut at each round
+    # boundary.
+    n, kinds, starts = inst.degree, [], [8]
+    for rsp in decode_proof(data).responses:
+        kinds.append(rsp.kind)
+        starts.append(starts[-1] + COMMITMENT_BYTES + len(encode_response(rsp)))
+    assert starts.pop() == len(data)
+
+    def agree_on(position, value):
+        return assert_verifiers_agree(inst, data[:position] + value + data[position + len(value):], 6)
+
+    for start in (starts[0], starts[-1]):
+        for kind in range(256):
+            assert agree_on(start + COMMITMENT_BYTES, bytes([kind])) is (kind == data[start + COMMITMENT_BYTES])
+    for index, tuples in ((next(i for i, k in enumerate(kinds) if k != 2), 1), (kinds.index(2), 2)):
+        first = starts[index] + COMMITMENT_BYTES + 1
+        for position in range(first, first + tuples * (4 + 4 * n), 4 + 4 * n):
+            for count in (n - 1, n + 1, 0, 2**32 - 1):
+                assert not agree_on(position, struct.pack("<I", count))
+    z1, z2, seed = prover_commit(inst, wit, rng).values
+    for count in (n - 1, n + 1, 0, 2**32 - 1):
+        prefix = struct.pack("<I", count)
+        state = commit_round(prefix + z1[4:], prefix + z2[4:], seed, rng)
+        for ch in (0, 1, 2):
+            assert not assert_verifiers_agree(inst, proof_opening(inst, wit, state, ch, rng), 3)
+    for start in starts:
+        assert not assert_verifiers_agree(inst, data[:start], 6)
 
 
 def proof_opening(inst, wit, state, challenge, rng, context=b"ctx"):
