@@ -224,7 +224,10 @@ def cmd_fs_verify(args) -> int:
     require_positive(args.rounds)
     _warn_if_few_rounds(args.rounds)
     inst = load_instance(args.instance)
-    limit = max_proof_bytes(inst.degree, args.rounds)
+    try:
+        limit = max_proof_bytes(inst.degree, args.rounds)
+    except ValueError:  # no proof holds that many rounds, so none is read
+        limit = -1
     try:
         # Read at most one byte past the longest proof of this degree and
         # round count, which refuses a longer file, in reads of at most 64 KiB

@@ -335,17 +335,19 @@ def run_interactive(
 
 # --- non-interactive variant ---
 
-def derive_challenges(
-    statement_digest: bytes, context: bytes, commitments: tuple[CommitmentMsg, ...] | bytes
-) -> list[int]:
+def derive_challenges(statement_digest: bytes, context: bytes, commitments: tuple[CommitmentMsg, ...]) -> list[int]:
     """One hash-derived challenge per commitment, binding the statement,
-    the context and all commitments: the rounds' CommitmentMsg tuples (each
-    is its digests), or their bytes one after another, as a proof holds them."""
-    if isinstance(commitments, bytes):
-        rounds, joined = len(commitments) // COMMITMENT_BYTES, commitments
-    else:
-        rounds, joined = len(commitments), b"".join(chain.from_iterable(commitments))
-    prefix = hashlib.shake_256(_FS_DOMAIN + struct.pack("<I", len(context)) + context + statement_digest + joined)
+    the context and all commitments (each CommitmentMsg is its digests)."""
+    joined = b"".join(chain.from_iterable(commitments))
+    return _challenges(statement_digest, context, joined, len(commitments))
+
+
+def _challenges(statement_digest: bytes, context: bytes, commitments: bytes, rounds: int) -> list[int]:
+    """derive_challenges on the rounds' commitments as a proof holds them,
+    one COMMITMENT_BYTES run each; ValueError unless there are `rounds`."""
+    if len(commitments) != rounds * COMMITMENT_BYTES:
+        raise ValueError(f"{len(commitments)} bytes are not the commitments of {rounds} rounds")
+    prefix = hashlib.shake_256(_FS_DOMAIN + struct.pack("<I", len(context)) + context + statement_digest + commitments)
     challenges = []
     for i in range(rounds):
         shake = prefix.copy()
@@ -377,7 +379,8 @@ def fs_verify_bytes(inst: SDPInstance, data: bytes, context: bytes, rounds: int 
     so the count after the magic is read before any round.
 
     One walk finds every round from its kind byte (_round_starts); the
-    challenges are derived from the commitments' bytes as they stand; then
+    challenges are derived from the commitments' bytes as they stand
+    (_challenges, the core of derive_challenges); then
     each round is checked on slices of the buffer: the kind byte against
     its challenge, each opened masked tuple's form (the walk fixes every
     length, so a seed is canonical as it lies), each opening with
@@ -389,24 +392,25 @@ def fs_verify_bytes(inst: SDPInstance, data: bytes, context: bytes, rounds: int 
             return False
         # A round is its commitment, slot i's digest at field i, then its response.
         n = inst.degree
-        layouts = {kind: _response_layout(kind, n, COMMITMENT_BYTES) for kind in OPENS}
-        starts = _round_starts(data, {kind: end for kind, (end, _) in layouts.items()}, rounds)
+        layouts = {kind: _response_layout(kind, n) for kind in OPENS}
+        starts = _round_starts(data, {kind: COMMITMENT_BYTES + end for kind, (end, _) in layouts.items()}, rounds)
         if starts is None:
             return False
         commitments = b"".join([data[start : start + COMMITMENT_BYTES] for start in starts])
-        challenges = derive_challenges(instance_digest(inst), context, commitments)
+        challenges = _challenges(instance_digest(inst), context, commitments, rounds)
     except (ValueError, TypeError, struct.error):
         return False
     for start, challenge in zip(starts, challenges):
-        if data[start + COMMITMENT_BYTES] != challenge:
+        at = start + COMMITMENT_BYTES  # the response's kind byte
+        if data[at] != challenge:
             return False
         values = []
         for slot, value_at, value_end, opening_at in layouts[challenge][1]:
-            value = data[start + value_at : start + value_end]
+            value = data[at + value_at : at + value_end]
             if slot != SEED and not _is_tuple_encoding(value, n):
                 return False
             digest = data[start + slot * DIGEST_BYTES : start + (slot + 1) * DIGEST_BYTES]
-            opening = data[start + opening_at : start + opening_at + OPENING_BYTES]
+            opening = data[at + opening_at : at + opening_at + OPENING_BYTES]
             if not verify_commitment(digest, value, COMMIT_TAGS[slot], opening):
                 return False
             values.append(value)
@@ -434,9 +438,6 @@ def _round_starts(data: bytes, lengths: dict[int, int], rounds: int) -> list[int
 
 # --- serialization ---
 
-_KIND_BYTES = {kind: bytes([kind]) for kind in OPENS}
-
-
 def _append_response(parts: list[bytes], rsp: Response) -> None:
     """Append rsp's wire form to parts: kind byte, the opened values in OPENS
     order, then their openings.  ValueError unless rsp opens its slots."""
@@ -444,7 +445,7 @@ def _append_response(parts: list[bytes], rsp: Response) -> None:
         raise ValueError(f"cannot encode response of kind {rsp.kind!r}")
     if not _opens_its_slots(rsp):
         raise ValueError(f"a kind {rsp.kind} response must hold one bytes value and opening per slot it opens")
-    parts.append(_KIND_BYTES[rsp.kind])
+    parts.append(bytes([rsp.kind]))
     parts += rsp.values
     parts += rsp.openings
 
@@ -456,13 +457,14 @@ def encode_response(rsp: Response) -> bytes:
     return b"".join(parts)
 
 
-def _response_layout(kind: int, n: int, at: int = 0) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
-    """Where an encoded kind `kind` response at degree n lies, its kind byte
-    at offset `at`: its end, and for each slot OPENS[kind] lists, in order,
-    (slot, value start, value end, opening start).  The kind byte comes
-    first, then the values (slot_size each), then their openings."""
+def _response_layout(kind: int, n: int) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+    """Where the parts of an encoded kind `kind` response at degree n lie,
+    as offsets from its kind byte: its end, and for each slot OPENS[kind]
+    lists, in order, (slot, value start, value end, opening start).  The
+    kind byte comes first, then the values (slot_size each), then their
+    openings."""
     slots = OPENS[kind]
-    at += 1
+    at = 1
     openings = at + sum(slot_size(slot, n) for slot in slots)
     parts = []
     for i, slot in enumerate(slots):
@@ -480,8 +482,9 @@ def max_response_bytes(n: int) -> int:
 
 
 def max_proof_bytes(n: int, rounds: int) -> int:
-    """Length of the longest encoded proof of `rounds` rounds at degree n."""
-    return 8 + rounds * (COMMITMENT_BYTES + max_response_bytes(n))
+    """Length of the longest encoded proof of `rounds` rounds at degree n.
+    ValueError for a round count that no proof holds."""
+    return 8 + _proof_rounds(rounds) * (COMMITMENT_BYTES + max_response_bytes(n))
 
 
 def encode_proof(proof: NIZKProof) -> bytes:

@@ -189,8 +189,10 @@ def test_fs_verify_refuses_a_file_longer_than_any_proof(tmp_path):
     # A 1 TiB sparse file uses no disk blocks; read whole, it raised an
     # uncaught MemoryError.  The process runs with 4 GiB of address space, so
     # a read of the whole file fails at once instead of filling memory.  At
-    # 10^8 rounds the longest proof is far past 4 GiB, and a read that asked
-    # for that many bytes would fail the same way on a short file or pipe.
+    # 10^8 rounds (past protocol._MAX_ROUNDS, so no proof holds them) the
+    # longest proof would be far past 4 GiB, and a read that asked for that
+    # many bytes would fail the same way on the huge file, a short file or a
+    # pipe; no byte is read.
     inst_path, wit_path = keygen(tmp_path)
     proof, huge = tmp_path / "p.sdp", tmp_path / "huge.sdp"
     assert main(["fs-prove", "--instance", str(inst_path), "--witness", str(wit_path),
@@ -200,6 +202,7 @@ def test_fs_verify_refuses_a_file_longer_than_any_proof(tmp_path):
     piped = proof.read_bytes()
     for path, rounds, stdin, verdict, code in (
         (huge, 219, None, "REJECT", EXIT_REJECT),
+        (huge, 10**8, None, "REJECT", EXIT_REJECT),
         (proof, 219, None, "ACCEPT", EXIT_ACCEPT),
         (proof, 10**8, None, "REJECT", EXIT_REJECT),
         ("/dev/stdin", 219, piped, "ACCEPT", EXIT_ACCEPT),
