@@ -30,8 +30,9 @@ from .protocol import (
     CommitmentMsg,
     ProverState,
     Transcript,
-    challenge_holds,
+    _holds,
     commit_round,
+    encode_response,
     honest_rounds,
     masked_round,
     opened_member,
@@ -68,17 +69,16 @@ def honest_rewindable_prover(inst: SDPInstance, wit: Witness, rng: Random) -> Pr
 
 def accepted_challenges(inst: SDPInstance, prover: ProverState) -> set[int]:
     """Which challenges this committed state would survive: the set of ch
-    with verify_round(inst, prover.commitment, ch, prover.respond(ch)), with
-    each slot's opening checked once rather than under both challenges that
-    open it."""
-    commitment, values = prover.commitment, prover.values
-    if not isinstance(commitment, CommitmentMsg):
-        return set()
-    opens = [slot_opens(inst, commitment, slot, value, opening)
-             for slot, (value, opening) in enumerate(zip(values, prover.openings))]
+    for which verify_round accepts its encoded commitment and respond(ch).
+    Each slot's opening is checked once (slot_opens) rather than under both
+    challenges that open it, then each challenge's predicate (_holds); a
+    part with no wire form (not bytes, or a digest of another length) fails
+    just the challenges that open its slot."""
+    values = prover.values
+    opens = [slot_opens(inst, *each) for each in zip(prover.commitment, range(3), values, prover.openings)]
     return {
         ch for ch, (a, b) in OPENS.items()  # each challenge opens two slots
-        if opens[a] and opens[b] and challenge_holds(inst, ch, (values[a], values[b]))
+        if opens[a] and opens[b] and _holds(inst, ch, values[a], values[b])
     }
 
 
@@ -90,7 +90,11 @@ def completeness_rate(inst: SDPInstance, wit: Witness, rounds: int, rng: Random)
     """Fraction of `rounds` honest rounds, each challenged uniformly from rng
     after it is drawn, that verify."""
     states = honest_rounds(inst, wit, rounds, rng)
-    return sum(verify_round(inst, *transcript_for(inst, s, verifier_challenge(rng))) for s in states) / rounds
+    accepted = 0
+    for state in states:
+        ch = verifier_challenge(rng)
+        accepted += verify_round(inst, state.commitment.encode(), ch, encode_response(state.respond(ch)))
+    return accepted / rounds
 
 
 # --- extraction ---
@@ -113,7 +117,7 @@ def extract_witness(inst: SDPInstance, t0: Transcript, t1: Transcript, t2: Trans
     if any(t.commitment != com for t in transcripts):
         raise ExtractionError("transcripts do not share a commitment")
     for ch, t in sorted(by_ch.items()):
-        if not verify_round(inst, com, ch, t.response):
+        if not verify_round(inst, com.encode(), ch, encode_response(t.response)):
             raise ExtractionError(f"transcript for challenge {ch} does not verify")
 
     # Every value is opened under two challenges; both openings must agree.
@@ -349,7 +353,7 @@ def transcript_distribution_test(
         for t in transcripts:
             r = t.response
             challenges[t.challenge] += 1
-            ok += verify_round(inst, t.commitment, t.challenge, r)
+            ok += verify_round(inst, t.commitment.encode(), t.challenge, encode_response(r))
             if t.challenge == 0:
                 counts[index[opened_member(inst, 0, r).images]] += 1
             elif t.challenge == 2:

@@ -12,7 +12,10 @@ as a lock-step session would.  The prover draws and commits round i+1
 before it waits for challenge i; the verifier checks round i only after it
 has sent challenge i+1, so each side computes while the other's frame is
 in flight.  The verifier checks the last round before it returns, so it
-still checks every round before it accepts.
+still checks every round before it accepts.  It checks each round with
+protocol.verify_round on the frame bodies as they came, and decodes no
+message; only a commitment frame of the wrong length is refused at once,
+before its challenge is sent.
 
 Every frame is read one way: through the session's buffer, capped at the
 largest valid message of its type (the verifier's caps depend on the
@@ -42,9 +45,7 @@ from .protocol import (
     MSG_CHALLENGE,
     MSG_COMMIT,
     MSG_RESPONSE,
-    CommitmentMsg,
     ProverState,
-    decode_response,
     encode_response,
     honest_rounds,
     max_response_bytes,
@@ -163,13 +164,14 @@ def verifier_session(sock: socket.socket, inst: SDPInstance, rounds: int, rng: R
     try:
         unchecked = None  # the previous round: commitment, challenge, response
         for i in range(rounds):
-            commitment = CommitmentMsg.decode(recv_expected(sock, MSG_COMMIT, commit_max, deadline, buffer))
+            commitment = recv_expected(sock, MSG_COMMIT, commit_max, deadline, buffer)
+            if len(commitment) != COMMITMENT_BYTES:
+                raise SessionError(f"commitment message must be {COMMITMENT_BYTES} bytes, got {len(commitment)}")
             challenge = verifier_challenge(rng)
             send_frame(sock, MSG_CHALLENGE, bytes([challenge]))
             if unchecked is not None and not _round_verifies(inst, i - 1, unchecked):
                 return False
-            response = decode_response(recv_expected(sock, MSG_RESPONSE, response_max, deadline, buffer))
-            unchecked = (commitment, challenge, response)
+            unchecked = (commitment, challenge, recv_expected(sock, MSG_RESPONSE, response_max, deadline, buffer))
         return _round_verifies(inst, rounds - 1, unchecked)
     except (ValueError, OSError) as exc:
         _log("session aborted: %s", exc)

@@ -25,13 +25,14 @@ with g, spreads each product into the u32 lanes crypto.apply_mask masks,
 and commits through commit_round and crypto.commit.  At challenges 0 and 1
 _holds unmasks with crypto._unmask into the words of a raw element, which
 challenge 1 composes with the raw g^-1 the instance caches and the group's
-contains tests as it stands.  verify_round, the round check of sessions and
-the analysis harness, checks each slot a challenge opens with slot_opens
-(the value's form, then its opening), then calls _holds; challenge_holds
-checks the masked tuples' form, then calls _holds.
-fs_verify_bytes checks a proof's rounds in place, on slices of its buffer,
-with the same checks, each made once.  _read_response is the one parser of
-a single response, _append_response the one writer.
+contains tests as it stands.  verify_round is the one round check, on a
+round's wire bytes: every verifier (fs_verify_bytes on slices of a proof,
+the session verifier on the frames it received, run_interactive and the
+analysis harness on encoded objects) calls it.  It lays the response out
+by _response_layout, checks each slot the challenge opens with slot_opens
+(the value's form, then its opening), then calls _holds.  _read_response
+is the one parser of a response into a Response, _append_response the one
+writer.
 
 A single round convinces the verifier with soundness error 2/3; sequential
 repetition amplifies.  The non-interactive variant derives challenges by
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from functools import lru_cache
 from itertools import chain, repeat
 from operator import itemgetter
 from random import Random
@@ -276,44 +278,39 @@ def prover_respond(state: ProverState, challenge: int) -> Response:
     return Response(challenge, opened(state.values), opened(state.openings))
 
 
-def slot_opens(inst: SDPInstance, commitment: CommitmentMsg, slot: int, value: bytes, opening: bytes) -> bool:
+def slot_opens(inst: SDPInstance, digest: bytes, slot: int, value: bytes, opening: bytes) -> bool:
     """Whether value is a canonical value of the slot at the instance's degree
-    (see slot_size) and opening opens the slot's digest in commitment to it.
+    (see slot_size) and opening opens the slot's 32-byte digest to it.
     Total on untrusted input: returns False, never raises."""
     try:
         n = inst.degree
         canonical = len(value) == slot_size(SEED, n) if slot == SEED else _is_tuple_encoding(value, n)
-        return canonical and verify_commitment(commitment[slot], value, COMMIT_TAGS[slot], opening)
+        return canonical and verify_commitment(digest, value, COMMIT_TAGS[slot], opening)
     except (ValueError, TypeError, struct.error):
         return False
 
 
-def challenge_holds(inst: SDPInstance, challenge: int, values: tuple[bytes, ...]) -> bool:
-    """The check a challenge makes on the values it opened, in OPENS order,
-    once slot_opens holds for each: each value's form, then _holds.  Total
-    on any other input: returns False, never raises."""
-    try:
-        (z, other), n = values, inst.degree
-        # _holds unmasks only with a seed that crypto._mask_stream takes
-        canonical = _is_tuple_encoding(z, n) and (challenge != 2 or _is_tuple_encoding(other, n))
-        return canonical and _holds(inst, challenge, z, other)
-    except (ValueError, TypeError, struct.error):
-        return False
-
-
-def verify_round(inst: SDPInstance, commitment: CommitmentMsg, challenge: int, response: Response) -> bool:
-    """Check one round: every slot the challenge opens (slot_opens, which
-    checks each value's form), then the challenge's predicate (_holds).
+def verify_round(inst: SDPInstance, commitment: bytes, challenge: int, response: bytes) -> bool:
+    """Check one round on its wire bytes: the 96-byte commitment (slot i's
+    digest at field i) and the encoded response.  The kind byte must be the
+    challenge and the response as long as _response_layout says; then every
+    slot the challenge opens must open (slot_opens, which checks each
+    value's form), and the challenge's predicate must hold (_holds).
     Total on untrusted input: returns False, never raises."""
-    if not isinstance(commitment, CommitmentMsg) or not isinstance(response, Response):
-        return False
     try:
-        if challenge not in CHALLENGES or response.kind != challenge or not _opens_its_slots(response):
+        if challenge not in OPENS or len(commitment) != COMMITMENT_BYTES or not response or response[0] != challenge:
             return False
-        for slot, value, opening in zip(OPENS[challenge], response.values, response.openings):
-            if not slot_opens(inst, commitment, slot, value, opening):
+        end, parts = _response_layout(challenge, inst.degree)
+        if len(response) != end:
+            return False
+        values = []
+        for slot, value_at, value_end, opening_at in parts:
+            value = response[value_at:value_end]
+            digest = commitment[slot * DIGEST_BYTES : (slot + 1) * DIGEST_BYTES]
+            if not slot_opens(inst, digest, slot, value, response[opening_at : opening_at + OPENING_BYTES]):
                 return False
-        return _holds(inst, challenge, *response.values)
+            values.append(value)
+        return _holds(inst, challenge, *values)
     except (ValueError, TypeError, struct.error):
         return False
 
@@ -328,7 +325,7 @@ def run_interactive(
     """Honest in-process session: accept iff every round verifies."""
     for state in honest_rounds(inst, wit, rounds, prover_rng):
         ch = verifier_challenge(verifier_rng)
-        if not verify_round(inst, state.commitment, ch, prover_respond(state, ch)):
+        if not verify_round(inst, state.commitment.encode(), ch, encode_response(prover_respond(state, ch))):
             return False
     return True
 
@@ -378,62 +375,45 @@ def fs_verify_bytes(inst: SDPInstance, data: bytes, context: bytes, rounds: int 
     `rounds` rounds: the verifier, not the prover, sets the soundness error,
     so the count after the magic is read before any round.
 
-    One walk finds every round from its kind byte (_round_starts); the
+    One walk finds every round from its kind byte (_round_bounds); the
     challenges are derived from the commitments' bytes as they stand
-    (_challenges, the core of derive_challenges); then
-    each round is checked on slices of the buffer: the kind byte against
-    its challenge, each opened masked tuple's form (the walk fixes every
-    length, so a seed is canonical as it lies), each opening with
-    verify_commitment, and the predicate with _holds."""
+    (_challenges, the core of derive_challenges); then verify_round checks
+    each round on its slices of the buffer."""
     try:
         if not isinstance(data, bytes):
             data = memoryview(data).tobytes()  # refuses an int or a str (TypeError)
         if data[:4] != PROOF_MAGIC or struct.unpack_from("<I", data, 4) != (_proof_rounds(rounds),):
             return False
-        # A round is its commitment, slot i's digest at field i, then its response.
-        n = inst.degree
-        layouts = {kind: _response_layout(kind, n) for kind in OPENS}
-        starts = _round_starts(data, {kind: COMMITMENT_BYTES + end for kind, (end, _) in layouts.items()}, rounds)
-        if starts is None:
+        lengths = {kind: COMMITMENT_BYTES + _response_layout(kind, inst.degree)[0] for kind in OPENS}
+        bounds = _round_bounds(data, lengths, rounds)
+        if bounds is None:
             return False
-        commitments = b"".join([data[start : start + COMMITMENT_BYTES] for start in starts])
+        commitments = b"".join([data[start : start + COMMITMENT_BYTES] for start in bounds[:-1]])
         challenges = _challenges(instance_digest(inst), context, commitments, rounds)
     except (ValueError, TypeError, struct.error):
         return False
-    for start, challenge in zip(starts, challenges):
-        at = start + COMMITMENT_BYTES  # the response's kind byte
-        if data[at] != challenge:
-            return False
-        values = []
-        for slot, value_at, value_end, opening_at in layouts[challenge][1]:
-            value = data[at + value_at : at + value_end]
-            if slot != SEED and not _is_tuple_encoding(value, n):
-                return False
-            digest = data[start + slot * DIGEST_BYTES : start + (slot + 1) * DIGEST_BYTES]
-            opening = data[at + opening_at : at + opening_at + OPENING_BYTES]
-            if not verify_commitment(digest, value, COMMIT_TAGS[slot], opening):
-                return False
-            values.append(value)
-        if not _holds(inst, challenge, *values):
+    for start, end, challenge in zip(bounds, bounds[1:], challenges):
+        at = start + COMMITMENT_BYTES  # a round is its commitment, then its response
+        if not verify_round(inst, data[start:at], challenge, data[at:end]):
             return False
     return True
 
 
-def _round_starts(data: bytes, lengths: dict[int, int], rounds: int) -> list[int] | None:
+def _round_bounds(data: bytes, lengths: dict[int, int], rounds: int) -> list[int] | None:
     """Where each of a proof's `rounds` rounds starts, past its 8-byte header,
-    given each kind's round length: a round's kind byte follows its
-    commitment.  None on an unknown kind, and unless the last round ends
-    where data does."""
-    starts, offset, size = [], 8, len(data)
+    then where the last one ends, given each kind's round length: a round's
+    kind byte follows its commitment.  None on an unknown kind, and unless
+    the last round ends where data does."""
+    bounds, size = [8], len(data)
     for _ in range(rounds):
+        offset = bounds[-1]
         if offset + COMMITMENT_BYTES >= size:
             return None
         length = lengths.get(data[offset + COMMITMENT_BYTES])
         if length is None:
             return None
-        starts.append(offset)
-        offset += length
-    return starts if offset == size else None
+        bounds.append(offset + length)
+    return bounds if bounds[-1] == size else None
 
 
 # --- serialization ---
@@ -457,6 +437,7 @@ def encode_response(rsp: Response) -> bytes:
     return b"".join(parts)
 
 
+@lru_cache(maxsize=16)  # bounded: three kinds at each degree a process checks
 def _response_layout(kind: int, n: int) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
     """Where the parts of an encoded kind `kind` response at degree n lie,
     as offsets from its kind byte: its end, and for each slot OPENS[kind]

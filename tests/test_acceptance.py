@@ -75,7 +75,7 @@ def test_c01_completeness():
             com = state.commitment
             ch = verifier_challenge(rng)
             total += 1
-            if verify_round(inst, com, ch, prover_respond(state, ch)):
+            if verify_round(inst, com.encode(), ch, encode_response(prover_respond(state, ch))):
                 accepted += 1
     elapsed = time.perf_counter() - t0
     ok = accepted == total and elapsed < 60
@@ -169,7 +169,7 @@ def test_c05_simulator():
         t = simulate(inst, verifier, 1, rng)
         if t is not None:
             successes += 1
-            if not verify_round(inst, t.commitment, t.challenge, t.response):
+            if not verify_round(inst, t.commitment.encode(), t.challenge, encode_response(t.response)):
                 report("C5 simulator", False, "a produced transcript failed verification", 0.0)
     rate = successes / attempts
     ok = abs(rate - 5 / 9) <= 0.02
@@ -182,7 +182,7 @@ def test_c05_simulator():
             t = simulate(inst, verifier, m, rng)
             if t is None:
                 aborts += 1
-            elif not verify_round(inst, t.commitment, t.challenge, t.response):
+            elif not verify_round(inst, t.commitment.encode(), t.challenge, encode_response(t.response)):
                 ok = False
         bound = (4 / 9) ** m
         sigma = (bound * (1 - bound) / runs) ** 0.5
@@ -367,14 +367,14 @@ def test_c09_mutation_robustness():
         data[pos] ^= 1 + rng.randrange(255)
         mutations += 1
         try:
-            forged = decode_response(bytes(data))
+            decode_response(bytes(data))
         except ValueError:
             continue  # clean parse rejection
         except Exception:
             crashes += 1
             continue
         try:
-            if verify_round(inst, com, expected_ch, forged):
+            if verify_round(inst, com.encode(), expected_ch, bytes(data)):
                 accepts += 1
         except Exception:
             crashes += 1

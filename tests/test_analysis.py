@@ -34,7 +34,7 @@ from sdzkp.protocol import (
     SEED,
     NIZKProof,
     Transcript,
-    challenge_holds,
+    _holds,
     commit_round,
     derive_challenges,
     encode_proof,
@@ -166,20 +166,25 @@ def test_cheating_prover_profiles_exact(planted):
 
 
 def verified_challenges(inst, prover):
-    """accepted_challenges' reference: one whole verify_round per challenge."""
-    return {ch for ch in CHALLENGES if verify_round(inst, prover.commitment, ch, prover.respond(ch))}
+    """accepted_challenges' reference: one whole verify_round per challenge,
+    on the round's wire bytes."""
+    commitment = b"".join(prover.commitment)
+    return {ch for ch in CHALLENGES if verify_round(inst, commitment, ch, encode_response(prover.respond(ch)))}
 
 
 def corrupted(prover):
-    """The state with one slot's value, opening or digest broken: a flipped
-    first or last byte, a cut, or not bytes at all; then a bare-tuple commitment."""
+    """The state with one slot's value, opening or digest broken, with that
+    slot and whether the broken state still has a wire form (bytes, and a
+    96-byte commitment): a flipped first or last byte, a cut, or not bytes
+    at all."""
     for field in ("values", "openings", "commitment"):
         parts = getattr(prover, field)
         for slot, part in enumerate(parts):
             for bad in (bytes([part[0] ^ 1]) + part[1:], part[:-1] + bytes([part[-1] ^ 0x80]), part[:-4], None):
                 broken = parts[:slot] + (bad,) + parts[slot + 1:]
-                yield prover._replace(**{field: type(parts)(*broken) if field == "commitment" else broken})
-    yield prover._replace(commitment=tuple(prover.commitment))
+                on_the_wire = bad is not None and (field != "commitment" or len(bad) == len(part))
+                broken = type(parts)(*broken) if field == "commitment" else broken
+                yield slot, prover._replace(**{field: broken}), on_the_wire
 
 
 @pytest.mark.parametrize("fixture", ["planted", "small_abelian"])
@@ -194,16 +199,22 @@ def test_accepted_challenges_equals_one_verify_round_per_challenge(fixture, requ
             expected = verified_challenges(inst, prover)
             assert len(expected) >= 2
             assert accepted_challenges(inst, prover) == expected
-            for broken in corrupted(prover):
-                assert accepted_challenges(inst, broken) == verified_challenges(inst, broken)
+            # a bare tuple of digests is the same commitment
+            assert accepted_challenges(inst, prover._replace(commitment=tuple(prover.commitment))) == expected
+            for slot, broken, on_the_wire in corrupted(prover):
+                # a broken part fails exactly the challenges that open its slot
+                accepted = accepted_challenges(inst, broken)
+                assert accepted == {ch for ch in expected if slot not in OPENS[ch]}
+                if on_the_wire:
+                    assert accepted == verified_challenges(inst, broken)
 
 
 def opens_then_holds(inst, commitment, challenge, response):
-    """verify_round's two steps: slot_opens for each slot the challenge
-    opens, then challenge_holds on the opened values."""
+    """verify_round's two steps on a round's objects: slot_opens for each
+    slot the challenge opens, then _holds on the opened values."""
     opened = zip(OPENS[challenge], response.values, response.openings)
-    return all(slot_opens(inst, commitment, *each) for each in opened) and challenge_holds(
-        inst, challenge, response.values)
+    return all(slot_opens(inst, commitment[slot], slot, value, opening) for slot, value, opening in opened) and _holds(
+        inst, challenge, *response.values)
 
 
 def _with_prefix(z, n):
@@ -211,11 +222,12 @@ def _with_prefix(z, n):
 
 
 @pytest.mark.parametrize("fixture", ["planted", "small_abelian"])
-def test_slot_opens_then_challenge_holds_is_verify_round(fixture, request):
+def test_slot_opens_then_holds_is_verify_round(fixture, request):
     """For every challenge to honest, cheating and simulated states, the two
-    steps give verify_round's verdict.  Each step also refuses, on its own,
-    values it is not meant to take: each malformed value below is committed
-    or masked so that only the step's own form check can refuse it."""
+    steps give verify_round's verdict.  slot_opens also refuses, on its own,
+    values it is not meant to take, and verify_round refuses them on the
+    wire: each malformed value below is committed or masked so that only a
+    form check can refuse it."""
     inst, wit = request.getfixturevalue(fixture)
     n, rng = inst.degree, random.Random(87)
     states = [honest_rewindable_prover(inst, wit, rng) for _ in range(3)]
@@ -224,33 +236,31 @@ def test_slot_opens_then_challenge_holds_is_verify_round(fixture, request):
     verdicts = []
     for state in states:
         for ch in CHALLENGES:
-            verdict = verify_round(inst, state.commitment, ch, state.respond(ch))
+            verdict = verify_round(inst, state.commitment.encode(), ch, encode_response(state.respond(ch)))
             assert opens_then_holds(inst, state.commitment, ch, state.respond(ch)) is verdict
             verdicts.append(verdict)
     assert verdicts.count(True) >= 3 * 3 + 3 * 2 + 3 * 1 and False in verdicts
 
     honest = states[0]
     com, values, openings = honest.commitment, honest.values, honest.openings
-    assert all(slot_opens(inst, com, slot, values[slot], openings[slot]) for slot in range(3))
-    assert all(challenge_holds(inst, ch, tuple(values[slot] for slot in OPENS[ch])) for ch in CHALLENGES)
+    assert all(slot_opens(inst, com[slot], slot, values[slot], openings[slot]) for slot in range(3))
+    assert all(_holds(inst, ch, *(values[slot] for slot in OPENS[ch])) for ch in CHALLENGES)
 
     def foreign(value):  # the same bytes as a str, None, or a bytearray
         return [value.decode("latin-1"), None, bytearray(value)]
 
     for slot in range(3):
         value, opening = values[slot], openings[slot]
-        # a commitment message whose digest is no bytes, or 31 bytes
+        # a digest that is no bytes, or 31 bytes
         for digest in [*foreign(com[slot]), com[slot][:31]]:
-            assert slot_opens(inst, com._replace(**{com._fields[slot]: digest}), slot, value, opening) is False
+            assert slot_opens(inst, digest, slot, value, opening) is False
         for bad in foreign(value):
-            assert slot_opens(inst, com, slot, bad, opening) is False
+            assert slot_opens(inst, com[slot], slot, bad, opening) is False
         for bad in foreign(opening):
-            assert slot_opens(inst, com, slot, value, bad) is False
-    for ch in CHALLENGES:
-        opened = tuple(values[slot] for slot in OPENS[ch])
-        for position in range(2):
-            for bad in foreign(opened[position]):
-                assert challenge_holds(inst, ch, opened[:position] + (bad,) + opened[position + 1:]) is False
+            assert slot_opens(inst, com[slot], slot, value, bad) is False
+
+    def verifies(state, ch):
+        return verify_round(inst, state.commitment.encode(), ch, encode_response(state.respond(ch)))
 
     # a 31-byte seed, committed, with Z1 masked under it: only its length is wrong
     short_seed = values[SEED][:31]
@@ -258,20 +268,19 @@ def test_slot_opens_then_challenge_holds_is_verify_round(fixture, request):
     short_mask = struct.unpack(f"<{n}I", hashlib.shake_256(short_seed).digest(4 * n))
     z1 = encode_tuple(tuple_add(words, short_mask))
     digest, opening = commit(short_seed, COMMIT_TAGS[SEED], rng)
-    assert slot_opens(inst, com._replace(c3=digest), SEED, short_seed, opening) is False
-    assert challenge_holds(inst, 0, (z1, short_seed)) is False
+    assert slot_opens(inst, digest, SEED, short_seed, opening) is False
+    assert verifies(commit_round(z1, values[1], short_seed, rng), 0) is False
 
     # masked tuples, committed, whose length prefix is n + 1 or n - 1
     for count in (n + 1, n - 1):
         for slot in (0, 1):
             bad = _with_prefix(values[slot], count)
             digest, opening = commit(bad, COMMIT_TAGS[slot], rng)
-            assert slot_opens(inst, com._replace(**{com._fields[slot]: digest}), slot, bad, opening) is False
+            assert slot_opens(inst, digest, slot, bad, opening) is False
         z1, z2 = (_with_prefix(values[slot], count) for slot in (0, 1))
-        assert challenge_holds(inst, 0, (z1, values[SEED])) is False
-        assert challenge_holds(inst, 1, (z2, values[SEED])) is False
-        assert challenge_holds(inst, 2, (z1, z2)) is False
-        assert challenge_holds(inst, 2, (z1, values[1])) is False
+        state = commit_round(z1, z2, values[SEED], rng)
+        assert not any(verifies(state, ch) for ch in CHALLENGES)
+        assert verifies(commit_round(z1, values[1], values[SEED], rng), 2) is False
 
 
 def _misshapen_tuples(z, n):
@@ -306,13 +315,9 @@ def test_wire_forms_hold_at_the_byte_table_boundary(n, gens, k):
     for bad1, bad2 in zip(_misshapen_tuples(z1, n), _misshapen_tuples(z2, n)):
         for slot, bad in ((0, bad1), (1, bad2)):
             digest, opening = commit(bad, COMMIT_TAGS[slot], rng)
-            com = states[0].commitment._replace(**{states[0].commitment._fields[slot]: digest})
-            assert slot_opens(inst, com, slot, bad, opening) is False
-            assert challenge_holds(inst, slot, (bad, seed)) is False  # challenge 0 opens Z1, 1 opens Z2
+            assert slot_opens(inst, digest, slot, bad, opening) is False
             with pytest.raises(ValueError):
                 remove_mask(bad, seed, n)
-        assert challenge_holds(inst, 2, (bad1, z2)) is False
-        assert challenge_holds(inst, 2, (z1, bad2)) is False
 
     # a proof whose every round commits both masked tuples in the form under
     # test, so each challenge opens one; the canonical pair verifies
@@ -373,7 +378,7 @@ def test_simulator_transcripts_verify(planted):
         if t is None:
             continue
         produced += 1
-        assert verify_round(inst, t.commitment, t.challenge, t.response)
+        assert verify_round(inst, t.commitment.encode(), t.challenge, encode_response(t.response))
 
 
 def test_simulator_per_attempt_rate(planted):
@@ -404,7 +409,7 @@ def test_simulator_against_fixed_challenge_verifier(planted):
             continue
         produced += 1
         assert t.challenge == 2
-        assert verify_round(inst, t.commitment, t.challenge, t.response)
+        assert verify_round(inst, t.commitment.encode(), t.challenge, encode_response(t.response))
     assert produced == 50  # abort chance (2/3)^64 is negligible
 
 

@@ -241,12 +241,16 @@ def test_prover_session_checks_the_witness_once(planted, monkeypatch):
 
 def test_impostor_sends_garbage_commit(planted):
     inst, wit = planted
+    received = bytearray()
 
     def impostor(sock):
         net.send_frame(sock, MSG_COMMIT, b"way too short")
+        while chunk := sock.recv(4096):  # everything the verifier sends before it hangs up
+            received.extend(chunk)
 
-    ok, _ = run_session(inst, wit, 4, impostor)
+    ok, errors = run_session(inst, wit, 4, impostor)
     assert not ok
+    assert not errors and received == b""  # refused before a challenge was sent
 
 
 def test_impostor_sends_wrong_type(planted):
@@ -271,7 +275,7 @@ def test_impostor_disconnects_mid_session(planted):
     assert not ok
 
 
-def test_impostor_sends_malformed_response(planted):
+def test_impostor_sends_malformed_response(planted, caplog):
     inst, wit = planted
 
     def impostor(sock):
@@ -281,6 +285,11 @@ def test_impostor_sends_malformed_response(planted):
 
     ok, _ = run_session(inst, wit, 4, impostor)
     assert not ok
+    # the round check refuses it, so the log names the round
+    with caplog.at_level(logging.INFO, logger="sdzkp.net"):
+        ok, _ = run_session(inst, wit, 1, impostor)
+    assert not ok
+    assert "round 0 failed verification" in caplog.text
 
 
 def test_commit_without_witness_fails_rounds(planted):

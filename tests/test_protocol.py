@@ -72,7 +72,7 @@ def test_honest_round_accepts_every_challenge(planted):
         com = state.commitment
         for ch in CHALLENGES:
             rsp = prover_respond(state, ch)
-            assert verify_round(inst, com, ch, rsp)
+            assert verify_round(inst, com.encode(), ch, encode_response(rsp))
 
 
 def test_run_interactive_accepts(planted):
@@ -164,8 +164,8 @@ def test_challenge_response_mismatch_rejected(planted):
     for ch in CHALLENGES:
         for other in CHALLENGES:
             rsp = prover_respond(state, other)
-            assert verify_round(inst, com, ch, rsp) == (ch == other)
-    assert not verify_round(inst, com, 3, prover_respond(state, 0))
+            assert verify_round(inst, com.encode(), ch, encode_response(rsp)) == (ch == other)
+    assert not verify_round(inst, com.encode(), 3, encode_response(prover_respond(state, 0)))
 
 
 def test_tampered_masked_tuple_rejected(planted):
@@ -177,7 +177,7 @@ def test_tampered_masked_tuple_rejected(planted):
     z1, seed = rsp.values
     bumped = encode_tuple(tuple_add(decode_tuple(z1), (1,) + (0,) * 15))
     forged = rsp._replace(values=(bumped, seed))
-    assert not verify_round(inst, com, 0, forged)
+    assert not verify_round(inst, com.encode(), 0, encode_response(forged))
 
 
 def test_wrong_seed_rejected(planted):
@@ -187,7 +187,7 @@ def test_wrong_seed_rejected(planted):
     com = state.commitment
     rsp = prover_respond(state, 1)
     forged = rsp._replace(values=(rsp.values[0], bytes(32)))
-    assert not verify_round(inst, com, 1, forged)
+    assert not verify_round(inst, com.encode(), 1, encode_response(forged))
 
 
 def test_missing_fields_rejected(planted):
@@ -195,8 +195,8 @@ def test_missing_fields_rejected(planted):
     rng = random.Random(58)
     state = prover_commit(inst, wit, rng)
     com = state.commitment
-    assert not verify_round(inst, com, 0, Response(0, (), ()))
-    assert not verify_round(inst, com, 2, Response(2, (state.values[Z1],), ()))
+    assert not verify_round(inst, com.encode(), 0, bytes([0]))
+    assert not verify_round(inst, com.encode(), 2, bytes([2]) + state.values[Z1])
 
 
 @cache
@@ -225,9 +225,10 @@ def test_non_permutation_unmask_rejected(planted):
         rsp = state.respond(ch)
         for slot, value, opening in zip(OPENS[ch], rsp.values, rsp.openings):
             assert verify_commitment(state.commitment[slot], value, COMMIT_TAGS[slot], opening)
-    assert not verify_round(inst, state.commitment, 0, state.respond(0))
-    assert not verify_round(inst, state.commitment, 1, state.respond(1))
-    assert verify_round(inst, state.commitment, 2, state.respond(2))  # the openings themselves are sound
+    com = state.commitment.encode()
+    assert not verify_round(inst, com, 0, encode_response(state.respond(0)))
+    assert not verify_round(inst, com, 1, encode_response(state.respond(1)))
+    assert verify_round(inst, com, 2, encode_response(state.respond(2)))  # the openings themselves are sound
     with pytest.raises(ValueError, match="not a permutation"):
         unmask(state.values[Z1], seed, n)
 
@@ -265,7 +266,8 @@ def test_verify_round_rejects_honestly_committed_non_canonical_encodings(planted
     rng = random.Random(61)
     honest = prover_commit(inst, wit, rng)
     z1, z2, seed = honest.values
-    assert all(verify_round(inst, honest.commitment, ch, honest.respond(ch)) for ch in CHALLENGES)
+    com = honest.commitment.encode()
+    assert all(verify_round(inst, com, ch, encode_response(honest.respond(ch))) for ch in CHALLENGES)
     for bad1, bad2 in zip(non_canonical_encodings(z1), non_canonical_encodings(z2)):
         if not isinstance(bad1, bytes):
             continue  # only bytes can be committed
@@ -273,7 +275,7 @@ def test_verify_round_rejects_honestly_committed_non_canonical_encodings(planted
         for pair, challenges in (((bad1, z2), (0, 2)), ((z1, bad2), (1, 2)), ((bad1, bad2), CHALLENGES)):
             state = commit_round(*pair, seed, rng)
             for ch in challenges:
-                assert not verify_round(inst, state.commitment, ch, state.respond(ch))
+                assert not verify_round(inst, state.commitment.encode(), ch, encode_response(state.respond(ch)))
 
 
 def _outcome(unmasker, z, seed, n):
@@ -357,10 +359,12 @@ def test_verify_round_is_total_on_non_messages(planted, honest_state):
     inst, _ = planted
     state, com = honest_state
     for ch in CHALLENGES:
-        for rsp in (None, "response", b"", 0):
-            assert verify_round(inst, com, ch, rsp) is False
-        for bad_com in (None, "commitment", com.encode(), tuple(com)):
-            assert verify_round(inst, bad_com, ch, state.respond(ch)) is False
+        rsp = encode_response(state.respond(ch))
+        assert verify_round(inst, com.encode(), ch, rsp)
+        for bad in (None, "response", b"", 0, state.respond(ch), bytearray(rsp), rsp.decode("latin-1")):
+            assert verify_round(inst, com.encode(), ch, bad) is False
+        for bad_com in (None, "commitment", com, tuple(com), com.encode()[:-1], com.encode() + b"\x00"):
+            assert verify_round(inst, bad_com, ch, rsp) is False
 
 
 def misshapen(rsp):
@@ -373,13 +377,12 @@ def misshapen(rsp):
 
 
 def test_verify_round_and_encode_response_refuse_a_misshapen_response(planted, honest_state):
-    # an extra entry would otherwise verify: zip stops at the shorter of slots and values
+    # an extra entry would otherwise be written: a response's wire form holds no count of its entries
     inst, _ = planted
     state, com = honest_state
     for ch in CHALLENGES:
-        assert verify_round(inst, com, ch, state.respond(ch))
+        assert verify_round(inst, com.encode(), ch, encode_response(state.respond(ch)))
         for bad in misshapen(state.respond(ch)):
-            assert verify_round(inst, com, ch, bad) is False
             with pytest.raises(ValueError):
                 encode_response(bad)
             with pytest.raises(ValueError):
@@ -680,9 +683,9 @@ def test_decoder_and_verifier_are_total_on_arbitrary_bytes(planted, honest_state
     end = data.draw(st.one_of(st.just(len(raw)), st.integers(0, len(raw))))
     raw = data.draw(st.one_of(st.just(bytes(raw[:end])), st.binary(max_size=300)))
     raw += data.draw(st.binary(max_size=4))
-    try:
-        rsp = decode_response(raw)
-    except ValueError:
-        return
     for ch in CHALLENGES:
-        assert isinstance(verify_round(inst, com, ch, rsp), bool)
+        assert verify_round(inst, com.encode(), ch, raw) is (raw == encode_response(state.respond(ch)))
+    try:
+        decode_response(raw)
+    except ValueError:
+        pass

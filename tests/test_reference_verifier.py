@@ -190,7 +190,7 @@ def test_a_borrowing_lane_is_refused_by_both(family):
         words = (bad, *images[1:])
         state = forged_state(inst, words, words, rng)
         for ch in (0, 1):
-            assert not verify_round(inst, state.commitment, ch, state.respond(ch))
+            assert not verify_round(inst, state.commitment.encode(), ch, encode_response(state.respond(ch)))
             assert not reference_round(inst, state.commitment, ch, state.respond(ch))
             assert not assert_verifiers_agree(inst, proof_opening(inst, wit, state, ch, rng), 3)
 
@@ -205,7 +205,7 @@ def test_noisy_cheaters_arbitrary_words_agree(family):
             state = make_cheating_prover(inst, targets, rng)
             for ch in (0, 1, 2):
                 expected = reference_round(inst, state.commitment, ch, state.respond(ch))
-                assert verify_round(inst, state.commitment, ch, state.respond(ch)) is expected
+                assert verify_round(inst, state.commitment.encode(), ch, encode_response(state.respond(ch))) is expected
                 assert expected == (ch in targets)
                 assert assert_verifiers_agree(inst, proof_opening(inst, wit, state, ch, rng), 3) is (ch in targets)
 
