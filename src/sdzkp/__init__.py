@@ -26,9 +26,9 @@ _HOME = {
     ),
     **dict.fromkeys(("commit", "expand_mask", "tuple_add", "tuple_sub", "verify_commitment", "weight"), "crypto"),
     **dict.fromkeys(
-        ("CommitmentMsg", "NIZKProof", "ProverState", "Response", "Transcript", "decode_proof", "encode_proof",
-         "fs_prove", "fs_verify_bytes", "prover_commit", "prover_respond", "run_interactive",
-         "verifier_challenge", "verify_round"),
+        ("NIZKProof", "ProverState", "Response", "Transcript", "decode_proof", "encode_proof", "fs_prove",
+         "fs_verify_bytes", "prover_commit", "prover_respond", "run_interactive", "verifier_challenge",
+         "verify_round"),
         "protocol",
     ),
     **dict.fromkeys(

@@ -20,19 +20,19 @@ from itertools import count, islice
 from random import Random
 from typing import Callable, NamedTuple
 
-from .crypto import apply_mask, differing_words, encode_words, fresh_seed, tuple_add
+from .crypto import DIGEST_BYTES, apply_mask, differing_words, encode_words, fresh_seed, tuple_add
 from .group import BSGS
 from .instance import SDPInstance, Witness
 from .perm import Permutation, _sample, compose, hamming, inverse, random_support_perm
 from .protocol import (
     CHALLENGES,
+    COMMITMENT_BYTES,
     OPENS,
-    CommitmentMsg,
     ProverState,
     Transcript,
     _holds,
     commit_round,
-    encode_response,
+    decode_response,
     honest_rounds,
     masked_round,
     opened_member,
@@ -45,7 +45,7 @@ from .protocol import (
     verify_round,
 )
 
-VerifierOracle = Callable[[CommitmentMsg], int]
+VerifierOracle = Callable[[bytes], int]
 
 _RESAMPLE_BOUND = 64
 
@@ -69,13 +69,16 @@ def honest_rewindable_prover(inst: SDPInstance, wit: Witness, rng: Random) -> Pr
 
 def accepted_challenges(inst: SDPInstance, prover: ProverState) -> set[int]:
     """Which challenges this committed state would survive: the set of ch
-    for which verify_round accepts its encoded commitment and respond(ch).
-    Each slot's opening is checked once (slot_opens) rather than under both
+    for which verify_round accepts its commitment and respond(ch).  Each
+    slot's opening is checked once (slot_opens) rather than under both
     challenges that open it, then each challenge's predicate (_holds); a
-    part with no wire form (not bytes, or a digest of another length) fails
-    just the challenges that open its slot."""
-    values = prover.values
-    opens = [slot_opens(inst, *each) for each in zip(prover.commitment, range(3), values, prover.openings)]
+    part with no wire form (not bytes) fails just the challenges that open
+    its slot, and a commitment of another length fails them all."""
+    values, com = prover.values, prover.commitment
+    if len(com) != COMMITMENT_BYTES:
+        return set()
+    digests = (com[:DIGEST_BYTES], com[DIGEST_BYTES : 2 * DIGEST_BYTES], com[2 * DIGEST_BYTES :])
+    opens = [slot_opens(inst, *each) for each in zip(digests, range(3), values, prover.openings)]
     return {
         ch for ch, (a, b) in OPENS.items()  # each challenge opens two slots
         if opens[a] and opens[b] and _holds(inst, ch, values[a], values[b])
@@ -93,7 +96,7 @@ def completeness_rate(inst: SDPInstance, wit: Witness, rounds: int, rng: Random)
     accepted = 0
     for state in states:
         ch = verifier_challenge(rng)
-        accepted += verify_round(inst, state.commitment.encode(), ch, encode_response(state.respond(ch)))
+        accepted += verify_round(inst, state.commitment, ch, state.respond(ch))
     return accepted / rounds
 
 
@@ -104,10 +107,10 @@ def extract_witness(inst: SDPInstance, t0: Transcript, t1: Transcript, t2: Trans
 
     The transcripts must carry challenges {0, 1, 2} in any order.  The
     challenge-0 reply opens u∘h and the challenge-1 reply opens u
-    (opened_member); then h = u^-1 ∘ (u∘h).  Inconsistencies that the
-    commitment scheme is supposed to rule out (diverging seeds or masked
-    tuples under equal digests) are reported loudly rather than silently
-    tolerated.
+    (opened_member, on each response's decoded values); then
+    h = u^-1 ∘ (u∘h).  Inconsistencies that the commitment scheme is
+    supposed to rule out (diverging seeds or masked tuples under equal
+    digests) are reported loudly rather than silently tolerated.
     """
     transcripts = (t0, t1, t2)
     by_ch = {t.challenge: t for t in transcripts}
@@ -116,19 +119,21 @@ def extract_witness(inst: SDPInstance, t0: Transcript, t1: Transcript, t2: Trans
     com = transcripts[0].commitment
     if any(t.commitment != com for t in transcripts):
         raise ExtractionError("transcripts do not share a commitment")
+    values = {}
     for ch, t in sorted(by_ch.items()):
-        if not verify_round(inst, com.encode(), ch, encode_response(t.response)):
+        if not verify_round(inst, com, ch, t.response):
             raise ExtractionError(f"transcript for challenge {ch} does not verify")
+        values[ch] = decode_response(t.response).values
 
     # Every value is opened under two challenges; both openings must agree.
     opened = {}
-    for ch, t in sorted(by_ch.items()):
-        for slot, value in zip(OPENS[ch], t.response.values):
+    for ch in CHALLENGES:
+        for slot, value in zip(OPENS[ch], values[ch]):
             if opened.setdefault(slot, value) != value:
                 raise ExtractionError(f"binding violation: two openings of the {_SLOT_NAMES[slot]} differ")
 
-    u = opened_member(inst, 1, by_ch[1].response)
-    return compose(inverse(u), opened_member(inst, 0, by_ch[0].response))
+    u = opened_member(inst, 1, values[1])
+    return compose(inverse(u), opened_member(inst, 0, values[0]))
 
 
 # --- cheating provers ---
@@ -351,13 +356,12 @@ def transcript_distribution_test(
         """Challenge-0 counts per element, challenge counts, challenge-2 weights, accepts."""
         counts, challenges, weights, ok = [0] * order, Counter(), Counter(), 0
         for t in transcripts:
-            r = t.response
             challenges[t.challenge] += 1
-            ok += verify_round(inst, t.commitment.encode(), t.challenge, encode_response(r))
+            ok += verify_round(inst, t.commitment, t.challenge, t.response)
             if t.challenge == 0:
-                counts[index[opened_member(inst, 0, r).images]] += 1
+                counts[index[opened_member(inst, 0, decode_response(t.response).values).images]] += 1
             elif t.challenge == 2:
-                weights[differing_words(*r.values)] += 1
+                weights[differing_words(*decode_response(t.response).values)] += 1
         return counts, challenges, weights, ok
 
     real_counts, real_ch, real_weights, real_ok = tally(

@@ -46,7 +46,6 @@ from .protocol import (
     MSG_COMMIT,
     MSG_RESPONSE,
     ProverState,
-    encode_response,
     honest_rounds,
     max_response_bytes,
     prover_respond,
@@ -136,14 +135,14 @@ def _prove_rounds(sock: socket.socket, states: Iterator[ProverState], deadline: 
     states, which draws each state only when it is taken."""
     buffer = bytearray()
     state = next(states)
-    send_frame(sock, MSG_COMMIT, state.commitment.encode())
+    send_frame(sock, MSG_COMMIT, state.commitment)
     for i, following in enumerate(chain(states, (None,))):  # round i+1, drawn while challenge i is in flight
         body = recv_expected(sock, MSG_CHALLENGE, 2, deadline, buffer)
         if len(body) != 1 or body[0] not in CHALLENGES:
             raise SessionError(f"invalid challenge in round {i}")
-        send_frame(sock, MSG_RESPONSE, encode_response(prover_respond(state, body[0])))
+        send_frame(sock, MSG_RESPONSE, prover_respond(state, body[0]))
         if following is not None:
-            send_frame(sock, MSG_COMMIT, following.commitment.encode())
+            send_frame(sock, MSG_COMMIT, following.commitment)
         state = following
     _log("prover finished %d rounds", i + 1)
 

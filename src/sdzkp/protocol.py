@@ -3,9 +3,9 @@
 One round: the prover picks a uniform shuffle u from H and a mask seed s,
 and commits to three values, its slots: 0 is Z1 = oneline(u∘h) + mask,
 1 is Z2 = oneline(u∘g) + mask, 2 is s.  Slot i is committed under tag
-crypto.COMMIT_TAGS[i] into CommitmentMsg field i.  The verifier sends a
-challenge in {0, 1, 2}, and the opening table OPENS says which slots the
-answer reveals, in wire order:
+crypto.COMMIT_TAGS[i] as digest i of the round's 96-byte commitment, its
+bytes [32i, 32i+32).  The verifier sends a challenge in {0, 1, 2}, and the
+opening table OPENS says which slots the answer reveals, in wire order:
 
   challenge  opens     the verifier checks the openings, then
   0          Z1, s     unmasking Z1 must give an element of H (this is u∘h)
@@ -14,10 +14,9 @@ answer reveals, in wire order:
 
 Every value is its own committed message and wire form, slot_size long; a
 masked tuple's form is crypto's (_is_tuple_encoding tests it, tuple_span
-reads it), and CommitmentMsg is the one commitment layout.  The prover, the
-verifier's checks and the response codecs all follow OPENS; only the final
-predicate above is written per challenge, once, in _holds, which takes its
-masked tuples as canonical.
+reads it).  The prover, the verifier's checks and the response codecs all
+follow OPENS; only the final predicate above is written per challenge,
+once, in _holds, which takes its masked tuples as canonical.
 
 A round works on the group's raw elements (group.make_ops: byte tables up
 to degree 256, image tuples past it): masked_round composes u with x and
@@ -25,14 +24,19 @@ with g, spreads each product into the u32 lanes crypto.apply_mask masks,
 and commits through commit_round and crypto.commit.  At challenges 0 and 1
 _holds unmasks with crypto._unmask into the words of a raw element, which
 challenge 1 composes with the raw g^-1 the instance caches and the group's
-contains tests as it stands.  verify_round is the one round check, on a
-round's wire bytes: every verifier (fs_verify_bytes on slices of a proof,
-the session verifier on the frames it received, run_interactive and the
-analysis harness on encoded objects) calls it.  It lays the response out
-by _response_layout, checks each slot the challenge opens with slot_opens
-(the value's form, then its opening), then calls _holds.  _read_response
-is the one parser of a response into a Response, _append_response the one
-writer.
+contains tests as it stands.
+
+A round has one form, its wire bytes: a ProverState's commitment is the
+96 bytes, and prover_respond returns the encoded response, which
+encode_response, the one writer, writes.  verify_round is the one round
+check, on those bytes; every verifier calls it (fs_verify_bytes on slices
+of a proof, the session verifier on the frames it received,
+run_interactive and the analysis harness on what the prover emitted).  It
+lays the response out by _response_layout, checks each slot the challenge
+opens with slot_opens (the value's form, then its opening), then calls
+_holds.  _read_response is the one parser: decode_response reads a
+Response from it for callers that read the opened values, and
+decode_proof splits a proof into its rounds' bytes with it.
 
 A single round convinces the verifier with soundness error 2/3; sequential
 repetition amplifies.  The non-interactive variant derives challenges by
@@ -47,7 +51,7 @@ from functools import lru_cache
 from itertools import chain, repeat
 from operator import itemgetter
 from random import Random
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .crypto import (
     COMMIT_TAGS,
@@ -99,65 +103,44 @@ def slot_size(slot: int, n: int) -> int:
     return SEED_BYTES if slot == SEED else 4 + 4 * n
 
 
-class CommitmentMsg(NamedTuple):
-    """The three 32-byte commitment digests of one round, one per slot."""
-
-    c1: bytes
-    c2: bytes
-    c3: bytes
-
-    def encode(self) -> bytes:
-        return self.c1 + self.c2 + self.c3
-
-    @classmethod
-    def decode(cls, data: bytes) -> "CommitmentMsg":
-        if len(data) != COMMITMENT_BYTES:
-            raise ValueError(f"commitment message must be {COMMITMENT_BYTES} bytes, got {len(data)}")
-        return cls(data[0:32], data[32:64], data[64:96])
-
-
 class Response(NamedTuple):
-    """What challenge `kind` opens: the values of the slots OPENS[kind], in
-    that order, and their commitment openings in the same order."""
+    """A decoded response (decode_response): what challenge `kind` opens, the
+    values of the slots OPENS[kind] in that order, and their commitment
+    openings in the same order.  Its three fields, passed to
+    encode_response, give back its wire form."""
 
     kind: int
     values: tuple[bytes, ...]
     openings: tuple[bytes, ...]
 
 
-def _opens_its_slots(rsp: Response) -> bool:
-    """Whether rsp holds one bytes value and one bytes opening per slot of OPENS[rsp.kind]."""
-    values, openings, width = rsp.values, rsp.openings, len(OPENS[rsp.kind])
-    if not (isinstance(values, tuple) and isinstance(openings, tuple) and len(values) == len(openings) == width):
-        return False
-    for part in values + openings:
-        if not isinstance(part, bytes):
-            return False
-    return True
-
-
 class ProverState(NamedTuple):
     """Frozen per-round coin tape: respond(ch) is a pure function of it, so
     any challenge can be answered, in any order and more than once.
-    values and openings hold one entry per slot (Z1, Z2, seed)."""
+    values and openings hold one entry per slot (Z1, Z2, seed); commitment
+    is the round's 96 bytes, slot i's digest at [32i, 32i+32)."""
 
     values: tuple[bytes, bytes, bytes]
     openings: tuple[bytes, bytes, bytes]
-    commitment: CommitmentMsg
+    commitment: bytes
 
-    def respond(self, challenge: int) -> Response:
+    def respond(self, challenge: int) -> bytes:
         return prover_respond(self, challenge)
 
 
 class Transcript(NamedTuple):
-    commitment: CommitmentMsg
+    """One round's wire bytes and its challenge."""
+
+    commitment: bytes
     challenge: int
-    response: Response
+    response: bytes
 
 
 class NIZKProof(NamedTuple):
-    commitments: tuple[CommitmentMsg, ...]
-    responses: tuple[Response, ...]
+    """Each round's 96-byte commitment and encoded response."""
+
+    commitments: tuple[bytes, ...]
+    responses: tuple[bytes, ...]
 
     @property
     def rounds(self) -> int:
@@ -183,7 +166,7 @@ def commit_round(z1: bytes, z2: bytes, seed: bytes, rng: Random) -> ProverState:
     c1, o1 = commit(z1, COMMIT_TAGS[Z1], rng)
     c2, o2 = commit(z2, COMMIT_TAGS[Z2], rng)
     c3, o3 = commit(seed, COMMIT_TAGS[SEED], rng)
-    return ProverState((z1, z2, seed), (o1, o2, o3), CommitmentMsg(c1, c2, c3))
+    return ProverState((z1, z2, seed), (o1, o2, o3), c1 + c2 + c3)
 
 
 def masked_round(inst: SDPInstance, u, x, seed: bytes, rng: Random) -> ProverState:
@@ -204,13 +187,14 @@ def prover_round(inst: SDPInstance, h, rng: Random) -> ProverState:
     return masked_round(inst, u, h, fresh_seed(rng), rng)
 
 
-def opened_member(inst: SDPInstance, challenge: int, response: Response) -> Permutation:
-    """The element that a challenge-0 or challenge-1 opening claims lies in H:
-    unmask(Z1) = u∘h at 0, unmask(Z2)∘g^-1 = u at 1.  ValueError if the
-    opening hides no permutation, or its values are not canonical."""
+def opened_member(inst: SDPInstance, challenge: int, values: tuple[bytes, bytes]) -> Permutation:
+    """The element that the values a challenge-0 or challenge-1 response
+    opens claim lies in H: unmask(Z1) = u∘h at 0, unmask(Z2)∘g^-1 = u at 1.
+    ValueError if the opening hides no permutation, or its values are not
+    canonical."""
     if challenge not in (0, 1):
         raise ValueError(f"challenge {challenge!r} opens no group element")
-    member = _member(inst, challenge, remove_mask(*response.values, inst.degree))
+    member = _member(inst, challenge, remove_mask(*values, inst.degree))
     if member is None:
         raise ValueError("unmasked tuple is not a permutation")
     return Permutation._trusted(inst.group.ops.decode(member))
@@ -270,12 +254,13 @@ def verifier_challenge(rng: Random) -> int:
     return uniform_challenge(rng)
 
 
-def prover_respond(state: ProverState, challenge: int) -> Response:
-    """Third move: open exactly what the challenge demands."""
+def prover_respond(state: ProverState, challenge: int) -> bytes:
+    """Third move: the encoded response that opens exactly what the
+    challenge demands."""
     if challenge not in OPENS:
         raise ValueError(f"challenge must be 0, 1 or 2, got {challenge!r}")
     opened = _OPENED[challenge]
-    return Response(challenge, opened(state.values), opened(state.openings))
+    return encode_response(challenge, opened(state.values), opened(state.openings))
 
 
 def slot_opens(inst: SDPInstance, digest: bytes, slot: int, value: bytes, opening: bytes) -> bool:
@@ -292,7 +277,7 @@ def slot_opens(inst: SDPInstance, digest: bytes, slot: int, value: bytes, openin
 
 def verify_round(inst: SDPInstance, commitment: bytes, challenge: int, response: bytes) -> bool:
     """Check one round on its wire bytes: the 96-byte commitment (slot i's
-    digest at field i) and the encoded response.  The kind byte must be the
+    digest at [32i, 32i+32)) and the encoded response.  The kind byte must be the
     challenge and the response as long as _response_layout says; then every
     slot the challenge opens must open (slot_opens, which checks each
     value's form), and the challenge's predicate must hold (_holds).
@@ -325,26 +310,21 @@ def run_interactive(
     """Honest in-process session: accept iff every round verifies."""
     for state in honest_rounds(inst, wit, rounds, prover_rng):
         ch = verifier_challenge(verifier_rng)
-        if not verify_round(inst, state.commitment.encode(), ch, encode_response(prover_respond(state, ch))):
+        if not verify_round(inst, state.commitment, ch, prover_respond(state, ch)):
             return False
     return True
 
 
 # --- non-interactive variant ---
 
-def derive_challenges(statement_digest: bytes, context: bytes, commitments: tuple[CommitmentMsg, ...]) -> list[int]:
-    """One hash-derived challenge per commitment, binding the statement,
-    the context and all commitments (each CommitmentMsg is its digests)."""
-    joined = b"".join(chain.from_iterable(commitments))
-    return _challenges(statement_digest, context, joined, len(commitments))
-
-
-def _challenges(statement_digest: bytes, context: bytes, commitments: bytes, rounds: int) -> list[int]:
-    """derive_challenges on the rounds' commitments as a proof holds them,
-    one COMMITMENT_BYTES run each; ValueError unless there are `rounds`."""
-    if len(commitments) != rounds * COMMITMENT_BYTES:
-        raise ValueError(f"{len(commitments)} bytes are not the commitments of {rounds} rounds")
-    prefix = hashlib.shake_256(_FS_DOMAIN + struct.pack("<I", len(context)) + context + statement_digest + commitments)
+def derive_challenges(statement_digest: bytes, context: bytes, commitments: Sequence[bytes]) -> list[int]:
+    """One hash-derived challenge per round, binding the statement, the
+    context and all the rounds' 96-byte commitments.  ValueError unless the
+    commitments hold COMMITMENT_BYTES per round."""
+    rounds, joined = len(commitments), b"".join(commitments)
+    if len(joined) != rounds * COMMITMENT_BYTES:
+        raise ValueError(f"{len(joined)} bytes are not the commitments of {rounds} rounds")
+    prefix = hashlib.shake_256(_FS_DOMAIN + struct.pack("<I", len(context)) + context + statement_digest + joined)
     challenges = []
     for i in range(rounds):
         shake = prefix.copy()
@@ -376,9 +356,8 @@ def fs_verify_bytes(inst: SDPInstance, data: bytes, context: bytes, rounds: int 
     so the count after the magic is read before any round.
 
     One walk finds every round from its kind byte (_round_bounds); the
-    challenges are derived from the commitments' bytes as they stand
-    (_challenges, the core of derive_challenges); then verify_round checks
-    each round on its slices of the buffer."""
+    challenges are derived from the commitments' slices of the buffer;
+    then verify_round checks each round on its slices."""
     try:
         if not isinstance(data, bytes):
             data = memoryview(data).tobytes()  # refuses an int or a str (TypeError)
@@ -388,13 +367,13 @@ def fs_verify_bytes(inst: SDPInstance, data: bytes, context: bytes, rounds: int 
         bounds = _round_bounds(data, lengths, rounds)
         if bounds is None:
             return False
-        commitments = b"".join([data[start : start + COMMITMENT_BYTES] for start in bounds[:-1]])
-        challenges = _challenges(instance_digest(inst), context, commitments, rounds)
+        commitments = [data[start : start + COMMITMENT_BYTES] for start in bounds[:-1]]
+        challenges = derive_challenges(instance_digest(inst), context, commitments)
     except (ValueError, TypeError, struct.error):
         return False
-    for start, end, challenge in zip(bounds, bounds[1:], challenges):
-        at = start + COMMITMENT_BYTES  # a round is its commitment, then its response
-        if not verify_round(inst, data[start:at], challenge, data[at:end]):
+    for commitment, start, end, challenge in zip(commitments, bounds, bounds[1:], challenges):
+        # a round is its commitment, then its response
+        if not verify_round(inst, commitment, challenge, data[start + COMMITMENT_BYTES : end]):
             return False
     return True
 
@@ -418,23 +397,16 @@ def _round_bounds(data: bytes, lengths: dict[int, int], rounds: int) -> list[int
 
 # --- serialization ---
 
-def _append_response(parts: list[bytes], rsp: Response) -> None:
-    """Append rsp's wire form to parts: kind byte, the opened values in OPENS
-    order, then their openings.  ValueError unless rsp opens its slots."""
-    if rsp.kind not in OPENS:
-        raise ValueError(f"cannot encode response of kind {rsp.kind!r}")
-    if not _opens_its_slots(rsp):
-        raise ValueError(f"a kind {rsp.kind} response must hold one bytes value and opening per slot it opens")
-    parts.append(bytes([rsp.kind]))
-    parts += rsp.values
-    parts += rsp.openings
-
-
-def encode_response(rsp: Response) -> bytes:
-    """Kind byte, the opened values in OPENS order, then their openings."""
-    parts = []
-    _append_response(parts, rsp)
-    return b"".join(parts)
+def encode_response(kind: int, values: Sequence[bytes], openings: Sequence[bytes]) -> bytes:
+    """The one response writer: kind byte, the opened values in OPENS order,
+    then their openings.  ValueError on a kind outside OPENS, or unless there
+    is one value and one opening per slot the kind opens."""
+    if kind not in OPENS:
+        raise ValueError(f"cannot encode response of kind {kind!r}")
+    width = len(OPENS[kind])
+    if len(values) != width or len(openings) != width:
+        raise ValueError(f"a kind {kind} response must hold one value and one opening per slot it opens")
+    return b"".join([bytes((kind,)), *values, *openings])
 
 
 @lru_cache(maxsize=16)  # bounded: three kinds at each degree a process checks
@@ -469,17 +441,16 @@ def max_proof_bytes(n: int, rounds: int) -> int:
 
 
 def encode_proof(proof: NIZKProof) -> bytes:
-    """Magic, round count, then per round its three digests and its response."""
-    parts = [PROOF_MAGIC, struct.pack("<I", proof.rounds)]
-    for com, rsp in zip(proof.commitments, proof.responses):
-        parts += com
-        _append_response(parts, rsp)
-    return b"".join(parts)
+    """Magic, round count, then per round its commitment and its response."""
+    rounds = zip(proof.commitments, proof.responses)
+    return b"".join([PROOF_MAGIC, struct.pack("<I", proof.rounds), *chain.from_iterable(rounds)])
 
 
 def decode_proof(data: bytes) -> NIZKProof:
-    """Parse proof bytes.  Any other buffer is copied to bytes once, so every
-    field is bytes; memoryview refuses an int or a str (TypeError)."""
+    """Split proof bytes into each round's commitment and response, finding
+    each response's end with _read_response.  Any other buffer is copied to
+    bytes once, so every field is bytes; memoryview refuses an int or a str
+    (TypeError)."""
     if not isinstance(data, bytes):
         data = memoryview(data).tobytes()
     if data[:4] != PROOF_MAGIC:
@@ -489,10 +460,11 @@ def decode_proof(data: bytes) -> NIZKProof:
     rounds = _proof_rounds(struct.unpack_from("<I", data, 4)[0])
     commitments, responses, offset = [], [], 8
     for _ in range(rounds):
-        end = offset + COMMITMENT_BYTES
-        commitments.append(CommitmentMsg.decode(data[offset:end]))
-        rsp, offset = _read_response(data, end)
-        responses.append(rsp)
+        at = offset + COMMITMENT_BYTES
+        _, end = _read_response(data, at)  # raises unless data holds the commitment and more
+        commitments.append(data[offset:at])
+        responses.append(data[at:end])
+        offset = end
     if offset != len(data):
         raise ValueError("trailing bytes after proof")
     return NIZKProof(commitments=tuple(commitments), responses=tuple(responses))

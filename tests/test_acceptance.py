@@ -30,12 +30,10 @@ from sdzkp.analysis import (
 from sdzkp.instance import brute_force_distance, plant_instance, save_instance, save_witness
 from sdzkp.perm import compose, hamming, random_perm
 from sdzkp.protocol import (
-    MSG_CHALLENGE,
     MSG_COMMIT,
     MSG_RESPONSE,
     decode_response,
     encode_proof,
-    encode_response,
     fs_prove,
     fs_verify_bytes,
     prover_commit,
@@ -75,7 +73,7 @@ def test_c01_completeness():
             com = state.commitment
             ch = verifier_challenge(rng)
             total += 1
-            if verify_round(inst, com.encode(), ch, encode_response(prover_respond(state, ch))):
+            if verify_round(inst, com, ch, prover_respond(state, ch)):
                 accepted += 1
     elapsed = time.perf_counter() - t0
     ok = accepted == total and elapsed < 60
@@ -169,7 +167,7 @@ def test_c05_simulator():
         t = simulate(inst, verifier, 1, rng)
         if t is not None:
             successes += 1
-            if not verify_round(inst, t.commitment.encode(), t.challenge, encode_response(t.response)):
+            if not verify_round(inst, t.commitment, t.challenge, t.response):
                 report("C5 simulator", False, "a produced transcript failed verification", 0.0)
     rate = successes / attempts
     ok = abs(rate - 5 / 9) <= 0.02
@@ -182,7 +180,7 @@ def test_c05_simulator():
             t = simulate(inst, verifier, m, rng)
             if t is None:
                 aborts += 1
-            elif not verify_round(inst, t.commitment.encode(), t.challenge, encode_response(t.response)):
+            elif not verify_round(inst, t.commitment, t.challenge, t.response):
                 ok = False
         bound = (4 / 9) ** m
         sigma = (bound * (1 - bound) / runs) ** 0.5
@@ -324,7 +322,7 @@ def test_c09_mutation_robustness():
     state = prover_commit(inst, wit, rng)
     com = state.commitment
     rsp = prover_respond(state, expected_ch)
-    stream = _frame(MSG_COMMIT, com.encode()) + _frame(MSG_RESPONSE, encode_response(rsp))
+    stream = _frame(MSG_COMMIT, com) + _frame(MSG_RESPONSE, rsp)
     assert _replay_verifier(inst, stream, seed)  # sanity: unmutated stream accepts
 
     # digest slots inside the commit frame: c1 at 5..37, c2 at 37..69, c3 at 69..101
@@ -360,9 +358,8 @@ def test_c09_mutation_robustness():
             crashes += 1
 
     # 300 mutations of a serialized response (decode + verify surface)
-    encoded = encode_response(rsp)
     for _ in range(300):
-        data = bytearray(encoded)
+        data = bytearray(rsp)
         pos = rng.randrange(len(data))
         data[pos] ^= 1 + rng.randrange(255)
         mutations += 1
@@ -374,7 +371,7 @@ def test_c09_mutation_robustness():
             crashes += 1
             continue
         try:
-            if verify_round(inst, com.encode(), expected_ch, bytes(data)):
+            if verify_round(inst, com, expected_ch, bytes(data)):
                 accepts += 1
         except Exception:
             crashes += 1

@@ -30,12 +30,14 @@ from sdzkp.crypto import COMMIT_TAGS, _is_tuple_encoding, commit, encode_tuple, 
 from sdzkp.instance import instance_digest, plant_instance, validate_witness
 from sdzkp.protocol import (
     CHALLENGES,
+    COMMITMENT_BYTES,
     OPENS,
     SEED,
     NIZKProof,
     Transcript,
     _holds,
     commit_round,
+    decode_response,
     derive_challenges,
     encode_proof,
     encode_response,
@@ -127,8 +129,8 @@ def test_extractor_requires_verifying_transcripts(planted):
     rng = random.Random(78)
     prover = honest_rewindable_prover(inst, wit, rng)
     t0, t1, t2 = (transcript_for(inst, prover, ch) for ch in (0, 1, 2))
-    z1, _ = t0.response.values
-    broken = Transcript(t0.commitment, 0, t0.response._replace(values=(z1, bytes(32))))
+    _, (z1, _), openings = decode_response(t0.response)
+    broken = Transcript(t0.commitment, 0, encode_response(0, (z1, bytes(32)), openings))
     with pytest.raises(ExtractionError):
         extract_witness(inst, broken, t1, t2)
 
@@ -151,7 +153,8 @@ def test_extractor_reports_binding_violations(planted, monkeypatch):
     with pytest.raises(ExtractionError, match="masked witness"):
         extract_witness(inst, t0, t1, alien_witness)
 
-    mixed = a.respond(2)._replace(values=(a.respond(2).values[0], b.respond(2).values[1]))
+    _, (z1, _), openings = decode_response(a.respond(2))
+    mixed = encode_response(2, (z1, decode_response(b.respond(2)).values[1]), openings)
     with pytest.raises(ExtractionError, match="masked target"):
         extract_witness(inst, t0, t1, Transcript(a.commitment, 2, mixed))
 
@@ -168,23 +171,29 @@ def test_cheating_prover_profiles_exact(planted):
 def verified_challenges(inst, prover):
     """accepted_challenges' reference: one whole verify_round per challenge,
     on the round's wire bytes."""
-    commitment = b"".join(prover.commitment)
-    return {ch for ch in CHALLENGES if verify_round(inst, commitment, ch, encode_response(prover.respond(ch)))}
+    return {ch for ch in CHALLENGES if verify_round(inst, prover.commitment, ch, prover.respond(ch))}
+
+
+def digests(commitment):
+    """The three 32-byte digests of a 96-byte commitment, slot by slot."""
+    return tuple(commitment[i : i + 32] for i in range(0, COMMITMENT_BYTES, 32))
 
 
 def corrupted(prover):
     """The state with one slot's value, opening or digest broken, with that
-    slot and whether the broken state still has a wire form (bytes, and a
-    96-byte commitment): a flipped first or last byte, a cut, or not bytes
-    at all."""
-    for field in ("values", "openings", "commitment"):
-        parts = getattr(prover, field)
+    slot and whether the broken state still has a wire form (no part that
+    is not bytes): a flipped first or last byte, a cut, or (for a value or
+    an opening) not bytes at all."""
+    fields = (("values", prover.values), ("openings", prover.openings), ("commitment", digests(prover.commitment)))
+    for field, parts in fields:
         for slot, part in enumerate(parts):
             for bad in (bytes([part[0] ^ 1]) + part[1:], part[:-1] + bytes([part[-1] ^ 0x80]), part[:-4], None):
                 broken = parts[:slot] + (bad,) + parts[slot + 1:]
-                on_the_wire = bad is not None and (field != "commitment" or len(bad) == len(part))
-                broken = type(parts)(*broken) if field == "commitment" else broken
-                yield slot, prover._replace(**{field: broken}), on_the_wire
+                if field == "commitment":
+                    if bad is None:
+                        continue
+                    broken = b"".join(broken)
+                yield slot, prover._replace(**{field: broken}), bad is not None
 
 
 @pytest.mark.parametrize("fixture", ["planted", "small_abelian"])
@@ -199,22 +208,25 @@ def test_accepted_challenges_equals_one_verify_round_per_challenge(fixture, requ
             expected = verified_challenges(inst, prover)
             assert len(expected) >= 2
             assert accepted_challenges(inst, prover) == expected
-            # a bare tuple of digests is the same commitment
-            assert accepted_challenges(inst, prover._replace(commitment=tuple(prover.commitment))) == expected
             for slot, broken, on_the_wire in corrupted(prover):
-                # a broken part fails exactly the challenges that open its slot
                 accepted = accepted_challenges(inst, broken)
-                assert accepted == {ch for ch in expected if slot not in OPENS[ch]}
+                if len(broken.commitment) == COMMITMENT_BYTES:
+                    # a broken part fails exactly the challenges that open its slot
+                    assert accepted == {ch for ch in expected if slot not in OPENS[ch]}
+                else:  # a cut commitment is no round's: it fails every challenge
+                    assert accepted == set()
                 if on_the_wire:
                     assert accepted == verified_challenges(inst, broken)
 
 
 def opens_then_holds(inst, commitment, challenge, response):
-    """verify_round's two steps on a round's objects: slot_opens for each
-    slot the challenge opens, then _holds on the opened values."""
-    opened = zip(OPENS[challenge], response.values, response.openings)
-    return all(slot_opens(inst, commitment[slot], slot, value, opening) for slot, value, opening in opened) and _holds(
-        inst, challenge, *response.values)
+    """verify_round's two steps on a round's decoded response: slot_opens
+    for each slot the challenge opens, then _holds on the opened values."""
+    _, values, openings = decode_response(response)
+    opened = zip(OPENS[challenge], values, openings)
+    return all(
+        slot_opens(inst, digests(commitment)[slot], slot, value, opening) for slot, value, opening in opened
+    ) and _holds(inst, challenge, *values)
 
 
 def _with_prefix(z, n):
@@ -236,13 +248,13 @@ def test_slot_opens_then_holds_is_verify_round(fixture, request):
     verdicts = []
     for state in states:
         for ch in CHALLENGES:
-            verdict = verify_round(inst, state.commitment.encode(), ch, encode_response(state.respond(ch)))
+            verdict = verify_round(inst, state.commitment, ch, state.respond(ch))
             assert opens_then_holds(inst, state.commitment, ch, state.respond(ch)) is verdict
             verdicts.append(verdict)
     assert verdicts.count(True) >= 3 * 3 + 3 * 2 + 3 * 1 and False in verdicts
 
     honest = states[0]
-    com, values, openings = honest.commitment, honest.values, honest.openings
+    com, values, openings = digests(honest.commitment), honest.values, honest.openings
     assert all(slot_opens(inst, com[slot], slot, values[slot], openings[slot]) for slot in range(3))
     assert all(_holds(inst, ch, *(values[slot] for slot in OPENS[ch])) for ch in CHALLENGES)
 
@@ -260,7 +272,7 @@ def test_slot_opens_then_holds_is_verify_round(fixture, request):
             assert slot_opens(inst, com[slot], slot, value, bad) is False
 
     def verifies(state, ch):
-        return verify_round(inst, state.commitment.encode(), ch, encode_response(state.respond(ch)))
+        return verify_round(inst, state.commitment, ch, state.respond(ch))
 
     # a 31-byte seed, committed, with Z1 masked under it: only its length is wrong
     short_seed = values[SEED][:31]
@@ -307,7 +319,7 @@ def test_wire_forms_hold_at_the_byte_table_boundary(n, gens, k):
         for slot, value in enumerate(state.values):
             assert type(value) is bytes and len(value) == slot_size(slot, n)
             assert slot == SEED or _is_tuple_encoding(value, n)
-    lengths = [len(encode_response(state.respond(ch))) for state in states for ch in CHALLENGES]
+    lengths = [len(state.respond(ch)) for state in states for ch in CHALLENGES]
     assert max(lengths) == max_response_bytes(n)
 
     z1, z2, seed = states[0].values
@@ -378,7 +390,7 @@ def test_simulator_transcripts_verify(planted):
         if t is None:
             continue
         produced += 1
-        assert verify_round(inst, t.commitment.encode(), t.challenge, encode_response(t.response))
+        assert verify_round(inst, t.commitment, t.challenge, t.response)
 
 
 def test_simulator_per_attempt_rate(planted):
@@ -409,7 +421,7 @@ def test_simulator_against_fixed_challenge_verifier(planted):
             continue
         produced += 1
         assert t.challenge == 2
-        assert verify_round(inst, t.commitment.encode(), t.challenge, encode_response(t.response))
+        assert verify_round(inst, t.commitment, t.challenge, t.response)
     assert produced == 50  # abort chance (2/3)^64 is negligible
 
 
@@ -674,9 +686,9 @@ def test_chi2_contingency_rejects_a_zero_expected_count(table):
 
 def _state_digest(state):
     """SHA-256 over a state's commitment and its three encoded responses."""
-    h = hashlib.sha256(state.commitment.encode())
+    h = hashlib.sha256(state.commitment)
     for ch in CHALLENGES:
-        h.update(encode_response(state.respond(ch)))
+        h.update(state.respond(ch))
     return h.hexdigest()
 
 

@@ -21,7 +21,6 @@ from sdzkp.protocol import (
     MSG_CHALLENGE,
     MSG_COMMIT,
     MSG_RESPONSE,
-    encode_response,
     max_response_bytes,
     prover_commit,
     prover_respond,
@@ -204,16 +203,16 @@ def test_verifier_rejects_one_flipped_response_byte(planted, monkeypatch, caplog
     # accept the last case.
     inst, wit = planted
     sent = []
-    honest_encode = net.encode_response
+    honest_respond = net.prover_respond
 
-    def flip_one_byte(rsp):
-        data = honest_encode(rsp)
+    def flip_one_byte(state, challenge):
+        data = honest_respond(state, challenge)
         if len(sent) == bad_round:
             data = data[:-1] + bytes([data[-1] ^ 1])
         sent.append(data)
         return data
 
-    monkeypatch.setattr(net, "encode_response", flip_one_byte)
+    monkeypatch.setattr(net, "prover_respond", flip_one_byte)
     with caplog.at_level(logging.INFO, logger="sdzkp.net"):
         ok, _ = run_session(inst, wit, rounds)
     assert ok is False
@@ -513,9 +512,9 @@ def foreign_frames(planted):
     responses of every kind to another commitment, so none of them opens it."""
     inst, wit = planted
     rng = random.Random(110)
-    commitment = prover_commit(inst, wit, rng).commitment.encode()
+    commitment = prover_commit(inst, wit, rng).commitment
     other = prover_commit(inst, wit, rng)
-    return [(MSG_COMMIT, commitment)] + [(MSG_RESPONSE, encode_response(other.respond(ch))) for ch in range(3)]
+    return [(MSG_COMMIT, commitment)] + [(MSG_RESPONSE, other.respond(ch)) for ch in range(3)]
 
 
 def _frames(foreign):
@@ -599,7 +598,7 @@ def test_response_cap_is_the_longest_valid_response(n):
     rng = random.Random(109)
     inst, wit = plant_instance(n, 2, 2, rng)
     state = prover_commit(inst, wit, rng)
-    sizes = [len(encode_response(prover_respond(state, ch))) for ch in (0, 1, 2)]
+    sizes = [len(prover_respond(state, ch)) for ch in (0, 1, 2)]
     assert max(sizes) == max_response_bytes(n)
     if n >= 7:
         assert max_response_bytes(n) + 1 == 8 * n + 74

@@ -1,5 +1,7 @@
 """The package namespace: every public name resolves lazily to its home module."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -60,3 +62,15 @@ def test_package_names_follow_a_rebinding(monkeypatch):
     assert sdzkp.verify_round is stand_in
     monkeypatch.undo()
     assert sdzkp.verify_round is original
+
+
+def test_every_traced_name_is_a_callable_of_its_home_module():
+    # The benchmark's tracer (sdzbench/spans.py, standard library only) wraps
+    # each TRACED name where it lives, and raises KeyError on one that is gone.
+    spec = importlib.util.spec_from_file_location("spans", Path(__file__).parents[1] / "sdzbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TRACED
+    for module_name, path, _ in spans.TRACED:
+        owner, attr = spans._resolve(importlib.import_module(module_name), path)
+        assert callable(vars(owner).get(attr)), f"{module_name}.{path}"

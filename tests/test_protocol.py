@@ -25,18 +25,17 @@ from sdzkp.crypto import (
     verify_commitment,
 )
 from sdzkp.group import _ChainBuilder, _Level, _normalize, _sift
-from sdzkp.instance import Witness, make_instance, plant_instance, validate_witness
+from sdzkp.instance import Witness, instance_digest, make_instance, plant_instance, validate_witness
 from sdzkp.perm import Permutation, compose_images, hamming, identity, random_perm
 from sdzkp.protocol import (
     CHALLENGES,
-    CommitmentMsg,
+    COMMITMENT_BYTES,
     NIZKProof,
     OPENS,
     SEED,
     Z1,
     Z2,
     ProverState,
-    Response,
     commit_round,
     decode_proof,
     decode_response,
@@ -69,10 +68,8 @@ def test_honest_round_accepts_every_challenge(planted):
     rng = random.Random(51)
     for _ in range(30):
         state = prover_commit(inst, wit, rng)
-        com = state.commitment
         for ch in CHALLENGES:
-            rsp = prover_respond(state, ch)
-            assert verify_round(inst, com.encode(), ch, encode_response(rsp))
+            assert verify_round(inst, state.commitment, ch, prover_respond(state, ch))
 
 
 def test_run_interactive_accepts(planted):
@@ -164,8 +161,8 @@ def test_challenge_response_mismatch_rejected(planted):
     for ch in CHALLENGES:
         for other in CHALLENGES:
             rsp = prover_respond(state, other)
-            assert verify_round(inst, com.encode(), ch, encode_response(rsp)) == (ch == other)
-    assert not verify_round(inst, com.encode(), 3, encode_response(prover_respond(state, 0)))
+            assert verify_round(inst, com, ch, rsp) == (ch == other)
+    assert not verify_round(inst, com, 3, prover_respond(state, 0))
 
 
 def test_tampered_masked_tuple_rejected(planted):
@@ -173,11 +170,10 @@ def test_tampered_masked_tuple_rejected(planted):
     rng = random.Random(56)
     state = prover_commit(inst, wit, rng)
     com = state.commitment
-    rsp = prover_respond(state, 0)
+    rsp = decode_response(prover_respond(state, 0))
     z1, seed = rsp.values
     bumped = encode_tuple(tuple_add(decode_tuple(z1), (1,) + (0,) * 15))
-    forged = rsp._replace(values=(bumped, seed))
-    assert not verify_round(inst, com.encode(), 0, encode_response(forged))
+    assert not verify_round(inst, com, 0, encode_response(0, (bumped, seed), rsp.openings))
 
 
 def test_wrong_seed_rejected(planted):
@@ -185,9 +181,8 @@ def test_wrong_seed_rejected(planted):
     rng = random.Random(57)
     state = prover_commit(inst, wit, rng)
     com = state.commitment
-    rsp = prover_respond(state, 1)
-    forged = rsp._replace(values=(rsp.values[0], bytes(32)))
-    assert not verify_round(inst, com.encode(), 1, encode_response(forged))
+    rsp = decode_response(prover_respond(state, 1))
+    assert not verify_round(inst, com, 1, encode_response(1, (rsp.values[0], bytes(32)), rsp.openings))
 
 
 def test_missing_fields_rejected(planted):
@@ -195,8 +190,8 @@ def test_missing_fields_rejected(planted):
     rng = random.Random(58)
     state = prover_commit(inst, wit, rng)
     com = state.commitment
-    assert not verify_round(inst, com.encode(), 0, bytes([0]))
-    assert not verify_round(inst, com.encode(), 2, bytes([2]) + state.values[Z1])
+    assert not verify_round(inst, com, 0, bytes([0]))
+    assert not verify_round(inst, com, 2, bytes([2]) + state.values[Z1])
 
 
 @cache
@@ -207,7 +202,7 @@ def _trivial_instance(n):
 def unmask(z, seed, n):
     """The permutation that the verifier unmasks from a challenge-0 opening
     of z under seed at degree n (opened_member on a degree-n instance)."""
-    return opened_member(_trivial_instance(n), 0, Response(0, (z, seed), (b"", b"")))
+    return opened_member(_trivial_instance(n), 0, (z, seed))
 
 
 def test_non_permutation_unmask_rejected(planted):
@@ -221,14 +216,14 @@ def test_non_permutation_unmask_rejected(planted):
     images = wit.element.images
     collided = (images[1], *images[1:])
     state = commit_round(*apply_mask(seed, n, encode_words(collided), encode_words(collided)), seed, rng)
+    com = state.commitment
     for ch in CHALLENGES:
-        rsp = state.respond(ch)
+        rsp = decode_response(state.respond(ch))
         for slot, value, opening in zip(OPENS[ch], rsp.values, rsp.openings):
-            assert verify_commitment(state.commitment[slot], value, COMMIT_TAGS[slot], opening)
-    com = state.commitment.encode()
-    assert not verify_round(inst, com, 0, encode_response(state.respond(0)))
-    assert not verify_round(inst, com, 1, encode_response(state.respond(1)))
-    assert verify_round(inst, com, 2, encode_response(state.respond(2)))  # the openings themselves are sound
+            assert verify_commitment(com[32 * slot : 32 * slot + 32], value, COMMIT_TAGS[slot], opening)
+    assert not verify_round(inst, com, 0, state.respond(0))
+    assert not verify_round(inst, com, 1, state.respond(1))
+    assert verify_round(inst, com, 2, state.respond(2))  # the openings themselves are sound
     with pytest.raises(ValueError, match="not a permutation"):
         unmask(state.values[Z1], seed, n)
 
@@ -266,8 +261,8 @@ def test_verify_round_rejects_honestly_committed_non_canonical_encodings(planted
     rng = random.Random(61)
     honest = prover_commit(inst, wit, rng)
     z1, z2, seed = honest.values
-    com = honest.commitment.encode()
-    assert all(verify_round(inst, com, ch, encode_response(honest.respond(ch))) for ch in CHALLENGES)
+    com = honest.commitment
+    assert all(verify_round(inst, com, ch, honest.respond(ch)) for ch in CHALLENGES)
     for bad1, bad2 in zip(non_canonical_encodings(z1), non_canonical_encodings(z2)):
         if not isinstance(bad1, bytes):
             continue  # only bytes can be committed
@@ -275,7 +270,7 @@ def test_verify_round_rejects_honestly_committed_non_canonical_encodings(planted
         for pair, challenges in (((bad1, z2), (0, 2)), ((z1, bad2), (1, 2)), ((bad1, bad2), CHALLENGES)):
             state = commit_round(*pair, seed, rng)
             for ch in challenges:
-                assert not verify_round(inst, state.commitment.encode(), ch, encode_response(state.respond(ch)))
+                assert not verify_round(inst, state.commitment, ch, state.respond(ch))
 
 
 def _outcome(unmasker, z, seed, n):
@@ -347,46 +342,43 @@ def test_masked_round_and_opened_member_match_their_definitions(preset, gens, k,
         assert state.values[SEED] == seed
         assert state.values[Z1] == encode_tuple(tuple_add(compose_images(u, x), mask))
         assert state.values[Z2] == encode_tuple(tuple_add(compose_images(u, g), mask))
-        assert opened_member(inst, 0, state.respond(0)) == Permutation(compose_images(u, x))
-        assert opened_member(inst, 1, state.respond(1)) == Permutation(u)
-        rsp = state.respond(2)
-        assert differing_words(*rsp.values) == hamming(Permutation(x), inst.target)
+        assert opened_member(inst, 0, decode_response(state.respond(0)).values) == Permutation(compose_images(u, x))
+        assert opened_member(inst, 1, decode_response(state.respond(1)).values) == Permutation(u)
+        opened = decode_response(state.respond(2)).values
+        assert differing_words(*opened) == hamming(Permutation(x), inst.target)
         with pytest.raises(ValueError):
-            opened_member(inst, 2, rsp)
+            opened_member(inst, 2, opened)
 
 
 def test_verify_round_is_total_on_non_messages(planted, honest_state):
     inst, _ = planted
     state, com = honest_state
+    digests = (com[:32], com[32:64], com[64:])
     for ch in CHALLENGES:
-        rsp = encode_response(state.respond(ch))
-        assert verify_round(inst, com.encode(), ch, rsp)
-        for bad in (None, "response", b"", 0, state.respond(ch), bytearray(rsp), rsp.decode("latin-1")):
-            assert verify_round(inst, com.encode(), ch, bad) is False
-        for bad_com in (None, "commitment", com, tuple(com), com.encode()[:-1], com.encode() + b"\x00"):
+        rsp = state.respond(ch)
+        assert verify_round(inst, com, ch, rsp)
+        for bad in (None, "response", b"", 0, decode_response(rsp), bytearray(rsp), rsp.decode("latin-1")):
+            assert verify_round(inst, com, ch, bad) is False
+        for bad_com in (None, "commitment", digests, tuple(com), com[:-1], com + b"\x00"):
             assert verify_round(inst, bad_com, ch, rsp) is False
 
 
-def misshapen(rsp):
-    """rsp with values or openings that do not hold one bytes entry per slot
-    its kind opens: one short, one over, none, None, a list, a non-bytes entry."""
-    for field in ("values", "openings"):
-        part = getattr(rsp, field)
-        for bad in (part[:1], part + part[:1], (), None, list(part), (part[0], bytearray(part[1])), (None, part[1])):
-            yield rsp._replace(**{field: bad})
-
-
-def test_verify_round_and_encode_response_refuse_a_misshapen_response(planted, honest_state):
+def test_encode_response_refuses_a_misshapen_response(honest_state):
     # an extra entry would otherwise be written: a response's wire form holds no count of its entries
-    inst, _ = planted
-    state, com = honest_state
+    state, _ = honest_state
     for ch in CHALLENGES:
-        assert verify_round(inst, com.encode(), ch, encode_response(state.respond(ch)))
-        for bad in misshapen(state.respond(ch)):
+        kind, values, openings = decode_response(state.respond(ch))
+        assert encode_response(kind, values, openings) == state.respond(ch)
+        for count in (0, 1, 3):  # every kind opens two slots
             with pytest.raises(ValueError):
-                encode_response(bad)
+                encode_response(kind, (values * 2)[:count], openings)
             with pytest.raises(ValueError):
-                encode_proof(NIZKProof((com,), (bad,)))
+                encode_response(kind, values, (openings * 2)[:count])
+        with pytest.raises(TypeError):  # an entry that is not bytes has no wire form
+            encode_response(kind, (None, values[1]), openings)
+    for kind in (3, -1, 255, None):
+        with pytest.raises(ValueError, match="kind"):
+            encode_response(kind, values, openings)
 
 
 def test_fs_verify_is_total_on_non_proofs(planted):
@@ -452,14 +444,44 @@ def test_response_codec_round_trip(planted):
     state = prover_commit(inst, wit, rng)
     for ch in CHALLENGES:
         rsp = prover_respond(state, ch)
-        assert decode_response(encode_response(rsp)) == rsp
+        slots = OPENS[ch]
+        assert decode_response(rsp) == (ch, tuple(state.values[i] for i in slots), tuple(state.openings[i] for i in slots))
+        assert encode_response(*decode_response(rsp)) == rsp
+
+
+@pytest.mark.parametrize("n", [5, 16, 260])
+def test_encode_response_inverts_decode_response(n):
+    # 260 is past the byte-table limit; below 7 the kind 0 and 1 responses are the longest
+    rng = random.Random(n)
+    z1, z2 = (encode_tuple(tuple(rng.getrandbits(32) for _ in range(n))) for _ in range(2))
+    state = commit_round(z1, z2, fresh_seed(rng), rng)
+    for ch in CHALLENGES:
+        data = state.respond(ch)
+        assert decode_response(data).kind == ch
+        assert encode_response(*decode_response(data)) == data
+
+
+def test_a_proof_holds_each_round_as_its_prover_state_emits_it(planted):
+    # encode_proof only joins: round i is state i's commitment, then its response to challenge i
+    inst, wit = planted
+    states = list(honest_rounds(inst, wit, 12, random.Random(74)))
+    data = encode_proof(fs_prove(inst, wit, 12, b"ctx", random.Random(74)))
+    commitments = [state.commitment for state in states]
+    offset = 8
+    for state, ch in zip(states, derive_challenges(instance_digest(inst), b"ctx", commitments)):
+        response = state.respond(ch)
+        assert data[offset : offset + COMMITMENT_BYTES] == state.commitment
+        offset += COMMITMENT_BYTES
+        assert data[offset : offset + len(response)] == response
+        offset += len(response)
+    assert offset == len(data)
 
 
 def test_response_codec_rejects_malformed(planted):
     inst, wit = planted
     rng = random.Random(62)
     state = prover_commit(inst, wit, rng)
-    data = encode_response(prover_respond(state, 2))
+    data = prover_respond(state, 2)
     with pytest.raises(ValueError):
         decode_response(data[:-1])
     with pytest.raises(ValueError):
@@ -525,8 +547,6 @@ def test_fs_challenges_deterministic(planted):
     inst, wit = planted
     rng = random.Random(66)
     proof = fs_prove(inst, wit, 10, b"ctx", rng)
-    from sdzkp.instance import instance_digest
-
     c1 = derive_challenges(instance_digest(inst), b"ctx", proof.commitments)
     c2 = derive_challenges(instance_digest(inst), b"ctx", proof.commitments)
     assert c1 == c2
@@ -540,18 +560,9 @@ def test_fs_challenge_distribution(planted):
     rng = random.Random(67)
     counts = [0, 0, 0]
     proof = fs_prove(inst, wit, 600, b"", rng)
-    from sdzkp.instance import instance_digest
-
     for ch in derive_challenges(instance_digest(inst), b"", proof.commitments):
         counts[ch] += 1
     assert all(140 < c < 260 for c in counts)
-
-
-def test_commitment_msg_codec():
-    com = CommitmentMsg(bytes(32), bytes([1]) * 32, bytes([2]) * 32)
-    assert CommitmentMsg.decode(com.encode()) == com
-    with pytest.raises(ValueError):
-        CommitmentMsg.decode(b"short")
 
 
 def test_proof_codec_rejects_malformed(planted):
@@ -591,7 +602,7 @@ def _transport(inst, points):
     return None if stop < len(points) else Permutation(ops.decode(ops.then(ops.inv(residue), g)))
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a challenge-2 opening reveals D")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1: a challenge-2 opening reveals D")
 def test_a_challenge_2_opening_gives_no_witness():
     """Z1 and Z2 agree exactly where u∘h and u∘g do, that is off D = {i :
     h(i) != g(i)}, and any h' in H that agrees with g off D is a witness.
@@ -602,7 +613,7 @@ def test_a_challenge_2_opening_gives_no_witness():
     for _ in range(20):
         inst, wit = plant_instance(64, 16, 16, rng, preset="abelian2")
         proof = fs_prove(inst, wit, 219, b"ctx", rng)
-        z1, z2 = next(rsp.values for rsp in proof.responses if rsp.kind == 2)
+        z1, z2 = next(rsp.values for rsp in map(decode_response, proof.responses) if rsp.kind == 2)
         agree = [i for i, (a, b) in enumerate(zip(decode_tuple(z1), decode_tuple(z2))) if a == b]
         found = _transport(inst, agree)
         recovered += found is not None and validate_witness(inst, found)
@@ -638,6 +649,7 @@ def test_fs_proof_bytes_are_pinned_on_a_tuple_chain():
 
 _u32 = st.integers(0, (1 << 32) - 1)
 _bytes32 = st.binary(min_size=32, max_size=32)
+_bytes96 = st.binary(min_size=COMMITMENT_BYTES, max_size=COMMITMENT_BYTES)
 
 
 @st.composite
@@ -648,7 +660,7 @@ def _prover_states(draw):
     return n, ProverState(
         values=(draw(word_tuple), draw(word_tuple), draw(_bytes32)),
         openings=(draw(_bytes32), draw(_bytes32), draw(_bytes32)),
-        commitment=CommitmentMsg(draw(_bytes32), draw(_bytes32), draw(_bytes32)),
+        commitment=draw(_bytes96),
     )
 
 
@@ -658,9 +670,8 @@ def test_response_codec_round_trips_and_meets_the_cap(drawn):
     n, state = drawn
     lengths = []
     for ch in CHALLENGES:
-        rsp = state.respond(ch)
-        data = encode_response(rsp)
-        assert decode_response(data) == rsp
+        data = state.respond(ch)
+        assert encode_response(*decode_response(data)) == data
         lengths.append(len(data))
     assert max(lengths) == max_response_bytes(n)
 
@@ -677,14 +688,14 @@ def honest_state(planted):
 def test_decoder_and_verifier_are_total_on_arbitrary_bytes(planted, honest_state, data):
     inst, _ = planted
     state, com = honest_state
-    raw = bytearray(encode_response(state.respond(data.draw(st.sampled_from(CHALLENGES)))))
+    raw = bytearray(state.respond(data.draw(st.sampled_from(CHALLENGES))))
     for pos, flip in data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)), max_size=3)):
         raw[pos] ^= flip
     end = data.draw(st.one_of(st.just(len(raw)), st.integers(0, len(raw))))
     raw = data.draw(st.one_of(st.just(bytes(raw[:end])), st.binary(max_size=300)))
     raw += data.draw(st.binary(max_size=4))
     for ch in CHALLENGES:
-        assert verify_round(inst, com.encode(), ch, raw) is (raw == encode_response(state.respond(ch)))
+        assert verify_round(inst, com, ch, raw) is (raw == state.respond(ch))
     try:
         decode_response(raw)
     except ValueError:

@@ -38,9 +38,9 @@ from sdzkp.protocol import (
     NIZKProof,
     commit_round,
     decode_proof,
+    decode_response,
     derive_challenges,
     encode_proof,
-    encode_response,
     fs_prove,
     fs_verify_bytes,
     prover_commit,
@@ -49,13 +49,16 @@ from sdzkp.protocol import (
 
 
 def reference_round(inst, commitment, challenge, response) -> bool:
-    """One round by definition: kind, openings, then the challenge's predicate."""
+    """One round by definition, on its wire bytes: the response parsed by
+    decode_response, then its kind, its openings, and the challenge's
+    predicate."""
     n = inst.degree
+    response = decode_response(response)
     if response.kind != challenge:
         return False
     words = {}
     for slot, value, opening in zip(OPENS[challenge], response.values, response.openings):
-        if not verify_commitment(commitment[slot], value, COMMIT_TAGS[slot], opening):
+        if not verify_commitment(commitment[32 * slot : 32 * slot + 32], value, COMMIT_TAGS[slot], opening):
             return False
         if slot != SEED:
             words[slot] = decode_tuple(value)
@@ -137,8 +140,8 @@ def test_honest_proofs_and_their_mutations_agree(family):
     # boundary.
     n, kinds, starts = inst.degree, [], [8]
     for rsp in decode_proof(data).responses:
-        kinds.append(rsp.kind)
-        starts.append(starts[-1] + COMMITMENT_BYTES + len(encode_response(rsp)))
+        kinds.append(rsp[0])
+        starts.append(starts[-1] + COMMITMENT_BYTES + len(rsp))
     assert starts.pop() == len(data)
 
     def agree_on(position, value):
@@ -190,7 +193,7 @@ def test_a_borrowing_lane_is_refused_by_both(family):
         words = (bad, *images[1:])
         state = forged_state(inst, words, words, rng)
         for ch in (0, 1):
-            assert not verify_round(inst, state.commitment.encode(), ch, encode_response(state.respond(ch)))
+            assert not verify_round(inst, state.commitment, ch, state.respond(ch))
             assert not reference_round(inst, state.commitment, ch, state.respond(ch))
             assert not assert_verifiers_agree(inst, proof_opening(inst, wit, state, ch, rng), 3)
 
@@ -205,7 +208,7 @@ def test_noisy_cheaters_arbitrary_words_agree(family):
             state = make_cheating_prover(inst, targets, rng)
             for ch in (0, 1, 2):
                 expected = reference_round(inst, state.commitment, ch, state.respond(ch))
-                assert verify_round(inst, state.commitment.encode(), ch, encode_response(state.respond(ch))) is expected
+                assert verify_round(inst, state.commitment, ch, state.respond(ch)) is expected
                 assert expected == (ch in targets)
                 assert assert_verifiers_agree(inst, proof_opening(inst, wit, state, ch, rng), 3) is (ch in targets)
 
