@@ -20,7 +20,7 @@ from itertools import count, islice
 from random import Random
 from typing import Callable, NamedTuple
 
-from .crypto import DIGEST_BYTES, apply_mask, differing_words, encode_words, fresh_seed, tuple_add
+from .crypto import apply_mask, differing_words, encode_words, fresh_seed, tuple_add
 from .group import BSGS
 from .instance import SDPInstance, Witness
 from .perm import Permutation, _sample, compose, hamming, inverse, random_support_perm
@@ -32,6 +32,7 @@ from .protocol import (
     Transcript,
     _holds,
     commit_round,
+    commitment_digests,
     decode_response,
     honest_rounds,
     masked_round,
@@ -77,8 +78,7 @@ def accepted_challenges(inst: SDPInstance, prover: ProverState) -> set[int]:
     values, com = prover.values, prover.commitment
     if len(com) != COMMITMENT_BYTES:
         return set()
-    digests = (com[:DIGEST_BYTES], com[DIGEST_BYTES : 2 * DIGEST_BYTES], com[2 * DIGEST_BYTES :])
-    opens = [slot_opens(inst, *each) for each in zip(digests, range(3), values, prover.openings)]
+    opens = [slot_opens(inst, *each) for each in zip(commitment_digests(com), range(3), values, prover.openings)]
     return {
         ch for ch, (a, b) in OPENS.items()  # each challenge opens two slots
         if opens[a] and opens[b] and _holds(inst, ch, values[a], values[b])
@@ -162,7 +162,9 @@ def make_cheating_prover(inst: SDPInstance, targets: frozenset[int] | set[int], 
     it does).  {0,2} / {1,2}: put a real group element behind the covered
     membership challenge and mask it beside itself plus noise of weight
     exactly k, so the distance challenge passes while the uncovered
-    membership challenge unmasks to garbage.
+    membership challenge unmasks to garbage.  Every element is drawn in the
+    group's raw form (BSGS.sample_uniform) and used as drawn; only the
+    fake's distance test wraps it as a Permutation.
 
     Raises ValueError if, after bounded resampling, some state refuses to
     fail its third challenge (possible only for tiny or degenerate groups).
@@ -178,12 +180,11 @@ def make_cheating_prover(inst: SDPInstance, targets: frozenset[int] | set[int], 
         seed = fresh_seed(rng)
         if 2 not in targets:
             fake = group.sample_uniform(rng)
-            if hamming(fake, inst.target) <= k:
+            if hamming(Permutation._trusted(ops.decode(fake)), inst.target) <= k:
                 continue
-            u = ops.encode(group.sample_uniform(rng).images)
-            prover = masked_round(inst, u, ops.encode(fake.images), seed, rng)
+            prover = masked_round(inst, group.sample_uniform(rng), fake, seed, rng)
         else:  # the noise goes on Z2 when 0 is covered, on Z1 when 1 is
-            member = ops.encode(group.sample_uniform(rng).images)
+            member = group.sample_uniform(rng)
             if 1 in targets:
                 member = ops.then(inst.target_tables[0], member)
             # the noisy words are arbitrary u32s, not the words of any permutation

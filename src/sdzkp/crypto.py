@@ -38,24 +38,28 @@ _TAG_BYTES = {tag: tag.encode("ascii") for tag in COMMIT_TAGS}
 
 def commit(message: bytes, tag: str, rng: Random) -> tuple[bytes, bytes]:
     """Commit to message under the given slot tag; returns (digest, opening)."""
-    if tag not in COMMIT_TAGS:
+    prefix = _TAG_BYTES.get(tag)
+    if prefix is None:
         raise ValueError(f"unknown commitment tag {tag!r}")
     # rng.randbytes(OPENING_BYTES) without its Python frame: the same single
     # getrandbits call, so seeded openings and the rng state after match it.
     opening = rng.getrandbits(8 * OPENING_BYTES).to_bytes(OPENING_BYTES, "little")
-    return hashlib.sha3_256(_TAG_BYTES[tag] + opening + message).digest(), opening
+    return hashlib.sha3_256(prefix + opening + message).digest(), opening
 
 
 def verify_commitment(digest: bytes, message: bytes, tag: str, opening: bytes) -> bool:
     """Check an opened commitment: digest must be commit's hash of the same
-    tag, opening and message.  Total: never raises on malformed input."""
-    if tag not in COMMIT_TAGS:
+    tag, opening and message.  Total: never raises on malformed input; an
+    unknown or non-str tag, a value that is not bytes, and a digest or
+    opening of the wrong length are refused before anything is hashed."""
+    prefix = _TAG_BYTES.get(tag) if isinstance(tag, str) else None
+    if (
+        prefix is None
+        or not isinstance(digest, bytes) or not isinstance(message, bytes) or not isinstance(opening, bytes)
+        or len(digest) != DIGEST_BYTES or len(opening) != OPENING_BYTES
+    ):
         return False
-    if not isinstance(digest, bytes) or not isinstance(opening, bytes) or not isinstance(message, bytes):
-        return False
-    if len(digest) != DIGEST_BYTES or len(opening) != OPENING_BYTES:
-        return False
-    return hmac.compare_digest(digest, hashlib.sha3_256(_TAG_BYTES[tag] + opening + message).digest())
+    return hmac.compare_digest(digest, hashlib.sha3_256(prefix + opening + message).digest())
 
 
 def _mask_stream(seed: bytes, n: int) -> bytes:

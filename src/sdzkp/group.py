@@ -18,8 +18,9 @@ Intended for desk-scale degrees (up to a few hundred points).  For degree
 at most 256 the chain stores permutations as 256-byte translation tables
 (identity beyond the degree) so composition is bytes.translate; above that,
 as image tuples.  This raw form is also what a proof round composes, masks
-and unmasks (BSGS.ops, and BSGS.contains takes it); which of the two forms
-a degree gets is decided only here, by make_ops.
+and unmasks (BSGS.ops, and BSGS.contains takes it), and what
+BSGS.sample_uniform returns; which of the two forms a degree gets is
+decided only here, by make_ops.
 """
 
 from __future__ import annotations
@@ -363,8 +364,8 @@ class BSGS:
     None) and answers in closed form: it is A_n if alternating, else S_n.
     Immutable once built, so instances are safe to share across threads.
     ops is the raw form of its elements (make_ops), which contains also
-    takes.  generators are the generators as given to build_bsgs, identity
-    entries and duplicates included.
+    takes and sample_uniform returns.  generators are the generators as
+    given to build_bsgs, identity entries and duplicates included.
     """
 
     def __init__(self, ops, generators: tuple[Permutation, ...], levels: list[_Level] | None,
@@ -412,9 +413,11 @@ class BSGS:
         """|H|, the product of the orbit sizes along the chain."""
         return self._order
 
-    def sample_uniform(self, rng: Random) -> Permutation:
-        """Uniformly random element: one uniform coset representative per level.
-        Each level's index is drawn with the getrandbits calls
+    def sample_uniform(self, rng: Random):
+        """Uniformly random element, in the raw form of self.ops (the form a
+        proof round composes and contains takes; a caller that needs a
+        Permutation wraps ops.decode of it): one uniform coset representative
+        per level.  Each level's index is drawn with the getrandbits calls
         rng.randrange(m) makes for its m choices, so seeded draws and the rng
         state after them match it exactly."""
         getrandbits = rng.getrandbits
@@ -433,7 +436,7 @@ class BSGS:
                 elif y != i:  # the representative for y == i is the identity
                     z = n - 1 if y != n - 1 else n - 2
                     images[i], images[y], images[z] = images[y], images[z], images[i]
-            return Permutation._trusted(tuple(images))
+            return self.ops.encode(images)
         then = self.ops.then
         acc = None
         for reps, m, k in self._draws:
@@ -441,7 +444,7 @@ class BSGS:
             while r >= m:
                 r = getrandbits(k)
             acc = reps[r] if acc is None else then(reps[r], acc)
-        return Permutation._trusted(self.ops.decode(acc if acc is not None else self.ops.ident))
+        return acc if acc is not None else self.ops.ident
 
     def elements(self, limit: int) -> list[Permutation]:
         """All group elements, in a fixed deterministic order.

@@ -132,7 +132,7 @@ def plant_instance(
     else:
         gens = _abelian2_generators(n, num_gens, rng)
     group = build_bsgs(gens)
-    h = group.sample_uniform(rng)
+    h = Permutation._trusted(group.ops.decode(group.sample_uniform(rng)))
     tau = random_support_perm(n, k, rng)
     inst = SDPInstance(compose(tau, h), group, k)
     if hamming(h, inst.target) != k:

@@ -4,8 +4,9 @@ One round: the prover picks a uniform shuffle u from H and a mask seed s,
 and commits to three values, its slots: 0 is Z1 = oneline(u∘h) + mask,
 1 is Z2 = oneline(u∘g) + mask, 2 is s.  Slot i is committed under tag
 crypto.COMMIT_TAGS[i] as digest i of the round's 96-byte commitment, its
-bytes [32i, 32i+32).  The verifier sends a challenge in {0, 1, 2}, and the
-opening table OPENS says which slots the answer reveals, in wire order:
+bytes [32i, 32i+32), which commitment_digests alone reads.  The verifier
+sends a challenge in {0, 1, 2}, and the opening table OPENS says which
+slots the answer reveals, in wire order:
 
   challenge  opens     the verifier checks the openings, then
   0          Z1, s     unmasking Z1 must give an element of H (this is u∘h)
@@ -19,9 +20,10 @@ follow OPENS; only the final predicate above is written per challenge,
 once, in _holds, which takes its masked tuples as canonical.
 
 A round works on the group's raw elements (group.make_ops: byte tables up
-to degree 256, image tuples past it): masked_round composes u with x and
-with g, spreads each product into the u32 lanes crypto.apply_mask masks,
-and commits through commit_round and crypto.commit.  At challenges 0 and 1
+to degree 256, image tuples past it): prover_round draws u in that form
+from BSGS.sample_uniform, masked_round composes u with x and with g,
+spreads each product into the u32 lanes crypto.apply_mask masks, and
+commits through commit_round and crypto.commit.  At challenges 0 and 1
 _holds unmasks with crypto._unmask into the words of a raw element, which
 challenge 1 composes with the raw g^-1 the instance caches and the group's
 contains tests as it stands.
@@ -85,6 +87,13 @@ MSG_CHALLENGE = 0x02
 MSG_RESPONSE = 0x03
 
 COMMITMENT_BYTES = 3 * DIGEST_BYTES
+
+# The one statement of the commitment's layout: the digests of slots Z1, Z2
+# and SEED, in that order, slot i's at bytes [32i, 32i+32) of the commitment.
+commitment_digests = itemgetter(*(slice(i * DIGEST_BYTES, (i + 1) * DIGEST_BYTES) for i in (Z1, Z2, SEED)))
+
+# Each slot's commitment tag; a slot outside (Z1, Z2, SEED) has none.
+_SLOT_TAGS = dict(enumerate(COMMIT_TAGS))
 
 PROOF_MAGIC = b"SDP1"
 _MAX_ROUNDS = 1 << 20
@@ -181,10 +190,10 @@ def masked_round(inst: SDPInstance, u, x, seed: bytes, rng: Random) -> ProverSta
 
 def prover_round(inst: SDPInstance, h, rng: Random) -> ProverState:
     """The honest round for a witness h in the raw form of inst.group.ops: u
-    uniform in H, then a fresh seed, then the three commitments, in that coin
-    order.  It does not check the witness; honest_rounds does."""
-    u = inst.group.ops.encode(inst.group.sample_uniform(rng).images)
-    return masked_round(inst, u, h, fresh_seed(rng), rng)
+    uniform in H (sample_uniform draws it in that form), then a fresh seed,
+    then the three commitments, in that coin order.  It does not check the
+    witness; honest_rounds does."""
+    return masked_round(inst, inst.group.sample_uniform(rng), h, fresh_seed(rng), rng)
 
 
 def opened_member(inst: SDPInstance, challenge: int, values: tuple[bytes, bytes]) -> Permutation:
@@ -266,21 +275,23 @@ def prover_respond(state: ProverState, challenge: int) -> bytes:
 def slot_opens(inst: SDPInstance, digest: bytes, slot: int, value: bytes, opening: bytes) -> bool:
     """Whether value is a canonical value of the slot at the instance's degree
     (see slot_size) and opening opens the slot's 32-byte digest to it.
-    Total on untrusted input: returns False, never raises."""
+    Total on untrusted input, a slot outside (Z1, Z2, SEED) included:
+    returns False, never raises."""
     try:
         n = inst.degree
         canonical = len(value) == slot_size(SEED, n) if slot == SEED else _is_tuple_encoding(value, n)
-        return canonical and verify_commitment(digest, value, COMMIT_TAGS[slot], opening)
+        return canonical and verify_commitment(digest, value, _SLOT_TAGS.get(slot), opening)
     except (ValueError, TypeError, struct.error):
         return False
 
 
 def verify_round(inst: SDPInstance, commitment: bytes, challenge: int, response: bytes) -> bool:
-    """Check one round on its wire bytes: the 96-byte commitment (slot i's
-    digest at [32i, 32i+32)) and the encoded response.  The kind byte must be the
-    challenge and the response as long as _response_layout says; then every
-    slot the challenge opens must open (slot_opens, which checks each
-    value's form), and the challenge's predicate must hold (_holds).
+    """Check one round on its wire bytes: the 96-byte commitment, which
+    commitment_digests splits into its slots' digests, and the encoded
+    response.  The kind byte must be the challenge and the response as long
+    as _response_layout says; then every slot the challenge opens must open
+    (slot_opens, which checks each value's form), and the challenge's
+    predicate must hold (_holds).
     Total on untrusted input: returns False, never raises."""
     try:
         if challenge not in OPENS or len(commitment) != COMMITMENT_BYTES or not response or response[0] != challenge:
@@ -288,11 +299,10 @@ def verify_round(inst: SDPInstance, commitment: bytes, challenge: int, response:
         end, parts = _response_layout(challenge, inst.degree)
         if len(response) != end:
             return False
-        values = []
+        digests, values = commitment_digests(commitment), []
         for slot, value_at, value_end, opening_at in parts:
             value = response[value_at:value_end]
-            digest = commitment[slot * DIGEST_BYTES : (slot + 1) * DIGEST_BYTES]
-            if not slot_opens(inst, digest, slot, value, response[opening_at : opening_at + OPENING_BYTES]):
+            if not slot_opens(inst, digests[slot], slot, value, response[opening_at : opening_at + OPENING_BYTES]):
                 return False
             values.append(value)
         return _holds(inst, challenge, *values)
@@ -328,15 +338,17 @@ def derive_challenges(statement_digest: bytes, context: bytes, commitments: Sequ
     challenges = []
     for i in range(rounds):
         shake = prefix.copy()
-        shake.update(struct.pack("<I", i))
+        shake.update(i.to_bytes(4, "little"))
         # Rejection sampling over bytes: 255 = 85 * 3, so dropping the value
         # 255 leaves a multiple of 3 and the first other byte % 3 is exactly
-        # uniform.  The stream is read further only past a run of 255s.
-        length, stream = 1, shake.digest(1).lstrip(b"\xff")
-        while not stream:
+        # uniform.  The stream is read further only when it starts with 255.
+        byte = shake.digest(1)[0]
+        length = 1
+        while byte == 255:
             length *= 64
             stream = shake.digest(length).lstrip(b"\xff")
-        challenges.append(stream[0] % 3)
+            byte = stream[0] if stream else 255
+        challenges.append(byte % 3)
     return challenges
 
 

@@ -28,7 +28,7 @@ from sdzkp.analysis import (
     transcript_for,
 )
 from sdzkp.instance import brute_force_distance, plant_instance, save_instance, save_witness
-from sdzkp.perm import compose, hamming, random_perm
+from sdzkp.perm import Permutation, compose, hamming, random_perm
 from sdzkp.protocol import (
     MSG_COMMIT,
     MSG_RESPONSE,
@@ -263,7 +263,7 @@ def test_c08_brute_force_consistency():
         if dist != oracle or dist > k or hamming(elem, inst.target) != dist:
             ok = False
         for i in range(250):
-            probe = inst.group.sample_uniform(rng) if i % 2 else random_perm(n, rng)
+            probe = Permutation(inst.group.ops.decode(inst.group.sample_uniform(rng))) if i % 2 else random_perm(n, rng)
             if inst.group.contains(probe) != (probe.images in universe):
                 ok = False
             probes_done += 1

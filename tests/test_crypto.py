@@ -53,12 +53,40 @@ def test_commit_rejects_any_tamper():
 
 
 def test_verify_commitment_is_total():
-    # malformed inputs must return False, never raise
+    """Malformed inputs return False, never raise; each refusal is made
+    before the hash, and only the exact bytes triple that commit hashed,
+    under its tag, is accepted."""
     assert not verify_commitment(b"short", b"", "C1", b"\x00" * OPENING_BYTES)
     assert not verify_commitment(b"\x00" * DIGEST_BYTES, b"", "C1", b"short")
     assert not verify_commitment(None, b"", "C1", b"\x00" * OPENING_BYTES)
     assert not verify_commitment(b"\x00" * DIGEST_BYTES, b"", "C1", None)
     assert not verify_commitment(b"\x00" * DIGEST_BYTES, b"", "C9", b"\x00" * OPENING_BYTES)
+    rng = random.Random(34)
+    message = b"payload"
+    for tag in COMMIT_TAGS:
+        digest, opening = commit(message, tag, rng)
+        assert verify_commitment(digest, message, tag, opening) is True
+        for other in ("C9", b"C1", tag.encode(), None, 1, [tag], *(t for t in COMMIT_TAGS if t != tag)):
+            assert verify_commitment(digest, message, other, opening) is False
+        for form in (bytearray, memoryview):
+            assert verify_commitment(form(digest), message, tag, opening) is False
+            assert verify_commitment(digest, form(message), tag, opening) is False
+            assert verify_commitment(digest, message, tag, form(opening)) is False
+        for bad in (digest[:-1], digest + b"\x00"):
+            assert verify_commitment(bad, message, tag, opening) is False
+        for bad in (opening[:-1], opening + b"\x00"):
+            assert verify_commitment(digest, message, tag, bad) is False
+        for bad in (message[:-1], message + b"\x00", b""):
+            assert verify_commitment(digest, bad, tag, opening) is False
+
+
+def test_commit_refuses_an_unknown_tag_before_drawing():
+    rng = random.Random(33)
+    for tag in ("C9", "c1", "", b"C1", None, 1):
+        state = rng.getstate()
+        with pytest.raises(ValueError):
+            commit(b"m", tag, rng)
+        assert rng.getstate() == state
 
 
 def test_commit_randomized():

@@ -56,10 +56,11 @@ def same_state(fast, slow):
     return fast.random() == slow.random() and getattr(fast, "calls", 0) == getattr(slow, "calls", 0)
 
 
-def cycle_perm(n, points):
+def cycle_perm(n, *cycles):
     images = list(range(n))
-    for a, b in zip(points, points[1:] + points[:1]):
-        images[a] = b
+    for points in cycles:
+        for a, b in zip(points, points[1:] + points[:1]):
+            images[a] = b
     return Permutation(tuple(images))
 
 
@@ -77,6 +78,22 @@ def abelian2_n16():
     return plant_instance(16, 5, 4, random.Random(71), preset="abelian2")[0].group
 
 
+def abelian2_n64():
+    return plant_instance(64, 16, 16, random.Random(72), preset="abelian2")[0].group
+
+
+def s4_wr_s4():
+    """S_4 wr S_4 on blocks {4b, .., 4b+3}, the imprimitive group that
+    tests/test_group.py builds: not giant, not abelian, a byte-table chain."""
+    n = 16
+    return build_bsgs([
+        cycle_perm(n, (0, 1)),
+        cycle_perm(n, (0, 1, 2, 3)),
+        cycle_perm(n, (0, 4), (1, 5), (2, 6), (3, 7)),
+        cycle_perm(n, *[tuple(range(i, n, 4)) for i in range(4)]),
+    ])
+
+
 def s7_times_c293():
     """S_7 on 0..6 times a 293-cycle on the rest: not giant, past the
     byte-table limit, with orbits of 293, 7, 6, 5, 4, 3 and 2 points."""
@@ -84,14 +101,19 @@ def s7_times_c293():
     return build_bsgs([cycle_perm(n, (0, 1)), cycle_perm(n, tuple(range(7))), cycle_perm(n, tuple(range(7, n)))])
 
 
-@pytest.mark.parametrize("make", [abelian2_n16, s7_times_c293])
+@pytest.mark.parametrize("make", [abelian2_n16, abelian2_n64, s4_wr_s4, s7_times_c293])
 def test_chain_draws_match_the_randrange_walk(make):
+    """sample_uniform returns the raw form of grp.ops: its decoding is the
+    randrange walk's tuple, and it is that tuple's encoding, a member."""
     grp = make()
+    ops = grp.ops
     assert grp.giant == "no"
     for fast, slow in paired_rngs():
-        drawn = grp.sample_uniform(fast)
-        assert drawn.images == randrange_walk(grp, slow)
-        assert Permutation(drawn.images) == drawn
+        raw, images = grp.sample_uniform(fast), randrange_walk(grp, slow)
+        assert ops.decode(raw) == images
+        assert raw == ops.encode(images)
+        assert Permutation(images).images == images
+        assert grp.contains(raw)
         assert same_state(fast, slow)
 
 

@@ -32,6 +32,11 @@ def closure(gens):
     return seen
 
 
+def draw(grp, rng):
+    """grp.sample_uniform's raw element, wrapped (and validated) as a Permutation."""
+    return Permutation(grp.ops.decode(grp.sample_uniform(rng)))
+
+
 def test_trivial_group():
     grp = build_bsgs([identity(5)])
     assert grp.order() == 1
@@ -97,8 +102,8 @@ def test_contains_closed_under_operations():
     gens = [random_perm(12, rng) for _ in range(3)]
     grp = build_bsgs(gens)
     for _ in range(50):
-        a = grp.sample_uniform(rng)
-        b = grp.sample_uniform(rng)
+        a = draw(grp, rng)
+        b = draw(grp, rng)
         assert grp.contains(a)
         assert grp.contains(compose(a, b))
         assert grp.contains(inverse(a))
@@ -133,7 +138,7 @@ def test_sample_uniform_covers_group():
     rng = random.Random(23)
     counts = {}
     for _ in range(4000):
-        p = grp.sample_uniform(rng)
+        p = draw(grp, rng)
         counts[p.images] = counts.get(p.images, 0) + 1
     assert len(counts) == 4
     assert all(850 < c < 1150 for c in counts.values())
@@ -145,7 +150,7 @@ def test_sample_uniform_stays_inside_group():
     grp = build_bsgs(gens)
     full = closure(gens)
     for _ in range(200):
-        assert grp.sample_uniform(rng) in full
+        assert draw(grp, rng) in full
 
 
 @pytest.mark.parametrize("n", [9, 300])  # byte-table chain, tuple chain
@@ -155,9 +160,10 @@ def test_sampled_elements_pass_full_validation(n):
     rng = random.Random(n)
     grp = build_bsgs([random_perm(n, rng) for _ in range(2)])
     for _ in range(50):
-        p = grp.sample_uniform(rng)
-        assert type(p.images) is tuple
-        assert Permutation(p.images) == p
+        raw = grp.sample_uniform(rng)
+        images = grp.ops.decode(raw)
+        assert type(images) is tuple
+        assert grp.ops.encode(Permutation(images).images) == raw
 
 
 def test_generator_validation():
@@ -444,7 +450,7 @@ def test_certified_giant_keeps_no_chain(alternating):
 def test_certified_giant_draws_are_pinned(n, alternating, digest):
     grp = certified_giant(n, alternating)
     rng = random.Random(n)
-    data = b"".join(grp.sample_uniform(rng).to_bytes() for _ in range(20))
+    data = b"".join(draw(grp, rng).to_bytes() for _ in range(20))
     assert hashlib.sha256(data).hexdigest() == digest
 
 
@@ -467,14 +473,17 @@ def randrange_walk(grp, rng):
 @pytest.mark.parametrize("alternating", [False, True])
 def test_certified_giant_draws_match_the_randrange_walk(n, alternating):
     grp = certified_giant(n, alternating)
+    ops = grp.ops
     for seed in range(50):
         fast, slow = random.Random(seed), random.Random(seed)
-        assert grp.sample_uniform(fast).images == randrange_walk(grp, slow)
+        raw, images = grp.sample_uniform(fast), randrange_walk(grp, slow)
+        assert ops.decode(raw) == images
+        assert raw == ops.encode(images)  # a byte table up to n = 256, the tuple past it
+        assert grp.contains(raw)
         assert fast.random() == slow.random()  # same number of bits consumed
     system = random.SystemRandom()
     for _ in range(50):
-        p = grp.sample_uniform(system)
-        assert Permutation(p.images) == p
+        p = draw(grp, system)  # Permutation validates the decoded images
         assert grp.contains(p) and not (alternating and is_odd(p))
 
 

@@ -2,8 +2,10 @@
 
 import hashlib
 import random
+import struct
 import time
 from functools import cache
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,7 @@ from sdzkp.protocol import (
     Z2,
     ProverState,
     commit_round,
+    commitment_digests,
     decode_proof,
     decode_response,
     derive_challenges,
@@ -52,6 +55,7 @@ from sdzkp.protocol import (
     prover_respond,
     prover_round,
     run_interactive,
+    slot_opens,
     verifier_challenge,
     verify_round,
 )
@@ -145,7 +149,7 @@ def test_commit_refuses_bad_witness(planted):
     rng = random.Random(54)
     # an element far from the target: resample until one exceeds the bound
     for _ in range(64):
-        h = inst.group.sample_uniform(rng)
+        h = Permutation(inst.group.ops.decode(inst.group.sample_uniform(rng)))
         if hamming(h, inst.target) > inst.max_distance:
             with pytest.raises(ValueError):
                 prover_commit(inst, Witness(h), rng)
@@ -331,13 +335,13 @@ def test_unmask_matches_the_validating_constructor_on_arbitrary_words(data):
 def test_masked_round_and_opened_member_match_their_definitions(preset, gens, k, instance_seed):
     inst, wit = plant_instance(16, gens, k, random.Random(instance_seed), preset=preset)
     assert (inst.group.giant == "S_n") == (preset == "general")
-    n, g = inst.degree, inst.target.images
+    n, g, ops = inst.degree, inst.target.images, inst.group.ops
     rng = random.Random(62)
     # the witness, a member of H, and a permutation that is almost surely in neither
-    for x in (wit.element.images, inst.group.sample_uniform(rng).images, random_perm(n, rng).images):
-        u = inst.group.sample_uniform(rng).images
+    for x in (wit.element.images, ops.decode(inst.group.sample_uniform(rng)), random_perm(n, rng).images):
+        u = ops.decode(inst.group.sample_uniform(rng))
         seed = fresh_seed(rng)
-        state = masked_round(inst, inst.group.ops.encode(u), inst.group.ops.encode(x), seed, rng)
+        state = masked_round(inst, ops.encode(u), ops.encode(x), seed, rng)
         mask = expand_mask(seed, n)
         assert state.values[SEED] == seed
         assert state.values[Z1] == encode_tuple(tuple_add(compose_images(u, x), mask))
@@ -563,6 +567,71 @@ def test_fs_challenge_distribution(planted):
     for ch in derive_challenges(instance_digest(inst), b"", proof.commitments):
         counts[ch] += 1
     assert all(140 < c < 260 for c in counts)
+
+
+def reference_challenges(statement_digest, context, commitments):
+    """derive_challenges written plainly: round i's challenge is the first
+    byte of SHAKE-256(domain ‖ u32 len(context) ‖ context ‖ statement digest ‖
+    commitments ‖ u32 i) that is not 255, mod 3."""
+    prefix = b"SDZKP-FS-v1" + struct.pack("<I", len(context)) + context + statement_digest + b"".join(commitments)
+    base = hashlib.shake_256(prefix)
+    challenges = []
+    for i in range(len(commitments)):
+        shake = base.copy()
+        shake.update(struct.pack("<I", i))
+        challenges.append(next(b for b in shake.digest(256) if b != 255) % 3)
+    return challenges
+
+
+def test_derive_challenges_matches_the_plain_reference_on_both_rejections():
+    """Contexts are searched in a fixed order until one holds a round whose
+    stream starts with ff (one byte rejected) and another whose stream starts
+    with ff ff (two)."""
+    statement, commitments = bytes(32), [bytes(COMMITMENT_BYTES)] * 4096
+    for c in count():
+        assert c < 500, "no context put one round behind ff and another behind ff ff"
+        context = b"ctx%d" % c
+        base = hashlib.shake_256(b"SDZKP-FS-v1" + struct.pack("<I", len(context)) + context + statement
+                                 + b"".join(commitments))
+        heads = set()
+        for i in range(len(commitments)):
+            shake = base.copy()
+            shake.update(struct.pack("<I", i))
+            heads.add(shake.digest(2))
+        if b"\xff\xff" in heads and any(head[0] == 255 != head[1] for head in heads):
+            break
+    assert derive_challenges(statement, context, commitments) == reference_challenges(statement, context, commitments)
+
+
+def test_commitment_digests_read_each_slot_as_commit_round_writes_it(planted):
+    inst, wit = planted
+    state = prover_commit(inst, wit, random.Random(69))
+    digests = commitment_digests(state.commitment)
+    assert digests == tuple(state.commitment[i : i + 32] for i in range(0, COMMITMENT_BYTES, 32))
+    for slot in (Z1, Z2, SEED):
+        assert verify_commitment(digests[slot], state.values[slot], COMMIT_TAGS[slot], state.openings[slot])
+
+
+def test_slot_opens_accepts_only_the_committed_slot(planted):
+    """slot_opens is True only for a slot's own digest, value and opening as
+    committed; every other slot, a non-bytes part, and a digest or opening
+    one byte short or long is False, never an exception."""
+    inst, wit = planted
+    state = prover_commit(inst, wit, random.Random(70))
+    digests, values, openings = commitment_digests(state.commitment), state.values, state.openings
+    for slot in (Z1, Z2, SEED):
+        digest, value, opening = digests[slot], values[slot], openings[slot]
+        assert slot_opens(inst, digest, slot, value, opening) is True
+        for other in (3, -1, "C1", b"C1", None, 1.5, *({Z1, Z2, SEED} - {slot})):
+            assert slot_opens(inst, digest, other, value, opening) is False
+        for form in (bytearray, memoryview):
+            assert slot_opens(inst, form(digest), slot, value, opening) is False
+            assert slot_opens(inst, digest, slot, form(value), opening) is False
+            assert slot_opens(inst, digest, slot, value, form(opening)) is False
+        for bad in (digest[:-1], digest + b"\x00"):
+            assert slot_opens(inst, bad, slot, value, opening) is False
+        for bad in (opening[:-1], opening + b"\x00"):
+            assert slot_opens(inst, digest, slot, value, bad) is False
 
 
 def test_proof_codec_rejects_malformed(planted):
