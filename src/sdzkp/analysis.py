@@ -123,7 +123,7 @@ def extract_witness(inst: SDPInstance, t0: Transcript, t1: Transcript, t2: Trans
     for ch, t in sorted(by_ch.items()):
         if not verify_round(inst, com, ch, t.response):
             raise ExtractionError(f"transcript for challenge {ch} does not verify")
-        values[ch] = decode_response(t.response).values
+        values[ch] = decode_response(t.response, inst.degree).values
 
     # Every value is opened under two challenges; both openings must agree.
     opened = {}
@@ -360,9 +360,9 @@ def transcript_distribution_test(
             challenges[t.challenge] += 1
             ok += verify_round(inst, t.commitment, t.challenge, t.response)
             if t.challenge == 0:
-                counts[index[opened_member(inst, 0, decode_response(t.response).values).images]] += 1
+                counts[index[opened_member(inst, 0, decode_response(t.response, inst.degree).values).images]] += 1
             elif t.challenge == 2:
-                weights[differing_words(*decode_response(t.response).values)] += 1
+                weights[differing_words(*decode_response(t.response, inst.degree).values)] += 1
         return counts, challenges, weights, ok
 
     real_counts, real_ch, real_weights, real_ok = tally(

@@ -9,11 +9,12 @@ a u32 word per 32-bit lane, and adds or subtracts all lanes at once with
 carries kept inside each lane (Hacker's Delight, 2nd ed., section 2-18).
 A round's mask is one such integer, read from SHAKE.  A masked tuple exists
 only as its encoding, the committed message and wire form, which
-_is_tuple_encoding tests and tuple_span reads.  apply_mask writes it from n
-u32 words (4n bytes, as encode_words writes them), remove_mask gives them
-back through _unmask, which takes the tuple as canonical.  _mask_stream is
-the one seed check and the one mask read; _add_lanes and _sub_lanes are the
-one lane sum and difference.
+_is_tuple_encoding tests.  apply_mask writes it from n u32 words (4n
+bytes, as encode_words writes them), remove_mask gives them back through
+_unmask, which takes the tuple as canonical.  _mask_stream is the one seed
+check and the one mask read; _add_lanes and _sub_lanes are the one lane
+sum and difference.  decode_tuple_from is the one length-prefix parser,
+for the permutations in instance and witness files.
 """
 
 from __future__ import annotations
@@ -178,8 +179,9 @@ def _is_tuple_encoding(z: bytes, n: int) -> bool:
     return isinstance(z, bytes) and len(z) == 4 + 4 * n and z[:4] == n.to_bytes(4, "little")
 
 
-def tuple_span(data: bytes, offset: int = 0) -> tuple[bytes, int]:
-    """One length-prefixed tuple's encoding, as it stands; returns (encoding, next offset)."""
+def decode_tuple_from(data: bytes, offset: int = 0) -> tuple[tuple[int, ...], int]:
+    """Decode one length-prefixed tuple; returns (tuple, next offset).
+    ValueError on a count of 0 or above MAX_TUPLE_LENGTH, or on truncation."""
     if len(data) - offset < 4:
         raise ValueError("truncated tuple: missing length")
     (n,) = struct.unpack_from("<I", data, offset)
@@ -188,13 +190,7 @@ def tuple_span(data: bytes, offset: int = 0) -> tuple[bytes, int]:
     end = offset + 4 + 4 * n
     if len(data) < end:
         raise ValueError("truncated tuple: missing entries")
-    return data[offset:end], end
-
-
-def decode_tuple_from(data: bytes, offset: int = 0) -> tuple[tuple[int, ...], int]:
-    """Decode one length-prefixed tuple; returns (tuple, next offset)."""
-    span, end = tuple_span(data, offset)
-    return struct.unpack_from(f"<{len(span) // 4 - 1}I", span, 4), end
+    return struct.unpack_from(f"<{n}I", data, offset + 4), end
 
 
 def decode_tuple(data: bytes) -> tuple[int, ...]:

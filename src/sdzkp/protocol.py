@@ -14,10 +14,10 @@ slots the answer reveals, in wire order:
   2          Z1, Z2    they must differ in at most max_distance words
 
 Every value is its own committed message and wire form, slot_size long; a
-masked tuple's form is crypto's (_is_tuple_encoding tests it, tuple_span
-reads it).  The prover, the verifier's checks and the response codecs all
-follow OPENS; only the final predicate above is written per challenge,
-once, in _holds, which takes its masked tuples as canonical.
+masked tuple's form is crypto's (_is_tuple_encoding tests it).  The
+prover, the verifier's checks and the response codecs all follow OPENS;
+only the final predicate above is written per challenge, once, in
+_holds, which takes its masked tuples as canonical.
 
 A round works on the group's raw elements (group.make_ops: byte tables up
 to degree 256, image tuples past it): prover_round draws u in that form
@@ -36,9 +36,10 @@ of a proof, the session verifier on the frames it received,
 run_interactive and the analysis harness on what the prover emitted).  It
 lays the response out by _response_layout, checks each slot the challenge
 opens with slot_opens (the value's form, then its opening), then calls
-_holds.  _read_response is the one parser: decode_response reads a
-Response from it for callers that read the opened values, and
-decode_proof splits a proof into its rounds' bytes with it.
+_holds.  The challenge fixes what a response opens, so _response_layout
+(kind, n) is the one reader of a response: verify_round slices by it, and
+so does decode_response, for callers that read the opened values.  One
+walk, _split_proof, reads a proof, for fs_verify_bytes and decode_proof.
 
 A single round convinces the verifier with soundness error 2/3; sequential
 repetition amplifies.  The non-interactive variant derives challenges by
@@ -67,7 +68,6 @@ from .crypto import (
     differing_words,
     fresh_seed,
     remove_mask,
-    tuple_span,
     verify_commitment,
 )
 from .instance import SDPInstance, Witness, instance_digest, validate_witness
@@ -96,6 +96,7 @@ commitment_digests = itemgetter(*(slice(i * DIGEST_BYTES, (i + 1) * DIGEST_BYTES
 _SLOT_TAGS = dict(enumerate(COMMIT_TAGS))
 
 PROOF_MAGIC = b"SDP1"
+_PROOF_HEADER_BYTES = 8  # the magic, then a u32 round count
 _MAX_ROUNDS = 1 << 20
 
 # The default round count: the least t with (2/3)^t <= 2^-128, that is
@@ -164,7 +165,7 @@ def require_positive(count: int, what: str = "round") -> None:
 
 
 def _proof_rounds(rounds: int) -> int:
-    if not 1 <= rounds <= _MAX_ROUNDS:  # one cap, so that decode_proof reads every proof made
+    if not 1 <= rounds <= _MAX_ROUNDS:  # one cap, so that the proof walk reads every proof made
         raise ValueError(f"unreasonable round count {rounds}")
     return rounds
 
@@ -365,46 +366,45 @@ def fs_verify_bytes(inst: SDPInstance, data: bytes, context: bytes, rounds: int 
     """Check a serialized non-interactive proof in place.  False on any
     malformed buffer or failing round, and unless the proof holds exactly
     `rounds` rounds: the verifier, not the prover, sets the soundness error,
-    so the count after the magic is read before any round.
-
-    One walk finds every round from its kind byte (_round_bounds); the
-    challenges are derived from the commitments' slices of the buffer;
-    then verify_round checks each round on its slices."""
+    so the walk (_split_proof) checks the count before any round.  The
+    challenges are derived from the commitments' slices of the buffer, and
+    verify_round checks each round on its slices."""
     try:
-        if not isinstance(data, bytes):
-            data = memoryview(data).tobytes()  # refuses an int or a str (TypeError)
-        if data[:4] != PROOF_MAGIC or struct.unpack_from("<I", data, 4) != (_proof_rounds(rounds),):
-            return False
-        lengths = {kind: COMMITMENT_BYTES + _response_layout(kind, inst.degree)[0] for kind in OPENS}
-        bounds = _round_bounds(data, lengths, rounds)
-        if bounds is None:
-            return False
-        commitments = [data[start : start + COMMITMENT_BYTES] for start in bounds[:-1]]
+        commitments, responses = _split_proof(data, inst.degree, rounds)
         challenges = derive_challenges(instance_digest(inst), context, commitments)
     except (ValueError, TypeError, struct.error):
         return False
-    for commitment, start, end, challenge in zip(commitments, bounds, bounds[1:], challenges):
-        # a round is its commitment, then its response
-        if not verify_round(inst, commitment, challenge, data[start + COMMITMENT_BYTES : end]):
-            return False
-    return True
+    return all(map(verify_round, repeat(inst), commitments, challenges, responses))
 
 
-def _round_bounds(data: bytes, lengths: dict[int, int], rounds: int) -> list[int] | None:
-    """Where each of a proof's `rounds` rounds starts, past its 8-byte header,
-    then where the last one ends, given each kind's round length: a round's
-    kind byte follows its commitment.  None on an unknown kind, and unless
-    the last round ends where data does."""
-    bounds, size = [8], len(data)
-    for _ in range(rounds):
-        offset = bounds[-1]
-        if offset + COMMITMENT_BYTES >= size:
-            return None
-        length = lengths.get(data[offset + COMMITMENT_BYTES])
+def _split_proof(data: bytes, n: int, rounds: int | None = None) -> tuple[list[bytes], list[bytes]]:
+    """The one proof walk: each round's commitment and response, as bytes
+    (any other buffer is copied once; memoryview refuses an int or a str
+    with TypeError).  The header's round count goes through _proof_rounds
+    and must equal `rounds`, if given, before any round is read; a round is
+    its commitment, then a response as long as its kind byte says at degree
+    n (_response_layout).  ValueError on an unknown kind, and unless the
+    last round ends where data does."""
+    if not isinstance(data, bytes):
+        data = memoryview(data).tobytes()
+    if data[:4] != PROOF_MAGIC or len(data) < _PROOF_HEADER_BYTES:
+        raise ValueError("bad proof header")
+    count = _proof_rounds(int.from_bytes(data[4:_PROOF_HEADER_BYTES], "little"))
+    if rounds is not None and count != rounds:
+        raise ValueError(f"proof holds {count} rounds, not {rounds}")
+    lengths = {kind: _response_layout(kind, n)[0] for kind in OPENS}
+    commitments, responses, at, size = [], [], _PROOF_HEADER_BYTES, len(data)
+    for _ in range(count):
+        start, at = at, at + COMMITMENT_BYTES  # at the round's kind byte
+        length = lengths.get(data[at]) if at < size else None
         if length is None:
-            return None
-        bounds.append(offset + length)
-    return bounds if bounds[-1] == size else None
+            raise ValueError("truncated proof, or an unknown response kind")
+        commitments.append(data[start:at])
+        responses.append(data[at : at + length])
+        at += length
+    if at != size:
+        raise ValueError("proof does not end where its last round does")
+    return commitments, responses
 
 
 # --- serialization ---
@@ -449,7 +449,7 @@ def max_response_bytes(n: int) -> int:
 def max_proof_bytes(n: int, rounds: int) -> int:
     """Length of the longest encoded proof of `rounds` rounds at degree n.
     ValueError for a round count that no proof holds."""
-    return 8 + _proof_rounds(rounds) * (COMMITMENT_BYTES + max_response_bytes(n))
+    return _PROOF_HEADER_BYTES + _proof_rounds(rounds) * (COMMITMENT_BYTES + max_response_bytes(n))
 
 
 def encode_proof(proof: NIZKProof) -> bytes:
@@ -458,54 +458,24 @@ def encode_proof(proof: NIZKProof) -> bytes:
     return b"".join([PROOF_MAGIC, struct.pack("<I", proof.rounds), *chain.from_iterable(rounds)])
 
 
-def decode_proof(data: bytes) -> NIZKProof:
-    """Split proof bytes into each round's commitment and response, finding
-    each response's end with _read_response.  Any other buffer is copied to
-    bytes once, so every field is bytes; memoryview refuses an int or a str
-    (TypeError)."""
-    if not isinstance(data, bytes):
-        data = memoryview(data).tobytes()
-    if data[:4] != PROOF_MAGIC:
-        raise ValueError("bad proof magic")
-    if len(data) < 8:
-        raise ValueError("truncated proof header")
-    rounds = _proof_rounds(struct.unpack_from("<I", data, 4)[0])
-    commitments, responses, offset = [], [], 8
-    for _ in range(rounds):
-        at = offset + COMMITMENT_BYTES
-        _, end = _read_response(data, at)  # raises unless data holds the commitment and more
-        commitments.append(data[offset:at])
-        responses.append(data[at:end])
-        offset = end
-    if offset != len(data):
-        raise ValueError("trailing bytes after proof")
+def decode_proof(data: bytes, n: int) -> NIZKProof:
+    """Split proof bytes at degree n into each round's commitment and
+    response, by the walk fs_verify_bytes makes (_split_proof).  No value's
+    form is checked."""
+    commitments, responses = _split_proof(data, n)
     return NIZKProof(commitments=tuple(commitments), responses=tuple(responses))
 
 
-def decode_response(data: bytes) -> Response:
-    rsp, end = _read_response(data, 0)
-    if end != len(data):
-        raise ValueError("trailing bytes after response")
-    return rsp
-
-
-def _read_response(data: bytes, offset: int) -> tuple[Response, int]:
-    """The one response parser: reads one response from offset; returns it
-    and its end offset.  ValueError if data ends first."""
-    size = len(data)
-    if size <= offset:
-        raise ValueError("truncated message")
-    kind, offset = data[offset], offset + 1
+def decode_response(data: bytes, n: int) -> Response:
+    """Read an encoded response at degree n by its layout (_response_layout)
+    alone: ValueError on a kind outside OPENS or a length other than the
+    kind's at degree n.  No value's form is checked; slot_opens does that."""
+    kind = data[0] if data else None
     if kind not in OPENS:
         raise ValueError(f"unknown response kind {kind}")
-    values = []
-    for slot in OPENS[kind]:
-        if slot == SEED:
-            value, offset = data[offset : offset + SEED_BYTES], offset + SEED_BYTES
-        else:
-            value, offset = tuple_span(data, offset)
-        values.append(value)
-    middle, end = offset + OPENING_BYTES, offset + 2 * OPENING_BYTES
-    if size < end:
-        raise ValueError("truncated message")
-    return Response(kind, tuple(values), (data[offset:middle], data[middle:end])), end
+    # each kind opens two slots, laid out as (slot, value start, value end, opening start)
+    end, ((_, a, a_end, a_opening), (_, b, b_end, b_opening)) = _response_layout(kind, n)
+    if len(data) != end:
+        raise ValueError(f"a kind {kind} response at degree {n} is {end} bytes, not {len(data)}")
+    openings = data[a_opening : a_opening + OPENING_BYTES], data[b_opening : b_opening + OPENING_BYTES]
+    return Response(kind, (data[a:a_end], data[b:b_end]), openings)

@@ -364,7 +364,7 @@ def test_c09_mutation_robustness():
         data[pos] ^= 1 + rng.randrange(255)
         mutations += 1
         try:
-            decode_response(bytes(data))
+            decode_response(bytes(data), inst.degree)
         except ValueError:
             continue  # clean parse rejection
         except Exception:

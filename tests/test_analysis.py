@@ -129,7 +129,7 @@ def test_extractor_requires_verifying_transcripts(planted):
     rng = random.Random(78)
     prover = honest_rewindable_prover(inst, wit, rng)
     t0, t1, t2 = (transcript_for(inst, prover, ch) for ch in (0, 1, 2))
-    _, (z1, _), openings = decode_response(t0.response)
+    _, (z1, _), openings = decode_response(t0.response, inst.degree)
     broken = Transcript(t0.commitment, 0, encode_response(0, (z1, bytes(32)), openings))
     with pytest.raises(ExtractionError):
         extract_witness(inst, broken, t1, t2)
@@ -153,8 +153,8 @@ def test_extractor_reports_binding_violations(planted, monkeypatch):
     with pytest.raises(ExtractionError, match="masked witness"):
         extract_witness(inst, t0, t1, alien_witness)
 
-    _, (z1, _), openings = decode_response(a.respond(2))
-    mixed = encode_response(2, (z1, decode_response(b.respond(2)).values[1]), openings)
+    _, (z1, _), openings = decode_response(a.respond(2), inst.degree)
+    mixed = encode_response(2, (z1, decode_response(b.respond(2), inst.degree).values[1]), openings)
     with pytest.raises(ExtractionError, match="masked target"):
         extract_witness(inst, t0, t1, Transcript(a.commitment, 2, mixed))
 
@@ -222,7 +222,7 @@ def test_accepted_challenges_equals_one_verify_round_per_challenge(fixture, requ
 def opens_then_holds(inst, commitment, challenge, response):
     """verify_round's two steps on a round's decoded response: slot_opens
     for each slot the challenge opens, then _holds on the opened values."""
-    _, values, openings = decode_response(response)
+    _, values, openings = decode_response(response, inst.degree)
     opened = zip(OPENS[challenge], values, openings)
     return all(
         slot_opens(inst, digests(commitment)[slot], slot, value, opening) for slot, value, opening in opened

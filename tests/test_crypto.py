@@ -24,7 +24,6 @@ from sdzkp.crypto import (
     fresh_seed,
     remove_mask,
     tuple_add,
-    tuple_span,
     tuple_sub,
     verify_commitment,
     weight,
@@ -313,8 +312,8 @@ def test_tuple_codec_round_trip():
         data = encode_tuple(t)
         assert len(data) == 4 + 4 * n
         assert decode_tuple(data) == t
-        # the span is the encoding itself, wherever it stands
-        assert tuple_span(b"xy" + data + b"z", 2) == (data, len(data) + 2)
+        # the encoding is read wherever it stands
+        assert decode_tuple_from(b"xy" + data + b"z", 2) == (t, len(data) + 2)
 
 
 def test_tuple_codec_rejects_malformed():

@@ -59,6 +59,7 @@ from sdzkp.protocol import (
     verifier_challenge,
     verify_round,
 )
+from test_reference_verifier import reference_read_proof
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +175,7 @@ def test_tampered_masked_tuple_rejected(planted):
     rng = random.Random(56)
     state = prover_commit(inst, wit, rng)
     com = state.commitment
-    rsp = decode_response(prover_respond(state, 0))
+    rsp = decode_response(prover_respond(state, 0), inst.degree)
     z1, seed = rsp.values
     bumped = encode_tuple(tuple_add(decode_tuple(z1), (1,) + (0,) * 15))
     assert not verify_round(inst, com, 0, encode_response(0, (bumped, seed), rsp.openings))
@@ -185,7 +186,7 @@ def test_wrong_seed_rejected(planted):
     rng = random.Random(57)
     state = prover_commit(inst, wit, rng)
     com = state.commitment
-    rsp = decode_response(prover_respond(state, 1))
+    rsp = decode_response(prover_respond(state, 1), inst.degree)
     assert not verify_round(inst, com, 1, encode_response(1, (rsp.values[0], bytes(32)), rsp.openings))
 
 
@@ -222,7 +223,7 @@ def test_non_permutation_unmask_rejected(planted):
     state = commit_round(*apply_mask(seed, n, encode_words(collided), encode_words(collided)), seed, rng)
     com = state.commitment
     for ch in CHALLENGES:
-        rsp = decode_response(state.respond(ch))
+        rsp = decode_response(state.respond(ch), n)
         for slot, value, opening in zip(OPENS[ch], rsp.values, rsp.openings):
             assert verify_commitment(com[32 * slot : 32 * slot + 32], value, COMMIT_TAGS[slot], opening)
     assert not verify_round(inst, com, 0, state.respond(0))
@@ -346,9 +347,9 @@ def test_masked_round_and_opened_member_match_their_definitions(preset, gens, k,
         assert state.values[SEED] == seed
         assert state.values[Z1] == encode_tuple(tuple_add(compose_images(u, x), mask))
         assert state.values[Z2] == encode_tuple(tuple_add(compose_images(u, g), mask))
-        assert opened_member(inst, 0, decode_response(state.respond(0)).values) == Permutation(compose_images(u, x))
-        assert opened_member(inst, 1, decode_response(state.respond(1)).values) == Permutation(u)
-        opened = decode_response(state.respond(2)).values
+        assert opened_member(inst, 0, decode_response(state.respond(0), n).values) == Permutation(compose_images(u, x))
+        assert opened_member(inst, 1, decode_response(state.respond(1), n).values) == Permutation(u)
+        opened = decode_response(state.respond(2), n).values
         assert differing_words(*opened) == hamming(Permutation(x), inst.target)
         with pytest.raises(ValueError):
             opened_member(inst, 2, opened)
@@ -361,17 +362,17 @@ def test_verify_round_is_total_on_non_messages(planted, honest_state):
     for ch in CHALLENGES:
         rsp = state.respond(ch)
         assert verify_round(inst, com, ch, rsp)
-        for bad in (None, "response", b"", 0, decode_response(rsp), bytearray(rsp), rsp.decode("latin-1")):
+        for bad in (None, "response", b"", 0, decode_response(rsp, inst.degree), bytearray(rsp), rsp.decode("latin-1")):
             assert verify_round(inst, com, ch, bad) is False
         for bad_com in (None, "commitment", digests, tuple(com), com[:-1], com + b"\x00"):
             assert verify_round(inst, bad_com, ch, rsp) is False
 
 
-def test_encode_response_refuses_a_misshapen_response(honest_state):
+def test_encode_response_refuses_a_misshapen_response(planted, honest_state):
     # an extra entry would otherwise be written: a response's wire form holds no count of its entries
     state, _ = honest_state
     for ch in CHALLENGES:
-        kind, values, openings = decode_response(state.respond(ch))
+        kind, values, openings = decode_response(state.respond(ch), planted[0].degree)
         assert encode_response(kind, values, openings) == state.respond(ch)
         for count in (0, 1, 3):  # every kind opens two slots
             with pytest.raises(ValueError):
@@ -415,7 +416,7 @@ def test_proving_verifying_and_decoding_share_one_round_cap(planted, monkeypatch
     assert rng.getstate() == before  # refused before a single commitment
     assert fs_verify_bytes(inst, encode_proof(proof), b"", 4) is False
     with pytest.raises(ValueError, match="unreasonable round count 4"):
-        decode_proof(encode_proof(proof))
+        decode_proof(encode_proof(proof), inst.degree)
     at_cap = fs_prove(inst, wit, 3, b"", rng)
     assert fs_verify_bytes(inst, encode_proof(at_cap), b"", 3)
 
@@ -449,8 +450,8 @@ def test_response_codec_round_trip(planted):
     for ch in CHALLENGES:
         rsp = prover_respond(state, ch)
         slots = OPENS[ch]
-        assert decode_response(rsp) == (ch, tuple(state.values[i] for i in slots), tuple(state.openings[i] for i in slots))
-        assert encode_response(*decode_response(rsp)) == rsp
+        assert decode_response(rsp, inst.degree) == (ch, tuple(state.values[i] for i in slots), tuple(state.openings[i] for i in slots))
+        assert encode_response(*decode_response(rsp, inst.degree)) == rsp
 
 
 @pytest.mark.parametrize("n", [5, 16, 260])
@@ -461,8 +462,36 @@ def test_encode_response_inverts_decode_response(n):
     state = commit_round(z1, z2, fresh_seed(rng), rng)
     for ch in CHALLENGES:
         data = state.respond(ch)
-        assert decode_response(data).kind == ch
-        assert encode_response(*decode_response(data)) == data
+        assert decode_response(data, n).kind == ch
+        assert encode_response(*decode_response(data, n)) == data
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 7, 256, 257])
+def test_the_degree_is_the_input_of_a_responses_layout(n):
+    # below 7 the kind 0 and 1 responses are longer than kind 2; 256/257 is
+    # the byte-table boundary.  A response is read by its layout at n alone:
+    # at n - 1 or n + 1 its length is wrong, and a tuple's count prefix is
+    # never read, so a wrong one decodes and only verify_round refuses it.
+    inst, rng = _trivial_instance(n), random.Random(n)
+    seed = fresh_seed(rng)
+    z1, z2 = apply_mask(seed, n, encode_words(tuple(range(n))), encode_words(tuple(range(n))))
+    honest = commit_round(z1, z2, seed, rng)
+    for ch in CHALLENGES:
+        data, slots = honest.respond(ch), OPENS[ch]
+        rsp = decode_response(data, n)
+        assert rsp == (ch, tuple(honest.values[i] for i in slots), tuple(honest.openings[i] for i in slots))
+        assert encode_response(*rsp) == data
+        assert verify_round(inst, honest.commitment, ch, data)
+        for other in (n - 1, n + 1):
+            with pytest.raises(ValueError):
+                decode_response(data, other)
+        for count in (n - 1, n + 1):
+            prefix = count.to_bytes(4, "little")
+            miscounted = commit_round(prefix + z1[4:], prefix + z2[4:], seed, rng)
+            wrong = miscounted.respond(ch)
+            assert len(wrong) == len(data)
+            assert decode_response(wrong, n).values == tuple(miscounted.values[i] for i in slots)
+            assert not verify_round(inst, miscounted.commitment, ch, wrong)
 
 
 def test_a_proof_holds_each_round_as_its_prover_state_emits_it(planted):
@@ -487,15 +516,15 @@ def test_response_codec_rejects_malformed(planted):
     state = prover_commit(inst, wit, rng)
     data = prover_respond(state, 2)
     with pytest.raises(ValueError):
-        decode_response(data[:-1])
+        decode_response(data[:-1], inst.degree)
     with pytest.raises(ValueError):
-        decode_response(data + b"\x00")
+        decode_response(data + b"\x00", inst.degree)
     with pytest.raises(ValueError):
-        decode_response(b"")
+        decode_response(b"", inst.degree)
     bad = bytearray(data)
     bad[0] = 7  # unknown variant
     with pytest.raises(ValueError):
-        decode_response(bytes(bad))
+        decode_response(bytes(bad), inst.degree)
 
 
 def test_fs_round_trip(planted):
@@ -512,7 +541,7 @@ def test_fs_proof_bytes_round_trip(planted):
     rng = random.Random(64)
     proof = fs_prove(inst, wit, 8, b"", rng)
     data = encode_proof(proof)
-    back = decode_proof(data)
+    back = decode_proof(data, inst.degree)
     assert back == proof
     assert fs_verify_bytes(inst, data, b"", 8)
 
@@ -521,14 +550,14 @@ def test_proof_in_any_byte_buffer_verifies(planted):
     inst, wit = planted
     data = encode_proof(fs_prove(inst, wit, 8, b"", random.Random(66)))
     for buffer in (bytearray(data), memoryview(data), memoryview(bytearray(data))):
-        assert decode_proof(buffer) == decode_proof(data)
+        assert decode_proof(buffer, inst.degree) == decode_proof(data, inst.degree)
         assert fs_verify_bytes(inst, buffer, b"", 8)
     # not buffers: refused at once (bytes(10**9) would allocate a gigabyte)
     for bad in (10**9, data.decode("latin-1"), None):
         t0 = time.monotonic()
         assert fs_verify_bytes(inst, bad, b"", 8) is False
         with pytest.raises(TypeError):
-            decode_proof(bad)
+            decode_proof(bad, inst.degree)
         assert time.monotonic() - t0 < 1.0
 
 
@@ -639,13 +668,13 @@ def test_proof_codec_rejects_malformed(planted):
     rng = random.Random(68)
     data = encode_proof(fs_prove(inst, wit, 3, b"", rng))
     with pytest.raises(ValueError):
-        decode_proof(data[:-1])
+        decode_proof(data[:-1], inst.degree)
     with pytest.raises(ValueError):
-        decode_proof(data + b"\x00")
+        decode_proof(data + b"\x00", inst.degree)
     with pytest.raises(ValueError):
-        decode_proof(b"NOPE" + data[4:])
+        decode_proof(b"NOPE" + data[4:], inst.degree)
     with pytest.raises(ValueError):
-        decode_proof(b"")
+        decode_proof(b"", inst.degree)
     assert not fs_verify_bytes(inst, data[:-1], b"", 3)
 
 
@@ -682,7 +711,7 @@ def test_a_challenge_2_opening_gives_no_witness():
     for _ in range(20):
         inst, wit = plant_instance(64, 16, 16, rng, preset="abelian2")
         proof = fs_prove(inst, wit, 219, b"ctx", rng)
-        z1, z2 = next(rsp.values for rsp in map(decode_response, proof.responses) if rsp.kind == 2)
+        z1, z2 = next(rsp.values for rsp in (decode_response(r, inst.degree) for r in proof.responses) if rsp.kind == 2)
         agree = [i for i, (a, b) in enumerate(zip(decode_tuple(z1), decode_tuple(z2))) if a == b]
         found = _transport(inst, agree)
         recovered += found is not None and validate_witness(inst, found)
@@ -740,7 +769,7 @@ def test_response_codec_round_trips_and_meets_the_cap(drawn):
     lengths = []
     for ch in CHALLENGES:
         data = state.respond(ch)
-        assert encode_response(*decode_response(data)) == data
+        assert encode_response(*decode_response(data, n)) == data
         lengths.append(len(data))
     assert max(lengths) == max_response_bytes(n)
 
@@ -766,6 +795,48 @@ def test_decoder_and_verifier_are_total_on_arbitrary_bytes(planted, honest_state
     for ch in CHALLENGES:
         assert verify_round(inst, com, ch, raw) is (raw == state.respond(ch))
     try:
-        decode_response(raw)
+        decode_response(raw, inst.degree)
     except ValueError:
         pass
+
+
+@cache
+def _honest_proof(n):
+    """A 4-round honest proof under context b"ctx" at degree n, with its instance."""
+    gens, k = {5: (2, 2), 16: (4, 6), 260: (3, 65)}[n]
+    inst, wit = plant_instance(n, gens, k, random.Random(n), preset="general")
+    return inst, encode_proof(fs_prove(inst, wit, 4, b"ctx", random.Random(n + 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_the_proof_walk_and_the_reference_parser_agree(data):
+    """decode_proof reads a proof by the walk fs_verify_bytes makes, the
+    reference parser by each tuple's count prefix.  On an honest proof with
+    up to 3 byte flips, a cut or appended bytes, decode_proof either refuses
+    it, and then fs_verify_bytes does too, or splits it into rounds that
+    encode_proof joins back to the same bytes; where the reference parser
+    also reads it, the two give the same rounds."""
+    n = data.draw(st.sampled_from((5, 16, 260)))
+    inst, proof = _honest_proof(n)
+    raw = bytearray(proof)
+    mutation = data.draw(st.sampled_from(("flips", "cut", "append")))
+    if mutation == "flips":
+        for pos, flip in data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)), max_size=3)):
+            raw[pos] ^= flip
+    elif mutation == "cut":
+        del raw[data.draw(st.integers(0, len(raw) - 1)) :]
+    else:
+        raw += data.draw(st.binary(min_size=1, max_size=8))
+    raw = bytes(raw)
+    try:
+        decoded = decode_proof(raw, n)
+    except ValueError:
+        assert fs_verify_bytes(inst, raw, b"ctx", 4) is False
+        return
+    assert encode_proof(decoded) == raw
+    try:
+        reference = reference_read_proof(raw)
+    except ValueError:
+        return
+    assert reference == list(zip(*decoded))

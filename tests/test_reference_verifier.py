@@ -1,7 +1,12 @@
 """fs_verify_bytes against a reference verifier written from the plain helpers.
 
-The reference decodes the proof into objects, requires the round count the
-verifier asks for, derives the challenges, opens each commitment with
+The reference reads the proof with its own parser, written from the
+format: the magic and a u32 round count, then per round a 96-byte
+commitment, a kind byte, each opened value (a masked tuple by its own u32
+count prefix, the seed as 32 bytes), then two 32-byte openings.  It never
+asks the degree where a value ends, so it walks a proof apart from the
+package's layout-driven walk.  It requires the round count the verifier
+asks for, derives the challenges, opens each commitment with
 crypto.verify_commitment, unmasks with tuple_sub(decode_tuple(z),
 expand_mask(seed, n)), builds the opened member with the validating
 Permutation constructor, compose and contains, and counts challenge-2
@@ -37,8 +42,6 @@ from sdzkp.protocol import (
     SEED,
     NIZKProof,
     commit_round,
-    decode_proof,
-    decode_response,
     derive_challenges,
     encode_proof,
     fs_prove,
@@ -48,16 +51,63 @@ from sdzkp.protocol import (
 )
 
 
+def reference_read_response(data, at):
+    """The response that starts at offset `at` of data, read by the format:
+    a kind byte, each value OPENS[kind] lists (a masked tuple as its u32
+    count prefix and that many u32 words, the seed as 32 bytes), then one
+    32-byte opening per value.  Returns (kind, values, openings) and the
+    offset past it; ValueError if the kind is unknown or data ends first."""
+    if at >= len(data) or data[at] not in OPENS:
+        raise ValueError("no response kind")
+    kind, at, values = data[at], at + 1, []
+    for slot in OPENS[kind]:
+        if slot == SEED:
+            length = 32
+        else:
+            if at + 4 > len(data):
+                raise ValueError("truncated count prefix")
+            (count,) = struct.unpack_from("<I", data, at)
+            length = 4 + 4 * count
+        values.append(data[at : at + length])
+        at += length
+    openings = tuple(data[at + 32 * i : at + 32 * i + 32] for i in range(len(values)))
+    at += 32 * len(values)
+    if at > len(data):
+        raise ValueError("truncated response")
+    return (kind, tuple(values), openings), at
+
+
+def reference_read_proof(data):
+    """A proof read by the format: the magic SDP1, a u32 round count, then
+    per round a 96-byte commitment and a response (reference_read_response).
+    Returns each round's (commitment, response); ValueError unless the last
+    round ends where data does."""
+    if data[:4] != b"SDP1" or len(data) < 8:
+        raise ValueError("bad header")
+    (count,) = struct.unpack_from("<I", data, 4)
+    rounds, at = [], 8
+    for _ in range(count):
+        commitment, start = data[at : at + COMMITMENT_BYTES], at + COMMITMENT_BYTES
+        _, at = reference_read_response(data, start)
+        rounds.append((commitment, data[start:at]))
+    if at != len(data):
+        raise ValueError("trailing bytes")
+    return rounds
+
+
 def reference_round(inst, commitment, challenge, response) -> bool:
     """One round by definition, on its wire bytes: the response parsed by
-    decode_response, then its kind, its openings, and the challenge's
-    predicate."""
+    reference_read_response, then its kind, its openings, and the
+    challenge's predicate."""
     n = inst.degree
-    response = decode_response(response)
-    if response.kind != challenge:
+    try:
+        (kind, values, openings), end = reference_read_response(response, 0)
+    except ValueError:
+        return False
+    if kind != challenge or end != len(response):
         return False
     words = {}
-    for slot, value, opening in zip(OPENS[challenge], response.values, response.openings):
+    for slot, value, opening in zip(OPENS[challenge], values, openings):
         if not verify_commitment(commitment[32 * slot : 32 * slot + 32], value, COMMIT_TAGS[slot], opening):
             return False
         if slot != SEED:
@@ -67,7 +117,7 @@ def reference_round(inst, commitment, challenge, response) -> bool:
     if challenge == 2:
         a, b = words.values()
         return weight(tuple_sub(a, b)) <= inst.max_distance
-    (z,), seed = words.values(), response.values[1]
+    (z,), seed = words.values(), values[1]
     try:
         member = Permutation(tuple_sub(z, expand_mask(seed, n)))
     except ValueError:
@@ -79,15 +129,14 @@ def reference_round(inst, commitment, challenge, response) -> bool:
 
 def reference_verify(inst, data, context, rounds) -> bool:
     try:
-        proof = decode_proof(data)
-    except (ValueError, TypeError, struct.error):
+        proof = reference_read_proof(data)
+    except ValueError:
         return False
-    if proof.rounds != rounds:
+    if len(proof) != rounds:
         return False
-    challenges = derive_challenges(instance_digest(inst), context, proof.commitments)
-    return all(
-        reference_round(inst, com, ch, rsp) for com, ch, rsp in zip(proof.commitments, challenges, proof.responses)
-    )
+    commitments = [commitment for commitment, _ in proof]
+    challenges = derive_challenges(instance_digest(inst), context, commitments)
+    return all(reference_round(inst, com, ch, rsp) for (com, rsp), ch in zip(proof, challenges))
 
 
 # (degree, generators, k, preset): A_5-or-S_5 at n = 5, S_12, A_16, a
@@ -139,7 +188,7 @@ def test_honest_proofs_and_their_mutations_agree(family):
     # committed to, so each opening holds), and the buffer cut at each round
     # boundary.
     n, kinds, starts = inst.degree, [], [8]
-    for rsp in decode_proof(data).responses:
+    for _, rsp in reference_read_proof(data):
         kinds.append(rsp[0])
         starts.append(starts[-1] + COMMITMENT_BYTES + len(rsp))
     assert starts.pop() == len(data)
