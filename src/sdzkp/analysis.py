@@ -20,25 +20,25 @@ from itertools import count, islice
 from random import Random
 from typing import Callable, NamedTuple
 
-from .crypto import apply_mask, differing_words, encode_words, fresh_seed, tuple_add
+from .crypto import apply_mask, encode_words, fresh_seed, tuple_add
 from .group import BSGS
 from .instance import SDPInstance, Witness
-from .perm import Permutation, _sample, compose, hamming, inverse, random_support_perm
+from .perm import Permutation, _sample, hamming, random_support_perm
 from .protocol import (
     CHALLENGES,
     COMMITMENT_BYTES,
     OPENS,
     ProverState,
     Transcript,
-    _holds,
+    _shown,
     commit_round,
     commitment_digests,
     decode_response,
     honest_rounds,
     masked_round,
-    opened_member,
     prover_commit,
     prover_round,
+    read_round,
     require_positive,
     slot_opens,
     uniform_challenge,
@@ -72,7 +72,7 @@ def accepted_challenges(inst: SDPInstance, prover: ProverState) -> set[int]:
     """Which challenges this committed state would survive: the set of ch
     for which verify_round accepts its commitment and respond(ch).  Each
     slot's opening is checked once (slot_opens) rather than under both
-    challenges that open it, then each challenge's predicate (_holds); a
+    challenges that open it, then each challenge's predicate (_shown); a
     part with no wire form (not bytes) fails just the challenges that open
     its slot, and a commitment of another length fails them all."""
     values, com = prover.values, prover.commitment
@@ -81,7 +81,7 @@ def accepted_challenges(inst: SDPInstance, prover: ProverState) -> set[int]:
     opens = [slot_opens(inst, *each) for each in zip(commitment_digests(com), range(3), values, prover.openings)]
     return {
         ch for ch, (a, b) in OPENS.items()  # each challenge opens two slots
-        if opens[a] and opens[b] and _holds(inst, ch, values[a], values[b])
+        if opens[a] and opens[b] and _shown(inst, ch, values[a], values[b]) is not None
     }
 
 
@@ -105,12 +105,12 @@ def completeness_rate(inst: SDPInstance, wit: Witness, rounds: int, rng: Random)
 def extract_witness(inst: SDPInstance, t0: Transcript, t1: Transcript, t2: Transcript) -> Permutation:
     """Witness from three accepting transcripts sharing one commitment.
 
-    The transcripts must carry challenges {0, 1, 2} in any order.  The
-    challenge-0 reply opens u∘h and the challenge-1 reply opens u
-    (opened_member, on each response's decoded values); then
-    h = u^-1 ∘ (u∘h).  Inconsistencies that the commitment scheme is
-    supposed to rule out (diverging seeds or masked tuples under equal
-    digests) are reported loudly rather than silently tolerated.
+    The transcripts must carry challenges {0, 1, 2} in any order, and each
+    must verify: read_round shows u∘h at challenge 0 and u at 1, in the
+    group's raw form, and h = u^-1 ∘ (u∘h).  Inconsistencies that the
+    commitment scheme is supposed to rule out (diverging seeds or masked
+    tuples under equal digests) are reported loudly rather than silently
+    tolerated.
     """
     transcripts = (t0, t1, t2)
     by_ch = {t.challenge: t for t in transcripts}
@@ -119,9 +119,10 @@ def extract_witness(inst: SDPInstance, t0: Transcript, t1: Transcript, t2: Trans
     com = transcripts[0].commitment
     if any(t.commitment != com for t in transcripts):
         raise ExtractionError("transcripts do not share a commitment")
-    values = {}
+    shown, values = {}, {}
     for ch, t in sorted(by_ch.items()):
-        if not verify_round(inst, com, ch, t.response):
+        shown[ch] = read_round(inst, com, ch, t.response)
+        if shown[ch] is None:
             raise ExtractionError(f"transcript for challenge {ch} does not verify")
         values[ch] = decode_response(t.response, inst.degree).values
 
@@ -132,8 +133,8 @@ def extract_witness(inst: SDPInstance, t0: Transcript, t1: Transcript, t2: Trans
             if opened.setdefault(slot, value) != value:
                 raise ExtractionError(f"binding violation: two openings of the {_SLOT_NAMES[slot]} differ")
 
-    u = opened_member(inst, 1, values[1])
-    return compose(inverse(u), opened_member(inst, 0, values[0]))
+    ops = inst.group.ops
+    return Permutation._trusted(ops.decode(ops.then(shown[0], ops.inv(shown[1]))))
 
 
 # --- cheating provers ---
@@ -351,18 +352,22 @@ def transcript_distribution_test(
     if samples < 10 * order:
         raise ValueError("too few samples for a meaningful comparison")
 
-    index = {p.images: i for i, p in enumerate(inst.group.elements(DISTRIBUTION_MAX_ORDER))}
+    ops = inst.group.ops
+    index = {ops.encode(p.images): i for i, p in enumerate(inst.group.elements(DISTRIBUTION_MAX_ORDER))}
 
     def tally(transcripts):
-        """Challenge-0 counts per element, challenge counts, challenge-2 weights, accepts."""
+        """Challenge counts and accepts; what accepted rounds show (read_round):
+        challenge-0 counts per element and challenge-2 weights."""
         counts, challenges, weights, ok = [0] * order, Counter(), Counter(), 0
         for t in transcripts:
             challenges[t.challenge] += 1
-            ok += verify_round(inst, t.commitment, t.challenge, t.response)
-            if t.challenge == 0:
-                counts[index[opened_member(inst, 0, decode_response(t.response, inst.degree).values).images]] += 1
-            elif t.challenge == 2:
-                weights[differing_words(*decode_response(t.response, inst.degree).values)] += 1
+            shown = read_round(inst, t.commitment, t.challenge, t.response)
+            if shown is not None:
+                ok += 1
+                if t.challenge == 0:
+                    counts[index[shown]] += 1
+                elif t.challenge == 2:
+                    weights[shown] += 1
         return counts, challenges, weights, ok
 
     real_counts, real_ch, real_weights, real_ok = tally(

@@ -10,11 +10,11 @@ carries kept inside each lane (Hacker's Delight, 2nd ed., section 2-18).
 A round's mask is one such integer, read from SHAKE.  A masked tuple exists
 only as its encoding, the committed message and wire form, which
 _is_tuple_encoding tests.  apply_mask writes it from n u32 words (4n
-bytes, as encode_words writes them), remove_mask gives them back through
-_unmask, which takes the tuple as canonical.  _mask_stream is the one seed
-check and the one mask read; _add_lanes and _sub_lanes are the one lane
-sum and difference.  decode_tuple_from is the one length-prefix parser,
-for the permutations in instance and witness files.
+bytes, as encode_words writes them); _unmask gives them back from an
+encoding whose form protocol.slot_opens tested.  _mask_stream is the one
+seed check and the one mask read; _add_lanes and _sub_lanes are the one
+lane sum and difference.  decode_tuple_from is the one length-prefix
+parser, for the permutations in instance and witness files.
 """
 
 from __future__ import annotations
@@ -132,18 +132,11 @@ def apply_mask(seed: bytes, n: int, *words: bytes) -> tuple[bytes, ...]:
     return tuple(masked)
 
 
-def remove_mask(z: bytes, seed: bytes, n: int) -> bytes:
-    """encode_words(tuple_sub(decode_tuple(z), expand_mask(seed, n))).
-    ValueError unless _is_tuple_encoding(z, n) holds and seed is one
-    _mask_stream takes."""
-    if not _is_tuple_encoding(z, n):
-        raise ValueError(f"masked tuple is not the encoding of {n} u32 words")
-    return _unmask(z, seed, n)
-
-
 def _unmask(z: bytes, seed: bytes, n: int) -> bytes:
-    """remove_mask on a z taken as canonical: one SHAKE read (ValueError
-    unless seed is one _mask_stream takes), one lane subtraction."""
+    """encode_words(tuple_sub(decode_tuple(z), expand_mask(seed, n))) for a
+    z taken as canonical (_is_tuple_encoding(z, n), which the caller tests):
+    one SHAKE read (ValueError unless seed is one _mask_stream takes), one
+    lane subtraction."""
     mask = int.from_bytes(_mask_stream(seed, n), "little")
     return _sub_lanes(_lanes(n), int.from_bytes(z[4:], "little"), mask)
 

@@ -67,8 +67,8 @@ class Permutation:
     def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
         """Wrap an image tuple known to be a bijection (a product or inverse of
         valid permutations, or a raw form the group's ops already checked to
-        be one, as protocol.opened_member does) unchecked; other outside
-        input goes through __init__."""
+        be one, as analysis.extract_witness wraps what protocol.read_round
+        shows) unchecked; other outside input goes through __init__."""
         perm = object.__new__(cls)
         object.__setattr__(perm, "images", images)
         return perm

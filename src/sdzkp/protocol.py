@@ -17,29 +17,28 @@ Every value is its own committed message and wire form, slot_size long; a
 masked tuple's form is crypto's (_is_tuple_encoding tests it).  The
 prover, the verifier's checks and the response codecs all follow OPENS;
 only the final predicate above is written per challenge, once, in
-_holds, which takes its masked tuples as canonical.
+_shown, which takes its masked tuples as canonical and returns what the
+round shows (u∘h at 0, u at 1, the distance at 2) or None.
 
 A round works on the group's raw elements (group.make_ops: byte tables up
 to degree 256, image tuples past it): prover_round draws u in that form
 from BSGS.sample_uniform, masked_round composes u with x and with g,
 spreads each product into the u32 lanes crypto.apply_mask masks, and
 commits through commit_round and crypto.commit.  At challenges 0 and 1
-_holds unmasks with crypto._unmask into the words of a raw element, which
+_shown unmasks with crypto._unmask into the words of a raw element, which
 challenge 1 composes with the raw g^-1 the instance caches and the group's
 contains tests as it stands.
 
 A round has one form, its wire bytes: a ProverState's commitment is the
 96 bytes, and prover_respond returns the encoded response, which
-encode_response, the one writer, writes.  verify_round is the one round
-check, on those bytes; every verifier calls it (fs_verify_bytes on slices
-of a proof, the session verifier on the frames it received,
-run_interactive and the analysis harness on what the prover emitted).  It
-lays the response out by _response_layout, checks each slot the challenge
-opens with slot_opens (the value's form, then its opening), then calls
-_holds.  The challenge fixes what a response opens, so _response_layout
-(kind, n) is the one reader of a response: verify_round slices by it, and
-so does decode_response, for callers that read the opened values.  One
-walk, _split_proof, reads a proof, for fs_verify_bytes and decode_proof.
+encode_response, the one writer, writes.  read_round is the one reader of
+a round, on those bytes: it lays the response out by _response_layout
+(the one reader of a response, which decode_response also slices by),
+checks each slot the challenge opens with slot_opens (the value's form,
+then its opening), and returns what _shown shows.  Every verifier calls
+verify_round, which is read_round(...) is not None; the extractor and the
+distribution tally use what read_round shows.  One walk, _split_proof,
+reads a proof, for fs_verify_bytes and decode_proof.
 
 A single round convinces the verifier with soundness error 2/3; sequential
 repetition amplifies.  The non-interactive variant derives challenges by
@@ -67,11 +66,9 @@ from .crypto import (
     commit,
     differing_words,
     fresh_seed,
-    remove_mask,
     verify_commitment,
 )
 from .instance import SDPInstance, Witness, instance_digest, validate_witness
-from .perm import Permutation
 
 Z1, Z2, SEED = 0, 1, 2
 
@@ -197,38 +194,22 @@ def prover_round(inst: SDPInstance, h, rng: Random) -> ProverState:
     return masked_round(inst, inst.group.sample_uniform(rng), h, fresh_seed(rng), rng)
 
 
-def opened_member(inst: SDPInstance, challenge: int, values: tuple[bytes, bytes]) -> Permutation:
-    """The element that the values a challenge-0 or challenge-1 response
-    opens claim lies in H: unmask(Z1) = u∘h at 0, unmask(Z2)∘g^-1 = u at 1.
-    ValueError if the opening hides no permutation, or its values are not
-    canonical."""
-    if challenge not in (0, 1):
-        raise ValueError(f"challenge {challenge!r} opens no group element")
-    member = _member(inst, challenge, remove_mask(*values, inst.degree))
-    if member is None:
-        raise ValueError("unmasked tuple is not a permutation")
-    return Permutation._trusted(inst.group.ops.decode(member))
-
-
-def _member(inst: SDPInstance, challenge: int, words: bytes):
-    """The raw element that the n unmasked u32 words of a challenge-0 or
-    challenge-1 opening claim lies in H; None unless the words are a
-    permutation of {0, .., n-1}, which the raw form's from_words tests."""
-    ops = inst.group.ops
-    opened = ops.from_words(words)
-    return ops.then(inst.target_tables[1], opened) if challenge and opened is not None else opened
-
-
-def _holds(inst: SDPInstance, challenge: int, value: bytes, other: bytes) -> bool:
-    """The predicate of a challenge on the two values it opens, in OPENS
-    order, its masked tuples taken as canonical; each predicate is written
-    here only.  Challenges 0 and 1 unmask the tuple under the seed (which
-    crypto._mask_stream checks) and test the member in H; challenge 2
-    counts the words the tuples differ in."""
+def _shown(inst: SDPInstance, challenge: int, value: bytes, other: bytes):
+    """What a round shows on the two values its challenge opens, in OPENS
+    order (masked tuples taken as canonical), or None unless the challenge's
+    predicate holds; each predicate is written here only.  At 0 and 1 the
+    seed (crypto._mask_stream checks it) unmasks the tuple into a raw
+    element of inst.group.ops: u∘h = unmask(Z1) at 0, u = unmask(Z2)∘g^-1
+    at 1, shown if in H.  At 2, the count of words the tuples differ in, if
+    at most max_distance; it may be 0, so callers test `is not None`."""
     if challenge == 2:
-        return differing_words(value, other) <= inst.max_distance
-    member = _member(inst, challenge, _unmask(value, other, inst.degree))
-    return member is not None and inst.group.contains(member)
+        distance = differing_words(value, other)
+        return distance if distance <= inst.max_distance else None
+    ops = inst.group.ops
+    member = ops.from_words(_unmask(value, other, inst.degree))
+    if member is not None and challenge:
+        member = ops.then(inst.target_tables[1], member)
+    return member if member is not None and inst.group.contains(member) else None
 
 
 def honest_rounds(inst: SDPInstance, wit: Witness, rounds: int, rng: Random) -> Iterator[ProverState]:
@@ -286,29 +267,34 @@ def slot_opens(inst: SDPInstance, digest: bytes, slot: int, value: bytes, openin
         return False
 
 
-def verify_round(inst: SDPInstance, commitment: bytes, challenge: int, response: bytes) -> bool:
-    """Check one round on its wire bytes: the 96-byte commitment, which
-    commitment_digests splits into its slots' digests, and the encoded
-    response.  The kind byte must be the challenge and the response as long
-    as _response_layout says; then every slot the challenge opens must open
-    (slot_opens, which checks each value's form), and the challenge's
-    predicate must hold (_holds).
-    Total on untrusted input: returns False, never raises."""
+def read_round(inst: SDPInstance, commitment: bytes, challenge: int, response: bytes):
+    """What one round shows (_shown) if it verifies, else None, from its wire
+    bytes: the 96-byte commitment, which commitment_digests splits into its
+    slots' digests, and the encoded response.  The kind byte must be the
+    challenge and the response as long as _response_layout says; then every
+    slot the challenge opens must open (slot_opens, which checks each
+    value's form).  Total on untrusted input: None, never an exception."""
     try:
         if challenge not in OPENS or len(commitment) != COMMITMENT_BYTES or not response or response[0] != challenge:
-            return False
+            return None
         end, parts = _response_layout(challenge, inst.degree)
         if len(response) != end:
-            return False
+            return None
         digests, values = commitment_digests(commitment), []
         for slot, value_at, value_end, opening_at in parts:
             value = response[value_at:value_end]
             if not slot_opens(inst, digests[slot], slot, value, response[opening_at : opening_at + OPENING_BYTES]):
-                return False
+                return None
             values.append(value)
-        return _holds(inst, challenge, *values)
+        return _shown(inst, challenge, *values)
     except (ValueError, TypeError, struct.error):
-        return False
+        return None
+
+
+def verify_round(inst: SDPInstance, commitment: bytes, challenge: int, response: bytes) -> bool:
+    """Check one round on its wire bytes: whether read_round shows anything.
+    Total on untrusted input: returns False, never raises."""
+    return read_round(inst, commitment, challenge, response) is not None
 
 
 def run_interactive(

@@ -26,7 +26,7 @@ from sdzkp.analysis import (
     transcript_distribution_test,
     transcript_for,
 )
-from sdzkp.crypto import COMMIT_TAGS, _is_tuple_encoding, commit, encode_tuple, remove_mask, tuple_add
+from sdzkp.crypto import COMMIT_TAGS, _is_tuple_encoding, _unmask, commit, encode_tuple, tuple_add
 from sdzkp.instance import instance_digest, plant_instance, validate_witness
 from sdzkp.protocol import (
     CHALLENGES,
@@ -35,7 +35,7 @@ from sdzkp.protocol import (
     SEED,
     NIZKProof,
     Transcript,
-    _holds,
+    _shown,
     commit_round,
     decode_response,
     derive_challenges,
@@ -142,7 +142,7 @@ def test_extractor_reports_binding_violations(planted, monkeypatch):
     rng = random.Random(79)
     a = honest_rewindable_prover(inst, wit, rng)
     b = honest_rewindable_prover(inst, wit, rng)
-    monkeypatch.setattr(analysis, "verify_round", lambda *args: True)
+    monkeypatch.setattr(analysis, "read_round", lambda *args: True)
 
     t0, t1, t2 = (transcript_for(inst, a, ch) for ch in (0, 1, 2))
     alien_seed = Transcript(a.commitment, 1, b.respond(1))
@@ -221,12 +221,13 @@ def test_accepted_challenges_equals_one_verify_round_per_challenge(fixture, requ
 
 def opens_then_holds(inst, commitment, challenge, response):
     """verify_round's two steps on a round's decoded response: slot_opens
-    for each slot the challenge opens, then _holds on the opened values."""
+    for each slot the challenge opens, then whether _shown shows anything
+    on the opened values."""
     _, values, openings = decode_response(response, inst.degree)
     opened = zip(OPENS[challenge], values, openings)
     return all(
         slot_opens(inst, digests(commitment)[slot], slot, value, opening) for slot, value, opening in opened
-    ) and _holds(inst, challenge, *values)
+    ) and _shown(inst, challenge, *values) is not None
 
 
 def _with_prefix(z, n):
@@ -256,7 +257,7 @@ def test_slot_opens_then_holds_is_verify_round(fixture, request):
     honest = states[0]
     com, values, openings = digests(honest.commitment), honest.values, honest.openings
     assert all(slot_opens(inst, com[slot], slot, values[slot], openings[slot]) for slot in range(3))
-    assert all(_holds(inst, ch, *(values[slot] for slot in OPENS[ch])) for ch in CHALLENGES)
+    assert all(_shown(inst, ch, *(values[slot] for slot in OPENS[ch])) is not None for ch in CHALLENGES)
 
     def foreign(value):  # the same bytes as a str, None, or a bytearray
         return [value.decode("latin-1"), None, bytearray(value)]
@@ -276,7 +277,7 @@ def test_slot_opens_then_holds_is_verify_round(fixture, request):
 
     # a 31-byte seed, committed, with Z1 masked under it: only its length is wrong
     short_seed = values[SEED][:31]
-    words = struct.unpack(f"<{n}I", remove_mask(values[0], values[SEED], n))
+    words = struct.unpack(f"<{n}I", _unmask(values[0], values[SEED], n))
     short_mask = struct.unpack(f"<{n}I", hashlib.shake_256(short_seed).digest(4 * n))
     z1 = encode_tuple(tuple_add(words, short_mask))
     digest, opening = commit(short_seed, COMMIT_TAGS[SEED], rng)
@@ -323,13 +324,11 @@ def test_wire_forms_hold_at_the_byte_table_boundary(n, gens, k):
     assert max(lengths) == max_response_bytes(n)
 
     z1, z2, seed = states[0].values
-    assert len(remove_mask(z1, seed, n)) == 4 * n
+    assert len(_unmask(z1, seed, n)) == 4 * n
     for bad1, bad2 in zip(_misshapen_tuples(z1, n), _misshapen_tuples(z2, n)):
         for slot, bad in ((0, bad1), (1, bad2)):
             digest, opening = commit(bad, COMMIT_TAGS[slot], rng)
             assert slot_opens(inst, digest, slot, bad, opening) is False
-            with pytest.raises(ValueError):
-                remove_mask(bad, seed, n)
 
     # a proof whose every round commits both masked tuples in the form under
     # test, so each challenge opens one; the canonical pair verifies
@@ -450,6 +449,45 @@ def test_distribution_report_on_small_group(small_abelian):
     assert sim_counts[2] < sim_counts[0] and sim_counts[2] < sim_counts[1]
     d = report.as_dict()
     assert set(d) == {"experiment", "samples", "statistic", "p_value", "pass", "details"}
+
+
+def test_the_distribution_tally_counts_broken_transcripts_as_rejected(small_abelian, monkeypatch):
+    """One in five simulated transcripts has a byte inside its first opened
+    value flipped.  The test still reports: the broken transcripts count in
+    the challenge counts and as rejected, and the members and weights come
+    from the accepted transcripts only."""
+    inst, wit = small_abelian
+    n, simulate, tallied = inst.degree, analysis.simulate, []
+
+    def one_in_five_broken(*args):
+        t = simulate(*args)
+        if t is not None:
+            broken = len(tallied) % 5 == 4
+            if broken:
+                response = bytearray(t.response)
+                response[1 + len(tallied) % slot_size(OPENS[t.challenge][0], n)] ^= 0x40
+                t = t._replace(response=bytes(response))
+            tallied.append((t, broken))
+        return t
+
+    tables, chi2 = [], analysis.chi2_contingency
+    monkeypatch.setattr(analysis, "simulate", one_in_five_broken)
+    monkeypatch.setattr(analysis, "chi2_contingency", lambda table: tables.append(table) or chi2(table))
+    samples = 10 * inst.group.order()
+    report = transcript_distribution_test(inst, wit, samples, random.Random(96))
+
+    assert len(tallied) == samples
+    for t, broken in tallied:
+        assert verify_round(inst, t.commitment, t.challenge, t.response) is not broken
+    accepted = [t.challenge for t, broken in tallied if not broken]
+    assert report.acceptance_rate_real == 1.0
+    assert report.acceptance_rate_simulated == len(accepted) / samples == 1 - (samples // 5) / samples
+    assert report.challenge_counts_simulated == {ch: [t.challenge for t, _ in tallied].count(ch) for ch in CHALLENGES}
+    (table,) = tables
+    assert sum(table[0]) == report.challenge_counts_real[0]
+    assert sum(table[1]) == accepted.count(0)
+    assert sum(report.distance_weights_simulated.values()) == accepted.count(2)
+    assert set(report.distance_weights_simulated) <= set(range(inst.max_distance + 1))
 
 
 def test_distribution_test_checks_the_witness_once(small_abelian, monkeypatch):

@@ -13,6 +13,8 @@ from sdzkp.crypto import (
     MAX_TUPLE_LENGTH,
     OPENING_BYTES,
     SEED_BYTES,
+    _is_tuple_encoding,
+    _unmask,
     apply_mask,
     commit,
     decode_tuple,
@@ -22,7 +24,6 @@ from sdzkp.crypto import (
     encode_words,
     expand_mask,
     fresh_seed,
-    remove_mask,
     tuple_add,
     tuple_sub,
     verify_commitment,
@@ -184,8 +185,8 @@ def assert_masking_matches_the_tuple_reference(seed, words):
     z = encode_tuple(tuple_add(words, mask))
     assert apply_mask(seed, n, encode_words(words)) == (z,)
     assert apply_mask(seed, n, encode_words(words), bytearray(encode_words(words))) == (z, z)
-    assert remove_mask(z, seed, n) == encode_words(words)
-    assert remove_mask(encode_tuple(words), seed, n) == encode_words(tuple_sub(words, mask))
+    assert _unmask(z, seed, n) == encode_words(words)
+    assert _unmask(encode_tuple(words), seed, n) == encode_words(tuple_sub(words, mask))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 128, 300])
@@ -210,10 +211,11 @@ def test_masking_property(n, data):
 _THREE = encode_tuple((0, 1, 2))
 
 
-# remove_mask takes an encoding, which cannot hold a word outside u32; each
+# _unmask takes an encoding, which cannot hold a word outside u32; each
 # such case is paired with an encoding that is not the canonical one of 3
 # words: a wrong length prefix at the right length, a short or long
 # encoding, or a value that is not bytes (the plain word tuple among them).
+# The form test refuses each, before protocol.slot_opens lets _unmask see it.
 @pytest.mark.parametrize("words, encoding", [
     ((0, -1, 2), (2).to_bytes(4, "little") + _THREE[4:]),
     ((0, 2**32, 2), _THREE + bytes(4)),
@@ -228,8 +230,7 @@ def test_masking_refuses_what_the_tuple_reference_refuses(words, encoding):
     for op in (tuple_add, tuple_sub):
         with pytest.raises(ValueError):
             op(words, expand_mask(seed, 3))
-    with pytest.raises(ValueError):
-        remove_mask(encoding, seed, 3)
+    assert _is_tuple_encoding(encoding, 3) is False
 
 
 # apply_mask takes words as encode_words writes them, which cannot hold a
@@ -246,9 +247,9 @@ def test_masking_validates_seed_and_length():
     with pytest.raises(ValueError):
         apply_mask(b"short", 3, encode_words((0, 1, 2)))
     with pytest.raises(ValueError):
-        remove_mask(_THREE, b"short", 3)
+        _unmask(_THREE, b"short", 3)
     with pytest.raises(ValueError):
-        remove_mask(encode_tuple(()), bytes(SEED_BYTES), 0)
+        _unmask(encode_tuple(()), bytes(SEED_BYTES), 0)
 
 
 def assert_differing_words_match_the_reference(a, b):

@@ -1,5 +1,6 @@
 """The package namespace: every public name resolves lazily to its home module."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -74,3 +75,19 @@ def test_every_traced_name_is_a_callable_of_its_home_module():
     for module_name, path, _ in spans.TRACED:
         owner, attr = spans._resolve(importlib.import_module(module_name), path)
         assert callable(vars(owner).get(attr)), f"{module_name}.{path}"
+
+
+def test_every_module_level_import_is_used():
+    # No linter runs in CI, so an import left behind by a refactor is caught
+    # here: each name a module binds by a top-level import (from __future__
+    # excepted) must be read somewhere in that module.
+    for path in sorted((Path(sdzkp.__file__).parent).glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} imports {sorted(imported - used)} and never uses them"

@@ -50,10 +50,10 @@ from sdzkp.protocol import (
     honest_rounds,
     masked_round,
     max_response_bytes,
-    opened_member,
     prover_commit,
     prover_respond,
     prover_round,
+    read_round,
     run_interactive,
     slot_opens,
     verifier_challenge,
@@ -204,10 +204,23 @@ def _trivial_instance(n):
     return make_instance(identity(n), (identity(n),), 0)
 
 
+@cache
+def _symmetric_instance(n):
+    """An instance over S_n, whose membership test refuses no permutation."""
+    swap = Permutation((1, 0, *range(2, n))) if n > 1 else identity(n)
+    return make_instance(identity(n), (swap, Permutation((*range(1, n), 0))), 0)
+
+
 def unmask(z, seed, n):
-    """The permutation that the verifier unmasks from a challenge-0 opening
-    of z under seed at degree n (opened_member on a degree-n instance)."""
-    return opened_member(_trivial_instance(n), 0, (z, seed))
+    """The permutation that read_round shows for a challenge-0 opening of
+    the bytes z under seed at degree n, each honestly committed, over S_n;
+    ValueError when it shows none."""
+    inst = _symmetric_instance(n)
+    state = commit_round(z, z, seed, random.Random(0))
+    shown = read_round(inst, state.commitment, 0, state.respond(0))
+    if shown is None:
+        raise ValueError("unmasked tuple is not a permutation")
+    return Permutation._trusted(inst.group.ops.decode(shown))
 
 
 def test_non_permutation_unmask_rejected(planted):
@@ -251,16 +264,6 @@ def non_canonical_encodings(z):
     ]
 
 
-def test_unmask_refuses_non_canonical_encodings_with_value_error(planted):
-    # unmasking refuses with ValueError only, which opened_member's callers catch
-    inst, wit = planted
-    state = prover_commit(inst, wit, random.Random(60))
-    assert unmask(state.values[Z1], state.values[SEED], inst.degree)
-    for bad in non_canonical_encodings(state.values[Z1]):
-        with pytest.raises(ValueError):
-            unmask(bad, state.values[SEED], inst.degree)
-
-
 def test_verify_round_rejects_honestly_committed_non_canonical_encodings(planted):
     inst, wit = planted
     rng = random.Random(61)
@@ -268,9 +271,12 @@ def test_verify_round_rejects_honestly_committed_non_canonical_encodings(planted
     z1, z2, seed = honest.values
     com = honest.commitment
     assert all(verify_round(inst, com, ch, honest.respond(ch)) for ch in CHALLENGES)
+    digests = commitment_digests(com)
     for bad1, bad2 in zip(non_canonical_encodings(z1), non_canonical_encodings(z2)):
-        if not isinstance(bad1, bytes):
-            continue  # only bytes can be committed
+        if not isinstance(bad1, bytes):  # only bytes can be committed; the slot check refuses the rest
+            assert not slot_opens(inst, digests[Z1], Z1, bad1, honest.openings[Z1])
+            assert not slot_opens(inst, digests[Z2], Z2, bad2, honest.openings[Z2])
+            continue
         # the forged value beside an honest one, and a pair forged alike
         for pair, challenges in (((bad1, z2), (0, 2)), ((z1, bad2), (1, 2)), ((bad1, bad2), CHALLENGES)):
             state = commit_round(*pair, seed, rng)
@@ -313,9 +319,12 @@ def test_unmask_matches_the_validating_constructor(n):
         assert_unmask_matches_the_reference(z[:-1], seed, n)  # wrong lengths
         assert_unmask_matches_the_reference(z + (0,), seed, n)
         # an encoding cannot hold a word outside u32; what stands in for one
-        # is an encoding that is not canonical
+        # is an encoding that is not canonical (one that is not bytes has no
+        # wire form; test_verify_round_rejects_honestly_committed_non_canonical_encodings
+        # checks that slot_opens refuses it)
         for bad in non_canonical_encodings(encode_tuple(z)):
-            assert _outcome(unmask, bad, seed, n) is ValueError
+            if isinstance(bad, bytes):
+                assert _outcome(unmask, bad, seed, n) is ValueError
 
 
 @settings(max_examples=200, deadline=None)
@@ -333,7 +342,7 @@ def test_unmask_matches_the_validating_constructor_on_arbitrary_words(data):
     ("abelian2", 5, 4, 71),
     ("general", 4, 6, 70),  # a certified S_16
 ])
-def test_masked_round_and_opened_member_match_their_definitions(preset, gens, k, instance_seed):
+def test_masked_round_and_read_round_match_their_definitions(preset, gens, k, instance_seed):
     inst, wit = plant_instance(16, gens, k, random.Random(instance_seed), preset=preset)
     assert (inst.group.giant == "S_n") == (preset == "general")
     n, g, ops = inst.degree, inst.target.images, inst.group.ops
@@ -347,12 +356,12 @@ def test_masked_round_and_opened_member_match_their_definitions(preset, gens, k,
         assert state.values[SEED] == seed
         assert state.values[Z1] == encode_tuple(tuple_add(compose_images(u, x), mask))
         assert state.values[Z2] == encode_tuple(tuple_add(compose_images(u, g), mask))
-        assert opened_member(inst, 0, decode_response(state.respond(0), n).values) == Permutation(compose_images(u, x))
-        assert opened_member(inst, 1, decode_response(state.respond(1), n).values) == Permutation(u)
-        opened = decode_response(state.respond(2), n).values
-        assert differing_words(*opened) == hamming(Permutation(x), inst.target)
-        with pytest.raises(ValueError):
-            opened_member(inst, 2, opened)
+        shown = [read_round(inst, state.commitment, ch, state.respond(ch)) for ch in CHALLENGES]
+        ux, distance = Permutation(compose_images(u, x)), hamming(Permutation(x), inst.target)
+        assert shown[0] == (ops.encode(ux.images) if inst.group.contains(ux) else None)
+        assert shown[1] == ops.encode(u)
+        assert differing_words(*decode_response(state.respond(2), n).values) == distance
+        assert shown[2] == (distance if distance <= k else None)
 
 
 def test_verify_round_is_total_on_non_messages(planted, honest_state):

@@ -12,7 +12,9 @@ expand_mask(seed, n)), builds the opened member with the validating
 Permutation constructor, compose and contains, and counts challenge-2
 differences with weight.  It shares none of the raw-form code (byte
 tables, lane slices, the one-subtraction unmask) that fs_verify_bytes
-runs, so each verdict is checked against the definition.
+runs, so each verdict is checked against the definition.  Per round, what
+the reference shows (the member's images at challenges 0 and 1, the
+distance at 2) is checked against what protocol.read_round shows.
 """
 
 import random
@@ -47,6 +49,7 @@ from sdzkp.protocol import (
     fs_prove,
     fs_verify_bytes,
     prover_commit,
+    read_round,
     verify_round,
 )
 
@@ -95,36 +98,39 @@ def reference_read_proof(data):
     return rounds
 
 
-def reference_round(inst, commitment, challenge, response) -> bool:
-    """One round by definition, on its wire bytes: the response parsed by
-    reference_read_response, then its kind, its openings, and the
-    challenge's predicate."""
+def reference_round(inst, commitment, challenge, response):
+    """What one round shows by definition, on its wire bytes, or None unless
+    it verifies: the response parsed by reference_read_response, then its
+    kind, its openings, and the challenge's predicate.  A round shows the
+    member's image tuple at challenges 0 and 1 (u∘h, then u) and the
+    distance at 2."""
     n = inst.degree
     try:
         (kind, values, openings), end = reference_read_response(response, 0)
     except ValueError:
-        return False
+        return None
     if kind != challenge or end != len(response):
-        return False
+        return None
     words = {}
     for slot, value, opening in zip(OPENS[challenge], values, openings):
         if not verify_commitment(commitment[32 * slot : 32 * slot + 32], value, COMMIT_TAGS[slot], opening):
-            return False
+            return None
         if slot != SEED:
             words[slot] = decode_tuple(value)
             if len(words[slot]) != n:
-                return False
+                return None
     if challenge == 2:
         a, b = words.values()
-        return weight(tuple_sub(a, b)) <= inst.max_distance
+        distance = weight(tuple_sub(a, b))
+        return distance if distance <= inst.max_distance else None
     (z,), seed = words.values(), values[1]
     try:
         member = Permutation(tuple_sub(z, expand_mask(seed, n)))
     except ValueError:
-        return False
+        return None
     if challenge == 1:
         member = compose(member, inverse(inst.target))
-    return inst.group.contains(member)
+    return member.images if inst.group.contains(member) else None
 
 
 def reference_verify(inst, data, context, rounds) -> bool:
@@ -136,7 +142,7 @@ def reference_verify(inst, data, context, rounds) -> bool:
         return False
     commitments = [commitment for commitment, _ in proof]
     challenges = derive_challenges(instance_digest(inst), context, commitments)
-    return all(reference_round(inst, com, ch, rsp) for (com, rsp), ch in zip(proof, challenges))
+    return all(reference_round(inst, com, ch, rsp) is not None for (com, rsp), ch in zip(proof, challenges))
 
 
 # (degree, generators, k, preset): A_5-or-S_5 at n = 5, S_12, A_16, a
@@ -243,7 +249,7 @@ def test_a_borrowing_lane_is_refused_by_both(family):
         state = forged_state(inst, words, words, rng)
         for ch in (0, 1):
             assert not verify_round(inst, state.commitment, ch, state.respond(ch))
-            assert not reference_round(inst, state.commitment, ch, state.respond(ch))
+            assert reference_round(inst, state.commitment, ch, state.respond(ch)) is None
             assert not assert_verifiers_agree(inst, proof_opening(inst, wit, state, ch, rng), 3)
 
 
@@ -256,10 +262,55 @@ def test_noisy_cheaters_arbitrary_words_agree(family):
         for _ in range(3):
             state = make_cheating_prover(inst, targets, rng)
             for ch in (0, 1, 2):
-                expected = reference_round(inst, state.commitment, ch, state.respond(ch))
-                assert verify_round(inst, state.commitment, ch, state.respond(ch)) is expected
+                expected = assert_readers_agree(inst, state.commitment, ch, state.respond(ch)) is not None
                 assert expected == (ch in targets)
                 assert assert_verifiers_agree(inst, proof_opening(inst, wit, state, ch, rng), 3) is (ch in targets)
+
+
+def assert_readers_agree(inst, commitment, challenge, response):
+    """read_round shows what reference_round does, its raw element decoded
+    to an image tuple at challenges 0 and 1, and verify_round accepts
+    exactly when it shows something.  Returns what the reference shows."""
+    expected = reference_round(inst, commitment, challenge, response)
+    shown = read_round(inst, commitment, challenge, response)
+    if shown is not None and challenge != 2:
+        shown = inst.group.ops.decode(shown)
+    assert shown == expected
+    assert verify_round(inst, commitment, challenge, response) is (expected is not None)
+    return expected
+
+
+def test_read_round_shows_what_the_reference_shows(family):
+    inst, wit = family
+    rng = random.Random(inst.degree + 4)
+    states = [prover_commit(inst, wit, rng) for _ in range(3)]
+    for state in states:
+        for ch in OPENS:
+            assert assert_readers_agree(inst, state.commitment, ch, state.respond(ch)) is not None
+            for other in OPENS.keys() - {ch}:  # a response read under another challenge
+                assert assert_readers_agree(inst, state.commitment, other, state.respond(ch)) is None
+    # every single-byte flip of one response of each kind
+    for ch in OPENS:
+        response = states[0].respond(ch)
+        for position in range(len(response)):
+            flipped = bytearray(response)
+            flipped[position] ^= rng.randrange(1, 256)
+            assert_readers_agree(inst, states[0].commitment, ch, bytes(flipped))
+
+
+@pytest.mark.parametrize("n, gens, preset", [(n, gens, preset) for n, gens, _, preset in FAMILIES.values()],
+                         ids=FAMILIES)
+def test_a_distance_0_round_shows_0(n, gens, preset):
+    # on a k = 0 planted instance the witness is the target itself: a
+    # challenge-2 round shows the distance 0, which still verifies
+    inst, wit = plant_instance(n, gens, 0, random.Random(n), preset=preset)
+    rng = random.Random(n + 5)
+    for _ in range(2):
+        state = prover_commit(inst, wit, rng)
+        for ch in OPENS:
+            assert assert_readers_agree(inst, state.commitment, ch, state.respond(ch)) is not None
+        assert read_round(inst, state.commitment, 2, state.respond(2)) == 0
+        assert verify_round(inst, state.commitment, 2, state.respond(2)) is True
 
 
 def test_apply_mask_takes_arbitrary_words():
