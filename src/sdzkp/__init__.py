@@ -12,28 +12,24 @@ from importlib import import_module
 
 # Where each public name lives; a submodule maps to itself.  Nothing is
 # imported until a name is first used, so `import sdzkp.cli` loads no
-# protocol layer and each command loads only the layers it runs.
+# protocol layer and each command loads only the layers it runs.  The names,
+# in the order of README's API table (tests/test_package.py checks that the
+# two agree), are what the CLI's commands call and what a caller needs to
+# build a statement by hand; every other name stays in its module.
 _HOME = {
     **{module: module for module in ("analysis", "cli", "crypto", "group", "instance", "net", "perm", "protocol")},
-    **dict.fromkeys(
-        ("Permutation", "compose", "hamming", "identity", "inverse", "random_perm", "random_support_perm"), "perm"
-    ),
+    **dict.fromkeys(("Permutation", "compose", "inverse", "hamming"), "perm"),
     **dict.fromkeys(("BSGS", "build_bsgs"), "group"),
     **dict.fromkeys(
-        ("SDPInstance", "Witness", "brute_force_distance", "instance_digest", "load_instance", "load_witness",
-         "make_instance", "plant_instance", "save_instance", "save_witness", "validate_witness"),
+        ("SDPInstance", "Witness", "make_instance", "plant_instance", "validate_witness", "save_instance",
+         "load_instance", "save_witness", "load_witness"),
         "instance",
     ),
-    **dict.fromkeys(("commit", "expand_mask", "tuple_add", "tuple_sub", "verify_commitment", "weight"), "crypto"),
+    **dict.fromkeys(("NIZKProof", "fs_prove", "encode_proof", "fs_verify_bytes", "verify_round"), "protocol"),
+    **dict.fromkeys(("connect_and_prove", "accept_and_verify"), "net"),
     **dict.fromkeys(
-        ("NIZKProof", "ProverState", "Response", "Transcript", "decode_proof", "encode_proof", "fs_prove",
-         "fs_verify_bytes", "prover_commit", "prover_respond", "run_interactive", "verifier_challenge",
-         "verify_round"),
-        "protocol",
-    ),
-    **dict.fromkeys(
-        ("ExtractionError", "extract_witness", "honest_rewindable_prover", "honest_verifier",
-         "make_cheating_prover", "simulate", "transcript_distribution_test"),
+        ("completeness_rate", "cheating_acceptance_rate", "simulator_attempt_success_rate", "simulator_abort_rate",
+         "transcript_distribution_test"),
         "analysis",
     ),
 }
@@ -56,4 +52,4 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = sorted(name for name, home in _HOME.items() if name != home)
+__all__ = [name for name, home in _HOME.items() if name != home]

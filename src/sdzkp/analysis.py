@@ -3,13 +3,18 @@
 Everything here treats the protocol as an object of study.  The tools are:
 
 * rewinding: a protocol.ProverState is a frozen coin tape that answers any
-  challenge, so a single committed state can be probed on all of {0, 1, 2};
-* a witness extractor that turns three accepting answers (one per
+  challenge, so a single committed state can be probed on all of {0, 1, 2}
+  (honest_rewindable_prover is protocol.prover_commit under that name);
+* Transcript, one round's wire bytes and its challenge, used only here;
+* a witness extractor that turns three accepting transcripts (one per
   challenge) under one commitment into an element of H within the bound;
 * cheating provers that pass exactly two chosen challenges per state,
   realizing the 2/3 single-round soundness error;
 * a rewinding simulator that produces accepting transcripts without the
   witness, and a distribution test comparing them to real ones.
+
+The package exports the five rates `sdzkp analyze` reports, completeness
+(the one in-process honest session) among them, and nothing else here.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from .protocol import (
     COMMITMENT_BYTES,
     OPENS,
     ProverState,
-    Transcript,
     _shown,
     commit_round,
     commitment_digests,
@@ -64,8 +68,15 @@ class ExtractionError(Exception):
     """Raised when three transcripts do not admit extraction."""
 
 
-def honest_rewindable_prover(inst: SDPInstance, wit: Witness, rng: Random) -> ProverState:
-    return prover_commit(inst, wit, rng)
+class Transcript(NamedTuple):
+    """One round's wire bytes and its challenge."""
+
+    commitment: bytes
+    challenge: int
+    response: bytes
+
+
+honest_rewindable_prover = prover_commit
 
 
 def accepted_challenges(inst: SDPInstance, prover: ProverState) -> set[int]:

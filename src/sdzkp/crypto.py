@@ -142,18 +142,14 @@ def _unmask(z: bytes, seed: bytes, n: int) -> bytes:
 
 
 def differing_words(a: bytes, b: bytes) -> int:
-    """weight(tuple_sub(decode_tuple(a), decode_tuple(b))) for equal-length
-    encodings: the nonzero lanes of a ^ b, as a u32 difference is 0 iff a ^ b is."""
+    """The count of nonzero entries of tuple_sub(decode_tuple(a), decode_tuple(b))
+    for equal-length encodings: the nonzero lanes of a ^ b, as a u32
+    difference is 0 iff a ^ b is."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     _, _, high, low = _lanes(-(-len(a) // 4))  # a trailing partial word counts as one
     x = int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
     return ((((x & low) + low) | x) & high).bit_count()
-
-
-def weight(t: tuple[int, ...]) -> int:
-    """Number of nonzero entries."""
-    return len(t) - t.count(0)
 
 
 def encode_tuple(t: tuple[int, ...]) -> bytes:

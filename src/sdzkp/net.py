@@ -1,7 +1,9 @@
 """Length-prefixed TCP transport for interactive proof sessions.
 
-Frame layout: u32 LE payload length, then a 1-byte message type, then the
-message body.  The length covers the type byte plus body; send_frame
+A session's two entry points are connect_and_prove and accept_and_verify.
+Frame layout: u32 LE payload length, then a 1-byte message type (MSG_COMMIT,
+MSG_CHALLENGE or MSG_RESPONSE, which only this module reads or writes), then
+the message body.  The length covers the type byte plus body; send_frame
 refuses a payload over 16 MiB.  One connection carries all rounds of one
 session; the verifier treats any framing violation, timeout, or failed
 check as a rejection of the whole session, never as a crash.
@@ -42,9 +44,6 @@ from .instance import SDPInstance, Witness
 from .protocol import (
     CHALLENGES,
     COMMITMENT_BYTES,
-    MSG_CHALLENGE,
-    MSG_COMMIT,
-    MSG_RESPONSE,
     ProverState,
     honest_rounds,
     max_response_bytes,
@@ -53,6 +52,11 @@ from .protocol import (
     verifier_challenge,
     verify_round,
 )
+
+# The frame types, one per message of a round.
+MSG_COMMIT = 0x01
+MSG_CHALLENGE = 0x02
+MSG_RESPONSE = 0x03
 
 FRAME_MAX = 16 * 1024 * 1024
 

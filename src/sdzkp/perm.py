@@ -95,16 +95,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images))
-
-    def support(self) -> tuple[int, ...]:
-        """Points moved by this permutation."""
-        return tuple(i for i, v in enumerate(self.images) if v != i)
-
     def to_bytes(self) -> bytes:
         """Canonical encoding: the image tuple as crypto.encode_tuple writes it."""
         return encode_tuple(self.images)

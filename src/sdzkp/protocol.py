@@ -43,6 +43,10 @@ reads a proof, for fs_verify_bytes and decode_proof.
 A single round convinces the verifier with soundness error 2/3; sequential
 repetition amplifies.  The non-interactive variant derives challenges by
 hashing the statement, a context string, and all round commitments.
+
+This module holds the round and the proof only.  A session over TCP, its
+frame types included, is net's; transcripts, rewinding and simulation are
+analysis's.
 """
 
 from __future__ import annotations
@@ -78,10 +82,6 @@ CHALLENGES = tuple(OPENS)
 
 # Each challenge opens two slots, so each getter returns a pair.
 _OPENED = {challenge: itemgetter(*slots) for challenge, slots in OPENS.items()}
-
-MSG_COMMIT = 0x01
-MSG_CHALLENGE = 0x02
-MSG_RESPONSE = 0x03
 
 COMMITMENT_BYTES = 3 * DIGEST_BYTES
 
@@ -133,14 +133,6 @@ class ProverState(NamedTuple):
 
     def respond(self, challenge: int) -> bytes:
         return prover_respond(self, challenge)
-
-
-class Transcript(NamedTuple):
-    """One round's wire bytes and its challenge."""
-
-    commitment: bytes
-    challenge: int
-    response: bytes
 
 
 class NIZKProof(NamedTuple):
@@ -297,21 +289,6 @@ def verify_round(inst: SDPInstance, commitment: bytes, challenge: int, response:
     return read_round(inst, commitment, challenge, response) is not None
 
 
-def run_interactive(
-    inst: SDPInstance,
-    wit: Witness,
-    rounds: int,
-    prover_rng: Random,
-    verifier_rng: Random,
-) -> bool:
-    """Honest in-process session: accept iff every round verifies."""
-    for state in honest_rounds(inst, wit, rounds, prover_rng):
-        ch = verifier_challenge(verifier_rng)
-        if not verify_round(inst, state.commitment, ch, prover_respond(state, ch)):
-            return False
-    return True
-
-
 # --- non-interactive variant ---
 
 def derive_challenges(statement_digest: bytes, context: bytes, commitments: Sequence[bytes]) -> list[int]:
@@ -439,9 +416,12 @@ def max_proof_bytes(n: int, rounds: int) -> int:
 
 
 def encode_proof(proof: NIZKProof) -> bytes:
-    """Magic, round count, then per round its commitment and its response."""
-    rounds = zip(proof.commitments, proof.responses)
-    return b"".join([PROOF_MAGIC, struct.pack("<I", proof.rounds), *chain.from_iterable(rounds)])
+    """Magic, round count, then per round its commitment and its response.
+    ValueError unless the proof holds one response per commitment and a
+    round count that _proof_rounds takes, so that decode_proof reads every
+    proof written."""
+    rounds = zip(proof.commitments, proof.responses, strict=True)
+    return b"".join([PROOF_MAGIC, struct.pack("<I", _proof_rounds(proof.rounds)), *chain.from_iterable(rounds)])
 
 
 def decode_proof(data: bytes, n: int) -> NIZKProof:

@@ -29,9 +29,8 @@ from sdzkp.analysis import (
 )
 from sdzkp.instance import brute_force_distance, plant_instance, save_instance, save_witness
 from sdzkp.perm import Permutation, compose, hamming, random_perm
+from sdzkp.net import MSG_COMMIT, MSG_RESPONSE
 from sdzkp.protocol import (
-    MSG_COMMIT,
-    MSG_RESPONSE,
     decode_response,
     encode_proof,
     fs_prove,

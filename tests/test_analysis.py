@@ -23,6 +23,7 @@ from sdzkp.analysis import (
     simulate,
     simulator_abort_rate,
     simulator_attempt_success_rate,
+    Transcript,
     transcript_distribution_test,
     transcript_for,
 )
@@ -34,7 +35,6 @@ from sdzkp.protocol import (
     OPENS,
     SEED,
     NIZKProof,
-    Transcript,
     _shown,
     commit_round,
     decode_response,

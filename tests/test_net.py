@@ -16,11 +16,9 @@ from hypothesis import strategies as st
 import sdzkp.protocol
 from sdzkp import net
 from sdzkp.instance import plant_instance, validate_witness
+from sdzkp.net import MSG_CHALLENGE, MSG_COMMIT, MSG_RESPONSE
 from sdzkp.protocol import (
     COMMITMENT_BYTES,
-    MSG_CHALLENGE,
-    MSG_COMMIT,
-    MSG_RESPONSE,
     max_response_bytes,
     prover_commit,
     prover_respond,

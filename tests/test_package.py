@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,14 +15,52 @@ import pytest
 import sdzkp
 import sdzkp.protocol
 
+ROOT = Path(__file__).parents[1]
+
 SUBMODULES = ("analysis", "cli", "crypto", "group", "instance", "net", "perm", "protocol")
+
+# Names each module keeps that the package does not export.
+OFF_THE_LIST = {
+    "perm": ("identity", "random_perm", "random_support_perm"),
+    "instance": ("brute_force_distance", "instance_digest"),
+    "crypto": ("commit", "expand_mask", "tuple_add", "tuple_sub", "verify_commitment"),
+    "protocol": ("ProverState", "Response", "decode_proof", "prover_commit", "prover_respond", "verifier_challenge"),
+    "analysis": ("ExtractionError", "Transcript", "extract_witness", "honest_rewindable_prover", "honest_verifier",
+                 "make_cheating_prover", "simulate"),
+}
+
+
+def readme_api_table() -> dict[str, str]:
+    """Each name in README's API table, mapped to its row's module."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## API\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for row in section.splitlines():
+        cells = row.split("|")
+        if row.startswith("| `sdzkp."):
+            module = cells[1].strip().strip("`").removeprefix("sdzkp.")
+            table.update(dict.fromkeys(re.findall(r"`(\w+)`", cells[2]), module))
+    return table
+
+
+def test_public_names_are_readmes_api_table():
+    table = readme_api_table()
+    assert sdzkp.__all__ == list(table)
+    assert all(sdzkp._HOME[name] == module for name, module in table.items())
 
 
 def test_each_public_name_is_its_home_modules_object():
     for name in sdzkp.__all__:
         obj = getattr(sdzkp, name)
-        assert obj.__module__.startswith("sdzkp.")
-        assert vars(sys.modules[obj.__module__])[name] is obj, name
+        home = importlib.import_module(f"sdzkp.{sdzkp._HOME[name]}")
+        assert vars(home)[name] is obj, name
+
+
+def test_names_off_the_list_stay_at_their_modules():
+    for module_name, names in OFF_THE_LIST.items():
+        module = importlib.import_module(f"sdzkp.{module_name}")
+        for name in names:
+            assert hasattr(module, name), f"{module_name}.{name}"
+            assert name not in sdzkp.__all__ and not hasattr(sdzkp, name), name
 
 
 def test_star_import_binds_every_public_name():
@@ -75,6 +114,28 @@ def test_every_traced_name_is_a_callable_of_its_home_module():
     for module_name, path, _ in spans.TRACED:
         owner, attr = spans._resolve(importlib.import_module(module_name), path)
         assert callable(vars(owner).get(attr)), f"{module_name}.{path}"
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    # sdzbench/workloads.py binds sdzkp's modules by `from sdzkp import X as Y`
+    # inside its workloads and reads their attributes; a name gone from its
+    # module would otherwise fail only in the benchmark's own tests.
+    tree = ast.parse((ROOT / "sdzbench" / "workloads.py").read_text(encoding="utf-8"))
+    modules = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "sdzkp"
+        for alias in node.names
+    }
+    assert {"sdi", "sda", "protocol"} <= set(modules)
+    read = {
+        (modules[node.value.id], node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+    }
+    assert {("analysis", "transcript_for"), ("analysis", "honest_rewindable_prover")} <= read
+    for module_name, attr in sorted(read):
+        assert hasattr(importlib.import_module(f"sdzkp.{module_name}"), attr), f"{module_name}.{attr}"
 
 
 def test_every_module_level_import_is_used():

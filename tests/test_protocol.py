@@ -5,7 +5,7 @@ import random
 import struct
 import time
 from functools import cache
-from itertools import count
+from itertools import count, product
 
 import pytest
 from hypothesis import given, settings
@@ -54,7 +54,6 @@ from sdzkp.protocol import (
     prover_respond,
     prover_round,
     read_round,
-    run_interactive,
     slot_opens,
     verifier_challenge,
     verify_round,
@@ -75,13 +74,6 @@ def test_honest_round_accepts_every_challenge(planted):
         state = prover_commit(inst, wit, rng)
         for ch in CHALLENGES:
             assert verify_round(inst, state.commitment, ch, prover_respond(state, ch))
-
-
-def test_run_interactive_accepts(planted):
-    inst, wit = planted
-    assert run_interactive(inst, wit, 219, random.Random(52), random.Random(53))
-    with pytest.raises(ValueError):
-        run_interactive(inst, wit, 0, random.Random(52), random.Random(53))
 
 
 @pytest.fixture
@@ -109,7 +101,6 @@ def foreign_witness(inst):
         lambda inst, wit, rng: fs_verify_bytes(inst, encode_proof(fs_prove(inst, wit, 219, b"ctx", rng)), b"ctx"),
         id="fs_prove",
     ),
-    pytest.param(lambda inst, wit, rng: run_interactive(inst, wit, 219, rng, random.Random(58)), id="run_interactive"),
     pytest.param(lambda inst, wit, rng: accepted_challenges(inst, prover_commit(inst, wit, rng)) == set(CHALLENGES),
                  id="prover_commit"),
     pytest.param(lambda inst, wit, rng: completeness_rate(inst, wit, 219, rng) == 1.0, id="analyze_completeness"),
@@ -128,11 +119,12 @@ def test_multi_round_prover_checks_the_witness_once(planted, witness_checks, pro
 
 def test_honest_rounds_checks_first_then_draws_prover_rounds_lazily(planted):
     inst, wit = planted
-    for rounds, witness in ((0, wit), (5, foreign_witness(inst))):
+    refused = ((0, wit), (5, foreign_witness(inst)))
+    for refuse, (rounds, witness) in product((honest_rounds, completeness_rate), refused):
         rng = random.Random(59)
         coins = rng.getstate()
         with pytest.raises(ValueError):
-            honest_rounds(inst, witness, rounds, rng)
+            refuse(inst, witness, rounds, rng)
         assert rng.getstate() == coins  # refused before a coin was drawn
     h = inst.group.ops.encode(wit.element.images)
     rng, plain = random.Random(60), random.Random(60)
@@ -416,18 +408,34 @@ def test_fs_verify_is_total_on_non_proofs(planted):
 def test_proving_verifying_and_decoding_share_one_round_cap(planted, monkeypatch):
     inst, wit = planted
     proof = fs_prove(inst, wit, 4, b"", random.Random(72))
-    assert fs_verify_bytes(inst, encode_proof(proof), b"", 4)
+    data = encode_proof(proof)
+    assert fs_verify_bytes(inst, data, b"", 4)
     monkeypatch.setattr(sdzkp.protocol, "_MAX_ROUNDS", 3)
     rng = random.Random(73)
     before = rng.getstate()
     with pytest.raises(ValueError, match="unreasonable round count 4"):
         fs_prove(inst, wit, 4, b"", rng)
     assert rng.getstate() == before  # refused before a single commitment
-    assert fs_verify_bytes(inst, encode_proof(proof), b"", 4) is False
+    assert fs_verify_bytes(inst, data, b"", 4) is False
     with pytest.raises(ValueError, match="unreasonable round count 4"):
-        decode_proof(encode_proof(proof), inst.degree)
+        decode_proof(data, inst.degree)
+    with pytest.raises(ValueError, match="unreasonable round count 4"):
+        encode_proof(proof)
     at_cap = fs_prove(inst, wit, 3, b"", rng)
     assert fs_verify_bytes(inst, encode_proof(at_cap), b"", 3)
+
+
+def test_encode_proof_writes_only_proofs_that_decode_proof_reads(planted):
+    inst, wit = planted
+    proof = fs_prove(inst, wit, 5, b"", random.Random(74))
+    assert decode_proof(encode_proof(proof), inst.degree) == proof
+    for bad in (
+        NIZKProof(proof.commitments, proof.responses[:3]),
+        NIZKProof(proof.commitments[:3], proof.responses),
+        NIZKProof((), ()),
+    ):
+        with pytest.raises(ValueError):
+            encode_proof(bad)
 
 
 @pytest.mark.parametrize("rounds", [218, 220])

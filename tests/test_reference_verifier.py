@@ -34,7 +34,6 @@ from sdzkp.crypto import (
     tuple_add,
     tuple_sub,
     verify_commitment,
-    weight,
 )
 from sdzkp.instance import instance_digest, plant_instance
 from sdzkp.perm import Permutation, compose, inverse
@@ -52,6 +51,11 @@ from sdzkp.protocol import (
     read_round,
     verify_round,
 )
+
+
+def weight(t):
+    """The count of nonzero entries of t."""
+    return sum(1 for x in t if x != 0)
 
 
 def reference_read_response(data, at):
