@@ -25,8 +25,8 @@ from itertools import count, islice
 from random import Random
 from typing import Callable, NamedTuple
 
-from .crypto import apply_mask, encode_words, fresh_seed, tuple_add
-from .group import BSGS
+from .crypto import apply_mask, fresh_seed
+from .group import BSGS, word_width
 from .instance import SDPInstance, Witness
 from .perm import Permutation, _sample, hamming, random_support_perm
 from .protocol import (
@@ -150,18 +150,20 @@ def extract_witness(inst: SDPInstance, t0: Transcript, t1: Transcript, t2: Trans
 
 # --- cheating provers ---
 
-def _noise_tuple(n: int, k: int, rng: Random) -> tuple[int, ...]:
-    """A length-n tuple with exactly k nonzero u32 entries at random positions."""
-    noise = [0] * n
+def _noise(n: int, k: int, rng: Random) -> int:
+    """n words of group.word_width(n) bytes, exactly k of them nonzero at
+    random positions, as one little-endian integer."""
+    bits = 8 * word_width(n)
+    top, noise = (1 << bits) - 1, 0
     getrandbits = rng.getrandbits
     for pos in _sample(n, k, rng):
-        # 1 + a uniform r < 2^32 - 1, drawn with the getrandbits calls
-        # rng.randrange(1, 1 << 32) makes.
-        r = getrandbits(32)
-        while r == 0xFFFFFFFF:
-            r = getrandbits(32)
-        noise[pos] = 1 + r
-    return tuple(noise)
+        # 1 + a uniform r < 2^bits - 1, drawn with the getrandbits calls
+        # rng.randrange(1, 1 << bits) makes.
+        r = getrandbits(bits)
+        while r == top:
+            r = getrandbits(bits)
+        noise |= (1 + r) << (bits * pos)
+    return noise
 
 
 def make_cheating_prover(inst: SDPInstance, targets: frozenset[int] | set[int], rng: Random) -> ProverState:
@@ -199,9 +201,10 @@ def make_cheating_prover(inst: SDPInstance, targets: frozenset[int] | set[int], 
             member = group.sample_uniform(rng)
             if 1 in targets:
                 member = ops.then(inst.target_tables[0], member)
-            # the noisy words are arbitrary u32s, not the words of any permutation
-            noisy = tuple_add(ops.decode(member), _noise_tuple(n, k, rng))
-            pair = apply_mask(seed, n, ops.words(member), encode_words(noisy))
+            # the noisy words are arbitrary, not the words of any permutation
+            words = ops.words(member)
+            noisy = (int.from_bytes(words, "little") ^ _noise(n, k, rng)).to_bytes(len(words), "little")
+            pair = apply_mask(seed, words, noisy)
             prover = commit_round(*(pair if 0 in targets else pair[::-1]), seed, rng)
         if accepted_challenges(inst, prover) == targets:
             return prover

@@ -1,20 +1,18 @@
-"""Hash-based commitments and the seeded masking used to blind image tuples.
+"""Hash-based commitments and the seeded masking used to blind a round's values.
 
 Commitments are SHA3-256 over (ASCII tag || 32-byte opening || message),
 hashed in place by commit and verify_commitment; the tag separates the
-three commitment slots of a round.  Masks are drawn from SHAKE-256 keyed by
-a 32-byte seed and consumed as little-endian u32 words, so masked tuples
-live in (Z / 2^32)^n.  Tuple arithmetic packs each tuple into one integer,
-a u32 word per 32-bit lane, and adds or subtracts all lanes at once with
-carries kept inside each lane (Hacker's Delight, 2nd ed., section 2-18).
-A round's mask is one such integer, read from SHAKE.  A masked tuple exists
-only as its encoding, the committed message and wire form, which
-_is_tuple_encoding tests.  apply_mask writes it from n u32 words (4n
-bytes, as encode_words writes them); _unmask gives them back from an
-encoding whose form protocol.slot_opens tested.  _mask_stream is the one
-seed check and the one mask read; _add_lanes and _sub_lanes are the one
-lane sum and difference.  decode_tuple_from is the one length-prefix
-parser, for the permutations in instance and witness files.
+three commitment slots of a round.  A masked value is the n words of a raw
+group element (group.word_width: w = 1 byte per image up to degree 256, 4
+past it) plus a mask of n words read from SHAKE-256 keyed by a 32-byte
+seed, the sum taken in GF(2^8w), whose addition is XOR.  So a masked value
+is exactly w·n bytes, with no prefix, and every byte string of that length
+is one.  apply_mask and _unmask are one XOR each of the whole value, as
+one integer, with the mask read to the value's length; _mask_stream is the
+one seed check and the one mask read.  differing_words counts the words two
+values differ in.  expand_mask, tuple_add and tuple_sub are the plain
+word-wise reference of that fast path.  decode_tuple_from is the one
+length-prefix parser, for the permutations in instance and witness files.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
-from functools import lru_cache
 from random import Random
 
 SEED_BYTES = 32
@@ -63,93 +60,74 @@ def verify_commitment(digest: bytes, message: bytes, tag: str, opening: bytes) -
     return hmac.compare_digest(digest, hashlib.sha3_256(prefix + opening + message).digest())
 
 
-def _mask_stream(seed: bytes, n: int) -> bytes:
-    if n < 1 or not isinstance(seed, bytes) or len(seed) != SEED_BYTES:
+def _mask_stream(seed: bytes, length: int) -> bytes:
+    if length < 1 or not isinstance(seed, bytes) or len(seed) != SEED_BYTES:
         raise ValueError(f"a mask needs a {SEED_BYTES}-byte seed and a positive length")
-    return hashlib.shake_256(seed).digest(4 * n)
+    return hashlib.shake_256(seed).digest(length)
 
 
-def expand_mask(seed: bytes, n: int) -> tuple[int, ...]:
-    """First 4n bytes of SHAKE-256(seed) as n little-endian u32 words."""
-    return struct.unpack(f"<{n}I", _mask_stream(seed, n))
-
-
-@lru_cache(maxsize=8)  # bounded: a decoded tuple's length comes from a peer
-def _lanes(n: int) -> tuple[struct.Struct, int, int, int]:
-    """The codec of n u32 words and three lane masks of the packed integer:
-    every bit, each lane's top bit, each lane's low 31 bits."""
-    every = (1 << (32 * n)) - 1
-    high = int.from_bytes(b"\x00\x00\x00\x80" * n, "little")
-    return struct.Struct(f"<{n}I"), every, high, every ^ high
-
-
-def _packed(codec: struct.Struct, t: tuple[int, ...]) -> int:
-    try:
-        return int.from_bytes(codec.pack(*t), "little")
-    except struct.error as exc:
-        raise ValueError(f"need {codec.size // 4} u32 words: {exc}") from None
-
-
-def _add_lanes(lanes: tuple[struct.Struct, int, int, int], x: int, y: int) -> bytes:
-    codec, _, high, low = lanes
-    s = ((x & low) + (y & low)) ^ ((x ^ y) & high)
-    return s.to_bytes(codec.size, "little")
-
-
-def _sub_lanes(lanes: tuple[struct.Struct, int, int, int], x: int, y: int) -> bytes:
-    codec, every, high, low = lanes
-    d = ((x | high) - (y & low)) ^ ((x ^ y ^ every) & high)
-    return d.to_bytes(codec.size, "little")
+def expand_mask(seed: bytes, n: int, width: int) -> tuple[int, ...]:
+    """The first width·n bytes of SHAKE-256(seed) as n little-endian words
+    of `width` bytes: the mask apply_mask adds, word by word."""
+    stream = _mask_stream(seed, width * n)
+    return tuple(int.from_bytes(stream[i : i + width], "little") for i in range(0, width * n, width))
 
 
 def tuple_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Componentwise sum mod 2^32 of two equal-length tuples of u32 words
-    (integers in [0, 2^32)); ValueError on any other entry."""
-    lanes = _lanes(len(a))  # _packed refuses a b of another length
-    return lanes[0].unpack(_add_lanes(lanes, _packed(lanes[0], a), _packed(lanes[0], b)))
+    """Word-wise sum in GF(2^8w) of two equal-length tuples of words of w <= 4
+    bytes (integers in [0, 2^32)): each pair XORed.  ValueError on any other
+    entry or on unequal lengths."""
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    for x in (*a, *b):
+        if not isinstance(x, int) or not 0 <= x < 1 << 32:
+            raise ValueError(f"not a word of at most 32 bits: {x!r}")
+    return tuple(x ^ y for x, y in zip(a, b))
 
 
 def tuple_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Componentwise difference mod 2^32 of two equal-length tuples of u32
-    words (integers in [0, 2^32)); ValueError on any other entry."""
-    lanes = _lanes(len(a))  # _packed refuses a b of another length
-    return lanes[0].unpack(_sub_lanes(lanes, _packed(lanes[0], a), _packed(lanes[0], b)))
+    """Word-wise difference in GF(2^8w), which in characteristic 2 is the
+    sum: tuple_add(a, b)."""
+    return tuple_add(a, b)
 
 
-def apply_mask(seed: bytes, n: int, *words: bytes) -> tuple[bytes, ...]:
-    """encode_tuple(tuple_add(w, expand_mask(seed, n))) for each tuple w,
-    given as encode_words(w), from one SHAKE draw.  Each must be n u32 words,
-    4n bytes of any values (ValueError otherwise); all get the same mask, and
-    each lane sum goes straight into its encoding."""
-    lanes = _lanes(n)
-    mask = int.from_bytes(_mask_stream(seed, n), "little")
-    prefix = n.to_bytes(4, "little")
+def apply_mask(seed: bytes, *values: bytes) -> tuple[bytes, ...]:
+    """Each value masked under seed, all from one SHAKE read: the value's n
+    words of w bytes plus expand_mask(seed, n, w), as one XOR of the whole
+    value with the stream read to its length.  The values must share one
+    length, at least 1 (ValueError otherwise)."""
+    length = len(values[0]) if values else 0
+    mask = int.from_bytes(_mask_stream(seed, length), "little")
     masked = []
-    for w in words:
-        if len(w) != lanes[0].size:
-            raise ValueError(f"need {n} u32 words, got {len(w)} bytes")
-        masked.append(prefix + _add_lanes(lanes, int.from_bytes(w, "little"), mask))
+    for value in values:
+        if len(value) != length:
+            raise ValueError(f"values of {length} and {len(value)} bytes cannot share a mask")
+        masked.append((int.from_bytes(value, "little") ^ mask).to_bytes(length, "little"))
     return tuple(masked)
 
 
-def _unmask(z: bytes, seed: bytes, n: int) -> bytes:
-    """encode_words(tuple_sub(decode_tuple(z), expand_mask(seed, n))) for a
-    z taken as canonical (_is_tuple_encoding(z, n), which the caller tests):
-    one SHAKE read (ValueError unless seed is one _mask_stream takes), one
-    lane subtraction."""
-    mask = int.from_bytes(_mask_stream(seed, n), "little")
-    return _sub_lanes(_lanes(n), int.from_bytes(z[4:], "little"), mask)
+def _unmask(z: bytes, seed: bytes) -> bytes:
+    """The words that z masks under seed: z minus the mask, which in GF(2^8w)
+    is the same one XOR apply_mask makes (ValueError unless seed and z's
+    length are ones _mask_stream takes)."""
+    mask = _mask_stream(seed, len(z))
+    return (int.from_bytes(z, "little") ^ int.from_bytes(mask, "little")).to_bytes(len(z), "little")
 
 
-def differing_words(a: bytes, b: bytes) -> int:
-    """The count of nonzero entries of tuple_sub(decode_tuple(a), decode_tuple(b))
-    for equal-length encodings: the nonzero lanes of a ^ b, as a u32
-    difference is 0 iff a ^ b is."""
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    _, _, high, low = _lanes(-(-len(a) // 4))  # a trailing partial word counts as one
-    x = int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
-    return ((((x & low) + low) | x) & high).bit_count()
+def differing_words(a: bytes, b: bytes, width: int) -> int:
+    """The count of `width`-byte words in which two equal-length values
+    differ: the nonzero words of a XOR b, which at width 1 are its nonzero
+    bytes.  ValueError unless both are one length, a multiple of width."""
+    if len(a) != len(b) or len(a) % width:
+        raise ValueError(f"values of {len(a)} and {len(b)} bytes are not both words of {width} bytes")
+    n = len(a) // width
+    x = (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
+    if width > 1:  # a word differs iff one of its bytes does: OR them into one
+        folded = 0
+        for i in range(width):
+            folded |= int.from_bytes(x[i::width], "little")
+        x = folded.to_bytes(n, "little")
+    return n - x.count(0)
 
 
 def encode_tuple(t: tuple[int, ...]) -> bytes:
@@ -161,11 +139,6 @@ def encode_tuple(t: tuple[int, ...]) -> bytes:
 def encode_words(t: tuple[int, ...]) -> bytes:
     """encode_tuple(t) without its length prefix: the entries as u32 LE words."""
     return struct.pack(f"<{len(t)}I", *t)
-
-
-def _is_tuple_encoding(z: bytes, n: int) -> bool:
-    """Whether z is encode_tuple of n u32 words: bytes, 4 + 4n long, prefix n."""
-    return isinstance(z, bytes) and len(z) == 4 + 4 * n and z[:4] == n.to_bytes(4, "little")
 
 
 def decode_tuple_from(data: bytes, offset: int = 0) -> tuple[tuple[int, ...], int]:

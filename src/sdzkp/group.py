@@ -19,8 +19,10 @@ at most 256 the chain stores permutations as 256-byte translation tables
 (identity beyond the degree) so composition is bytes.translate; above that,
 as image tuples.  This raw form is also what a proof round composes, masks
 and unmasks (BSGS.ops, and BSGS.contains takes it), and what
-BSGS.sample_uniform returns; which of the two forms a degree gets is
-decided only here, by make_ops.
+BSGS.sample_uniform returns.  A round masks an element's words (ops.words):
+a table's first n bytes, or the tuple's n u32 words.  Which of the two
+forms a degree gets, and so a word's width, is decided only here, by
+word_width.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ class _ByteOps:
 
     then(p, a) is the product a∘p, its factors named in the order they act:
     for tables that is bytes.translate itself, so no product calls a Python
-    function.  words(a) spreads a's n images into n little-endian u32 words,
-    one slice assignment; from_words(d) takes them back, or None unless they
-    are a permutation of 0..n-1."""
+    function.  words(a) is a's n images, one byte each: the table's first n
+    bytes; from_words(d) takes them back, or None unless they are a
+    permutation of 0..n-1."""
 
     __slots__ = ("degree", "ident")
 
@@ -66,23 +68,15 @@ class _ByteOps:
         # a table maps a[i] back to i: the inverse, as one C call
         return bytes.maketrans(a, _BYTES_IDENT)
 
-    def words(self, a) -> bytearray:
-        n = self.degree
-        lanes = bytearray(4 * n)
-        lanes[::4] = a[:n]
-        return lanes
+    def words(self, a) -> bytes:
+        return a[: self.degree]
 
     def from_words(self, d: bytes):
-        n = self.degree
-        table = d[::4] + _BYTES_IDENT[n:]
+        table = d + _BYTES_IDENT[self.degree :]
         # maketrans maps each image back to the last position holding it, so
         # composing gives the identity iff no image repeats; an image at or
         # past n repeats one of the padding's.
-        if table.translate(bytes.maketrans(table, _BYTES_IDENT)) != _BYTES_IDENT:
-            return None
-        # The n images hold exactly one zero, so the other 3n zero bytes must
-        # be every upper byte of every word.
-        return table if d.count(0) == 3 * n + 1 else None
+        return table if table.translate(bytes.maketrans(table, _BYTES_IDENT)) == _BYTES_IDENT else None
 
 
 class _TupleOps:
@@ -113,10 +107,17 @@ class _TupleOps:
         return images if max(images) < self.degree and len(set(images)) == self.degree else None
 
 
+def word_width(degree: int) -> int:
+    """Bytes per image in the words a round masks (ops.words) at this degree:
+    1 up to 256 points, where an element is a byte table, and 4 (u32 words)
+    past that, where it is an image tuple.  The one statement of that split."""
+    return 1 if degree <= 256 else 4
+
+
 def make_ops(degree: int):
-    """The raw form of permutations of this degree: byte tables up to 256
-    points, image tuples past that."""
-    return _ByteOps(degree) if degree <= 256 else _TupleOps(degree)
+    """The raw form of permutations of this degree: byte tables while
+    word_width is 1, image tuples past that."""
+    return _ByteOps(degree) if word_width(degree) == 1 else _TupleOps(degree)
 
 
 class _Level:

@@ -2,7 +2,8 @@
 
 One round: the prover picks a uniform shuffle u from H and a mask seed s,
 and commits to three values, its slots: 0 is Z1 = oneline(u∘h) + mask,
-1 is Z2 = oneline(u∘g) + mask, 2 is s.  Slot i is committed under tag
+1 is Z2 = oneline(u∘g) + mask, 2 is s, where + adds words in GF(2^8w),
+which is XOR (crypto).  Slot i is committed under tag
 crypto.COMMIT_TAGS[i] as digest i of the round's 96-byte commitment, its
 bytes [32i, 32i+32), which commitment_digests alone reads.  The verifier
 sends a challenge in {0, 1, 2}, and the opening table OPENS says which
@@ -13,18 +14,20 @@ slots the answer reveals, in wire order:
   1          Z2, s     unmasking Z2 must give w with w∘g^-1 in H (w is u∘g)
   2          Z1, Z2    they must differ in at most max_distance words
 
-Every value is its own committed message and wire form, slot_size long; a
-masked tuple's form is crypto's (_is_tuple_encoding tests it).  The
-prover, the verifier's checks and the response codecs all follow OPENS;
-only the final predicate above is written per challenge, once, in
-_shown, which takes its masked tuples as canonical and returns what the
-round shows (u∘h at 0, u at 1, the distance at 2) or None.
+Every value is its own committed message and wire form, slot_size long;
+every byte string of that length is a value, so its length is its only
+form check.  The prover, the verifier's checks and the response codecs
+all follow OPENS; only the final predicate above is written per
+challenge, once, in _shown, which takes its masked values at their slot's
+length and returns what the round shows (u∘h at 0, u at 1, the distance
+at 2) or None.
 
 A round works on the group's raw elements (group.make_ops: byte tables up
 to degree 256, image tuples past it): prover_round draws u in that form
 from BSGS.sample_uniform, masked_round composes u with x and with g,
-spreads each product into the u32 lanes crypto.apply_mask masks, and
-commits through commit_round and crypto.commit.  At challenges 0 and 1
+masks each product's words (ops.words, w bytes an image by
+group.word_width) with crypto.apply_mask, and commits through
+commit_round and crypto.commit.  At challenges 0 and 1
 _shown unmasks with crypto._unmask into the words of a raw element, which
 challenge 1 composes with the raw g^-1 the instance caches and the group's
 contains tests as it stands.
@@ -64,7 +67,6 @@ from .crypto import (
     DIGEST_BYTES,
     OPENING_BYTES,
     SEED_BYTES,
-    _is_tuple_encoding,
     _unmask,
     apply_mask,
     commit,
@@ -72,6 +74,7 @@ from .crypto import (
     fresh_seed,
     verify_commitment,
 )
+from .group import word_width
 from .instance import SDPInstance, Witness, instance_digest, validate_witness
 
 Z1, Z2, SEED = 0, 1, 2
@@ -92,7 +95,7 @@ commitment_digests = itemgetter(*(slice(i * DIGEST_BYTES, (i + 1) * DIGEST_BYTES
 # Each slot's commitment tag; a slot outside (Z1, Z2, SEED) has none.
 _SLOT_TAGS = dict(enumerate(COMMIT_TAGS))
 
-PROOF_MAGIC = b"SDP1"
+PROOF_MAGIC = b"SDP2"
 _PROOF_HEADER_BYTES = 8  # the magic, then a u32 round count
 _MAX_ROUNDS = 1 << 20
 
@@ -100,14 +103,14 @@ _MAX_ROUNDS = 1 << 20
 # t * log2(3/2) >= 128.
 ROUNDS = 219
 
-_FS_DOMAIN = b"SDZKP-FS-v1"
+_FS_DOMAIN = b"SDZKP-FS-v2"
 
 
 def slot_size(slot: int, n: int) -> int:
-    """Encoded length of a slot's value at degree n.  A value is canonical
-    at degree n iff it is a bytes object of this length and, for a masked
-    tuple, its u32 length prefix is n (crypto._is_tuple_encoding)."""
-    return SEED_BYTES if slot == SEED else 4 + 4 * n
+    """Encoded length of a slot's value at degree n: w·n for a masked value
+    of n words of w = group.word_width(n) bytes.  A value is canonical at
+    degree n iff it is a bytes object of this length."""
+    return SEED_BYTES if slot == SEED else word_width(n) * n
 
 
 class Response(NamedTuple):
@@ -161,7 +164,7 @@ def _proof_rounds(rounds: int) -> int:
 
 def commit_round(z1: bytes, z2: bytes, seed: bytes, rng: Random) -> ProverState:
     """Commit to the masked pair and the seed, slot by slot (C1, C2, C3).
-    The analysis harness commits its cheating and simulated tuples with it."""
+    The analysis harness commits its cheating and simulated values with it."""
     c1, o1 = commit(z1, COMMIT_TAGS[Z1], rng)
     c2, o2 = commit(z2, COMMIT_TAGS[Z2], rng)
     c3, o3 = commit(seed, COMMIT_TAGS[SEED], rng)
@@ -171,10 +174,10 @@ def commit_round(z1: bytes, z2: bytes, seed: bytes, rng: Random) -> ProverState:
 def masked_round(inst: SDPInstance, u, x, seed: bytes, rng: Random) -> ProverState:
     """Commit to Z1 = oneline(u∘x) + mask and Z2 = oneline(u∘g) + mask under
     one seed: the round of every prover that claims x, honest (x = h) or not.
-    u and x are in the raw form of inst.group.ops; each product is spread
-    straight into the u32 lanes apply_mask masks."""
+    u and x are in the raw form of inst.group.ops; apply_mask masks each
+    product's words as they stand."""
     ops = inst.group.ops
-    z1, z2 = apply_mask(seed, inst.degree, ops.words(ops.then(x, u)), ops.words(ops.then(inst.target_tables[0], u)))
+    z1, z2 = apply_mask(seed, ops.words(ops.then(x, u)), ops.words(ops.then(inst.target_tables[0], u)))
     return commit_round(z1, z2, seed, rng)
 
 
@@ -188,17 +191,18 @@ def prover_round(inst: SDPInstance, h, rng: Random) -> ProverState:
 
 def _shown(inst: SDPInstance, challenge: int, value: bytes, other: bytes):
     """What a round shows on the two values its challenge opens, in OPENS
-    order (masked tuples taken as canonical), or None unless the challenge's
-    predicate holds; each predicate is written here only.  At 0 and 1 the
-    seed (crypto._mask_stream checks it) unmasks the tuple into a raw
-    element of inst.group.ops: u∘h = unmask(Z1) at 0, u = unmask(Z2)∘g^-1
-    at 1, shown if in H.  At 2, the count of words the tuples differ in, if
-    at most max_distance; it may be 0, so callers test `is not None`."""
+    order (masked values taken at their slot's length), or None unless the
+    challenge's predicate holds; each predicate is written here only.  At 0
+    and 1 the seed (crypto._mask_stream checks it) unmasks the value into a
+    raw element of inst.group.ops: u∘h = unmask(Z1) at 0, u =
+    unmask(Z2)∘g^-1 at 1, shown if in H.  At 2, the count of words the
+    values differ in, if at most max_distance; it may be 0, so callers test
+    `is not None`."""
     if challenge == 2:
-        distance = differing_words(value, other)
+        distance = differing_words(value, other, word_width(inst.degree))
         return distance if distance <= inst.max_distance else None
     ops = inst.group.ops
-    member = ops.from_words(_unmask(value, other, inst.degree))
+    member = ops.from_words(_unmask(value, other))
     if member is not None and challenge:
         member = ops.then(inst.target_tables[1], member)
     return member if member is not None and inst.group.contains(member) else None
@@ -248,14 +252,14 @@ def prover_respond(state: ProverState, challenge: int) -> bytes:
 
 def slot_opens(inst: SDPInstance, digest: bytes, slot: int, value: bytes, opening: bytes) -> bool:
     """Whether value is a canonical value of the slot at the instance's degree
-    (see slot_size) and opening opens the slot's 32-byte digest to it.
-    Total on untrusted input, a slot outside (Z1, Z2, SEED) included:
-    returns False, never raises."""
+    (bytes of slot_size's length) and opening opens the slot's 32-byte
+    digest to it.  Total on untrusted input, a slot outside (Z1, Z2, SEED)
+    included: returns False, never raises."""
     try:
-        n = inst.degree
-        canonical = len(value) == slot_size(SEED, n) if slot == SEED else _is_tuple_encoding(value, n)
-        return canonical and verify_commitment(digest, value, _SLOT_TAGS.get(slot), opening)
-    except (ValueError, TypeError, struct.error):
+        return len(value) == slot_size(slot, inst.degree) and verify_commitment(
+            digest, value, _SLOT_TAGS.get(slot), opening
+        )
+    except TypeError:  # a value with no length, or a slot with no hash
         return False
 
 
@@ -404,8 +408,9 @@ def _response_layout(kind: int, n: int) -> tuple[int, tuple[tuple[int, int, int,
 def max_response_bytes(n: int) -> int:
     """Length of the longest encoded response at degree n.
 
-    Kind 2 (two tuples, two openings) for n >= 7; below that kind 0 and 1
-    (one tuple, a seed, two openings) are longer."""
+    Kind 2 (two masked values, two openings) when a masked value's w·n
+    bytes are more than the seed's 32; otherwise kind 0 and 1 (one masked
+    value, a seed, two openings) are at least as long."""
     return max(_response_layout(kind, n)[0] for kind in OPENS)
 
 

@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-import struct
 
 import pytest
 
@@ -27,7 +26,8 @@ from sdzkp.analysis import (
     transcript_distribution_test,
     transcript_for,
 )
-from sdzkp.crypto import COMMIT_TAGS, _is_tuple_encoding, _unmask, commit, encode_tuple, tuple_add
+from sdzkp.crypto import COMMIT_TAGS, _unmask, commit
+from sdzkp.group import word_width
 from sdzkp.instance import instance_digest, plant_instance, validate_witness
 from sdzkp.protocol import (
     CHALLENGES,
@@ -230,10 +230,6 @@ def opens_then_holds(inst, commitment, challenge, response):
     ) and _shown(inst, challenge, *values) is not None
 
 
-def _with_prefix(z, n):
-    return n.to_bytes(4, "little") + z[4:]
-
-
 @pytest.mark.parametrize("fixture", ["planted", "small_abelian"])
 def test_slot_opens_then_holds_is_verify_round(fixture, request):
     """For every challenge to honest, cheating and simulated states, the two
@@ -277,39 +273,39 @@ def test_slot_opens_then_holds_is_verify_round(fixture, request):
 
     # a 31-byte seed, committed, with Z1 masked under it: only its length is wrong
     short_seed = values[SEED][:31]
-    words = struct.unpack(f"<{n}I", _unmask(values[0], values[SEED], n))
-    short_mask = struct.unpack(f"<{n}I", hashlib.shake_256(short_seed).digest(4 * n))
-    z1 = encode_tuple(tuple_add(words, short_mask))
+    words = _unmask(values[0], values[SEED])
+    z1 = bytes(a ^ b for a, b in zip(words, hashlib.shake_256(short_seed).digest(len(words))))
     digest, opening = commit(short_seed, COMMIT_TAGS[SEED], rng)
     assert slot_opens(inst, digest, SEED, short_seed, opening) is False
     assert verifies(commit_round(z1, values[1], short_seed, rng), 0) is False
 
-    # masked tuples, committed, whose length prefix is n + 1 or n - 1
-    for count in (n + 1, n - 1):
+    # masked values, committed, a byte short or long
+    for resize in (lambda z: z[:-1], lambda z: z + b"\x00"):
         for slot in (0, 1):
-            bad = _with_prefix(values[slot], count)
+            bad = resize(values[slot])
             digest, opening = commit(bad, COMMIT_TAGS[slot], rng)
             assert slot_opens(inst, digest, slot, bad, opening) is False
-        z1, z2 = (_with_prefix(values[slot], count) for slot in (0, 1))
+        z1, z2 = (resize(values[slot]) for slot in (0, 1))
         state = commit_round(z1, z2, values[SEED], rng)
         assert not any(verifies(state, ch) for ch in CHALLENGES)
         assert verifies(commit_round(z1, values[1], values[SEED], rng), 2) is False
 
 
-def _misshapen_tuples(z, n):
-    """Stand-ins for the masked tuple z at degree n: the prefix n + 1 or
-    n - 1 at the right length, one word short under prefix n, and the
-    canonical encoding of n - 1 words."""
-    return [_with_prefix(z, n + 1), _with_prefix(z, n - 1), z[:-4], _with_prefix(z[:-4], n - 1)]
+def _misshapen_values(z, n):
+    """Stand-ins for the masked value z at degree n: a byte short or long, a
+    word short, and n words of the other width."""
+    w = word_width(n)
+    return [z[:-1], z + b"\x00", z[:-w], z[:n] if w == 4 else z * 4]
 
 
 @pytest.mark.parametrize("n, gens, k", [(5, 2, 2), (256, 3, 64), (257, 3, 64)])
 def test_wire_forms_hold_at_the_byte_table_boundary(n, gens, k):
-    """Degree 256 is the last with byte-table elements, 257 the first with
-    image tuples, and below 7 the kind 0 and 1 responses are the longest.
-    Every committed value has its slot's form, the longest response is
+    """Degree 256 is the last with byte-table elements and one-byte words,
+    257 the first with image tuples and u32 words, and at degree 5 a masked
+    value is under 32 bytes, so the kind 0 and 1 responses are the longest.
+    Every committed value has its slot's length, the longest response is
     max_response_bytes long, and each reader refuses a committed masked
-    tuple of another form."""
+    value of another length."""
     inst, wit = plant_instance(n, gens, k, random.Random(n), preset="general")
     rng = random.Random(88)
     h = inst.group.ops.encode(wit.element.images)
@@ -319,18 +315,17 @@ def test_wire_forms_hold_at_the_byte_table_boundary(n, gens, k):
     for state in states:
         for slot, value in enumerate(state.values):
             assert type(value) is bytes and len(value) == slot_size(slot, n)
-            assert slot == SEED or _is_tuple_encoding(value, n)
     lengths = [len(state.respond(ch)) for state in states for ch in CHALLENGES]
     assert max(lengths) == max_response_bytes(n)
 
     z1, z2, seed = states[0].values
-    assert len(_unmask(z1, seed, n)) == 4 * n
-    for bad1, bad2 in zip(_misshapen_tuples(z1, n), _misshapen_tuples(z2, n)):
+    assert len(_unmask(z1, seed)) == word_width(n) * n
+    for bad1, bad2 in zip(_misshapen_values(z1, n), _misshapen_values(z2, n)):
         for slot, bad in ((0, bad1), (1, bad2)):
             digest, opening = commit(bad, COMMIT_TAGS[slot], rng)
             assert slot_opens(inst, digest, slot, bad, opening) is False
 
-    # a proof whose every round commits both masked tuples in the form under
+    # a proof whose every round commits both masked values in the form under
     # test, so each challenge opens one; the canonical pair verifies
     def proof(pair):
         rounds = [commit_round(*pair, seed, rng) for _ in range(4)]
@@ -339,7 +334,7 @@ def test_wire_forms_hold_at_the_byte_table_boundary(n, gens, k):
         return encode_proof(NIZKProof(commitments, tuple(s.respond(ch) for s, ch in zip(rounds, challenges))))
 
     assert fs_verify_bytes(inst, proof((z1, z2)), b"", 4)
-    for pair in zip(_misshapen_tuples(z1, n), _misshapen_tuples(z2, n)):
+    for pair in zip(_misshapen_values(z1, n), _misshapen_values(z2, n)):
         assert fs_verify_bytes(inst, proof(pair), b"", 4) is False
 
 
@@ -731,25 +726,25 @@ def _state_digest(state):
 
 
 # Pinned so that any change to how the cheating provers and the simulator
-# draw their coins or build their masked tuples shows up.  Each state has
+# draw their coins or build their masked values shows up.  Each state has
 # its own seeded rng: 80 + the two targets for a cheater, 90 + the guess for
 # the simulator.
 @pytest.mark.parametrize("preset, n, gens, k, instance_seed, digests", [
     ("abelian2", 16, 5, 4, 71, (
-        "70d8ac26c033ab0ad3a5d1384b4b36aeb18cfedfd1b3277ee4605c081e3ff392",
-        "39dc96755a72420f8a4c5ca1d2395cfc133376abb83d3283df54cdc804e25d46",
-        "4714b23239fed788df8b17b7123704257743a36b91e7c8a2624dc8a1787e3acb",
-        "29d23a062a99d47698e32eb86109be1072e39da7b7c4383fab03a2a2b03672ed",
-        "bdd7b4a369e1fc106b727611f9e5f2ffffaa45387537e4557e679dfe41089681",
-        "e7aa9b0a5af76916d3e6bb42cdec6663b6cc468e9d09477c55c20c1d7a71f2e3",
+        "675e68200baab0bc358ad5230ac7177e4a6710ab34255a5f11aaec98fb7490de",
+        "db4c80bf108fe49d878d8ef3ffe046333bcfad2134e34858e74c0b66b7f0f672",
+        "c8600e8084d9192c1bc60973b76008d344dbcfa71d4d29245af6d9e639b42130",
+        "51f64e001e8ca1cedb8c474346039b10e38775d0eef55962f8afa69005960607",
+        "7b5b195a59983bd97b80e60df8ad843e0f605a3e01a2ccff09db7f604ccd49a0",
+        "1c9ccb567b81b3bb8b6471d018010e59c66531da79f83744946e1951de1bee5e",
     )),
     ("general", 16, 4, 6, 70, (  # a certified S_16
-        "6c442f72117d5f561282b0bb390b73cb7d7cd7e190190d71f0a9d2bab3ae009e",
-        "933d83959b4c30e6ce6bafd78e960d4d71c741723f6e99b0284dce39b08c1125",
-        "8a6980133fb09c8f7548aae86304ef8b929a94ef5558dca232814e2d4ad4ced5",
-        "5ca700a1a8516f1d00ee31b313a9844ecf9f82dec51a3e05f532e58cbcefdc1c",
-        "6f039dbe7a3ae0193ce071a8559d48fe6bea3563a48bcfae895a8a4d6d83a680",
-        "627758ee1f4bbe0d3757d88be6d435e337b849cba65e8b6683a51356c9745a12",
+        "cd88afe719928a9dee3c64163fe8f2c2c6af7623f014a870c60afb1c44c289b1",
+        "a46ee71b232fbf122b5671bac6f979b5e089932fd1a52990bb87fc9dbc2979e0",
+        "14d5a1428857f430ba78787087634e80b0221b8fe9a3d766bd07730915b2f297",
+        "79667da6b0e984b8f86ea78cb74a37efcd966e09cccb82392dd11bda1e7d4969",
+        "31463de0130d5a973e8a70d6dcffdc39266fc988894fa651299287589ac23479",
+        "77625d6a420a8e01691f090922f7000850fd362611355f7505b206c9051a7753",
     )),
 ])
 def test_analysis_prover_states_are_pinned(preset, n, gens, k, instance_seed, digests):

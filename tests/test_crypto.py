@@ -1,5 +1,6 @@
-"""Commitments, mask expansion, and tuple arithmetic."""
+"""Commitments, mask expansion, and the word arithmetic masking is checked by."""
 
+import hashlib
 import random
 from itertools import product
 
@@ -13,7 +14,6 @@ from sdzkp.crypto import (
     MAX_TUPLE_LENGTH,
     OPENING_BYTES,
     SEED_BYTES,
-    _is_tuple_encoding,
     _unmask,
     apply_mask,
     commit,
@@ -28,7 +28,10 @@ from sdzkp.crypto import (
     tuple_sub,
     verify_commitment,
 )
-from sdzkp.perm import hamming, random_perm
+from sdzkp.group import word_width
+from sdzkp.instance import make_instance
+from sdzkp.perm import hamming, identity, random_perm
+from sdzkp.protocol import Z1, slot_opens
 from test_reference_verifier import weight
 
 
@@ -96,64 +99,87 @@ def test_commit_randomized():
     assert d1 != d2 and o1 != o2
 
 
+def pack(words, width):
+    """Words of `width` bytes, little-endian, one after another."""
+    return b"".join(w.to_bytes(width, "little") for w in words)
+
+
 def test_expand_mask_deterministic_and_prefix_stable():
     seed = bytes(range(32))
-    m1 = expand_mask(seed, 16)
-    m2 = expand_mask(seed, 16)
-    assert m1 == m2
-    assert len(m1) == 16
-    assert all(0 <= w < 2**32 for w in m1)
-    # longer expansion of the same seed extends the shorter one
-    assert expand_mask(seed, 32)[:16] == m1
-    assert expand_mask(bytes(32), 16) != m1
+    for width in (1, 4):
+        m1 = expand_mask(seed, 16, width)
+        m2 = expand_mask(seed, 16, width)
+        assert m1 == m2
+        assert len(m1) == 16
+        assert all(0 <= w < 1 << (8 * width) for w in m1)
+        # longer expansion of the same seed extends the shorter one
+        assert expand_mask(seed, 32, width)[:16] == m1
+        assert expand_mask(bytes(32), 16, width) != m1
+        # the words are the stream's first width·n bytes, read in order
+        assert pack(m1, width) == hashlib.shake_256(seed).digest(16 * width)
 
 
 def test_expand_mask_validates_seed():
     with pytest.raises(ValueError):
-        expand_mask(b"short", 4)
+        expand_mask(b"short", 4, 1)
+    with pytest.raises(ValueError):
+        expand_mask(bytes(SEED_BYTES), 0, 4)
 
 
 def test_mask_cancellation():
     rng = random.Random(33)
     seed = fresh_seed(rng)
-    mask = expand_mask(seed, 8)
-    data = tuple(rng.randrange(2**32) for _ in range(8))
-    assert tuple_sub(tuple_add(data, mask), mask) == data
+    for width in (1, 4):
+        mask = expand_mask(seed, 8, width)
+        data = tuple(rng.randrange(1 << (8 * width)) for _ in range(8))
+        assert tuple_sub(tuple_add(data, mask), mask) == data
 
 
-def test_tuple_arithmetic_wraps_mod_2_32():
-    assert tuple_add((2**32 - 1,), (1,)) == (0,)
-    assert tuple_sub((0,), (1,)) == (2**32 - 1,)
+def test_tuple_arithmetic_is_xor():
+    # addition in GF(2^8w) carries nothing, out of a word or within it
+    assert tuple_add((2**32 - 1,), (1,)) == (2**32 - 2,)
+    assert tuple_add((0x80, 0xFF), (0x80, 0x0F)) == (0, 0xF0)
+    assert tuple_sub((0,), (1,)) == (1,)
     with pytest.raises(ValueError):
         tuple_add((1, 2), (1,))
     with pytest.raises(ValueError):
         tuple_sub((1,), (1, 2))
 
 
-# Words at the edges of a 32-bit lane: the carry or borrow into bit 31 and
-# out of bit 31 is where a lane-parallel sum could leak into its neighbour.
-EDGE_WORDS = (0, 1, 2**31 - 1, 2**31, 2**32 - 1)
+def edge_words(width):
+    """Words at the edges of a word of `width` bytes: its low and top bits."""
+    top = 1 << (8 * width)
+    return (0, 1, top // 2 - 1, top // 2, top - 1)
+
+
+EDGE_WORDS = edge_words(4)
 
 
 def plain_add(a, b):
-    return tuple((x + y) % 2**32 for x, y in zip(a, b))
-
-
-def plain_sub(a, b):
-    return tuple((x - y) % 2**32 for x, y in zip(a, b))
+    """The sum in GF(2^8w) by its definition: each coefficient of the two
+    polynomials, one a bit, added mod 2."""
+    return tuple(sum(((x >> i & 1) + (y >> i & 1)) % 2 << i for i in range(32)) for x, y in zip(a, b))
 
 
 def assert_matches_the_per_word_formula(a, b):
+    """tuple_add and tuple_sub give the per-word sum, and so does one XOR of
+    the words packed as lanes of one integer, as apply_mask adds them, at
+    every width that holds them."""
     assert tuple_add(a, b) == plain_add(a, b)
-    assert tuple_sub(a, b) == plain_sub(a, b)
+    assert tuple_sub(a, b) == plain_add(a, b)
+    for width in (1, 4):
+        if max(a + b) < 1 << (8 * width):
+            packed = int.from_bytes(pack(a, width), "little") ^ int.from_bytes(pack(b, width), "little")
+            assert packed.to_bytes(width * len(a), "little") == pack(plain_add(a, b), width)
 
 
 @pytest.mark.parametrize("n", [1, 2, 16, 128, 300])
 def test_lane_arithmetic_matches_the_per_word_formula(n):
-    for x, y in product(EDGE_WORDS, repeat=2):
-        assert_matches_the_per_word_formula((x,) * n, (y,) * n)
+    for width in (1, 4):
+        for x, y in product(edge_words(width), repeat=2):
+            assert_matches_the_per_word_formula((x,) * n, (y,) * n)
     rng = random.Random(n)
-    words = [*EDGE_WORDS, *(rng.getrandbits(32) for _ in range(5))]
+    words = [*edge_words(1), *EDGE_WORDS, *(rng.getrandbits(32) for _ in range(5))]
     for _ in range(50):
         a, b = tuple(rng.choices(words, k=n)), tuple(rng.choices(words, k=n))
         assert_matches_the_per_word_formula(a, b)
@@ -180,30 +206,41 @@ def test_tuple_arithmetic_refuses_words_outside_u32(op, bad):
 
 
 def assert_masking_matches_the_tuple_reference(seed, words):
+    """At degree n = len(words), with words of group.word_width(n) bytes:
+    apply_mask and _unmask give what tuple_add and tuple_sub give with
+    expand_mask's words."""
     n = len(words)
-    mask = expand_mask(seed, n)
-    z = encode_tuple(tuple_add(words, mask))
-    assert apply_mask(seed, n, encode_words(words)) == (z,)
-    assert apply_mask(seed, n, encode_words(words), bytearray(encode_words(words))) == (z, z)
-    assert _unmask(z, seed, n) == encode_words(words)
-    assert _unmask(encode_tuple(words), seed, n) == encode_words(tuple_sub(words, mask))
+    width = word_width(n)
+    mask = expand_mask(seed, n, width)
+    value, z = pack(words, width), pack(tuple_add(words, mask), width)
+    assert len(z) == width * n
+    assert apply_mask(seed, value) == (z,)
+    assert apply_mask(seed, value, bytearray(value)) == (z, z)
+    assert _unmask(z, seed) == value
+    assert _unmask(value, seed) == pack(tuple_sub(words, mask), width)
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 128, 300])
+# Both widths and the boundary between them: one byte a word up to 256, four past it.
+MASK_DEGREES = [1, 2, 5, 128, 255, 256, 257, 300]
+
+
+@pytest.mark.parametrize("n", MASK_DEGREES)
 def test_masking_matches_the_tuple_reference_on_edge_words(n):
     rng = random.Random(n)
-    for w in EDGE_WORDS:
+    edges = edge_words(word_width(n))
+    for w in edges:
         assert_masking_matches_the_tuple_reference(rng.randbytes(SEED_BYTES), (w,) * n)
     for _ in range(20):
-        assert_masking_matches_the_tuple_reference(rng.randbytes(SEED_BYTES), tuple(rng.choices(EDGE_WORDS, k=n)))
+        assert_masking_matches_the_tuple_reference(rng.randbytes(SEED_BYTES), tuple(rng.choices(edges, k=n)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 128, 300])
+@pytest.mark.parametrize("n", MASK_DEGREES)
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_masking_property(n, data):
     seed = data.draw(st.binary(min_size=SEED_BYTES, max_size=SEED_BYTES))
-    word = st.one_of(st.sampled_from(EDGE_WORDS), st.integers(0, 2**32 - 1))
+    edges = edge_words(word_width(n))
+    word = st.one_of(st.sampled_from(edges), st.integers(0, edges[-1]))
     words = data.draw(st.lists(word, min_size=n, max_size=n))
     assert_masking_matches_the_tuple_reference(seed, tuple(words))
 
@@ -211,81 +248,99 @@ def test_masking_property(n, data):
 _THREE = encode_tuple((0, 1, 2))
 
 
-# _unmask takes an encoding, which cannot hold a word outside u32; each
-# such case is paired with an encoding that is not the canonical one of 3
-# words: a wrong length prefix at the right length, a short or long
-# encoding, or a value that is not bytes (the plain word tuple among them).
-# The form test refuses each, before protocol.slot_opens lets _unmask see it.
-@pytest.mark.parametrize("words, encoding", [
-    ((0, -1, 2), (2).to_bytes(4, "little") + _THREE[4:]),
-    ((0, 2**32, 2), _THREE + bytes(4)),
-    ((0, 1.5, 2), _THREE[:-1]),
-    ((0, "1", 2), bytearray(_THREE)),
+# A masked value at degree 3 is 3 bytes, a byte an image, which cannot hold
+# a word that is not an integer, a word past a byte, or a count other than
+# 3.  Each word tuple the reference refuses is paired with a value that is
+# not 3 bytes, or not bytes, which protocol.slot_opens refuses even when it
+# is committed, before _unmask sees it.
+@pytest.mark.parametrize("words, value", [
+    ((0, -1, 2), b"\x00\x01"),
+    ((0, 2**32, 2), bytes((0, 1, 2, 0))),
+    ((0, 1.5, 2), b""),
+    ((0, "1", 2), bytearray((0, 1, 2))),
     ((0, None, 2), (0, 1, 2)),
-    ((0, 1), encode_tuple((0, 1))),
-    ((0, 1, 2, 3), encode_tuple((0, 1, 2, 3))),
+    ((0, 1), _THREE),
+    ((0, 1, 2, 3), bytes(12)),
 ], ids=[f"words{i}" for i in range(7)])
-def test_masking_refuses_what_the_tuple_reference_refuses(words, encoding):
+def test_masking_refuses_what_the_tuple_reference_refuses(words, value):
     seed = bytes(SEED_BYTES)
     for op in (tuple_add, tuple_sub):
         with pytest.raises(ValueError):
-            op(words, expand_mask(seed, 3))
-    assert _is_tuple_encoding(encoding, 3) is False
+            op(words, expand_mask(seed, 3, 1))
+    inst = make_instance(identity(3), (identity(3),), 0)
+    # a value that is not bytes stands beside the commitment to its bytes
+    message = value if isinstance(value, bytes) else bytes((0, 1, 2))
+    digest, opening = commit(message, COMMIT_TAGS[Z1], random.Random(0))
+    assert slot_opens(inst, digest, Z1, value, opening) is False
 
 
-# apply_mask takes words as encode_words writes them, which cannot hold a
-# word outside u32; it refuses any length but 4n bytes.
+# apply_mask masks values of one length under one mask read; it refuses a
+# value of any other length than the first's.
 @pytest.mark.parametrize("words", [b"", bytes(8), bytes(11), bytes(13), bytes(16), _THREE])
 def test_apply_mask_refuses_words_of_another_length(words):
+    three = bytes((0, 1, 2))
     with pytest.raises(ValueError):
-        apply_mask(bytes(SEED_BYTES), 3, words)
+        apply_mask(bytes(SEED_BYTES), three, words)
     with pytest.raises(ValueError):
-        apply_mask(bytes(SEED_BYTES), 3, encode_words((0, 1, 2)), words)
+        apply_mask(bytes(SEED_BYTES), words, three)
 
 
 def test_masking_validates_seed_and_length():
+    three = bytes((0, 1, 2))
     with pytest.raises(ValueError):
-        apply_mask(b"short", 3, encode_words((0, 1, 2)))
+        apply_mask(b"short", three)
     with pytest.raises(ValueError):
-        _unmask(_THREE, b"short", 3)
+        _unmask(three, b"short")
+    for empty in (b"", bytearray()):
+        with pytest.raises(ValueError):
+            apply_mask(bytes(SEED_BYTES), empty)
+        with pytest.raises(ValueError):
+            _unmask(empty, bytes(SEED_BYTES))
     with pytest.raises(ValueError):
-        _unmask(encode_tuple(()), bytes(SEED_BYTES), 0)
+        apply_mask(bytes(SEED_BYTES))
 
 
-def assert_differing_words_match_the_reference(a, b):
-    ea, eb = encode_tuple(a), encode_tuple(b)
-    assert differing_words(ea, eb) == weight(tuple_sub(decode_tuple(ea), decode_tuple(eb)))
-    assert differing_words(ea, eb) == sum(x != y for x, y in zip(a, b))
+def assert_differing_words_match_the_reference(a, b, width):
+    ea, eb = pack(a, width), pack(b, width)
+    assert differing_words(ea, eb, width) == weight(tuple_sub(a, b))
+    assert differing_words(ea, eb, width) == sum(x != y for x, y in zip(a, b))
 
 
-@pytest.mark.parametrize("n", [1, 2, 16, 128, 300])
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 128, 255, 256, 257, 300])
 def test_differing_words_match_the_reference_on_edge_words(n):
-    for x, y in product(EDGE_WORDS, repeat=2):
-        assert_differing_words_match_the_reference((x,) * n, (y,) * n)
+    width = word_width(n)
+    edges = edge_words(width)
+    for x, y in product(edges, repeat=2):
+        assert_differing_words_match_the_reference((x,) * n, (y,) * n, width)
     rng = random.Random(n)
     for _ in range(50):
-        a = tuple(rng.choices(EDGE_WORDS, k=n))
+        a = tuple(rng.choices(edges, k=n))
         # every word differs from its partner in at most one bit, if at all
-        b = tuple(x ^ (rng.choice((0, 1 << rng.randrange(32)))) for x in a)
-        assert_differing_words_match_the_reference(a, b)
+        b = tuple(x ^ (rng.choice((0, 1 << rng.randrange(8 * width)))) for x in a)
+        assert_differing_words_match_the_reference(a, b, width)
 
 
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_differing_words_property(data):
-    word = st.one_of(st.sampled_from(EDGE_WORDS), st.integers(0, 2**32 - 1))
+    width = data.draw(st.sampled_from((1, 4)))
+    edges = edge_words(width)
+    word = st.one_of(st.sampled_from(edges), st.integers(0, edges[-1]))
     a = data.draw(st.lists(word, min_size=1, max_size=64))
-    b = [data.draw(st.one_of(st.just(x), word, st.integers(0, 31).map(lambda s, x=x: x ^ (1 << s)))) for x in a]
-    assert_differing_words_match_the_reference(tuple(a), tuple(b))
+    flip = st.integers(0, 8 * width - 1)
+    b = [data.draw(st.one_of(st.just(x), word, flip.map(lambda s, x=x: x ^ (1 << s)))) for x in a]
+    assert_differing_words_match_the_reference(tuple(a), tuple(b), width)
 
 
 def test_differing_words_refuses_unequal_lengths():
     with pytest.raises(ValueError):
-        differing_words(encode_tuple((0, 1)), encode_tuple((0, 1, 2)))
+        differing_words(bytes(2), bytes(3), 1)
     with pytest.raises(ValueError):
-        differing_words(_THREE, _THREE[:-1])
-    # a trailing partial word still counts as one word
-    assert differing_words(_THREE + b"\x01", _THREE + b"\x00") == 1
+        differing_words(_THREE, _THREE[:-1], 4)
+    # a length that is not whole words of the width
+    with pytest.raises(ValueError):
+        differing_words(_THREE + b"\x01", _THREE + b"\x00", 4)
+    assert differing_words(_THREE + b"\x01", _THREE + b"\x00", 1) == 1
 
 
 def test_weight():
@@ -302,7 +357,7 @@ def test_weight_and_hamming_equal_a_plain_count():
         a, b = random_perm(n, rng), random_perm(n, rng)
         assert hamming(a, b) == sum(1 for i in range(n) if a.images[i] != b.images[i])
         assert hamming(a, b) == weight(tuple_sub(a.images, b.images))
-        assert hamming(a, b) == differing_words(a.to_bytes(), b.to_bytes())
+        assert hamming(a, b) == differing_words(a.to_bytes(), b.to_bytes(), 4)
 
 
 def test_tuple_codec_round_trip():
@@ -355,7 +410,7 @@ def test_mask_words_look_uniform():
     counts = [0] * 256
     samples = 20000
     for _ in range(samples):
-        word = expand_mask(fresh_seed(rng), 1)[0]
+        word = expand_mask(fresh_seed(rng), 1, 1)[0]
         counts[word & 0xFF] += 1
     expected = samples / 256
     chi2 = sum((c - expected) ** 2 / expected for c in counts)

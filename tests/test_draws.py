@@ -23,7 +23,7 @@ import sdzkp.group as group
 import sdzkp.instance as instance
 import sdzkp.perm as perm
 from sdzkp.crypto import COMMIT_TAGS, OPENING_BYTES, SEED_BYTES, commit, fresh_seed, verify_commitment
-from sdzkp.group import build_bsgs
+from sdzkp.group import build_bsgs, word_width
 from sdzkp.instance import instance_to_bytes, plant_instance, witness_to_bytes
 from sdzkp.perm import Permutation, _sample, _shuffle, random_perm, random_support_perm
 from sdzkp.protocol import uniform_challenge, verifier_challenge
@@ -143,19 +143,21 @@ def test_simulator_guess_matches_randrange_3(monkeypatch):
 
 
 def randrange_noise(n, k, rng):
-    """_noise_tuple written with rng.randrange."""
-    noise = [0] * n
+    """_noise written with rng.randrange: n words of w bytes as one integer."""
+    bits, noise = 8 * word_width(n), 0
     for pos in rng.sample(range(n), k):
-        noise[pos] = rng.randrange(1, 1 << 32)
-    return tuple(noise)
+        noise |= rng.randrange(1, 1 << bits) << (bits * pos)
+    return noise
 
 
-@pytest.mark.parametrize("n, k", [(16, 4), (40, 8)])
+@pytest.mark.parametrize("n, k", [(16, 4), (40, 8), (300, 64)])
 def test_noise_words_match_randrange(n, k):
+    bits = 8 * word_width(n)
     for fast, slow in paired_rngs():
-        noise = analysis._noise_tuple(n, k, fast)
+        noise = analysis._noise(n, k, fast)
         assert noise == randrange_noise(n, k, slow)
-        assert sum(1 for w in noise if w) == k and max(noise) < 1 << 32
+        words = [noise >> (bits * i) & ((1 << bits) - 1) for i in range(n)]
+        assert sum(1 for w in words if w) == k and noise < 1 << (bits * n)
         assert same_state(fast, slow)
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import sdzkp.protocol
 from sdzkp import net
+from sdzkp.group import word_width
 from sdzkp.instance import plant_instance, validate_witness
 from sdzkp.net import MSG_CHALLENGE, MSG_COMMIT, MSG_RESPONSE
 from sdzkp.protocol import (
@@ -190,7 +191,7 @@ def test_session_bytes_are_pinned():
         ok = net.verifier_session(verifier, inst, 219, random.Random(122), soon())
         th.join(10)
     assert ok and not th.is_alive()
-    assert prover.sent.hexdigest() == "53553ed67d7447e3dc5df3aeb36c11d786a1c1312a5673b4fe16634d01ba7998"
+    assert prover.sent.hexdigest() == "0522d3235ca8204bd099a742c6120f3a026b5f30883fc87b9a9651bf0a487318"
     assert verifier.sent.hexdigest() == "7b95078da55fcfe6ee7d6358ccf6a3ee42c2100a80ce1aaca80c442b2f3fbce1"
 
 
@@ -598,12 +599,15 @@ def test_response_cap_is_the_longest_valid_response(n):
     state = prover_commit(inst, wit, rng)
     sizes = [len(prover_respond(state, ch)) for ch in (0, 1, 2)]
     assert max(sizes) == max_response_bytes(n)
-    if n >= 7:
-        assert max_response_bytes(n) + 1 == 8 * n + 74
+    # a frame's type byte, then the kind byte, the values and two openings:
+    # two masked values of w·n bytes once they outgrow the 32-byte seed
+    masked = word_width(n) * n
+    assert max_response_bytes(n) + 1 == (2 * masked + 66 if masked > 32 else masked + 98)
 
 
 def test_small_degree_tcp_session_accepts():
-    # below degree 7 the longest response is kind 0 or 1, not kind 2
+    # while a masked value is under the seed's 32 bytes the longest
+    # response is kind 0 or 1, not kind 2
     inst, wit = plant_instance(4, 2, 2, random.Random(110))
     ok, _ = tcp_session(inst, wit, 40, timeout_s=10)
     assert ok

@@ -16,17 +16,15 @@ from sdzkp.analysis import accepted_challenges, completeness_rate
 from sdzkp.crypto import (
     COMMIT_TAGS,
     apply_mask,
-    decode_tuple,
+    commit,
     differing_words,
-    encode_tuple,
-    encode_words,
     expand_mask,
     fresh_seed,
     tuple_add,
     tuple_sub,
     verify_commitment,
 )
-from sdzkp.group import _ChainBuilder, _Level, _normalize, _sift
+from sdzkp.group import _ChainBuilder, _Level, _normalize, _sift, word_width
 from sdzkp.instance import Witness, instance_digest, make_instance, plant_instance, validate_witness
 from sdzkp.perm import Permutation, compose_images, hamming, identity, random_perm
 from sdzkp.protocol import (
@@ -55,10 +53,17 @@ from sdzkp.protocol import (
     prover_round,
     read_round,
     slot_opens,
+    slot_size,
     verifier_challenge,
     verify_round,
 )
 from test_reference_verifier import reference_read_proof
+
+
+def pack(words, n):
+    """n words as a masked value at degree n holds them: group.word_width(n)
+    little-endian bytes each."""
+    return b"".join(w.to_bytes(word_width(n), "little") for w in words)
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +174,7 @@ def test_tampered_masked_tuple_rejected(planted):
     com = state.commitment
     rsp = decode_response(prover_respond(state, 0), inst.degree)
     z1, seed = rsp.values
-    bumped = encode_tuple(tuple_add(decode_tuple(z1), (1,) + (0,) * 15))
+    bumped = pack(tuple_add(z1, (1,) + (0,) * 15), 16)  # at degree 16 a byte is a word
     assert not verify_round(inst, com, 0, encode_response(0, (bumped, seed), rsp.openings))
 
 
@@ -225,7 +230,7 @@ def test_non_permutation_unmask_rejected(planted):
     # every image below n, two of them equal: only the bijection check can refuse
     images = wit.element.images
     collided = (images[1], *images[1:])
-    state = commit_round(*apply_mask(seed, n, encode_words(collided), encode_words(collided)), seed, rng)
+    state = commit_round(*apply_mask(seed, pack(collided, n), pack(collided, n)), seed, rng)
     com = state.commitment
     for ch in CHALLENGES:
         rsp = decode_response(state.respond(ch), n)
@@ -239,18 +244,16 @@ def test_non_permutation_unmask_rejected(planted):
 
 
 def non_canonical_encodings(z):
-    """Stand-ins for the encoding z of n words that are not that encoding:
-    a wrong length prefix at the right length, short and long encodings,
-    and values that are not bytes (the plain word tuple among them)."""
-    n = int.from_bytes(z[:4], "little")
+    """Stand-ins for the masked value z that are not a value of its slot: a
+    byte or a u32 word short or long, and values that are not bytes (its
+    plain word tuple among them)."""
     return [
-        (n + 1).to_bytes(4, "little") + z[4:],
-        (n - 1).to_bytes(4, "little") + z[4:],
         z[:-1],
         z[:-4],
         z + b"\x00",
         z + bytes(4),
-        decode_tuple(z),
+        b"",
+        tuple(z),
         bytearray(z),
         None,
     ]
@@ -284,37 +287,38 @@ def _outcome(unmasker, z, seed, n):
 
 
 def assert_unmask_matches_the_reference(z, seed, n):
-    """unmask of z's encoding raises ValueError exactly when the validating
-    constructor does on tuple_sub(z, mask), and otherwise returns an equal
-    Permutation."""
-    expected = _outcome(lambda z, seed, n: Permutation(tuple_sub(z, expand_mask(seed, n))), z, seed, n)
-    got = _outcome(unmask, encode_tuple(z), seed, n)
+    """unmask of the words z, packed at degree n, raises ValueError exactly
+    when the validating constructor does on tuple_sub(z, mask), and
+    otherwise returns an equal Permutation."""
+    expected = _outcome(lambda z, seed, n: Permutation(tuple_sub(z, expand_mask(seed, n, word_width(n)))), z, seed, n)
+    got = _outcome(unmask, pack(z, n), seed, n)
     assert got == expected
     if expected is not ValueError:
         assert type(got) is Permutation and type(got.images) is tuple
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 16, 128])
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 128, 257])
 def test_unmask_matches_the_validating_constructor(n):
     seed = random.Random(n).randbytes(32)
+    top = (1 << (8 * word_width(n))) - 1
     below = tuple(range(n - 1))
     hidden = [
         tuple(range(n)),  # a permutation
         (*below, n),  # the value n, every word distinct
-        (*below, 2**32 - 1),  # the top u32 word, every word distinct
+        (*below, top),  # the top word of the width, every word distinct
         (*below, n - 2) if n > 1 else (1,),  # a duplicate (or, at n = 1, the value n)
         tuple(reversed(range(n))),
     ]
     for words in hidden:
-        z = tuple_add(words, expand_mask(seed, n))
+        z = tuple_add(words, expand_mask(seed, n, word_width(n)))
         assert_unmask_matches_the_reference(z, seed, n)
         assert_unmask_matches_the_reference(z[:-1], seed, n)  # wrong lengths
         assert_unmask_matches_the_reference(z + (0,), seed, n)
-        # an encoding cannot hold a word outside u32; what stands in for one
-        # is an encoding that is not canonical (one that is not bytes has no
-        # wire form; test_verify_round_rejects_honestly_committed_non_canonical_encodings
+        # a value cannot hold a word wider than its width; what stands in
+        # for one is a value of another length (one that is not bytes has
+        # no wire form; test_verify_round_rejects_honestly_committed_non_canonical_encodings
         # checks that slot_opens refuses it)
-        for bad in non_canonical_encodings(encode_tuple(z)):
+        for bad in non_canonical_encodings(pack(z, n)):
             if isinstance(bad, bytes):
                 assert _outcome(unmask, bad, seed, n) is ValueError
 
@@ -324,9 +328,9 @@ def test_unmask_matches_the_validating_constructor(n):
 def test_unmask_matches_the_validating_constructor_on_arbitrary_words(data):
     n = data.draw(st.integers(1, 8))
     seed = data.draw(st.binary(min_size=32, max_size=32))
-    word = st.one_of(st.integers(0, n), st.sampled_from((2**32 - 1, 2**31)))
+    word = st.one_of(st.integers(0, n), st.sampled_from((255, 128)))
     words = tuple(data.draw(st.lists(word, min_size=n - 1, max_size=n + 1)))
-    z = tuple_add(words, expand_mask(seed, len(words))) if words else ()
+    z = tuple_add(words, expand_mask(seed, len(words), word_width(n))) if words else ()
     assert_unmask_matches_the_reference(z, seed, n)
 
 
@@ -344,15 +348,15 @@ def test_masked_round_and_read_round_match_their_definitions(preset, gens, k, in
         u = ops.decode(inst.group.sample_uniform(rng))
         seed = fresh_seed(rng)
         state = masked_round(inst, ops.encode(u), ops.encode(x), seed, rng)
-        mask = expand_mask(seed, n)
+        mask = expand_mask(seed, n, word_width(n))
         assert state.values[SEED] == seed
-        assert state.values[Z1] == encode_tuple(tuple_add(compose_images(u, x), mask))
-        assert state.values[Z2] == encode_tuple(tuple_add(compose_images(u, g), mask))
+        assert state.values[Z1] == pack(tuple_add(compose_images(u, x), mask), n)
+        assert state.values[Z2] == pack(tuple_add(compose_images(u, g), mask), n)
         shown = [read_round(inst, state.commitment, ch, state.respond(ch)) for ch in CHALLENGES]
         ux, distance = Permutation(compose_images(u, x)), hamming(Permutation(x), inst.target)
         assert shown[0] == (ops.encode(ux.images) if inst.group.contains(ux) else None)
         assert shown[1] == ops.encode(u)
-        assert differing_words(*decode_response(state.respond(2), n).values) == distance
+        assert differing_words(*decode_response(state.respond(2), n).values, word_width(n)) == distance
         assert shown[2] == (distance if distance <= k else None)
 
 
@@ -473,9 +477,10 @@ def test_response_codec_round_trip(planted):
 
 @pytest.mark.parametrize("n", [5, 16, 260])
 def test_encode_response_inverts_decode_response(n):
-    # 260 is past the byte-table limit; below 7 the kind 0 and 1 responses are the longest
+    # 260 is past the byte-table limit; up to 32 bytes of masked value the
+    # kind 0 and 1 responses are at least as long as kind 2
     rng = random.Random(n)
-    z1, z2 = (encode_tuple(tuple(rng.getrandbits(32) for _ in range(n))) for _ in range(2))
+    z1, z2 = (rng.randbytes(slot_size(Z1, n)) for _ in range(2))
     state = commit_round(z1, z2, fresh_seed(rng), rng)
     for ch in CHALLENGES:
         data = state.respond(ch)
@@ -483,15 +488,16 @@ def test_encode_response_inverts_decode_response(n):
         assert encode_response(*decode_response(data, n)) == data
 
 
-@pytest.mark.parametrize("n", [1, 2, 6, 7, 256, 257])
+@pytest.mark.parametrize("n", [1, 2, 6, 7, 32, 33, 256, 257])
 def test_the_degree_is_the_input_of_a_responses_layout(n):
-    # below 7 the kind 0 and 1 responses are longer than kind 2; 256/257 is
-    # the byte-table boundary.  A response is read by its layout at n alone:
-    # at n - 1 or n + 1 its length is wrong, and a tuple's count prefix is
-    # never read, so a wrong one decodes and only verify_round refuses it.
+    # up to n = 32 the kind 0 and 1 responses are at least as long as kind 2;
+    # 256/257 is the byte-table boundary, where a word goes from 1 byte to 4.
+    # A response is read by its layout at n alone: at n - 1 or n + 1 its
+    # length is wrong, and any bytes of a value's length decode, so only
+    # verify_round refuses a value that is not what the round claims.
     inst, rng = _trivial_instance(n), random.Random(n)
     seed = fresh_seed(rng)
-    z1, z2 = apply_mask(seed, n, encode_words(tuple(range(n))), encode_words(tuple(range(n))))
+    z1, z2 = apply_mask(seed, pack(range(n), n), pack(range(n), n))
     honest = commit_round(z1, z2, seed, rng)
     for ch in CHALLENGES:
         data, slots = honest.respond(ch), OPENS[ch]
@@ -502,13 +508,13 @@ def test_the_degree_is_the_input_of_a_responses_layout(n):
         for other in (n - 1, n + 1):
             with pytest.raises(ValueError):
                 decode_response(data, other)
-        for count in (n - 1, n + 1):
-            prefix = count.to_bytes(4, "little")
-            miscounted = commit_round(prefix + z1[4:], prefix + z2[4:], seed, rng)
-            wrong = miscounted.respond(ch)
-            assert len(wrong) == len(data)
-            assert decode_response(wrong, n).values == tuple(miscounted.values[i] for i in slots)
-            assert not verify_round(inst, miscounted.commitment, ch, wrong)
+        # both values' first image moved by one bit: no longer a permutation,
+        # and the two still agree, at distance 0
+        moved = commit_round(bytes([z1[0] ^ 1]) + z1[1:], bytes([z2[0] ^ 1]) + z2[1:], seed, rng)
+        wrong = moved.respond(ch)
+        assert len(wrong) == len(data)
+        assert decode_response(wrong, n).values == tuple(moved.values[i] for i in slots)
+        assert verify_round(inst, moved.commitment, ch, wrong) is (ch == 2)
 
 
 def test_a_proof_holds_each_round_as_its_prover_state_emits_it(planted):
@@ -619,7 +625,7 @@ def reference_challenges(statement_digest, context, commitments):
     """derive_challenges written plainly: round i's challenge is the first
     byte of SHAKE-256(domain ‖ u32 len(context) ‖ context ‖ statement digest ‖
     commitments ‖ u32 i) that is not 255, mod 3."""
-    prefix = b"SDZKP-FS-v1" + struct.pack("<I", len(context)) + context + statement_digest + b"".join(commitments)
+    prefix = b"SDZKP-FS-v2" + struct.pack("<I", len(context)) + context + statement_digest + b"".join(commitments)
     base = hashlib.shake_256(prefix)
     challenges = []
     for i in range(len(commitments)):
@@ -637,7 +643,7 @@ def test_derive_challenges_matches_the_plain_reference_on_both_rejections():
     for c in count():
         assert c < 500, "no context put one round behind ff and another behind ff ff"
         context = b"ctx%d" % c
-        base = hashlib.shake_256(b"SDZKP-FS-v1" + struct.pack("<I", len(context)) + context + statement
+        base = hashlib.shake_256(b"SDZKP-FS-v2" + struct.pack("<I", len(context)) + context + statement
                                  + b"".join(commitments))
         heads = set()
         for i in range(len(commitments)):
@@ -678,6 +684,35 @@ def test_slot_opens_accepts_only_the_committed_slot(planted):
             assert slot_opens(inst, bad, slot, value, opening) is False
         for bad in (opening[:-1], opening + b"\x00"):
             assert slot_opens(inst, digest, slot, value, bad) is False
+
+
+@pytest.mark.parametrize("n", [5, 256, 257, 260])
+def test_every_byte_string_of_a_slots_length_is_its_value(n):
+    """At both widths a masked value is w·n bytes of any content and the
+    seed 32: committed, every byte string of its slot's length opens, and
+    every other length is refused, the other width's length among them."""
+    inst, rng = _symmetric_instance(n), random.Random(n)
+    for slot in (Z1, Z2, SEED):
+        size = slot_size(slot, n)
+        assert size == (32 if slot == SEED else word_width(n) * n)
+        for value in (bytes(size), b"\xff" * size, rng.randbytes(size)):
+            digest, opening = commit(value, COMMIT_TAGS[slot], rng)
+            assert slot_opens(inst, digest, slot, value, opening) is True
+        for length in sorted({0, 1, size - 1, size + 1, n, 4 * n, 4 * n + 4} - {size}):
+            value = rng.randbytes(length)
+            digest, opening = commit(value, COMMIT_TAGS[slot], rng)
+            assert slot_opens(inst, digest, slot, value, opening) is False
+
+
+def test_a_proof_with_the_old_magic_is_refused(planted):
+    # SDP1 proofs masked tuples with a count prefix; this format's magic is SDP2
+    inst, wit = planted
+    data = encode_proof(fs_prove(inst, wit, 4, b"", random.Random(71)))
+    assert data[:4] == b"SDP2" and fs_verify_bytes(inst, data, b"", 4)
+    old = b"SDP1" + data[4:]
+    assert fs_verify_bytes(inst, old, b"", 4) is False
+    with pytest.raises(ValueError):
+        decode_proof(old, inst.degree)
 
 
 def test_proof_codec_rejects_malformed(planted):
@@ -729,7 +764,7 @@ def test_a_challenge_2_opening_gives_no_witness():
         inst, wit = plant_instance(64, 16, 16, rng, preset="abelian2")
         proof = fs_prove(inst, wit, 219, b"ctx", rng)
         z1, z2 = next(rsp.values for rsp in (decode_response(r, inst.degree) for r in proof.responses) if rsp.kind == 2)
-        agree = [i for i, (a, b) in enumerate(zip(decode_tuple(z1), decode_tuple(z2))) if a == b]
+        agree = [i for i, (a, b) in enumerate(zip(z1, z2)) if a == b]  # a byte a word at degree 64
         found = _transport(inst, agree)
         recovered += found is not None and validate_witness(inst, found)
     assert recovered == 0
@@ -738,14 +773,14 @@ def test_a_challenge_2_opening_gives_no_witness():
 # SHA-256 of a 219-round proof with fixed coins, pinned so that any change to
 # the commitment order, the response layout or the rng schedule shows up.
 @pytest.mark.parametrize("n, gens, k, digest", [
-    (16, 4, 6, "157f07176bd93eeaa8359824b070557d639e643c1a1c4300d4375bed50847f5d"),  # H = A_16
-    (12, 3, 4, "58d0eff0d82c5f7e9e265f3374cdfe994ddee88cea4da8b166d3ed9c6b53e0b8"),  # H = S_12
-    # below degree 7 the kind 0 and 1 responses are the longest
-    (5, 2, 2, "36ad79c11b530a63380e714e376ff49e39375d6e620f652209b7fcfd03d4c5f4"),
+    (16, 4, 6, "ecc1d9cfcbbda382fe30cf5802d9ac0d62677e2ac43fb5f375e7166125d5e680"),  # H = A_16
+    (12, 3, 4, "045825b0584b0e8748c0f2158ea694581d617dda9a895122e3aa44779b2b8916"),  # H = S_12
+    # while a masked value is under 32 bytes the kind 0 and 1 responses are the longest
+    (5, 2, 2, "d34ed6364f6540d0f51709f9d016008a62073c8c0c271fd163dd345f133bb35e"),
     # the shape of the nizk-n128-giant benchmark workload
-    (128, 3, 32, "ffedf54c23d24f510fe862fe5ab72e39519cc04400d2d9ec2cfb6488bc5b63f5"),  # H = S_128
+    (128, 3, 32, "482e013658323d8ff5e971d3bda341bc93554c103568589b926572ea5fbf100b"),  # H = S_128
     # past the byte-table limit: group elements are image tuples
-    (260, 3, 65, "4c09bd564b0aa36f2233956d5efff9604229cc2ac3a4183bd2354b46e083b6c7"),  # H = A_260
+    (260, 3, 65, "f6308cbc01b8a053b2ebfc4f2cb529d552d96a4b23b5573c5870de3cdebfaa77"),  # H = A_260
 ])
 def test_fs_proof_bytes_are_pinned(n, gens, k, digest):
     inst, wit = plant_instance(n, gens, k, random.Random(n), preset="general")
@@ -759,10 +794,9 @@ def test_fs_proof_bytes_are_pinned_on_a_tuple_chain():
     inst, wit = plant_instance(260, 8, 64, random.Random(260), preset="abelian2")
     assert inst.group.giant == "no" and len(inst.group.base) == 8
     data = encode_proof(fs_prove(inst, wit, 219, b"ctx", random.Random(7)))
-    assert hashlib.sha256(data).hexdigest() == "b7c9ff4496f28f1c2308fe2ef8092358a798e6b4d5b20ed88b639796e550b117"
+    assert hashlib.sha256(data).hexdigest() == "877d6135740788efc9fb6739ae6195df5c323d85f993724807be3e60b0559f1f"
 
 
-_u32 = st.integers(0, (1 << 32) - 1)
 _bytes32 = st.binary(min_size=32, max_size=32)
 _bytes96 = st.binary(min_size=COMMITMENT_BYTES, max_size=COMMITMENT_BYTES)
 
@@ -770,10 +804,10 @@ _bytes96 = st.binary(min_size=COMMITMENT_BYTES, max_size=COMMITMENT_BYTES)
 @st.composite
 def _prover_states(draw):
     """A coin tape with arbitrary contents at an arbitrary small degree."""
-    n = draw(st.integers(1, 16))
-    word_tuple = st.lists(_u32, min_size=n, max_size=n).map(lambda words: encode_tuple(tuple(words)))
+    n = draw(st.integers(1, 40))
+    masked = st.binary(min_size=slot_size(Z1, n), max_size=slot_size(Z1, n))
     return n, ProverState(
-        values=(draw(word_tuple), draw(word_tuple), draw(_bytes32)),
+        values=(draw(masked), draw(masked), draw(_bytes32)),
         openings=(draw(_bytes32), draw(_bytes32), draw(_bytes32)),
         commitment=draw(_bytes96),
     )
@@ -829,7 +863,7 @@ def _honest_proof(n):
 @given(st.data())
 def test_the_proof_walk_and_the_reference_parser_agree(data):
     """decode_proof reads a proof by the walk fs_verify_bytes makes, the
-    reference parser by each tuple's count prefix.  On an honest proof with
+    reference parser by README's layout in plain loops.  On an honest proof with
     up to 3 byte flips, a cut or appended bytes, decode_proof either refuses
     it, and then fs_verify_bytes does too, or splits it into rounds that
     encode_proof joins back to the same bytes; where the reference parser
@@ -853,7 +887,7 @@ def test_the_proof_walk_and_the_reference_parser_agree(data):
         return
     assert encode_proof(decoded) == raw
     try:
-        reference = reference_read_proof(raw)
+        reference = reference_read_proof(raw, n)
     except ValueError:
         return
     assert reference == list(zip(*decoded))

@@ -1,46 +1,33 @@
-"""fs_verify_bytes against a reference verifier written from the plain helpers.
+"""fs_verify_bytes against a reference verifier written from README's format.
 
-The reference reads the proof with its own parser, written from the
-format: the magic and a u32 round count, then per round a 96-byte
-commitment, a kind byte, each opened value (a masked tuple by its own u32
-count prefix, the seed as 32 bytes), then two 32-byte openings.  It never
-asks the degree where a value ends, so it walks a proof apart from the
-package's layout-driven walk.  It requires the round count the verifier
-asks for, derives the challenges, opens each commitment with
-crypto.verify_commitment, unmasks with tuple_sub(decode_tuple(z),
-expand_mask(seed, n)), builds the opened member with the validating
-Permutation constructor, compose and contains, and counts challenge-2
-differences with weight.  It shares none of the raw-form code (byte
-tables, lane slices, the one-subtraction unmask) that fs_verify_bytes
-runs, so each verdict is checked against the definition.  Per round, what
-the reference shows (the member's images at challenges 0 and 1, the
-distance at 2) is checked against what protocol.read_round shows.
+The reference reads the proof with its own parser, written in plain loops
+from the format: the magic SDP2 and a u32 round count, then per round a
+96-byte commitment, a kind byte, each opened value (a masked value as w·n
+bytes, n words of w = 1 byte up to degree 256 and 4 past it; the seed as
+32 bytes), then two 32-byte openings.  It requires the round count the
+verifier asks for, derives the challenges, opens each commitment with its
+own SHA3-256, unmasks word by word (each word XOR the matching word of
+SHAKE-256(seed), as addition in GF(2^8w) is), builds the opened member
+with the validating Permutation constructor, compose and contains, and
+counts challenge-2 differences word by word.  It imports no codec and
+shares none of the raw-form code (byte tables, the one-integer XOR, the
+byte count of differing_words) that fs_verify_bytes runs, so each verdict
+is checked against the definition.  Per round, what the reference shows
+(the member's images at challenges 0 and 1, the distance at 2) is checked
+against what protocol.read_round shows.
 """
 
+import hashlib
 import random
-import struct
 
 import pytest
 
 from sdzkp.analysis import make_cheating_prover
-from sdzkp.crypto import (
-    COMMIT_TAGS,
-    apply_mask,
-    decode_tuple,
-    encode_tuple,
-    encode_words,
-    expand_mask,
-    fresh_seed,
-    tuple_add,
-    tuple_sub,
-    verify_commitment,
-)
+from sdzkp.crypto import apply_mask, fresh_seed
 from sdzkp.instance import instance_digest, plant_instance
 from sdzkp.perm import Permutation, compose, inverse
 from sdzkp.protocol import (
-    COMMITMENT_BYTES,
     OPENS,
-    SEED,
     NIZKProof,
     commit_round,
     derive_challenges,
@@ -52,50 +39,81 @@ from sdzkp.protocol import (
     verify_round,
 )
 
+# The format's constants, as README states them.
+MAGIC = b"SDP2"
+COMMITMENT = 96
+# what each kind opens, in wire order: slot 0 is Z1, 1 is Z2, 2 the seed
+OPENED = {0: (0, 2), 1: (1, 2), 2: (0, 1)}
+SEED_SLOT = 2
+
 
 def weight(t):
     """The count of nonzero entries of t."""
     return sum(1 for x in t if x != 0)
 
 
-def reference_read_response(data, at):
-    """The response that starts at offset `at` of data, read by the format:
-    a kind byte, each value OPENS[kind] lists (a masked tuple as its u32
-    count prefix and that many u32 words, the seed as 32 bytes), then one
-    32-byte opening per value.  Returns (kind, values, openings) and the
-    offset past it; ValueError if the kind is unknown or data ends first."""
-    if at >= len(data) or data[at] not in OPENS:
+def word_bytes(n):
+    """w: the bytes of one word of a masked value at degree n."""
+    return 1 if n <= 256 else 4
+
+
+def words_of(value, n):
+    """A masked value's n words, each w little-endian bytes."""
+    w = word_bytes(n)
+    words = []
+    for i in range(n):
+        words.append(int.from_bytes(value[w * i : w * i + w], "little"))
+    return words
+
+
+def mask_words(seed, n):
+    """The mask: SHAKE-256(seed) read as n words of w bytes."""
+    return words_of(hashlib.shake_256(seed).digest(word_bytes(n) * n), n)
+
+
+def masked_value(words, seed, n):
+    """words masked under seed: each word plus its mask word in GF(2^8w),
+    which is XOR, written back as w bytes."""
+    w, out = word_bytes(n), b""
+    for word, m in zip(words, mask_words(seed, n)):
+        out += (word ^ m).to_bytes(w, "little")
+    return out
+
+
+def reference_read_response(data, at, n):
+    """The response at degree n that starts at offset `at` of data, read by
+    the format: a kind byte, each value the kind opens (a masked value as
+    w·n bytes, the seed as 32), then one 32-byte opening per value.
+    Returns (kind, values, openings) and the offset past it; ValueError if
+    the kind is unknown or data ends first."""
+    if at >= len(data) or data[at] not in OPENED:
         raise ValueError("no response kind")
     kind, at, values = data[at], at + 1, []
-    for slot in OPENS[kind]:
-        if slot == SEED:
-            length = 32
-        else:
-            if at + 4 > len(data):
-                raise ValueError("truncated count prefix")
-            (count,) = struct.unpack_from("<I", data, at)
-            length = 4 + 4 * count
+    for slot in OPENED[kind]:
+        length = 32 if slot == SEED_SLOT else word_bytes(n) * n
         values.append(data[at : at + length])
         at += length
-    openings = tuple(data[at + 32 * i : at + 32 * i + 32] for i in range(len(values)))
-    at += 32 * len(values)
+    openings = []
+    for _ in values:
+        openings.append(data[at : at + 32])
+        at += 32
     if at > len(data):
         raise ValueError("truncated response")
-    return (kind, tuple(values), openings), at
+    return (kind, tuple(values), tuple(openings)), at
 
 
-def reference_read_proof(data):
-    """A proof read by the format: the magic SDP1, a u32 round count, then
-    per round a 96-byte commitment and a response (reference_read_response).
-    Returns each round's (commitment, response); ValueError unless the last
-    round ends where data does."""
-    if data[:4] != b"SDP1" or len(data) < 8:
+def reference_read_proof(data, n):
+    """A proof at degree n read by the format: the magic SDP2, a u32 round
+    count, then per round a 96-byte commitment and a response
+    (reference_read_response).  Returns each round's (commitment,
+    response); ValueError unless the last round ends where data does."""
+    if data[:4] != MAGIC or len(data) < 8:
         raise ValueError("bad header")
-    (count,) = struct.unpack_from("<I", data, 4)
+    count = int.from_bytes(data[4:8], "little")
     rounds, at = [], 8
     for _ in range(count):
-        commitment, start = data[at : at + COMMITMENT_BYTES], at + COMMITMENT_BYTES
-        _, at = reference_read_response(data, start)
+        commitment, start = data[at : at + COMMITMENT], at + COMMITMENT
+        _, at = reference_read_response(data, start, n)
         rounds.append((commitment, data[start:at]))
     if at != len(data):
         raise ValueError("trailing bytes")
@@ -105,31 +123,27 @@ def reference_read_proof(data):
 def reference_round(inst, commitment, challenge, response):
     """What one round shows by definition, on its wire bytes, or None unless
     it verifies: the response parsed by reference_read_response, then its
-    kind, its openings, and the challenge's predicate.  A round shows the
-    member's image tuple at challenges 0 and 1 (u∘h, then u) and the
-    distance at 2."""
+    kind, its openings (SHA3-256 of the tag C1, C2 or C3, the opening and
+    the value), and the challenge's predicate.  A round shows the member's
+    image tuple at challenges 0 and 1 (u∘h, then u) and the distance at 2."""
     n = inst.degree
     try:
-        (kind, values, openings), end = reference_read_response(response, 0)
+        (kind, values, openings), end = reference_read_response(response, 0, n)
     except ValueError:
         return None
-    if kind != challenge or end != len(response):
+    if kind != challenge or end != len(response) or len(commitment) != COMMITMENT:
         return None
-    words = {}
-    for slot, value, opening in zip(OPENS[challenge], values, openings):
-        if not verify_commitment(commitment[32 * slot : 32 * slot + 32], value, COMMIT_TAGS[slot], opening):
+    for slot, value, opening in zip(OPENED[challenge], values, openings):
+        tag = b"C%d" % (slot + 1)
+        if hashlib.sha3_256(tag + opening + value).digest() != commitment[32 * slot : 32 * slot + 32]:
             return None
-        if slot != SEED:
-            words[slot] = decode_tuple(value)
-            if len(words[slot]) != n:
-                return None
     if challenge == 2:
-        a, b = words.values()
-        distance = weight(tuple_sub(a, b))
+        a, b = (words_of(value, n) for value in values)
+        distance = weight([x ^ y for x, y in zip(a, b)])
         return distance if distance <= inst.max_distance else None
-    (z,), seed = words.values(), values[1]
+    z, seed = values
     try:
-        member = Permutation(tuple_sub(z, expand_mask(seed, n)))
+        member = Permutation(tuple(x ^ m for x, m in zip(words_of(z, n), mask_words(seed, n))))
     except ValueError:
         return None
     if challenge == 1:
@@ -139,7 +153,7 @@ def reference_round(inst, commitment, challenge, response):
 
 def reference_verify(inst, data, context, rounds) -> bool:
     try:
-        proof = reference_read_proof(data)
+        proof = reference_read_proof(data, inst.degree)
     except ValueError:
         return False
     if len(proof) != rounds:
@@ -193,14 +207,12 @@ def test_honest_proofs_and_their_mutations_agree(family):
         assert not assert_verifiers_agree(inst, data + extra, 6)
     # fs_verify_bytes finds each round in place from its kind byte and the
     # degree; these cases move what that walk reads: every kind byte value at
-    # the first and the last round, each opened masked tuple's count prefix
-    # in a challenge-0/1 round and in a challenge-2 round (as it lies, then
+    # the first and the last round, masked values a byte short or long (as
     # committed to, so each opening holds), and the buffer cut at each round
     # boundary.
-    n, kinds, starts = inst.degree, [], [8]
-    for _, rsp in reference_read_proof(data):
-        kinds.append(rsp[0])
-        starts.append(starts[-1] + COMMITMENT_BYTES + len(rsp))
+    starts = [8]
+    for _, rsp in reference_read_proof(data, inst.degree):
+        starts.append(starts[-1] + COMMITMENT + len(rsp))
     assert starts.pop() == len(data)
 
     def agree_on(position, value):
@@ -208,16 +220,10 @@ def test_honest_proofs_and_their_mutations_agree(family):
 
     for start in (starts[0], starts[-1]):
         for kind in range(256):
-            assert agree_on(start + COMMITMENT_BYTES, bytes([kind])) is (kind == data[start + COMMITMENT_BYTES])
-    for index, tuples in ((next(i for i, k in enumerate(kinds) if k != 2), 1), (kinds.index(2), 2)):
-        first = starts[index] + COMMITMENT_BYTES + 1
-        for position in range(first, first + tuples * (4 + 4 * n), 4 + 4 * n):
-            for count in (n - 1, n + 1, 0, 2**32 - 1):
-                assert not agree_on(position, struct.pack("<I", count))
+            assert agree_on(start + COMMITMENT, bytes([kind])) is (kind == data[start + COMMITMENT])
     z1, z2, seed = prover_commit(inst, wit, rng).values
-    for count in (n - 1, n + 1, 0, 2**32 - 1):
-        prefix = struct.pack("<I", count)
-        state = commit_round(prefix + z1[4:], prefix + z2[4:], seed, rng)
+    for bad1, bad2 in ((z1[:-1], z2[:-1]), (z1 + b"\x00", z2 + b"\x00")):
+        state = commit_round(bad1, bad2, seed, rng)
         for ch in (0, 1, 2):
             assert not assert_verifiers_agree(inst, proof_opening(inst, wit, state, ch, rng), 3)
     for start in starts:
@@ -236,30 +242,9 @@ def proof_opening(inst, wit, state, challenge, rng, context=b"ctx"):
             return encode_proof(NIZKProof(commitments, responses))
 
 
-def forged_state(inst, words1, words2, rng):
-    """A state committing to arbitrary u32 words under one fresh mask."""
-    seed = fresh_seed(rng)
-    return commit_round(*apply_mask(seed, inst.degree, encode_words(words1), encode_words(words2)), seed, rng)
-
-
-def test_a_borrowing_lane_is_refused_by_both(family):
-    # Words at or past 2^31 borrow in the lane subtraction's top bit; every
-    # such unmasked word must be refused, as the validating constructor does.
-    inst, wit = family
-    rng = random.Random(inst.degree + 2)
-    images = wit.element.images
-    for bad in (2**31, 2**31 + images[0], 2**32 - 1, 2**31 - 1, inst.degree):
-        words = (bad, *images[1:])
-        state = forged_state(inst, words, words, rng)
-        for ch in (0, 1):
-            assert not verify_round(inst, state.commitment, ch, state.respond(ch))
-            assert reference_round(inst, state.commitment, ch, state.respond(ch)) is None
-            assert not assert_verifiers_agree(inst, proof_opening(inst, wit, state, ch, rng), 3)
-
-
 def test_noisy_cheaters_arbitrary_words_agree(family):
     # make_cheating_prover masks a member beside itself plus noise: the noisy
-    # words are arbitrary u32s, which apply_mask must take as they are.
+    # words are arbitrary, which apply_mask must take as they are.
     inst, wit = family
     rng = random.Random(inst.degree + 3)
     for targets in ({0, 2}, {1, 2}, {0, 1}):
@@ -319,7 +304,9 @@ def test_a_distance_0_round_shows_0(n, gens, preset):
 
 def test_apply_mask_takes_arbitrary_words():
     rng = random.Random(5)
-    for n in (1, 5, 16, 260):
-        words = tuple(rng.choice((0, 1, n, 2**31 - 1, 2**31, 2**32 - 1, rng.getrandbits(32))) for _ in range(n))
+    for n in (1, 5, 16, 256, 257, 260):
+        top = 1 << (8 * word_bytes(n))
+        words = [rng.choice((0, 1, min(n, top - 1), top // 2 - 1, top // 2, top - 1, rng.randrange(top))) for _ in range(n)]
+        value = b"".join(word.to_bytes(word_bytes(n), "little") for word in words)
         seed = fresh_seed(rng)
-        assert apply_mask(seed, n, encode_words(words)) == (encode_tuple(tuple_add(words, expand_mask(seed, n))),)
+        assert apply_mask(seed, value) == (masked_value(words, seed, n),)
