@@ -48,7 +48,10 @@ def _warn_if_few_rounds(rounds: int) -> None:
 
 
 def parse_addr(text: str) -> tuple[str, int]:
+    """(host, port) from host:port, an IPv6 literal written [addr]:port."""
     host, sep, port = text.rpartition(":")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
     if not sep or not host:
         raise ValueError(f"address must be host:port, got {text!r}")
     number = int(port)
@@ -81,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("prove", help="run the prover against a listening verifier")
-    p.add_argument("--connect", required=True, help="verifier address host:port")
+    p.add_argument("--connect", required=True, help="verifier address host:port ([addr]:port for IPv6)")
     p.add_argument("--instance", required=True)
     p.add_argument("--witness", required=True)
     p.add_argument("--rounds", type=int, default=ROUNDS)
@@ -89,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("verify", help="listen for one prover session and decide")
-    p.add_argument("--listen", required=True, help="bind address host:port (port 0 picks one)")
+    p.add_argument("--listen", required=True, help="bind address host:port ([addr]:port for IPv6; port 0 picks one)")
     p.add_argument("--instance", required=True)
     p.add_argument("--rounds", type=int, default=ROUNDS)
     p.add_argument("--timeout-ms", type=timeout_ms, default=30000)
@@ -189,9 +192,12 @@ def cmd_verify(args) -> int:
         raise ValueError("need at least one round")
     # Bind and announce first: the kernel queues the prover's connection and
     # first frame while this process loads its layers and the instance.
-    with socket.create_server((host, port), backlog=1) as listener:
+    ipv6 = ":" in host
+    with socket.create_server((host, port), family=socket.AF_INET6 if ipv6 else socket.AF_INET,
+                              backlog=1) as listener:
         bound = listener.getsockname()
-        print(f"listening on {bound[0]}:{bound[1]}", file=sys.stderr, flush=True)
+        address = f"[{bound[0]}]" if ipv6 else bound[0]
+        print(f"listening on {address}:{bound[1]}", file=sys.stderr, flush=True)
         _warn_if_few_rounds(args.rounds)
         from . import net
         from .instance import load_instance

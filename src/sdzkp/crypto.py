@@ -7,28 +7,26 @@ group element (group.word_width: w = 1 byte per image up to degree 256, 4
 past it) plus a mask of n words read from SHAKE-256 keyed by a 32-byte
 seed, the sum taken in GF(2^8w), whose addition is XOR.  So a masked value
 is exactly w·n bytes, with no prefix, and every byte string of that length
-is one.  apply_mask and _unmask are one XOR each of the whole value, as
-one integer, with the mask read to the value's length; _mask_stream is the
-one seed check and the one mask read.  differing_words counts the words two
-values differ in.  expand_mask, tuple_add and tuple_sub are the plain
-word-wise reference of that fast path.  decode_tuple_from is the one
-length-prefix parser, for the permutations in instance and witness files.
+is one.  apply_mask is one XOR of each whole value, as one integer, with
+the mask read to the value's length; XOR is its own inverse, so the same
+call unmasks.  _mask_stream is the one seed check and the one mask read.
+This module sees only bytes: how a group element is written as words, and
+how the words of two values are compared, is group's (ops.words,
+ops.differing_words).  expand_mask, tuple_add and tuple_sub are the plain
+word-wise reference of apply_mask that tests compare it with (and
+sdzbench/spans.py traces), the only code here that knows a word.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-import struct
 from random import Random
 
 SEED_BYTES = 32
 OPENING_BYTES = 32
 DIGEST_BYTES = 32
 COMMIT_TAGS = ("C1", "C2", "C3")
-# Tuples and permutations are serialized with a u32 length; anything near
-# that bound is nonsense here, so decoders cap the length they allocate for.
-MAX_TUPLE_LENGTH = 1 << 20
 
 
 _TAG_BYTES = {tag: tag.encode("ascii") for tag in COMMIT_TAGS}
@@ -94,8 +92,10 @@ def tuple_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 def apply_mask(seed: bytes, *values: bytes) -> tuple[bytes, ...]:
     """Each value masked under seed, all from one SHAKE read: the value's n
     words of w bytes plus expand_mask(seed, n, w), as one XOR of the whole
-    value with the stream read to its length.  The values must share one
-    length, at least 1 (ValueError otherwise)."""
+    value with the stream read to its length.  The sum in GF(2^8w) is also
+    the difference, so a masked value given back returns its words.  The
+    values must share one length, at least 1, and the seed must be 32 bytes
+    (ValueError otherwise)."""
     length = len(values[0]) if values else 0
     mask = int.from_bytes(_mask_stream(seed, length), "little")
     masked = []
@@ -104,62 +104,6 @@ def apply_mask(seed: bytes, *values: bytes) -> tuple[bytes, ...]:
             raise ValueError(f"values of {length} and {len(value)} bytes cannot share a mask")
         masked.append((int.from_bytes(value, "little") ^ mask).to_bytes(length, "little"))
     return tuple(masked)
-
-
-def _unmask(z: bytes, seed: bytes) -> bytes:
-    """The words that z masks under seed: z minus the mask, which in GF(2^8w)
-    is the same one XOR apply_mask makes (ValueError unless seed and z's
-    length are ones _mask_stream takes)."""
-    mask = _mask_stream(seed, len(z))
-    return (int.from_bytes(z, "little") ^ int.from_bytes(mask, "little")).to_bytes(len(z), "little")
-
-
-def differing_words(a: bytes, b: bytes, width: int) -> int:
-    """The count of `width`-byte words in which two equal-length values
-    differ: the nonzero words of a XOR b, which at width 1 are its nonzero
-    bytes.  ValueError unless both are one length, a multiple of width."""
-    if len(a) != len(b) or len(a) % width:
-        raise ValueError(f"values of {len(a)} and {len(b)} bytes are not both words of {width} bytes")
-    n = len(a) // width
-    x = (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
-    if width > 1:  # a word differs iff one of its bytes does: OR them into one
-        folded = 0
-        for i in range(width):
-            folded |= int.from_bytes(x[i::width], "little")
-        x = folded.to_bytes(n, "little")
-    return n - x.count(0)
-
-
-def encode_tuple(t: tuple[int, ...]) -> bytes:
-    """Length-prefixed canonical encoding: count u32 LE, then entries u32 LE."""
-    n = len(t)
-    return struct.pack(f"<I{n}I", n, *t)
-
-
-def encode_words(t: tuple[int, ...]) -> bytes:
-    """encode_tuple(t) without its length prefix: the entries as u32 LE words."""
-    return struct.pack(f"<{len(t)}I", *t)
-
-
-def decode_tuple_from(data: bytes, offset: int = 0) -> tuple[tuple[int, ...], int]:
-    """Decode one length-prefixed tuple; returns (tuple, next offset).
-    ValueError on a count of 0 or above MAX_TUPLE_LENGTH, or on truncation."""
-    if len(data) - offset < 4:
-        raise ValueError("truncated tuple: missing length")
-    (n,) = struct.unpack_from("<I", data, offset)
-    if n == 0 or n > MAX_TUPLE_LENGTH:
-        raise ValueError(f"unreasonable tuple length {n}")
-    end = offset + 4 + 4 * n
-    if len(data) < end:
-        raise ValueError("truncated tuple: missing entries")
-    return struct.unpack_from(f"<{n}I", data, offset + 4), end
-
-
-def decode_tuple(data: bytes) -> tuple[int, ...]:
-    t, end = decode_tuple_from(data, 0)
-    if end != len(data):
-        raise ValueError("trailing bytes after tuple")
-    return t
 
 
 def fresh_seed(rng: Random) -> bytes:

@@ -20,9 +20,11 @@ at most 256 the chain stores permutations as 256-byte translation tables
 as image tuples.  This raw form is also what a proof round composes, masks
 and unmasks (BSGS.ops, and BSGS.contains takes it), and what
 BSGS.sample_uniform returns.  A round masks an element's words (ops.words):
-a table's first n bytes, or the tuple's n u32 words.  Which of the two
-forms a degree gets, and so a word's width, is decided only here, by
-word_width.
+a table's first n bytes, or the tuple's n u32 words; ops.from_words reads
+them back and ops.differing_words counts the words two values differ in.
+Which of the two forms a degree gets, and so a word's width, is decided
+only here, by word_width, and each form's words are written and read only
+by its ops.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from math import factorial, isqrt, prod
 from random import Random
 from typing import Sequence
 
-from .crypto import encode_words
 from .perm import Permutation, compose_images, invert_images
 
 _BYTES_IDENT = bytes(range(256))
@@ -47,7 +48,8 @@ class _ByteOps:
     for tables that is bytes.translate itself, so no product calls a Python
     function.  words(a) is a's n images, one byte each: the table's first n
     bytes; from_words(d) takes them back, or None unless they are a
-    permutation of 0..n-1."""
+    permutation of 0..n-1.  differing_words(a, b) counts the bytes in which
+    two values differ."""
 
     __slots__ = ("degree", "ident")
 
@@ -78,9 +80,16 @@ class _ByteOps:
         # past n repeats one of the padding's.
         return table if table.translate(bytes.maketrans(table, _BYTES_IDENT)) == _BYTES_IDENT else None
 
+    @staticmethod
+    def differing_words(a: bytes, b: bytes) -> int:
+        return len(a) - _xor(a, b).count(0)
+
 
 class _TupleOps:
-    """Plain image tuples, for degrees past the byte-table limit."""
+    """Plain image tuples, for degrees past the byte-table limit.  words(a)
+    is a's n images as u32 LE words, which from_words(d) takes back, or None
+    unless they are a permutation of 0..n-1.  differing_words(a, b) counts
+    the u32 words in which two values differ."""
 
     __slots__ = ("degree", "ident")
 
@@ -100,11 +109,30 @@ class _TupleOps:
 
     inv = staticmethod(invert_images)
 
-    words = staticmethod(encode_words)
+    def words(self, a) -> bytes:
+        return struct.pack(f"<{self.degree}I", *a)
 
     def from_words(self, d: bytes):
         images = struct.unpack(f"<{self.degree}I", d)
         return images if max(images) < self.degree and len(set(images)) == self.degree else None
+
+    @staticmethod
+    def differing_words(a: bytes, b: bytes) -> int:
+        x = _xor(a, b)
+        if len(x) % 4:
+            raise ValueError(f"{len(x)} bytes are not whole u32 words")
+        # a word differs iff one of its four bytes does: OR the four byte planes into one
+        planes = int.from_bytes(x[0::4], "little") | int.from_bytes(x[1::4], "little")
+        planes |= int.from_bytes(x[2::4], "little") | int.from_bytes(x[3::4], "little")
+        return len(x) // 4 - planes.to_bytes(len(x) // 4, "little").count(0)
+
+
+def _xor(a: bytes, b: bytes) -> bytes:
+    """a XOR b, byte by byte: the nonzero bytes are where the two differ.
+    ValueError unless both are one length."""
+    if len(a) != len(b):
+        raise ValueError(f"values of {len(a)} and {len(b)} bytes cannot be compared word by word")
+    return (int.from_bytes(a, "little") ^ int.from_bytes(b, "little")).to_bytes(len(a), "little")
 
 
 def word_width(degree: int) -> int:

@@ -123,20 +123,13 @@ def recv_expected(
     return body
 
 
-def prover_session(
-    sock: socket.socket, inst: SDPInstance, wit: Witness, rounds: int, rng: Random, deadline: float
-) -> None:
-    """Drive the prover side of one session; raises SessionError on violations
-    and socket.timeout once the deadline (a time.monotonic() instant) passes.
-    A witness that fails the statement, or rounds < 1, raises ValueError
-    before the first frame is sent.  Round i+1 is drawn and committed before
-    challenge i is awaited, and sent after response i."""
-    _prove_rounds(sock, honest_rounds(inst, wit, rounds, rng), deadline)
-
-
-def _prove_rounds(sock: socket.socket, states: Iterator[ProverState], deadline: float) -> None:
-    """Run the session's rounds, one per state of the honest_rounds iterator
-    states, which draws each state only when it is taken."""
+def prover_session(sock: socket.socket, states: Iterator[ProverState], deadline: float) -> None:
+    """Drive the prover side of one session, one round per state of states
+    (protocol.honest_rounds, which checks the witness and the round count
+    before any frame exists, and draws each state only when it is taken).
+    Raises SessionError on violations and socket.timeout once the deadline
+    (a time.monotonic() instant) passes.  Round i+1 is drawn and committed
+    before challenge i is awaited, and sent after response i."""
     buffer = bytearray()
     state = next(states)
     send_frame(sock, MSG_COMMIT, state.commitment)
@@ -229,4 +222,4 @@ def connect_and_prove(
     with socket.create_connection((host, port), timeout=timeout_s) as sock:
         deadline = time.monotonic() + timeout_s
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        _prove_rounds(sock, states, deadline)
+        prover_session(sock, states, deadline)

@@ -4,15 +4,21 @@ The one-line form of a permutation p is the tuple (p(0), .., p(n-1)).
 Composition is function composition: compose(a, b) applies b first, then a.
 The Hamming distance between two permutations of the same degree counts the
 positions where their one-line forms differ; it is bi-invariant and never 1.
+A permutation's file form (to_bytes, for instance and witness files) is its
+degree n as a u32 LE count, then its n images as u32 LE words; unpack_from
+is the one reader of that form.
 """
 
 from __future__ import annotations
 
+import struct
 from math import ceil, log
 from operator import itemgetter, ne
 from random import Random
 
-from .crypto import decode_tuple, decode_tuple_from, encode_tuple
+# The file form's degree is a u32; anything near that bound is nonsense
+# here, so the reader caps the degree it allocates for.
+MAX_TUPLE_LENGTH = 1 << 20
 
 
 def compose_images(a, b):
@@ -96,18 +102,32 @@ class Permutation:
         return len(self.images)
 
     def to_bytes(self) -> bytes:
-        """Canonical encoding: the image tuple as crypto.encode_tuple writes it."""
-        return encode_tuple(self.images)
+        """Canonical encoding: the degree n as u32 LE, then the images as u32 LE."""
+        n = len(self.images)
+        return struct.pack(f"<I{n}I", n, *self.images)
 
     @classmethod
     def unpack_from(cls, data: bytes, offset: int = 0) -> tuple["Permutation", int]:
-        """Decode one permutation starting at offset; returns (perm, next offset)."""
-        images, end = decode_tuple_from(data, offset)
-        return cls(images), end
+        """Decode one permutation starting at offset; returns (perm, next
+        offset).  ValueError on a degree of 0 or above MAX_TUPLE_LENGTH, on
+        truncation, and on images that are not a permutation."""
+        if len(data) - offset < 4:
+            raise ValueError("truncated permutation: missing degree")
+        (n,) = struct.unpack_from("<I", data, offset)
+        if n == 0 or n > MAX_TUPLE_LENGTH:
+            raise ValueError(f"unreasonable permutation degree {n}")
+        end = offset + 4 + 4 * n
+        if len(data) < end:
+            raise ValueError("truncated permutation: missing images")
+        return cls(struct.unpack_from(f"<{n}I", data, offset + 4)), end
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Permutation":
-        return cls(decode_tuple(data))
+        """The one permutation data encodes, with no bytes after it."""
+        perm, end = cls.unpack_from(data)
+        if end != len(data):
+            raise ValueError("trailing bytes after permutation")
+        return perm
 
 
 def identity(n: int) -> Permutation:

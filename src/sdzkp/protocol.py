@@ -27,10 +27,12 @@ to degree 256, image tuples past it): prover_round draws u in that form
 from BSGS.sample_uniform, masked_round composes u with x and with g,
 masks each product's words (ops.words, w bytes an image by
 group.word_width) with crypto.apply_mask, and commits through
-commit_round and crypto.commit.  At challenges 0 and 1
-_shown unmasks with crypto._unmask into the words of a raw element, which
-challenge 1 composes with the raw g^-1 the instance caches and the group's
-contains tests as it stands.
+commit_round and crypto.commit.  At challenges 0 and 1 _shown unmasks with
+the same crypto.apply_mask, since XOR is its own inverse, into the words of
+a raw element, which ops.from_words reads back, challenge 1 composes with
+the raw g^-1 the instance caches, and the group's contains tests as it
+stands.  At challenge 2 ops.differing_words counts the words in which the
+two masked values differ.
 
 A round has one form, its wire bytes: a ProverState's commitment is the
 96 bytes, and prover_respond returns the encoded response, which
@@ -67,10 +69,8 @@ from .crypto import (
     DIGEST_BYTES,
     OPENING_BYTES,
     SEED_BYTES,
-    _unmask,
     apply_mask,
     commit,
-    differing_words,
     fresh_seed,
     verify_commitment,
 )
@@ -193,16 +193,17 @@ def _shown(inst: SDPInstance, challenge: int, value: bytes, other: bytes):
     """What a round shows on the two values its challenge opens, in OPENS
     order (masked values taken at their slot's length), or None unless the
     challenge's predicate holds; each predicate is written here only.  At 0
-    and 1 the seed (crypto._mask_stream checks it) unmasks the value into a
-    raw element of inst.group.ops: u∘h = unmask(Z1) at 0, u =
-    unmask(Z2)∘g^-1 at 1, shown if in H.  At 2, the count of words the
-    values differ in, if at most max_distance; it may be 0, so callers test
-    `is not None`."""
-    if challenge == 2:
-        distance = differing_words(value, other, word_width(inst.degree))
-        return distance if distance <= inst.max_distance else None
+    and 1 apply_mask under the seed (crypto._mask_stream checks it) unmasks
+    the value into the words of a raw element of inst.group.ops (from_words):
+    u∘h = unmask(Z1) at 0, u = unmask(Z2)∘g^-1 at 1, shown if in H.  At 2,
+    the count of words the values differ in (ops.differing_words), if at
+    most max_distance; it may be 0, so callers test `is not None`."""
     ops = inst.group.ops
-    member = ops.from_words(_unmask(value, other))
+    if challenge == 2:
+        distance = ops.differing_words(value, other)
+        return distance if distance <= inst.max_distance else None
+    (words,) = apply_mask(other, value)
+    member = ops.from_words(words)
     if member is not None and challenge:
         member = ops.then(inst.target_tables[1], member)
     return member if member is not None and inst.group.contains(member) else None

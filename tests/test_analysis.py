@@ -26,7 +26,7 @@ from sdzkp.analysis import (
     transcript_distribution_test,
     transcript_for,
 )
-from sdzkp.crypto import COMMIT_TAGS, _unmask, commit
+from sdzkp.crypto import COMMIT_TAGS, apply_mask, commit
 from sdzkp.group import word_width
 from sdzkp.instance import instance_digest, plant_instance, validate_witness
 from sdzkp.protocol import (
@@ -273,7 +273,7 @@ def test_slot_opens_then_holds_is_verify_round(fixture, request):
 
     # a 31-byte seed, committed, with Z1 masked under it: only its length is wrong
     short_seed = values[SEED][:31]
-    words = _unmask(values[0], values[SEED])
+    (words,) = apply_mask(values[SEED], values[0])
     z1 = bytes(a ^ b for a, b in zip(words, hashlib.shake_256(short_seed).digest(len(words))))
     digest, opening = commit(short_seed, COMMIT_TAGS[SEED], rng)
     assert slot_opens(inst, digest, SEED, short_seed, opening) is False
@@ -319,7 +319,7 @@ def test_wire_forms_hold_at_the_byte_table_boundary(n, gens, k):
     assert max(lengths) == max_response_bytes(n)
 
     z1, z2, seed = states[0].values
-    assert len(_unmask(z1, seed)) == word_width(n) * n
+    assert len(apply_mask(seed, z1)[0]) == word_width(n) * n
     for bad1, bad2 in zip(_misshapen_values(z1, n), _misshapen_values(z2, n)):
         for slot, bad in ((0, bad1), (1, bad2)):
             digest, opening = commit(bad, COMMIT_TAGS[slot], rng)

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import socket
 import subprocess
 import sys
@@ -38,11 +39,14 @@ def free_port():
 
 def test_parse_addr():
     assert parse_addr("127.0.0.1:9000") == ("127.0.0.1", 9000)
-    assert parse_addr("[::1]:70") == ("[::1]", 70)
+    assert parse_addr("[::1]:70") == ("::1", 70)
+    assert parse_addr("::1:70") == ("::1", 70)
     with pytest.raises(ValueError):
         parse_addr("no-port")
     with pytest.raises(ValueError):
         parse_addr(":123")
+    with pytest.raises(ValueError):
+        parse_addr("[]:123")
     with pytest.raises(ValueError):
         parse_addr("host:notaport")
     with pytest.raises(ValueError):
@@ -355,7 +359,7 @@ def test_verify_listens_then_fails_on_a_bad_instance(tmp_path, capsys, monkeypat
     capsys.readouterr()
     loading, dialled = threading.Event(), threading.Event()
     result = {}
-    real_load, real_session = sdzkp.instance.load_instance, sdzkp.net._prove_rounds
+    real_load, real_session = sdzkp.instance.load_instance, sdzkp.net.prover_session
 
     def load_once_the_prover_dialled(path):
         if Path(path) == bad_path:
@@ -369,8 +373,8 @@ def test_verify_listens_then_fails_on_a_bad_instance(tmp_path, capsys, monkeypat
         return real_session(*args, **kwargs)
 
     monkeypatch.setattr(sdzkp.instance, "load_instance", load_once_the_prover_dialled)
-    # connect_and_prove runs the session's rounds through _prove_rounds once it has dialled
-    monkeypatch.setattr(sdzkp.net, "_prove_rounds", session_after_the_dial)
+    # connect_and_prove runs the session's rounds through prover_session once it has dialled
+    monkeypatch.setattr(sdzkp.net, "prover_session", session_after_the_dial)
     port = free_port()
 
     def verifier():
@@ -526,17 +530,18 @@ def test_analyze_loads_no_dataclasses():
     assert "sdzkp.analysis" in loaded and "dataclasses" not in loaded
 
 
-def _loopback_session(tmp_path, **verifier_env):
-    """A real `sdzkp verify` and `sdzkp prove` process over loopback; returns
-    each one's (stdout, stderr, loaded modules), the prover's first.  The
-    verifier's stderr goes to a file, polled for its port, so no line is
-    lost to a pipe reader's read-ahead."""
+def _loopback_session(tmp_path, host="127.0.0.1", **verifier_env):
+    """A real `sdzkp verify` and `sdzkp prove` process over loopback at host
+    (an IPv6 literal in brackets); returns each one's (stdout, stderr, loaded
+    modules), the prover's first.  The verifier's stderr goes to a file,
+    polled for its port, so no line is lost to a pipe reader's read-ahead.
+    The prover dials the address the verifier announces."""
     inst_path, wit_path = keygen(tmp_path)
     common = ["--instance", inst_path, "--rounds", "8", "--timeout-ms", "20000"]
     err_path = tmp_path / "verifier.err"
     with open(err_path, "w") as err_file:
         verifier = subprocess.Popen(
-            [sys.executable, "-c", _LOADED_MODULES, "verify", "--listen", "127.0.0.1:0", *map(str, common)],
+            [sys.executable, "-c", _LOADED_MODULES, "verify", "--listen", f"{host}:0", *map(str, common)],
             stdout=subprocess.PIPE, stderr=err_file, text=True, env=_src_env(**verifier_env),
         )
     try:
@@ -545,9 +550,8 @@ def _loopback_session(tmp_path, **verifier_env):
             assert verifier.poll() is None and time.monotonic() < deadline, err_path.read_text()
             time.sleep(0.01)
         line = err_path.read_text().splitlines()[0]
-        assert line.startswith("listening on 127.0.0.1:"), line
-        port = int(line.rsplit(":", 1)[1])
-        prover = _cli_process("prove", "--connect", f"127.0.0.1:{port}", "--witness", wit_path, *common)
+        assert line.startswith(f"listening on {host}:"), line
+        prover = _cli_process("prove", "--connect", line.removeprefix("listening on "), "--witness", wit_path, *common)
         prover_run = _loaded_modules(prover)
         out, _, loaded = _loaded_modules(verifier)
     finally:
@@ -564,6 +568,23 @@ def test_loopback_session_leaves_analysis_unloaded(tmp_path):
     for _, _, loaded in _loopback_session(tmp_path):
         assert "sdzkp.net" in loaded and "sdzkp.analysis" not in loaded
         assert "logging" not in loaded and "dataclasses" not in loaded
+
+
+def _can_bind_ipv6_loopback():
+    try:
+        with socket.socket(socket.AF_INET6) as s:
+            s.bind(("::1", 0))
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _can_bind_ipv6_loopback(), reason="the IPv6 loopback ::1 cannot be bound")
+def test_ipv6_loopback_session(tmp_path):
+    # the IPv6 literal goes in brackets on both ends, and the verifier
+    # announces its bound address in the same form
+    _, (_, verifier_err, _) = _loopback_session(tmp_path, host="[::1]")
+    assert re.fullmatch(r"listening on \[::1\]:[1-9][0-9]*", verifier_err.splitlines()[0])
 
 
 def test_verify_warns_after_listening_below_the_default_round_count(tmp_path):

@@ -1,4 +1,5 @@
-"""Commitments, mask expansion, and the word arithmetic masking is checked by."""
+"""Commitments, mask expansion, the word arithmetic masking is checked by,
+and group's word count (ops.differing_words) checked against it."""
 
 import hashlib
 import random
@@ -11,26 +12,19 @@ from hypothesis import strategies as st
 from sdzkp.crypto import (
     COMMIT_TAGS,
     DIGEST_BYTES,
-    MAX_TUPLE_LENGTH,
     OPENING_BYTES,
     SEED_BYTES,
-    _unmask,
     apply_mask,
     commit,
-    decode_tuple,
-    decode_tuple_from,
-    differing_words,
-    encode_tuple,
-    encode_words,
     expand_mask,
     fresh_seed,
     tuple_add,
     tuple_sub,
     verify_commitment,
 )
-from sdzkp.group import word_width
+from sdzkp.group import make_ops, word_width
 from sdzkp.instance import make_instance
-from sdzkp.perm import hamming, identity, random_perm
+from sdzkp.perm import Permutation, hamming, identity, random_perm
 from sdzkp.protocol import Z1, slot_opens
 from test_reference_verifier import weight
 
@@ -207,8 +201,8 @@ def test_tuple_arithmetic_refuses_words_outside_u32(op, bad):
 
 def assert_masking_matches_the_tuple_reference(seed, words):
     """At degree n = len(words), with words of group.word_width(n) bytes:
-    apply_mask and _unmask give what tuple_add and tuple_sub give with
-    expand_mask's words."""
+    apply_mask gives what tuple_add gives with expand_mask's words, and
+    given the masked value back it returns the words."""
     n = len(words)
     width = word_width(n)
     mask = expand_mask(seed, n, width)
@@ -216,8 +210,7 @@ def assert_masking_matches_the_tuple_reference(seed, words):
     assert len(z) == width * n
     assert apply_mask(seed, value) == (z,)
     assert apply_mask(seed, value, bytearray(value)) == (z, z)
-    assert _unmask(z, seed) == value
-    assert _unmask(value, seed) == pack(tuple_sub(words, mask), width)
+    assert apply_mask(seed, z) == (value,)
 
 
 # Both widths and the boundary between them: one byte a word up to 256, four past it.
@@ -245,14 +238,25 @@ def test_masking_property(n, data):
     assert_masking_matches_the_tuple_reference(seed, tuple(words))
 
 
-_THREE = encode_tuple((0, 1, 2))
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_apply_mask_is_its_own_inverse(data):
+    # a degree of each word width: one byte an image up to 256, four past it
+    n = data.draw(st.one_of(st.integers(1, 256), st.integers(257, 300)))
+    seed = data.draw(st.binary(min_size=SEED_BYTES, max_size=SEED_BYTES))
+    size = word_width(n) * n
+    value = data.draw(st.binary(min_size=size, max_size=size))
+    assert apply_mask(seed, *apply_mask(seed, value)) == (value,)
+
+
+_THREE = Permutation((0, 1, 2)).to_bytes()  # 16 bytes: a count, then three u32 words
 
 
 # A masked value at degree 3 is 3 bytes, a byte an image, which cannot hold
 # a word that is not an integer, a word past a byte, or a count other than
 # 3.  Each word tuple the reference refuses is paired with a value that is
 # not 3 bytes, or not bytes, which protocol.slot_opens refuses even when it
-# is committed, before _unmask sees it.
+# is committed, before apply_mask unmasks it.
 @pytest.mark.parametrize("words, value", [
     ((0, -1, 2), b"\x00\x01"),
     ((0, 2**32, 2), bytes((0, 1, 2, 0))),
@@ -289,58 +293,60 @@ def test_masking_validates_seed_and_length():
     three = bytes((0, 1, 2))
     with pytest.raises(ValueError):
         apply_mask(b"short", three)
-    with pytest.raises(ValueError):
-        _unmask(three, b"short")
     for empty in (b"", bytearray()):
         with pytest.raises(ValueError):
             apply_mask(bytes(SEED_BYTES), empty)
-        with pytest.raises(ValueError):
-            _unmask(empty, bytes(SEED_BYTES))
     with pytest.raises(ValueError):
         apply_mask(bytes(SEED_BYTES))
 
 
-def assert_differing_words_match_the_reference(a, b, width):
+def assert_differing_words_match_the_reference(a, b, ops):
+    """ops.differing_words counts the words in which a and b, packed at the
+    word width of ops' degree, differ: the weight of their difference."""
+    width = word_width(ops.degree)
     ea, eb = pack(a, width), pack(b, width)
-    assert differing_words(ea, eb, width) == weight(tuple_sub(a, b))
-    assert differing_words(ea, eb, width) == sum(x != y for x, y in zip(a, b))
+    assert ops.differing_words(ea, eb) == weight(tuple_sub(a, b))
+    assert ops.differing_words(ea, eb) == sum(x != y for x, y in zip(a, b))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 16, 128, 255, 256, 257, 300])
 def test_differing_words_match_the_reference_on_edge_words(n):
+    ops = make_ops(n)
     width = word_width(n)
     edges = edge_words(width)
     for x, y in product(edges, repeat=2):
-        assert_differing_words_match_the_reference((x,) * n, (y,) * n, width)
+        assert_differing_words_match_the_reference((x,) * n, (y,) * n, ops)
     rng = random.Random(n)
     for _ in range(50):
         a = tuple(rng.choices(edges, k=n))
         # every word differs from its partner in at most one bit, if at all
         b = tuple(x ^ (rng.choice((0, 1 << rng.randrange(8 * width)))) for x in a)
-        assert_differing_words_match_the_reference(a, b, width)
+        assert_differing_words_match_the_reference(a, b, ops)
 
 
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_differing_words_property(data):
-    width = data.draw(st.sampled_from((1, 4)))
-    edges = edge_words(width)
+    # a byte-table degree and a tuple degree: one ops of each word width
+    ops = data.draw(st.sampled_from((make_ops(64), make_ops(300))))
+    edges = edge_words(word_width(ops.degree))
     word = st.one_of(st.sampled_from(edges), st.integers(0, edges[-1]))
     a = data.draw(st.lists(word, min_size=1, max_size=64))
-    flip = st.integers(0, 8 * width - 1)
+    flip = st.integers(0, 8 * word_width(ops.degree) - 1)
     b = [data.draw(st.one_of(st.just(x), word, flip.map(lambda s, x=x: x ^ (1 << s)))) for x in a]
-    assert_differing_words_match_the_reference(tuple(a), tuple(b), width)
+    assert_differing_words_match_the_reference(tuple(a), tuple(b), ops)
 
 
 def test_differing_words_refuses_unequal_lengths():
+    tables, tuples = make_ops(3), make_ops(300)
     with pytest.raises(ValueError):
-        differing_words(bytes(2), bytes(3), 1)
+        tables.differing_words(bytes(2), bytes(3))
     with pytest.raises(ValueError):
-        differing_words(_THREE, _THREE[:-1], 4)
-    # a length that is not whole words of the width
+        tuples.differing_words(_THREE, _THREE[:-1])
+    # a length that is not whole u32 words
     with pytest.raises(ValueError):
-        differing_words(_THREE + b"\x01", _THREE + b"\x00", 4)
-    assert differing_words(_THREE + b"\x01", _THREE + b"\x00", 1) == 1
+        tuples.differing_words(_THREE + b"\x01", _THREE + b"\x00")
+    assert tables.differing_words(_THREE + b"\x01", _THREE + b"\x00") == 1
 
 
 def test_weight():
@@ -357,44 +363,8 @@ def test_weight_and_hamming_equal_a_plain_count():
         a, b = random_perm(n, rng), random_perm(n, rng)
         assert hamming(a, b) == sum(1 for i in range(n) if a.images[i] != b.images[i])
         assert hamming(a, b) == weight(tuple_sub(a.images, b.images))
-        assert hamming(a, b) == differing_words(a.to_bytes(), b.to_bytes(), 4)
-
-
-def test_tuple_codec_round_trip():
-    rng = random.Random(34)
-    for _ in range(50):
-        n = rng.randrange(1, 20)
-        t = tuple(rng.randrange(2**32) for _ in range(n))
-        data = encode_tuple(t)
-        assert len(data) == 4 + 4 * n
-        assert decode_tuple(data) == t
-        # the encoding is read wherever it stands
-        assert decode_tuple_from(b"xy" + data + b"z", 2) == (t, len(data) + 2)
-
-
-def test_tuple_codec_rejects_malformed():
-    good = encode_tuple((1, 2, 3))
-    with pytest.raises(ValueError):
-        decode_tuple(good[:-2])
-    with pytest.raises(ValueError):
-        decode_tuple(good + b"\x00")
-    with pytest.raises(ValueError):
-        decode_tuple(b"")
-    # zero-length and absurd lengths are rejected on untrusted input
-    with pytest.raises(ValueError):
-        decode_tuple(encode_tuple(()))
-    with pytest.raises(ValueError):
-        decode_tuple(b"\xff\xff\xff\xff")
-
-
-def test_tuple_decoder_refuses_a_length_past_the_cap():
-    # a full body behind the header: only the cap can refuse it
-    n = MAX_TUPLE_LENGTH + 1
-    data = n.to_bytes(4, "little") + bytes(4 * n)
-    with pytest.raises(ValueError, match="unreasonable"):
-        decode_tuple_from(data)
-    at_cap = MAX_TUPLE_LENGTH.to_bytes(4, "little") + bytes(4 * MAX_TUPLE_LENGTH)
-    assert len(decode_tuple_from(at_cap)[0]) == MAX_TUPLE_LENGTH
+        ops = make_ops(n)
+        assert hamming(a, b) == ops.differing_words(ops.words(ops.encode(a.images)), ops.words(ops.encode(b.images)))
 
 
 def test_fresh_seed_length_and_variety():

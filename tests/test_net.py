@@ -20,6 +20,7 @@ from sdzkp.instance import plant_instance, validate_witness
 from sdzkp.net import MSG_CHALLENGE, MSG_COMMIT, MSG_RESPONSE
 from sdzkp.protocol import (
     COMMITMENT_BYTES,
+    honest_rounds,
     max_response_bytes,
     prover_commit,
     prover_respond,
@@ -140,7 +141,7 @@ def run_session(inst, wit, rounds, prover_fn=None):
         try:
             with a:
                 if prover_fn is None:
-                    net.prover_session(a, inst, wit, rounds, random.Random(101), soon())
+                    net.prover_session(a, honest_rounds(inst, wit, rounds, random.Random(101)), soon())
                 else:
                     prover_fn(a)
         except (net.SessionError, OSError) as exc:
@@ -185,7 +186,8 @@ def test_session_bytes_are_pinned():
     inst, wit = plant_instance(64, 3, 16, random.Random(120))
     a, b = pair()
     prover, verifier = _Recorder(a), _Recorder(b)
-    th = threading.Thread(target=net.prover_session, args=(prover, inst, wit, 219, random.Random(121), soon()))
+    states = honest_rounds(inst, wit, 219, random.Random(121))
+    th = threading.Thread(target=net.prover_session, args=(prover, states, soon()))
     th.start()
     with a, b:
         ok = net.verifier_session(verifier, inst, 219, random.Random(122), soon())
@@ -232,7 +234,7 @@ def test_prover_session_checks_the_witness_once(planted, monkeypatch):
     a, b = pair()
     with b:
         with a, pytest.raises(ValueError, match="witness"):
-            net.prover_session(a, inst, foreign, 219, random.Random(101), soon())
+            net.prover_session(a, honest_rounds(inst, foreign, 219, random.Random(101)), soon())
         assert b.recv(1) == b""  # the prover hung up without sending a frame
     assert len(calls) == 2
 
@@ -347,7 +349,7 @@ def test_prover_session_rejects_invalid_challenge(planted):
     def prover_side():
         try:
             with a:
-                net.prover_session(a, inst, wit, 1, random.Random(106), soon())
+                net.prover_session(a, honest_rounds(inst, wit, 1, random.Random(106)), soon())
         except net.SessionError as exc:
             errors.append(exc)
 
@@ -368,7 +370,7 @@ def test_prover_refuses_an_oversized_challenge_before_its_body(planted):
     def prover_side():
         try:
             with a:
-                net.prover_session(a, inst, wit, 1, random.Random(112), soon(3))
+                net.prover_session(a, honest_rounds(inst, wit, 1, random.Random(112)), soon(3))
         except OSError as exc:
             errors.append(exc)
 
@@ -392,7 +394,7 @@ def test_zero_round_sessions_refused_before_any_io(planted):
         with pytest.raises(ValueError):
             net.verifier_session(b, inst, 0, random.Random(109), soon())
         with pytest.raises(ValueError):
-            net.prover_session(a, inst, wit, 0, random.Random(110), soon())
+            net.prover_session(a, honest_rounds(inst, wit, 0, random.Random(110)), soon())
         for sock in (a, b):
             sock.setblocking(False)
             with pytest.raises(BlockingIOError):

@@ -152,3 +152,40 @@ def test_every_module_level_import_is_used():
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{path.name} imports {sorted(imported - used)} and never uses them"
+
+
+def _package_imports(tree):
+    """The sdzkp modules a module's imports name, at any depth of its tree."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.update([node.module] if node.module else (alias.name for alias in node.names))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sdzkp":
+            imported.add(node.module.removeprefix("sdzkp").lstrip(".") or "sdzkp")
+        elif isinstance(node, ast.Import):
+            imported.update(a.name.removeprefix("sdzkp.") for a in node.names if a.name.split(".")[0] == "sdzkp")
+    return imported
+
+
+def test_each_format_decision_has_one_home():
+    # perm owns the permutation file codec and crypto only hashes and masks
+    # bytes, so neither reads another sdzkp module; group owns the word form
+    # of an element (ops.words, from_words, differing_words) and reads perm
+    # only.  The codec and word helpers crypto once held stay gone.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted(Path(sdzkp.__file__).parent.glob("*.py"))}
+    assert _package_imports(trees["perm"]) == set()
+    assert _package_imports(trees["crypto"]) == set()
+    assert _package_imports(trees["group"]) == {"perm"}
+    gone = re.compile(r"_unmask|encode_words|encode_tuple|decode_tuple\w*")
+    for module, tree in trees.items():
+        named = {
+            name
+            for node in ast.walk(tree)
+            for name in (
+                getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None),
+                getattr(node, "asname", None),
+            )
+            if isinstance(name, str)
+        }
+        assert not {name for name in named if gone.fullmatch(name)}, module

@@ -6,12 +6,14 @@ import pickle
 import random
 import re
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdzkp.crypto import MAX_TUPLE_LENGTH, encode_tuple
 from sdzkp.perm import (
+    MAX_TUPLE_LENGTH,
     Permutation,
     compose,
     compose_images,
@@ -284,6 +286,8 @@ def test_bytes_round_trip():
         data = p.to_bytes()
         assert len(data) == 4 + 4 * n
         assert Permutation.from_bytes(data) == p
+        # the encoding is read wherever it stands, and ends where its images do
+        assert Permutation.unpack_from(b"xy" + data + b"z", 2) == (p, len(data) + 2)
 
 
 def test_bytes_encoding_layout():
@@ -296,27 +300,42 @@ def test_bytes_rejects_malformed():
     with pytest.raises(ValueError):
         Permutation.from_bytes(good[:-1])
     with pytest.raises(ValueError):
+        Permutation.from_bytes(good[:-4])
+    with pytest.raises(ValueError):
         Permutation.from_bytes(good + b"\x00")
     with pytest.raises(ValueError):
         Permutation.from_bytes(b"")
+    with pytest.raises(ValueError):
+        Permutation.from_bytes(good[:3])
     # image out of range
     bad = bytearray(good)
     bad[4] = 9
     with pytest.raises(ValueError):
         Permutation.from_bytes(bytes(bad))
+    # degree 0, and a degree no file holds, refused on untrusted input
+    with pytest.raises(ValueError, match="unreasonable"):
+        Permutation.from_bytes(bytes(4))
+    with pytest.raises(ValueError, match="unreasonable"):
+        Permutation.from_bytes(b"\xff\xff\xff\xff")
 
 
 @pytest.mark.parametrize("n", [1, 9, 300])
 def test_bytes_encoding_is_the_tuple_codec(n):
     p = random_perm(n, random.Random(n))
-    assert p.to_bytes() == encode_tuple(p.images)
+    assert p.to_bytes() == struct.pack(f"<I{n}I", n, *p.images)
 
 
 def test_unpack_refuses_a_degree_past_the_length_cap():
+    # a full body behind the degree: only the cap can refuse it
     n = MAX_TUPLE_LENGTH + 1
     data = n.to_bytes(4, "little") + bytes(4 * n)
     with pytest.raises(ValueError, match="unreasonable"):
         Permutation.unpack_from(data)
+    # at the cap the degree is taken and its images read; all zero, they
+    # are no permutation
+    at_cap = MAX_TUPLE_LENGTH.to_bytes(4, "little") + bytes(4 * MAX_TUPLE_LENGTH)
+    with pytest.raises(ValueError, match="repeated"):
+        Permutation.unpack_from(at_cap)
 
 
 def test_random_perm_uniform_smoke():

@@ -17,7 +17,6 @@ from sdzkp.crypto import (
     COMMIT_TAGS,
     apply_mask,
     commit,
-    differing_words,
     expand_mask,
     fresh_seed,
     tuple_add,
@@ -356,7 +355,7 @@ def test_masked_round_and_read_round_match_their_definitions(preset, gens, k, in
         ux, distance = Permutation(compose_images(u, x)), hamming(Permutation(x), inst.target)
         assert shown[0] == (ops.encode(ux.images) if inst.group.contains(ux) else None)
         assert shown[1] == ops.encode(u)
-        assert differing_words(*decode_response(state.respond(2), n).values, word_width(n)) == distance
+        assert ops.differing_words(*decode_response(state.respond(2), n).values) == distance
         assert shown[2] == (distance if distance <= k else None)
 
 

@@ -11,7 +11,7 @@ SHAKE-256(seed), as addition in GF(2^8w) is), builds the opened member
 with the validating Permutation constructor, compose and contains, and
 counts challenge-2 differences word by word.  It imports no codec and
 shares none of the raw-form code (byte tables, the one-integer XOR, the
-byte count of differing_words) that fs_verify_bytes runs, so each verdict
+byte count of ops.differing_words) that fs_verify_bytes runs, so each verdict
 is checked against the definition.  Per round, what the reference shows
 (the member's images at challenges 0 and 1, the distance at 2) is checked
 against what protocol.read_round shows.
