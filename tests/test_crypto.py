@@ -24,7 +24,7 @@ from sdzkp.crypto import (
 )
 from sdzkp.group import make_ops, word_width
 from sdzkp.instance import make_instance
-from sdzkp.perm import Permutation, hamming, identity, random_perm
+from sdzkp.perm import MAX_TUPLE_LENGTH, Permutation, hamming, identity, random_perm
 from sdzkp.protocol import Z1, slot_opens
 from test_reference_verifier import weight
 
@@ -365,6 +365,45 @@ def test_weight_and_hamming_equal_a_plain_count():
         assert hamming(a, b) == weight(tuple_sub(a.images, b.images))
         ops = make_ops(n)
         assert hamming(a, b) == ops.differing_words(ops.words(ops.encode(a.images)), ops.words(ops.encode(b.images)))
+
+
+# The u32 tuple codec that commitments and frames carry permutations in is
+# Permutation.to_bytes / from_bytes / unpack_from.
+
+def test_tuple_codec_round_trip():
+    rng = random.Random(34)
+    for _ in range(50):
+        p = random_perm(rng.randrange(1, 20), rng)
+        data = p.to_bytes()
+        assert len(data) == 4 + 4 * p.n
+        assert Permutation.from_bytes(data) == p
+        # the encoding is read wherever it stands
+        assert Permutation.unpack_from(b"xy" + data + b"z", 2) == (p, len(data) + 2)
+
+
+def test_tuple_codec_rejects_malformed():
+    good = Permutation((1, 2, 0)).to_bytes()
+    with pytest.raises(ValueError):
+        Permutation.from_bytes(good[:-2])
+    with pytest.raises(ValueError):
+        Permutation.from_bytes(good + b"\x00")
+    with pytest.raises(ValueError):
+        Permutation.from_bytes(b"")
+    # zero-length and absurd lengths are rejected on untrusted input
+    with pytest.raises(ValueError):
+        Permutation.from_bytes(bytes(4))
+    with pytest.raises(ValueError):
+        Permutation.from_bytes(b"\xff\xff\xff\xff")
+
+
+def test_tuple_decoder_refuses_a_length_past_the_cap():
+    # a full body behind the header: only the cap can refuse it
+    n = MAX_TUPLE_LENGTH + 1
+    data = n.to_bytes(4, "little") + bytes(4 * n)
+    with pytest.raises(ValueError, match="unreasonable"):
+        Permutation.unpack_from(data)
+    at_cap = identity(MAX_TUPLE_LENGTH).to_bytes()
+    assert Permutation.unpack_from(at_cap)[0].n == MAX_TUPLE_LENGTH
 
 
 def test_fresh_seed_length_and_variety():
