@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 from .crypto import apply_mask, fresh_seed
 from .group import BSGS, word_width
 from .instance import SDPInstance, Witness
-from .perm import Permutation, _sample, hamming, random_support_perm
+from .perm import Permutation, _sample, random_support_perm
 from .protocol import (
     CHALLENGES,
     COMMITMENT_BYTES,
@@ -177,8 +177,8 @@ def make_cheating_prover(inst: SDPInstance, targets: frozenset[int] | set[int], 
     membership challenge and mask it beside itself plus noise of weight
     exactly k, so the distance challenge passes while the uncovered
     membership challenge unmasks to garbage.  Every element is drawn in the
-    group's raw form (BSGS.sample_uniform) and used as drawn; only the
-    fake's distance test wraps it as a Permutation.
+    group's raw form (BSGS.sample_uniform) and used as drawn; the fake's
+    distance from g is the count of words in which theirs differ.
 
     Raises ValueError if, after bounded resampling, some state refuses to
     fail its third challenge (possible only for tiny or degenerate groups).
@@ -194,7 +194,7 @@ def make_cheating_prover(inst: SDPInstance, targets: frozenset[int] | set[int], 
         seed = fresh_seed(rng)
         if 2 not in targets:
             fake = group.sample_uniform(rng)
-            if hamming(Permutation._trusted(ops.decode(fake)), inst.target) <= k:
+            if ops.differing_words(ops.words(fake), ops.words(inst.target_tables[0])) <= k:
                 continue
             prover = masked_round(inst, group.sample_uniform(rng), fake, seed, rng)
         else:  # the noise goes on Z2 when 0 is covered, on Z1 when 1 is

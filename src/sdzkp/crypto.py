@@ -1,17 +1,20 @@
 """Hash-based commitments and the seeded masking used to blind a round's values.
 
-Commitments are SHA3-256 over (ASCII tag || 32-byte opening || message),
-hashed in place by commit and verify_commitment; the tag separates the
-three commitment slots of a round.  A masked value is the n words of a raw
-group element (group.word_width: w = 1 byte per image up to degree 256, 4
-past it) plus a mask of n words read from SHAKE-256 keyed by a 32-byte
-seed, the sum taken in GF(2^8w), whose addition is XOR.  So a masked value
-is exactly w·n bytes, with no prefix, and every byte string of that length
-is one.  apply_mask is one XOR of each whole value, as one integer, with
-the mask read to the value's length; XOR is its own inverse, so the same
-call unmasks.  _mask_stream is the one seed check and the one mask read.
-This module sees only bytes: how a group element is written as words, and
-how the words of two values are compared, is group's (ops.words,
+Slot i (0, 1, 2) of a round is committed as SHA3-256 over (ASCII tag
+COMMIT_TAGS[i] || 32-byte opening || message); _digest alone writes that
+input.  commit commits a round's three slots in one call, drawing their
+openings at once; opens checks one opened slot with the hash and a
+constant-time compare only, for callers that fixed the types and lengths;
+verify_commitment is the total check over it.  A masked value is the n
+words of a raw group element (group.word_width: w = 1 byte per image up
+to degree 256, 4 past it) plus a mask of n words read from SHAKE-256
+keyed by a 32-byte seed, the sum taken in GF(2^8w), whose addition is
+XOR.  So a masked value is exactly w·n bytes, with no prefix, and every
+byte string of that length is one.  apply_mask, the one seed check and
+mask read, XORs each whole value, as one integer, with the mask read to
+its length; XOR is its own inverse, so the same call unmasks.  This
+module sees only bytes: how an element is written as words, and how the
+words of two values are compared, is group's (ops.words,
 ops.differing_words).  expand_mask, tuple_add and tuple_sub are the plain
 word-wise reference of apply_mask that tests compare it with (and
 sdzbench/spans.py traces), the only code here that knows a word.
@@ -28,19 +31,28 @@ OPENING_BYTES = 32
 DIGEST_BYTES = 32
 COMMIT_TAGS = ("C1", "C2", "C3")
 
+_C1, _C2, _C3 = _TAG_BYTES = tuple(tag.encode("ascii") for tag in COMMIT_TAGS)
+_TAG_SLOTS = {tag: slot for slot, tag in enumerate(COMMIT_TAGS)}
 
-_TAG_BYTES = {tag: tag.encode("ascii") for tag in COMMIT_TAGS}
+
+def _digest(tag: bytes, opening: bytes, message: bytes) -> bytes:
+    return hashlib.sha3_256(tag + opening + message).digest()
 
 
-def commit(message: bytes, tag: str, rng: Random) -> tuple[bytes, bytes]:
-    """Commit to message under the given slot tag; returns (digest, opening)."""
-    prefix = _TAG_BYTES.get(tag)
-    if prefix is None:
-        raise ValueError(f"unknown commitment tag {tag!r}")
-    # rng.randbytes(OPENING_BYTES) without its Python frame: the same single
-    # getrandbits call, so seeded openings and the rng state after match it.
-    opening = rng.getrandbits(8 * OPENING_BYTES).to_bytes(OPENING_BYTES, "little")
-    return hashlib.sha3_256(prefix + opening + message).digest(), opening
+def commit(z1: bytes, z2: bytes, seed: bytes, rng: Random) -> tuple[tuple[bytes, bytes, bytes], bytes]:
+    """Commit to a round's slots z1, z2 and seed (tags C1, C2, C3): their
+    openings, and the 96 bytes of their digests in that order.  The openings
+    are rng.randbytes(96) without its frame, one getrandbits(768) call: on
+    random.Random, the words three randbytes(32) calls read, in order."""
+    openings = rng.getrandbits(3 * 8 * OPENING_BYTES).to_bytes(3 * OPENING_BYTES, "little")
+    o1, o2, o3 = openings[:OPENING_BYTES], openings[OPENING_BYTES:-OPENING_BYTES], openings[-OPENING_BYTES:]
+    return (o1, o2, o3), _digest(_C1, o1, z1) + _digest(_C2, o2, z2) + _digest(_C3, o3, seed)
+
+
+def opens(digest: bytes, slot: int, opening: bytes, message: bytes) -> bool:
+    """Whether opening opens digest to message in slot 0, 1 or 2 (commit's
+    order): the hash and a compare only, on bytes the caller has sized."""
+    return hmac.compare_digest(digest, _digest(_TAG_BYTES[slot], opening, message))
 
 
 def verify_commitment(digest: bytes, message: bytes, tag: str, opening: bytes) -> bool:
@@ -48,26 +60,19 @@ def verify_commitment(digest: bytes, message: bytes, tag: str, opening: bytes) -
     tag, opening and message.  Total: never raises on malformed input; an
     unknown or non-str tag, a value that is not bytes, and a digest or
     opening of the wrong length are refused before anything is hashed."""
-    prefix = _TAG_BYTES.get(tag) if isinstance(tag, str) else None
+    slot = _TAG_SLOTS.get(tag) if isinstance(tag, str) else None
     if (
-        prefix is None
+        slot is None
         or not isinstance(digest, bytes) or not isinstance(message, bytes) or not isinstance(opening, bytes)
         or len(digest) != DIGEST_BYTES or len(opening) != OPENING_BYTES
     ):
         return False
-    return hmac.compare_digest(digest, hashlib.sha3_256(prefix + opening + message).digest())
-
-
-def _mask_stream(seed: bytes, length: int) -> bytes:
-    if length < 1 or not isinstance(seed, bytes) or len(seed) != SEED_BYTES:
-        raise ValueError(f"a mask needs a {SEED_BYTES}-byte seed and a positive length")
-    return hashlib.shake_256(seed).digest(length)
+    return opens(digest, slot, opening, message)
 
 
 def expand_mask(seed: bytes, n: int, width: int) -> tuple[int, ...]:
-    """The first width·n bytes of SHAKE-256(seed) as n little-endian words
-    of `width` bytes: the mask apply_mask adds, word by word."""
-    stream = _mask_stream(seed, width * n)
+    """apply_mask's mask of width·n zero bytes, SHAKE-256(seed), as n little-endian words."""
+    (stream,) = apply_mask(seed, bytes(width * n))
     return tuple(int.from_bytes(stream[i : i + width], "little") for i in range(0, width * n, width))
 
 
@@ -97,13 +102,15 @@ def apply_mask(seed: bytes, *values: bytes) -> tuple[bytes, ...]:
     values must share one length, at least 1, and the seed must be 32 bytes
     (ValueError otherwise)."""
     length = len(values[0]) if values else 0
-    mask = int.from_bytes(_mask_stream(seed, length), "little")
-    masked = []
+    if length < 1 or not isinstance(seed, bytes) or len(seed) != SEED_BYTES:
+        raise ValueError(f"a mask needs a {SEED_BYTES}-byte seed and a positive length")
+    mask = int.from_bytes(hashlib.shake_256(seed).digest(length), "little")
+    masked = ()
     for value in values:
         if len(value) != length:
             raise ValueError(f"values of {length} and {len(value)} bytes cannot share a mask")
-        masked.append((int.from_bytes(value, "little") ^ mask).to_bytes(length, "little"))
-    return tuple(masked)
+        masked += ((int.from_bytes(value, "little") ^ mask).to_bytes(length, "little"),)
+    return masked
 
 
 def fresh_seed(rng: Random) -> bytes:

@@ -24,26 +24,24 @@ at 2) or None.
 
 A round works on the group's raw elements (group.make_ops: byte tables up
 to degree 256, image tuples past it): prover_round draws u in that form
-from BSGS.sample_uniform, masked_round composes u with x and with g,
-masks each product's words (ops.words, w bytes an image by
-group.word_width) with crypto.apply_mask, and commits through
-commit_round and crypto.commit.  At challenges 0 and 1 _shown unmasks with
-the same crypto.apply_mask, since XOR is its own inverse, into the words of
-a raw element, which ops.from_words reads back, challenge 1 composes with
-the raw g^-1 the instance caches, and the group's contains tests as it
-stands.  At challenge 2 ops.differing_words counts the words in which the
-two masked values differ.
+from BSGS.sample_uniform, masked_round composes u with x and with g and
+masks each product's words (ops.words) with crypto.apply_mask, and
+commit_round commits the three slots in one crypto.commit call, which
+draws their openings at once and alone writes the hash input (tag ‖
+opening ‖ message).  _shown unmasks with the same apply_mask (XOR is its
+own inverse) into words that ops.from_words reads back, composed with
+the cached raw g^-1 at challenge 1, and contains tests as they stand; at
+2, ops.differing_words counts the words the masked values differ in.
 
 A round has one form, its wire bytes: a ProverState's commitment is the
-96 bytes, and prover_respond returns the encoded response, which
-encode_response, the one writer, writes.  read_round is the one reader of
-a round, on those bytes: it lays the response out by _response_layout
-(the one reader of a response, which decode_response also slices by),
-checks each slot the challenge opens with slot_opens (the value's form,
-then its opening), and returns what _shown shows.  Every verifier calls
-verify_round, which is read_round(...) is not None; the extractor and the
-distribution tally use what read_round shows.  One walk, _split_proof,
-reads a proof, for fs_verify_bytes and decode_proof.
+96 bytes, and prover_respond returns the encoded response that
+encode_response, the one writer, writes.  read_round, the one reader of a
+round, checks once that both are bytes, lays the response out by
+_response_layout (the one reader of a response, whose lengths are a
+value's only form check), checks each opened slot on its slices with
+crypto.opens, and returns what _shown shows.  verify_round is
+read_round(...) is not None; the extractor and the distribution tally use
+what read_round shows.  One walk, _split_proof, reads a proof.
 
 A single round convinces the verifier with soundness error 2/3; sequential
 repetition amplifies.  The non-interactive variant derives challenges by
@@ -72,6 +70,7 @@ from .crypto import (
     apply_mask,
     commit,
     fresh_seed,
+    opens,
     verify_commitment,
 )
 from .group import word_width
@@ -163,12 +162,9 @@ def _proof_rounds(rounds: int) -> int:
 
 
 def commit_round(z1: bytes, z2: bytes, seed: bytes, rng: Random) -> ProverState:
-    """Commit to the masked pair and the seed, slot by slot (C1, C2, C3).
-    The analysis harness commits its cheating and simulated values with it."""
-    c1, o1 = commit(z1, COMMIT_TAGS[Z1], rng)
-    c2, o2 = commit(z2, COMMIT_TAGS[Z2], rng)
-    c3, o3 = commit(seed, COMMIT_TAGS[SEED], rng)
-    return ProverState((z1, z2, seed), (o1, o2, o3), c1 + c2 + c3)
+    """The round whose slots hold the masked pair and the seed, committed by
+    one crypto.commit call; the analysis harness's provers commit with it."""
+    return ProverState((z1, z2, seed), *commit(z1, z2, seed, rng))
 
 
 def masked_round(inst: SDPInstance, u, x, seed: bytes, rng: Random) -> ProverState:
@@ -193,9 +189,9 @@ def _shown(inst: SDPInstance, challenge: int, value: bytes, other: bytes):
     """What a round shows on the two values its challenge opens, in OPENS
     order (masked values taken at their slot's length), or None unless the
     challenge's predicate holds; each predicate is written here only.  At 0
-    and 1 apply_mask under the seed (crypto._mask_stream checks it) unmasks
-    the value into the words of a raw element of inst.group.ops (from_words):
-    u∘h = unmask(Z1) at 0, u = unmask(Z2)∘g^-1 at 1, shown if in H.  At 2,
+    and 1 apply_mask under the seed (which it checks) unmasks the value into
+    the words of a raw element of inst.group.ops (from_words): u∘h =
+    unmask(Z1) at 0, u = unmask(Z2)∘g^-1 at 1, shown if in H.  At 2,
     the count of words the values differ in (ops.differing_words), if at
     most max_distance; it may be 0, so callers test `is not None`."""
     ops = inst.group.ops
@@ -253,9 +249,9 @@ def prover_respond(state: ProverState, challenge: int) -> bytes:
 
 def slot_opens(inst: SDPInstance, digest: bytes, slot: int, value: bytes, opening: bytes) -> bool:
     """Whether value is a canonical value of the slot at the instance's degree
-    (bytes of slot_size's length) and opening opens the slot's 32-byte
-    digest to it.  Total on untrusted input, a slot outside (Z1, Z2, SEED)
-    included: returns False, never raises."""
+    (bytes of slot_size's length) and opening opens the slot's digest to it
+    (crypto.verify_commitment), for analysis.accepted_challenges.  Total,
+    a slot outside (Z1, Z2, SEED) included: returns False, never raises."""
     try:
         return len(value) == slot_size(slot, inst.degree) and verify_commitment(
             digest, value, _SLOT_TAGS.get(slot), opening
@@ -266,24 +262,24 @@ def slot_opens(inst: SDPInstance, digest: bytes, slot: int, value: bytes, openin
 
 def read_round(inst: SDPInstance, commitment: bytes, challenge: int, response: bytes):
     """What one round shows (_shown) if it verifies, else None, from its wire
-    bytes: the 96-byte commitment, which commitment_digests splits into its
-    slots' digests, and the encoded response.  The kind byte must be the
-    challenge and the response as long as _response_layout says; then every
-    slot the challenge opens must open (slot_opens, which checks each
-    value's form).  Total on untrusted input: None, never an exception."""
+    bytes, each bytes: the 96-byte commitment and the encoded response,
+    whose kind byte must be the challenge and whose length _response_layout
+    fixes, and so every value's and opening's; then each slot the challenge
+    opens must open (crypto.opens).  Total: None, never an exception."""
     try:
-        if challenge not in OPENS or len(commitment) != COMMITMENT_BYTES or not response or response[0] != challenge:
+        if (
+            challenge not in OPENS or not isinstance(commitment, bytes) or not isinstance(response, bytes)
+            or len(commitment) != COMMITMENT_BYTES or not response or response[0] != challenge
+        ):
             return None
-        end, parts = _response_layout(challenge, inst.degree)
+        # each challenge opens two slots, laid out as (slot, value, opening)
+        end, ((s, a, a_opening), (t, b, b_opening)) = _response_layout(challenge, inst.degree)
         if len(response) != end:
             return None
-        digests, values = commitment_digests(commitment), []
-        for slot, value_at, value_end, opening_at in parts:
-            value = response[value_at:value_end]
-            if not slot_opens(inst, digests[slot], slot, value, response[opening_at : opening_at + OPENING_BYTES]):
-                return None
-            values.append(value)
-        return _shown(inst, challenge, *values)
+        digests, value, other = commitment_digests(commitment), response[a], response[b]
+        if opens(digests[s], s, response[a_opening], value) and opens(digests[t], t, response[b_opening], other):
+            return _shown(inst, challenge, value, other)
+        return None
     except (ValueError, TypeError, struct.error):
         return None
 
@@ -390,18 +386,16 @@ def encode_response(kind: int, values: Sequence[bytes], openings: Sequence[bytes
 
 
 @lru_cache(maxsize=16)  # bounded: three kinds at each degree a process checks
-def _response_layout(kind: int, n: int) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+def _response_layout(kind: int, n: int) -> tuple[int, tuple[tuple[int, slice, slice], ...]]:
     """Where the parts of an encoded kind `kind` response at degree n lie,
     as offsets from its kind byte: its end, and for each slot OPENS[kind]
-    lists, in order, (slot, value start, value end, opening start).  The
-    kind byte comes first, then the values (slot_size each), then their
-    openings."""
-    slots = OPENS[kind]
-    at = 1
+    lists, in order, (slot, value slice, opening slice).  The kind byte
+    comes first, then the values (slot_size each), then their openings."""
+    slots, parts, at = OPENS[kind], [], 1
     openings = at + sum(slot_size(slot, n) for slot in slots)
-    parts = []
     for i, slot in enumerate(slots):
-        parts.append((slot, at, at + slot_size(slot, n), openings + i * OPENING_BYTES))
+        opening = openings + i * OPENING_BYTES
+        parts.append((slot, slice(at, at + slot_size(slot, n)), slice(opening, opening + OPENING_BYTES)))
         at += slot_size(slot, n)
     return openings + len(slots) * OPENING_BYTES, tuple(parts)
 
@@ -441,13 +435,12 @@ def decode_proof(data: bytes, n: int) -> NIZKProof:
 def decode_response(data: bytes, n: int) -> Response:
     """Read an encoded response at degree n by its layout (_response_layout)
     alone: ValueError on a kind outside OPENS or a length other than the
-    kind's at degree n.  No value's form is checked; slot_opens does that."""
+    kind's at degree n.  No value's form or opening is checked; read_round does."""
     kind = data[0] if data else None
     if kind not in OPENS:
         raise ValueError(f"unknown response kind {kind}")
-    # each kind opens two slots, laid out as (slot, value start, value end, opening start)
-    end, ((_, a, a_end, a_opening), (_, b, b_end, b_opening)) = _response_layout(kind, n)
+    # each kind opens two slots, laid out as (slot, value, opening)
+    end, ((_, a, a_opening), (_, b, b_opening)) = _response_layout(kind, n)
     if len(data) != end:
         raise ValueError(f"a kind {kind} response at degree {n} is {end} bytes, not {len(data)}")
-    openings = data[a_opening : a_opening + OPENING_BYTES], data[b_opening : b_opening + OPENING_BYTES]
-    return Response(kind, (data[a:a_end], data[b:b_end]), openings)
+    return Response(kind, (data[a], data[b]), (data[a_opening], data[b_opening]))

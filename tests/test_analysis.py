@@ -26,7 +26,7 @@ from sdzkp.analysis import (
     transcript_distribution_test,
     transcript_for,
 )
-from sdzkp.crypto import COMMIT_TAGS, apply_mask, commit
+from sdzkp.crypto import COMMIT_TAGS, apply_mask
 from sdzkp.group import word_width
 from sdzkp.instance import instance_digest, plant_instance, validate_witness
 from sdzkp.protocol import (
@@ -48,6 +48,7 @@ from sdzkp.protocol import (
     slot_size,
     verify_round,
 )
+from test_reference_verifier import commit_slot
 
 TARGET_SETS = [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})]
 
@@ -275,7 +276,7 @@ def test_slot_opens_then_holds_is_verify_round(fixture, request):
     short_seed = values[SEED][:31]
     (words,) = apply_mask(values[SEED], values[0])
     z1 = bytes(a ^ b for a, b in zip(words, hashlib.shake_256(short_seed).digest(len(words))))
-    digest, opening = commit(short_seed, COMMIT_TAGS[SEED], rng)
+    digest, opening = commit_slot(short_seed, COMMIT_TAGS[SEED], rng)
     assert slot_opens(inst, digest, SEED, short_seed, opening) is False
     assert verifies(commit_round(z1, values[1], short_seed, rng), 0) is False
 
@@ -283,7 +284,7 @@ def test_slot_opens_then_holds_is_verify_round(fixture, request):
     for resize in (lambda z: z[:-1], lambda z: z + b"\x00"):
         for slot in (0, 1):
             bad = resize(values[slot])
-            digest, opening = commit(bad, COMMIT_TAGS[slot], rng)
+            digest, opening = commit_slot(bad, COMMIT_TAGS[slot], rng)
             assert slot_opens(inst, digest, slot, bad, opening) is False
         z1, z2 = (resize(values[slot]) for slot in (0, 1))
         state = commit_round(z1, z2, values[SEED], rng)
@@ -322,7 +323,7 @@ def test_wire_forms_hold_at_the_byte_table_boundary(n, gens, k):
     assert len(apply_mask(seed, z1)[0]) == word_width(n) * n
     for bad1, bad2 in zip(_misshapen_values(z1, n), _misshapen_values(z2, n)):
         for slot, bad in ((0, bad1), (1, bad2)):
-            digest, opening = commit(bad, COMMIT_TAGS[slot], rng)
+            digest, opening = commit_slot(bad, COMMIT_TAGS[slot], rng)
             assert slot_opens(inst, digest, slot, bad, opening) is False
 
     # a proof whose every round commits both masked values in the form under

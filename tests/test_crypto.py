@@ -18,6 +18,7 @@ from sdzkp.crypto import (
     commit,
     expand_mask,
     fresh_seed,
+    opens,
     tuple_add,
     tuple_sub,
     verify_commitment,
@@ -26,13 +27,13 @@ from sdzkp.group import make_ops, word_width
 from sdzkp.instance import make_instance
 from sdzkp.perm import MAX_TUPLE_LENGTH, Permutation, hamming, identity, random_perm
 from sdzkp.protocol import Z1, slot_opens
-from test_reference_verifier import weight
+from test_reference_verifier import commit_slot, weight
 
 
 def test_commit_verify_round_trip():
     rng = random.Random(30)
     for tag in COMMIT_TAGS:
-        digest, opening = commit(b"payload", tag, rng)
+        digest, opening = commit_slot(b"payload", tag, rng)
         assert len(digest) == DIGEST_BYTES
         assert len(opening) == OPENING_BYTES
         assert verify_commitment(digest, b"payload", tag, opening)
@@ -40,7 +41,7 @@ def test_commit_verify_round_trip():
 
 def test_commit_rejects_any_tamper():
     rng = random.Random(31)
-    digest, opening = commit(b"payload", "C1", rng)
+    digest, opening = commit_slot(b"payload", "C1", rng)
     assert not verify_commitment(digest, b"payloae", "C1", opening)
     assert not verify_commitment(digest, b"payload", "C2", opening)
     other = bytes(b ^ 1 for b in opening)
@@ -61,7 +62,7 @@ def test_verify_commitment_is_total():
     rng = random.Random(34)
     message = b"payload"
     for tag in COMMIT_TAGS:
-        digest, opening = commit(message, tag, rng)
+        digest, opening = commit_slot(message, tag, rng)
         assert verify_commitment(digest, message, tag, opening) is True
         for other in ("C9", b"C1", tag.encode(), None, 1, [tag], *(t for t in COMMIT_TAGS if t != tag)):
             assert verify_commitment(digest, message, other, opening) is False
@@ -77,19 +78,30 @@ def test_verify_commitment_is_total():
             assert verify_commitment(digest, bad, tag, opening) is False
 
 
-def test_commit_refuses_an_unknown_tag_before_drawing():
-    rng = random.Random(33)
-    for tag in ("C9", "c1", "", b"C1", None, 1):
-        state = rng.getstate()
-        with pytest.raises(ValueError):
-            commit(b"m", tag, rng)
-        assert rng.getstate() == state
+def test_round_commit_is_three_tagged_hashes():
+    """commit's 96 bytes are SHA3-256(tag || opening || message) of each
+    slot in order, and opens, the unchecked core verify_commitment wraps,
+    accepts each slot's own triple only."""
+    rng = random.Random(35)
+    messages = (b"z1", b"z2" * 40, bytes(SEED_BYTES))
+    openings, commitment = commit(*messages, rng)
+    assert len(commitment) == 3 * DIGEST_BYTES and all(len(o) == OPENING_BYTES for o in openings)
+    assert commitment == b"".join(
+        hashlib.sha3_256(tag.encode() + opening + message).digest()
+        for tag, opening, message in zip(COMMIT_TAGS, openings, messages)
+    )
+    for slot, (message, opening) in enumerate(zip(messages, openings)):
+        digest = commitment[32 * slot : 32 * slot + 32]
+        for other in range(3):
+            assert opens(digest, other, opening, message) is (other == slot)
+        assert opens(digest, slot, opening, message + b"\x00") is False
+        assert opens(digest, slot, bytes(b ^ 1 for b in opening), message) is False
 
 
 def test_commit_randomized():
     rng = random.Random(32)
-    d1, o1 = commit(b"m", "C1", rng)
-    d2, o2 = commit(b"m", "C1", rng)
+    d1, o1 = commit_slot(b"m", "C1", rng)
+    d2, o2 = commit_slot(b"m", "C1", rng)
     assert d1 != d2 and o1 != o2
 
 
@@ -274,7 +286,7 @@ def test_masking_refuses_what_the_tuple_reference_refuses(words, value):
     inst = make_instance(identity(3), (identity(3),), 0)
     # a value that is not bytes stands beside the commitment to its bytes
     message = value if isinstance(value, bytes) else bytes((0, 1, 2))
-    digest, opening = commit(message, COMMIT_TAGS[Z1], random.Random(0))
+    digest, opening = commit_slot(message, COMMIT_TAGS[Z1], random.Random(0))
     assert slot_opens(inst, digest, Z1, value, opening) is False
 
 

@@ -162,11 +162,19 @@ def test_noise_words_match_randrange(n, k):
 
 
 def test_commit_openings_and_seeds_match_randbytes():
+    """A round's three openings are one getrandbits(768) draw: on
+    random.Random three consecutive randbytes(32), and under Rejecting,
+    whose answers alternate by call, randbytes(96)."""
+    messages = (b"z1", b"z2", b"seed")
     for fast, slow in paired_rngs():
-        for tag in COMMIT_TAGS:
-            digest, opening = commit(b"message", tag, fast)
-            assert opening == slow.randbytes(OPENING_BYTES)
-            assert verify_commitment(digest, b"message", tag, opening)
+        openings, commitment = commit(*messages, fast)
+        if isinstance(slow, Rejecting):
+            assert b"".join(openings) == slow.randbytes(3 * OPENING_BYTES)
+        else:
+            assert list(openings) == [slow.randbytes(OPENING_BYTES) for _ in COMMIT_TAGS]
+        assert same_state(fast, slow)
+        for slot, (tag, message) in enumerate(zip(COMMIT_TAGS, messages)):
+            assert verify_commitment(commitment[32 * slot : 32 * slot + 32], message, tag, openings[slot])
         assert fresh_seed(fast) == slow.randbytes(SEED_BYTES)
         assert same_state(fast, slow)
 

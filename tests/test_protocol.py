@@ -16,7 +16,6 @@ from sdzkp.analysis import accepted_challenges, completeness_rate
 from sdzkp.crypto import (
     COMMIT_TAGS,
     apply_mask,
-    commit,
     expand_mask,
     fresh_seed,
     tuple_add,
@@ -56,7 +55,7 @@ from sdzkp.protocol import (
     verifier_challenge,
     verify_round,
 )
-from test_reference_verifier import reference_read_proof
+from test_reference_verifier import commit_slot, reference_read_proof
 
 
 def pack(words, n):
@@ -366,9 +365,12 @@ def test_verify_round_is_total_on_non_messages(planted, honest_state):
     for ch in CHALLENGES:
         rsp = state.respond(ch)
         assert verify_round(inst, com, ch, rsp)
-        for bad in (None, "response", b"", 0, decode_response(rsp, inst.degree), bytearray(rsp), rsp.decode("latin-1")):
+        for bad in (
+            None, "response", b"", 0, decode_response(rsp, inst.degree), bytearray(rsp), memoryview(rsp),
+            rsp.decode("latin-1"),
+        ):
             assert verify_round(inst, com, ch, bad) is False
-        for bad_com in (None, "commitment", digests, tuple(com), com[:-1], com + b"\x00"):
+        for bad_com in (None, "commitment", digests, tuple(com), com[:-1], com + b"\x00", bytearray(com), memoryview(com)):
             assert verify_round(inst, bad_com, ch, rsp) is False
 
 
@@ -695,11 +697,11 @@ def test_every_byte_string_of_a_slots_length_is_its_value(n):
         size = slot_size(slot, n)
         assert size == (32 if slot == SEED else word_width(n) * n)
         for value in (bytes(size), b"\xff" * size, rng.randbytes(size)):
-            digest, opening = commit(value, COMMIT_TAGS[slot], rng)
+            digest, opening = commit_slot(value, COMMIT_TAGS[slot], rng)
             assert slot_opens(inst, digest, slot, value, opening) is True
         for length in sorted({0, 1, size - 1, size + 1, n, 4 * n, 4 * n + 4} - {size}):
             value = rng.randbytes(length)
-            digest, opening = commit(value, COMMIT_TAGS[slot], rng)
+            digest, opening = commit_slot(value, COMMIT_TAGS[slot], rng)
             assert slot_opens(inst, digest, slot, value, opening) is False
 
 

@@ -23,7 +23,7 @@ import random
 import pytest
 
 from sdzkp.analysis import make_cheating_prover
-from sdzkp.crypto import apply_mask, fresh_seed
+from sdzkp.crypto import COMMIT_TAGS, apply_mask, commit, fresh_seed
 from sdzkp.instance import instance_digest, plant_instance
 from sdzkp.perm import Permutation, compose, inverse
 from sdzkp.protocol import (
@@ -45,6 +45,14 @@ COMMITMENT = 96
 # what each kind opens, in wire order: slot 0 is Z1, 1 is Z2, 2 the seed
 OPENED = {0: (0, 2), 1: (1, 2), 2: (0, 1)}
 SEED_SLOT = 2
+
+
+def commit_slot(message, tag, rng):
+    """The digest and opening of message in the slot of `tag`, from one
+    crypto.commit of a round that holds message in all three slots."""
+    slot = COMMIT_TAGS.index(tag)
+    openings, commitment = commit(message, message, message, rng)
+    return commitment[32 * slot : 32 * slot + 32], openings[slot]
 
 
 def weight(t):
