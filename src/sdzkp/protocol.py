@@ -44,8 +44,9 @@ read_round(...) is not None; the extractor and the distribution tally use
 what read_round shows.  One walk, _split_proof, reads a proof.
 
 A single round convinces the verifier with soundness error 2/3; sequential
-repetition amplifies.  The non-interactive variant derives challenges by
-hashing the statement, a context string, and all round commitments.
+repetition amplifies.  The non-interactive variant derives every challenge
+from one SHAKE-256 stream over the statement, a context string, and all
+round commitments (derive_challenges).
 
 This module holds the round and the proof only.  A session over TCP, its
 frame types included, is net's; transcripts, rewinding and simulation are
@@ -94,7 +95,7 @@ commitment_digests = itemgetter(*(slice(i * DIGEST_BYTES, (i + 1) * DIGEST_BYTES
 # Each slot's commitment tag; a slot outside (Z1, Z2, SEED) has none.
 _SLOT_TAGS = dict(enumerate(COMMIT_TAGS))
 
-PROOF_MAGIC = b"SDP2"
+PROOF_MAGIC = b"SDP3"
 _PROOF_HEADER_BYTES = 8  # the magic, then a u32 round count
 _MAX_ROUNDS = 1 << 20
 
@@ -102,7 +103,9 @@ _MAX_ROUNDS = 1 << 20
 # t * log2(3/2) >= 128.
 ROUNDS = 219
 
-_FS_DOMAIN = b"SDZKP-FS-v2"
+_FS_DOMAIN = b"SDZKP-FS-v3"
+# Each stream byte's challenge, byte % 3; derive_challenges deletes 255.
+_CHALLENGE_OF_BYTE = bytes(b % 3 for b in range(256))
 
 
 def slot_size(slot: int, n: int) -> int:
@@ -294,27 +297,22 @@ def verify_round(inst: SDPInstance, commitment: bytes, challenge: int, response:
 
 def derive_challenges(statement_digest: bytes, context: bytes, commitments: Sequence[bytes]) -> list[int]:
     """One hash-derived challenge per round, binding the statement, the
-    context and all the rounds' 96-byte commitments.  ValueError unless the
-    commitments hold COMMITMENT_BYTES per round."""
+    context and all the rounds' 96-byte commitments: round i's challenge is
+    the i-th byte that is not 255 of one SHAKE-256 stream over _FS_DOMAIN ‖
+    u32 len(context) ‖ context ‖ statement digest ‖ commitments, mod 3.
+    255 = 85 * 3, so dropping it leaves each residue exactly 85 of the 255
+    byte values.  The stream's first `rounds` bytes are read, and a longer
+    prefix of the same stream only while those hold too few.  ValueError
+    unless the commitments hold COMMITMENT_BYTES per round."""
     rounds, joined = len(commitments), b"".join(commitments)
     if len(joined) != rounds * COMMITMENT_BYTES:
         raise ValueError(f"{len(joined)} bytes are not the commitments of {rounds} rounds")
-    prefix = hashlib.shake_256(_FS_DOMAIN + struct.pack("<I", len(context)) + context + statement_digest + joined)
-    challenges = []
-    for i in range(rounds):
-        shake = prefix.copy()
-        shake.update(i.to_bytes(4, "little"))
-        # Rejection sampling over bytes: 255 = 85 * 3, so dropping the value
-        # 255 leaves a multiple of 3 and the first other byte % 3 is exactly
-        # uniform.  The stream is read further only when it starts with 255.
-        byte = shake.digest(1)[0]
-        length = 1
-        while byte == 255:
-            length *= 64
-            stream = shake.digest(length).lstrip(b"\xff")
-            byte = stream[0] if stream else 255
-        challenges.append(byte % 3)
-    return challenges
+    shake = hashlib.shake_256(_FS_DOMAIN + struct.pack("<I", len(context)) + context + statement_digest + joined)
+    challenges, length = b"", rounds
+    while len(challenges) < rounds:
+        challenges = shake.digest(length).translate(_CHALLENGE_OF_BYTE, b"\xff")
+        length *= 2
+    return list(challenges[:rounds])
 
 
 def fs_prove(inst: SDPInstance, wit: Witness, rounds: int, context: bytes, rng: Random) -> NIZKProof:
@@ -330,11 +328,12 @@ def fs_verify_bytes(inst: SDPInstance, data: bytes, context: bytes, rounds: int 
     """Check a serialized non-interactive proof in place.  False on any
     malformed buffer or failing round, and unless the proof holds exactly
     `rounds` rounds: the verifier, not the prover, sets the soundness error,
-    so the walk (_split_proof) checks the count before any round.  The
-    challenges are derived from the commitments' slices of the buffer, and
-    verify_round checks each round on its slices."""
+    so a `rounds` that _proof_rounds refuses (None among them) is False
+    before any byte is read, and the walk (_split_proof) checks the count
+    before any round.  The challenges are derived from the commitments'
+    slices of the buffer, and verify_round checks each round on its slices."""
     try:
-        commitments, responses = _split_proof(data, inst.degree, rounds)
+        commitments, responses = _split_proof(data, inst.degree, _proof_rounds(rounds))
         challenges = derive_challenges(instance_digest(inst), context, commitments)
     except (ValueError, TypeError, struct.error):
         return False

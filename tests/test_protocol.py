@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-import struct
 import time
 from functools import cache
 from itertools import count, product
@@ -55,7 +54,7 @@ from sdzkp.protocol import (
     verifier_challenge,
     verify_round,
 )
-from test_reference_verifier import commit_slot, reference_read_proof
+from test_reference_verifier import commit_slot, fs_prefix, reference_challenges, reference_read_proof
 
 
 def pack(words, n):
@@ -455,6 +454,23 @@ def test_fs_verify_requires_its_own_round_count(planted, rounds):
     assert fs_verify_bytes(inst, data, b"", rounds)
 
 
+def test_fs_verify_refuses_a_round_count_no_proof_holds(planted, monkeypatch):
+    # None, 0, a negative count and one past the cap set no soundness error:
+    # each is refused before the proof is walked, so an honest one-round
+    # proof (soundness error 2/3) does not pass for want of a count
+    inst, wit = planted
+    data = encode_proof(fs_prove(inst, wit, 1, b"", random.Random(75)))
+    assert fs_verify_bytes(inst, data, b"", 1)
+    bad_counts = (None, 0, -1, sdzkp.protocol._MAX_ROUNDS + 1)
+    for rounds in bad_counts:
+        assert fs_verify_bytes(inst, data, b"", rounds) is False
+    walks = []
+    monkeypatch.setattr(sdzkp.protocol, "_split_proof", lambda *args: walks.append(args))
+    for rounds in bad_counts:
+        assert fs_verify_bytes(inst, data, b"", rounds) is False
+    assert walks == []
+
+
 def test_verifier_challenge_range_and_distribution():
     rng = random.Random(60)
     counts = [0, 0, 0]
@@ -586,17 +602,43 @@ def test_proof_in_any_byte_buffer_verifies(planted):
 
 
 def test_fs_single_byte_flips_reject(planted):
+    """A flip is refused unless it lies in the digest of a slot its round
+    leaves unopened and the challenges derived over the flipped commitments
+    are the proof's own: such a digest is checked through the challenges
+    alone, so each such flip passes with probability 3^-6 here.  The 200
+    seeded flips are checked against that rule, and then the first flip, in
+    a fixed order, that keeps the challenges must be accepted."""
     inst, wit = planted
     rng = random.Random(65)
     proof = fs_prove(inst, wit, 6, b"ctx", rng)
     data = bytearray(encode_proof(proof))
+    statement = instance_digest(inst)
+    challenges = derive_challenges(statement, b"ctx", proof.commitments)
+    unopened, at = [], 8
+    for commitment, response, ch in zip(proof.commitments, proof.responses, challenges):
+        (slot,) = {Z1, Z2, SEED} - set(OPENS[ch])
+        unopened.extend(range(at + 32 * slot, at + 32 * slot + 32))
+        at += len(commitment) + len(response)
+
+    def keeps_challenges():
+        return derive_challenges(statement, b"ctx", decode_proof(bytes(data), inst.degree).commitments) == challenges
+
     for _ in range(200):
         pos = rng.randrange(len(data))
         old = data[pos]
         data[pos] ^= 1 + rng.randrange(255)
-        assert not fs_verify_bytes(inst, bytes(data), b"ctx", 6)
+        expected = pos in unopened and keeps_challenges()
+        assert fs_verify_bytes(inst, bytes(data), b"ctx", 6) is expected
         data[pos] = old
     # sanity: restored bytes still verify
+    assert fs_verify_bytes(inst, bytes(data), b"ctx", 6)
+    for pos, flip in product(unopened, range(1, 256)):
+        data[pos] ^= flip
+        if keeps_challenges():
+            break
+        data[pos] ^= flip
+    else:
+        raise AssertionError("no flip of an unopened digest keeps the challenges")
     assert fs_verify_bytes(inst, bytes(data), b"ctx", 6)
 
 
@@ -622,38 +664,28 @@ def test_fs_challenge_distribution(planted):
     assert all(140 < c < 260 for c in counts)
 
 
-def reference_challenges(statement_digest, context, commitments):
-    """derive_challenges written plainly: round i's challenge is the first
-    byte of SHAKE-256(domain ‖ u32 len(context) ‖ context ‖ statement digest ‖
-    commitments ‖ u32 i) that is not 255, mod 3."""
-    prefix = b"SDZKP-FS-v2" + struct.pack("<I", len(context)) + context + statement_digest + b"".join(commitments)
-    base = hashlib.shake_256(prefix)
-    challenges = []
-    for i in range(len(commitments)):
-        shake = base.copy()
-        shake.update(struct.pack("<I", i))
-        challenges.append(next(b for b in shake.digest(256) if b != 255) % 3)
-    return challenges
-
-
 def test_derive_challenges_matches_the_plain_reference_on_both_rejections():
-    """Contexts are searched in a fixed order until one holds a round whose
-    stream starts with ff (one byte rejected) and another whose stream starts
-    with ff ff (two)."""
-    statement, commitments = bytes(32), [bytes(COMMITMENT_BYTES)] * 4096
-    for c in count():
-        assert c < 500, "no context put one round behind ff and another behind ff ff"
-        context = b"ctx%d" % c
-        base = hashlib.shake_256(b"SDZKP-FS-v2" + struct.pack("<I", len(context)) + context + statement
-                                 + b"".join(commitments))
-        heads = set()
-        for i in range(len(commitments)):
-            shake = base.copy()
-            shake.update(struct.pack("<I", i))
-            heads.add(shake.digest(2))
-        if b"\xff\xff" in heads and any(head[0] == 255 != head[1] for head in heads):
-            break
-    assert derive_challenges(statement, context, commitments) == reference_challenges(statement, context, commitments)
+    """derive_challenges reads the stream's first `rounds` bytes, and a longer
+    prefix of it only while they hold too few bytes that are not 255.
+    Contexts are searched in a fixed order until each case below holds: at
+    219 rounds, a first read with no 255 (enough) and one with a 255 (read
+    again); at one round, a stream behind ff (read again) and behind ff ff
+    (the second read is short too)."""
+    statement = bytes(32)
+    cases = {
+        "219 rounds, no 255 in the first read": (219, lambda stream: 255 not in stream[:219]),
+        "219 rounds, a 255 in the first read": (219, lambda stream: 255 in stream[:219]),
+        "one round behind ff": (1, lambda stream: stream[0] == 255 != stream[1]),
+        "one round behind ff ff": (1, lambda stream: stream[:2] == b"\xff\xff"),
+    }
+    for what, (rounds, holds) in cases.items():
+        commitments = [bytes(COMMITMENT_BYTES)] * rounds
+        for c in count():
+            assert c < 1 << 20, f"no context gives {what}"
+            context = b"ctx%d" % c
+            if holds(hashlib.shake_256(fs_prefix(statement, context, commitments)).digest(rounds + 1)):
+                break
+        assert derive_challenges(statement, context, commitments) == reference_challenges(statement, context, commitments)
 
 
 def test_commitment_digests_read_each_slot_as_commit_round_writes_it(planted):
@@ -706,14 +738,17 @@ def test_every_byte_string_of_a_slots_length_is_its_value(n):
 
 
 def test_a_proof_with_the_old_magic_is_refused(planted):
-    # SDP1 proofs masked tuples with a count prefix; this format's magic is SDP2
+    # SDP1 proofs masked tuples with a count prefix and SDP2 proofs derived
+    # each round's challenge from its own SHAKE-256 read; this format's magic
+    # is SDP3
     inst, wit = planted
     data = encode_proof(fs_prove(inst, wit, 4, b"", random.Random(71)))
-    assert data[:4] == b"SDP2" and fs_verify_bytes(inst, data, b"", 4)
-    old = b"SDP1" + data[4:]
-    assert fs_verify_bytes(inst, old, b"", 4) is False
-    with pytest.raises(ValueError):
-        decode_proof(old, inst.degree)
+    assert data[:4] == b"SDP3" and fs_verify_bytes(inst, data, b"", 4)
+    for magic in (b"SDP1", b"SDP2"):
+        old = magic + data[4:]
+        assert fs_verify_bytes(inst, old, b"", 4) is False
+        with pytest.raises(ValueError):
+            decode_proof(old, inst.degree)
 
 
 def test_proof_codec_rejects_malformed(planted):
@@ -774,14 +809,14 @@ def test_a_challenge_2_opening_gives_no_witness():
 # SHA-256 of a 219-round proof with fixed coins, pinned so that any change to
 # the commitment order, the response layout or the rng schedule shows up.
 @pytest.mark.parametrize("n, gens, k, digest", [
-    (16, 4, 6, "ecc1d9cfcbbda382fe30cf5802d9ac0d62677e2ac43fb5f375e7166125d5e680"),  # H = A_16
-    (12, 3, 4, "045825b0584b0e8748c0f2158ea694581d617dda9a895122e3aa44779b2b8916"),  # H = S_12
+    (16, 4, 6, "179baa0f7b03cb58c6848fa0bfaee7e17bc848b3bfd7ee2b3b5570f85b99f2fa"),  # H = A_16
+    (12, 3, 4, "a90d71069a3058707641a70c3f630eaf8ba334dc0d36ce6fad00deab07ed234a"),  # H = S_12
     # while a masked value is under 32 bytes the kind 0 and 1 responses are the longest
-    (5, 2, 2, "d34ed6364f6540d0f51709f9d016008a62073c8c0c271fd163dd345f133bb35e"),
+    (5, 2, 2, "41850a47ef813977d9aca7cebd6e4f8ac160a392b00491cbdfddf096301ffb60"),
     # the shape of the nizk-n128-giant benchmark workload
-    (128, 3, 32, "482e013658323d8ff5e971d3bda341bc93554c103568589b926572ea5fbf100b"),  # H = S_128
+    (128, 3, 32, "4fa3e96e306dc1f762b0ee60f8d8fb52372ea2e3e61c7240c31d7459d8fc10e9"),  # H = S_128
     # past the byte-table limit: group elements are image tuples
-    (260, 3, 65, "f6308cbc01b8a053b2ebfc4f2cb529d552d96a4b23b5573c5870de3cdebfaa77"),  # H = A_260
+    (260, 3, 65, "c73342fdb7fcd5b06d15f16281e8b7bf903227564bfe010312a194d4ccaaca02"),  # H = A_260
 ])
 def test_fs_proof_bytes_are_pinned(n, gens, k, digest):
     inst, wit = plant_instance(n, gens, k, random.Random(n), preset="general")
@@ -795,7 +830,7 @@ def test_fs_proof_bytes_are_pinned_on_a_tuple_chain():
     inst, wit = plant_instance(260, 8, 64, random.Random(260), preset="abelian2")
     assert inst.group.giant == "no" and len(inst.group.base) == 8
     data = encode_proof(fs_prove(inst, wit, 219, b"ctx", random.Random(7)))
-    assert hashlib.sha256(data).hexdigest() == "877d6135740788efc9fb6739ae6195df5c323d85f993724807be3e60b0559f1f"
+    assert hashlib.sha256(data).hexdigest() == "9b7671da4616a0f3a311bd393f6014435c9d923136f79fd86c642c2310e9db00"
 
 
 _bytes32 = st.binary(min_size=32, max_size=32)

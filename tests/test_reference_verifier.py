@@ -1,20 +1,21 @@
 """fs_verify_bytes against a reference verifier written from README's format.
 
 The reference reads the proof with its own parser, written in plain loops
-from the format: the magic SDP2 and a u32 round count, then per round a
+from the format: the magic SDP3 and a u32 round count, then per round a
 96-byte commitment, a kind byte, each opened value (a masked value as w·n
 bytes, n words of w = 1 byte up to degree 256 and 4 past it; the seed as
 32 bytes), then two 32-byte openings.  It requires the round count the
-verifier asks for, derives the challenges, opens each commitment with its
-own SHA3-256, unmasks word by word (each word XOR the matching word of
-SHAKE-256(seed), as addition in GF(2^8w) is), builds the opened member
-with the validating Permutation constructor, compose and contains, and
-counts challenge-2 differences word by word.  It imports no codec and
-shares none of the raw-form code (byte tables, the one-integer XOR, the
-byte count of ops.differing_words) that fs_verify_bytes runs, so each verdict
-is checked against the definition.  Per round, what the reference shows
-(the member's images at challenges 0 and 1, the distance at 2) is checked
-against what protocol.read_round shows.
+verifier asks for, derives the challenges one stream byte at a time
+(reference_challenges), opens each commitment with its own SHA3-256,
+unmasks word by word (each word XOR the matching word of SHAKE-256(seed),
+as addition in GF(2^8w) is), builds the opened member with the validating
+Permutation constructor, compose and contains, and counts challenge-2
+differences word by word.  It imports no codec and shares none of the
+raw-form code (byte tables, the one-integer XOR, the byte count of
+ops.differing_words, the translated challenge stream) that fs_verify_bytes
+runs, so each verdict is checked against the definition.  Per round, what
+the reference shows (the member's images at challenges 0 and 1, the
+distance at 2) is checked against what protocol.read_round shows.
 """
 
 import hashlib
@@ -30,7 +31,6 @@ from sdzkp.protocol import (
     OPENS,
     NIZKProof,
     commit_round,
-    derive_challenges,
     encode_proof,
     fs_prove,
     fs_verify_bytes,
@@ -40,7 +40,8 @@ from sdzkp.protocol import (
 )
 
 # The format's constants, as README states them.
-MAGIC = b"SDP2"
+MAGIC = b"SDP3"
+FS_DOMAIN = b"SDZKP-FS-v3"
 COMMITMENT = 96
 # what each kind opens, in wire order: slot 0 is Z1, 1 is Z2, 2 the seed
 OPENED = {0: (0, 2), 1: (1, 2), 2: (0, 1)}
@@ -111,7 +112,7 @@ def reference_read_response(data, at, n):
 
 
 def reference_read_proof(data, n):
-    """A proof at degree n read by the format: the magic SDP2, a u32 round
+    """A proof at degree n read by the format: the magic SDP3, a u32 round
     count, then per round a 96-byte commitment and a response
     (reference_read_response).  Returns each round's (commitment,
     response); ValueError unless the last round ends where data does."""
@@ -159,6 +160,35 @@ def reference_round(inst, commitment, challenge, response):
     return member.images if inst.group.contains(member) else None
 
 
+def shake_stream(data):
+    """The bytes of SHAKE-256(data), one at a time, for as long as they are
+    taken (each longer read's first bytes are the shorter read's)."""
+    length, at = 64, 0
+    while True:
+        stream = hashlib.shake_256(data).digest(length)
+        for byte in stream[at:]:
+            yield byte
+        at, length = length, 2 * length
+
+
+def fs_prefix(statement_digest, context, commitments):
+    """What the challenge stream hashes: the domain ‖ u32 len(context) ‖
+    context ‖ statement digest ‖ every commitment."""
+    return FS_DOMAIN + len(context).to_bytes(4, "little") + context + statement_digest + b"".join(commitments)
+
+
+def reference_challenges(statement_digest, context, commitments):
+    """The challenge rule written plainly: one SHAKE-256 stream over
+    fs_prefix; round i's challenge is the i-th byte of it that is not 255,
+    mod 3."""
+    stream, challenges = shake_stream(fs_prefix(statement_digest, context, commitments)), []
+    while len(challenges) < len(commitments):
+        byte = next(stream)
+        if byte != 255:
+            challenges.append(byte % 3)
+    return challenges
+
+
 def reference_verify(inst, data, context, rounds) -> bool:
     try:
         proof = reference_read_proof(data, inst.degree)
@@ -167,7 +197,7 @@ def reference_verify(inst, data, context, rounds) -> bool:
     if len(proof) != rounds:
         return False
     commitments = [commitment for commitment, _ in proof]
-    challenges = derive_challenges(instance_digest(inst), context, commitments)
+    challenges = reference_challenges(instance_digest(inst), context, commitments)
     return all(reference_round(inst, com, ch, rsp) is not None for (com, rsp), ch in zip(proof, challenges))
 
 
@@ -244,7 +274,7 @@ def proof_opening(inst, wit, state, challenge, rng, context=b"ctx"):
     while True:
         states = [state] + [prover_commit(inst, wit, rng) for _ in range(2)]
         commitments = tuple(s.commitment for s in states)
-        challenges = derive_challenges(instance_digest(inst), context, commitments)
+        challenges = reference_challenges(instance_digest(inst), context, commitments)
         if challenges[0] == challenge:
             responses = tuple(s.respond(ch) for s, ch in zip(states, challenges))
             return encode_proof(NIZKProof(commitments, responses))
