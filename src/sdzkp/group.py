@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from itertools import permutations
+from itertools import groupby, permutations
 from math import factorial, isqrt, prod
 from random import Random
 from typing import Sequence
@@ -296,7 +296,7 @@ _PR_TRIES = 250
 
 def _cycle_lengths(p, degree: int) -> list[int]:
     """The lengths of p's cycles, in the order of their smallest points."""
-    seen = bytearray(degree)
+    seen = [False] * degree
     lengths = []
     for start in range(degree):
         if seen[start]:
@@ -304,7 +304,7 @@ def _cycle_lengths(p, degree: int) -> list[int]:
         length = 1
         x = p[start]
         while x != start:
-            seen[x] = 1
+            seen[x] = True
             x = p[x]
             length += 1
         lengths.append(length)
@@ -404,10 +404,13 @@ class BSGS:
         self._levels = levels
         self._alternating = alternating
         if levels is None:
-            self.base = tuple(range(ops.degree - (2 if alternating else 1)))
-            # Level i's draw in sample_uniform: (i, range size, its bit length).
-            self._draws = tuple((i, ops.degree - i, (ops.degree - i).bit_length()) for i in self.base)
-            self._order = factorial(ops.degree) // (2 if alternating else 1)
+            n = ops.degree
+            self.base = tuple(range(n - (2 if alternating else 1)))
+            # sample_uniform's levels in runs: (levels, k) for each maximal
+            # run of levels i whose range n - i has bit length k.
+            runs = [list(run) for _, run in groupby(self.base, lambda i: (n - i).bit_length())]
+            self._draws = tuple((range(run[0], run[-1] + 1), (n - run[0]).bit_length()) for run in runs)
+            self._order = factorial(n) // (2 if alternating else 1)
         else:
             self.base = tuple(level.point for level in levels)
             # Level i's draw in sample_uniform: (its representatives, their
@@ -451,20 +454,29 @@ class BSGS:
         state after them match it exactly."""
         getrandbits = rng.getrandbits
         if self._levels is None:
-            # Level i's representatives are (i y) for S_n and (i y z) for A_n;
-            # multiplying by one on the right rotates those positions.
-            n, alternating = self.ops.degree, self._alternating
+            # Level i draws y in [i, n): y = i + r with r < n - i, so testing
+            # y < n is randrange(n - i)'s test, and k is the same for a whole
+            # run of levels.  Level i's representatives are (i y) for S_n and
+            # (i y z) for A_n; multiplying by one on the right rotates those
+            # positions.
+            n = self.ops.degree
             images = list(range(n))
-            for i, m, k in self._draws:
-                r = getrandbits(k)
-                while r >= m:
-                    r = getrandbits(k)
-                y = i + r
-                if not alternating:
-                    images[i], images[y] = images[y], images[i]
-                elif y != i:  # the representative for y == i is the identity
-                    z = n - 1 if y != n - 1 else n - 2
-                    images[i], images[y], images[z] = images[y], images[z], images[i]
+            if self._alternating:
+                for levels, k in self._draws:
+                    for i in levels:
+                        y = i + getrandbits(k)
+                        while y >= n:
+                            y = i + getrandbits(k)
+                        if y != i:  # the representative for y == i is the identity
+                            z = n - 1 if y != n - 1 else n - 2
+                            images[i], images[y], images[z] = images[y], images[z], images[i]
+            else:
+                for levels, k in self._draws:
+                    for i in levels:
+                        y = i + getrandbits(k)
+                        while y >= n:
+                            y = i + getrandbits(k)
+                        images[i], images[y] = images[y], images[i]
             return self.ops.encode(images)
         then = self.ops.then
         acc = None

@@ -13,6 +13,7 @@ import sdzkp.group as group
 from sdzkp.group import BSGS, _certify_giant, _ChainBuilder, _Level, make_ops, _normalize, build_bsgs
 from sdzkp.instance import plant_instance
 from sdzkp.perm import Permutation, compose, compose_images, identity, inverse, invert_images, random_perm
+from test_draws import Rejecting, same_state
 
 
 def closure(gens):
@@ -469,18 +470,21 @@ def randrange_walk(grp, rng):
     return tuple(images)
 
 
-@pytest.mark.parametrize("n", [9, 128, 300])
+# 256 draws its first level with 9 bits; 257 is the first degree of tuples.
+@pytest.mark.parametrize("n", [9, 128, 256, 257, 300])
 @pytest.mark.parametrize("alternating", [False, True])
 def test_certified_giant_draws_match_the_randrange_walk(n, alternating):
     grp = certified_giant(n, alternating)
     ops = grp.ops
-    for seed in range(50):
-        fast, slow = random.Random(seed), random.Random(seed)
-        raw, images = grp.sample_uniform(fast), randrange_walk(grp, slow)
-        assert ops.decode(raw) == images
-        assert raw == ops.encode(images)  # a byte table up to n = 256, the tuple past it
-        assert grp.contains(raw)
-        assert fast.random() == slow.random()  # same number of bits consumed
+    # Rejecting makes every run of levels redraw
+    for make_rng in (random.Random, Rejecting):
+        for seed in range(50):
+            fast, slow = make_rng(seed), make_rng(seed)
+            raw, images = grp.sample_uniform(fast), randrange_walk(grp, slow)
+            assert ops.decode(raw) == images
+            assert raw == ops.encode(images)  # a byte table up to n = 256, the tuple past it
+            assert grp.contains(raw)
+            assert same_state(fast, slow)  # the same bits consumed in the same calls
     system = random.SystemRandom()
     for _ in range(50):
         p = draw(grp, system)  # Permutation validates the decoded images
