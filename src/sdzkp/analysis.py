@@ -8,10 +8,17 @@ Everything here treats the protocol as an object of study.  The tools are:
 * Transcript, one round's wire bytes and its challenge, used only here;
 * a witness extractor that turns three accepting transcripts (one per
   challenge) under one commitment into an element of H within the bound;
+* accepted_challenges, which judges a committed state on all three
+  challenges in one pass: the commitment checked once, each slot once
+  (protocol.slot_opens), both membership values unmasked by one
+  apply_mask read, and each predicate as protocol writes it (_member at
+  0 and 1, _shown at 2), so that it agrees with read_round;
 * cheating provers that pass exactly two chosen challenges per state,
   realizing the 2/3 single-round soundness error;
 * a rewinding simulator that produces accepting transcripts without the
-  witness, and a distribution test comparing them to real ones.
+  witness, and a distribution test comparing them to real ones.  Its
+  attempts (_attempt) are shared with the two simulator rates, which
+  count hits and make no transcript.
 
 The package exports the five rates `sdzkp analyze` reports, completeness
 (the one in-process honest session) among them, and nothing else here.
@@ -33,7 +40,11 @@ from .protocol import (
     CHALLENGES,
     COMMITMENT_BYTES,
     OPENS,
+    SEED,
+    Z1,
+    Z2,
     ProverState,
+    _member,
     _shown,
     commit_round,
     commitment_digests,
@@ -63,6 +74,9 @@ DISTRIBUTION_MAX_ORDER = 120
 
 _SLOT_NAMES = ("masked witness", "masked target", "seed")
 
+# The challenge pairs a cheating state can pass.
+_TARGET_PAIRS = (frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2}))
+
 
 class ExtractionError(Exception):
     """Raised when three transcripts do not admit extraction."""
@@ -81,19 +95,30 @@ honest_rewindable_prover = prover_commit
 
 def accepted_challenges(inst: SDPInstance, prover: ProverState) -> set[int]:
     """Which challenges this committed state would survive: the set of ch
-    for which verify_round accepts its commitment and respond(ch).  Each
-    slot's opening is checked once (slot_opens) rather than under both
-    challenges that open it, then each challenge's predicate (_shown); a
-    part with no wire form (not bytes) fails just the challenges that open
-    its slot, and a commitment of another length fails them all."""
-    values, com = prover.values, prover.commitment
-    if len(com) != COMMITMENT_BYTES:
+    for which read_round shows something on its commitment and respond(ch).
+    One pass: the commitment is checked once (bytes, COMMITMENT_BYTES long;
+    else no challenge passes), then each slot once (slot_opens) rather than
+    under both challenges that open it.  Challenge 2 opens Z1 and Z2, and
+    _shown judges them; 0 and 1 each open theirs beside the seed (OPENS),
+    and _member judges the words that one apply_mask read unmasks for both.
+    A part that fails its check fails just the challenges that open its
+    slot."""
+    com = prover.commitment
+    if not isinstance(com, bytes) or len(com) != COMMITMENT_BYTES:
         return set()
-    opens = [slot_opens(inst, *each) for each in zip(commitment_digests(com), range(3), values, prover.openings)]
-    return {
-        ch for ch, (a, b) in OPENS.items()  # each challenge opens two slots
-        if opens[a] and opens[b] and _shown(inst, ch, values[a], values[b]) is not None
-    }
+    (z1, z2, seed), (d1, d2, d3), (o1, o2, o3) = prover.values, commitment_digests(com), prover.openings
+    ok1, ok2 = slot_opens(inst, d1, Z1, z1, o1), slot_opens(inst, d2, Z2, z2, o2)
+    accepted = {2} if ok1 and ok2 and _shown(inst, 2, z1, z2) is not None else set()
+    if (ok1 or ok2) and slot_opens(inst, d3, SEED, seed, o3):
+        if ok1 and ok2:
+            w1, w2 = apply_mask(seed, z1, z2)
+        else:  # the one value that opened; the other's words go unread
+            (w1,) = (w2,) = apply_mask(seed, z1 if ok1 else z2)
+        if ok1 and _member(inst, 0, w1) is not None:
+            accepted.add(0)
+        if ok2 and _member(inst, 1, w2) is not None:
+            accepted.add(1)
+    return accepted
 
 
 def transcript_for(inst: SDPInstance, prover: ProverState, challenge: int) -> Transcript:
@@ -184,7 +209,7 @@ def make_cheating_prover(inst: SDPInstance, targets: frozenset[int] | set[int], 
     fail its third challenge (possible only for tiny or degenerate groups).
     """
     targets = frozenset(targets)
-    if targets not in (frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})):
+    if targets not in _TARGET_PAIRS:
         raise ValueError(f"targets must be two distinct challenges, got {sorted(targets)}")
     n, k = inst.degree, inst.max_distance
     group: BSGS = inst.group
@@ -254,6 +279,19 @@ def _simulated_state(inst: SDPInstance, guess: int, rng: Random) -> ProverState:
     return masked_round(inst, ops.ident, ops.then(inst.target_tables[0], tau), fresh_seed(rng), rng)
 
 
+def _attempt(inst: SDPInstance, verifier: VerifierOracle, rng: Random) -> tuple[ProverState, int] | None:
+    """One simulator attempt: guess which kind of challenge is coming (the
+    simulator's own coin, not verifier_challenge), prepare a state that
+    survives it, and query the verifier.  The state and the challenge if the
+    guess covers it, else None."""
+    guess = uniform_challenge(rng)
+    prover = _simulated_state(inst, guess, rng)
+    ch = verifier(prover.commitment)
+    if ch not in CHALLENGES:
+        raise ValueError(f"verifier oracle returned invalid challenge {ch!r}")
+    return (prover, ch) if (ch == 2) == (guess == 2) else None
+
+
 def simulate(
     inst: SDPInstance,
     verifier: VerifierOracle,
@@ -262,36 +300,35 @@ def simulate(
 ) -> Transcript | None:
     """Produce an accepting transcript against `verifier` without a witness.
 
-    Guess which kind of challenge is coming, prepare a state that survives
-    it, and query the verifier; on a bad guess, rewind and retry.  A guess
-    in {0,1} covers both membership challenges, so each attempt succeeds
-    with probability 5/9 against an honest verifier, and all attempts
-    failing (probability at most (4/9)^max_rewinds) yields None.
+    Attempt (_attempt) until a guess covers the challenge, rewinding on a
+    bad one.  A guess in {0,1} covers both membership challenges, so each
+    attempt succeeds with probability 5/9 against an honest verifier, and
+    all attempts failing (probability at most (4/9)^max_rewinds) yields
+    None.
     """
     require_positive(max_rewinds, "attempt")
     for _ in range(max_rewinds):
-        guess = uniform_challenge(rng)  # not verifier_challenge: the guess is the simulator's own coin
-        prover = _simulated_state(inst, guess, rng)
-        ch = verifier(prover.commitment)
-        if ch not in CHALLENGES:
-            raise ValueError(f"verifier oracle returned invalid challenge {ch!r}")
-        if (guess < 2 and ch < 2) or (guess == 2 and ch == 2):
-            return transcript_for(inst, prover, ch)
+        hit = _attempt(inst, verifier, rng)
+        if hit is not None:
+            return transcript_for(inst, *hit)
     return None
 
 
 def simulator_attempt_success_rate(inst: SDPInstance, attempts: int, rng: Random) -> float:
-    """Empirical per-attempt success probability against an honest verifier."""
+    """Empirical per-attempt success probability against an honest verifier;
+    a hit is counted, not made into a transcript."""
     require_positive(attempts, "attempt")
     verifier = honest_verifier(rng)
-    hits = sum(1 for _ in range(attempts) if simulate(inst, verifier, 1, rng) is not None)
-    return hits / attempts
+    return sum(_attempt(inst, verifier, rng) is not None for _ in range(attempts)) / attempts
 
 
 def simulator_abort_rate(inst: SDPInstance, max_rewinds: int, runs: int, rng: Random) -> float:
+    """Fraction of `runs` simulations of up to max_rewinds attempts each
+    (simulate's coins, without its transcript) that no attempt wins."""
     require_positive(runs, "run")
+    require_positive(max_rewinds, "attempt")
     verifier = honest_verifier(rng)
-    aborts = sum(1 for _ in range(runs) if simulate(inst, verifier, max_rewinds, rng) is None)
+    aborts = sum(all(_attempt(inst, verifier, rng) is None for _ in range(max_rewinds)) for _ in range(runs))
     return aborts / runs
 
 

@@ -38,9 +38,10 @@ class SDPInstance:
     (g, g^-1) in the raw form of group.ops, built with the instance: every
     round composes with g, and challenge 1 with g^-1.  Immutable, so it
     always holds target and its inverse.  Copies and pickles rebuild it from
-    the constructor arguments."""
+    the constructor arguments.  _digest is instance_digest's cache: None
+    until that function's first call on the instance fills it."""
 
-    __slots__ = ("degree", "max_distance", "target", "generators", "group", "target_tables")
+    __slots__ = ("degree", "max_distance", "target", "generators", "group", "target_tables", "_digest")
 
     def __init__(self, target: Permutation, group: BSGS, max_distance: int):
         degree, generators = group.degree, group.generators
@@ -54,7 +55,8 @@ class SDPInstance:
             raise ValueError(f"unreasonable generator count {len(generators)}")
         ops = group.ops
         g = ops.encode(target.images)
-        for name, value in zip(self.__slots__, (degree, max_distance, target, generators, group, (g, ops.inv(g)))):
+        values = (degree, max_distance, target, generators, group, (g, ops.inv(g)), None)
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value=None):
@@ -230,5 +232,10 @@ def load_witness(path) -> Witness:
 
 
 def instance_digest(inst: SDPInstance) -> bytes:
-    """Binding digest of the public statement, used for challenge derivation."""
-    return hashlib.sha3_256(b"SDZKP-inst-v1" + instance_to_bytes(inst)).digest()
+    """Binding digest of the public statement, used for challenge derivation;
+    computed on the first call and kept in the instance's digest slot."""
+    digest = inst._digest
+    if digest is None:
+        digest = hashlib.sha3_256(b"SDZKP-inst-v1" + instance_to_bytes(inst)).digest()
+        object.__setattr__(inst, "_digest", digest)
+    return digest

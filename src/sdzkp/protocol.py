@@ -18,9 +18,11 @@ Every value is its own committed message and wire form, slot_size long;
 every byte string of that length is a value, so its length is its only
 form check.  The prover, the verifier's checks and the response codecs
 all follow OPENS; only the final predicate above is written per
-challenge, once, in _shown, which takes its masked values at their slot's
-length and returns what the round shows (u∘h at 0, u at 1, the distance
-at 2) or None.
+challenge, once each: the membership predicate of 0 and 1 in _member, on
+unmasked words, and the distance predicate of 2 in _shown, which takes
+its masked values at their slot's length, unmasks the one value at 0 and
+1 for _member, and returns what the round shows (u∘h at 0, u at 1, the
+distance at 2) or None.
 
 A round works on the group's raw elements (group.make_ops: byte tables up
 to degree 256, image tuples past it): prover_round draws u in that form
@@ -29,9 +31,10 @@ masks each product's words (ops.words) with crypto.apply_mask, and
 commit_round commits the three slots in one crypto.commit call, which
 draws their openings at once and alone writes the hash input (tag ‖
 opening ‖ message).  _shown unmasks with the same apply_mask (XOR is its
-own inverse) into words that ops.from_words reads back, composed with
-the cached raw g^-1 at challenge 1, and contains tests as they stand; at
-2, ops.differing_words counts the words the masked values differ in.
+own inverse) into words that _member reads back (ops.from_words),
+composes with the cached raw g^-1 at challenge 1, and tests with contains
+as they stand; at 2, ops.differing_words counts the words the masked
+values differ in.
 
 A round has one form, its wire bytes: a ProverState's commitment is the
 96 bytes, and prover_respond returns the encoded response that
@@ -41,7 +44,9 @@ _response_layout (the one reader of a response, whose lengths are a
 value's only form check), checks each opened slot on its slices with
 crypto.opens, and returns what _shown shows.  verify_round is
 read_round(...) is not None; the extractor and the distribution tally use
-what read_round shows.  One walk, _split_proof, reads a proof.
+what read_round shows.  slot_opens is the one total check of one slot of
+a ProverState, for analysis.accepted_challenges, which judges a state on
+all three challenges in one pass.  One walk, _split_proof, reads a proof.
 
 A single round convinces the verifier with soundness error 2/3; sequential
 repetition amplifies.  The non-interactive variant derives every challenge
@@ -64,7 +69,6 @@ from random import Random
 from typing import Iterator, NamedTuple, Sequence
 
 from .crypto import (
-    COMMIT_TAGS,
     DIGEST_BYTES,
     OPENING_BYTES,
     SEED_BYTES,
@@ -72,12 +76,12 @@ from .crypto import (
     commit,
     fresh_seed,
     opens,
-    verify_commitment,
 )
 from .group import word_width
 from .instance import SDPInstance, Witness, instance_digest, validate_witness
 
 Z1, Z2, SEED = 0, 1, 2
+SLOTS = (Z1, Z2, SEED)
 
 OPENS = {0: (Z1, SEED), 1: (Z2, SEED), 2: (Z1, Z2)}
 
@@ -90,10 +94,7 @@ COMMITMENT_BYTES = 3 * DIGEST_BYTES
 
 # The one statement of the commitment's layout: the digests of slots Z1, Z2
 # and SEED, in that order, slot i's at bytes [32i, 32i+32) of the commitment.
-commitment_digests = itemgetter(*(slice(i * DIGEST_BYTES, (i + 1) * DIGEST_BYTES) for i in (Z1, Z2, SEED)))
-
-# Each slot's commitment tag; a slot outside (Z1, Z2, SEED) has none.
-_SLOT_TAGS = dict(enumerate(COMMIT_TAGS))
+commitment_digests = itemgetter(*(slice(i * DIGEST_BYTES, (i + 1) * DIGEST_BYTES) for i in SLOTS))
 
 PROOF_MAGIC = b"SDP3"
 _PROOF_HEADER_BYTES = 8  # the magic, then a u32 round count
@@ -191,17 +192,24 @@ def prover_round(inst: SDPInstance, h, rng: Random) -> ProverState:
 def _shown(inst: SDPInstance, challenge: int, value: bytes, other: bytes):
     """What a round shows on the two values its challenge opens, in OPENS
     order (masked values taken at their slot's length), or None unless the
-    challenge's predicate holds; each predicate is written here only.  At 0
-    and 1 apply_mask under the seed (which it checks) unmasks the value into
-    the words of a raw element of inst.group.ops (from_words): u∘h =
-    unmask(Z1) at 0, u = unmask(Z2)∘g^-1 at 1, shown if in H.  At 2,
-    the count of words the values differ in (ops.differing_words), if at
-    most max_distance; it may be 0, so callers test `is not None`."""
-    ops = inst.group.ops
+    challenge's predicate holds.  At 0 and 1 apply_mask under the seed
+    (which it checks) unmasks the one value, and _member judges its words.
+    At 2, the count of words the values differ in (ops.differing_words), if
+    at most max_distance, the distance predicate's one statement; it may be
+    0, so callers test `is not None`."""
     if challenge == 2:
-        distance = ops.differing_words(value, other)
+        distance = inst.group.ops.differing_words(value, other)
         return distance if distance <= inst.max_distance else None
     (words,) = apply_mask(other, value)
+    return _member(inst, challenge, words)
+
+
+def _member(inst: SDPInstance, challenge: int, words: bytes):
+    """The membership predicate of challenges 0 and 1, written here only, on
+    an opened masked value's unmasked words: the raw element of
+    inst.group.ops they read as (from_words), u∘h at 0 and composed with the
+    cached raw g^-1 at 1 into u, if contains finds it in H, else None."""
+    ops = inst.group.ops
     member = ops.from_words(words)
     if member is not None and challenge:
         member = ops.then(inst.target_tables[1], member)
@@ -251,15 +259,20 @@ def prover_respond(state: ProverState, challenge: int) -> bytes:
 
 
 def slot_opens(inst: SDPInstance, digest: bytes, slot: int, value: bytes, opening: bytes) -> bool:
-    """Whether value is a canonical value of the slot at the instance's degree
-    (bytes of slot_size's length) and opening opens the slot's digest to it
-    (crypto.verify_commitment), for analysis.accepted_challenges.  Total,
-    a slot outside (Z1, Z2, SEED) included: returns False, never raises."""
+    """The one check of one slot of a ProverState, for
+    analysis.accepted_challenges: slot is Z1, Z2 or SEED, digest is bytes,
+    value is bytes of slot_size's length at the instance's degree (its only
+    form check), opening is OPENING_BYTES of bytes, and crypto.opens, the
+    unchecked hash and compare, opens digest to value.  Total: returns
+    False, never raises."""
     try:
-        return len(value) == slot_size(slot, inst.degree) and verify_commitment(
-            digest, value, _SLOT_TAGS.get(slot), opening
+        return (
+            slot in SLOTS and isinstance(digest, bytes)
+            and isinstance(value, bytes) and len(value) == slot_size(slot, inst.degree)
+            and isinstance(opening, bytes) and len(opening) == OPENING_BYTES
+            and opens(digest, slot, opening, value)
         )
-    except TypeError:  # a value with no length, or a slot with no hash
+    except TypeError:  # a slot equal to one of SLOTS that is no index (1.0)
         return False
 
 

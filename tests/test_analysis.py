@@ -26,14 +26,16 @@ from sdzkp.analysis import (
     transcript_distribution_test,
     transcript_for,
 )
-from sdzkp.crypto import COMMIT_TAGS, apply_mask
+from sdzkp.crypto import COMMIT_TAGS, DIGEST_BYTES, apply_mask
 from sdzkp.group import word_width
-from sdzkp.instance import instance_digest, plant_instance, validate_witness
+from sdzkp.instance import SDPInstance, Witness, instance_digest, plant_instance, validate_witness
+from sdzkp.perm import Permutation, compose, random_support_perm
 from sdzkp.protocol import (
     CHALLENGES,
     COMMITMENT_BYTES,
     OPENS,
     SEED,
+    SLOTS,
     NIZKProof,
     _shown,
     commit_round,
@@ -44,10 +46,12 @@ from sdzkp.protocol import (
     fs_verify_bytes,
     max_response_bytes,
     prover_round,
+    read_round,
     slot_opens,
     slot_size,
     verify_round,
 )
+from test_draws import s4_wr_s4
 from test_reference_verifier import commit_slot
 
 TARGET_SETS = [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})]
@@ -290,6 +294,75 @@ def test_slot_opens_then_holds_is_verify_round(fixture, request):
         state = commit_round(z1, z2, values[SEED], rng)
         assert not any(verifies(state, ch) for ch in CHALLENGES)
         assert verifies(commit_round(z1, values[1], values[SEED], rng), 2) is False
+
+
+def planted_on_s4_wr_s4():
+    """A planted instance on S_4 wr S_4 (test_draws.s4_wr_s4), a non-giant
+    chain that is not abelian, its witness at distance exactly 6."""
+    group, rng = s4_wr_s4(), random.Random(89)
+    h = Permutation._trusted(group.ops.decode(group.sample_uniform(rng)))
+    inst = SDPInstance(compose(random_support_perm(16, 6, rng), h), group, 6)
+    return inst, Witness(h)
+
+
+# (make the instance, its group's giant kind): the analysis workload's
+# abelian2 family, a certified S_16, a certified A_16, a non-giant chain,
+# and A_260, whose elements are image tuples.
+DIFFERENTIAL_FAMILIES = {
+    "abelian2-16": (lambda: plant_instance(16, 5, 4, random.Random(71), preset="abelian2"), "no"),
+    "S16": (lambda: plant_instance(16, 4, 6, random.Random(70)), "S_n"),
+    "A16": (lambda: plant_instance(16, 4, 6, random.Random(16)), "A_n"),
+    "S4wrS4": (planted_on_s4_wr_s4, "no"),
+    "A260": (lambda: plant_instance(260, 3, 65, random.Random(260)), "A_n"),
+}
+
+
+def read_round_accepts(inst, state):
+    """accepted_challenges' reference: the challenges at which the one round
+    reader shows something on the state's wire bytes."""
+    return {ch for ch in CHALLENGES if read_round(inst, state.commitment, ch, state.respond(ch)) is not None}
+
+
+def one_byte_flipped(state, rng):
+    """The state with one byte flipped, at a random position, in each slot's
+    value, opening and digest in turn."""
+    for slot in SLOTS:
+        for field in ("values", "openings", "commitment"):
+            parts = list(getattr(state, field))
+            if field == "commitment":
+                at = DIGEST_BYTES * slot + rng.randrange(DIGEST_BYTES)
+                parts[at] ^= 1 << rng.randrange(8)
+                yield state._replace(commitment=bytes(parts))
+            else:
+                part = bytearray(parts[slot])
+                part[rng.randrange(len(part))] ^= 1 << rng.randrange(8)
+                parts[slot] = bytes(part)
+                yield state._replace(**{field: tuple(parts)})
+
+
+@pytest.mark.parametrize("make, giant", DIFFERENTIAL_FAMILIES.values(), ids=DIFFERENTIAL_FAMILIES)
+def test_accepted_challenges_equals_the_round_readers_verdicts(make, giant):
+    """accepted_challenges judges a state in one pass; read_round, once per
+    challenge on the state's wire bytes, must show something at exactly the
+    challenges it accepts: on honest states, each cheating strategy's, the
+    simulator's under each guess, and each of those with one byte of a
+    value, an opening or a digest flipped."""
+    inst, wit = make()
+    assert inst.group.giant == giant
+    rng = random.Random(91)
+    states = [honest_rewindable_prover(inst, wit, rng) for _ in range(2)]
+    states += [make_cheating_prover(inst, targets, rng) for targets in TARGET_SETS]
+    states += [analysis._simulated_state(inst, guess, rng) for guess in CHALLENGES]
+    judged = [accepted_challenges(inst, state) for state in states]
+    assert judged[:5] == [{0, 1, 2}] * 2 + TARGET_SETS
+    assert judged[5] >= {0, 1} and judged[6] >= {0, 1} and 2 in judged[7]  # what each guess covers
+    narrowed = 0
+    for state, accepted in zip(states, judged):
+        assert accepted == read_round_accepts(inst, state)
+        for broken in one_byte_flipped(state, rng):
+            assert accepted_challenges(inst, broken) == read_round_accepts(inst, broken)
+            narrowed += accepted_challenges(inst, broken) < accepted
+    assert narrowed == 9 * len(states)
 
 
 def _misshapen_values(z, n):

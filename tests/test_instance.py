@@ -162,7 +162,9 @@ def test_target_tables_are_computed_once():
         assert inst.group.ops.then(g_inv, g) == inst.group.ops.ident
 
 
-@pytest.mark.parametrize("name", ["degree", "max_distance", "target", "generators", "group", "_target_tables", "x"])
+@pytest.mark.parametrize(
+    "name", ["degree", "max_distance", "target", "generators", "group", "_target_tables", "_digest", "x"],
+)
 def test_instance_refuses_assignment_and_deletion(name):
     # A reassigned target would leave the cached target_tables holding the old one.
     inst, _ = plant_instance(16, 3, 4, random.Random(47))
@@ -307,6 +309,23 @@ def test_instance_digest_stable_and_sensitive():
     assert d1 == d2 and len(d1) == 32
     other, _ = plant_instance(8, 3, 4, rng)
     assert instance_digest(other) != d1
+
+
+@pytest.mark.parametrize("round_trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS)
+def test_instance_digest_is_kept_and_copies_compute_their_own(round_trip):
+    """instance_digest is computed on the first call and returned as kept
+    after it; a copy, filled or not, gives a fresh computation's bytes, and
+    the cache moves neither equality nor the hash."""
+    inst, _ = plant_instance(16, 3, 4, random.Random(50))
+    fresh = hashlib.sha3_256(b"SDZKP-inst-v1" + instance_to_bytes(inst)).digest()
+    unfilled, hashed = round_trip(inst), hash(inst)
+    assert instance_digest(inst) == fresh
+    assert instance_digest(inst) is instance_digest(inst)
+    filled = round_trip(inst)
+    for copied in (unfilled, filled):
+        assert instance_digest(copied) == fresh
+        assert copied == inst and hash(copied) == hash(inst) == hashed
+    assert instance_digest(instance_from_bytes(instance_to_bytes(inst))) == fresh
 
 
 def test_plant_instance_self_check_raises_without_assert(monkeypatch):
