@@ -1,23 +1,27 @@
 """Hash-based commitments and the seeded masking used to blind a round's values.
 
-Slot i (0, 1, 2) of a round is committed as SHA3-256 over (ASCII tag
-COMMIT_TAGS[i] || 32-byte opening || message); _digest alone writes that
-input.  commit commits a round's three slots in one call, drawing their
-openings at once; opens checks one opened slot with the hash and a
-constant-time compare only, for callers that fixed the types and lengths;
-verify_commitment is the total check over it.  A masked value is the n
-words of a raw group element (group.word_width: w = 1 byte per image up
-to degree 256, 4 past it) plus a mask of n words read from SHAKE-256
-keyed by a 32-byte seed, the sum taken in GF(2^8w), whose addition is
-XOR.  So a masked value is exactly w·n bytes, with no prefix, and every
-byte string of that length is one.  apply_mask, the one seed check and
-mask read, XORs each whole value, as one integer, with the mask read to
-its length; XOR is its own inverse, so the same call unmasks.  This
-module sees only bytes: how an element is written as words, and how the
-words of two values are compared, is group's (ops.words,
-ops.differing_words).  expand_mask, tuple_add and tuple_sub are the plain
-word-wise reference of apply_mask that tests compare it with (and
-sdzbench/spans.py traces), the only code here that knows a word.
+Slot i (0, 1, 2) of a round is committed as SHA-256 (FIPS 180-4) over
+(ASCII tag COMMIT_TAGS[i] || 32-byte opening || message); _digest alone
+writes that input.  Binding needs the 128-bit collision resistance of a
+256-bit digest, and hiding rests on the secret opening; every message is
+read at its slot's fixed length, so length extension, which lengthens a
+message, gives no second opening of a digest.  commit commits a round's
+three slots in one call, drawing their openings at once; opens checks
+one opened slot with the hash and a constant-time compare only, for
+callers that fixed the types and lengths; verify_commitment is the total
+check over it.  A masked value is the n words of a raw group element
+(group.word_width: w = 1 byte per image up to degree 256, 4 past it)
+plus a mask of n words read from SHAKE-256 keyed by a 32-byte seed, the
+sum taken in GF(2^8w), whose addition is XOR.  So a masked value is
+exactly w·n bytes, with no prefix, and every byte string of that length
+is one.  apply_mask, the one seed check and mask read, XORs each whole
+value, as one integer, with the mask read to its length; XOR is its own
+inverse, so the same call unmasks.  This module sees only bytes: how an
+element is written as words, and how the words of two values are
+compared, is group's (ops.words, ops.differing_words).  expand_mask,
+tuple_add and tuple_sub are the plain word-wise reference of apply_mask
+that tests compare it with (and sdzbench/spans.py traces), the only code
+here that knows a word.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ _TAG_SLOTS = {tag: slot for slot, tag in enumerate(COMMIT_TAGS)}
 
 
 def _digest(tag: bytes, opening: bytes, message: bytes) -> bytes:
-    return hashlib.sha3_256(tag + opening + message).digest()
+    return hashlib.sha256(tag + opening + message).digest()
 
 
 def commit(z1: bytes, z2: bytes, seed: bytes, rng: Random) -> tuple[tuple[bytes, bytes, bytes], bytes]:
@@ -100,15 +104,16 @@ def apply_mask(seed: bytes, *values: bytes) -> tuple[bytes, ...]:
     value with the stream read to its length.  The sum in GF(2^8w) is also
     the difference, so a masked value given back returns its words.  The
     values must share one length, at least 1, and the seed must be 32 bytes
-    (ValueError otherwise)."""
+    (ValueError otherwise, before the mask is read)."""
     length = len(values[0]) if values else 0
     if length < 1 or not isinstance(seed, bytes) or len(seed) != SEED_BYTES:
         raise ValueError(f"a mask needs a {SEED_BYTES}-byte seed and a positive length")
-    mask = int.from_bytes(hashlib.shake_256(seed).digest(length), "little")
-    masked = ()
     for value in values:
         if len(value) != length:
             raise ValueError(f"values of {length} and {len(value)} bytes cannot share a mask")
+    mask = int.from_bytes(hashlib.shake_256(seed).digest(length), "little")
+    masked = ()
+    for value in values:
         masked += ((int.from_bytes(value, "little") ^ mask).to_bytes(length, "little"),)
     return masked
 

@@ -1,12 +1,13 @@
 """Length-prefixed TCP transport for interactive proof sessions.
 
 A session's two entry points are connect_and_prove and accept_and_verify.
-Frame layout: u32 LE payload length, then a 1-byte message type (MSG_COMMIT,
-MSG_CHALLENGE or MSG_RESPONSE, which only this module reads or writes), then
-the message body.  The length covers the type byte plus body; send_frame
-refuses a payload over 16 MiB.  One connection carries all rounds of one
-session; the verifier treats any framing violation, timeout, or failed
-check as a rejection of the whole session, never as a crash.
+Frame layout: u32 LE payload length, then a 1-byte message type
+(MSG_COMMIT, MSG_CHALLENGE or MSG_RESPONSE, which only this module reads
+or writes), then the message body.  The length covers the type byte plus
+body; _frame, the one writer of a frame, refuses a payload over 16 MiB.
+One connection carries all rounds of one session; the verifier treats any
+framing violation, timeout, or failed check as a rejection of the whole
+session, never as a crash.
 
 The two ends overlap a session's rounds without moving a byte: each sends
 the same frames in the same order, and draws its coins in the same order,
@@ -22,12 +23,12 @@ before its challenge is sent.
 Every frame is read one way: through the session's buffer, capped at the
 largest valid message of its type (the verifier's caps depend on the
 instance's degree), and under the session deadline, a time.monotonic()
-instant that bounds the whole session however slowly a peer sends.  A
-recv takes what has arrived, up to 64 KiB, so a frame that came with the
-previous one (the prover writes response i and commitment i+1 back to
-back) costs no system call.  Both ends set TCP_NODELAY, since every frame
-is small: under Nagle's algorithm and delayed ACKs a frame written while
-the previous one is unacknowledged waits about 40 ms.
+instant that bounds the whole session however slowly a peer sends.  A recv
+takes what has arrived, up to 64 KiB, so a frame that came with the
+previous one (the prover writes response i and commitment i+1 in one
+sendall) costs no system call.  Both ends set TCP_NODELAY, since every
+frame is small: under Nagle's algorithm and delayed ACKs a frame written
+while the previous one is unacknowledged waits about 40 ms.
 """
 
 from __future__ import annotations
@@ -76,11 +77,16 @@ class SessionError(OSError):
     """A peer broke the wire protocol."""
 
 
-def send_frame(sock: socket.socket, msg_type: int, body: bytes) -> None:
+def _frame(msg_type: int, body: bytes) -> bytes:
+    """One frame's bytes; a payload over FRAME_MAX raises SessionError."""
     payload = bytes([msg_type]) + body
     if len(payload) > FRAME_MAX:
         raise SessionError(f"frame too large: {len(payload)} bytes")
-    sock.sendall(struct.pack("<I", len(payload)) + payload)
+    return struct.pack("<I", len(payload)) + payload
+
+
+def send_frame(sock: socket.socket, msg_type: int, body: bytes) -> None:
+    sock.sendall(_frame(msg_type, body))
 
 
 def _recv_exact(sock: socket.socket, count: int, deadline: float, buffer: bytearray) -> bytes:
@@ -129,7 +135,8 @@ def prover_session(sock: socket.socket, states: Iterator[ProverState], deadline:
     before any frame exists, and draws each state only when it is taken).
     Raises SessionError on violations and socket.timeout once the deadline
     (a time.monotonic() instant) passes.  Round i+1 is drawn and committed
-    before challenge i is awaited, and sent after response i."""
+    before challenge i is awaited, and written with response i in one
+    sendall."""
     buffer = bytearray()
     state = next(states)
     send_frame(sock, MSG_COMMIT, state.commitment)
@@ -137,9 +144,10 @@ def prover_session(sock: socket.socket, states: Iterator[ProverState], deadline:
         body = recv_expected(sock, MSG_CHALLENGE, 2, deadline, buffer)
         if len(body) != 1 or body[0] not in CHALLENGES:
             raise SessionError(f"invalid challenge in round {i}")
-        send_frame(sock, MSG_RESPONSE, prover_respond(state, body[0]))
+        frames = _frame(MSG_RESPONSE, prover_respond(state, body[0]))
         if following is not None:
-            send_frame(sock, MSG_COMMIT, following.commitment)
+            frames += _frame(MSG_COMMIT, following.commitment)
+        sock.sendall(frames)
         state = following
     _log("prover finished %d rounds", i + 1)
 

@@ -96,7 +96,7 @@ COMMITMENT_BYTES = 3 * DIGEST_BYTES
 # and SEED, in that order, slot i's at bytes [32i, 32i+32) of the commitment.
 commitment_digests = itemgetter(*(slice(i * DIGEST_BYTES, (i + 1) * DIGEST_BYTES) for i in SLOTS))
 
-PROOF_MAGIC = b"SDP3"
+PROOF_MAGIC = b"SDP4"
 _PROOF_HEADER_BYTES = 8  # the magic, then a u32 round count
 _MAX_ROUNDS = 1 << 20
 
@@ -104,7 +104,7 @@ _MAX_ROUNDS = 1 << 20
 # t * log2(3/2) >= 128.
 ROUNDS = 219
 
-_FS_DOMAIN = b"SDZKP-FS-v3"
+_FS_DOMAIN = b"SDZKP-FS-v4"
 # Each stream byte's challenge, byte % 3; derive_challenges deletes 255.
 _CHALLENGE_OF_BYTE = bytes(b % 3 for b in range(256))
 

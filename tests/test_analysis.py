@@ -805,20 +805,20 @@ def _state_digest(state):
 # the simulator.
 @pytest.mark.parametrize("preset, n, gens, k, instance_seed, digests", [
     ("abelian2", 16, 5, 4, 71, (
-        "675e68200baab0bc358ad5230ac7177e4a6710ab34255a5f11aaec98fb7490de",
-        "db4c80bf108fe49d878d8ef3ffe046333bcfad2134e34858e74c0b66b7f0f672",
-        "c8600e8084d9192c1bc60973b76008d344dbcfa71d4d29245af6d9e639b42130",
-        "51f64e001e8ca1cedb8c474346039b10e38775d0eef55962f8afa69005960607",
-        "7b5b195a59983bd97b80e60df8ad843e0f605a3e01a2ccff09db7f604ccd49a0",
-        "1c9ccb567b81b3bb8b6471d018010e59c66531da79f83744946e1951de1bee5e",
+        "be321860792890c8cc1fe9b8bd85af2ef0374066c50d52a4744e9b5c11a4fb87",
+        "c4f57db96bbb7726c7f0ae0ed2efaafddcfe938a7f7ead69d4722d52741a9d06",
+        "eeeba23423ba42f59fd2c4f2032fd493f646bd16980433b705ff6f6a5961ea4c",
+        "e71377b573483f3450c6d63463fb6f69d7deac0d4981e6e0bbc4eb63fbabdfd0",
+        "690f27691c05f49a105b62ee36ab49d2262718f3f981bd00b895586bbcb64503",
+        "7859d8fab15292efaac8a8756871632cffb00a430fe860258cc6054966eb4911",
     )),
     ("general", 16, 4, 6, 70, (  # a certified S_16
-        "cd88afe719928a9dee3c64163fe8f2c2c6af7623f014a870c60afb1c44c289b1",
-        "a46ee71b232fbf122b5671bac6f979b5e089932fd1a52990bb87fc9dbc2979e0",
-        "14d5a1428857f430ba78787087634e80b0221b8fe9a3d766bd07730915b2f297",
-        "79667da6b0e984b8f86ea78cb74a37efcd966e09cccb82392dd11bda1e7d4969",
-        "31463de0130d5a973e8a70d6dcffdc39266fc988894fa651299287589ac23479",
-        "77625d6a420a8e01691f090922f7000850fd362611355f7505b206c9051a7753",
+        "5cf57ecdd1eea24601ec0d3812364c737feb580b235c543788d595f2862d1d0c",
+        "0477aeed76ae2becced7ef33990dd8e723540c139cb74fb7c4e3ad6b647f9976",
+        "6dbd94aa6e75eb07411a4f765d89d75c1bafa9cc0dc07e43285b4f032ad59c6f",
+        "1441296aafcf57e45c83c467655a6400e3d87844797e7370383c8c3a71feaaa5",
+        "0da6c08d65c57acfcf070f7ce15a0668620c197e93fddbe205f1c20b9a66ecba",
+        "08ce903800e67d909f26586372088ab451a606ed71f0ae6da103cdb9a1b9d62a",
     )),
 ])
 def test_analysis_prover_states_are_pinned(preset, n, gens, k, instance_seed, digests):

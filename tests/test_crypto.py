@@ -79,7 +79,7 @@ def test_verify_commitment_is_total():
 
 
 def test_round_commit_is_three_tagged_hashes():
-    """commit's 96 bytes are SHA3-256(tag || opening || message) of each
+    """commit's 96 bytes are SHA-256(tag || opening || message) of each
     slot in order, and opens, the unchecked core verify_commitment wraps,
     accepts each slot's own triple only."""
     rng = random.Random(35)
@@ -87,7 +87,7 @@ def test_round_commit_is_three_tagged_hashes():
     openings, commitment = commit(*messages, rng)
     assert len(commitment) == 3 * DIGEST_BYTES and all(len(o) == OPENING_BYTES for o in openings)
     assert commitment == b"".join(
-        hashlib.sha3_256(tag.encode() + opening + message).digest()
+        hashlib.sha256(tag.encode() + opening + message).digest()
         for tag, opening, message in zip(COMMIT_TAGS, openings, messages)
     )
     for slot, (message, opening) in enumerate(zip(messages, openings)):
@@ -299,6 +299,15 @@ def test_apply_mask_refuses_words_of_another_length(words):
         apply_mask(bytes(SEED_BYTES), three, words)
     with pytest.raises(ValueError):
         apply_mask(bytes(SEED_BYTES), words, three)
+
+
+def test_apply_mask_refuses_before_it_reads_the_mask(monkeypatch):
+    def read(*args):
+        raise AssertionError("the mask was read")
+
+    monkeypatch.setattr(hashlib, "shake_256", read)
+    with pytest.raises(ValueError):
+        apply_mask(bytes(SEED_BYTES), bytes(3), bytes(4))
 
 
 def test_masking_validates_seed_and_length():

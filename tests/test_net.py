@@ -165,14 +165,16 @@ def test_honest_session_accepts(planted):
 
 
 class _Recorder:
-    """A socket that hashes every byte it sends."""
+    """A socket that hashes every byte it sends and keeps each write."""
 
     def __init__(self, sock):
         self._sock = sock
         self.sent = hashlib.sha256()
+        self.writes = []
 
     def sendall(self, data):
         self.sent.update(data)
+        self.writes.append(data)
         self._sock.sendall(data)
 
     def __getattr__(self, name):
@@ -193,8 +195,44 @@ def test_session_bytes_are_pinned():
         ok = net.verifier_session(verifier, inst, 219, random.Random(122), soon())
         th.join(10)
     assert ok and not th.is_alive()
-    assert prover.sent.hexdigest() == "0522d3235ca8204bd099a742c6120f3a026b5f30883fc87b9a9651bf0a487318"
+    assert prover.sent.hexdigest() == "404fc79721372725826a3cbe347ce62f133f8b3f27c45130c9e844bf98efd5be"
     assert verifier.sent.hexdigest() == "7b95078da55fcfe6ee7d6358ccf6a3ee42c2100a80ce1aaca80c442b2f3fbce1"
+
+
+class _Sink:
+    """A socket that keeps the bytes it is sent."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def sendall(self, data):
+        self.data += data
+
+
+def test_the_prover_writes_each_round_in_one_sendall(planted):
+    # The first commitment goes out alone, then response i and commitment
+    # i+1 in one write: the bytes send_frame writes one frame at a time.
+    inst, wit = planted
+    rounds = 12
+    a, b = pair()
+    prover, verifier = _Recorder(a), _Recorder(b)
+    states = honest_rounds(inst, wit, rounds, random.Random(123))
+    th = threading.Thread(target=net.prover_session, args=(prover, states, soon()))
+    th.start()
+    with a, b:
+        ok = net.verifier_session(verifier, inst, rounds, random.Random(124), soon())
+        th.join(10)
+    assert ok and not th.is_alive()
+    assert len(prover.writes) == 1 + rounds
+    challenges = [frame[-1] for frame in verifier.writes]
+    states = list(honest_rounds(inst, wit, rounds, random.Random(123)))
+    sink = _Sink()
+    net.send_frame(sink, MSG_COMMIT, states[0].commitment)
+    for state, following, challenge in zip(states, states[1:] + [None], challenges, strict=True):
+        net.send_frame(sink, MSG_RESPONSE, prover_respond(state, challenge))
+        if following is not None:
+            net.send_frame(sink, MSG_COMMIT, following.commitment)
+    assert b"".join(prover.writes) == sink.data
 
 
 @pytest.mark.parametrize("rounds, bad_round", [(1, 0), (219, 109), (219, 218)], ids=["only", "middle", "last"])

@@ -738,13 +738,13 @@ def test_every_byte_string_of_a_slots_length_is_its_value(n):
 
 
 def test_a_proof_with_the_old_magic_is_refused(planted):
-    # SDP1 proofs masked tuples with a count prefix and SDP2 proofs derived
-    # each round's challenge from its own SHAKE-256 read; this format's magic
-    # is SDP3
+    # SDP1 proofs masked tuples with a count prefix, SDP2 proofs derived each
+    # round's challenge from its own SHAKE-256 read and SDP3 proofs committed
+    # with SHA3-256; this format's magic is SDP4
     inst, wit = planted
     data = encode_proof(fs_prove(inst, wit, 4, b"", random.Random(71)))
-    assert data[:4] == b"SDP3" and fs_verify_bytes(inst, data, b"", 4)
-    for magic in (b"SDP1", b"SDP2"):
+    assert data[:4] == b"SDP4" and fs_verify_bytes(inst, data, b"", 4)
+    for magic in (b"SDP1", b"SDP2", b"SDP3"):
         old = magic + data[4:]
         assert fs_verify_bytes(inst, old, b"", 4) is False
         with pytest.raises(ValueError):
@@ -809,14 +809,14 @@ def test_a_challenge_2_opening_gives_no_witness():
 # SHA-256 of a 219-round proof with fixed coins, pinned so that any change to
 # the commitment order, the response layout or the rng schedule shows up.
 @pytest.mark.parametrize("n, gens, k, digest", [
-    (16, 4, 6, "179baa0f7b03cb58c6848fa0bfaee7e17bc848b3bfd7ee2b3b5570f85b99f2fa"),  # H = A_16
-    (12, 3, 4, "a90d71069a3058707641a70c3f630eaf8ba334dc0d36ce6fad00deab07ed234a"),  # H = S_12
+    (16, 4, 6, "a48274f1fc138b0446dcaa573aeaf7d274d879c142da49f7fee3e26532cc462c"),  # H = A_16
+    (12, 3, 4, "8ee864cc57c1dbc657ca7a5de3c3e593084bef9bc4853a2bd280b7876484b995"),  # H = S_12
     # while a masked value is under 32 bytes the kind 0 and 1 responses are the longest
-    (5, 2, 2, "41850a47ef813977d9aca7cebd6e4f8ac160a392b00491cbdfddf096301ffb60"),
+    (5, 2, 2, "d0f6e91825c32f18e087a4074a1f1c1757d3299ff4a56d220da3fe032d34a2fc"),
     # the shape of the nizk-n128-giant benchmark workload
-    (128, 3, 32, "4fa3e96e306dc1f762b0ee60f8d8fb52372ea2e3e61c7240c31d7459d8fc10e9"),  # H = S_128
+    (128, 3, 32, "dcb2a992af8f175367876277be1191deecda7d92df60fe7a4603d77200d26eef"),  # H = S_128
     # past the byte-table limit: group elements are image tuples
-    (260, 3, 65, "c73342fdb7fcd5b06d15f16281e8b7bf903227564bfe010312a194d4ccaaca02"),  # H = A_260
+    (260, 3, 65, "7566fd33210fe6110c370ac566b04ddf750d423ff083cf1e5e121c2d61b02b74"),  # H = A_260
 ])
 def test_fs_proof_bytes_are_pinned(n, gens, k, digest):
     inst, wit = plant_instance(n, gens, k, random.Random(n), preset="general")
@@ -830,7 +830,7 @@ def test_fs_proof_bytes_are_pinned_on_a_tuple_chain():
     inst, wit = plant_instance(260, 8, 64, random.Random(260), preset="abelian2")
     assert inst.group.giant == "no" and len(inst.group.base) == 8
     data = encode_proof(fs_prove(inst, wit, 219, b"ctx", random.Random(7)))
-    assert hashlib.sha256(data).hexdigest() == "9b7671da4616a0f3a311bd393f6014435c9d923136f79fd86c642c2310e9db00"
+    assert hashlib.sha256(data).hexdigest() == "e1737f3813e09844badcae35c646b03628033c093a27173fce0db85c7cae4967"
 
 
 _bytes32 = st.binary(min_size=32, max_size=32)

@@ -1,12 +1,12 @@
 """fs_verify_bytes against a reference verifier written from README's format.
 
 The reference reads the proof with its own parser, written in plain loops
-from the format: the magic SDP3 and a u32 round count, then per round a
+from the format: the magic SDP4 and a u32 round count, then per round a
 96-byte commitment, a kind byte, each opened value (a masked value as w·n
 bytes, n words of w = 1 byte up to degree 256 and 4 past it; the seed as
 32 bytes), then two 32-byte openings.  It requires the round count the
 verifier asks for, derives the challenges one stream byte at a time
-(reference_challenges), opens each commitment with its own SHA3-256,
+(reference_challenges), opens each commitment with its own SHA-256,
 unmasks word by word (each word XOR the matching word of SHAKE-256(seed),
 as addition in GF(2^8w) is), builds the opened member with the validating
 Permutation constructor, compose and contains, and counts challenge-2
@@ -40,8 +40,8 @@ from sdzkp.protocol import (
 )
 
 # The format's constants, as README states them.
-MAGIC = b"SDP3"
-FS_DOMAIN = b"SDZKP-FS-v3"
+MAGIC = b"SDP4"
+FS_DOMAIN = b"SDZKP-FS-v4"
 COMMITMENT = 96
 # what each kind opens, in wire order: slot 0 is Z1, 1 is Z2, 2 the seed
 OPENED = {0: (0, 2), 1: (1, 2), 2: (0, 1)}
@@ -112,7 +112,7 @@ def reference_read_response(data, at, n):
 
 
 def reference_read_proof(data, n):
-    """A proof at degree n read by the format: the magic SDP3, a u32 round
+    """A proof at degree n read by the format: the magic SDP4, a u32 round
     count, then per round a 96-byte commitment and a response
     (reference_read_response).  Returns each round's (commitment,
     response); ValueError unless the last round ends where data does."""
@@ -132,7 +132,7 @@ def reference_read_proof(data, n):
 def reference_round(inst, commitment, challenge, response):
     """What one round shows by definition, on its wire bytes, or None unless
     it verifies: the response parsed by reference_read_response, then its
-    kind, its openings (SHA3-256 of the tag C1, C2 or C3, the opening and
+    kind, its openings (SHA-256 of the tag C1, C2 or C3, the opening and
     the value), and the challenge's predicate.  A round shows the member's
     image tuple at challenges 0 and 1 (u∘h, then u) and the distance at 2."""
     n = inst.degree
@@ -144,7 +144,7 @@ def reference_round(inst, commitment, challenge, response):
         return None
     for slot, value, opening in zip(OPENED[challenge], values, openings):
         tag = b"C%d" % (slot + 1)
-        if hashlib.sha3_256(tag + opening + value).digest() != commitment[32 * slot : 32 * slot + 32]:
+        if hashlib.sha256(tag + opening + value).digest() != commitment[32 * slot : 32 * slot + 32]:
             return None
     if challenge == 2:
         a, b = (words_of(value, n) for value in values)
