@@ -7,7 +7,9 @@ Everything here treats the protocol as an object of study.  The tools are:
   (honest_rewindable_prover is protocol.prover_commit under that name);
 * Transcript, one round's wire bytes and its challenge, used only here;
 * a witness extractor that turns three accepting transcripts (one per
-  challenge) under one commitment into an element of H within the bound;
+  challenge) under one commitment into an element of H within the bound,
+  reading each opened value off the slices of protocol._response_layout
+  that read_round has just checked;
 * accepted_challenges, which judges a committed state on all three
   challenges in one pass: the commitment checked once, each slot once
   (protocol.slot_opens), both membership values unmasked by one
@@ -39,16 +41,15 @@ from .perm import Permutation, _sample, random_support_perm
 from .protocol import (
     CHALLENGES,
     COMMITMENT_BYTES,
-    OPENS,
     SEED,
     Z1,
     Z2,
     ProverState,
     _member,
+    _response_layout,
     _shown,
     commit_round,
     commitment_digests,
-    decode_response,
     honest_rounds,
     masked_round,
     prover_commit,
@@ -146,7 +147,8 @@ def extract_witness(inst: SDPInstance, t0: Transcript, t1: Transcript, t2: Trans
     group's raw form, and h = u^-1 ∘ (u∘h).  Inconsistencies that the
     commitment scheme is supposed to rule out (diverging seeds or masked
     tuples under equal digests) are reported loudly rather than silently
-    tolerated.
+    tolerated; each opened value is read off its response at its
+    _response_layout slice, which read_round has checked.
     """
     transcripts = (t0, t1, t2)
     by_ch = {t.challenge: t for t in transcripts}
@@ -155,18 +157,18 @@ def extract_witness(inst: SDPInstance, t0: Transcript, t1: Transcript, t2: Trans
     com = transcripts[0].commitment
     if any(t.commitment != com for t in transcripts):
         raise ExtractionError("transcripts do not share a commitment")
-    shown, values = {}, {}
+    shown = {}
     for ch, t in sorted(by_ch.items()):
         shown[ch] = read_round(inst, com, ch, t.response)
         if shown[ch] is None:
             raise ExtractionError(f"transcript for challenge {ch} does not verify")
-        values[ch] = decode_response(t.response, inst.degree).values
 
     # Every value is opened under two challenges; both openings must agree.
     opened = {}
     for ch in CHALLENGES:
-        for slot, value in zip(OPENS[ch], values[ch]):
-            if opened.setdefault(slot, value) != value:
+        response = by_ch[ch].response
+        for slot, at, _ in _response_layout(ch, inst.degree)[1]:
+            if opened.setdefault(slot, response[at]) != response[at]:
                 raise ExtractionError(f"binding violation: two openings of the {_SLOT_NAMES[slot]} differ")
 
     ops = inst.group.ops

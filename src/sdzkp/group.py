@@ -151,7 +151,8 @@ def make_ops(degree: int):
 class _Level:
     """One level of the chain: a base point with its orbit data.
 
-    gens generate the subgroup fixing all base points of earlier levels.
+    gens generate the subgroup fixing all base points of earlier levels:
+    an insertion-ordered set, each generator a key mapped to None.
     transversal maps each orbit point y to a representative u with
     u(point) == y; inv_transversal holds the inverses.  verified remembers
     Schreier generators already sifted to identity; orbits only ever extend
@@ -159,21 +160,15 @@ class _Level:
     levels grow.
     """
 
-    __slots__ = ("point", "gens", "gen_set", "transversal", "inv_transversal", "verified", "reps")
+    __slots__ = ("point", "gens", "transversal", "inv_transversal", "verified", "reps")
 
     def __init__(self, point: int):
         self.point = point
-        self.gens = []
-        self.gen_set = set()
+        self.gens = {}
         self.transversal = {}
         self.inv_transversal = {}
         self.verified = set()
         self.reps = None
-
-    def add_gen(self, g) -> None:
-        if g not in self.gen_set:
-            self.gens.append(g)
-            self.gen_set.add(g)
 
 
 def _sift(levels: list[_Level], then, p, start: int = 0):
@@ -208,7 +203,7 @@ class _ChainBuilder:
             if j == len(self.levels):
                 self._new_level_for(g)
             level = self.levels[j]
-            level.add_gen(g)
+            level.gens[g] = None
             if g[level.point] != level.point:
                 return
             j += 1
@@ -272,7 +267,7 @@ class _ChainBuilder:
                 if j == len(self.levels):
                     self._new_level_for(residue)
                 for l in range(i + 1, j + 1):
-                    self.levels[l].add_gen(residue)
+                    self.levels[l].gens[residue] = None
                 for l in range(j, i, -1):
                     self.complete_level(l)
 

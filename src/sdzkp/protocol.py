@@ -38,15 +38,17 @@ values differ in.
 
 A round has one form, its wire bytes: a ProverState's commitment is the
 96 bytes, and prover_respond returns the encoded response that
-encode_response, the one writer, writes.  read_round, the one reader of a
-round, checks once that both are bytes, lays the response out by
-_response_layout (the one reader of a response, whose lengths are a
-value's only form check), checks each opened slot on its slices with
-crypto.opens, and returns what _shown shows.  verify_round is
-read_round(...) is not None; the extractor and the distribution tally use
-what read_round shows.  slot_opens is the one total check of one slot of
-a ProverState, for analysis.accepted_challenges, which judges a state on
-all three challenges in one pass.  One walk, _split_proof, reads a proof.
+encode_response, the one writer, writes.  _response_layout is the one
+statement of a response's layout, where each value and opening of a kind
+lies at a degree; its lengths are a value's only form check.  read_round,
+the one reader of a round, checks once that both are bytes, lays the
+response out by it, checks each opened slot on its slices with
+crypto.opens, and returns what _shown shows.  The proof walk
+(_split_proof) and the extractor read the same layout.  verify_round is
+read_round(...) is not None; the extractor and the distribution tally
+use what read_round shows.  slot_opens is the one total check of one
+slot of a ProverState, for analysis.accepted_challenges, which judges a
+state on all three challenges in one pass.
 
 A single round convinces the verifier with soundness error 2/3; sequential
 repetition amplifies.  The non-interactive variant derives every challenge
@@ -114,17 +116,6 @@ def slot_size(slot: int, n: int) -> int:
     of n words of w = group.word_width(n) bytes.  A value is canonical at
     degree n iff it is a bytes object of this length."""
     return SEED_BYTES if slot == SEED else word_width(n) * n
-
-
-class Response(NamedTuple):
-    """A decoded response (decode_response): what challenge `kind` opens, the
-    values of the slots OPENS[kind] in that order, and their commitment
-    openings in the same order.  Its three fields, passed to
-    encode_response, give back its wire form."""
-
-    kind: int
-    values: tuple[bytes, ...]
-    openings: tuple[bytes, ...]
 
 
 class ProverState(NamedTuple):
@@ -444,10 +435,13 @@ def decode_proof(data: bytes, n: int) -> NIZKProof:
     return NIZKProof(commitments=tuple(commitments), responses=tuple(responses))
 
 
-def decode_response(data: bytes, n: int) -> Response:
+def decode_response(data: bytes, n: int) -> tuple[int, tuple[bytes, bytes], tuple[bytes, bytes]]:
     """Read an encoded response at degree n by its layout (_response_layout)
-    alone: ValueError on a kind outside OPENS or a length other than the
-    kind's at degree n.  No value's form or opening is checked; read_round does."""
+    alone into (kind, values, openings): the values of the slots OPENS[kind]
+    in that order and their openings in the same order, which
+    encode_response turns back into the response.  ValueError on a kind
+    outside OPENS or a length other than the kind's at degree n.  No value's
+    form or opening is checked; read_round does."""
     kind = data[0] if data else None
     if kind not in OPENS:
         raise ValueError(f"unknown response kind {kind}")
@@ -455,4 +449,4 @@ def decode_response(data: bytes, n: int) -> Response:
     end, ((_, a, a_opening), (_, b, b_opening)) = _response_layout(kind, n)
     if len(data) != end:
         raise ValueError(f"a kind {kind} response at degree {n} is {end} bytes, not {len(data)}")
-    return Response(kind, (data[a], data[b]), (data[a_opening], data[b_opening]))
+    return kind, (data[a], data[b]), (data[a_opening], data[b_opening])

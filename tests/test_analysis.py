@@ -159,7 +159,8 @@ def test_extractor_reports_binding_violations(planted, monkeypatch):
         extract_witness(inst, t0, t1, alien_witness)
 
     _, (z1, _), openings = decode_response(a.respond(2), inst.degree)
-    mixed = encode_response(2, (z1, decode_response(b.respond(2), inst.degree).values[1]), openings)
+    _, (_, z2), _ = decode_response(b.respond(2), inst.degree)
+    mixed = encode_response(2, (z1, z2), openings)
     with pytest.raises(ExtractionError, match="masked target"):
         extract_witness(inst, t0, t1, Transcript(a.commitment, 2, mixed))
 

@@ -250,6 +250,38 @@ def test_fs_verify_rejects_wrong_instance(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("extra, giant", [
+    (["--seed", "2"], "S_n"),  # a certified S_16
+    (["--seed", "4", "--preset", "abelian2", "--n", "64", "--gens", "16", "--k", "16"], "no"),  # loads by its chain
+], ids=["S16", "abelian2-n64"])
+def test_unseeded_fs_prove_and_verify(tmp_path, capsys, extra, giant):
+    # without --seed the prover draws from random.SystemRandom, as users run it
+    inst_path, wit_path = keygen(tmp_path, *extra)
+    captured = capsys.readouterr()
+    assert f"giant={giant}" in captured.out
+    assert ("trivially solvable" in captured.err) == (giant != "no")
+    proof = tmp_path / "p.sdp"
+    assert main(["fs-prove", "--instance", str(inst_path), "--witness", str(wit_path),
+                 "--proof", str(proof)]) == EXIT_ACCEPT
+    assert main(["fs-verify", "--instance", str(inst_path), "--proof", str(proof)]) == EXIT_ACCEPT
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1] == "ACCEPT" and captured.err == ""
+
+
+def test_fs_verify_rejects_random_bytes_and_the_previous_magic(tmp_path, capsys):
+    # SDP3 is the magic of the format before this one (SHA3-256 commitments)
+    inst_path, wit_path = keygen(tmp_path)
+    proof, noise, old = tmp_path / "p.sdp", tmp_path / "noise.sdp", tmp_path / "old.sdp"
+    assert main(["fs-prove", "--instance", str(inst_path), "--witness", str(wit_path),
+                 "--proof", str(proof), "--seed", "9"]) == EXIT_ACCEPT
+    noise.write_bytes(random.Random(4096).randbytes(4096))
+    old.write_bytes(b"SDP3" + proof.read_bytes()[4:])
+    capsys.readouterr()
+    for path in (noise, old):
+        assert main(["fs-verify", "--instance", str(inst_path), "--proof", str(path)]) == EXIT_REJECT
+    assert capsys.readouterr().out.split() == ["REJECT", "REJECT"]
+
+
 def test_loopback_interactive_session(tmp_path, capsys):
     inst_path, wit_path = keygen(tmp_path)
     port = free_port()
@@ -669,6 +701,15 @@ def test_analyze_simulator(capsys):
     assert 0.5 < report["statistic"] < 0.62
     assert report["details"]["abort_rate"] <= 0.1
     assert (code == EXIT_ACCEPT) == report["pass"]
+
+
+@pytest.mark.parametrize("preset", ["abelian2", "general"])
+def test_analyze_every_strategy_and_the_simulator(capsys, preset):
+    # each cheating strategy's rate must lie within chance of 2/3, and the
+    # simulator's of 5/9, or the command exits 1
+    for argv in (*(["soundness", "--strategy", s] for s in ("01", "02", "12")), ["simulator"]):
+        assert main(["analyze", *argv, "--preset", preset, "--seed", "5"]) == EXIT_ACCEPT
+        assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 def test_analyze_distribution(capsys):

@@ -13,7 +13,7 @@ import sdzkp.group as group
 from sdzkp.group import BSGS, _certify_giant, _ChainBuilder, _Level, make_ops, _normalize, build_bsgs
 from sdzkp.instance import plant_instance
 from sdzkp.perm import Permutation, compose, compose_images, identity, inverse, invert_images, random_perm
-from test_draws import Rejecting, same_state
+from test_draws import Rejecting, cycle_perm, same_state
 
 
 def closure(gens):
@@ -200,14 +200,6 @@ def schreier_sims(gens):
 def certified(gens):
     degree, kept = _normalize(gens)
     return _certify_giant(make_ops(degree), kept)
-
-
-def cycle_perm(n, *cycles):
-    images = list(range(n))
-    for points in cycles:
-        for a, b in zip(points, points[1:] + points[:1]):
-            images[a] = b
-    return Permutation(tuple(images))
 
 
 def is_odd(p):

@@ -24,7 +24,7 @@ OFF_THE_LIST = {
     "perm": ("identity", "random_perm", "random_support_perm"),
     "instance": ("brute_force_distance", "instance_digest"),
     "crypto": ("commit", "expand_mask", "tuple_add", "tuple_sub", "verify_commitment"),
-    "protocol": ("ProverState", "Response", "decode_proof", "prover_commit", "prover_respond", "verifier_challenge"),
+    "protocol": ("ProverState", "decode_proof", "prover_commit", "prover_respond", "verifier_challenge"),
     "analysis": ("ExtractionError", "Transcript", "extract_witness", "honest_rewindable_prover", "honest_verifier",
                  "make_cheating_prover", "simulate"),
 }
@@ -189,3 +189,42 @@ def test_each_format_decision_has_one_home():
             if isinstance(name, str)
         }
         assert not {name for name in named if gone.fullmatch(name)}, module
+
+
+# Names kept only for the benchmark's tracer (sdzbench/spans.py) and for the
+# tests: the program reads none of them, so they can go together with the
+# tracer's list.
+KEPT_FOR_THE_TRACER = ("decode_response", "decode_proof", "verify_commitment", "expand_mask", "tuple_add", "tuple_sub")
+
+
+def test_no_module_reads_a_name_kept_for_the_tracer():
+    # tuple_sub calls tuple_add: a read inside one of these names' own definitions is allowed
+    for path in sorted(Path(sdzkp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        kept = {
+            id(node)
+            for definition in tree.body
+            if isinstance(definition, ast.FunctionDef) and definition.name in KEPT_FOR_THE_TRACER
+            for node in ast.walk(definition)
+        }
+        read = {
+            name
+            for node in ast.walk(tree)
+            if id(node) not in kept
+            for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+        }
+        assert not read & set(KEPT_FOR_THE_TRACER), f"{path.name} reads {sorted(read & set(KEPT_FOR_THE_TRACER))}"
+
+
+def test_the_workflow_states_no_format_of_its_own():
+    # CI smoke-tests the installed script by its commands and verdicts alone;
+    # the format's constants, offsets and magic are the tier-1 tests' to
+    # check, where a format change fails before a push.
+    for path in sorted((ROOT / ".github" / "workflows").glob("*.yml")):
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"\b(?:from|import)\s+sdzkp\.", text), path.name
+        assert not re.search(r"SDP\d", text), path.name
+        for module_name in SUBMODULES:
+            private = {name for name in vars(importlib.import_module(f"sdzkp.{module_name}"))
+                       if name.startswith("_") and not name.startswith("__")}
+            assert not {name for name in private if re.search(rf"\b{name}\b", text)}, (path.name, module_name)

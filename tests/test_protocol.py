@@ -169,10 +169,9 @@ def test_tampered_masked_tuple_rejected(planted):
     rng = random.Random(56)
     state = prover_commit(inst, wit, rng)
     com = state.commitment
-    rsp = decode_response(prover_respond(state, 0), inst.degree)
-    z1, seed = rsp.values
+    _, (z1, seed), openings = decode_response(prover_respond(state, 0), inst.degree)
     bumped = pack(tuple_add(z1, (1,) + (0,) * 15), 16)  # at degree 16 a byte is a word
-    assert not verify_round(inst, com, 0, encode_response(0, (bumped, seed), rsp.openings))
+    assert not verify_round(inst, com, 0, encode_response(0, (bumped, seed), openings))
 
 
 def test_wrong_seed_rejected(planted):
@@ -180,8 +179,8 @@ def test_wrong_seed_rejected(planted):
     rng = random.Random(57)
     state = prover_commit(inst, wit, rng)
     com = state.commitment
-    rsp = decode_response(prover_respond(state, 1), inst.degree)
-    assert not verify_round(inst, com, 1, encode_response(1, (rsp.values[0], bytes(32)), rsp.openings))
+    _, (z2, _), openings = decode_response(prover_respond(state, 1), inst.degree)
+    assert not verify_round(inst, com, 1, encode_response(1, (z2, bytes(32)), openings))
 
 
 def test_missing_fields_rejected(planted):
@@ -230,8 +229,8 @@ def test_non_permutation_unmask_rejected(planted):
     state = commit_round(*apply_mask(seed, pack(collided, n), pack(collided, n)), seed, rng)
     com = state.commitment
     for ch in CHALLENGES:
-        rsp = decode_response(state.respond(ch), n)
-        for slot, value, opening in zip(OPENS[ch], rsp.values, rsp.openings):
+        _, values, openings = decode_response(state.respond(ch), n)
+        for slot, value, opening in zip(OPENS[ch], values, openings):
             assert verify_commitment(com[32 * slot : 32 * slot + 32], value, COMMIT_TAGS[slot], opening)
     assert not verify_round(inst, com, 0, state.respond(0))
     assert not verify_round(inst, com, 1, state.respond(1))
@@ -353,7 +352,8 @@ def test_masked_round_and_read_round_match_their_definitions(preset, gens, k, in
         ux, distance = Permutation(compose_images(u, x)), hamming(Permutation(x), inst.target)
         assert shown[0] == (ops.encode(ux.images) if inst.group.contains(ux) else None)
         assert shown[1] == ops.encode(u)
-        assert ops.differing_words(*decode_response(state.respond(2), n).values) == distance
+        _, values, _ = decode_response(state.respond(2), n)
+        assert ops.differing_words(*values) == distance
         assert shown[2] == (distance if distance <= k else None)
 
 
@@ -501,8 +501,9 @@ def test_encode_response_inverts_decode_response(n):
     state = commit_round(z1, z2, fresh_seed(rng), rng)
     for ch in CHALLENGES:
         data = state.respond(ch)
-        assert decode_response(data, n).kind == ch
-        assert encode_response(*decode_response(data, n)) == data
+        kind, values, openings = decode_response(data, n)
+        assert kind == ch
+        assert encode_response(kind, values, openings) == data
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 7, 32, 33, 256, 257])
@@ -530,7 +531,8 @@ def test_the_degree_is_the_input_of_a_responses_layout(n):
         moved = commit_round(bytes([z1[0] ^ 1]) + z1[1:], bytes([z2[0] ^ 1]) + z2[1:], seed, rng)
         wrong = moved.respond(ch)
         assert len(wrong) == len(data)
-        assert decode_response(wrong, n).values == tuple(moved.values[i] for i in slots)
+        _, values, _ = decode_response(wrong, n)
+        assert values == tuple(moved.values[i] for i in slots)
         assert verify_round(inst, moved.commitment, ch, wrong) is (ch == 2)
 
 
@@ -799,7 +801,8 @@ def test_a_challenge_2_opening_gives_no_witness():
     for _ in range(20):
         inst, wit = plant_instance(64, 16, 16, rng, preset="abelian2")
         proof = fs_prove(inst, wit, 219, b"ctx", rng)
-        z1, z2 = next(rsp.values for rsp in (decode_response(r, inst.degree) for r in proof.responses) if rsp.kind == 2)
+        z1, z2 = next(values for kind, values, _ in (decode_response(r, inst.degree) for r in proof.responses)
+                      if kind == 2)
         agree = [i for i, (a, b) in enumerate(zip(z1, z2)) if a == b]  # a byte a word at degree 64
         found = _transport(inst, agree)
         recovered += found is not None and validate_witness(inst, found)
