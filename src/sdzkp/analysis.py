@@ -34,7 +34,7 @@ from itertools import count, islice
 from random import Random
 from typing import Callable, NamedTuple
 
-from .crypto import apply_mask, fresh_seed
+from .crypto import apply_mask
 from .group import BSGS, word_width
 from .instance import SDPInstance, Witness
 from .perm import Permutation, _sample, random_support_perm
@@ -50,6 +50,8 @@ from .protocol import (
     _shown,
     commit_round,
     commitment_digests,
+    fresh_openings,
+    fresh_seed,
     honest_rounds,
     masked_round,
     prover_commit,
@@ -223,7 +225,7 @@ def make_cheating_prover(inst: SDPInstance, targets: frozenset[int] | set[int], 
             fake = group.sample_uniform(rng)
             if ops.differing_words(ops.words(fake), ops.words(inst.target_tables[0])) <= k:
                 continue
-            prover = masked_round(inst, group.sample_uniform(rng), fake, seed, rng)
+            prover = masked_round(inst, group.sample_uniform(rng), fake, seed, fresh_openings(rng))
         else:  # the noise goes on Z2 when 0 is covered, on Z1 when 1 is
             member = group.sample_uniform(rng)
             if 1 in targets:
@@ -278,7 +280,7 @@ def _simulated_state(inst: SDPInstance, guess: int, rng: Random) -> ProverState:
     if guess < 2:
         return prover_round(inst, ops.ident, rng)
     tau = ops.encode(random_support_perm(inst.degree, inst.max_distance, rng).images)
-    return masked_round(inst, ops.ident, ops.then(inst.target_tables[0], tau), fresh_seed(rng), rng)
+    return masked_round(inst, ops.ident, ops.then(inst.target_tables[0], tau), fresh_seed(rng), fresh_openings(rng))
 
 
 def _attempt(inst: SDPInstance, verifier: VerifierOracle, rng: Random) -> tuple[ProverState, int] | None:

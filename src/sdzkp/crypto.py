@@ -2,61 +2,67 @@
 
 Slot i (0, 1, 2) of a round is committed as SHA-256 (FIPS 180-4) over
 (ASCII tag COMMIT_TAGS[i] || 32-byte opening || message); _digest alone
-writes that input.  Binding needs the 128-bit collision resistance of a
-256-bit digest, and hiding rests on the secret opening; every message is
-read at its slot's fixed length, so length extension, which lengthens a
-message, gives no second opening of a digest.  commit commits a round's
-three slots in one call, drawing their openings at once; opens checks
-one opened slot with the hash and a constant-time compare only, for
-callers that fixed the types and lengths; verify_commitment is the total
-check over it.  A masked value is the n words of a raw group element
-(group.word_width: w = 1 byte per image up to degree 256, 4 past it)
-plus a mask of n words read from SHAKE-256 keyed by a 32-byte seed, the
-sum taken in GF(2^8w), whose addition is XOR.  So a masked value is
-exactly w·n bytes, with no prefix, and every byte string of that length
-is one.  apply_mask, the one seed check and mask read, XORs each whole
-value, as one integer, with the mask read to its length; XOR is its own
-inverse, so the same call unmasks.  This module sees only bytes: how an
-element is written as words, and how the words of two values are
-compared, is group's (ops.words, ops.differing_words).  expand_mask,
-tuple_add and tuple_sub are the plain word-wise reference of apply_mask
-that tests compare it with (and sdzbench/spans.py traces), the only code
-here that knows a word.
+writes that input, into a copy of slot i's state after its tag.  Binding
+needs the 128-bit collision resistance of a 256-bit digest, and hiding
+rests on the secret opening; every message is read at its slot's fixed
+length, so length extension, which lengthens a message, gives no second
+opening of a digest.  commit(z1, z2, seed, openings) commits a round's
+three slots in one call, under 96 bytes of openings that its caller
+drew: protocol draws every coin of a round, the seed and the openings in
+one read.  opens checks one opened slot with the hash and a
+constant-time compare only, for callers that fixed the types and
+lengths; verify_commitment is the total check over it.  A masked value
+is the n words of a raw group element (group.word_width: w = 1 byte per
+image up to degree 256, 4 past it) plus a mask of n words read from
+SHAKE-256 keyed by a 32-byte seed, the sum taken in GF(2^8w), whose
+addition is XOR.  So a masked value is exactly w·n bytes, with no
+prefix, and every byte string of that length is one.  apply_mask, the
+one seed check and mask read, XORs each whole value, as one integer,
+with the mask read to its length; XOR is its own inverse, so the same
+call unmasks.  This module sees only bytes and draws no coin, so it
+imports no random number generator: how an element is written as words,
+and how the words of two values are compared, is group's (ops.words,
+ops.differing_words).  expand_mask, tuple_add and tuple_sub are the
+plain word-wise reference of apply_mask that tests compare it with (and
+sdzbench/spans.py traces), the only code here that knows a word.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-from random import Random
 
 SEED_BYTES = 32
 OPENING_BYTES = 32
 DIGEST_BYTES = 32
 COMMIT_TAGS = ("C1", "C2", "C3")
 
-_C1, _C2, _C3 = _TAG_BYTES = tuple(tag.encode("ascii") for tag in COMMIT_TAGS)
 _TAG_SLOTS = {tag: slot for slot, tag in enumerate(COMMIT_TAGS)}
+# Slot i's SHA-256 state after its tag, never updated: _digest hashes into
+# a copy, which costs less than a new hash object.
+_TAGGED = tuple(hashlib.sha256(tag.encode("ascii")) for tag in COMMIT_TAGS)
 
 
-def _digest(tag: bytes, opening: bytes, message: bytes) -> bytes:
-    return hashlib.sha256(tag + opening + message).digest()
+def _digest(slot: int, opening: bytes, message: bytes) -> bytes:
+    h = _TAGGED[slot].copy()
+    h.update(opening)
+    h.update(message)
+    return h.digest()
 
 
-def commit(z1: bytes, z2: bytes, seed: bytes, rng: Random) -> tuple[tuple[bytes, bytes, bytes], bytes]:
-    """Commit to a round's slots z1, z2 and seed (tags C1, C2, C3): their
-    openings, and the 96 bytes of their digests in that order.  The openings
-    are rng.randbytes(96) without its frame, one getrandbits(768) call: on
-    random.Random, the words three randbytes(32) calls read, in order."""
-    openings = rng.getrandbits(3 * 8 * OPENING_BYTES).to_bytes(3 * OPENING_BYTES, "little")
+def commit(z1: bytes, z2: bytes, seed: bytes, openings: bytes) -> tuple[tuple[bytes, bytes, bytes], bytes]:
+    """Commit to a round's slots z1, z2 and seed (tags C1, C2, C3) under
+    openings, the 96 bytes the caller drew: bytes [32i, 32i+32) open slot
+    i.  Returns the three openings and the 96 bytes of the slots' digests,
+    each in that order."""
     o1, o2, o3 = openings[:OPENING_BYTES], openings[OPENING_BYTES:-OPENING_BYTES], openings[-OPENING_BYTES:]
-    return (o1, o2, o3), _digest(_C1, o1, z1) + _digest(_C2, o2, z2) + _digest(_C3, o3, seed)
+    return (o1, o2, o3), _digest(0, o1, z1) + _digest(1, o2, z2) + _digest(2, o3, seed)
 
 
 def opens(digest: bytes, slot: int, opening: bytes, message: bytes) -> bool:
     """Whether opening opens digest to message in slot 0, 1 or 2 (commit's
     order): the hash and a compare only, on bytes the caller has sized."""
-    return hmac.compare_digest(digest, _digest(_TAG_BYTES[slot], opening, message))
+    return hmac.compare_digest(digest, _digest(slot, opening, message))
 
 
 def verify_commitment(digest: bytes, message: bytes, tag: str, opening: bytes) -> bool:
@@ -116,8 +122,3 @@ def apply_mask(seed: bytes, *values: bytes) -> tuple[bytes, ...]:
     for value in values:
         masked += ((int.from_bytes(value, "little") ^ mask).to_bytes(length, "little"),)
     return masked
-
-
-def fresh_seed(rng: Random) -> bytes:
-    """rng.randbytes(SEED_BYTES), drawn with the one getrandbits call it makes."""
-    return rng.getrandbits(8 * SEED_BYTES).to_bytes(SEED_BYTES, "little")

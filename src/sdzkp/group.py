@@ -33,6 +33,7 @@ import hashlib
 import struct
 from itertools import groupby, permutations
 from math import factorial, isqrt, prod
+from operator import itemgetter
 from random import Random
 from typing import Sequence
 
@@ -47,18 +48,21 @@ class _ByteOps:
     then(p, a) is the product a∘p, its factors named in the order they act:
     for tables that is bytes.translate itself, so no product calls a Python
     function.  words(a) is a's n images, one byte each: the table's first n
-    bytes; from_words(d) takes them back, or None unless they are a
-    permutation of 0..n-1.  differing_words(a, b) counts the bytes in which
-    two values differ."""
+    bytes, sliced by a C-level getter; from_words(d) takes them back, or
+    None unless they are a permutation of 0..n-1.  differing_words(a, b)
+    counts the bytes in which two values differ.  encode and from_words pad
+    n images with the identity's bytes past n, sliced once here."""
 
-    __slots__ = ("degree", "ident")
+    __slots__ = ("degree", "ident", "words", "_pad")
 
     def __init__(self, degree: int):
         self.degree = degree
         self.ident = _BYTES_IDENT
+        self.words = itemgetter(slice(0, degree))
+        self._pad = _BYTES_IDENT[degree:]
 
     def encode(self, images):
-        return bytes(images) + _BYTES_IDENT[self.degree:]
+        return bytes(images) + self._pad
 
     def decode(self, raw):
         return tuple(raw[: self.degree])
@@ -70,11 +74,8 @@ class _ByteOps:
         # a table maps a[i] back to i: the inverse, as one C call
         return bytes.maketrans(a, _BYTES_IDENT)
 
-    def words(self, a) -> bytes:
-        return a[: self.degree]
-
     def from_words(self, d: bytes):
-        table = d + _BYTES_IDENT[self.degree :]
+        table = d + self._pad
         # maketrans maps each image back to the last position holding it, so
         # composing gives the identity iff no image repeats; an image at or
         # past n repeats one of the padding's.
@@ -405,6 +406,8 @@ class BSGS:
             # run of levels i whose range n - i has bit length k.
             runs = [list(run) for _, run in groupby(self.base, lambda i: (n - i).bit_length())]
             self._draws = tuple((range(run[0], run[-1] + 1), (n - run[0]).bit_length()) for run in runs)
+            # sample_uniform's start: it swaps images in a copy of this list
+            self._images = list(range(n))
             self._order = factorial(n) // (2 if alternating else 1)
         else:
             self.base = tuple(level.point for level in levels)
@@ -455,7 +458,7 @@ class BSGS:
             # (i y z) for A_n; multiplying by one on the right rotates those
             # positions.
             n = self.ops.degree
-            images = list(range(n))
+            images = self._images.copy()
             if self._alternating:
                 for levels, k in self._draws:
                     for i in levels:

@@ -157,7 +157,7 @@ def hamming(a: Permutation, b: Permutation) -> int:
 
 def _shuffle(x: list, rng: Random) -> None:
     """rng.shuffle(x), drawn with the getrandbits calls its _randbelow makes
-    (CPython 3.10-3.12): the same order and the same rng state after."""
+    (CPython 3.10–3.13): the same order and the same rng state after."""
     getrandbits = rng.getrandbits
     for m in range(len(x), 1, -1):  # swap x[m - 1] with a uniform x[j], j < m
         b = m.bit_length()
@@ -170,7 +170,7 @@ def _shuffle(x: list, rng: Random) -> None:
 def _sample(n: int, k: int, rng: Random) -> list[int]:
     """rng.sample(range(n), k).  Its pool branch (n at most the stdlib's set
     size) is inlined here, with the getrandbits calls rng.sample makes
-    (CPython 3.10-3.12); past that size rng.sample itself draws."""
+    (CPython 3.10–3.13); past that size rng.sample itself draws."""
     if not 0 <= k <= n:
         raise ValueError("Sample larger than population or is negative")
     getrandbits = rng.getrandbits

@@ -26,15 +26,19 @@ distance at 2) or None.
 
 A round works on the group's raw elements (group.make_ops: byte tables up
 to degree 256, image tuples past it): prover_round draws u in that form
-from BSGS.sample_uniform, masked_round composes u with x and with g and
-masks each product's words (ops.words) with crypto.apply_mask, and
-commit_round commits the three slots in one crypto.commit call, which
-draws their openings at once and alone writes the hash input (tag ‖
-opening ‖ message).  _shown unmasks with the same apply_mask (XOR is its
-own inverse) into words that _member reads back (ops.from_words),
-composes with the cached raw g^-1 at challenge 1, and tests with contains
-as they stand; at 2, ops.differing_words counts the words the masked
-values differ in.
+from BSGS.sample_uniform, then the round's other coins, the mask seed and
+the three openings, in one getrandbits(1024) read (on random.Random the
+words fresh_seed and then fresh_openings would read).  Every coin of a
+round is drawn in this module; crypto only hashes and masks bytes.
+masked_round composes u with x and with g, masks each product's words
+(ops.words) with crypto.apply_mask, and commits the three slots under the
+openings in one crypto.commit(z1, z2, seed, openings) call, which alone
+writes the hash input (tag ‖ opening ‖ message); commit_round commits
+chosen slots under fresh_openings.  _shown unmasks with the same
+apply_mask (XOR is its own inverse) into words that _member reads back
+(ops.from_words), composes with the cached raw g^-1 at challenge 1, and
+tests with contains as they stand; at 2, ops.differing_words counts the
+words the masked values differ in.
 
 A round has one form, its wire bytes: a ProverState's commitment is the
 96 bytes, and prover_respond returns the encoded response that
@@ -70,15 +74,7 @@ from operator import itemgetter
 from random import Random
 from typing import Iterator, NamedTuple, Sequence
 
-from .crypto import (
-    DIGEST_BYTES,
-    OPENING_BYTES,
-    SEED_BYTES,
-    apply_mask,
-    commit,
-    fresh_seed,
-    opens,
-)
+from .crypto import DIGEST_BYTES, OPENING_BYTES, SEED_BYTES, apply_mask, commit, opens
 from .group import word_width
 from .instance import SDPInstance, Witness, instance_digest, validate_witness
 
@@ -156,28 +152,51 @@ def _proof_rounds(rounds: int) -> int:
     return rounds
 
 
+def fresh_seed(rng: Random) -> bytes:
+    """rng.randbytes(SEED_BYTES), drawn with the one getrandbits call it makes."""
+    return rng.getrandbits(8 * SEED_BYTES).to_bytes(SEED_BYTES, "little")
+
+
+def fresh_openings(rng: Random) -> bytes:
+    """A round's three openings for crypto.commit, rng.randbytes(96) drawn
+    with the one getrandbits(768) call it makes: on random.Random, the words
+    three randbytes(32) calls read, in order."""
+    return rng.getrandbits(3 * 8 * OPENING_BYTES).to_bytes(3 * OPENING_BYTES, "little")
+
+
+# prover_round's one coin read after u: the seed, then the three openings.
+_ROUND_COIN_BYTES = SEED_BYTES + 3 * OPENING_BYTES
+
+
 def commit_round(z1: bytes, z2: bytes, seed: bytes, rng: Random) -> ProverState:
     """The round whose slots hold the masked pair and the seed, committed by
-    one crypto.commit call; the analysis harness's provers commit with it."""
-    return ProverState((z1, z2, seed), *commit(z1, z2, seed, rng))
+    one crypto.commit call under fresh_openings(rng); the analysis harness's
+    noisy cheater and the tests commit chosen slots with it."""
+    return ProverState((z1, z2, seed), *commit(z1, z2, seed, fresh_openings(rng)))
 
 
-def masked_round(inst: SDPInstance, u, x, seed: bytes, rng: Random) -> ProverState:
+def masked_round(inst: SDPInstance, u, x, seed: bytes, openings: bytes) -> ProverState:
     """Commit to Z1 = oneline(u∘x) + mask and Z2 = oneline(u∘g) + mask under
-    one seed: the round of every prover that claims x, honest (x = h) or not.
-    u and x are in the raw form of inst.group.ops; apply_mask masks each
-    product's words as they stand."""
+    one seed, and the three slots under the 96 bytes of openings: the round
+    of every prover that claims x, honest (x = h) or not.  u and x are in
+    the raw form of inst.group.ops; apply_mask masks each product's words as
+    they stand, and one crypto.commit call commits the slots."""
     ops = inst.group.ops
     z1, z2 = apply_mask(seed, ops.words(ops.then(x, u)), ops.words(ops.then(inst.target_tables[0], u)))
-    return commit_round(z1, z2, seed, rng)
+    return ProverState((z1, z2, seed), *commit(z1, z2, seed, openings))
 
 
 def prover_round(inst: SDPInstance, h, rng: Random) -> ProverState:
     """The honest round for a witness h in the raw form of inst.group.ops: u
-    uniform in H (sample_uniform draws it in that form), then a fresh seed,
-    then the three commitments, in that coin order.  It does not check the
-    witness; honest_rounds does."""
-    return masked_round(inst, inst.group.sample_uniform(rng), h, fresh_seed(rng), rng)
+    uniform in H (sample_uniform draws it in that form), then the seed and
+    the three openings in one getrandbits(1024) read, in that coin order.
+    CPython fills getrandbits(k > 32) from its least significant word up,
+    so on random.Random the read's first 32 bytes are fresh_seed's and the
+    other 96 are fresh_openings' had each drawn its own.  It does not check
+    the witness; honest_rounds does."""
+    u = inst.group.sample_uniform(rng)
+    coins = rng.getrandbits(8 * _ROUND_COIN_BYTES).to_bytes(_ROUND_COIN_BYTES, "little")
+    return masked_round(inst, u, h, coins[:SEED_BYTES], coins[SEED_BYTES:])
 
 
 def _shown(inst: SDPInstance, challenge: int, value: bytes, other: bytes):

@@ -17,7 +17,6 @@ from sdzkp.crypto import (
     apply_mask,
     commit,
     expand_mask,
-    fresh_seed,
     opens,
     tuple_add,
     tuple_sub,
@@ -26,7 +25,7 @@ from sdzkp.crypto import (
 from sdzkp.group import make_ops, word_width
 from sdzkp.instance import make_instance
 from sdzkp.perm import MAX_TUPLE_LENGTH, Permutation, hamming, identity, random_perm
-from sdzkp.protocol import Z1, slot_opens
+from sdzkp.protocol import Z1, fresh_openings, fresh_seed, slot_opens
 from test_reference_verifier import commit_slot, weight
 
 
@@ -84,7 +83,7 @@ def test_round_commit_is_three_tagged_hashes():
     accepts each slot's own triple only."""
     rng = random.Random(35)
     messages = (b"z1", b"z2" * 40, bytes(SEED_BYTES))
-    openings, commitment = commit(*messages, rng)
+    openings, commitment = commit(*messages, fresh_openings(rng))
     assert len(commitment) == 3 * DIGEST_BYTES and all(len(o) == OPENING_BYTES for o in openings)
     assert commitment == b"".join(
         hashlib.sha256(tag.encode() + opening + message).digest()

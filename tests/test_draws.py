@@ -22,11 +22,11 @@ import sdzkp.analysis as analysis
 import sdzkp.group as group
 import sdzkp.instance as instance
 import sdzkp.perm as perm
-from sdzkp.crypto import COMMIT_TAGS, OPENING_BYTES, SEED_BYTES, commit, fresh_seed, verify_commitment
+from sdzkp.crypto import COMMIT_TAGS, OPENING_BYTES, SEED_BYTES, commit, verify_commitment
 from sdzkp.group import build_bsgs, word_width
 from sdzkp.instance import instance_to_bytes, plant_instance, witness_to_bytes
 from sdzkp.perm import Permutation, _sample, _shuffle, random_perm, random_support_perm
-from sdzkp.protocol import uniform_challenge, verifier_challenge
+from sdzkp.protocol import SEED, fresh_openings, fresh_seed, prover_round, uniform_challenge, verifier_challenge
 
 SEEDS = range(50)
 
@@ -167,7 +167,7 @@ def test_commit_openings_and_seeds_match_randbytes():
     whose answers alternate by call, randbytes(96)."""
     messages = (b"z1", b"z2", b"seed")
     for fast, slow in paired_rngs():
-        openings, commitment = commit(*messages, fast)
+        openings, commitment = commit(*messages, fresh_openings(fast))
         if isinstance(slow, Rejecting):
             assert b"".join(openings) == slow.randbytes(3 * OPENING_BYTES)
         else:
@@ -176,6 +176,29 @@ def test_commit_openings_and_seeds_match_randbytes():
         for slot, (tag, message) in enumerate(zip(COMMIT_TAGS, messages)):
             assert verify_commitment(commitment[32 * slot : 32 * slot + 32], message, tag, openings[slot])
         assert fresh_seed(fast) == slow.randbytes(SEED_BYTES)
+        assert same_state(fast, slow)
+
+
+def test_a_rounds_one_coin_read_is_the_seed_then_the_openings():
+    """prover_round reads a round's seed and three openings in one
+    getrandbits(1024) call.  On random.Random that gives the bytes of
+    fresh_seed followed by fresh_openings' getrandbits(768), and leaves the
+    rng where they leave it, because CPython fills getrandbits(k > 32) from
+    its least significant 32-bit word up, one generator output a word (seen
+    on 3.10.13, 3.11.7, 3.12.1 and 3.13.0; each CI leg checks it again).
+    SystemRandom draws fresh bytes either way, so its rounds are as uniform
+    in one read as in two."""
+    inst, wit = plant_instance(16, 3, 4, random.Random(7), preset="general")
+    h = inst.group.ops.encode(wit.element.images)
+    for seed in SEEDS:
+        fast, slow = random.Random(seed), random.Random(seed)
+        coins = fast.getrandbits(1024).to_bytes(128, "little")
+        assert coins == fresh_seed(slow) + slow.getrandbits(768).to_bytes(96, "little")
+        assert same_state(fast, slow)
+        fast, slow = random.Random(seed), random.Random(seed)
+        state = prover_round(inst, h, fast)
+        inst.group.sample_uniform(slow)  # u is drawn first
+        assert state.values[SEED] + b"".join(state.openings) == fresh_seed(slow) + fresh_openings(slow)
         assert same_state(fast, slow)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import sdzkp.group as group
 
-from sdzkp.group import BSGS, _certify_giant, _ChainBuilder, _Level, make_ops, _normalize, build_bsgs
+from sdzkp.group import BSGS, _certify_giant, _ChainBuilder, _Level, make_ops, _normalize, build_bsgs, word_width
 from sdzkp.instance import plant_instance
 from sdzkp.perm import Permutation, compose, compose_images, identity, inverse, invert_images, random_perm
 from test_draws import Rejecting, cycle_perm, same_state
@@ -367,6 +367,44 @@ def test_raw_inverse_and_then_match_the_image_tuple_forms(n):
         assert ops.inv(a) == ops.encode(invert_images(p.images))
         assert ops.then(a, ops.inv(a)) == ops.then(ops.inv(a), a) == ops.ident
         assert ops.then(q, a) == ops.encode(compose_images(p.images, ops.decode(q)))
+
+
+def plain_words(images, w):
+    """images as w-byte little-endian words, the form a round masks."""
+    return b"".join(image.to_bytes(w, "little") for image in images)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 255, 256, 257, 300])
+def test_word_codec_matches_the_plain_definition(n):
+    """ops.words(ops.encode(x)) is x's n images as w-byte LE words (w =
+    word_width(n)), and ops.from_words(d) returns an element, the encoding
+    of d's images, exactly when sorted(images) == list(range(n)): on random
+    permutations, on words with one image repeated, and on words with one
+    image >= n (every one-byte image below 256, and 2^32 - 1 past it).  At
+    n = 1 and 2 every string of n one-byte words is tried."""
+    rng = random.Random(n)
+    ops, w = make_ops(n), word_width(n)
+    # at n = 256 every byte is an image below n
+    too_big = range(n, 256) if n < 256 else (n, (1 << 32) - 1) if n > 256 else ()
+    perms = [list(random_perm(n, rng).images) for _ in range(30)]
+    for images in perms:
+        assert ops.words(ops.encode(images)) == plain_words(images, w)
+    probes = list(perms)
+    for images in perms[:15]:
+        if n > 1:
+            i, j = rng.sample(range(n), 2)
+            probes.append(images[:j] + [images[i]] + images[j + 1 :])
+        for big in too_big:
+            probes.append(images[:])
+            probes[-1][rng.randrange(n)] = big
+    if n <= 2:
+        probes += [list(d) for d in itertools.product(range(256), repeat=n)]
+    for images in probes:
+        element = ops.from_words(plain_words(images, w))
+        if sorted(images) == list(range(n)):
+            assert element == ops.encode(images), images
+        else:
+            assert element is None, images
 
 
 def shuffled_gens(n, count, seed):

@@ -191,6 +191,19 @@ def test_each_format_decision_has_one_home():
         assert not {name for name in named if gone.fullmatch(name)}, module
 
 
+def test_crypto_draws_no_coin():
+    # protocol draws every coin of a round and crypto hashes and masks the
+    # bytes it is given, so crypto imports no random number generator and
+    # no sdzkp module.
+    tree = ast.parse((Path(sdzkp.__file__).parent / "crypto.py").read_text(encoding="utf-8"))
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module and not node.level}
+    assert "random" not in imported
+    assert _package_imports(tree) == set()
+
+
 # Names kept only for the benchmark's tracer (sdzbench/spans.py) and for the
 # tests: the program reads none of them, so they can go together with the
 # tracer's list.

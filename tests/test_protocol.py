@@ -16,7 +16,6 @@ from sdzkp.crypto import (
     COMMIT_TAGS,
     apply_mask,
     expand_mask,
-    fresh_seed,
     tuple_add,
     tuple_sub,
     verify_commitment,
@@ -40,6 +39,8 @@ from sdzkp.protocol import (
     derive_challenges,
     encode_proof,
     encode_response,
+    fresh_openings,
+    fresh_seed,
     fs_prove,
     fs_verify_bytes,
     honest_rounds,
@@ -343,7 +344,7 @@ def test_masked_round_and_read_round_match_their_definitions(preset, gens, k, in
     for x in (wit.element.images, ops.decode(inst.group.sample_uniform(rng)), random_perm(n, rng).images):
         u = ops.decode(inst.group.sample_uniform(rng))
         seed = fresh_seed(rng)
-        state = masked_round(inst, ops.encode(u), ops.encode(x), seed, rng)
+        state = masked_round(inst, ops.encode(u), ops.encode(x), seed, fresh_openings(rng))
         mask = expand_mask(seed, n, word_width(n))
         assert state.values[SEED] == seed
         assert state.values[Z1] == pack(tuple_add(compose_images(u, x), mask), n)

@@ -24,7 +24,7 @@ import random
 import pytest
 
 from sdzkp.analysis import make_cheating_prover
-from sdzkp.crypto import COMMIT_TAGS, apply_mask, commit, fresh_seed
+from sdzkp.crypto import COMMIT_TAGS, apply_mask, commit
 from sdzkp.instance import instance_digest, plant_instance
 from sdzkp.perm import Permutation, compose, inverse
 from sdzkp.protocol import (
@@ -32,6 +32,8 @@ from sdzkp.protocol import (
     NIZKProof,
     commit_round,
     encode_proof,
+    fresh_openings,
+    fresh_seed,
     fs_prove,
     fs_verify_bytes,
     prover_commit,
@@ -52,7 +54,7 @@ def commit_slot(message, tag, rng):
     """The digest and opening of message in the slot of `tag`, from one
     crypto.commit of a round that holds message in all three slots."""
     slot = COMMIT_TAGS.index(tag)
-    openings, commitment = commit(message, message, message, rng)
+    openings, commitment = commit(message, message, message, fresh_openings(rng))
     return commitment[32 * slot : 32 * slot + 32], openings[slot]
 
 
