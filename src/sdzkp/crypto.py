@@ -16,21 +16,26 @@ is the n words of a raw group element (group.word_width: w = 1 byte per
 image up to degree 256, 4 past it) plus a mask of n words read from
 SHAKE-256 keyed by a 32-byte seed, the sum taken in GF(2^8w), whose
 addition is XOR.  So a masked value is exactly w·n bytes, with no
-prefix, and every byte string of that length is one.  apply_mask, the
-one seed check and mask read, XORs each whole value, as one integer,
-with the mask read to its length; XOR is its own inverse, so the same
-call unmasks.  This module sees only bytes and draws no coin, so it
-imports no random number generator: how an element is written as words,
-and how the words of two values are compared, is group's (ops.words,
-ops.differing_words).  expand_mask, tuple_add and tuple_sub are the
-plain word-wise reference of apply_mask that tests compare it with (and
-sdzbench/spans.py traces), the only code here that knows a word.
+prefix, and every byte string of that length is one.  apply_mask XORs
+each whole value, as one integer, with the mask read to its length; XOR
+is its own inverse, so the same call unmasks.  apply_masks masks many
+rounds at once for the Fiat-Shamir prover: one XOR of each slot's joined
+values against the joined streams of the rounds' seeds.  These two are
+the only seed checks and mask reads, and each refuses before it reads.
+This module sees only bytes and draws no coin, so it imports no random
+number generator: how an element is written as words, and how the words
+of two values are compared, is group's (ops.words, ops.differing_words).
+expand_mask, tuple_add and tuple_sub are the plain word-wise reference of
+apply_mask that tests compare it with (and sdzbench/spans.py traces), the
+only code here that knows a word.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
+from operator import methodcaller
+from typing import Sequence
 
 SEED_BYTES = 32
 OPENING_BYTES = 32
@@ -122,3 +127,25 @@ def apply_mask(seed: bytes, *values: bytes) -> tuple[bytes, ...]:
     for value in values:
         masked += ((int.from_bytes(value, "little") ^ mask).to_bytes(length, "little"),)
     return masked
+
+
+def apply_masks(seeds: Sequence[bytes], *values: bytes) -> tuple[bytes, ...]:
+    """apply_mask over many rounds at once: each value is the joined values
+    of len(seeds) rounds, one equal share per seed, and share i is masked
+    under seeds[i] as apply_mask masks it, with one XOR of the whole value
+    against the joined SHAKE-256 streams of the seeds, each read to the
+    share's length.  Returns each value masked, joined as given.  The values
+    must share one length, a positive multiple of the seed count, and every
+    seed must be 32 bytes (ValueError otherwise, before any mask is read)."""
+    length = len(values[0]) if values else 0
+    share = length // len(seeds) if seeds else 0
+    if (
+        share < 1 or share * len(seeds) != length
+        or set(map(type, seeds)) != {bytes} or set(map(len, seeds)) != {SEED_BYTES}
+    ):
+        raise ValueError(f"masks need {SEED_BYTES}-byte seeds and one positive share per seed")
+    for value in values:
+        if len(value) != length:
+            raise ValueError(f"values of {length} and {len(value)} bytes cannot share a mask")
+    mask = int.from_bytes(b"".join(map(methodcaller("digest", share), map(hashlib.shake_256, seeds))), "little")
+    return tuple([(int.from_bytes(value, "little") ^ mask).to_bytes(length, "little") for value in values])

@@ -89,14 +89,20 @@ class _ByteOps:
 class _TupleOps:
     """Plain image tuples, for degrees past the byte-table limit.  words(a)
     is a's n images as u32 LE words, which from_words(d) takes back, or None
-    unless they are a permutation of 0..n-1.  differing_words(a, b) counts
-    the u32 words in which two values differ."""
+    unless they are a permutation of 0..n-1; both use the degree's word
+    format, built once here.  differing_words(a, b) counts the u32 words in
+    which two values differ."""
 
-    __slots__ = ("degree", "ident")
+    __slots__ = ("degree", "ident", "_words")
 
     def __init__(self, degree: int):
         self.degree = degree
         self.ident = tuple(range(degree))
+        self._words = struct.Struct(f"<{degree}I")
+
+    def __reduce__(self):
+        # a Struct does not pickle: copies and pickles rebuild from the degree
+        return _TupleOps, (self.degree,)
 
     def encode(self, images):
         return tuple(images)
@@ -111,10 +117,10 @@ class _TupleOps:
     inv = staticmethod(invert_images)
 
     def words(self, a) -> bytes:
-        return struct.pack(f"<{self.degree}I", *a)
+        return self._words.pack(*a)
 
     def from_words(self, d: bytes):
-        images = struct.unpack(f"<{self.degree}I", d)
+        images = self._words.unpack(d)
         return images if max(images) < self.degree and len(set(images)) == self.degree else None
 
     @staticmethod

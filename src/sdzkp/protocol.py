@@ -57,7 +57,12 @@ state on all three challenges in one pass.
 A single round convinces the verifier with soundness error 2/3; sequential
 repetition amplifies.  The non-interactive variant derives every challenge
 from one SHAKE-256 stream over the statement, a context string, and all
-round commitments (derive_challenges).
+round commitments (derive_challenges).  Since no challenge exists before
+every round is committed, fs_prove builds its rounds a layer at a time:
+all rounds' coins in prover_round's order, then each slot's words of all
+rounds masked by one crypto.apply_masks call, then one crypto.commit call
+a round; sessions and the analysis harness take rounds one at a time from
+honest_rounds, and both refuse a bad witness through _honest_element.
 
 This module holds the round and the proof only.  A session over TCP, its
 frame types included, is net's; transcripts, rewinding and simulation are
@@ -74,7 +79,7 @@ from operator import itemgetter
 from random import Random
 from typing import Iterator, NamedTuple, Sequence
 
-from .crypto import DIGEST_BYTES, OPENING_BYTES, SEED_BYTES, apply_mask, commit, opens
+from .crypto import DIGEST_BYTES, OPENING_BYTES, SEED_BYTES, apply_mask, apply_masks, commit, opens
 from .group import word_width
 from .instance import SDPInstance, Witness, instance_digest, validate_witness
 
@@ -226,15 +231,24 @@ def _member(inst: SDPInstance, challenge: int, words: bytes):
     return member if member is not None and inst.group.contains(member) else None
 
 
-def honest_rounds(inst: SDPInstance, wit: Witness, rounds: int, rng: Random) -> Iterator[ProverState]:
-    """The one checked source of honest rounds.  Before any coin is drawn it
-    refuses rounds < 1 and a witness that fails the statement (no round could
-    be honest); then it encodes h once and returns a lazy iterator of
-    `rounds` prover_round states, each drawn from rng only when taken."""
-    require_positive(rounds)
+def _honest_element(inst: SDPInstance, wit: Witness):
+    """The honest prover's one refusal and one encoding: ValueError if the
+    witness fails the statement (no round could be honest), else h in the
+    raw form of inst.group.ops.  honest_rounds and fs_prove call it before
+    they draw a coin."""
     if not validate_witness(inst, wit.element):
         raise ValueError("witness does not satisfy the statement")
-    h = inst.group.ops.encode(wit.element.images)
+    return inst.group.ops.encode(wit.element.images)
+
+
+def honest_rounds(inst: SDPInstance, wit: Witness, rounds: int, rng: Random) -> Iterator[ProverState]:
+    """The checked source of honest rounds one at a time, for sessions and
+    the analysis harness.  Before any coin is drawn it refuses rounds < 1
+    and a witness that fails the statement (_honest_element); then it
+    returns a lazy iterator of `rounds` prover_round states, each drawn
+    from rng only when taken."""
+    require_positive(rounds)
+    h = _honest_element(inst, wit)
     return map(prover_round, repeat(inst, rounds), repeat(h), repeat(rng))
 
 
@@ -339,8 +353,27 @@ def derive_challenges(statement_digest: bytes, context: bytes, commitments: Sequ
 
 
 def fs_prove(inst: SDPInstance, wit: Witness, rounds: int, context: bytes, rng: Random) -> NIZKProof:
-    """Non-interactive proof: commit to all rounds, derive challenges, respond."""
-    states = list(honest_rounds(inst, wit, _proof_rounds(rounds), rng))
+    """Non-interactive proof: commit to all rounds, derive challenges, respond.
+    No challenge exists before every round is committed, so the rounds are
+    built a layer at a time: after _proof_rounds and _honest_element refuse,
+    every round's coins are drawn in prover_round's order (u, then one
+    getrandbits(1024) read split into the seed and the openings), the
+    products' words of all rounds are masked by one crypto.apply_masks
+    call per slot, and each round is committed by one crypto.commit call.
+    The proof and the rng's end state are those of honest_rounds' states."""
+    rounds = _proof_rounds(rounds)
+    h, ops, sample, draw = _honest_element(inst, wit), inst.group.ops, inst.group.sample_uniform, rng.getrandbits
+    us, coins = [], []
+    for _ in range(rounds):
+        us.append(sample(rng))
+        coins.append(draw(8 * _ROUND_COIN_BYTES).to_bytes(_ROUND_COIN_BYTES, "little"))
+    seeds = [c[:SEED_BYTES] for c in coins]
+    z1, z2 = apply_masks(seeds, b"".join(map(ops.words, map(ops.then, repeat(h), us))),
+                         b"".join(map(ops.words, map(ops.then, repeat(inst.target_tables[0]), us))))
+    size = slot_size(Z1, inst.degree)
+    ats = range(0, rounds * size, size)
+    values = zip([z1[at : at + size] for at in ats], [z2[at : at + size] for at in ats], seeds)
+    states = [ProverState(v, *commit(*v, c[SEED_BYTES:])) for v, c in zip(values, coins)]
     commitments = tuple([state.commitment for state in states])
     challenges = derive_challenges(instance_digest(inst), context, commitments)
     responses = tuple(map(prover_respond, states, challenges))

@@ -15,6 +15,7 @@ from sdzkp.crypto import (
     OPENING_BYTES,
     SEED_BYTES,
     apply_mask,
+    apply_masks,
     commit,
     expand_mask,
     opens,
@@ -26,7 +27,7 @@ from sdzkp.group import make_ops, word_width
 from sdzkp.instance import make_instance
 from sdzkp.perm import MAX_TUPLE_LENGTH, Permutation, hamming, identity, random_perm
 from sdzkp.protocol import Z1, fresh_openings, fresh_seed, slot_opens
-from test_reference_verifier import commit_slot, weight
+from test_reference_verifier import arbitrary_words, commit_slot, weight
 
 
 def test_commit_verify_round_trip():
@@ -307,6 +308,29 @@ def test_apply_mask_refuses_before_it_reads_the_mask(monkeypatch):
     monkeypatch.setattr(hashlib, "shake_256", read)
     with pytest.raises(ValueError):
         apply_mask(bytes(SEED_BYTES), bytes(3), bytes(4))
+    # apply_masks: no seed, a short or non-bytes seed, no value or an empty
+    # one, values of unequal lengths, and a length that is not one equal
+    # share per seed
+    seed = bytes(SEED_BYTES)
+    for seeds, values in (
+        ([], (bytes(4),)), ([seed, bytes(SEED_BYTES - 1)], (bytes(4),)), ([seed, bytearray(seed)], (bytes(4),)),
+        ([seed], ()), ([seed], (b"",)), ([seed, seed], (bytes(4), bytes(6))), ([seed, seed], (bytes(5),)),
+    ):
+        with pytest.raises(ValueError):
+            apply_masks(seeds, *values)
+
+
+def test_apply_masks_is_apply_mask_round_by_round():
+    rng = random.Random(6)
+    for n in (1, 5, 16, 256, 257, 260):
+        size = word_width(n) * n
+        for count in range(1, 6):
+            seeds = [fresh_seed(rng) for _ in range(count)]
+            rounds = [[pack(arbitrary_words(n, rng), word_width(n)) for _ in range(2)] for _ in seeds]
+            z1, z2 = apply_masks(seeds, *map(b"".join, zip(*rounds)))
+            assert apply_masks(seeds, z1) == (b"".join(a for a, _ in rounds),)
+            for i, (seed, values) in enumerate(zip(seeds, rounds)):
+                assert (z1[i * size : (i + 1) * size], z2[i * size : (i + 1) * size]) == apply_mask(seed, *values)
 
 
 def test_masking_validates_seed_and_length():

@@ -26,7 +26,21 @@ from sdzkp.crypto import COMMIT_TAGS, OPENING_BYTES, SEED_BYTES, commit, verify_
 from sdzkp.group import build_bsgs, word_width
 from sdzkp.instance import instance_to_bytes, plant_instance, witness_to_bytes
 from sdzkp.perm import Permutation, _sample, _shuffle, random_perm, random_support_perm
-from sdzkp.protocol import SEED, fresh_openings, fresh_seed, prover_round, uniform_challenge, verifier_challenge
+from sdzkp.protocol import (
+    SEED,
+    NIZKProof,
+    derive_challenges,
+    encode_proof,
+    fresh_openings,
+    fresh_seed,
+    fs_prove,
+    honest_rounds,
+    prover_respond,
+    prover_round,
+    uniform_challenge,
+    verifier_challenge,
+)
+from test_reference_verifier import FAMILIES
 
 SEEDS = range(50)
 
@@ -200,6 +214,33 @@ def test_a_rounds_one_coin_read_is_the_seed_then_the_openings():
         inst.group.sample_uniform(slow)  # u is drawn first
         assert state.values[SEED] + b"".join(state.openings) == fresh_seed(slow) + fresh_openings(slow)
         assert same_state(fast, slow)
+
+
+def per_round_fs_prove(inst, wit, rounds, context, rng):
+    """fs_prove round by round: honest_rounds' states, each drawn whole
+    before the next, then the derived challenges and each state's response."""
+    states = list(honest_rounds(inst, wit, rounds, rng))
+    commitments = tuple(state.commitment for state in states)
+    challenges = derive_challenges(instance.instance_digest(inst), context, commitments)
+    return NIZKProof(commitments, tuple(map(prover_respond, states, challenges)))
+
+
+# every reference-verifier family, and the n = 260 abelian2 tuple chain of the FS pin
+LAYERED = {**FAMILIES, "abelian2-260": (260, 8, 64, "abelian2")}
+
+
+@pytest.mark.parametrize("n, gens, k, preset", LAYERED.values(), ids=LAYERED)
+def test_the_layered_prover_is_the_per_round_prover(n, gens, k, preset):
+    """fs_prove draws every round's coins before it masks any round, then
+    masks and commits all rounds a layer at a time: the proof's bytes and
+    the rng's end state must be those of the rounds drawn one by one."""
+    inst, wit = plant_instance(n, gens, k, random.Random(n), preset=preset)
+    for rounds in (1, 2, 7, 219):
+        for seed in range(3):
+            for fast, slow in ((random.Random(seed), random.Random(seed)), (Rejecting(seed), Rejecting(seed))):
+                proof = fs_prove(inst, wit, rounds, b"ctx", fast)
+                assert encode_proof(proof) == encode_proof(per_round_fs_prove(inst, wit, rounds, b"ctx", slow))
+                assert same_state(fast, slow)
 
 
 # --- rng.sample and rng.shuffle ---

@@ -342,11 +342,16 @@ def test_a_distance_0_round_shows_0(n, gens, preset):
         assert verify_round(inst, state.commitment, 2, state.respond(2)) is True
 
 
+def arbitrary_words(n, rng):
+    """n words of w bytes, each an edge of the word range or a uniform word."""
+    top = 1 << (8 * word_bytes(n))
+    return [rng.choice((0, 1, min(n, top - 1), top // 2 - 1, top // 2, top - 1, rng.randrange(top))) for _ in range(n)]
+
+
 def test_apply_mask_takes_arbitrary_words():
     rng = random.Random(5)
     for n in (1, 5, 16, 256, 257, 260):
-        top = 1 << (8 * word_bytes(n))
-        words = [rng.choice((0, 1, min(n, top - 1), top // 2 - 1, top // 2, top - 1, rng.randrange(top))) for _ in range(n)]
+        words = arbitrary_words(n, rng)
         value = b"".join(word.to_bytes(word_bytes(n), "little") for word in words)
         seed = fresh_seed(rng)
         assert apply_mask(seed, value) == (masked_value(words, seed, n),)
