@@ -13,8 +13,8 @@ Everything here treats the protocol as an object of study.  The tools are:
 * accepted_challenges, which judges a committed state on all three
   challenges in one pass: the commitment checked once, each slot once
   (protocol.slot_opens), both membership values unmasked by one
-  apply_mask read, and each predicate as protocol writes it (_member at
-  0 and 1, _shown at 2), so that it agrees with read_round;
+  crypto.mask_values read, and each predicate as protocol writes it
+  (_member at 0 and 1, _shown at 2), so that it agrees with read_round;
 * cheating provers that pass exactly two chosen challenges per state,
   realizing the 2/3 single-round soundness error;
 * a rewinding simulator that produces accepting transcripts without the
@@ -34,7 +34,7 @@ from itertools import count, islice
 from random import Random
 from typing import Callable, NamedTuple
 
-from .crypto import apply_mask
+from .crypto import mask_values
 from .group import BSGS, word_width
 from .instance import SDPInstance, Witness
 from .perm import Permutation, _sample, random_support_perm
@@ -103,7 +103,9 @@ def accepted_challenges(inst: SDPInstance, prover: ProverState) -> set[int]:
     else no challenge passes), then each slot once (slot_opens) rather than
     under both challenges that open it.  Challenge 2 opens Z1 and Z2, and
     _shown judges them; 0 and 1 each open theirs beside the seed (OPENS),
-    and _member judges the words that one apply_mask read unmasks for both.
+    and _member judges the words that one crypto.mask_values read unmasks
+    for both, unchecked, as slot_opens has fixed the seed's and the values'
+    lengths.
     A part that fails its check fails just the challenges that open its
     slot."""
     com = prover.commitment
@@ -114,9 +116,9 @@ def accepted_challenges(inst: SDPInstance, prover: ProverState) -> set[int]:
     accepted = {2} if ok1 and ok2 and _shown(inst, 2, z1, z2) is not None else set()
     if (ok1 or ok2) and slot_opens(inst, d3, SEED, seed, o3):
         if ok1 and ok2:
-            w1, w2 = apply_mask(seed, z1, z2)
+            w1, w2 = mask_values(seed, z1, z2)
         else:  # the one value that opened; the other's words go unread
-            (w1,) = (w2,) = apply_mask(seed, z1 if ok1 else z2)
+            (w1,) = (w2,) = mask_values(seed, z1 if ok1 else z2)
         if ok1 and _member(inst, 0, w1) is not None:
             accepted.add(0)
         if ok2 and _member(inst, 1, w2) is not None:
@@ -233,7 +235,7 @@ def make_cheating_prover(inst: SDPInstance, targets: frozenset[int] | set[int], 
             # the noisy words are arbitrary, not the words of any permutation
             words = ops.words(member)
             noisy = (int.from_bytes(words, "little") ^ _noise(n, k, rng)).to_bytes(len(words), "little")
-            pair = apply_mask(seed, words, noisy)
+            pair = mask_values(seed, words, noisy)
             prover = commit_round(*(pair if 0 in targets else pair[::-1]), seed, rng)
         if accepted_challenges(inst, prover) == targets:
             return prover

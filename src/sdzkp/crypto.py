@@ -10,24 +10,30 @@ opening of a digest.  commit(z1, z2, seed, openings) commits a round's
 three slots in one call, under 96 bytes of openings that its caller
 drew: protocol draws every coin of a round, the seed and the openings in
 one read.  opens checks one opened slot with the hash and a
-constant-time compare only, for callers that fixed the types and
-lengths; verify_commitment is the total check over it.  A masked value
-is the n words of a raw group element (group.word_width: w = 1 byte per
-image up to degree 256, 4 past it) plus a mask of n words read from
-SHAKE-256 keyed by a 32-byte seed, the sum taken in GF(2^8w), whose
-addition is XOR.  So a masked value is exactly w·n bytes, with no
-prefix, and every byte string of that length is one.  apply_mask XORs
-each whole value, as one integer, with the mask read to its length; XOR
-is its own inverse, so the same call unmasks.  apply_masks masks many
-rounds at once for the Fiat-Shamir prover: one XOR of each slot's joined
-values against the joined streams of the rounds' seeds.  These two are
-the only seed checks and mask reads, and each refuses before it reads.
-This module sees only bytes and draws no coin, so it imports no random
-number generator: how an element is written as words, and how the words
-of two values are compared, is group's (ops.words, ops.differing_words).
-expand_mask, tuple_add and tuple_sub are the plain word-wise reference of
-apply_mask that tests compare it with (and sdzbench/spans.py traces), the
-only code here that knows a word.
+constant-time compare only, and both_open the two slots a challenge
+opens with their two hashes and one compare of their 64 digest bytes,
+each for callers that fixed the types and lengths; verify_commitment is
+the total check over opens.  A masked value is the n words of a raw
+group element (group.word_width: w = 1 byte per image up to degree 256,
+4 past it) plus a mask of n words read from SHAKE-256 keyed by a 32-byte
+seed, the sum taken in GF(2^8w), whose addition is XOR.  So a masked
+value is exactly w·n bytes, with no prefix, and every byte string of
+that length is one.  mask_values, the mask's one statement, XORs each
+whole value, as one integer, with the mask read once to their length,
+unchecked; XOR is its own inverse, so the same call unmasks, on values
+whose seed and lengths its caller fixed: protocol and analysis call it
+on coins they drew and slots they sized.  apply_mask checks the seed and
+the lengths first, for callers that fixed neither.  apply_masks masks
+many rounds at once for the Fiat-Shamir prover: one XOR of each slot's
+joined values against the joined streams of the rounds' seeds.  These
+two are the only seed checks, each refuses before it reads a mask, and
+they and mask_values are the only mask reads.  This module sees only
+bytes and draws no coin, so it imports no random number generator: how
+an element is written as words, and how the words of two values are
+compared, is group's (ops.words, ops.differing_words).  expand_mask,
+tuple_add and tuple_sub are the plain word-wise reference of apply_mask
+that tests compare it with (and sdzbench/spans.py traces), the only code
+here that knows a word.
 """
 
 from __future__ import annotations
@@ -70,6 +76,16 @@ def opens(digest: bytes, slot: int, opening: bytes, message: bytes) -> bool:
     return hmac.compare_digest(digest, _digest(slot, opening, message))
 
 
+def both_open(
+    digests: bytes, s: int, s_opening: bytes, s_message: bytes, t: int, t_opening: bytes, t_message: bytes
+) -> bool:
+    """Whether slots s and t both open, each as opens checks one: digests is
+    slot s's digest, then slot t's (64 bytes), and one constant-time compare
+    sets it against the two hashes.  The hashes and the compare only, on
+    bytes the caller has sized."""
+    return hmac.compare_digest(digests, _digest(s, s_opening, s_message) + _digest(t, t_opening, t_message))
+
+
 def verify_commitment(digest: bytes, message: bytes, tag: str, opening: bytes) -> bool:
     """Check an opened commitment: digest must be commit's hash of the same
     tag, opening and message.  Total: never raises on malformed input; an
@@ -110,18 +126,27 @@ def tuple_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def apply_mask(seed: bytes, *values: bytes) -> tuple[bytes, ...]:
-    """Each value masked under seed, all from one SHAKE read: the value's n
-    words of w bytes plus expand_mask(seed, n, w), as one XOR of the whole
-    value with the stream read to its length.  The sum in GF(2^8w) is also
-    the difference, so a masked value given back returns its words.  The
-    values must share one length, at least 1, and the seed must be 32 bytes
-    (ValueError otherwise, before the mask is read)."""
+    """Each value masked under seed by mask_values, all from one SHAKE read:
+    the value's n words of w bytes plus expand_mask(seed, n, w), as one XOR
+    of the whole value with the stream read to its length.  The sum in
+    GF(2^8w) is also the difference, so a masked value given back returns
+    its words.  The values must share one length, at least 1, and the seed
+    must be 32 bytes (ValueError otherwise, before the mask is read)."""
     length = len(values[0]) if values else 0
     if length < 1 or not isinstance(seed, bytes) or len(seed) != SEED_BYTES:
         raise ValueError(f"a mask needs a {SEED_BYTES}-byte seed and a positive length")
     for value in values:
         if len(value) != length:
             raise ValueError(f"values of {length} and {len(value)} bytes cannot share a mask")
+    return mask_values(seed, *values)
+
+
+def mask_values(seed: bytes, *values: bytes) -> tuple[bytes, ...]:
+    """The mask's one statement, unchecked: each value XOR SHAKE-256(seed)
+    read to the first value's length, as one integer, from one read.
+    apply_mask calls it after its checks; protocol and analysis call it
+    on seeds they drew or values whose lengths they checked."""
+    length = len(values[0])
     mask = int.from_bytes(hashlib.shake_256(seed).digest(length), "little")
     masked = ()
     for value in values:

@@ -89,19 +89,20 @@ class _ByteOps:
 class _TupleOps:
     """Plain image tuples, for degrees past the byte-table limit.  words(a)
     is a's n images as u32 LE words, which from_words(d) takes back, or None
-    unless they are a permutation of 0..n-1; both use the degree's word
-    format, built once here.  differing_words(a, b) counts the u32 words in
-    which two values differ."""
+    unless their set is the degree's points; both use the degree's word
+    format, and from_words that set, each built once here.
+    differing_words(a, b) counts the u32 words in which two values differ."""
 
-    __slots__ = ("degree", "ident", "_words")
+    __slots__ = ("degree", "ident", "_words", "_points")
 
     def __init__(self, degree: int):
         self.degree = degree
         self.ident = tuple(range(degree))
         self._words = struct.Struct(f"<{degree}I")
+        self._points = frozenset(self.ident)
 
     def __reduce__(self):
-        # a Struct does not pickle: copies and pickles rebuild from the degree
+        # a Struct does not pickle: copies and pickles rebuild both from the degree
         return _TupleOps, (self.degree,)
 
     def encode(self, images):
@@ -121,7 +122,7 @@ class _TupleOps:
 
     def from_words(self, d: bytes):
         images = self._words.unpack(d)
-        return images if max(images) < self.degree and len(set(images)) == self.degree else None
+        return images if set(images) == self._points else None
 
     @staticmethod
     def differing_words(a: bytes, b: bytes) -> int:

@@ -24,45 +24,53 @@ its masked values at their slot's length, unmasks the one value at 0 and
 1 for _member, and returns what the round shows (u∘h at 0, u at 1, the
 distance at 2) or None.
 
-A round works on the group's raw elements (group.make_ops: byte tables up
-to degree 256, image tuples past it): prover_round draws u in that form
-from BSGS.sample_uniform, then the round's other coins, the mask seed and
-the three openings, in one getrandbits(1024) read (on random.Random the
-words fresh_seed and then fresh_openings would read).  Every coin of a
-round is drawn in this module; crypto only hashes and masks bytes.
-masked_round composes u with x and with g, masks each product's words
-(ops.words) with crypto.apply_mask, and commits the three slots under the
-openings in one crypto.commit(z1, z2, seed, openings) call, which alone
-writes the hash input (tag ‖ opening ‖ message); commit_round commits
-chosen slots under fresh_openings.  _shown unmasks with the same
-apply_mask (XOR is its own inverse) into words that _member reads back
+A round works on the group's raw elements (group.make_ops: byte tables
+up to degree 256, image tuples past it): prover_round draws u in that
+form from BSGS.sample_uniform, then the round's other coins, the mask
+seed and the three openings, in one getrandbits(1024) read (on
+random.Random the words fresh_seed and then fresh_openings would read).
+Every coin of a round is drawn in this module; crypto only hashes and
+masks bytes.  masked_round composes u with x and with g, masks each
+product's words (ops.words) with crypto.mask_values, and commits the
+three slots under the openings in one crypto.commit(z1, z2, seed,
+openings) call, which alone writes the hash input (tag ‖ opening ‖
+message); commit_round commits chosen slots under fresh_openings.
+_shown unmasks with the same crypto.mask_values (XOR is its own
+inverse), unchecked, since the response layout fixed the seed's and the
+value's lengths, into words that _member reads back
 (ops.from_words), composes with the cached raw g^-1 at challenge 1, and
 tests with contains as they stand; at 2, ops.differing_words counts the
 words the masked values differ in.
 
 A round has one form, its wire bytes: a ProverState's commitment is the
-96 bytes, and prover_respond returns the encoded response that
-encode_response, the one writer, writes.  _response_layout is the one
-statement of a response's layout, where each value and opening of a kind
-lies at a degree; its lengths are a value's only form check.  read_round,
-the one reader of a round, checks once that both are bytes, lays the
-response out by it, checks each opened slot on its slices with
-crypto.opens, and returns what _shown shows.  The proof walk
-(_split_proof) and the extractor read the same layout.  verify_round is
-read_round(...) is not None; the extractor and the distribution tally
-use what read_round shows.  slot_opens is the one total check of one
-slot of a ProverState, for analysis.accepted_challenges, which judges a
-state on all three challenges in one pass.
+96 bytes, and prover_respond returns the encoded response.
+_write_response, the one writer, writes it unchecked from a round's
+slots; prover_respond calls it after its challenge check,
+encode_response after its checks of opened values, and fs_prove on the
+challenges it derived.  _response_layout is the one statement of a
+response's layout, where each value and opening of a kind lies at a
+degree; its lengths are a value's only form check.  read_round, the one
+reader of a round, checks once that both are bytes, lays the response
+out by it, checks both opened slots on their slices with one
+crypto.both_open call (one compare of their 64 digest bytes), and
+returns what _shown shows.  The proof walk (_split_proof) and the
+extractor read the same layout.  verify_round is read_round(...) is not
+None; the extractor and the distribution tally use what read_round
+shows.  slot_opens is the one total check of one slot of a ProverState,
+for analysis.accepted_challenges, which judges a state on all three
+challenges in one pass.
 
 A single round convinces the verifier with soundness error 2/3; sequential
 repetition amplifies.  The non-interactive variant derives every challenge
 from one SHAKE-256 stream over the statement, a context string, and all
 round commitments (derive_challenges).  Since no challenge exists before
 every round is committed, fs_prove builds its rounds a layer at a time:
-all rounds' coins in prover_round's order, then each slot's words of all
+all rounds' coins in prover_round's order, then both slots' words of all
 rounds masked by one crypto.apply_masks call, then one crypto.commit call
-a round; sessions and the analysis harness take rounds one at a time from
-honest_rounds, and both refuse a bad witness through _honest_element.
+a round, then each round answered from those layers by _write_response,
+with no ProverState; sessions and the analysis harness take rounds one
+at a time from honest_rounds, and both refuse a bad witness through
+_honest_element.
 
 This module holds the round and the proof only.  A session over TCP, its
 frame types included, is net's; transcripts, rewinding and simulation are
@@ -79,7 +87,9 @@ from operator import itemgetter
 from random import Random
 from typing import Iterator, NamedTuple, Sequence
 
-from .crypto import DIGEST_BYTES, OPENING_BYTES, SEED_BYTES, apply_mask, apply_masks, commit, opens
+from .crypto import (
+    DIGEST_BYTES, OPENING_BYTES, SEED_BYTES, apply_masks, both_open, commit, mask_values, opens,
+)
 from .group import word_width
 from .instance import SDPInstance, Witness, instance_digest, validate_witness
 
@@ -92,6 +102,7 @@ CHALLENGES = tuple(OPENS)
 
 # Each challenge opens two slots, so each getter returns a pair.
 _OPENED = {challenge: itemgetter(*slots) for challenge, slots in OPENS.items()}
+_KIND_BYTES = tuple(bytes((kind,)) for kind in CHALLENGES)
 
 COMMITMENT_BYTES = 3 * DIGEST_BYTES
 
@@ -184,10 +195,12 @@ def masked_round(inst: SDPInstance, u, x, seed: bytes, openings: bytes) -> Prove
     """Commit to Z1 = oneline(u∘x) + mask and Z2 = oneline(u∘g) + mask under
     one seed, and the three slots under the 96 bytes of openings: the round
     of every prover that claims x, honest (x = h) or not.  u and x are in
-    the raw form of inst.group.ops; apply_mask masks each product's words as
-    they stand, and one crypto.commit call commits the slots."""
+    the raw form of inst.group.ops, and seed is a 32-byte coin, as every
+    caller draws it; crypto.mask_values masks each product's words as they
+    stand, n words at the instance's degree, from one read and with nothing
+    to re-check, and one crypto.commit call commits the slots."""
     ops = inst.group.ops
-    z1, z2 = apply_mask(seed, ops.words(ops.then(x, u)), ops.words(ops.then(inst.target_tables[0], u)))
+    z1, z2 = mask_values(seed, ops.words(ops.then(x, u)), ops.words(ops.then(inst.target_tables[0], u)))
     return ProverState((z1, z2, seed), *commit(z1, z2, seed, openings))
 
 
@@ -207,15 +220,16 @@ def prover_round(inst: SDPInstance, h, rng: Random) -> ProverState:
 def _shown(inst: SDPInstance, challenge: int, value: bytes, other: bytes):
     """What a round shows on the two values its challenge opens, in OPENS
     order (masked values taken at their slot's length), or None unless the
-    challenge's predicate holds.  At 0 and 1 apply_mask under the seed
-    (which it checks) unmasks the one value, and _member judges its words.
+    challenge's predicate holds.  At 0 and 1 crypto.mask_values under the
+    seed, which the slot's length makes 32 bytes, unmasks the one value,
+    and _member judges its words.
     At 2, the count of words the values differ in (ops.differing_words), if
     at most max_distance, the distance predicate's one statement; it may be
     0, so callers test `is not None`."""
     if challenge == 2:
         distance = inst.group.ops.differing_words(value, other)
         return distance if distance <= inst.max_distance else None
-    (words,) = apply_mask(other, value)
+    (words,) = mask_values(other, value)
     return _member(inst, challenge, words)
 
 
@@ -278,8 +292,7 @@ def prover_respond(state: ProverState, challenge: int) -> bytes:
     challenge demands."""
     if challenge not in OPENS:
         raise ValueError(f"challenge must be 0, 1 or 2, got {challenge!r}")
-    opened = _OPENED[challenge]
-    return encode_response(challenge, opened(state.values), opened(state.openings))
+    return _write_response(challenge, state.values, state.openings)
 
 
 def slot_opens(inst: SDPInstance, digest: bytes, slot: int, value: bytes, opening: bytes) -> bool:
@@ -304,8 +317,10 @@ def read_round(inst: SDPInstance, commitment: bytes, challenge: int, response: b
     """What one round shows (_shown) if it verifies, else None, from its wire
     bytes, each bytes: the 96-byte commitment and the encoded response,
     whose kind byte must be the challenge and whose length _response_layout
-    fixes, and so every value's and opening's; then each slot the challenge
-    opens must open (crypto.opens).  Total: None, never an exception."""
+    fixes, and so every value's and opening's; then both slots the
+    challenge opens must open, checked by one crypto.both_open call on
+    their digests, read through commitment_digests.  Total: None, never an
+    exception."""
     try:
         if (
             challenge not in OPENS or not isinstance(commitment, bytes) or not isinstance(response, bytes)
@@ -317,7 +332,7 @@ def read_round(inst: SDPInstance, commitment: bytes, challenge: int, response: b
         if len(response) != end:
             return None
         digests, value, other = commitment_digests(commitment), response[a], response[b]
-        if opens(digests[s], s, response[a_opening], value) and opens(digests[t], t, response[b_opening], other):
+        if both_open(digests[s] + digests[t], s, response[a_opening], value, t, response[b_opening], other):
             return _shown(inst, challenge, value, other)
         return None
     except (ValueError, TypeError, struct.error):
@@ -358,9 +373,12 @@ def fs_prove(inst: SDPInstance, wit: Witness, rounds: int, context: bytes, rng: 
     built a layer at a time: after _proof_rounds and _honest_element refuse,
     every round's coins are drawn in prover_round's order (u, then one
     getrandbits(1024) read split into the seed and the openings), the
-    products' words of all rounds are masked by one crypto.apply_masks
-    call per slot, and each round is committed by one crypto.commit call.
-    The proof and the rng's end state are those of honest_rounds' states."""
+    products' words of both slots of all rounds are masked by one
+    crypto.apply_masks call, each round is committed by one crypto.commit
+    call, and each is answered from its values and openings by
+    _write_response, the writer prover_respond calls.  The proof and the
+    rng's end state are those of honest_rounds' states answered by
+    prover_respond."""
     rounds = _proof_rounds(rounds)
     h, ops, sample, draw = _honest_element(inst, wit), inst.group.ops, inst.group.sample_uniform, rng.getrandbits
     us, coins = [], []
@@ -372,11 +390,10 @@ def fs_prove(inst: SDPInstance, wit: Witness, rounds: int, context: bytes, rng: 
                          b"".join(map(ops.words, map(ops.then, repeat(inst.target_tables[0]), us))))
     size = slot_size(Z1, inst.degree)
     ats = range(0, rounds * size, size)
-    values = zip([z1[at : at + size] for at in ats], [z2[at : at + size] for at in ats], seeds)
-    states = [ProverState(v, *commit(*v, c[SEED_BYTES:])) for v, c in zip(values, coins)]
-    commitments = tuple([state.commitment for state in states])
+    z1s, z2s = [z1[at : at + size] for at in ats], [z2[at : at + size] for at in ats]
+    openings, commitments = zip(*map(commit, z1s, z2s, seeds, [c[SEED_BYTES:] for c in coins]))
     challenges = derive_challenges(instance_digest(inst), context, commitments)
-    responses = tuple(map(prover_respond, states, challenges))
+    responses = tuple(map(_write_response, challenges, zip(z1s, z2s, seeds), openings))
     return NIZKProof(commitments=commitments, responses=responses)
 
 
@@ -428,16 +445,27 @@ def _split_proof(data: bytes, n: int, rounds: int | None = None) -> tuple[list[b
 
 # --- serialization ---
 
+def _write_response(kind: int, values, openings) -> bytes:
+    """The one response writer, unchecked: the kind byte, then the values and
+    then the openings that _OPENED[kind] picks from a round's slots (each
+    indexed by slot).  prover_respond and encode_response call it after
+    their checks, and fs_prove on the challenges it derived."""
+    opened = _OPENED[kind]
+    return b"".join([_KIND_BYTES[kind], *opened(values), *opened(openings)])
+
+
 def encode_response(kind: int, values: Sequence[bytes], openings: Sequence[bytes]) -> bytes:
-    """The one response writer: kind byte, the opened values in OPENS order,
-    then their openings.  ValueError on a kind outside OPENS, or unless there
-    is one value and one opening per slot the kind opens."""
+    """The checked response writer: kind byte, the opened values in OPENS
+    order, then their openings, each placed at its slot for
+    _write_response.  ValueError on a kind outside OPENS, or unless there is
+    one value and one opening per slot the kind opens; TypeError on an entry
+    that is not bytes."""
     if kind not in OPENS:
         raise ValueError(f"cannot encode response of kind {kind!r}")
-    width = len(OPENS[kind])
-    if len(values) != width or len(openings) != width:
+    slots = OPENS[kind]
+    if len(values) != len(slots) or len(openings) != len(slots):
         raise ValueError(f"a kind {kind} response must hold one value and one opening per slot it opens")
-    return b"".join([bytes((kind,)), *values, *openings])
+    return _write_response(kind, dict(zip(slots, values)), dict(zip(slots, openings)))
 
 
 @lru_cache(maxsize=16)  # bounded: three kinds at each degree a process checks

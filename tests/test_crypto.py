@@ -16,8 +16,10 @@ from sdzkp.crypto import (
     SEED_BYTES,
     apply_mask,
     apply_masks,
+    both_open,
     commit,
     expand_mask,
+    mask_values,
     opens,
     tuple_add,
     tuple_sub,
@@ -27,7 +29,7 @@ from sdzkp.group import make_ops, word_width
 from sdzkp.instance import make_instance
 from sdzkp.perm import MAX_TUPLE_LENGTH, Permutation, hamming, identity, random_perm
 from sdzkp.protocol import Z1, fresh_openings, fresh_seed, slot_opens
-from test_reference_verifier import arbitrary_words, commit_slot, weight
+from test_reference_verifier import arbitrary_words, commit_slot, masked_value, weight
 
 
 def test_commit_verify_round_trip():
@@ -96,6 +98,51 @@ def test_round_commit_is_three_tagged_hashes():
             assert opens(digest, other, opening, message) is (other == slot)
         assert opens(digest, slot, opening, message + b"\x00") is False
         assert opens(digest, slot, bytes(b ^ 1 for b in opening), message) is False
+
+
+def flip_a_byte(data, rng):
+    """data with one byte, at a random place, XORed with a nonzero byte."""
+    at = rng.randrange(len(data))
+    return data[:at] + bytes((data[at] ^ rng.randrange(1, 256),)) + data[at + 1 :]
+
+
+def test_both_open_is_two_opens():
+    # both_open(digests, s, ...) must say what opens says of slot s on the
+    # first 32 digest bytes and of slot t on the last 32, in one compare
+    rng = random.Random(12)
+
+    def agree(digests, s, s_opening, s_message, t, t_opening, t_message):
+        two = opens(digests[:DIGEST_BYTES], s, s_opening, s_message)
+        two = two and opens(digests[DIGEST_BYTES:], t, t_opening, t_message)
+        assert both_open(digests, s, s_opening, s_message, t, t_opening, t_message) is two
+        return two
+
+    for _ in range(150):
+        s, t = rng.sample(range(3), 2)
+        messages = [rng.randbytes(rng.choice((1, 16, 32, 128, 1040))) for _ in range(3)]
+        openings, commitment = commit(*messages, fresh_openings(rng))
+        digests = [commitment[i * DIGEST_BYTES : (i + 1) * DIGEST_BYTES] for i in range(3)]
+        args = [digests[s] + digests[t], s, openings[s], messages[s], t, openings[t], messages[t]]
+        assert agree(*args)
+        assert not agree(rng.randbytes(2 * DIGEST_BYTES), *args[1:])  # random digests
+        first, second = args[0][:DIGEST_BYTES], args[0][DIGEST_BYTES:]
+        # a flip in the first digest, the second, either opening, either value
+        flips = [(0, flip_a_byte(first, rng) + second), (0, first + flip_a_byte(second, rng))]
+        flips += [(at, flip_a_byte(args[at], rng)) for at in (2, 5, 3, 6)]
+        for at, flipped in flips:
+            assert not agree(*args[:at], flipped, *args[at + 1 :])
+
+
+def test_mask_values_is_apply_mask():
+    # the unchecked kernel protocol unmasks one opened value with is
+    # apply_mask's mask, and the plain word-wise definition
+    rng = random.Random(13)
+    for n in (1, 5, 16, 256, 257, 260):
+        seed = fresh_seed(rng)
+        words = [arbitrary_words(n, rng) for _ in range(2)]
+        values = [pack(w, word_width(n)) for w in words]
+        assert mask_values(seed, values[0]) == (apply_mask(seed, values[0])[0],) == (masked_value(words[0], seed, n),)
+        assert mask_values(seed, *values) == apply_mask(seed, *values)
 
 
 def test_commit_randomized():

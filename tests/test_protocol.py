@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdzkp.protocol
-from sdzkp.analysis import accepted_challenges, completeness_rate
+from sdzkp.analysis import accepted_challenges, completeness_rate, make_cheating_prover
 from sdzkp.crypto import (
     COMMIT_TAGS,
     apply_mask,
@@ -32,6 +32,7 @@ from sdzkp.protocol import (
     Z1,
     Z2,
     ProverState,
+    _write_response,
     commit_round,
     commitment_digests,
     decode_proof,
@@ -55,7 +56,14 @@ from sdzkp.protocol import (
     verifier_challenge,
     verify_round,
 )
-from test_reference_verifier import commit_slot, fs_prefix, reference_challenges, reference_read_proof
+from test_reference_verifier import (
+    FAMILIES,
+    OPENED,
+    commit_slot,
+    fs_prefix,
+    reference_challenges,
+    reference_read_proof,
+)
 
 
 def pack(words, n):
@@ -390,6 +398,24 @@ def test_encode_response_refuses_a_misshapen_response(planted, honest_state):
     for kind in (3, -1, 255, None):
         with pytest.raises(ValueError, match="kind"):
             encode_response(kind, values, openings)
+
+
+@pytest.mark.parametrize("n, gens, k, preset", FAMILIES.values(), ids=FAMILIES)
+def test_the_unchecked_writer_writes_what_encode_response_writes(n, gens, k, preset):
+    # fs_prove answers through _write_response with no check of its own, and
+    # prover_respond after its challenge check: on honest and cheating
+    # states each writes the kind byte, then what README's table opens
+    inst, wit = plant_instance(n, gens, k, random.Random(n), preset=preset)
+    rng = random.Random(n + 7)
+    states = [prover_commit(inst, wit, rng) for _ in range(3)]
+    states += [make_cheating_prover(inst, targets, rng) for targets in ({0, 2}, {1, 2}, {0, 1})]
+    for state in states:
+        for ch, slots in OPENED.items():
+            values = [state.values[slot] for slot in slots]
+            openings = [state.openings[slot] for slot in slots]
+            written = _write_response(ch, state.values, state.openings)
+            assert written == encode_response(ch, values, openings) == prover_respond(state, ch)
+            assert written == bytes((ch,)) + b"".join(values) + b"".join(openings)
 
 
 def test_fs_verify_is_total_on_non_proofs(planted):

@@ -284,7 +284,7 @@ def proof_opening(inst, wit, state, challenge, rng, context=b"ctx"):
 
 def test_noisy_cheaters_arbitrary_words_agree(family):
     # make_cheating_prover masks a member beside itself plus noise: the noisy
-    # words are arbitrary, which apply_mask must take as they are.
+    # words are arbitrary, which the mask must take as they are.
     inst, wit = family
     rng = random.Random(inst.degree + 3)
     for targets in ({0, 2}, {1, 2}, {0, 1}):
