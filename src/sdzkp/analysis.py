@@ -55,6 +55,7 @@ from .protocol import (
     honest_rounds,
     masked_round,
     prover_commit,
+    prover_respond,
     prover_round,
     read_round,
     require_positive,
@@ -98,7 +99,8 @@ honest_rewindable_prover = prover_commit
 
 def accepted_challenges(inst: SDPInstance, prover: ProverState) -> set[int]:
     """Which challenges this committed state would survive: the set of ch
-    for which read_round shows something on its commitment and respond(ch).
+    for which read_round shows something on its commitment and
+    prover_respond(prover, ch).
     One pass: the commitment is checked once (bytes, COMMITMENT_BYTES long;
     else no challenge passes), then each slot once (slot_opens) rather than
     under both challenges that open it.  Challenge 2 opens Z1 and Z2, and
@@ -127,7 +129,7 @@ def accepted_challenges(inst: SDPInstance, prover: ProverState) -> set[int]:
 
 
 def transcript_for(inst: SDPInstance, prover: ProverState, challenge: int) -> Transcript:
-    return Transcript(prover.commitment, challenge, prover.respond(challenge))
+    return Transcript(prover.commitment, challenge, prover_respond(prover, challenge))
 
 
 def completeness_rate(inst: SDPInstance, wit: Witness, rounds: int, rng: Random) -> float:
@@ -137,7 +139,7 @@ def completeness_rate(inst: SDPInstance, wit: Witness, rounds: int, rng: Random)
     accepted = 0
     for state in states:
         ch = verifier_challenge(rng)
-        accepted += verify_round(inst, state.commitment, ch, state.respond(ch))
+        accepted += verify_round(inst, state.commitment, ch, prover_respond(state, ch))
     return accepted / rounds
 
 

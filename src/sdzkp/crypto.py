@@ -1,39 +1,28 @@
-"""Hash-based commitments and the seeded masking used to blind a round's values.
+"""Hash-based commitments and the seeded mask that blinds a round's values.
 
 Slot i (0, 1, 2) of a round is committed as SHA-256 (FIPS 180-4) over
 (ASCII tag COMMIT_TAGS[i] || 32-byte opening || message); _digest alone
-writes that input, into a copy of slot i's state after its tag.  Binding
-needs the 128-bit collision resistance of a 256-bit digest, and hiding
-rests on the secret opening; every message is read at its slot's fixed
-length, so length extension, which lengthens a message, gives no second
-opening of a digest.  commit(z1, z2, seed, openings) commits a round's
-three slots in one call, under 96 bytes of openings that its caller
-drew: protocol draws every coin of a round, the seed and the openings in
-one read.  opens checks one opened slot with the hash and a
-constant-time compare only, and both_open the two slots a challenge
-opens with their two hashes and one compare of their 64 digest bytes,
-each for callers that fixed the types and lengths; verify_commitment is
-the total check over opens.  A masked value is the n words of a raw
-group element (group.word_width: w = 1 byte per image up to degree 256,
-4 past it) plus a mask of n words read from SHAKE-256 keyed by a 32-byte
-seed, the sum taken in GF(2^8w), whose addition is XOR.  So a masked
-value is exactly w·n bytes, with no prefix, and every byte string of
-that length is one.  mask_values, the mask's one statement, XORs each
-whole value, as one integer, with the mask read once to their length,
-unchecked; XOR is its own inverse, so the same call unmasks, on values
-whose seed and lengths its caller fixed: protocol and analysis call it
-on coins they drew and slots they sized.  apply_mask checks the seed and
-the lengths first, for callers that fixed neither.  apply_masks masks
-many rounds at once for the Fiat-Shamir prover: one XOR of each slot's
-joined values against the joined streams of the rounds' seeds.  These
-two are the only seed checks, each refuses before it reads a mask, and
-they and mask_values are the only mask reads.  This module sees only
-bytes and draws no coin, so it imports no random number generator: how
-an element is written as words, and how the words of two values are
-compared, is group's (ops.words, ops.differing_words).  expand_mask,
-tuple_add and tuple_sub are the plain word-wise reference of apply_mask
-that tests compare it with (and sdzbench/spans.py traces), the only code
-here that knows a word.
+writes that input.  Binding needs the 128-bit collision resistance of a
+256-bit digest, and hiding rests on the secret opening; every message is
+read at its slot's fixed length, so length extension, which lengthens a
+message, gives no second opening of a digest.
+
+A masked value is the n words of a raw group element (group.word_width:
+w = 1 byte per image up to degree 256, 4 past it) plus a mask of n words
+read from SHAKE-256 keyed by a 32-byte seed, the sum taken in GF(2^8w),
+whose addition is XOR.  So a masked value is exactly w·n bytes, with no
+prefix, every byte string of that length is one, and masking a masked
+value again unmasks it.  The mask is read in two places, one per shape:
+mask_values under one seed, mask_rounds under one seed per round.  Both
+are unchecked, for callers that fixed the seeds and the lengths.
+
+This module sees only bytes and draws no coin, so it imports no random
+number generator: protocol draws every coin, and how an element is
+written as words, and how the words of two values are compared, is
+group's (ops.words, ops.differing_words).  expand_mask, tuple_add and
+tuple_sub are the plain word-wise reference of the mask that tests
+compare it with (and sdzbench/spans.py traces), the only code here that
+knows a word.
 """
 
 from __future__ import annotations
@@ -102,8 +91,13 @@ def verify_commitment(digest: bytes, message: bytes, tag: str, opening: bytes) -
 
 
 def expand_mask(seed: bytes, n: int, width: int) -> tuple[int, ...]:
-    """apply_mask's mask of width·n zero bytes, SHAKE-256(seed), as n little-endian words."""
-    (stream,) = apply_mask(seed, bytes(width * n))
+    """The mask of n words of width bytes under seed, SHAKE-256(seed)'s
+    first width·n bytes as little-endian words, read here apart from the
+    mask it checks.  ValueError unless seed is 32 bytes and width·n is
+    positive."""
+    if not isinstance(seed, bytes) or len(seed) != SEED_BYTES or width * n < 1:
+        raise ValueError(f"a mask needs a {SEED_BYTES}-byte seed and a positive length")
+    stream = hashlib.shake_256(seed).digest(width * n)
     return tuple(int.from_bytes(stream[i : i + width], "little") for i in range(0, width * n, width))
 
 
@@ -125,27 +119,10 @@ def tuple_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple_add(a, b)
 
 
-def apply_mask(seed: bytes, *values: bytes) -> tuple[bytes, ...]:
-    """Each value masked under seed by mask_values, all from one SHAKE read:
-    the value's n words of w bytes plus expand_mask(seed, n, w), as one XOR
-    of the whole value with the stream read to its length.  The sum in
-    GF(2^8w) is also the difference, so a masked value given back returns
-    its words.  The values must share one length, at least 1, and the seed
-    must be 32 bytes (ValueError otherwise, before the mask is read)."""
-    length = len(values[0]) if values else 0
-    if length < 1 or not isinstance(seed, bytes) or len(seed) != SEED_BYTES:
-        raise ValueError(f"a mask needs a {SEED_BYTES}-byte seed and a positive length")
-    for value in values:
-        if len(value) != length:
-            raise ValueError(f"values of {length} and {len(value)} bytes cannot share a mask")
-    return mask_values(seed, *values)
-
-
 def mask_values(seed: bytes, *values: bytes) -> tuple[bytes, ...]:
-    """The mask's one statement, unchecked: each value XOR SHAKE-256(seed)
-    read to the first value's length, as one integer, from one read.
-    apply_mask calls it after its checks; protocol and analysis call it
-    on seeds they drew or values whose lengths they checked."""
+    """Each value masked under one seed: the value XOR SHAKE-256(seed) read
+    once to the first value's length, as one integer.  Unchecked: the seed
+    must be 32 bytes and the values share one positive length."""
     length = len(values[0])
     mask = int.from_bytes(hashlib.shake_256(seed).digest(length), "little")
     masked = ()
@@ -154,23 +131,14 @@ def mask_values(seed: bytes, *values: bytes) -> tuple[bytes, ...]:
     return masked
 
 
-def apply_masks(seeds: Sequence[bytes], *values: bytes) -> tuple[bytes, ...]:
-    """apply_mask over many rounds at once: each value is the joined values
-    of len(seeds) rounds, one equal share per seed, and share i is masked
-    under seeds[i] as apply_mask masks it, with one XOR of the whole value
-    against the joined SHAKE-256 streams of the seeds, each read to the
-    share's length.  Returns each value masked, joined as given.  The values
-    must share one length, a positive multiple of the seed count, and every
-    seed must be 32 bytes (ValueError otherwise, before any mask is read)."""
-    length = len(values[0]) if values else 0
-    share = length // len(seeds) if seeds else 0
-    if (
-        share < 1 or share * len(seeds) != length
-        or set(map(type, seeds)) != {bytes} or set(map(len, seeds)) != {SEED_BYTES}
-    ):
-        raise ValueError(f"masks need {SEED_BYTES}-byte seeds and one positive share per seed")
-    for value in values:
-        if len(value) != length:
-            raise ValueError(f"values of {length} and {len(value)} bytes cannot share a mask")
+def mask_rounds(seeds: Sequence[bytes], *values: bytes) -> tuple[bytes, ...]:
+    """Each value masked under one seed per round: a value joins one equal
+    share per seed, and share i is masked under seeds[i] as mask_values
+    masks it, by one XOR of the whole value against the seeds' SHAKE-256
+    streams, each read to a share's length, joined.  Unchecked: every seed
+    must be 32 bytes and the values share one length, a positive multiple
+    of len(seeds)."""
+    length = len(values[0])
+    share = length // len(seeds)
     mask = int.from_bytes(b"".join(map(methodcaller("digest", share), map(hashlib.shake_256, seeds))), "little")
     return tuple([(int.from_bytes(value, "little") ^ mask).to_bytes(length, "little") for value in values])

@@ -4,10 +4,10 @@ One round: the prover picks a uniform shuffle u from H and a mask seed s,
 and commits to three values, its slots: 0 is Z1 = oneline(u∘h) + mask,
 1 is Z2 = oneline(u∘g) + mask, 2 is s, where + adds words in GF(2^8w),
 which is XOR (crypto).  Slot i is committed under tag
-crypto.COMMIT_TAGS[i] as digest i of the round's 96-byte commitment, its
-bytes [32i, 32i+32), which commitment_digests alone reads.  The verifier
-sends a challenge in {0, 1, 2}, and the opening table OPENS says which
-slots the answer reveals, in wire order:
+crypto.COMMIT_TAGS[i] as digest i of the round's 96-byte commitment,
+which commitment_digests alone reads.  The verifier sends a challenge in
+{0, 1, 2}, and the opening table OPENS says which slots the answer
+reveals, in wire order:
 
   challenge  opens     the verifier checks the openings, then
   0          Z1, s     unmasking Z1 must give an element of H (this is u∘h)
@@ -18,59 +18,23 @@ Every value is its own committed message and wire form, slot_size long;
 every byte string of that length is a value, so its length is its only
 form check.  The prover, the verifier's checks and the response codecs
 all follow OPENS; only the final predicate above is written per
-challenge, once each: the membership predicate of 0 and 1 in _member, on
-unmasked words, and the distance predicate of 2 in _shown, which takes
-its masked values at their slot's length, unmasks the one value at 0 and
-1 for _member, and returns what the round shows (u∘h at 0, u at 1, the
-distance at 2) or None.
+challenge, once each: membership at 0 and 1 in _member, distance at 2 in
+_shown.
 
-A round works on the group's raw elements (group.make_ops: byte tables
-up to degree 256, image tuples past it): prover_round draws u in that
-form from BSGS.sample_uniform, then the round's other coins, the mask
-seed and the three openings, in one getrandbits(1024) read (on
-random.Random the words fresh_seed and then fresh_openings would read).
-Every coin of a round is drawn in this module; crypto only hashes and
-masks bytes.  masked_round composes u with x and with g, masks each
-product's words (ops.words) with crypto.mask_values, and commits the
-three slots under the openings in one crypto.commit(z1, z2, seed,
-openings) call, which alone writes the hash input (tag ‖ opening ‖
-message); commit_round commits chosen slots under fresh_openings.
-_shown unmasks with the same crypto.mask_values (XOR is its own
-inverse), unchecked, since the response layout fixed the seed's and the
-value's lengths, into words that _member reads back
-(ops.from_words), composes with the cached raw g^-1 at challenge 1, and
-tests with contains as they stand; at 2, ops.differing_words counts the
-words the masked values differ in.
-
-A round has one form, its wire bytes: a ProverState's commitment is the
-96 bytes, and prover_respond returns the encoded response.
-_write_response, the one writer, writes it unchecked from a round's
-slots; prover_respond calls it after its challenge check,
-encode_response after its checks of opened values, and fs_prove on the
-challenges it derived.  _response_layout is the one statement of a
-response's layout, where each value and opening of a kind lies at a
-degree; its lengths are a value's only form check.  read_round, the one
-reader of a round, checks once that both are bytes, lays the response
-out by it, checks both opened slots on their slices with one
-crypto.both_open call (one compare of their 64 digest bytes), and
-returns what _shown shows.  The proof walk (_split_proof) and the
-extractor read the same layout.  verify_round is read_round(...) is not
-None; the extractor and the distribution tally use what read_round
-shows.  slot_opens is the one total check of one slot of a ProverState,
-for analysis.accepted_challenges, which judges a state on all three
-challenges in one pass.
+A round works on the group's raw elements (group.make_ops) and has one
+form, its wire bytes: a ProverState's commitment is the 96 bytes, and
+prover_respond, the one way to answer a round, returns the encoded
+response.  Every coin of a round is drawn here, in the order
+_round_coins states; crypto only hashes and masks bytes.
+_response_layout is the one statement of where a response's parts lie,
+_write_response its one writer and read_round the one reader of a round.
 
 A single round convinces the verifier with soundness error 2/3; sequential
 repetition amplifies.  The non-interactive variant derives every challenge
 from one SHAKE-256 stream over the statement, a context string, and all
-round commitments (derive_challenges).  Since no challenge exists before
-every round is committed, fs_prove builds its rounds a layer at a time:
-all rounds' coins in prover_round's order, then both slots' words of all
-rounds masked by one crypto.apply_masks call, then one crypto.commit call
-a round, then each round answered from those layers by _write_response,
-with no ProverState; sessions and the analysis harness take rounds one
-at a time from honest_rounds, and both refuse a bad witness through
-_honest_element.
+round commitments (derive_challenges), so fs_prove builds its rounds a
+layer at a time; sessions and the analysis harness take rounds one at a
+time from honest_rounds.
 
 This module holds the round and the proof only.  A session over TCP, its
 frame types included, is net's; transcripts, rewinding and simulation are
@@ -88,7 +52,7 @@ from random import Random
 from typing import Iterator, NamedTuple, Sequence
 
 from .crypto import (
-    DIGEST_BYTES, OPENING_BYTES, SEED_BYTES, apply_masks, both_open, commit, mask_values, opens,
+    DIGEST_BYTES, OPENING_BYTES, SEED_BYTES, both_open, commit, mask_rounds, mask_values, opens,
 )
 from .group import word_width
 from .instance import SDPInstance, Witness, instance_digest, validate_witness
@@ -131,17 +95,15 @@ def slot_size(slot: int, n: int) -> int:
 
 
 class ProverState(NamedTuple):
-    """Frozen per-round coin tape: respond(ch) is a pure function of it, so
-    any challenge can be answered, in any order and more than once.
+    """Frozen per-round coin tape: prover_respond(state, ch) is a pure
+    function of it, so any challenge can be answered, in any order and more
+    than once.
     values and openings hold one entry per slot (Z1, Z2, seed); commitment
     is the round's 96 bytes, slot i's digest at [32i, 32i+32)."""
 
     values: tuple[bytes, bytes, bytes]
     openings: tuple[bytes, bytes, bytes]
     commitment: bytes
-
-    def respond(self, challenge: int) -> bytes:
-        return prover_respond(self, challenge)
 
 
 class NIZKProof(NamedTuple):
@@ -180,8 +142,21 @@ def fresh_openings(rng: Random) -> bytes:
     return rng.getrandbits(3 * 8 * OPENING_BYTES).to_bytes(3 * OPENING_BYTES, "little")
 
 
-# prover_round's one coin read after u: the seed, then the three openings.
+# A round's one coin read after u: the seed, then the three openings.
 _ROUND_COIN_BYTES = SEED_BYTES + 3 * OPENING_BYTES
+
+
+def _round_coins(inst: SDPInstance, rng: Random) -> tuple:
+    """A round's coins (u, seed, openings), the one statement of their
+    order: u uniform in H, in the raw form of inst.group.ops
+    (BSGS.sample_uniform), then one getrandbits(1024) read split at 32
+    bytes into the seed and the three openings.  CPython fills
+    getrandbits(k > 32) from its least significant 32-bit word up, so on
+    random.Random the read's first 32 bytes are fresh_seed's and the other
+    96 are fresh_openings' had each drawn its own."""
+    u = inst.group.sample_uniform(rng)
+    coins = rng.getrandbits(8 * _ROUND_COIN_BYTES).to_bytes(_ROUND_COIN_BYTES, "little")
+    return u, coins[:SEED_BYTES], coins[SEED_BYTES:]
 
 
 def commit_round(z1: bytes, z2: bytes, seed: bytes, rng: Random) -> ProverState:
@@ -195,26 +170,20 @@ def masked_round(inst: SDPInstance, u, x, seed: bytes, openings: bytes) -> Prove
     """Commit to Z1 = oneline(u∘x) + mask and Z2 = oneline(u∘g) + mask under
     one seed, and the three slots under the 96 bytes of openings: the round
     of every prover that claims x, honest (x = h) or not.  u and x are in
-    the raw form of inst.group.ops, and seed is a 32-byte coin, as every
-    caller draws it; crypto.mask_values masks each product's words as they
-    stand, n words at the instance's degree, from one read and with nothing
-    to re-check, and one crypto.commit call commits the slots."""
+    the raw form of inst.group.ops, and seed is a 32-byte coin, so
+    crypto.mask_values masks each product's n words from one read with
+    nothing to re-check, and one crypto.commit call commits the slots."""
     ops = inst.group.ops
     z1, z2 = mask_values(seed, ops.words(ops.then(x, u)), ops.words(ops.then(inst.target_tables[0], u)))
     return ProverState((z1, z2, seed), *commit(z1, z2, seed, openings))
 
 
 def prover_round(inst: SDPInstance, h, rng: Random) -> ProverState:
-    """The honest round for a witness h in the raw form of inst.group.ops: u
-    uniform in H (sample_uniform draws it in that form), then the seed and
-    the three openings in one getrandbits(1024) read, in that coin order.
-    CPython fills getrandbits(k > 32) from its least significant word up,
-    so on random.Random the read's first 32 bytes are fresh_seed's and the
-    other 96 are fresh_openings' had each drawn its own.  It does not check
-    the witness; honest_rounds does."""
-    u = inst.group.sample_uniform(rng)
-    coins = rng.getrandbits(8 * _ROUND_COIN_BYTES).to_bytes(_ROUND_COIN_BYTES, "little")
-    return masked_round(inst, u, h, coins[:SEED_BYTES], coins[SEED_BYTES:])
+    """The honest round for a witness h in the raw form of inst.group.ops, on
+    the coins _round_coins draws.  It does not check the witness;
+    honest_rounds does."""
+    u, seed, openings = _round_coins(inst, rng)
+    return masked_round(inst, u, h, seed, openings)
 
 
 def _shown(inst: SDPInstance, challenge: int, value: bytes, other: bytes):
@@ -288,8 +257,9 @@ def verifier_challenge(rng: Random) -> int:
 
 
 def prover_respond(state: ProverState, challenge: int) -> bytes:
-    """Third move: the encoded response that opens exactly what the
-    challenge demands."""
+    """Third move, and the one way to answer a round: the encoded response
+    that opens exactly what the challenge demands.  ValueError on a
+    challenge outside OPENS."""
     if challenge not in OPENS:
         raise ValueError(f"challenge must be 0, 1 or 2, got {challenge!r}")
     return _write_response(challenge, state.values, state.openings)
@@ -371,27 +341,21 @@ def fs_prove(inst: SDPInstance, wit: Witness, rounds: int, context: bytes, rng: 
     """Non-interactive proof: commit to all rounds, derive challenges, respond.
     No challenge exists before every round is committed, so the rounds are
     built a layer at a time: after _proof_rounds and _honest_element refuse,
-    every round's coins are drawn in prover_round's order (u, then one
-    getrandbits(1024) read split into the seed and the openings), the
-    products' words of both slots of all rounds are masked by one
-    crypto.apply_masks call, each round is committed by one crypto.commit
-    call, and each is answered from its values and openings by
-    _write_response, the writer prover_respond calls.  The proof and the
-    rng's end state are those of honest_rounds' states answered by
-    prover_respond."""
+    every round's coins are drawn (_round_coins), the products' words of
+    both slots of all rounds are masked by one crypto.mask_rounds call,
+    each round is committed by one crypto.commit call, and each is answered
+    from its values and openings by _write_response, the writer
+    prover_respond calls.  The proof and the rng's end state are those of
+    honest_rounds' states answered by prover_respond."""
     rounds = _proof_rounds(rounds)
-    h, ops, sample, draw = _honest_element(inst, wit), inst.group.ops, inst.group.sample_uniform, rng.getrandbits
-    us, coins = [], []
-    for _ in range(rounds):
-        us.append(sample(rng))
-        coins.append(draw(8 * _ROUND_COIN_BYTES).to_bytes(_ROUND_COIN_BYTES, "little"))
-    seeds = [c[:SEED_BYTES] for c in coins]
-    z1, z2 = apply_masks(seeds, b"".join(map(ops.words, map(ops.then, repeat(h), us))),
+    h, ops = _honest_element(inst, wit), inst.group.ops
+    us, seeds, drawn = zip(*[_round_coins(inst, rng) for _ in range(rounds)])
+    z1, z2 = mask_rounds(seeds, b"".join(map(ops.words, map(ops.then, repeat(h), us))),
                          b"".join(map(ops.words, map(ops.then, repeat(inst.target_tables[0]), us))))
     size = slot_size(Z1, inst.degree)
     ats = range(0, rounds * size, size)
     z1s, z2s = [z1[at : at + size] for at in ats], [z2[at : at + size] for at in ats]
-    openings, commitments = zip(*map(commit, z1s, z2s, seeds, [c[SEED_BYTES:] for c in coins]))
+    openings, commitments = zip(*map(commit, z1s, z2s, seeds, drawn))
     challenges = derive_challenges(instance_digest(inst), context, commitments)
     responses = tuple(map(_write_response, challenges, zip(z1s, z2s, seeds), openings))
     return NIZKProof(commitments=commitments, responses=responses)

@@ -26,7 +26,7 @@ from sdzkp.analysis import (
     transcript_distribution_test,
     transcript_for,
 )
-from sdzkp.crypto import COMMIT_TAGS, DIGEST_BYTES, apply_mask
+from sdzkp.crypto import COMMIT_TAGS, DIGEST_BYTES, mask_values
 from sdzkp.group import word_width
 from sdzkp.instance import SDPInstance, Witness, instance_digest, plant_instance, validate_witness
 from sdzkp.perm import Permutation, compose, random_support_perm
@@ -45,6 +45,7 @@ from sdzkp.protocol import (
     encode_response,
     fs_verify_bytes,
     max_response_bytes,
+    prover_respond,
     prover_round,
     read_round,
     slot_opens,
@@ -150,16 +151,16 @@ def test_extractor_reports_binding_violations(planted, monkeypatch):
     monkeypatch.setattr(analysis, "read_round", lambda *args: True)
 
     t0, t1, t2 = (transcript_for(inst, a, ch) for ch in (0, 1, 2))
-    alien_seed = Transcript(a.commitment, 1, b.respond(1))
+    alien_seed = Transcript(a.commitment, 1, prover_respond(b, 1))
     with pytest.raises(ExtractionError, match="seed"):
         extract_witness(inst, t0, alien_seed, t2)
 
-    alien_witness = Transcript(a.commitment, 2, b.respond(2))
+    alien_witness = Transcript(a.commitment, 2, prover_respond(b, 2))
     with pytest.raises(ExtractionError, match="masked witness"):
         extract_witness(inst, t0, t1, alien_witness)
 
-    _, (z1, _), openings = decode_response(a.respond(2), inst.degree)
-    _, (_, z2), _ = decode_response(b.respond(2), inst.degree)
+    _, (z1, _), openings = decode_response(prover_respond(a, 2), inst.degree)
+    _, (_, z2), _ = decode_response(prover_respond(b, 2), inst.degree)
     mixed = encode_response(2, (z1, z2), openings)
     with pytest.raises(ExtractionError, match="masked target"):
         extract_witness(inst, t0, t1, Transcript(a.commitment, 2, mixed))
@@ -177,7 +178,7 @@ def test_cheating_prover_profiles_exact(planted):
 def verified_challenges(inst, prover):
     """accepted_challenges' reference: one whole verify_round per challenge,
     on the round's wire bytes."""
-    return {ch for ch in CHALLENGES if verify_round(inst, prover.commitment, ch, prover.respond(ch))}
+    return {ch for ch in CHALLENGES if verify_round(inst, prover.commitment, ch, prover_respond(prover, ch))}
 
 
 def digests(commitment):
@@ -251,8 +252,8 @@ def test_slot_opens_then_holds_is_verify_round(fixture, request):
     verdicts = []
     for state in states:
         for ch in CHALLENGES:
-            verdict = verify_round(inst, state.commitment, ch, state.respond(ch))
-            assert opens_then_holds(inst, state.commitment, ch, state.respond(ch)) is verdict
+            verdict = verify_round(inst, state.commitment, ch, prover_respond(state, ch))
+            assert opens_then_holds(inst, state.commitment, ch, prover_respond(state, ch)) is verdict
             verdicts.append(verdict)
     assert verdicts.count(True) >= 3 * 3 + 3 * 2 + 3 * 1 and False in verdicts
 
@@ -275,11 +276,11 @@ def test_slot_opens_then_holds_is_verify_round(fixture, request):
             assert slot_opens(inst, com[slot], slot, value, bad) is False
 
     def verifies(state, ch):
-        return verify_round(inst, state.commitment, ch, state.respond(ch))
+        return verify_round(inst, state.commitment, ch, prover_respond(state, ch))
 
     # a 31-byte seed, committed, with Z1 masked under it: only its length is wrong
     short_seed = values[SEED][:31]
-    (words,) = apply_mask(values[SEED], values[0])
+    (words,) = mask_values(values[SEED], values[0])
     z1 = bytes(a ^ b for a, b in zip(words, hashlib.shake_256(short_seed).digest(len(words))))
     digest, opening = commit_slot(short_seed, COMMIT_TAGS[SEED], rng)
     assert slot_opens(inst, digest, SEED, short_seed, opening) is False
@@ -321,7 +322,7 @@ DIFFERENTIAL_FAMILIES = {
 def read_round_accepts(inst, state):
     """accepted_challenges' reference: the challenges at which the one round
     reader shows something on the state's wire bytes."""
-    return {ch for ch in CHALLENGES if read_round(inst, state.commitment, ch, state.respond(ch)) is not None}
+    return {ch for ch in CHALLENGES if read_round(inst, state.commitment, ch, prover_respond(state, ch)) is not None}
 
 
 def one_byte_flipped(state, rng):
@@ -390,11 +391,11 @@ def test_wire_forms_hold_at_the_byte_table_boundary(n, gens, k):
     for state in states:
         for slot, value in enumerate(state.values):
             assert type(value) is bytes and len(value) == slot_size(slot, n)
-    lengths = [len(state.respond(ch)) for state in states for ch in CHALLENGES]
+    lengths = [len(prover_respond(state, ch)) for state in states for ch in CHALLENGES]
     assert max(lengths) == max_response_bytes(n)
 
     z1, z2, seed = states[0].values
-    assert len(apply_mask(seed, z1)[0]) == word_width(n) * n
+    assert len(mask_values(seed, z1)[0]) == word_width(n) * n
     for bad1, bad2 in zip(_misshapen_values(z1, n), _misshapen_values(z2, n)):
         for slot, bad in ((0, bad1), (1, bad2)):
             digest, opening = commit_slot(bad, COMMIT_TAGS[slot], rng)
@@ -406,7 +407,7 @@ def test_wire_forms_hold_at_the_byte_table_boundary(n, gens, k):
         rounds = [commit_round(*pair, seed, rng) for _ in range(4)]
         commitments = tuple(state.commitment for state in rounds)
         challenges = derive_challenges(instance_digest(inst), b"", commitments)
-        return encode_proof(NIZKProof(commitments, tuple(s.respond(ch) for s, ch in zip(rounds, challenges))))
+        return encode_proof(NIZKProof(commitments, tuple(prover_respond(s, ch) for s, ch in zip(rounds, challenges))))
 
     assert fs_verify_bytes(inst, proof((z1, z2)), b"", 4)
     for pair in zip(_misshapen_values(z1, n), _misshapen_values(z2, n)):
@@ -796,7 +797,7 @@ def _state_digest(state):
     """SHA-256 over a state's commitment and its three encoded responses."""
     h = hashlib.sha256(state.commitment)
     for ch in CHALLENGES:
-        h.update(state.respond(ch))
+        h.update(prover_respond(state, ch))
     return h.hexdigest()
 
 

@@ -21,7 +21,7 @@ import sdzkp.protocol
 from sdzkp.analysis import make_cheating_prover
 from sdzkp.cli import EXIT_ACCEPT, EXIT_REJECT, EXIT_USAGE, main, make_rng, parse_addr
 from sdzkp.instance import instance_digest, load_instance, load_witness, validate_witness
-from sdzkp.protocol import NIZKProof, derive_challenges, encode_proof, fs_verify_bytes
+from sdzkp.protocol import NIZKProof, derive_challenges, encode_proof, fs_verify_bytes, prover_respond
 
 
 def keygen(tmp_path, *extra):
@@ -483,7 +483,7 @@ def test_fs_verify_refuses_a_one_round_forgery_at_the_default_count(tmp_path, ca
         (challenge,) = derive_challenges(instance_digest(inst), b"", (state.commitment,))
         if challenge in (0, 1):
             break
-    data = encode_proof(NIZKProof((state.commitment,), (state.respond(challenge),)))
+    data = encode_proof(NIZKProof((state.commitment,), (prover_respond(state, challenge),)))
     assert fs_verify_bytes(inst, data, b"", 1)
     assert fs_verify_bytes(inst, data, b"") is False
     forged = tmp_path / "forged.sdp"

@@ -14,11 +14,10 @@ from sdzkp.crypto import (
     DIGEST_BYTES,
     OPENING_BYTES,
     SEED_BYTES,
-    apply_mask,
-    apply_masks,
     both_open,
     commit,
     expand_mask,
+    mask_rounds,
     mask_values,
     opens,
     tuple_add,
@@ -134,15 +133,16 @@ def test_both_open_is_two_opens():
 
 
 def test_mask_values_is_apply_mask():
-    # the unchecked kernel protocol unmasks one opened value with is
-    # apply_mask's mask, and the plain word-wise definition
+    # the one-seed mask is the plain word-wise definition: expand_mask's
+    # words added by tuple_add, and the reference verifier's masked_value
     rng = random.Random(13)
     for n in (1, 5, 16, 256, 257, 260):
-        seed = fresh_seed(rng)
+        seed, width = fresh_seed(rng), word_width(n)
         words = [arbitrary_words(n, rng) for _ in range(2)]
-        values = [pack(w, word_width(n)) for w in words]
-        assert mask_values(seed, values[0]) == (apply_mask(seed, values[0])[0],) == (masked_value(words[0], seed, n),)
-        assert mask_values(seed, *values) == apply_mask(seed, *values)
+        masked = tuple(pack(tuple_add(tuple(w), expand_mask(seed, n, width)), width) for w in words)
+        assert masked == tuple(masked_value(w, seed, n) for w in words)
+        assert mask_values(seed, *(pack(w, width) for w in words)) == masked
+        assert mask_values(seed, pack(words[0], width)) == masked[:1]
 
 
 def test_commit_randomized():
@@ -216,7 +216,7 @@ def plain_add(a, b):
 
 def assert_matches_the_per_word_formula(a, b):
     """tuple_add and tuple_sub give the per-word sum, and so does one XOR of
-    the words packed as lanes of one integer, as apply_mask adds them, at
+    the words packed as lanes of one integer, as mask_values adds them, at
     every width that holds them."""
     assert tuple_add(a, b) == plain_add(a, b)
     assert tuple_sub(a, b) == plain_add(a, b)
@@ -260,16 +260,16 @@ def test_tuple_arithmetic_refuses_words_outside_u32(op, bad):
 
 def assert_masking_matches_the_tuple_reference(seed, words):
     """At degree n = len(words), with words of group.word_width(n) bytes:
-    apply_mask gives what tuple_add gives with expand_mask's words, and
+    mask_values gives what tuple_add gives with expand_mask's words, and
     given the masked value back it returns the words."""
     n = len(words)
     width = word_width(n)
     mask = expand_mask(seed, n, width)
     value, z = pack(words, width), pack(tuple_add(words, mask), width)
     assert len(z) == width * n
-    assert apply_mask(seed, value) == (z,)
-    assert apply_mask(seed, value, bytearray(value)) == (z, z)
-    assert apply_mask(seed, z) == (value,)
+    assert mask_values(seed, value) == (z,)
+    assert mask_values(seed, value, bytearray(value)) == (z, z)
+    assert mask_values(seed, z) == (value,)
 
 
 # Both widths and the boundary between them: one byte a word up to 256, four past it.
@@ -305,7 +305,7 @@ def test_apply_mask_is_its_own_inverse(data):
     seed = data.draw(st.binary(min_size=SEED_BYTES, max_size=SEED_BYTES))
     size = word_width(n) * n
     value = data.draw(st.binary(min_size=size, max_size=size))
-    assert apply_mask(seed, *apply_mask(seed, value)) == (value,)
+    assert mask_values(seed, *mask_values(seed, value)) == (value,)
 
 
 _THREE = Permutation((0, 1, 2)).to_bytes()  # 16 bytes: a count, then three u32 words
@@ -315,7 +315,7 @@ _THREE = Permutation((0, 1, 2)).to_bytes()  # 16 bytes: a count, then three u32 
 # a word that is not an integer, a word past a byte, or a count other than
 # 3.  Each word tuple the reference refuses is paired with a value that is
 # not 3 bytes, or not bytes, which protocol.slot_opens refuses even when it
-# is committed, before apply_mask unmasks it.
+# is committed, before mask_values unmasks it.
 @pytest.mark.parametrize("words, value", [
     ((0, -1, 2), b"\x00\x01"),
     ((0, 2**32, 2), bytes((0, 1, 2, 0))),
@@ -337,58 +337,21 @@ def test_masking_refuses_what_the_tuple_reference_refuses(words, value):
     assert slot_opens(inst, digest, Z1, value, opening) is False
 
 
-# apply_mask masks values of one length under one mask read; it refuses a
-# value of any other length than the first's.
-@pytest.mark.parametrize("words", [b"", bytes(8), bytes(11), bytes(13), bytes(16), _THREE])
-def test_apply_mask_refuses_words_of_another_length(words):
-    three = bytes((0, 1, 2))
-    with pytest.raises(ValueError):
-        apply_mask(bytes(SEED_BYTES), three, words)
-    with pytest.raises(ValueError):
-        apply_mask(bytes(SEED_BYTES), words, three)
-
-
-def test_apply_mask_refuses_before_it_reads_the_mask(monkeypatch):
-    def read(*args):
-        raise AssertionError("the mask was read")
-
-    monkeypatch.setattr(hashlib, "shake_256", read)
-    with pytest.raises(ValueError):
-        apply_mask(bytes(SEED_BYTES), bytes(3), bytes(4))
-    # apply_masks: no seed, a short or non-bytes seed, no value or an empty
-    # one, values of unequal lengths, and a length that is not one equal
-    # share per seed
-    seed = bytes(SEED_BYTES)
-    for seeds, values in (
-        ([], (bytes(4),)), ([seed, bytes(SEED_BYTES - 1)], (bytes(4),)), ([seed, bytearray(seed)], (bytes(4),)),
-        ([seed], ()), ([seed], (b"",)), ([seed, seed], (bytes(4), bytes(6))), ([seed, seed], (bytes(5),)),
-    ):
-        with pytest.raises(ValueError):
-            apply_masks(seeds, *values)
-
-
 def test_apply_masks_is_apply_mask_round_by_round():
+    # the many-seed mask is the one-seed mask's plain word-wise definition
+    # share by share, and given the masked values back it returns them
     rng = random.Random(6)
     for n in (1, 5, 16, 256, 257, 260):
-        size = word_width(n) * n
+        size, width = word_width(n) * n, word_width(n)
         for count in range(1, 6):
             seeds = [fresh_seed(rng) for _ in range(count)]
-            rounds = [[pack(arbitrary_words(n, rng), word_width(n)) for _ in range(2)] for _ in seeds]
-            z1, z2 = apply_masks(seeds, *map(b"".join, zip(*rounds)))
-            assert apply_masks(seeds, z1) == (b"".join(a for a, _ in rounds),)
-            for i, (seed, values) in enumerate(zip(seeds, rounds)):
-                assert (z1[i * size : (i + 1) * size], z2[i * size : (i + 1) * size]) == apply_mask(seed, *values)
-
-
-def test_masking_validates_seed_and_length():
-    three = bytes((0, 1, 2))
-    with pytest.raises(ValueError):
-        apply_mask(b"short", three)
-    for empty in (b"", bytearray()):
-        with pytest.raises(ValueError):
-            apply_mask(bytes(SEED_BYTES), empty)
-    with pytest.raises(ValueError):
-        apply_mask(bytes(SEED_BYTES))
+            rounds = [[arbitrary_words(n, rng) for _ in range(2)] for _ in seeds]
+            joined = [b"".join(pack(w, width) for w in slot) for slot in zip(*rounds)]
+            z1, z2 = mask_rounds(seeds, *joined)
+            assert mask_rounds(seeds, z1, z2) == tuple(joined)
+            for i, (seed, words) in enumerate(zip(seeds, rounds)):
+                masked = tuple(masked_value(w, seed, n) for w in words)
+                assert (z1[i * size : (i + 1) * size], z2[i * size : (i + 1) * size]) == masked
 
 
 def assert_differing_words_match_the_reference(a, b, ops):

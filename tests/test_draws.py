@@ -35,6 +35,7 @@ from sdzkp.protocol import (
     fresh_seed,
     fs_prove,
     honest_rounds,
+    masked_round,
     prover_respond,
     prover_round,
     uniform_challenge,
@@ -216,10 +217,24 @@ def test_a_rounds_one_coin_read_is_the_seed_then_the_openings():
         assert same_state(fast, slow)
 
 
-def per_round_fs_prove(inst, wit, rounds, context, rng):
-    """fs_prove round by round: honest_rounds' states, each drawn whole
-    before the next, then the derived challenges and each state's response."""
-    states = list(honest_rounds(inst, wit, rounds, rng))
+def stdlib_round(inst, h, rng):
+    """A round on coins each drawn by the stdlib call it stands for, in the
+    order a round draws them: u, then randbytes for the seed and for the
+    openings.  On random.Random it is prover_round's round, though no coin
+    goes through prover code."""
+    u = inst.group.sample_uniform(rng)
+    return masked_round(inst, u, h, rng.randbytes(SEED_BYTES), rng.randbytes(3 * OPENING_BYTES))
+
+
+def per_round_fs_prove(inst, wit, rounds, context, rng, make_round=None):
+    """fs_prove round by round: honest_rounds' states, or make_round's on
+    the witness's raw element, each drawn whole before the next, then the
+    derived challenges and each state's response."""
+    if make_round is None:
+        states = list(honest_rounds(inst, wit, rounds, rng))
+    else:
+        h = inst.group.ops.encode(wit.element.images)
+        states = [make_round(inst, h, rng) for _ in range(rounds)]
     commitments = tuple(state.commitment for state in states)
     challenges = derive_challenges(instance.instance_digest(inst), context, commitments)
     return NIZKProof(commitments, tuple(map(prover_respond, states, challenges)))
@@ -233,13 +248,18 @@ LAYERED = {**FAMILIES, "abelian2-260": (260, 8, 64, "abelian2")}
 def test_the_layered_prover_is_the_per_round_prover(n, gens, k, preset):
     """fs_prove draws every round's coins before it masks any round, then
     masks and commits all rounds a layer at a time: the proof's bytes and
-    the rng's end state must be those of the rounds drawn one by one."""
+    the rng's end state must be those of the rounds drawn one by one, by
+    honest_rounds and, on random.Random, by the stdlib calls (stdlib_round),
+    which share no coin code with either prover."""
     inst, wit = plant_instance(n, gens, k, random.Random(n), preset=preset)
     for rounds in (1, 2, 7, 219):
         for seed in range(3):
-            for fast, slow in ((random.Random(seed), random.Random(seed)), (Rejecting(seed), Rejecting(seed))):
+            pairs = ((random.Random(seed), random.Random(seed), None), (Rejecting(seed), Rejecting(seed), None),
+                     (random.Random(seed), random.Random(seed), stdlib_round))
+            for fast, slow, make_round in pairs:
                 proof = fs_prove(inst, wit, rounds, b"ctx", fast)
-                assert encode_proof(proof) == encode_proof(per_round_fs_prove(inst, wit, rounds, b"ctx", slow))
+                expected = per_round_fs_prove(inst, wit, rounds, b"ctx", slow, make_round)
+                assert encode_proof(proof) == encode_proof(expected)
                 assert same_state(fast, slow)
 
 

@@ -553,7 +553,7 @@ def foreign_frames(planted):
     rng = random.Random(110)
     commitment = prover_commit(inst, wit, rng).commitment
     other = prover_commit(inst, wit, rng)
-    return [(MSG_COMMIT, commitment)] + [(MSG_RESPONSE, other.respond(ch)) for ch in range(3)]
+    return [(MSG_COMMIT, commitment)] + [(MSG_RESPONSE, prover_respond(other, ch)) for ch in range(3)]
 
 
 def _frames(foreign):

@@ -104,22 +104,28 @@ def test_package_names_follow_a_rebinding(monkeypatch):
     assert sdzkp.verify_round is original
 
 
-def test_every_traced_name_is_a_callable_of_its_home_module():
-    # The benchmark's tracer (sdzbench/spans.py, standard library only) wraps
-    # each TRACED name where it lives, and raises KeyError on one that is gone.
-    spec = importlib.util.spec_from_file_location("spans", Path(__file__).parents[1] / "sdzbench" / "spans.py")
+def load_spans():
+    """The benchmark's tracer module, sdzbench/spans.py (standard library only)."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "sdzbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_name_is_a_callable_of_its_home_module():
+    # The benchmark's tracer wraps each TRACED name where it lives, and
+    # raises KeyError on one that is gone.
+    spans = load_spans()
     assert spans.TRACED
     for module_name, path, _ in spans.TRACED:
         owner, attr = spans._resolve(importlib.import_module(module_name), path)
         assert callable(vars(owner).get(attr)), f"{module_name}.{path}"
 
 
-def test_every_name_the_benchmark_reads_resolves():
-    # sdzbench/workloads.py binds sdzkp's modules by `from sdzkp import X as Y`
-    # inside its workloads and reads their attributes; a name gone from its
-    # module would otherwise fail only in the benchmark's own tests.
+def benchmark_reads():
+    """The (module, name) pairs sdzbench/workloads.py reads: it binds sdzkp's
+    modules by `from sdzkp import X as Y` inside its workloads and reads
+    their attributes."""
     tree = ast.parse((ROOT / "sdzbench" / "workloads.py").read_text(encoding="utf-8"))
     modules = {
         alias.asname or alias.name: alias.name
@@ -128,11 +134,17 @@ def test_every_name_the_benchmark_reads_resolves():
         for alias in node.names
     }
     assert {"sdi", "sda", "protocol"} <= set(modules)
-    read = {
+    return {
         (modules[node.value.id], node.attr)
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
     }
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    # a name gone from its module would otherwise fail only in the
+    # benchmark's own tests
+    read = benchmark_reads()
     assert {("analysis", "transcript_for"), ("analysis", "honest_rewindable_prover")} <= read
     for module_name, attr in sorted(read):
         assert hasattr(importlib.import_module(f"sdzkp.{module_name}"), attr), f"{module_name}.{attr}"
@@ -210,23 +222,68 @@ def test_crypto_draws_no_coin():
 KEPT_FOR_THE_TRACER = ("decode_response", "decode_proof", "verify_commitment", "expand_mask", "tuple_add", "tuple_sub")
 
 
+def reads_by_definition(tree):
+    """Each top-level function or class of a module's tree mapped to the
+    names read in it (the ids, attributes, and names of definitions and
+    imports its nodes carry), and None to those read outside all of them."""
+    reads = {}
+    for statement in tree.body:
+        definition = statement.name if isinstance(statement, (ast.FunctionDef, ast.ClassDef)) else None
+        reads.setdefault(definition, set()).update(
+            name
+            for node in ast.walk(statement)
+            for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+            if isinstance(name, str)
+        )
+    return reads
+
+
+def source_trees():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for path in sorted(Path(sdzkp.__file__).parent.glob("*.py"))}
+
+
 def test_no_module_reads_a_name_kept_for_the_tracer():
     # tuple_sub calls tuple_add: a read inside one of these names' own definitions is allowed
-    for path in sorted(Path(sdzkp.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-        kept = {
-            id(node)
-            for definition in tree.body
-            if isinstance(definition, ast.FunctionDef) and definition.name in KEPT_FOR_THE_TRACER
-            for node in ast.walk(definition)
-        }
-        read = {
-            name
-            for node in ast.walk(tree)
-            if id(node) not in kept
-            for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
-        }
-        assert not read & set(KEPT_FOR_THE_TRACER), f"{path.name} reads {sorted(read & set(KEPT_FOR_THE_TRACER))}"
+    for module, tree in source_trees().items():
+        read = set().union(*(names for definition, names in reads_by_definition(tree).items()
+                             if definition not in KEPT_FOR_THE_TRACER))
+        assert not read & set(KEPT_FOR_THE_TRACER), f"{module} reads {sorted(read & set(KEPT_FOR_THE_TRACER))}"
+
+
+# Module-level functions and classes that no code in src/ reads, that the
+# package does not export and that neither the tracer nor the benchmark's
+# workloads name, each with the reason it stays.
+KEPT_UNREAD = {
+    ("analysis", "amplified_cheating_accepts"): "the acceptance suite's harness for amplified soundness (C03)",
+    ("instance", "brute_force_distance"): "the acceptance suite's distance oracle (C08)",
+    ("__init__", "__getattr__"): "the package's lazy names: the interpreter calls it (PEP 562)",
+    ("__init__", "__dir__"): "the package's lazy names: the interpreter calls it (PEP 562)",
+}
+
+
+def test_every_module_level_name_is_read_or_kept():
+    # A function or class counts as read when some code in src/ reads its
+    # name outside its own definition and outside the definitions kept for
+    # the tracer; a helper only a reference or a test calls is not.
+    trees = source_trees()
+    reads = {module: reads_by_definition(tree) for module, tree in trees.items()}
+    named = {(sdzkp._HOME[name], name) for name in sdzkp.__all__} | benchmark_reads() | set(KEPT_UNREAD)
+    named |= {(module.removeprefix("sdzkp."), path.split(".")[0]) for module, path, _ in load_spans().TRACED}
+    unread = []
+    for module, tree in trees.items():
+        for statement in tree.body:
+            if not isinstance(statement, (ast.FunctionDef, ast.ClassDef)) or (module, statement.name) in named:
+                continue
+            readers = (
+                names
+                for other, by_definition in reads.items()
+                for definition, names in by_definition.items()
+                if definition not in KEPT_FOR_THE_TRACER and (other, definition) != (module, statement.name)
+            )
+            if not any(statement.name in names for names in readers):
+                unread.append(f"{module}.{statement.name}")
+    assert not unread, f"read by no code in src/: {unread}"
 
 
 def test_the_workflow_states_no_format_of_its_own():

@@ -14,8 +14,8 @@ import sdzkp.protocol
 from sdzkp.analysis import accepted_challenges, completeness_rate, make_cheating_prover
 from sdzkp.crypto import (
     COMMIT_TAGS,
-    apply_mask,
     expand_mask,
+    mask_values,
     tuple_add,
     tuple_sub,
     verify_commitment,
@@ -219,7 +219,7 @@ def unmask(z, seed, n):
     ValueError when it shows none."""
     inst = _symmetric_instance(n)
     state = commit_round(z, z, seed, random.Random(0))
-    shown = read_round(inst, state.commitment, 0, state.respond(0))
+    shown = read_round(inst, state.commitment, 0, prover_respond(state, 0))
     if shown is None:
         raise ValueError("unmasked tuple is not a permutation")
     return Permutation._trusted(inst.group.ops.decode(shown))
@@ -235,15 +235,15 @@ def test_non_permutation_unmask_rejected(planted):
     # every image below n, two of them equal: only the bijection check can refuse
     images = wit.element.images
     collided = (images[1], *images[1:])
-    state = commit_round(*apply_mask(seed, pack(collided, n), pack(collided, n)), seed, rng)
+    state = commit_round(*mask_values(seed, pack(collided, n), pack(collided, n)), seed, rng)
     com = state.commitment
     for ch in CHALLENGES:
-        _, values, openings = decode_response(state.respond(ch), n)
+        _, values, openings = decode_response(prover_respond(state, ch), n)
         for slot, value, opening in zip(OPENS[ch], values, openings):
             assert verify_commitment(com[32 * slot : 32 * slot + 32], value, COMMIT_TAGS[slot], opening)
-    assert not verify_round(inst, com, 0, state.respond(0))
-    assert not verify_round(inst, com, 1, state.respond(1))
-    assert verify_round(inst, com, 2, state.respond(2))  # the openings themselves are sound
+    assert not verify_round(inst, com, 0, prover_respond(state, 0))
+    assert not verify_round(inst, com, 1, prover_respond(state, 1))
+    assert verify_round(inst, com, 2, prover_respond(state, 2))  # the openings themselves are sound
     with pytest.raises(ValueError, match="not a permutation"):
         unmask(state.values[Z1], seed, n)
 
@@ -270,7 +270,7 @@ def test_verify_round_rejects_honestly_committed_non_canonical_encodings(planted
     honest = prover_commit(inst, wit, rng)
     z1, z2, seed = honest.values
     com = honest.commitment
-    assert all(verify_round(inst, com, ch, honest.respond(ch)) for ch in CHALLENGES)
+    assert all(verify_round(inst, com, ch, prover_respond(honest, ch)) for ch in CHALLENGES)
     digests = commitment_digests(com)
     for bad1, bad2 in zip(non_canonical_encodings(z1), non_canonical_encodings(z2)):
         if not isinstance(bad1, bytes):  # only bytes can be committed; the slot check refuses the rest
@@ -281,7 +281,7 @@ def test_verify_round_rejects_honestly_committed_non_canonical_encodings(planted
         for pair, challenges in (((bad1, z2), (0, 2)), ((z1, bad2), (1, 2)), ((bad1, bad2), CHALLENGES)):
             state = commit_round(*pair, seed, rng)
             for ch in challenges:
-                assert not verify_round(inst, state.commitment, ch, state.respond(ch))
+                assert not verify_round(inst, state.commitment, ch, prover_respond(state, ch))
 
 
 def _outcome(unmasker, z, seed, n):
@@ -357,11 +357,11 @@ def test_masked_round_and_read_round_match_their_definitions(preset, gens, k, in
         assert state.values[SEED] == seed
         assert state.values[Z1] == pack(tuple_add(compose_images(u, x), mask), n)
         assert state.values[Z2] == pack(tuple_add(compose_images(u, g), mask), n)
-        shown = [read_round(inst, state.commitment, ch, state.respond(ch)) for ch in CHALLENGES]
+        shown = [read_round(inst, state.commitment, ch, prover_respond(state, ch)) for ch in CHALLENGES]
         ux, distance = Permutation(compose_images(u, x)), hamming(Permutation(x), inst.target)
         assert shown[0] == (ops.encode(ux.images) if inst.group.contains(ux) else None)
         assert shown[1] == ops.encode(u)
-        _, values, _ = decode_response(state.respond(2), n)
+        _, values, _ = decode_response(prover_respond(state, 2), n)
         assert ops.differing_words(*values) == distance
         assert shown[2] == (distance if distance <= k else None)
 
@@ -371,7 +371,7 @@ def test_verify_round_is_total_on_non_messages(planted, honest_state):
     state, com = honest_state
     digests = (com[:32], com[32:64], com[64:])
     for ch in CHALLENGES:
-        rsp = state.respond(ch)
+        rsp = prover_respond(state, ch)
         assert verify_round(inst, com, ch, rsp)
         for bad in (
             None, "response", b"", 0, decode_response(rsp, inst.degree), bytearray(rsp), memoryview(rsp),
@@ -386,8 +386,8 @@ def test_encode_response_refuses_a_misshapen_response(planted, honest_state):
     # an extra entry would otherwise be written: a response's wire form holds no count of its entries
     state, _ = honest_state
     for ch in CHALLENGES:
-        kind, values, openings = decode_response(state.respond(ch), planted[0].degree)
-        assert encode_response(kind, values, openings) == state.respond(ch)
+        kind, values, openings = decode_response(prover_respond(state, ch), planted[0].degree)
+        assert encode_response(kind, values, openings) == prover_respond(state, ch)
         for count in (0, 1, 3):  # every kind opens two slots
             with pytest.raises(ValueError):
                 encode_response(kind, (values * 2)[:count], openings)
@@ -527,7 +527,7 @@ def test_encode_response_inverts_decode_response(n):
     z1, z2 = (rng.randbytes(slot_size(Z1, n)) for _ in range(2))
     state = commit_round(z1, z2, fresh_seed(rng), rng)
     for ch in CHALLENGES:
-        data = state.respond(ch)
+        data = prover_respond(state, ch)
         kind, values, openings = decode_response(data, n)
         assert kind == ch
         assert encode_response(kind, values, openings) == data
@@ -542,10 +542,10 @@ def test_the_degree_is_the_input_of_a_responses_layout(n):
     # verify_round refuses a value that is not what the round claims.
     inst, rng = _trivial_instance(n), random.Random(n)
     seed = fresh_seed(rng)
-    z1, z2 = apply_mask(seed, pack(range(n), n), pack(range(n), n))
+    z1, z2 = mask_values(seed, pack(range(n), n), pack(range(n), n))
     honest = commit_round(z1, z2, seed, rng)
     for ch in CHALLENGES:
-        data, slots = honest.respond(ch), OPENS[ch]
+        data, slots = prover_respond(honest, ch), OPENS[ch]
         rsp = decode_response(data, n)
         assert rsp == (ch, tuple(honest.values[i] for i in slots), tuple(honest.openings[i] for i in slots))
         assert encode_response(*rsp) == data
@@ -556,7 +556,7 @@ def test_the_degree_is_the_input_of_a_responses_layout(n):
         # both values' first image moved by one bit: no longer a permutation,
         # and the two still agree, at distance 0
         moved = commit_round(bytes([z1[0] ^ 1]) + z1[1:], bytes([z2[0] ^ 1]) + z2[1:], seed, rng)
-        wrong = moved.respond(ch)
+        wrong = prover_respond(moved, ch)
         assert len(wrong) == len(data)
         _, values, _ = decode_response(wrong, n)
         assert values == tuple(moved.values[i] for i in slots)
@@ -571,7 +571,7 @@ def test_a_proof_holds_each_round_as_its_prover_state_emits_it(planted):
     commitments = [state.commitment for state in states]
     offset = 8
     for state, ch in zip(states, derive_challenges(instance_digest(inst), b"ctx", commitments)):
-        response = state.respond(ch)
+        response = prover_respond(state, ch)
         assert data[offset : offset + COMMITMENT_BYTES] == state.commitment
         offset += COMMITMENT_BYTES
         assert data[offset : offset + len(response)] == response
@@ -885,7 +885,7 @@ def test_response_codec_round_trips_and_meets_the_cap(drawn):
     n, state = drawn
     lengths = []
     for ch in CHALLENGES:
-        data = state.respond(ch)
+        data = prover_respond(state, ch)
         assert encode_response(*decode_response(data, n)) == data
         lengths.append(len(data))
     assert max(lengths) == max_response_bytes(n)
@@ -903,14 +903,14 @@ def honest_state(planted):
 def test_decoder_and_verifier_are_total_on_arbitrary_bytes(planted, honest_state, data):
     inst, _ = planted
     state, com = honest_state
-    raw = bytearray(state.respond(data.draw(st.sampled_from(CHALLENGES))))
+    raw = bytearray(prover_respond(state, data.draw(st.sampled_from(CHALLENGES))))
     for pos, flip in data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)), max_size=3)):
         raw[pos] ^= flip
     end = data.draw(st.one_of(st.just(len(raw)), st.integers(0, len(raw))))
     raw = data.draw(st.one_of(st.just(bytes(raw[:end])), st.binary(max_size=300)))
     raw += data.draw(st.binary(max_size=4))
     for ch in CHALLENGES:
-        assert verify_round(inst, com, ch, raw) is (raw == state.respond(ch))
+        assert verify_round(inst, com, ch, raw) is (raw == prover_respond(state, ch))
     try:
         decode_response(raw, inst.degree)
     except ValueError:

@@ -24,7 +24,7 @@ import random
 import pytest
 
 from sdzkp.analysis import make_cheating_prover
-from sdzkp.crypto import COMMIT_TAGS, apply_mask, commit
+from sdzkp.crypto import COMMIT_TAGS, commit, mask_values
 from sdzkp.instance import instance_digest, plant_instance
 from sdzkp.perm import Permutation, compose, inverse
 from sdzkp.protocol import (
@@ -37,6 +37,7 @@ from sdzkp.protocol import (
     fs_prove,
     fs_verify_bytes,
     prover_commit,
+    prover_respond,
     read_round,
     verify_round,
 )
@@ -278,7 +279,7 @@ def proof_opening(inst, wit, state, challenge, rng, context=b"ctx"):
         commitments = tuple(s.commitment for s in states)
         challenges = reference_challenges(instance_digest(inst), context, commitments)
         if challenges[0] == challenge:
-            responses = tuple(s.respond(ch) for s, ch in zip(states, challenges))
+            responses = tuple(prover_respond(s, ch) for s, ch in zip(states, challenges))
             return encode_proof(NIZKProof(commitments, responses))
 
 
@@ -291,7 +292,7 @@ def test_noisy_cheaters_arbitrary_words_agree(family):
         for _ in range(3):
             state = make_cheating_prover(inst, targets, rng)
             for ch in (0, 1, 2):
-                expected = assert_readers_agree(inst, state.commitment, ch, state.respond(ch)) is not None
+                expected = assert_readers_agree(inst, state.commitment, ch, prover_respond(state, ch)) is not None
                 assert expected == (ch in targets)
                 assert assert_verifiers_agree(inst, proof_opening(inst, wit, state, ch, rng), 3) is (ch in targets)
 
@@ -315,12 +316,12 @@ def test_read_round_shows_what_the_reference_shows(family):
     states = [prover_commit(inst, wit, rng) for _ in range(3)]
     for state in states:
         for ch in OPENS:
-            assert assert_readers_agree(inst, state.commitment, ch, state.respond(ch)) is not None
+            assert assert_readers_agree(inst, state.commitment, ch, prover_respond(state, ch)) is not None
             for other in OPENS.keys() - {ch}:  # a response read under another challenge
-                assert assert_readers_agree(inst, state.commitment, other, state.respond(ch)) is None
+                assert assert_readers_agree(inst, state.commitment, other, prover_respond(state, ch)) is None
     # every single-byte flip of one response of each kind
     for ch in OPENS:
-        response = states[0].respond(ch)
+        response = prover_respond(states[0], ch)
         for position in range(len(response)):
             flipped = bytearray(response)
             flipped[position] ^= rng.randrange(1, 256)
@@ -337,9 +338,9 @@ def test_a_distance_0_round_shows_0(n, gens, preset):
     for _ in range(2):
         state = prover_commit(inst, wit, rng)
         for ch in OPENS:
-            assert assert_readers_agree(inst, state.commitment, ch, state.respond(ch)) is not None
-        assert read_round(inst, state.commitment, 2, state.respond(2)) == 0
-        assert verify_round(inst, state.commitment, 2, state.respond(2)) is True
+            assert assert_readers_agree(inst, state.commitment, ch, prover_respond(state, ch)) is not None
+        assert read_round(inst, state.commitment, 2, prover_respond(state, 2)) == 0
+        assert verify_round(inst, state.commitment, 2, prover_respond(state, 2)) is True
 
 
 def arbitrary_words(n, rng):
@@ -354,4 +355,4 @@ def test_apply_mask_takes_arbitrary_words():
         words = arbitrary_words(n, rng)
         value = b"".join(word.to_bytes(word_bytes(n), "little") for word in words)
         seed = fresh_seed(rng)
-        assert apply_mask(seed, value) == (masked_value(words, seed, n),)
+        assert mask_values(seed, value) == (masked_value(words, seed, n),)
