@@ -34,7 +34,7 @@ from itertools import count, islice
 from random import Random
 from typing import Callable, NamedTuple
 
-from .crypto import mask_values
+from .crypto import OPENING_BYTES, SEED_BYTES, mask_values
 from .group import BSGS, word_width
 from .instance import SDPInstance, Witness
 from .perm import Permutation, _sample, random_support_perm
@@ -50,8 +50,6 @@ from .protocol import (
     _shown,
     commit_round,
     commitment_digests,
-    fresh_openings,
-    fresh_seed,
     honest_rounds,
     masked_round,
     prover_commit,
@@ -224,12 +222,12 @@ def make_cheating_prover(inst: SDPInstance, targets: frozenset[int] | set[int], 
     ops = group.ops
 
     for _ in range(_RESAMPLE_BOUND):
-        seed = fresh_seed(rng)
+        seed = rng.randbytes(SEED_BYTES)
         if 2 not in targets:
             fake = group.sample_uniform(rng)
             if ops.differing_words(ops.words(fake), ops.words(inst.target_tables[0])) <= k:
                 continue
-            prover = masked_round(inst, group.sample_uniform(rng), fake, seed, fresh_openings(rng))
+            prover = masked_round(inst, group.sample_uniform(rng), fake, seed, rng.randbytes(3 * OPENING_BYTES))
         else:  # the noise goes on Z2 when 0 is covered, on Z1 when 1 is
             member = group.sample_uniform(rng)
             if 1 in targets:
@@ -284,7 +282,8 @@ def _simulated_state(inst: SDPInstance, guess: int, rng: Random) -> ProverState:
     if guess < 2:
         return prover_round(inst, ops.ident, rng)
     tau = ops.encode(random_support_perm(inst.degree, inst.max_distance, rng).images)
-    return masked_round(inst, ops.ident, ops.then(inst.target_tables[0], tau), fresh_seed(rng), fresh_openings(rng))
+    seed = rng.randbytes(SEED_BYTES)
+    return masked_round(inst, ops.ident, ops.then(inst.target_tables[0], tau), seed, rng.randbytes(3 * OPENING_BYTES))
 
 
 def _attempt(inst: SDPInstance, verifier: VerifierOracle, rng: Random) -> tuple[ProverState, int] | None:

@@ -150,14 +150,16 @@ _TRIVIAL_WITNESS = {
 def cmd_keygen(args) -> int:
     from .instance import plant_instance, save_instance, save_witness
 
+    out = Path(args.out_dir)
+    inst_path, wit_path = out / "instance.sdz", out / "witness.sdw"
+    for path in (inst_path, wit_path):
+        if os.path.lexists(path):
+            raise FileExistsError(f"{path} already exists; keygen replaces no key pair, so remove the old one first")
     rng = make_rng(args.seed)
     inst, wit = plant_instance(args.n, args.gens, args.k, rng, preset=args.preset)
-    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    inst_path = out / "instance.sdz"
-    wit_path = out / "witness.sdw"
-    save_instance(inst, inst_path)
     save_witness(wit, wit_path)
+    save_instance(inst, inst_path)
     giant = inst.group.giant
     print(f"instance: {inst_path}  (n={inst.degree} k={inst.max_distance} "
           f"gens={len(inst.generators)} log2|H|={math.log2(inst.group.order()):.1f}  "
@@ -169,12 +171,24 @@ def cmd_keygen(args) -> int:
     return EXIT_ACCEPT
 
 
+def _load_witness(path):
+    """instance.load_witness, after a stderr warning if the file is readable
+    by group or others: anyone who reads the witness can prove."""
+    from .instance import load_witness
+
+    mode = os.stat(path).st_mode & 0o777
+    if mode & 0o044:
+        print(f"WARNING: the witness {path} is readable by group or others (mode {mode:o}); "
+              "it is the prover's secret key, so chmod 600 it", file=sys.stderr)
+    return load_witness(path)
+
+
 def cmd_prove(args) -> int:
     from . import net
-    from .instance import load_instance, load_witness
+    from .instance import load_instance
 
     inst = load_instance(args.instance)
-    wit = load_witness(args.witness)
+    wit = _load_witness(args.witness)
     host, port = parse_addr(args.connect)
     net.connect_and_prove(
         host, port, inst, wit, args.rounds, make_rng(args.seed),
@@ -212,11 +226,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fs_prove(args) -> int:
-    from .instance import load_instance, load_witness
+    from .instance import load_instance
     from .protocol import encode_proof, fs_prove
 
     inst = load_instance(args.instance)
-    wit = load_witness(args.witness)
+    wit = _load_witness(args.witness)
     proof = fs_prove(inst, wit, args.rounds, args.context.encode(), make_rng(args.seed))
     Path(args.proof).write_bytes(encode_proof(proof))
     print(f"proof: {args.proof}  ({proof.rounds} rounds)")

@@ -10,6 +10,7 @@ distance exactly k.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from random import Random
 from typing import NamedTuple
@@ -222,7 +223,10 @@ def load_instance(path) -> SDPInstance:
 
 
 def save_witness(wit: Witness, path) -> None:
-    with open(path, "wb") as f:
+    """Create the witness file, the prover's secret key, readable by its
+    owner only (mode 0600, which the umask can only narrow); FileExistsError
+    if path exists, so no witness is ever replaced."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600), "wb") as f:
         f.write(witness_to_bytes(wit))
 
 

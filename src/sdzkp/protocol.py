@@ -24,7 +24,7 @@ _shown.
 A round works on the group's raw elements (group.make_ops) and has one
 form, its wire bytes: a ProverState's commitment is the 96 bytes, and
 prover_respond, the one way to answer a round, returns the encoded
-response.  Every coin of a round is drawn here, in the order
+response.  An honest round's coins are drawn here, in the order
 _round_coins states; crypto only hashes and masks bytes.
 _response_layout is the one statement of where a response's parts lie,
 _write_response its one writer and read_round the one reader of a round.
@@ -130,18 +130,6 @@ def _proof_rounds(rounds: int) -> int:
     return rounds
 
 
-def fresh_seed(rng: Random) -> bytes:
-    """rng.randbytes(SEED_BYTES), drawn with the one getrandbits call it makes."""
-    return rng.getrandbits(8 * SEED_BYTES).to_bytes(SEED_BYTES, "little")
-
-
-def fresh_openings(rng: Random) -> bytes:
-    """A round's three openings for crypto.commit, rng.randbytes(96) drawn
-    with the one getrandbits(768) call it makes: on random.Random, the words
-    three randbytes(32) calls read, in order."""
-    return rng.getrandbits(3 * 8 * OPENING_BYTES).to_bytes(3 * OPENING_BYTES, "little")
-
-
 # A round's one coin read after u: the seed, then the three openings.
 _ROUND_COIN_BYTES = SEED_BYTES + 3 * OPENING_BYTES
 
@@ -150,10 +138,13 @@ def _round_coins(inst: SDPInstance, rng: Random) -> tuple:
     """A round's coins (u, seed, openings), the one statement of their
     order: u uniform in H, in the raw form of inst.group.ops
     (BSGS.sample_uniform), then one getrandbits(1024) read split at 32
-    bytes into the seed and the three openings.  CPython fills
+    bytes into the seed and the three openings.  The read is
+    rng.randbytes(128) less that call's Python frame, and CPython fills
     getrandbits(k > 32) from its least significant 32-bit word up, so on
-    random.Random the read's first 32 bytes are fresh_seed's and the other
-    96 are fresh_openings' had each drawn its own."""
+    random.Random it gives the bytes, and leaves the state, of
+    rng.randbytes(SEED_BYTES) then rng.randbytes(3 * OPENING_BYTES), the
+    two draws with which commit_round and the analysis provers take the
+    same coins."""
     u = inst.group.sample_uniform(rng)
     coins = rng.getrandbits(8 * _ROUND_COIN_BYTES).to_bytes(_ROUND_COIN_BYTES, "little")
     return u, coins[:SEED_BYTES], coins[SEED_BYTES:]
@@ -161,9 +152,10 @@ def _round_coins(inst: SDPInstance, rng: Random) -> tuple:
 
 def commit_round(z1: bytes, z2: bytes, seed: bytes, rng: Random) -> ProverState:
     """The round whose slots hold the masked pair and the seed, committed by
-    one crypto.commit call under fresh_openings(rng); the analysis harness's
-    noisy cheater and the tests commit chosen slots with it."""
-    return ProverState((z1, z2, seed), *commit(z1, z2, seed, fresh_openings(rng)))
+    one crypto.commit call under rng.randbytes(3 * OPENING_BYTES); the
+    analysis harness's noisy cheater and the tests commit chosen slots with
+    it."""
+    return ProverState((z1, z2, seed), *commit(z1, z2, seed, rng.randbytes(3 * OPENING_BYTES)))
 
 
 def masked_round(inst: SDPInstance, u, x, seed: bytes, openings: bytes) -> ProverState:

@@ -47,7 +47,6 @@ from sdzkp.protocol import (
     max_response_bytes,
     prover_respond,
     prover_round,
-    read_round,
     slot_opens,
     slot_size,
     verify_round,
@@ -176,8 +175,9 @@ def test_cheating_prover_profiles_exact(planted):
 
 
 def verified_challenges(inst, prover):
-    """accepted_challenges' reference: one whole verify_round per challenge,
-    on the round's wire bytes."""
+    """accepted_challenges' one reference: the challenges at which one whole
+    verify_round (whether read_round shows anything) accepts the round's
+    wire bytes."""
     return {ch for ch in CHALLENGES if verify_round(inst, prover.commitment, ch, prover_respond(prover, ch))}
 
 
@@ -319,12 +319,6 @@ DIFFERENTIAL_FAMILIES = {
 }
 
 
-def read_round_accepts(inst, state):
-    """accepted_challenges' reference: the challenges at which the one round
-    reader shows something on the state's wire bytes."""
-    return {ch for ch in CHALLENGES if read_round(inst, state.commitment, ch, prover_respond(state, ch)) is not None}
-
-
 def one_byte_flipped(state, rng):
     """The state with one byte flipped, at a random position, in each slot's
     value, opening and digest in turn."""
@@ -360,9 +354,9 @@ def test_accepted_challenges_equals_the_round_readers_verdicts(make, giant):
     assert judged[5] >= {0, 1} and judged[6] >= {0, 1} and 2 in judged[7]  # what each guess covers
     narrowed = 0
     for state, accepted in zip(states, judged):
-        assert accepted == read_round_accepts(inst, state)
+        assert accepted == verified_challenges(inst, state)
         for broken in one_byte_flipped(state, rng):
-            assert accepted_challenges(inst, broken) == read_round_accepts(inst, broken)
+            assert accepted_challenges(inst, broken) == verified_challenges(inst, broken)
             narrowed += accepted_challenges(inst, broken) < accepted
     assert narrowed == 9 * len(states)
 

@@ -132,6 +132,46 @@ def test_keygen_refuses_more_generators_than_an_instance_file_reads(tmp_path, ca
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("umask", [0o000, 0o022])
+def test_keygen_writes_the_witness_for_its_owner_only(tmp_path, umask):
+    # the witness is the prover's secret key, so the umask cannot widen it;
+    # the public instance keeps the mode the umask gives a new file
+    old = os.umask(umask)
+    try:
+        inst_path, wit_path = keygen(tmp_path)
+    finally:
+        os.umask(old)
+    assert wit_path.stat().st_mode & 0o777 == 0o600
+    assert inst_path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+@pytest.mark.parametrize("kept", [("instance.sdz", "witness.sdw"), ("instance.sdz",), ("witness.sdw",)])
+def test_keygen_replaces_no_key_file(tmp_path, capsys, kept):
+    keygen(tmp_path)
+    for name in {"instance.sdz", "witness.sdw"} - set(kept):
+        (tmp_path / name).unlink()
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(["keygen", "--out-dir", str(tmp_path), "--seed", "8"]) == EXIT_USAGE
+    assert f"error: {tmp_path / kept[0]} already exists" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o604, 0o644])
+@pytest.mark.parametrize("command", ["fs-prove", "prove"])
+def test_a_witness_others_can_read_is_warned_of(tmp_path, capsys, command, mode):
+    inst_path, wit_path = keygen(tmp_path)
+    wit_path.chmod(mode)
+    capsys.readouterr()
+    args = [command, "--instance", str(inst_path), "--witness", str(wit_path), "--rounds", "8", "--seed", "9"]
+    if command == "fs-prove":
+        assert main([*args, "--proof", str(tmp_path / "p.sdp")]) == EXIT_ACCEPT
+    else:  # warned before it dials a port where nothing listens
+        assert main([*args, "--connect", f"127.0.0.1:{free_port()}", "--timeout-ms", "2000"]) == EXIT_USAGE
+    warning = f"WARNING: the witness {wit_path} is readable by group or others (mode {mode:o})"
+    assert (warning in capsys.readouterr().err) is bool(mode & 0o044)
+
+
 def test_unknown_input_files_are_usage_errors(tmp_path):
     missing = str(tmp_path / "nope.sdz")
     assert main(["fs-verify", "--instance", missing, "--proof", missing]) == EXIT_USAGE

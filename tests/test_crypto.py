@@ -27,7 +27,7 @@ from sdzkp.crypto import (
 from sdzkp.group import make_ops, word_width
 from sdzkp.instance import make_instance
 from sdzkp.perm import MAX_TUPLE_LENGTH, Permutation, hamming, identity, random_perm
-from sdzkp.protocol import Z1, fresh_openings, fresh_seed, slot_opens
+from sdzkp.protocol import Z1, slot_opens
 from test_reference_verifier import arbitrary_words, commit_slot, masked_value, weight
 
 
@@ -85,7 +85,7 @@ def test_round_commit_is_three_tagged_hashes():
     accepts each slot's own triple only."""
     rng = random.Random(35)
     messages = (b"z1", b"z2" * 40, bytes(SEED_BYTES))
-    openings, commitment = commit(*messages, fresh_openings(rng))
+    openings, commitment = commit(*messages, rng.randbytes(3 * OPENING_BYTES))
     assert len(commitment) == 3 * DIGEST_BYTES and all(len(o) == OPENING_BYTES for o in openings)
     assert commitment == b"".join(
         hashlib.sha256(tag.encode() + opening + message).digest()
@@ -119,7 +119,7 @@ def test_both_open_is_two_opens():
     for _ in range(150):
         s, t = rng.sample(range(3), 2)
         messages = [rng.randbytes(rng.choice((1, 16, 32, 128, 1040))) for _ in range(3)]
-        openings, commitment = commit(*messages, fresh_openings(rng))
+        openings, commitment = commit(*messages, rng.randbytes(3 * OPENING_BYTES))
         digests = [commitment[i * DIGEST_BYTES : (i + 1) * DIGEST_BYTES] for i in range(3)]
         args = [digests[s] + digests[t], s, openings[s], messages[s], t, openings[t], messages[t]]
         assert agree(*args)
@@ -137,7 +137,7 @@ def test_mask_values_is_apply_mask():
     # words added by tuple_add, and the reference verifier's masked_value
     rng = random.Random(13)
     for n in (1, 5, 16, 256, 257, 260):
-        seed, width = fresh_seed(rng), word_width(n)
+        seed, width = rng.randbytes(SEED_BYTES), word_width(n)
         words = [arbitrary_words(n, rng) for _ in range(2)]
         masked = tuple(pack(tuple_add(tuple(w), expand_mask(seed, n, width)), width) for w in words)
         assert masked == tuple(masked_value(w, seed, n) for w in words)
@@ -181,7 +181,7 @@ def test_expand_mask_validates_seed():
 
 def test_mask_cancellation():
     rng = random.Random(33)
-    seed = fresh_seed(rng)
+    seed = rng.randbytes(SEED_BYTES)
     for width in (1, 4):
         mask = expand_mask(seed, 8, width)
         data = tuple(rng.randrange(1 << (8 * width)) for _ in range(8))
@@ -344,7 +344,7 @@ def test_apply_masks_is_apply_mask_round_by_round():
     for n in (1, 5, 16, 256, 257, 260):
         size, width = word_width(n) * n, word_width(n)
         for count in range(1, 6):
-            seeds = [fresh_seed(rng) for _ in range(count)]
+            seeds = [rng.randbytes(SEED_BYTES) for _ in range(count)]
             rounds = [[arbitrary_words(n, rng) for _ in range(2)] for _ in seeds]
             joined = [b"".join(pack(w, width) for w in slot) for slot in zip(*rounds)]
             z1, z2 = mask_rounds(seeds, *joined)
@@ -460,20 +460,13 @@ def test_tuple_decoder_refuses_a_length_past_the_cap():
     assert Permutation.unpack_from(at_cap)[0].n == MAX_TUPLE_LENGTH
 
 
-def test_fresh_seed_length_and_variety():
-    rng = random.Random(35)
-    seeds = {fresh_seed(rng) for _ in range(100)}
-    assert len(seeds) == 100
-    assert all(len(s) == SEED_BYTES for s in seeds)
-
-
 def test_mask_words_look_uniform():
     # chi-square on the low byte of the first mask word across many seeds
     rng = random.Random(36)
     counts = [0] * 256
     samples = 20000
     for _ in range(samples):
-        word = expand_mask(fresh_seed(rng), 1, 1)[0]
+        word = expand_mask(rng.randbytes(SEED_BYTES), 1, 1)[0]
         counts[word & 0xFF] += 1
     expected = samples / 256
     chi2 = sum((c - expected) ** 2 / expected for c in counts)

@@ -1,11 +1,12 @@
 """Every direct getrandbits draw against the stdlib call it replaces.
 
-sample_uniform, the challenges, the simulator's guess, the cheating noise,
-commitment openings and mask seeds call rng.getrandbits themselves instead
-of rng.randrange or rng.randbytes, and perm._sample and perm._shuffle walk
-rng.sample and rng.shuffle for random_perm, random_support_perm, the
-abelian2 generators and the noise positions; the giant certificate draws
-its slot pairs inline, as rng.sample(range(slots), 2) does.  Each
+sample_uniform, the challenges, the simulator's guess, the cheating noise
+and a round's one read of its seed and openings call rng.getrandbits
+themselves instead of rng.randrange or rng.randbytes, and perm._sample
+and perm._shuffle walk rng.sample and rng.shuffle for random_perm,
+random_support_perm, the abelian2 generators and the noise positions; the
+giant certificate draws its slot pairs inline, as
+rng.sample(range(slots), 2) does.  Each
 must return what the stdlib call returns and leave the rng where it leaves
 it, so seeded instances and proofs stay byte-identical; the next
 rng.random() tells the two states apart.
@@ -22,7 +23,7 @@ import sdzkp.analysis as analysis
 import sdzkp.group as group
 import sdzkp.instance as instance
 import sdzkp.perm as perm
-from sdzkp.crypto import COMMIT_TAGS, OPENING_BYTES, SEED_BYTES, commit, verify_commitment
+from sdzkp.crypto import OPENING_BYTES, SEED_BYTES
 from sdzkp.group import build_bsgs, word_width
 from sdzkp.instance import instance_to_bytes, plant_instance, witness_to_bytes
 from sdzkp.perm import Permutation, _sample, _shuffle, random_perm, random_support_perm
@@ -31,8 +32,6 @@ from sdzkp.protocol import (
     NIZKProof,
     derive_challenges,
     encode_proof,
-    fresh_openings,
-    fresh_seed,
     fs_prove,
     honest_rounds,
     masked_round,
@@ -176,31 +175,13 @@ def test_noise_words_match_randrange(n, k):
         assert same_state(fast, slow)
 
 
-def test_commit_openings_and_seeds_match_randbytes():
-    """A round's three openings are one getrandbits(768) draw: on
-    random.Random three consecutive randbytes(32), and under Rejecting,
-    whose answers alternate by call, randbytes(96)."""
-    messages = (b"z1", b"z2", b"seed")
-    for fast, slow in paired_rngs():
-        openings, commitment = commit(*messages, fresh_openings(fast))
-        if isinstance(slow, Rejecting):
-            assert b"".join(openings) == slow.randbytes(3 * OPENING_BYTES)
-        else:
-            assert list(openings) == [slow.randbytes(OPENING_BYTES) for _ in COMMIT_TAGS]
-        assert same_state(fast, slow)
-        for slot, (tag, message) in enumerate(zip(COMMIT_TAGS, messages)):
-            assert verify_commitment(commitment[32 * slot : 32 * slot + 32], message, tag, openings[slot])
-        assert fresh_seed(fast) == slow.randbytes(SEED_BYTES)
-        assert same_state(fast, slow)
-
-
 def test_a_rounds_one_coin_read_is_the_seed_then_the_openings():
     """prover_round reads a round's seed and three openings in one
     getrandbits(1024) call.  On random.Random that gives the bytes of
-    fresh_seed followed by fresh_openings' getrandbits(768), and leaves the
-    rng where they leave it, because CPython fills getrandbits(k > 32) from
-    its least significant 32-bit word up, one generator output a word (seen
-    on 3.10.13, 3.11.7, 3.12.1 and 3.13.0; each CI leg checks it again).
+    randbytes(32) followed by randbytes(96), and leaves the rng where they
+    leave it, because CPython fills getrandbits(k > 32) from its least
+    significant 32-bit word up, one generator output a word (seen on
+    3.10.13, 3.11.7, 3.12.1 and 3.13.0; each CI leg checks it again).
     SystemRandom draws fresh bytes either way, so its rounds are as uniform
     in one read as in two."""
     inst, wit = plant_instance(16, 3, 4, random.Random(7), preset="general")
@@ -208,12 +189,13 @@ def test_a_rounds_one_coin_read_is_the_seed_then_the_openings():
     for seed in SEEDS:
         fast, slow = random.Random(seed), random.Random(seed)
         coins = fast.getrandbits(1024).to_bytes(128, "little")
-        assert coins == fresh_seed(slow) + slow.getrandbits(768).to_bytes(96, "little")
+        assert coins == slow.randbytes(SEED_BYTES) + slow.randbytes(3 * OPENING_BYTES)
         assert same_state(fast, slow)
         fast, slow = random.Random(seed), random.Random(seed)
         state = prover_round(inst, h, fast)
         inst.group.sample_uniform(slow)  # u is drawn first
-        assert state.values[SEED] + b"".join(state.openings) == fresh_seed(slow) + fresh_openings(slow)
+        expected = slow.randbytes(SEED_BYTES) + slow.randbytes(3 * OPENING_BYTES)
+        assert state.values[SEED] + b"".join(state.openings) == expected
         assert same_state(fast, slow)
 
 

@@ -124,6 +124,29 @@ def test_two_frames_in_one_write_come_back_in_order():
         assert not buffer
 
 
+def test_every_proper_prefix_of_a_frame_is_a_closed_connection(planted):
+    # A peer that closes at any byte of a frame of any type costs recv_frame
+    # a SessionError and nothing else; the whole frame reads back.
+    inst, wit = planted
+    state = prover_commit(inst, wit, random.Random(112))
+    frames = [(MSG_COMMIT, state.commitment), (MSG_CHALLENGE, b"\x01")]
+    frames += [(MSG_RESPONSE, prover_respond(state, ch)) for ch in range(3)]
+    cap = 1 + max_response_bytes(inst.degree)
+    for msg_type, body in frames:
+        data = frame(msg_type, body)
+        for cut in range(len(data) + 1):
+            a, b = pair()
+            with a, b:
+                a.sendall(data[:cut])
+                a.shutdown(socket.SHUT_WR)
+                buffer = bytearray()
+                if cut < len(data):
+                    with pytest.raises(net.SessionError, match="connection closed mid-frame"):
+                        net.recv_frame(b, cap, soon(), buffer)
+                else:
+                    assert net.recv_frame(b, cap, soon(), buffer) == (msg_type, body) and not buffer
+
+
 def test_recv_expected_type_mismatch():
     a, b = pair()
     with a, b:

@@ -14,6 +14,8 @@ import sdzkp.protocol
 from sdzkp.analysis import accepted_challenges, completeness_rate, make_cheating_prover
 from sdzkp.crypto import (
     COMMIT_TAGS,
+    OPENING_BYTES,
+    SEED_BYTES,
     expand_mask,
     mask_values,
     tuple_add,
@@ -40,8 +42,6 @@ from sdzkp.protocol import (
     derive_challenges,
     encode_proof,
     encode_response,
-    fresh_openings,
-    fresh_seed,
     fs_prove,
     fs_verify_bytes,
     honest_rounds,
@@ -231,7 +231,7 @@ def test_non_permutation_unmask_rejected(planted):
     inst, wit = planted
     rng = random.Random(59)
     n = inst.degree
-    seed = fresh_seed(rng)
+    seed = rng.randbytes(SEED_BYTES)
     # every image below n, two of them equal: only the bijection check can refuse
     images = wit.element.images
     collided = (images[1], *images[1:])
@@ -351,8 +351,8 @@ def test_masked_round_and_read_round_match_their_definitions(preset, gens, k, in
     # the witness, a member of H, and a permutation that is almost surely in neither
     for x in (wit.element.images, ops.decode(inst.group.sample_uniform(rng)), random_perm(n, rng).images):
         u = ops.decode(inst.group.sample_uniform(rng))
-        seed = fresh_seed(rng)
-        state = masked_round(inst, ops.encode(u), ops.encode(x), seed, fresh_openings(rng))
+        seed = rng.randbytes(SEED_BYTES)
+        state = masked_round(inst, ops.encode(u), ops.encode(x), seed, rng.randbytes(3 * OPENING_BYTES))
         mask = expand_mask(seed, n, word_width(n))
         assert state.values[SEED] == seed
         assert state.values[Z1] == pack(tuple_add(compose_images(u, x), mask), n)
@@ -525,7 +525,7 @@ def test_encode_response_inverts_decode_response(n):
     # kind 0 and 1 responses are at least as long as kind 2
     rng = random.Random(n)
     z1, z2 = (rng.randbytes(slot_size(Z1, n)) for _ in range(2))
-    state = commit_round(z1, z2, fresh_seed(rng), rng)
+    state = commit_round(z1, z2, rng.randbytes(SEED_BYTES), rng)
     for ch in CHALLENGES:
         data = prover_respond(state, ch)
         kind, values, openings = decode_response(data, n)
@@ -541,7 +541,7 @@ def test_the_degree_is_the_input_of_a_responses_layout(n):
     # length is wrong, and any bytes of a value's length decode, so only
     # verify_round refuses a value that is not what the round claims.
     inst, rng = _trivial_instance(n), random.Random(n)
-    seed = fresh_seed(rng)
+    seed = rng.randbytes(SEED_BYTES)
     z1, z2 = mask_values(seed, pack(range(n), n), pack(range(n), n))
     honest = commit_round(z1, z2, seed, rng)
     for ch in CHALLENGES:
@@ -957,3 +957,30 @@ def test_the_proof_walk_and_the_reference_parser_agree(data):
     except ValueError:
         return
     assert reference == list(zip(*decoded))
+
+
+def test_every_prefix_and_one_byte_extension_of_a_proof_is_refused():
+    # The proof walk is total at every boundary: a cut anywhere, exactly
+    # where a round's kind byte would start included, or one more byte of
+    # any value, is False and never an exception.
+    inst, wit = plant_instance(5, 2, 2, random.Random(5), preset="general")
+    data = encode_proof(fs_prove(inst, wit, 3, b"", random.Random(6)))
+    assert fs_verify_bytes(inst, data, b"", 3)
+    for cut in range(len(data)):
+        assert fs_verify_bytes(inst, data[:cut], b"", 3) is False
+    for byte in range(256):
+        assert fs_verify_bytes(inst, data + bytes((byte,)), b"", 3) is False
+
+
+def test_read_round_is_total_on_every_challenge_and_kind_byte(planted, honest_state):
+    # Any int challenge against any kind byte in front of each honest
+    # response's body: only the honest pair shows anything, and nothing raises.
+    inst, _ = planted
+    state, com = honest_state
+    for ch in CHALLENGES:
+        body = prover_respond(state, ch)[1:]
+        for kind in range(256):
+            response = bytes((kind,)) + body
+            for challenge in range(-1, 257):
+                shown = read_round(inst, com, challenge, response)
+                assert (shown is not None) is (challenge == kind == ch)

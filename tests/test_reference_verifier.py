@@ -32,8 +32,6 @@ from sdzkp.protocol import (
     NIZKProof,
     commit_round,
     encode_proof,
-    fresh_openings,
-    fresh_seed,
     fs_prove,
     fs_verify_bytes,
     prover_commit,
@@ -55,7 +53,7 @@ def commit_slot(message, tag, rng):
     """The digest and opening of message in the slot of `tag`, from one
     crypto.commit of a round that holds message in all three slots."""
     slot = COMMIT_TAGS.index(tag)
-    openings, commitment = commit(message, message, message, fresh_openings(rng))
+    openings, commitment = commit(message, message, message, rng.randbytes(3 * 32))
     return commitment[32 * slot : 32 * slot + 32], openings[slot]
 
 
@@ -354,5 +352,5 @@ def test_apply_mask_takes_arbitrary_words():
     for n in (1, 5, 16, 256, 257, 260):
         words = arbitrary_words(n, rng)
         value = b"".join(word.to_bytes(word_bytes(n), "little") for word in words)
-        seed = fresh_seed(rng)
+        seed = rng.randbytes(32)
         assert mask_values(seed, value) == (masked_value(words, seed, n),)
