@@ -144,9 +144,8 @@ def plant_instance(
 
 
 def validate_witness(inst: SDPInstance, h: Permutation) -> bool:
-    """True iff h is in H and within the distance bound of the target."""
-    if h.n != inst.degree:
-        raise ValueError(f"witness degree {h.n} does not match instance degree {inst.degree}")
+    """True iff h is in H and within the distance bound of the target;
+    ValueError (from BSGS.contains) when h has another degree."""
     return inst.group.contains(h) and hamming(h, inst.target) <= inst.max_distance
 
 
@@ -183,6 +182,8 @@ def instance_from_bytes(data: bytes) -> SDPInstance:
         raise ValueError("truncated instance header")
     n, k = struct.unpack_from("<II", data, 4)
     target, offset = Permutation.unpack_from(data, 12)
+    if target.n != n:
+        raise ValueError("target degree does not match header")
     if len(data) - offset < 4:
         raise ValueError("truncated generator count")
     (count,) = struct.unpack_from("<I", data, offset)
@@ -197,8 +198,6 @@ def instance_from_bytes(data: bytes) -> SDPInstance:
         gens.append(g)
     if offset != len(data):
         raise ValueError("trailing bytes after instance")
-    if target.n != n:
-        raise ValueError("target degree does not match header")
     return make_instance(target, gens, k)
 
 

@@ -416,6 +416,14 @@ def test_cheating_prover_rejects_bad_targets(planted):
             make_cheating_prover(inst, bad, rng)
 
 
+def test_cheating_prover_gives_up_when_no_element_is_far():
+    # k = n puts every element of H within the bound of the target, so no
+    # fake for {0, 1} is found and the resamples run out
+    inst, _ = plant_instance(8, 2, 8, random.Random(85))
+    with pytest.raises(ValueError, match="could not build a cheating state"):
+        make_cheating_prover(inst, {0, 1}, random.Random(86))
+
+
 def test_cheating_transcripts_defeat_extraction(planted):
     inst, _ = planted
     rng = random.Random(82)

@@ -132,6 +132,17 @@ def test_keygen_refuses_more_generators_than_an_instance_file_reads(tmp_path, ca
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--n", "0", "--k", "0"], "degree must be at least 1"),
+    (["--preset", "abelian2", "--n", "1", "--k", "0"], "abelian2 preset needs degree at least 2"),
+], ids=["general", "abelian2"])
+def test_keygen_refuses_a_degree_its_preset_cannot_draw(tmp_path, capsys, args, message):
+    out_dir = tmp_path / "keys"
+    assert main(["keygen", "--out-dir", str(out_dir), *args]) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("umask", [0o000, 0o022])
 def test_keygen_writes_the_witness_for_its_owner_only(tmp_path, umask):
     # the witness is the prover's secret key, so the umask cannot widen it;

@@ -26,7 +26,7 @@ from sdzkp.crypto import (
 )
 from sdzkp.group import make_ops, word_width
 from sdzkp.instance import make_instance
-from sdzkp.perm import MAX_TUPLE_LENGTH, Permutation, hamming, identity, random_perm
+from sdzkp.perm import Permutation, hamming, identity, random_perm
 from sdzkp.protocol import Z1, slot_opens
 from test_reference_verifier import arbitrary_words, commit_slot, masked_value, weight
 
@@ -132,7 +132,7 @@ def test_both_open_is_two_opens():
             assert not agree(*args[:at], flipped, *args[at + 1 :])
 
 
-def test_mask_values_is_apply_mask():
+def test_mask_values_is_tuple_add_of_the_expanded_mask():
     # the one-seed mask is the plain word-wise definition: expand_mask's
     # words added by tuple_add, and the reference verifier's masked_value
     rng = random.Random(13)
@@ -227,7 +227,7 @@ def assert_matches_the_per_word_formula(a, b):
 
 
 @pytest.mark.parametrize("n", [1, 2, 16, 128, 300])
-def test_lane_arithmetic_matches_the_per_word_formula(n):
+def test_tuple_add_matches_the_per_word_formula(n):
     for width in (1, 4):
         for x, y in product(edge_words(width), repeat=2):
             assert_matches_the_per_word_formula((x,) * n, (y,) * n)
@@ -243,7 +243,7 @@ u32_pairs = st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 -
 
 @given(u32_pairs)
 @settings(max_examples=100, deadline=None)
-def test_lane_arithmetic_property(pairs):
+def test_tuple_add_property(pairs):
     a, b = tuple(x for x, _ in pairs), tuple(y for _, y in pairs)
     assert_matches_the_per_word_formula(a, b)
     assert tuple_sub(tuple_add(a, b), b) == a
@@ -299,7 +299,7 @@ def test_masking_property(n, data):
 
 @given(st.data())
 @settings(max_examples=100, deadline=None)
-def test_apply_mask_is_its_own_inverse(data):
+def test_mask_values_is_its_own_inverse(data):
     # a degree of each word width: one byte an image up to 256, four past it
     n = data.draw(st.one_of(st.integers(1, 256), st.integers(257, 300)))
     seed = data.draw(st.binary(min_size=SEED_BYTES, max_size=SEED_BYTES))
@@ -337,7 +337,7 @@ def test_masking_refuses_what_the_tuple_reference_refuses(words, value):
     assert slot_opens(inst, digest, Z1, value, opening) is False
 
 
-def test_apply_masks_is_apply_mask_round_by_round():
+def test_mask_rounds_is_the_word_wise_mask_round_by_round():
     # the many-seed mask is the one-seed mask's plain word-wise definition
     # share by share, and given the masked values back it returns them
     rng = random.Random(6)
@@ -419,45 +419,6 @@ def test_weight_and_hamming_equal_a_plain_count():
         assert hamming(a, b) == weight(tuple_sub(a.images, b.images))
         ops = make_ops(n)
         assert hamming(a, b) == ops.differing_words(ops.words(ops.encode(a.images)), ops.words(ops.encode(b.images)))
-
-
-# The u32 tuple codec that commitments and frames carry permutations in is
-# Permutation.to_bytes / from_bytes / unpack_from.
-
-def test_tuple_codec_round_trip():
-    rng = random.Random(34)
-    for _ in range(50):
-        p = random_perm(rng.randrange(1, 20), rng)
-        data = p.to_bytes()
-        assert len(data) == 4 + 4 * p.n
-        assert Permutation.from_bytes(data) == p
-        # the encoding is read wherever it stands
-        assert Permutation.unpack_from(b"xy" + data + b"z", 2) == (p, len(data) + 2)
-
-
-def test_tuple_codec_rejects_malformed():
-    good = Permutation((1, 2, 0)).to_bytes()
-    with pytest.raises(ValueError):
-        Permutation.from_bytes(good[:-2])
-    with pytest.raises(ValueError):
-        Permutation.from_bytes(good + b"\x00")
-    with pytest.raises(ValueError):
-        Permutation.from_bytes(b"")
-    # zero-length and absurd lengths are rejected on untrusted input
-    with pytest.raises(ValueError):
-        Permutation.from_bytes(bytes(4))
-    with pytest.raises(ValueError):
-        Permutation.from_bytes(b"\xff\xff\xff\xff")
-
-
-def test_tuple_decoder_refuses_a_length_past_the_cap():
-    # a full body behind the header: only the cap can refuse it
-    n = MAX_TUPLE_LENGTH + 1
-    data = n.to_bytes(4, "little") + bytes(4 * n)
-    with pytest.raises(ValueError, match="unreasonable"):
-        Permutation.unpack_from(data)
-    at_cap = identity(MAX_TUPLE_LENGTH).to_bytes()
-    assert Permutation.unpack_from(at_cap)[0].n == MAX_TUPLE_LENGTH
 
 
 def test_mask_words_look_uniform():

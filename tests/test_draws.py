@@ -279,6 +279,17 @@ def test_sample_matches_rng_sample(n, k):
         assert same_state(fast, slow)
 
 
+@pytest.mark.parametrize("n, k", [(3, 5), (3, -1)])
+def test_sample_refuses_what_rng_sample_refuses(n, k):
+    # before any draw: past n, the pool walk would redraw getrandbits(0) forever
+    fast, slow = random.Random(0), random.Random(0)
+    with pytest.raises(ValueError):
+        _sample(n, k, fast)
+    with pytest.raises(ValueError):
+        slow.sample(range(n), k)
+    assert same_state(fast, slow)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 128, 256, 257, 300])
 def test_shuffle_matches_rng_shuffle(n):
     for fast, slow in paired_rngs():

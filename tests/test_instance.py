@@ -264,25 +264,54 @@ def test_constructor_refuses_more_generators_than_the_reader_reads():
     assert instance_from_bytes(instance_to_bytes(inst)) == inst
 
 
+def cuts_and_extensions(data):
+    """Every proper prefix of data, and data with one more byte of each value."""
+    return [data[:cut] for cut in range(len(data))] + [data + bytes((byte,)) for byte in range(256)]
+
+
 def test_instance_bytes_rejects_malformed():
+    # The reader is total on a cut at any byte, one more byte of any value
+    # and another magic: ValueError, and no other exception.
     rng = random.Random(47)
     inst, _ = plant_instance(8, 3, 4, rng)
     data = instance_to_bytes(inst)
-    with pytest.raises(ValueError):
-        instance_from_bytes(data[:-1])
-    with pytest.raises(ValueError):
-        instance_from_bytes(data + b"\x00")
+    for bad in cuts_and_extensions(data):
+        with pytest.raises(ValueError):
+            instance_from_bytes(bad)
     with pytest.raises(ValueError):
         instance_from_bytes(b"XXXX" + data[4:])
-    with pytest.raises(ValueError):
-        instance_from_bytes(b"")
+
+
+def u32(*words):
+    return b"".join(w.to_bytes(4, "little") for w in words)
+
+
+# One SDZ1 file for each refusal of instance_from_bytes past its magic,
+# after the header n = 3, k = 2 where there is one.
+_HEADER, _THREE = b"SDZ1" + u32(3, 2), identity(3).to_bytes()
+_PAST_CAP = sdzkp.instance._MAX_GENS + 1
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"SDZ1" + u32(3), "truncated instance header"),
+    (_HEADER + _THREE + b"\x01\x00\x00", "truncated generator count"),
+    (_HEADER + _THREE + u32(0), "unreasonable generator count 0$"),
+    (_HEADER + _THREE + u32(_PAST_CAP), f"unreasonable generator count {_PAST_CAP}$"),
+    (_HEADER + _THREE + u32(1) + identity(4).to_bytes(), "generator degree does not match header"),
+    # refused as soon as it is read: no generator count follows
+    (_HEADER + identity(4).to_bytes(), "target degree does not match header"),
+], ids=["header", "count-cut", "count-0", "count-cap", "generator-degree", "target-degree"])
+def test_instance_bytes_refuses_each_malformed_field(data, message):
+    with pytest.raises(ValueError, match=message):
+        instance_from_bytes(data)
 
 
 def test_witness_bytes_round_trip():
     wit = Witness(Permutation((3, 1, 0, 2)))
     assert witness_from_bytes(witness_to_bytes(wit)) == wit
-    with pytest.raises(ValueError):
-        witness_from_bytes(witness_to_bytes(wit)[:-1])
+    for bad in cuts_and_extensions(witness_to_bytes(wit)):
+        with pytest.raises(ValueError):
+            witness_from_bytes(bad)
     with pytest.raises(ValueError):
         witness_from_bytes(b"BAD!" + witness_to_bytes(wit)[4:])
 

@@ -97,15 +97,6 @@ def test_send_frame_rejects_oversize_body():
             net.send_frame(a, MSG_COMMIT, bytes(net.FRAME_MAX))
 
 
-def test_recv_frame_detects_eof():
-    a, b = pair()
-    with b:
-        a.sendall(struct.pack("<I", 10) + b"\x01")
-        a.close()
-        with pytest.raises(net.SessionError):
-            net.recv_frame(b, COMMIT_FRAME_MAX, soon(), bytearray())
-
-
 def frame(msg_type, body):
     return struct.pack("<I", 1 + len(body)) + bytes([msg_type]) + body
 
@@ -145,6 +136,26 @@ def test_every_proper_prefix_of_a_frame_is_a_closed_connection(planted):
                         net.recv_frame(b, cap, soon(), buffer)
                 else:
                     assert net.recv_frame(b, cap, soon(), buffer) == (msg_type, body) and not buffer
+
+
+def test_a_passed_deadline_reads_nothing(planted):
+    # recv_frame refuses a deadline already passed before its first recv, so
+    # the frame waiting on the socket stays there whole; verifier_session,
+    # given that deadline, rejects.
+    inst, wit = planted
+    state = prover_commit(inst, wit, random.Random(113))
+    data = frame(MSG_COMMIT, state.commitment)
+    a, b = pair()
+    with a, b:
+        a.sendall(data)
+        buffer = bytearray()
+        with pytest.raises(socket.timeout, match="session deadline passed"):
+            net.recv_frame(b, COMMIT_FRAME_MAX, time.monotonic() - 1, buffer)
+        assert not buffer
+        assert net.recv_frame(b, COMMIT_FRAME_MAX, soon(), buffer) == (MSG_COMMIT, state.commitment)
+        a.sendall(data)
+        assert net.verifier_session(b, inst, 1, random.Random(0), time.monotonic() - 1) is False
+        assert b.recv(len(data) + 1) == data
 
 
 def test_recv_expected_type_mismatch():

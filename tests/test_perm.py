@@ -336,6 +336,8 @@ def test_unpack_refuses_a_degree_past_the_length_cap():
     at_cap = MAX_TUPLE_LENGTH.to_bytes(4, "little") + bytes(4 * MAX_TUPLE_LENGTH)
     with pytest.raises(ValueError, match="repeated"):
         Permutation.unpack_from(at_cap)
+    # and a permutation of that degree decodes
+    assert Permutation.unpack_from(identity(MAX_TUPLE_LENGTH).to_bytes())[0].n == MAX_TUPLE_LENGTH
 
 
 def test_random_perm_uniform_smoke():

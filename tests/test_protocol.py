@@ -171,6 +171,9 @@ def test_challenge_response_mismatch_rejected(planted):
             rsp = prover_respond(state, other)
             assert verify_round(inst, com, ch, rsp) == (ch == other)
     assert not verify_round(inst, com, 3, prover_respond(state, 0))
+    for ch in (3, -1):
+        with pytest.raises(ValueError, match="challenge must be 0, 1 or 2"):
+            prover_respond(state, ch)
 
 
 def test_tampered_masked_tuple_rejected(planted):
@@ -681,6 +684,9 @@ def test_fs_challenges_deterministic(planted):
     assert all(ch in CHALLENGES for ch in c1)
     c3 = derive_challenges(instance_digest(inst), b"different", proof.commitments)
     assert c1 != c3 or len(c1) < 4  # 10 rounds virtually never collide
+    # a commitment one byte short is no round's
+    with pytest.raises(ValueError, match="95 bytes are not the commitments of 1 rounds"):
+        derive_challenges(instance_digest(inst), b"ctx", [proof.commitments[0][:-1]])
 
 
 def test_fs_challenge_distribution(planted):
@@ -728,15 +734,16 @@ def test_commitment_digests_read_each_slot_as_commit_round_writes_it(planted):
 
 def test_slot_opens_accepts_only_the_committed_slot(planted):
     """slot_opens is True only for a slot's own digest, value and opening as
-    committed; every other slot, a non-bytes part, and a digest or opening
-    one byte short or long is False, never an exception."""
+    committed; every other slot, 1.0 (equal to Z2 but no index) among
+    them, a non-bytes part, and a digest or opening one byte short or long
+    is False, never an exception."""
     inst, wit = planted
     state = prover_commit(inst, wit, random.Random(70))
     digests, values, openings = commitment_digests(state.commitment), state.values, state.openings
     for slot in (Z1, Z2, SEED):
         digest, value, opening = digests[slot], values[slot], openings[slot]
         assert slot_opens(inst, digest, slot, value, opening) is True
-        for other in (3, -1, "C1", b"C1", None, 1.5, *({Z1, Z2, SEED} - {slot})):
+        for other in (3, -1, "C1", b"C1", None, 1.5, 1.0, *({Z1, Z2, SEED} - {slot})):
             assert slot_opens(inst, digest, other, value, opening) is False
         for form in (bytearray, memoryview):
             assert slot_opens(inst, form(digest), slot, value, opening) is False

@@ -347,7 +347,7 @@ def arbitrary_words(n, rng):
     return [rng.choice((0, 1, min(n, top - 1), top // 2 - 1, top // 2, top - 1, rng.randrange(top))) for _ in range(n)]
 
 
-def test_apply_mask_takes_arbitrary_words():
+def test_mask_values_takes_arbitrary_words():
     rng = random.Random(5)
     for n in (1, 5, 16, 256, 257, 260):
         words = arbitrary_words(n, rng)
