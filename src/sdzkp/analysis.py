@@ -256,16 +256,6 @@ def cheating_acceptance_rate(inst: SDPInstance, targets, rounds: int, rng: Rando
     return sum(_cheating_round_accepted(inst, targets, rng) for _ in range(rounds)) / rounds
 
 
-def amplified_cheating_accepts(inst: SDPInstance, targets, rounds: int, trials: int, rng: Random) -> int:
-    """How many of `trials` sequential sessions of `rounds` rounds a cheater wins.
-
-    Each round uses a fresh cheating state; a session is won only if every
-    round verifies, so the expected win rate is (2/3)^rounds."""
-    return sum(
-        all(_cheating_round_accepted(inst, targets, rng) for _ in range(rounds)) for _ in range(trials)
-    )
-
-
 # --- simulation ---
 
 def honest_verifier(rng: Random) -> VerifierOracle:

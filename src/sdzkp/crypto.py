@@ -19,10 +19,9 @@ are unchecked, for callers that fixed the seeds and the lengths.
 This module sees only bytes and draws no coin, so it imports no random
 number generator: protocol draws every coin, and how an element is
 written as words, and how the words of two values are compared, is
-group's (ops.words, ops.differing_words).  expand_mask, tuple_add and
-tuple_sub are the plain word-wise reference of the mask that tests
-compare it with (and sdzbench/spans.py traces), the only code here that
-knows a word.
+group's (ops.words, ops.differing_words).  verify_commitment,
+expand_mask, tuple_add and tuple_sub are read by no code: each is kept
+for the benchmark's tracer (sdzbench/spans.py) until ROADMAP item 8.
 """
 
 from __future__ import annotations
@@ -76,10 +75,9 @@ def both_open(
 
 
 def verify_commitment(digest: bytes, message: bytes, tag: str, opening: bytes) -> bool:
-    """Check an opened commitment: digest must be commit's hash of the same
-    tag, opening and message.  Total: never raises on malformed input; an
-    unknown or non-str tag, a value that is not bytes, and a digest or
-    opening of the wrong length are refused before anything is hashed."""
+    """opens behind checks of the tag and of each part's type and length:
+    total, False before any hash on malformed input.  Kept for the
+    benchmark's tracer until ROADMAP item 8."""
     slot = _TAG_SLOTS.get(tag) if isinstance(tag, str) else None
     if (
         slot is None
@@ -91,10 +89,9 @@ def verify_commitment(digest: bytes, message: bytes, tag: str, opening: bytes) -
 
 
 def expand_mask(seed: bytes, n: int, width: int) -> tuple[int, ...]:
-    """The mask of n words of width bytes under seed, SHAKE-256(seed)'s
-    first width·n bytes as little-endian words, read here apart from the
-    mask it checks.  ValueError unless seed is 32 bytes and width·n is
-    positive."""
+    """SHAKE-256(seed)'s first width·n bytes as n little-endian words.
+    ValueError unless seed is 32 bytes and width·n is positive.  Kept for
+    the benchmark's tracer until ROADMAP item 8."""
     if not isinstance(seed, bytes) or len(seed) != SEED_BYTES or width * n < 1:
         raise ValueError(f"a mask needs a {SEED_BYTES}-byte seed and a positive length")
     stream = hashlib.shake_256(seed).digest(width * n)
@@ -102,9 +99,9 @@ def expand_mask(seed: bytes, n: int, width: int) -> tuple[int, ...]:
 
 
 def tuple_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Word-wise sum in GF(2^8w) of two equal-length tuples of words of w <= 4
-    bytes (integers in [0, 2^32)): each pair XORed.  ValueError on any other
-    entry or on unequal lengths."""
+    """Word-wise sum in GF(2^8w), XOR, of two equal-length tuples of words
+    in [0, 2^32); ValueError otherwise.  Kept for the benchmark's tracer
+    until ROADMAP item 8."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     for x in (*a, *b):
@@ -114,8 +111,8 @@ def tuple_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def tuple_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Word-wise difference in GF(2^8w), which in characteristic 2 is the
-    sum: tuple_add(a, b)."""
+    """Word-wise difference, in characteristic 2 the sum.  Kept for the
+    benchmark's tracer until ROADMAP item 8."""
     return tuple_add(a, b)
 
 

@@ -1,4 +1,4 @@
-"""Planted subgroup-distance instances, witness checks, brute-force oracle.
+"""Planted subgroup-distance instances, witness checks, and their files.
 
 An instance is a permutation subgroup H (given by generators), a target
 permutation g of the same degree, and a distance bound k.  A witness is an
@@ -147,21 +147,6 @@ def validate_witness(inst: SDPInstance, h: Permutation) -> bool:
     """True iff h is in H and within the distance bound of the target;
     ValueError (from BSGS.contains) when h has another degree."""
     return inst.group.contains(h) and hamming(h, inst.target) <= inst.max_distance
-
-
-def brute_force_distance(inst: SDPInstance, limit: int = 1 << 20) -> tuple[int, Permutation]:
-    """Exhaustive minimum of d(h, target) over H; the independent oracle.
-
-    Returns (distance, minimizer); ties broken by the group's fixed
-    enumeration order.  Raises ValueError when |H| exceeds limit.
-    """
-    best = None
-    best_elem = None
-    for h in inst.group.elements(limit):
-        d = hamming(h, inst.target)
-        if best is None or d < best:
-            best, best_elem = d, h
-    return best, best_elem
 
 
 def instance_to_bytes(inst: SDPInstance) -> bytes:

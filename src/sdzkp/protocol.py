@@ -404,18 +404,17 @@ def _split_proof(data: bytes, n: int, rounds: int | None = None) -> tuple[list[b
 def _write_response(kind: int, values, openings) -> bytes:
     """The one response writer, unchecked: the kind byte, then the values and
     then the openings that _OPENED[kind] picks from a round's slots (each
-    indexed by slot).  prover_respond and encode_response call it after
-    their checks, and fs_prove on the challenges it derived."""
+    indexed by slot).  prover_respond calls it after its check, and
+    fs_prove on the challenges it derived."""
     opened = _OPENED[kind]
     return b"".join([_KIND_BYTES[kind], *opened(values), *opened(openings)])
 
 
 def encode_response(kind: int, values: Sequence[bytes], openings: Sequence[bytes]) -> bytes:
-    """The checked response writer: kind byte, the opened values in OPENS
-    order, then their openings, each placed at its slot for
-    _write_response.  ValueError on a kind outside OPENS, or unless there is
-    one value and one opening per slot the kind opens; TypeError on an entry
-    that is not bytes."""
+    """_write_response on the opened values and openings in OPENS order.
+    ValueError on a kind outside OPENS or a count other than its slots';
+    TypeError on an entry that is not bytes.  Kept for the benchmark's
+    tracer until ROADMAP item 8."""
     if kind not in OPENS:
         raise ValueError(f"cannot encode response of kind {kind!r}")
     slots = OPENS[kind]
@@ -457,27 +456,23 @@ def max_proof_bytes(n: int, rounds: int) -> int:
 def encode_proof(proof: NIZKProof) -> bytes:
     """Magic, round count, then per round its commitment and its response.
     ValueError unless the proof holds one response per commitment and a
-    round count that _proof_rounds takes, so that decode_proof reads every
+    round count that _proof_rounds takes, so that _split_proof reads every
     proof written."""
     rounds = zip(proof.commitments, proof.responses, strict=True)
     return b"".join([PROOF_MAGIC, struct.pack("<I", _proof_rounds(proof.rounds)), *chain.from_iterable(rounds)])
 
 
 def decode_proof(data: bytes, n: int) -> NIZKProof:
-    """Split proof bytes at degree n into each round's commitment and
-    response, by the walk fs_verify_bytes makes (_split_proof).  No value's
-    form is checked."""
+    """_split_proof's rounds as a NIZKProof.  Kept for the benchmark's
+    tracer until ROADMAP item 8."""
     commitments, responses = _split_proof(data, n)
     return NIZKProof(commitments=tuple(commitments), responses=tuple(responses))
 
 
 def decode_response(data: bytes, n: int) -> tuple[int, tuple[bytes, bytes], tuple[bytes, bytes]]:
-    """Read an encoded response at degree n by its layout (_response_layout)
-    alone into (kind, values, openings): the values of the slots OPENS[kind]
-    in that order and their openings in the same order, which
-    encode_response turns back into the response.  ValueError on a kind
-    outside OPENS or a length other than the kind's at degree n.  No value's
-    form or opening is checked; read_round does."""
+    """(kind, values, openings) of a response at degree n, read by
+    _response_layout alone; ValueError on a kind outside OPENS or another
+    length.  Kept for the benchmark's tracer until ROADMAP item 8."""
     kind = data[0] if data else None
     if kind not in OPENS:
         raise ValueError(f"unknown response kind {kind}")

@@ -8,7 +8,6 @@ margin and a broken one cannot.
 
 import random
 import socket
-import struct
 import subprocess
 import sys
 import threading
@@ -17,7 +16,6 @@ import time
 from sdzkp import net
 from sdzkp.analysis import (
     accepted_challenges,
-    amplified_cheating_accepts,
     cheating_acceptance_rate,
     extract_witness,
     honest_rewindable_prover,
@@ -27,11 +25,10 @@ from sdzkp.analysis import (
     transcript_distribution_test,
     transcript_for,
 )
-from sdzkp.instance import brute_force_distance, plant_instance, save_instance, save_witness
+from sdzkp.instance import plant_instance, save_instance, save_witness
 from sdzkp.perm import Permutation, compose, hamming, random_perm
 from sdzkp.net import MSG_COMMIT, MSG_RESPONSE
 from sdzkp.protocol import (
-    decode_response,
     encode_proof,
     fs_prove,
     fs_verify_bytes,
@@ -40,6 +37,7 @@ from sdzkp.protocol import (
     verifier_challenge,
     verify_round,
 )
+from reference import amplified_cheating_accepts, brute_force_distance, frame
 
 TARGET_SETS = (frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2}))
 
@@ -300,11 +298,6 @@ def _replay_verifier(inst, stream: bytes, seed: int) -> bool:
         th.join(10)
 
 
-def _frame(msg_type: int, body: bytes) -> bytes:
-    payload = bytes([msg_type]) + body
-    return struct.pack("<I", len(payload)) + payload
-
-
 def test_c09_mutation_robustness():
     """Single-byte corruption of anything the verifier checks is rejected.
 
@@ -321,7 +314,7 @@ def test_c09_mutation_robustness():
     state = prover_commit(inst, wit, rng)
     com = state.commitment
     rsp = prover_respond(state, expected_ch)
-    stream = _frame(MSG_COMMIT, com) + _frame(MSG_RESPONSE, rsp)
+    stream = frame(MSG_COMMIT, com) + frame(MSG_RESPONSE, rsp)
     assert _replay_verifier(inst, stream, seed)  # sanity: unmutated stream accepts
 
     # digest slots inside the commit frame: c1 at 5..37, c2 at 37..69, c3 at 69..101
@@ -356,19 +349,12 @@ def test_c09_mutation_robustness():
         except Exception:
             crashes += 1
 
-    # 300 mutations of a serialized response (decode + verify surface)
+    # 300 mutations of a serialized response, each read by verify_round
     for _ in range(300):
         data = bytearray(rsp)
         pos = rng.randrange(len(data))
         data[pos] ^= 1 + rng.randrange(255)
         mutations += 1
-        try:
-            decode_response(bytes(data), inst.degree)
-        except ValueError:
-            continue  # clean parse rejection
-        except Exception:
-            crashes += 1
-            continue
         try:
             if verify_round(inst, com, expected_ch, bytes(data)):
                 accepts += 1

@@ -10,7 +10,6 @@ import sdzkp.protocol
 from sdzkp.analysis import (
     ExtractionError,
     accepted_challenges,
-    amplified_cheating_accepts,
     binomial_two_sided_pvalue,
     chi2_contingency,
     chi2_sf,
@@ -38,11 +37,10 @@ from sdzkp.protocol import (
     SLOTS,
     NIZKProof,
     _shown,
+    _write_response,
     commit_round,
-    decode_response,
     derive_challenges,
     encode_proof,
-    encode_response,
     fs_verify_bytes,
     max_response_bytes,
     prover_respond,
@@ -51,8 +49,9 @@ from sdzkp.protocol import (
     slot_size,
     verify_round,
 )
-from test_draws import s4_wr_s4
-from test_reference_verifier import commit_slot
+from reference import (
+    amplified_cheating_accepts, commit_slot, digests_of, masked_value, reference_read_response, s4_wr_s4, words_of,
+)
 
 TARGET_SETS = [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})]
 
@@ -134,8 +133,7 @@ def test_extractor_requires_verifying_transcripts(planted):
     rng = random.Random(78)
     prover = honest_rewindable_prover(inst, wit, rng)
     t0, t1, t2 = (transcript_for(inst, prover, ch) for ch in (0, 1, 2))
-    _, (z1, _), openings = decode_response(t0.response, inst.degree)
-    broken = Transcript(t0.commitment, 0, encode_response(0, (z1, bytes(32)), openings))
+    broken = Transcript(t0.commitment, 0, _write_response(0, (*prover.values[:SEED], bytes(32)), prover.openings))
     with pytest.raises(ExtractionError):
         extract_witness(inst, broken, t1, t2)
 
@@ -158,9 +156,7 @@ def test_extractor_reports_binding_violations(planted, monkeypatch):
     with pytest.raises(ExtractionError, match="masked witness"):
         extract_witness(inst, t0, t1, alien_witness)
 
-    _, (z1, _), openings = decode_response(prover_respond(a, 2), inst.degree)
-    _, (_, z2), _ = decode_response(prover_respond(b, 2), inst.degree)
-    mixed = encode_response(2, (z1, z2), openings)
+    mixed = _write_response(2, (a.values[0], b.values[1], a.values[SEED]), a.openings)
     with pytest.raises(ExtractionError, match="masked target"):
         extract_witness(inst, t0, t1, Transcript(a.commitment, 2, mixed))
 
@@ -181,17 +177,12 @@ def verified_challenges(inst, prover):
     return {ch for ch in CHALLENGES if verify_round(inst, prover.commitment, ch, prover_respond(prover, ch))}
 
 
-def digests(commitment):
-    """The three 32-byte digests of a 96-byte commitment, slot by slot."""
-    return tuple(commitment[i : i + 32] for i in range(0, COMMITMENT_BYTES, 32))
-
-
 def corrupted(prover):
     """The state with one slot's value, opening or digest broken, with that
     slot and whether the broken state still has a wire form (no part that
     is not bytes): a flipped first or last byte, a cut, or (for a value or
     an opening) not bytes at all."""
-    fields = (("values", prover.values), ("openings", prover.openings), ("commitment", digests(prover.commitment)))
+    fields = (("values", prover.values), ("openings", prover.openings), ("commitment", digests_of(prover.commitment)))
     for field, parts in fields:
         for slot, part in enumerate(parts):
             for bad in (bytes([part[0] ^ 1]) + part[1:], part[:-1] + bytes([part[-1] ^ 0x80]), part[:-4], None):
@@ -230,10 +221,10 @@ def opens_then_holds(inst, commitment, challenge, response):
     """verify_round's two steps on a round's decoded response: slot_opens
     for each slot the challenge opens, then whether _shown shows anything
     on the opened values."""
-    _, values, openings = decode_response(response, inst.degree)
+    (_, values, openings), _ = reference_read_response(response, 0, inst.degree)
     opened = zip(OPENS[challenge], values, openings)
     return all(
-        slot_opens(inst, digests(commitment)[slot], slot, value, opening) for slot, value, opening in opened
+        slot_opens(inst, digests_of(commitment)[slot], slot, value, opening) for slot, value, opening in opened
     ) and _shown(inst, challenge, *values) is not None
 
 
@@ -258,7 +249,7 @@ def test_slot_opens_then_holds_is_verify_round(fixture, request):
     assert verdicts.count(True) >= 3 * 3 + 3 * 2 + 3 * 1 and False in verdicts
 
     honest = states[0]
-    com, values, openings = digests(honest.commitment), honest.values, honest.openings
+    com, values, openings = digests_of(honest.commitment), honest.values, honest.openings
     assert all(slot_opens(inst, com[slot], slot, values[slot], openings[slot]) for slot in range(3))
     assert all(_shown(inst, ch, *(values[slot] for slot in OPENS[ch])) is not None for ch in CHALLENGES)
 
@@ -281,7 +272,7 @@ def test_slot_opens_then_holds_is_verify_round(fixture, request):
     # a 31-byte seed, committed, with Z1 masked under it: only its length is wrong
     short_seed = values[SEED][:31]
     (words,) = mask_values(values[SEED], values[0])
-    z1 = bytes(a ^ b for a, b in zip(words, hashlib.shake_256(short_seed).digest(len(words))))
+    z1 = masked_value(words_of(words, n), short_seed, n)
     digest, opening = commit_slot(short_seed, COMMIT_TAGS[SEED], rng)
     assert slot_opens(inst, digest, SEED, short_seed, opening) is False
     assert verifies(commit_round(z1, values[1], short_seed, rng), 0) is False
@@ -299,7 +290,7 @@ def test_slot_opens_then_holds_is_verify_round(fixture, request):
 
 
 def planted_on_s4_wr_s4():
-    """A planted instance on S_4 wr S_4 (test_draws.s4_wr_s4), a non-giant
+    """A planted instance on S_4 wr S_4 (reference.s4_wr_s4), a non-giant
     chain that is not abelian, its witness at distance exactly 6."""
     group, rng = s4_wr_s4(), random.Random(89)
     h = Permutation._trusted(group.ops.decode(group.sample_uniform(rng)))

@@ -273,7 +273,7 @@ def test_fs_verify_refuses_a_file_longer_than_any_proof(tmp_path):
 
 
 def test_fs_prove_refuses_more_rounds_than_a_proof_holds(tmp_path, capsys, monkeypatch):
-    # decode_proof reads at most protocol._MAX_ROUNDS rounds, so fs-prove
+    # the proof walk reads at most protocol._MAX_ROUNDS rounds, so fs-prove
     # must not write a longer proof that every fs-verify rejects
     inst_path, wit_path = keygen(tmp_path)
     monkeypatch.setattr(sdzkp.protocol, "_MAX_ROUNDS", 3)

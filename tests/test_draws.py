@@ -15,7 +15,6 @@ rng.random() tells the two states apart.
 import hashlib
 import math
 import random
-import struct
 
 import pytest
 
@@ -40,22 +39,11 @@ from sdzkp.protocol import (
     uniform_challenge,
     verifier_challenge,
 )
-from test_reference_verifier import FAMILIES
+from reference import (
+    FAMILIES, Rejecting, certificate_search, cycle_perm, pack_words, randrange_walk, s4_wr_s4, same_state,
+)
 
 SEEDS = range(50)
-
-
-class Rejecting(random.Random):
-    """Answers every other getrandbits(k) call with 2^k - 1, the value each
-    bounded draw here rejects, so every redraw loop runs."""
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.calls = 0
-
-    def getrandbits(self, k):
-        self.calls += 1
-        return (1 << k) - 1 if self.calls % 2 else super().getrandbits(k)
 
 
 def paired_rngs():
@@ -66,46 +54,12 @@ def paired_rngs():
         yield Rejecting(seed), Rejecting(seed)
 
 
-def same_state(fast, slow):
-    return fast.random() == slow.random() and getattr(fast, "calls", 0) == getattr(slow, "calls", 0)
-
-
-def cycle_perm(n, *cycles):
-    images = list(range(n))
-    for points in cycles:
-        for a, b in zip(points, points[1:] + points[:1]):
-            images[a] = b
-    return Permutation(tuple(images))
-
-
-def randrange_walk(grp, rng):
-    """The chain's draw written with rng.randrange: one uniform coset
-    representative per level, multiplied on the right."""
-    ops = grp.ops
-    acc = ops.ident
-    for level in grp._levels:
-        acc = ops.then(level.reps[rng.randrange(len(level.reps))], acc)
-    return ops.decode(acc)
-
-
 def abelian2_n16():
     return plant_instance(16, 5, 4, random.Random(71), preset="abelian2")[0].group
 
 
 def abelian2_n64():
     return plant_instance(64, 16, 16, random.Random(72), preset="abelian2")[0].group
-
-
-def s4_wr_s4():
-    """S_4 wr S_4 on blocks {4b, .., 4b+3}, the imprimitive group that
-    tests/test_group.py builds: not giant, not abelian, a byte-table chain."""
-    n = 16
-    return build_bsgs([
-        cycle_perm(n, (0, 1)),
-        cycle_perm(n, (0, 1, 2, 3)),
-        cycle_perm(n, (0, 4), (1, 5), (2, 6), (3, 7)),
-        cycle_perm(n, *[tuple(range(i, n, 4)) for i in range(4)]),
-    ])
 
 
 def s7_times_c293():
@@ -380,7 +334,7 @@ def reference_certificate_search(ops, gens):
         slots[i] = ops.then(slots[j], slots[i]) if rng.random() < 0.5 else ops.then(slots[i], slots[j])
         acc = ops.then(slots[i], acc)
         if step >= group._PR_WARMUP:
-            tested.append(struct.pack(f"<{degree}I", *acc[:degree]))
+            tested.append(pack_words(acc[:degree], 4))
             if not primes.isdisjoint(group._cycle_lengths(acc, degree)):
                 return True, tested
     return False, tested
@@ -392,16 +346,7 @@ def test_certificate_search_matches_rng_sample(monkeypatch, n, count):
     inline and by rng.sample; 24 generators make slots past the pool branch."""
     rng = random.Random(n + count)
     gens = tuple(random_perm(n, rng) for _ in range(count))
-    tested = []
-    cycle_lengths = group._cycle_lengths
-
-    def recording(p, degree):
-        tested.append(struct.pack(f"<{degree}I", *p[:degree]))
-        return cycle_lengths(p, degree)
-
     ops = group.make_ops(n)
-    with monkeypatch.context() as patched:
-        patched.setattr(group, "_cycle_lengths", recording)
-        certified = group._certify_giant(ops, gens)
+    certified, tested = certificate_search(monkeypatch, ops, gens)
     assert tested and (certified, tested) == reference_certificate_search(ops, gens)
     assert takes_set_branch(max(group._PR_SLOTS, count), 2) == (count == 24)

@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import math
 import random
-import struct
 
 import pytest
 
@@ -13,7 +12,7 @@ import sdzkp.group as group
 from sdzkp.group import BSGS, _certify_giant, _ChainBuilder, _Level, make_ops, _normalize, build_bsgs, word_width
 from sdzkp.instance import plant_instance
 from sdzkp.perm import Permutation, compose, compose_images, identity, inverse, invert_images, random_perm
-from test_draws import Rejecting, cycle_perm, same_state
+from reference import Rejecting, certificate_search, cycle_perm, pack_words, randrange_walk, s4_wr_s4, same_state
 
 
 def closure(gens):
@@ -276,13 +275,6 @@ def _non_giant_sets():
     left = [cycle_perm(n, (0, 1)), cycle_perm(n, tuple(range(half)))]
     right = [cycle_perm(n, (half, half + 1)), cycle_perm(n, tuple(range(half, n)))]
     intransitive = left + right
-    # S_4 wr S_4: blocks {4b, .., 4b+3}, permuted among themselves and within
-    blocks = [
-        cycle_perm(n, (0, 1)),
-        cycle_perm(n, (0, 1, 2, 3)),
-        cycle_perm(n, (0, 4), (1, 5), (2, 6), (3, 7)),
-        cycle_perm(n, *[tuple(range(i, n, 4)) for i in range(4)]),
-    ]
     # S_2 wr S_8 on pairs {2b, 2b+1}
     pairs = [
         cycle_perm(n, (0, 1)),
@@ -297,7 +289,7 @@ def _non_giant_sets():
         "single-cycle": single_cycle,
         "single-random": single_random,
         "intransitive": intransitive,
-        "imprimitive-S4wrS4": blocks,
+        "imprimitive-S4wrS4": list(s4_wr_s4().generators),  # blocks {4b, .., 4b+3}
         "imprimitive-S2wrS8": pairs,
         "primitive-AGL(1,13)": affine,
     }
@@ -369,11 +361,6 @@ def test_raw_inverse_and_then_match_the_image_tuple_forms(n):
         assert ops.then(q, a) == ops.encode(compose_images(p.images, ops.decode(q)))
 
 
-def plain_words(images, w):
-    """images as w-byte little-endian words, the form a round masks."""
-    return b"".join(image.to_bytes(w, "little") for image in images)
-
-
 @pytest.mark.parametrize("n", [1, 2, 8, 255, 256, 257, 300])
 def test_word_codec_matches_the_plain_definition(n):
     """ops.words(ops.encode(x)) is x's n images as w-byte LE words (w =
@@ -388,7 +375,7 @@ def test_word_codec_matches_the_plain_definition(n):
     too_big = range(n, 256) if n < 256 else (n, (1 << 32) - 1) if n > 256 else ()
     perms = [list(random_perm(n, rng).images) for _ in range(30)]
     for images in perms:
-        assert ops.words(ops.encode(images)) == plain_words(images, w)
+        assert ops.words(ops.encode(images)) == pack_words(images, w)
     probes = list(perms)
     for images in perms[:15]:
         if n > 1:
@@ -400,7 +387,7 @@ def test_word_codec_matches_the_plain_definition(n):
     if n <= 2:
         probes += [list(d) for d in itertools.product(range(256), repeat=n)]
     for images in probes:
-        element = ops.from_words(plain_words(images, w))
+        element = ops.from_words(pack_words(images, w))
         if sorted(images) == list(range(n)):
             assert element == ops.encode(images), images
         else:
@@ -438,16 +425,7 @@ def shuffled_gens(n, count, seed):
                  (False, 250, "e619da5b514f068cb6fbea3db92b8b4e337be16b018857a94f751aff4446a501"), id="c64"),
 ])
 def test_certificate_search_is_pinned(monkeypatch, gens, pin):
-    n = gens[0].n
-    tested = []
-    cycle_lengths = group._cycle_lengths
-
-    def recording(p, degree):
-        tested.append(struct.pack(f"<{degree}I", *p[:degree]))
-        return cycle_lengths(p, degree)
-
-    monkeypatch.setattr(group, "_cycle_lengths", recording)
-    verdict = _certify_giant(make_ops(n), gens)
+    verdict, tested = certificate_search(monkeypatch, make_ops(gens[0].n), gens)
     assert (verdict, len(tested), hashlib.sha256(b"".join(tested)).hexdigest()) == pin
 
 
@@ -483,21 +461,6 @@ def test_certified_giant_draws_are_pinned(n, alternating, digest):
     rng = random.Random(n)
     data = b"".join(draw(grp, rng).to_bytes() for _ in range(20))
     assert hashlib.sha256(data).hexdigest() == digest
-
-
-def randrange_walk(grp, rng):
-    """The certified giant's draw written with rng.randrange, the reference
-    for the getrandbits calls that sample_uniform makes itself."""
-    n = grp.degree
-    images = list(range(n))
-    for i in grp.base:
-        y = i + rng.randrange(n - i)
-        if grp.giant == "S_n":
-            images[i], images[y] = images[y], images[i]
-        elif y != i:
-            z = n - 1 if y != n - 1 else n - 2
-            images[i], images[y], images[z] = images[y], images[z], images[i]
-    return tuple(images)
 
 
 # 256 draws its first level with 9 bits; 257 is the first degree of tuples.

@@ -11,7 +11,6 @@ import sdzkp.instance
 from sdzkp.group import build_bsgs
 from sdzkp.instance import (
     Witness,
-    brute_force_distance,
     instance_digest,
     instance_from_bytes,
     instance_to_bytes,
@@ -27,6 +26,7 @@ from sdzkp.instance import (
 )
 from sdzkp.perm import Permutation, hamming, identity, inverse, random_perm
 from sdzkp.protocol import encode_proof, fs_prove, fs_verify_bytes
+from reference import brute_force_distance, pack_words
 
 
 def test_planted_distance_is_exact():
@@ -283,7 +283,7 @@ def test_instance_bytes_rejects_malformed():
 
 
 def u32(*words):
-    return b"".join(w.to_bytes(4, "little") for w in words)
+    return pack_words(words, 4)
 
 
 # One SDZ1 file for each refusal of instance_from_bytes past its magic,

@@ -25,6 +25,7 @@ from sdzkp.protocol import (
     prover_commit,
     prover_respond,
 )
+from reference import frame
 
 
 @pytest.fixture(scope="module")
@@ -95,10 +96,6 @@ def test_send_frame_rejects_oversize_body():
     with a, b:
         with pytest.raises(net.SessionError):
             net.send_frame(a, MSG_COMMIT, bytes(net.FRAME_MAX))
-
-
-def frame(msg_type, body):
-    return struct.pack("<I", 1 + len(body)) + bytes([msg_type]) + body
 
 
 def test_two_frames_in_one_write_come_back_in_order():
@@ -522,9 +519,8 @@ def test_session_deadline_bounds_a_trickling_peer(planted):
     def trickler(host, port):
         # A well-formed commit frame, one byte per 50 ms: each recv returns
         # well inside the timeout, but the session as a whole must not.
-        frame = struct.pack("<I", 97) + bytes([MSG_COMMIT]) + bytes(96)
         with socket.create_connection((host, port), timeout=5) as sock:
-            for b in frame:
+            for b in frame(MSG_COMMIT, bytes(96)):
                 if stop.wait(0.05):
                     return
                 try:
@@ -551,12 +547,11 @@ def test_prover_deadline_bounds_a_trickling_verifier(planted):
     def trickler():
         # Well-formed challenge frames, one byte per 300 ms: each recv returns
         # well inside the prover's timeout, but the session as a whole must not.
-        frame = struct.pack("<I", 2) + bytes([MSG_CHALLENGE, 0])
         with listener:
             conn, _ = listener.accept()
         with conn:
             while True:
-                for b in frame:
+                for b in frame(MSG_CHALLENGE, b"\x00"):
                     if stop.wait(0.3):
                         return
                     try:
@@ -599,15 +594,14 @@ def _frames(foreign):
     msg_type = st.one_of(st.sampled_from((MSG_COMMIT, MSG_CHALLENGE, MSG_RESPONSE)), st.integers(0, 255))
 
     @st.composite
-    def frame(draw):
+    def any_frame(draw):
         b = draw(body)
         typ, b = b if isinstance(b, tuple) else (draw(msg_type), b)
-        n = draw(length)
-        return struct.pack("<I", 1 + len(b) if n is None else n) + bytes([typ]) + b
+        return frame(typ, b, draw(length))
 
     @st.composite
     def stream(draw):
-        data = b"".join(draw(st.lists(frame(), min_size=1, max_size=6)))
+        data = b"".join(draw(st.lists(any_frame(), min_size=1, max_size=6)))
         cuts = sorted(draw(st.lists(st.integers(0, len(data)), max_size=4)))
         stalls = draw(st.lists(st.floats(0, 0.05), min_size=len(cuts) + 1, max_size=len(cuts) + 1))
         bounds = [0, *cuts, len(data)]

@@ -22,7 +22,7 @@ SUBMODULES = ("analysis", "cli", "crypto", "group", "instance", "net", "perm", "
 # Names each module keeps that the package does not export.
 OFF_THE_LIST = {
     "perm": ("identity", "random_perm", "random_support_perm"),
-    "instance": ("brute_force_distance", "instance_digest"),
+    "instance": ("instance_digest",),
     "crypto": ("commit", "expand_mask", "tuple_add", "tuple_sub", "verify_commitment"),
     "protocol": ("ProverState", "decode_proof", "prover_commit", "prover_respond", "verifier_challenge"),
     "analysis": ("ExtractionError", "Transcript", "extract_witness", "honest_rewindable_prover", "honest_verifier",
@@ -216,10 +216,13 @@ def test_crypto_draws_no_coin():
     assert _package_imports(tree) == set()
 
 
-# Names kept only for the benchmark's tracer (sdzbench/spans.py) and for the
-# tests: the program reads none of them, so they can go together with the
-# tracer's list.
-KEPT_FOR_THE_TRACER = ("decode_response", "decode_proof", "verify_commitment", "expand_mask", "tuple_add", "tuple_sub")
+# Names kept only for the benchmark's tracer (sdzbench/spans.py): the
+# program reads none of them, and of the tests only their own unit tests in
+# tests/test_kept_for_the_tracer.py do, so they can go together with the
+# tracer's list and that file.
+KEPT_FOR_THE_TRACER = (
+    "decode_response", "decode_proof", "encode_response", "verify_commitment", "expand_mask", "tuple_add", "tuple_sub",
+)
 
 
 def reads_by_definition(tree):
@@ -238,9 +241,9 @@ def reads_by_definition(tree):
     return reads
 
 
-def source_trees():
+def source_trees(directory=Path(sdzkp.__file__).parent):
     return {path.stem: ast.parse(path.read_text(encoding="utf-8"), str(path))
-            for path in sorted(Path(sdzkp.__file__).parent.glob("*.py"))}
+            for path in sorted(directory.glob("*.py"))}
 
 
 def test_no_module_reads_a_name_kept_for_the_tracer():
@@ -249,14 +252,17 @@ def test_no_module_reads_a_name_kept_for_the_tracer():
         read = set().union(*(names for definition, names in reads_by_definition(tree).items()
                              if definition not in KEPT_FOR_THE_TRACER))
         assert not read & set(KEPT_FOR_THE_TRACER), f"{module} reads {sorted(read & set(KEPT_FOR_THE_TRACER))}"
+    # Of the tests, only the names' own unit tests read them, all in one
+    # file, so that the names and tests/test_kept_for_the_tracer.py go together.
+    for module, tree in source_trees(ROOT / "tests").items():
+        read = set().union(*reads_by_definition(tree).values()) & set(KEPT_FOR_THE_TRACER)
+        assert read == (set(KEPT_FOR_THE_TRACER) if module == "test_kept_for_the_tracer" else set()), (module, read)
 
 
 # Module-level functions and classes that no code in src/ reads, that the
 # package does not export and that neither the tracer nor the benchmark's
 # workloads name, each with the reason it stays.
 KEPT_UNREAD = {
-    ("analysis", "amplified_cheating_accepts"): "the acceptance suite's harness for amplified soundness (C03)",
-    ("instance", "brute_force_distance"): "the acceptance suite's distance oracle (C08)",
     ("__init__", "__getattr__"): "the package's lazy names: the interpreter calls it (PEP 562)",
     ("__init__", "__dir__"): "the package's lazy names: the interpreter calls it (PEP 562)",
 }
@@ -284,6 +290,17 @@ def test_every_module_level_name_is_read_or_kept():
             if not any(statement.name in names for names in readers):
                 unread.append(f"{module}.{statement.name}")
     assert not unread, f"read by no code in src/: {unread}"
+
+
+def test_no_test_module_imports_another():
+    # What two test modules share lives in tests/reference.py, which pytest
+    # does not collect, so no test is collected twice or under two names.
+    trees = source_trees(ROOT / "tests")
+    assert {"reference", "test_kept_for_the_tracer"} <= set(trees)
+    for module, tree in trees.items():
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert not {name for name in imported if name in trees and name.startswith("test_")}, module
 
 
 def test_the_workflow_states_no_format_of_its_own():

@@ -11,17 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sdzkp.protocol
-from sdzkp.analysis import accepted_challenges, completeness_rate, make_cheating_prover
-from sdzkp.crypto import (
-    COMMIT_TAGS,
-    OPENING_BYTES,
-    SEED_BYTES,
-    expand_mask,
-    mask_values,
-    tuple_add,
-    tuple_sub,
-    verify_commitment,
-)
+from sdzkp.analysis import accepted_challenges, completeness_rate
+from sdzkp.crypto import COMMIT_TAGS, OPENING_BYTES, SEED_BYTES, mask_values, opens
 from sdzkp.group import _ChainBuilder, _Level, _normalize, _sift, word_width
 from sdzkp.instance import Witness, instance_digest, make_instance, plant_instance, validate_witness
 from sdzkp.perm import Permutation, compose_images, hamming, identity, random_perm
@@ -34,14 +25,13 @@ from sdzkp.protocol import (
     Z1,
     Z2,
     ProverState,
+    _response_layout,
+    _split_proof,
     _write_response,
     commit_round,
     commitment_digests,
-    decode_proof,
-    decode_response,
     derive_challenges,
     encode_proof,
-    encode_response,
     fs_prove,
     fs_verify_bytes,
     honest_rounds,
@@ -56,20 +46,10 @@ from sdzkp.protocol import (
     verifier_challenge,
     verify_round,
 )
-from test_reference_verifier import (
-    FAMILIES,
-    OPENED,
-    commit_slot,
-    fs_prefix,
-    reference_challenges,
-    reference_read_proof,
+from reference import (
+    commit_slot, digests_of, fs_prefix, masked_value, masked_words, pack_words, reference_challenges,
+    reference_read_proof, reference_read_response,
 )
-
-
-def pack(words, n):
-    """n words as a masked value at degree n holds them: group.word_width(n)
-    little-endian bytes each."""
-    return b"".join(w.to_bytes(word_width(n), "little") for w in words)
 
 
 @pytest.fixture(scope="module")
@@ -181,9 +161,9 @@ def test_tampered_masked_tuple_rejected(planted):
     rng = random.Random(56)
     state = prover_commit(inst, wit, rng)
     com = state.commitment
-    _, (z1, seed), openings = decode_response(prover_respond(state, 0), inst.degree)
-    bumped = pack(tuple_add(z1, (1,) + (0,) * 15), 16)  # at degree 16 a byte is a word
-    assert not verify_round(inst, com, 0, encode_response(0, (bumped, seed), openings))
+    z1, z2, seed = state.values
+    bumped = bytes([z1[0] ^ 1]) + z1[1:]  # at degree 16 a byte is a word
+    assert not verify_round(inst, com, 0, _write_response(0, (bumped, z2, seed), state.openings))
 
 
 def test_wrong_seed_rejected(planted):
@@ -191,8 +171,7 @@ def test_wrong_seed_rejected(planted):
     rng = random.Random(57)
     state = prover_commit(inst, wit, rng)
     com = state.commitment
-    _, (z2, _), openings = decode_response(prover_respond(state, 1), inst.degree)
-    assert not verify_round(inst, com, 1, encode_response(1, (z2, bytes(32)), openings))
+    assert not verify_round(inst, com, 1, _write_response(1, (*state.values[:SEED], bytes(32)), state.openings))
 
 
 def test_missing_fields_rejected(planted):
@@ -238,12 +217,11 @@ def test_non_permutation_unmask_rejected(planted):
     # every image below n, two of them equal: only the bijection check can refuse
     images = wit.element.images
     collided = (images[1], *images[1:])
-    state = commit_round(*mask_values(seed, pack(collided, n), pack(collided, n)), seed, rng)
+    value = pack_words(collided, word_width(n))
+    state = commit_round(*mask_values(seed, value, value), seed, rng)
     com = state.commitment
-    for ch in CHALLENGES:
-        _, values, openings = decode_response(prover_respond(state, ch), n)
-        for slot, value, opening in zip(OPENS[ch], values, openings):
-            assert verify_commitment(com[32 * slot : 32 * slot + 32], value, COMMIT_TAGS[slot], opening)
+    for slot in (Z1, Z2, SEED):
+        assert opens(digests_of(com)[slot], slot, state.openings[slot], state.values[slot])
     assert not verify_round(inst, com, 0, prover_respond(state, 0))
     assert not verify_round(inst, com, 1, prover_respond(state, 1))
     assert verify_round(inst, com, 2, prover_respond(state, 2))  # the openings themselves are sound
@@ -296,10 +274,11 @@ def _outcome(unmasker, z, seed, n):
 
 def assert_unmask_matches_the_reference(z, seed, n):
     """unmask of the words z, packed at degree n, raises ValueError exactly
-    when the validating constructor does on tuple_sub(z, mask), and
-    otherwise returns an equal Permutation."""
-    expected = _outcome(lambda z, seed, n: Permutation(tuple_sub(z, expand_mask(seed, n, word_width(n)))), z, seed, n)
-    got = _outcome(unmask, pack(z, n), seed, n)
+    when the validating constructor does on the reference's unmasked words
+    (masked_words, which refuses a count other than n), and otherwise
+    returns an equal Permutation."""
+    expected = _outcome(lambda z, seed, n: Permutation(masked_words(z, seed, n)), z, seed, n)
+    got = _outcome(unmask, pack_words(z, word_width(n)), seed, n)
     assert got == expected
     if expected is not ValueError:
         assert type(got) is Permutation and type(got.images) is tuple
@@ -318,7 +297,7 @@ def test_unmask_matches_the_validating_constructor(n):
         tuple(reversed(range(n))),
     ]
     for words in hidden:
-        z = tuple_add(words, expand_mask(seed, n, word_width(n)))
+        z = masked_words(words, seed, n)
         assert_unmask_matches_the_reference(z, seed, n)
         assert_unmask_matches_the_reference(z[:-1], seed, n)  # wrong lengths
         assert_unmask_matches_the_reference(z + (0,), seed, n)
@@ -326,7 +305,7 @@ def test_unmask_matches_the_validating_constructor(n):
         # for one is a value of another length (one that is not bytes has
         # no wire form; test_verify_round_rejects_honestly_committed_non_canonical_encodings
         # checks that slot_opens refuses it)
-        for bad in non_canonical_encodings(pack(z, n)):
+        for bad in non_canonical_encodings(pack_words(z, word_width(n))):
             if isinstance(bad, bytes):
                 assert _outcome(unmask, bad, seed, n) is ValueError
 
@@ -338,7 +317,7 @@ def test_unmask_matches_the_validating_constructor_on_arbitrary_words(data):
     seed = data.draw(st.binary(min_size=32, max_size=32))
     word = st.one_of(st.integers(0, n), st.sampled_from((255, 128)))
     words = tuple(data.draw(st.lists(word, min_size=n - 1, max_size=n + 1)))
-    z = tuple_add(words, expand_mask(seed, len(words), word_width(n))) if words else ()
+    z = masked_words(words, seed, len(words))  # at most 9 words, one byte each
     assert_unmask_matches_the_reference(z, seed, n)
 
 
@@ -356,16 +335,14 @@ def test_masked_round_and_read_round_match_their_definitions(preset, gens, k, in
         u = ops.decode(inst.group.sample_uniform(rng))
         seed = rng.randbytes(SEED_BYTES)
         state = masked_round(inst, ops.encode(u), ops.encode(x), seed, rng.randbytes(3 * OPENING_BYTES))
-        mask = expand_mask(seed, n, word_width(n))
         assert state.values[SEED] == seed
-        assert state.values[Z1] == pack(tuple_add(compose_images(u, x), mask), n)
-        assert state.values[Z2] == pack(tuple_add(compose_images(u, g), mask), n)
+        assert state.values[Z1] == masked_value(compose_images(u, x), seed, n)
+        assert state.values[Z2] == masked_value(compose_images(u, g), seed, n)
         shown = [read_round(inst, state.commitment, ch, prover_respond(state, ch)) for ch in CHALLENGES]
         ux, distance = Permutation(compose_images(u, x)), hamming(Permutation(x), inst.target)
         assert shown[0] == (ops.encode(ux.images) if inst.group.contains(ux) else None)
         assert shown[1] == ops.encode(u)
-        _, values, _ = decode_response(prover_respond(state, 2), n)
-        assert ops.differing_words(*values) == distance
+        assert ops.differing_words(state.values[Z1], state.values[Z2]) == distance
         assert shown[2] == (distance if distance <= k else None)
 
 
@@ -377,48 +354,12 @@ def test_verify_round_is_total_on_non_messages(planted, honest_state):
         rsp = prover_respond(state, ch)
         assert verify_round(inst, com, ch, rsp)
         for bad in (
-            None, "response", b"", 0, decode_response(rsp, inst.degree), bytearray(rsp), memoryview(rsp),
+            None, "response", b"", 0, reference_read_response(rsp, 0, inst.degree)[0], bytearray(rsp), memoryview(rsp),
             rsp.decode("latin-1"),
         ):
             assert verify_round(inst, com, ch, bad) is False
         for bad_com in (None, "commitment", digests, tuple(com), com[:-1], com + b"\x00", bytearray(com), memoryview(com)):
             assert verify_round(inst, bad_com, ch, rsp) is False
-
-
-def test_encode_response_refuses_a_misshapen_response(planted, honest_state):
-    # an extra entry would otherwise be written: a response's wire form holds no count of its entries
-    state, _ = honest_state
-    for ch in CHALLENGES:
-        kind, values, openings = decode_response(prover_respond(state, ch), planted[0].degree)
-        assert encode_response(kind, values, openings) == prover_respond(state, ch)
-        for count in (0, 1, 3):  # every kind opens two slots
-            with pytest.raises(ValueError):
-                encode_response(kind, (values * 2)[:count], openings)
-            with pytest.raises(ValueError):
-                encode_response(kind, values, (openings * 2)[:count])
-        with pytest.raises(TypeError):  # an entry that is not bytes has no wire form
-            encode_response(kind, (None, values[1]), openings)
-    for kind in (3, -1, 255, None):
-        with pytest.raises(ValueError, match="kind"):
-            encode_response(kind, values, openings)
-
-
-@pytest.mark.parametrize("n, gens, k, preset", FAMILIES.values(), ids=FAMILIES)
-def test_the_unchecked_writer_writes_what_encode_response_writes(n, gens, k, preset):
-    # fs_prove answers through _write_response with no check of its own, and
-    # prover_respond after its challenge check: on honest and cheating
-    # states each writes the kind byte, then what README's table opens
-    inst, wit = plant_instance(n, gens, k, random.Random(n), preset=preset)
-    rng = random.Random(n + 7)
-    states = [prover_commit(inst, wit, rng) for _ in range(3)]
-    states += [make_cheating_prover(inst, targets, rng) for targets in ({0, 2}, {1, 2}, {0, 1})]
-    for state in states:
-        for ch, slots in OPENED.items():
-            values = [state.values[slot] for slot in slots]
-            openings = [state.openings[slot] for slot in slots]
-            written = _write_response(ch, state.values, state.openings)
-            assert written == encode_response(ch, values, openings) == prover_respond(state, ch)
-            assert written == bytes((ch,)) + b"".join(values) + b"".join(openings)
 
 
 def test_fs_verify_is_total_on_non_proofs(planted):
@@ -452,7 +393,7 @@ def test_proving_verifying_and_decoding_share_one_round_cap(planted, monkeypatch
     assert rng.getstate() == before  # refused before a single commitment
     assert fs_verify_bytes(inst, data, b"", 4) is False
     with pytest.raises(ValueError, match="unreasonable round count 4"):
-        decode_proof(data, inst.degree)
+        _split_proof(data, inst.degree)
     with pytest.raises(ValueError, match="unreasonable round count 4"):
         encode_proof(proof)
     at_cap = fs_prove(inst, wit, 3, b"", rng)
@@ -462,7 +403,7 @@ def test_proving_verifying_and_decoding_share_one_round_cap(planted, monkeypatch
 def test_encode_proof_writes_only_proofs_that_decode_proof_reads(planted):
     inst, wit = planted
     proof = fs_prove(inst, wit, 5, b"", random.Random(74))
-    assert decode_proof(encode_proof(proof), inst.degree) == proof
+    assert reference_read_proof(encode_proof(proof), inst.degree) == list(zip(*proof))
     for bad in (
         NIZKProof(proof.commitments, proof.responses[:3]),
         NIZKProof(proof.commitments[:3], proof.responses),
@@ -511,58 +452,34 @@ def test_verifier_challenge_range_and_distribution():
     assert verifier_challenge(random.Random(7)) == verifier_challenge(random.Random(7))
 
 
-def test_response_codec_round_trip(planted):
-    inst, wit = planted
-    rng = random.Random(61)
-    state = prover_commit(inst, wit, rng)
-    for ch in CHALLENGES:
-        rsp = prover_respond(state, ch)
-        slots = OPENS[ch]
-        assert decode_response(rsp, inst.degree) == (ch, tuple(state.values[i] for i in slots), tuple(state.openings[i] for i in slots))
-        assert encode_response(*decode_response(rsp, inst.degree)) == rsp
-
-
-@pytest.mark.parametrize("n", [5, 16, 260])
-def test_encode_response_inverts_decode_response(n):
-    # 260 is past the byte-table limit; up to 32 bytes of masked value the
-    # kind 0 and 1 responses are at least as long as kind 2
-    rng = random.Random(n)
-    z1, z2 = (rng.randbytes(slot_size(Z1, n)) for _ in range(2))
-    state = commit_round(z1, z2, rng.randbytes(SEED_BYTES), rng)
-    for ch in CHALLENGES:
-        data = prover_respond(state, ch)
-        kind, values, openings = decode_response(data, n)
-        assert kind == ch
-        assert encode_response(kind, values, openings) == data
-
-
 @pytest.mark.parametrize("n", [1, 2, 6, 7, 32, 33, 256, 257])
 def test_the_degree_is_the_input_of_a_responses_layout(n):
     # up to n = 32 the kind 0 and 1 responses are at least as long as kind 2;
     # 256/257 is the byte-table boundary, where a word goes from 1 byte to 4.
-    # A response is read by its layout at n alone: at n - 1 or n + 1 its
-    # length is wrong, and any bytes of a value's length decode, so only
-    # verify_round refuses a value that is not what the round claims.
+    # A response is read by its layout at n alone (_response_layout): at
+    # n - 1 or n + 1 its length is wrong, and any bytes of a value's length
+    # lie in place, so only verify_round refuses a value that is not what
+    # the round claims.
     inst, rng = _trivial_instance(n), random.Random(n)
     seed = rng.randbytes(SEED_BYTES)
-    z1, z2 = mask_values(seed, pack(range(n), n), pack(range(n), n))
+    images = pack_words(range(n), word_width(n))
+    z1, z2 = mask_values(seed, images, images)
     honest = commit_round(z1, z2, seed, rng)
     for ch in CHALLENGES:
-        data, slots = prover_respond(honest, ch), OPENS[ch]
-        rsp = decode_response(data, n)
-        assert rsp == (ch, tuple(honest.values[i] for i in slots), tuple(honest.openings[i] for i in slots))
-        assert encode_response(*rsp) == data
+        data = prover_respond(honest, ch)
+        end, parts = _response_layout(ch, n)
+        assert end == len(data) and [slot for slot, _, _ in parts] == list(OPENS[ch])
+        for slot, value, opening in parts:
+            assert (data[value], data[opening]) == (honest.values[slot], honest.openings[slot])
         assert verify_round(inst, honest.commitment, ch, data)
         for other in (n - 1, n + 1):
-            with pytest.raises(ValueError):
-                decode_response(data, other)
+            assert _response_layout(ch, other)[0] != len(data)
         # both values' first image moved by one bit: no longer a permutation,
         # and the two still agree, at distance 0
         moved = commit_round(bytes([z1[0] ^ 1]) + z1[1:], bytes([z2[0] ^ 1]) + z2[1:], seed, rng)
         wrong = prover_respond(moved, ch)
         assert len(wrong) == len(data)
-        _, values, _ = decode_response(wrong, n)
-        assert values == tuple(moved.values[i] for i in slots)
+        assert [wrong[value] for _, value, _ in parts] == [moved.values[slot] for slot in OPENS[ch]]
         assert verify_round(inst, moved.commitment, ch, wrong) is (ch == 2)
 
 
@@ -582,23 +499,6 @@ def test_a_proof_holds_each_round_as_its_prover_state_emits_it(planted):
     assert offset == len(data)
 
 
-def test_response_codec_rejects_malformed(planted):
-    inst, wit = planted
-    rng = random.Random(62)
-    state = prover_commit(inst, wit, rng)
-    data = prover_respond(state, 2)
-    with pytest.raises(ValueError):
-        decode_response(data[:-1], inst.degree)
-    with pytest.raises(ValueError):
-        decode_response(data + b"\x00", inst.degree)
-    with pytest.raises(ValueError):
-        decode_response(b"", inst.degree)
-    bad = bytearray(data)
-    bad[0] = 7  # unknown variant
-    with pytest.raises(ValueError):
-        decode_response(bytes(bad), inst.degree)
-
-
 def test_fs_round_trip(planted):
     inst, wit = planted
     rng = random.Random(63)
@@ -608,28 +508,18 @@ def test_fs_round_trip(planted):
     assert not fs_verify_bytes(inst, encode_proof(proof), b"other-ctx", 40)
 
 
-def test_fs_proof_bytes_round_trip(planted):
-    inst, wit = planted
-    rng = random.Random(64)
-    proof = fs_prove(inst, wit, 8, b"", rng)
-    data = encode_proof(proof)
-    back = decode_proof(data, inst.degree)
-    assert back == proof
-    assert fs_verify_bytes(inst, data, b"", 8)
-
-
 def test_proof_in_any_byte_buffer_verifies(planted):
     inst, wit = planted
     data = encode_proof(fs_prove(inst, wit, 8, b"", random.Random(66)))
     for buffer in (bytearray(data), memoryview(data), memoryview(bytearray(data))):
-        assert decode_proof(buffer, inst.degree) == decode_proof(data, inst.degree)
+        assert _split_proof(buffer, inst.degree) == _split_proof(data, inst.degree)
         assert fs_verify_bytes(inst, buffer, b"", 8)
     # not buffers: refused at once (bytes(10**9) would allocate a gigabyte)
     for bad in (10**9, data.decode("latin-1"), None):
         t0 = time.monotonic()
         assert fs_verify_bytes(inst, bad, b"", 8) is False
         with pytest.raises(TypeError):
-            decode_proof(bad, inst.degree)
+            _split_proof(bad, inst.degree)
         assert time.monotonic() - t0 < 1.0
 
 
@@ -653,7 +543,8 @@ def test_fs_single_byte_flips_reject(planted):
         at += len(commitment) + len(response)
 
     def keeps_challenges():
-        return derive_challenges(statement, b"ctx", decode_proof(bytes(data), inst.degree).commitments) == challenges
+        commitments = [commitment for commitment, _ in reference_read_proof(bytes(data), inst.degree)]
+        return derive_challenges(statement, b"ctx", commitments) == challenges
 
     for _ in range(200):
         pos = rng.randrange(len(data))
@@ -727,9 +618,9 @@ def test_commitment_digests_read_each_slot_as_commit_round_writes_it(planted):
     inst, wit = planted
     state = prover_commit(inst, wit, random.Random(69))
     digests = commitment_digests(state.commitment)
-    assert digests == tuple(state.commitment[i : i + 32] for i in range(0, COMMITMENT_BYTES, 32))
+    assert digests == digests_of(state.commitment)
     for slot in (Z1, Z2, SEED):
-        assert verify_commitment(digests[slot], state.values[slot], COMMIT_TAGS[slot], state.openings[slot])
+        assert opens(digests[slot], slot, state.openings[slot], state.values[slot])
 
 
 def test_slot_opens_accepts_only_the_committed_slot(planted):
@@ -784,21 +675,16 @@ def test_a_proof_with_the_old_magic_is_refused(planted):
         old = magic + data[4:]
         assert fs_verify_bytes(inst, old, b"", 4) is False
         with pytest.raises(ValueError):
-            decode_proof(old, inst.degree)
+            _split_proof(old, inst.degree)
 
 
 def test_proof_codec_rejects_malformed(planted):
     inst, wit = planted
     rng = random.Random(68)
     data = encode_proof(fs_prove(inst, wit, 3, b"", rng))
-    with pytest.raises(ValueError):
-        decode_proof(data[:-1], inst.degree)
-    with pytest.raises(ValueError):
-        decode_proof(data + b"\x00", inst.degree)
-    with pytest.raises(ValueError):
-        decode_proof(b"NOPE" + data[4:], inst.degree)
-    with pytest.raises(ValueError):
-        decode_proof(b"", inst.degree)
+    for bad in (data[:-1], data + b"\x00", b"NOPE" + data[4:], b""):
+        with pytest.raises(ValueError):
+            _split_proof(bad, inst.degree)
     assert not fs_verify_bytes(inst, data[:-1], b"", 3)
 
 
@@ -835,8 +721,8 @@ def test_a_challenge_2_opening_gives_no_witness():
     for _ in range(20):
         inst, wit = plant_instance(64, 16, 16, rng, preset="abelian2")
         proof = fs_prove(inst, wit, 219, b"ctx", rng)
-        z1, z2 = next(values for kind, values, _ in (decode_response(r, inst.degree) for r in proof.responses)
-                      if kind == 2)
+        responses = (reference_read_response(r, 0, inst.degree)[0] for r in proof.responses)
+        z1, z2 = next(values for kind, values, _ in responses if kind == 2)
         agree = [i for i, (a, b) in enumerate(zip(z1, z2)) if a == b]  # a byte a word at degree 64
         found = _transport(inst, agree)
         recovered += found is not None and validate_witness(inst, found)
@@ -892,8 +778,9 @@ def test_response_codec_round_trips_and_meets_the_cap(drawn):
     n, state = drawn
     lengths = []
     for ch in CHALLENGES:
-        data = prover_respond(state, ch)
-        assert encode_response(*decode_response(data, n)) == data
+        data, slots = prover_respond(state, ch), OPENS[ch]
+        opened = (ch, tuple(state.values[i] for i in slots), tuple(state.openings[i] for i in slots))
+        assert reference_read_response(data, 0, n) == (opened, len(data))
         lengths.append(len(data))
     assert max(lengths) == max_response_bytes(n)
 
@@ -918,10 +805,6 @@ def test_decoder_and_verifier_are_total_on_arbitrary_bytes(planted, honest_state
     raw += data.draw(st.binary(max_size=4))
     for ch in CHALLENGES:
         assert verify_round(inst, com, ch, raw) is (raw == prover_respond(state, ch))
-    try:
-        decode_response(raw, inst.degree)
-    except ValueError:
-        pass
 
 
 @cache
@@ -935,10 +818,10 @@ def _honest_proof(n):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_the_proof_walk_and_the_reference_parser_agree(data):
-    """decode_proof reads a proof by the walk fs_verify_bytes makes, the
-    reference parser by README's layout in plain loops.  On an honest proof with
-    up to 3 byte flips, a cut or appended bytes, decode_proof either refuses
-    it, and then fs_verify_bytes does too, or splits it into rounds that
+    """_split_proof is the walk fs_verify_bytes makes, the reference parser
+    reads by README's layout in plain loops.  On an honest proof with up to
+    3 byte flips, a cut or appended bytes, the walk either refuses it, and
+    then fs_verify_bytes does too, or splits it into rounds that
     encode_proof joins back to the same bytes; where the reference parser
     also reads it, the two give the same rounds."""
     n = data.draw(st.sampled_from((5, 16, 260)))
@@ -954,16 +837,16 @@ def test_the_proof_walk_and_the_reference_parser_agree(data):
         raw += data.draw(st.binary(min_size=1, max_size=8))
     raw = bytes(raw)
     try:
-        decoded = decode_proof(raw, n)
+        commitments, responses = _split_proof(raw, n)
     except ValueError:
         assert fs_verify_bytes(inst, raw, b"ctx", 4) is False
         return
-    assert encode_proof(decoded) == raw
+    assert encode_proof(NIZKProof(tuple(commitments), tuple(responses))) == raw
     try:
         reference = reference_read_proof(raw, n)
     except ValueError:
         return
-    assert reference == list(zip(*decoded))
+    assert reference == list(zip(commitments, responses))
 
 
 def test_every_prefix_and_one_byte_extension_of_a_proof_is_refused():
