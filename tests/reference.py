@@ -9,10 +9,25 @@ addition in GF(2^8w) is), and derives the challenges one stream byte at
 a time.  It imports no codec and shares none of the raw-form code (byte
 tables, the one-integer XOR, ops.differing_words, the translated
 challenge stream) that the program runs.
+
+Every session test runs through one of two helpers: peer_session, a
+verifier side and a prover side in one process over a socket pair or
+loopback TCP, one of them in a thread it always joins; and cli_session,
+`sdzkp verify` and `sdzkp prove` as two processes, the prover dialling
+the port the verifier's `listening on` line announces.
 """
 
 import hashlib
+import os
 import random
+import select
+import socket
+import subprocess
+import sys
+import threading
+import time
+from collections import namedtuple
+from pathlib import Path
 
 import sdzkp.group as group
 from sdzkp.analysis import cheating_acceptance_rate
@@ -222,6 +237,126 @@ def frame(msg_type, body, length=None):
     """A session frame as README states it: a u32 length, 1 + len(body)
     unless given, then the type byte and the body."""
     return (1 + len(body) if length is None else length).to_bytes(4, "little") + bytes([msg_type]) + body
+
+
+# --- sessions ---
+
+Session = namedtuple("Session", "verdict error seconds")
+JOIN_S = 10  # how long peer_session waits for either side, and each socket's timeout
+
+
+def peer_session(verifier, prover, over="pair", thread="prover"):
+    """Run a session's verifier side against its prover side, each the net
+    driver or a stand-in (an impostor, a trickler, a replayed stream), and
+    return (verdict, error, seconds).
+
+    over="pair" calls each side with its end of a socket pair; "tcp" calls
+    the verifier with a loopback listener and the prover with its (host,
+    port); None calls each with nothing (a CLI main binds or dials itself).
+    A socket is closed once its side returns.  The side named by `thread`
+    runs in a thread, always joined: the OSError it raised (a SessionError,
+    a timeout, a peer's hang-up) is `error`, and any other exception is
+    raised here.  verdict is what the verifier returned, and seconds the
+    time the other side took in this thread."""
+    if over == "tcp":
+        listener = socket.create_server(("127.0.0.1", 0), backlog=1)
+        listener.settimeout(JOIN_S)
+        ends = {"verifier": listener, "prover": listener.getsockname()}
+    elif over == "pair":
+        ends = dict(zip(("verifier", "prover"), socket.socketpair()))
+        for end in ends.values():
+            end.settimeout(JOIN_S)
+    else:
+        ends = {}
+    sides, results, errors = {"verifier": verifier, "prover": prover}, {}, []
+
+    def run(side):
+        end = ends.get(side)
+        try:
+            results[side] = sides[side]() if over is None else sides[side](end)
+        finally:
+            if isinstance(end, socket.socket):
+                end.close()
+
+    def in_thread():
+        try:
+            run(thread)
+        except BaseException as exc:
+            errors.append(exc)
+
+    worker = threading.Thread(target=in_thread, daemon=True)
+    worker.start()
+    t0 = time.monotonic()
+    try:
+        run("verifier" if thread == "prover" else "prover")
+    finally:
+        seconds = time.monotonic() - t0
+        worker.join(JOIN_S)
+    assert not worker.is_alive(), f"the {thread} side ran past {JOIN_S} s"
+    error = errors[0] if errors else None
+    if error is not None and not isinstance(error, OSError):
+        raise error
+    return Session(results.get("verifier"), error, seconds)
+
+
+# Runs one CLI command in a fresh interpreter, then prints the sdzkp modules it
+# loaded, and logging and dataclasses if it loaded them, as the last line of
+# stdout.
+LOADED_MODULES = (
+    "import json, sys\n"
+    "from sdzkp.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('sdzkp', 'logging', 'dataclasses'))))\n"
+    "sys.exit(code)\n"
+)
+
+
+def src_env(**extra):
+    """The environment with this checkout's src/ first on PYTHONPATH,
+    SDZKP_LOG unset, and then extra."""
+    src = str(Path(group.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("SDZKP_LOG", None)
+    return {**env, **extra}
+
+
+def cli_process(*args, **env):
+    """`sdzkp *args` in a fresh interpreter that runs LOADED_MODULES, its
+    stdout and stderr piped as text."""
+    return subprocess.Popen(
+        [sys.executable, "-c", LOADED_MODULES, *map(str, args)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=src_env(**env),
+    )
+
+
+def cli_session(verify_args, prove_args, host="127.0.0.1", timeout=60, **verifier_env):
+    """`sdzkp verify --listen host:0 *verify_args` and then `sdzkp prove
+    --connect <address> *prove_args`, each its own process (cli_process),
+    where address is what the verifier's first stderr line announces; that
+    line is read a byte at a time, so no later one is lost to read-ahead.
+    Returns each one's CompletedProcess, the prover's first, once both have
+    exited."""
+    verifier = cli_process("verify", "--listen", f"{host}:0", *verify_args, **verifier_env)
+    prover = None
+    try:
+        deadline, fd, line = time.monotonic() + timeout, verifier.stderr.fileno(), b""
+        while not line.endswith(b"\n"):
+            assert select.select([fd], [], [], max(0.0, deadline - time.monotonic()))[0], "no address announced"
+            byte = os.read(fd, 1)
+            assert byte, "the verifier exited before it announced an address"
+            line += byte
+        announced = line.decode()
+        assert announced.startswith(f"listening on {host}:"), announced
+        prover = cli_process("prove", "--connect", announced.split()[-1], *prove_args)
+        runs = []
+        for proc, first in ((prover, ""), (verifier, announced)):
+            out, err = proc.communicate(timeout=timeout)
+            runs.append(subprocess.CompletedProcess(proc.args, proc.returncode, out, first + err))
+        return runs
+    finally:
+        for proc in filter(None, (prover, verifier)):
+            proc.kill()
+            proc.communicate()
 
 
 # --- families, groups and draws ---

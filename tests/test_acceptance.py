@@ -7,10 +7,6 @@ margin and a broken one cannot.
 """
 
 import random
-import socket
-import subprocess
-import sys
-import threading
 import time
 
 from sdzkp import net
@@ -37,7 +33,7 @@ from sdzkp.protocol import (
     verifier_challenge,
     verify_round,
 )
-from reference import amplified_cheating_accepts, brute_force_distance, frame
+from reference import amplified_cheating_accepts, brute_force_distance, cli_session, frame, peer_session
 
 TARGET_SETS = (frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2}))
 
@@ -273,31 +269,6 @@ def test_c08_brute_force_consistency():
     )
 
 
-def _replay_verifier(inst, stream: bytes, seed: int) -> bool:
-    """Feed a recorded prover byte stream to a fresh verifier session."""
-    a, b = socket.socketpair()
-    a.settimeout(5)
-
-    def feeder():
-        try:
-            a.sendall(stream)
-            # drain the verifier's challenge frames until it hangs up
-            while a.recv(4096):
-                pass
-        except OSError:
-            pass
-        finally:
-            a.close()
-
-    th = threading.Thread(target=feeder)
-    th.start()
-    try:
-        with b:
-            return net.verifier_session(b, inst, 1, random.Random(seed), time.monotonic() + 0.25)
-    finally:
-        th.join(10)
-
-
 def test_c09_mutation_robustness():
     """Single-byte corruption of anything the verifier checks is rejected.
 
@@ -315,7 +286,20 @@ def test_c09_mutation_robustness():
     com = state.commitment
     rsp = prover_respond(state, expected_ch)
     stream = frame(MSG_COMMIT, com) + frame(MSG_RESPONSE, rsp)
-    assert _replay_verifier(inst, stream, seed)  # sanity: unmutated stream accepts
+
+    def replayed(data):
+        """A fresh one-round verifier session's verdict on data as the prover's bytes."""
+        def feeder(sock):
+            sock.sendall(data)
+            while sock.recv(4096):  # drain the challenge frames until the verifier hangs up
+                pass
+
+        def verifier(sock):
+            return net.verifier_session(sock, inst, 1, random.Random(seed), time.monotonic() + 0.25)
+
+        return peer_session(verifier, feeder).verdict
+
+    assert replayed(stream)  # sanity: unmutated stream accepts
 
     # digest slots inside the commit frame: c1 at 5..37, c2 at 37..69, c3 at 69..101
     unopened = {0: range(37, 69), 1: range(5, 37), 2: range(69, 101)}[expected_ch]
@@ -332,7 +316,7 @@ def test_c09_mutation_robustness():
         data[pos] ^= 1 + rng.randrange(255)
         mutations += 1
         try:
-            if _replay_verifier(inst, bytes(data), seed):
+            if replayed(bytes(data)):
                 accepts += 1
         except Exception:
             crashes += 1
@@ -343,7 +327,7 @@ def test_c09_mutation_robustness():
         data = bytearray(stream)
         data[pos] ^= 1 + rng.randrange(255)
         try:
-            assert _replay_verifier(inst, bytes(data), seed)
+            assert replayed(bytes(data))
         except AssertionError:
             raise
         except Exception:
@@ -394,47 +378,19 @@ def test_c10_tcp_end_to_end(tmp_path):
     save_instance(inst, ipath)
     save_witness(wit, wpath)
 
-    verifier = subprocess.Popen(
-        [
-            sys.executable, "-m", "sdzkp.cli", "verify",
-            "--listen", "127.0.0.1:0", "--instance", str(ipath),
-            "--rounds", "219", "--timeout-ms", "25000",
-        ],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    try:
-        line = ""
-        while "listening on" not in line:
-            line = verifier.stderr.readline()
-            if not line:
-                raise AssertionError("verifier exited before binding")
-        port = int(line.strip().rsplit(":", 1)[1])
-
-        prover = subprocess.run(
-            [
-                sys.executable, "-m", "sdzkp.cli", "prove",
-                "--connect", f"127.0.0.1:{port}", "--instance", str(ipath),
-                "--witness", str(wpath), "--rounds", "219", "--timeout-ms", "25000",
-            ],
-            capture_output=True, text=True, timeout=30,
-        )
-        out, _ = verifier.communicate(timeout=30)
-    finally:
-        if verifier.poll() is None:
-            verifier.kill()
-            verifier.wait()
-
+    common = ["--instance", ipath, "--rounds", "219", "--timeout-ms", "25000"]
+    prover, verifier = cli_session(common, ["--witness", wpath, *common], timeout=30)
     elapsed = time.perf_counter() - t0
     ok = (
         prover.returncode == 0
         and verifier.returncode == 0
-        and "ACCEPT" in out
+        and "ACCEPT" in verifier.stdout
         and elapsed < 30
     )
     report(
         "C10 interactive TCP",
         ok,
-        f"n=64 t=219 verdict={'ACCEPT' if 'ACCEPT' in out else 'REJECT'} "
+        f"n=64 t=219 verdict={'ACCEPT' if 'ACCEPT' in verifier.stdout else 'REJECT'} "
         f"prover_rc={prover.returncode} verifier_rc={verifier.returncode}, budget 30s",
         elapsed,
     )

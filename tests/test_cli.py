@@ -9,7 +9,6 @@ import socket
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import pytest
@@ -22,6 +21,7 @@ from sdzkp.analysis import make_cheating_prover
 from sdzkp.cli import EXIT_ACCEPT, EXIT_REJECT, EXIT_USAGE, main, make_rng, parse_addr
 from sdzkp.instance import instance_digest, load_instance, load_witness, validate_witness
 from sdzkp.protocol import NIZKProof, derive_challenges, encode_proof, fs_verify_bytes, prover_respond
+from reference import cli_process, cli_session, peer_session, src_env
 
 
 def keygen(tmp_path, *extra):
@@ -29,12 +29,6 @@ def keygen(tmp_path, *extra):
     args += list(extra)
     assert main(args) == EXIT_ACCEPT
     return tmp_path / "instance.sdz", tmp_path / "witness.sdw"
-
-
-def free_port():
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
 
 
 def test_parse_addr():
@@ -72,7 +66,7 @@ def test_out_of_range_timeout_is_a_usage_error(tmp_path, capsys, command, timeou
     # 0 made the listener non-blocking, so `verify` printed its listening line
     # and then REJECT; 10^14 ms overflowed time_t inside the socket calls.
     inst_path, wit_path = keygen(tmp_path)
-    args = [*command, f"127.0.0.1:{free_port()}", "--instance", str(inst_path), f"--timeout-ms={timeout}"]
+    args = [*command, "127.0.0.1:0", "--instance", str(inst_path), f"--timeout-ms={timeout}"]
     if command[0] == "prove":
         args += ["--witness", str(wit_path)]
     with pytest.raises(SystemExit) as exc:
@@ -177,8 +171,8 @@ def test_a_witness_others_can_read_is_warned_of(tmp_path, capsys, command, mode)
     args = [command, "--instance", str(inst_path), "--witness", str(wit_path), "--rounds", "8", "--seed", "9"]
     if command == "fs-prove":
         assert main([*args, "--proof", str(tmp_path / "p.sdp")]) == EXIT_ACCEPT
-    else:  # warned before it dials a port where nothing listens
-        assert main([*args, "--connect", f"127.0.0.1:{free_port()}", "--timeout-ms", "2000"]) == EXIT_USAGE
+    else:  # warned before it dials port 0, where nothing listens
+        assert main([*args, "--connect", "127.0.0.1:0", "--timeout-ms", "2000"]) == EXIT_USAGE
     warning = f"WARNING: the witness {wit_path} is readable by group or others (mode {mode:o})"
     assert (warning in capsys.readouterr().err) is bool(mode & 0o044)
 
@@ -266,7 +260,7 @@ def test_fs_verify_refuses_a_file_longer_than_any_proof(tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "sdzkp.cli", "fs-verify", "--instance", str(inst_path), "--proof", str(path),
              "--rounds", str(rounds)],
-            input=stdin, capture_output=True, env=_src_env(), timeout=60, preexec_fn=_limit_address_space,
+            input=stdin, capture_output=True, env=src_env(), timeout=60, preexec_fn=_limit_address_space,
         )
         assert (result.stdout, result.returncode) == (f"{verdict}\n".encode(), code), result.stderr
         assert b"Traceback" not in result.stderr
@@ -333,59 +327,21 @@ def test_fs_verify_rejects_random_bytes_and_the_previous_magic(tmp_path, capsys)
     assert capsys.readouterr().out.split() == ["REJECT", "REJECT"]
 
 
-def test_loopback_interactive_session(tmp_path, capsys):
-    inst_path, wit_path = keygen(tmp_path)
-    port = free_port()
-    result = {}
-
-    def verifier():
-        result["code"] = main([
-            "verify", "--listen", f"127.0.0.1:{port}", "--instance", str(inst_path),
-            "--rounds", "40", "--timeout-ms", "10000", "--seed", "11",
-        ])
-
-    th = threading.Thread(target=verifier)
-    th.start()
-    time.sleep(0.3)
-    code = None
-    for _ in range(5):
-        code = main([
-            "prove", "--connect", f"127.0.0.1:{port}", "--instance", str(inst_path),
-            "--witness", str(wit_path), "--rounds", "40", "--timeout-ms", "10000", "--seed", "12",
-        ])
-        if code == EXIT_ACCEPT:
-            break
-        time.sleep(0.2)
-    th.join(15)
-    assert code == EXIT_ACCEPT
-    assert result["code"] == EXIT_ACCEPT
-    assert "ACCEPT" in capsys.readouterr().out
-
-
-def test_loopback_rejects_wrong_witness(tmp_path, capsys):
+def test_loopback_rejects_wrong_witness(tmp_path):
     inst_path, _ = keygen(tmp_path / "a")
     other_inst, other_wit = keygen(tmp_path / "b", "--n", "20", "--seed", "8")
-    port = free_port()
-    result = {}
-
-    def verifier():
-        result["code"] = main([
-            "verify", "--listen", f"127.0.0.1:{port}", "--instance", str(inst_path),
-            "--rounds", "40", "--timeout-ms", "10000", "--seed", "13",
-        ])
-
-    th = threading.Thread(target=verifier)
-    th.start()
-    time.sleep(0.3)
-    # prover runs on an instance of a different degree: every response opens
-    # tuples of the wrong length, so the first round already fails
-    main([
-        "prove", "--connect", f"127.0.0.1:{port}", "--instance", str(other_inst),
-        "--witness", str(other_wit), "--rounds", "40", "--timeout-ms", "10000", "--seed", "14",
-    ])
-    th.join(15)
-    assert result["code"] == EXIT_REJECT
-    assert "REJECT" in capsys.readouterr().out
+    # the prover runs on a statement of degree 20: each of its responses is
+    # longer than any at degree 16, so the verifier's frame cap refuses the
+    # first before any round is checked
+    prover, verifier = cli_session(
+        ["--instance", inst_path, "--rounds", "40", "--timeout-ms", "10000", "--seed", "13"],
+        ["--instance", other_inst, "--witness", other_wit, "--rounds", "40", "--timeout-ms", "10000", "--seed", "14"],
+        SDZKP_LOG="info",
+    )
+    assert "sdzkp.net INFO session with" in verifier.stderr, verifier.stderr  # the prover dialled
+    assert "sdzkp.net INFO session aborted: invalid frame length" in verifier.stderr
+    assert (verifier.returncode, verifier.stdout.splitlines()[0]) == (EXIT_REJECT, "REJECT")
+    assert prover.returncode == EXIT_USAGE and "proof session completed" not in prover.stdout
 
 
 def test_prove_refuses_a_failing_witness_before_dialling(tmp_path, capsys):
@@ -393,9 +349,9 @@ def test_prove_refuses_a_failing_witness_before_dialling(tmp_path, capsys):
     _, foreign_wit = keygen(tmp_path / "b", "--seed", "2")
     assert not validate_witness(load_instance(inst_path), load_witness(foreign_wit).element)
     capsys.readouterr()
-    # nothing listens on the port: dialling first would fail with "connection refused"
+    # nothing listens on port 0: dialling first would fail with "connection refused"
     code = main([
-        "prove", "--connect", f"127.0.0.1:{free_port()}", "--instance", str(inst_path),
+        "prove", "--connect", "127.0.0.1:0", "--instance", str(inst_path),
         "--witness", str(foreign_wit), "--rounds", "8", "--timeout-ms", "2000",
     ])
     assert code == EXIT_USAGE
@@ -405,27 +361,12 @@ def test_prove_refuses_a_failing_witness_before_dialling(tmp_path, capsys):
 def test_verify_refuses_zero_rounds(tmp_path, capsys):
     # A peer that connects and sends nothing must never be accepted.
     inst_path, _ = keygen(tmp_path)
-    port = free_port()
-    result = {}
-
-    def verifier():
-        result["code"] = main([
-            "verify", "--listen", f"127.0.0.1:{port}", "--instance", str(inst_path),
-            "--rounds", "0", "--timeout-ms", "3000", "--seed", "15",
-        ])
-
-    th = threading.Thread(target=verifier)
-    th.start()
-    deadline = time.monotonic() + 3
-    while th.is_alive() and time.monotonic() < deadline:
-        try:
-            with socket.create_connection(("127.0.0.1", port), timeout=1):
-                th.join(5)
-        except OSError:
-            time.sleep(0.05)
-    th.join(10)
+    code = main([
+        "verify", "--listen", "127.0.0.1:0", "--instance", str(inst_path),
+        "--rounds", "0", "--timeout-ms", "3000", "--seed", "15",
+    ])
     captured = capsys.readouterr()
-    assert result["code"] == EXIT_USAGE
+    assert code == EXIT_USAGE
     assert "ACCEPT" not in captured.out
     assert "error:" in captured.err and "Traceback" not in captured.err
     assert "listening on" not in captured.err  # refused before binding
@@ -441,7 +382,6 @@ def test_verify_listens_then_fails_on_a_bad_instance(tmp_path, capsys, monkeypat
         bad_path.write_bytes(inst_path.read_bytes()[:40])
     capsys.readouterr()
     loading, dialled = threading.Event(), threading.Event()
-    result = {}
     real_load, real_session = sdzkp.instance.load_instance, sdzkp.net.prover_session
 
     def load_once_the_prover_dialled(path):
@@ -451,40 +391,42 @@ def test_verify_listens_then_fails_on_a_bad_instance(tmp_path, capsys, monkeypat
         return real_load(path)
 
     def session_after_the_dial(*args, **kwargs):
-        result["dialled"] = True  # dialled itself is also set below, so that no failure hangs the verifier
         dialled.set()
         return real_session(*args, **kwargs)
 
     monkeypatch.setattr(sdzkp.instance, "load_instance", load_once_the_prover_dialled)
     # connect_and_prove runs the session's rounds through prover_session once it has dialled
     monkeypatch.setattr(sdzkp.net, "prover_session", session_after_the_dial)
-    port = free_port()
 
     def verifier():
-        result["code"] = main([
-            "verify", "--listen", f"127.0.0.1:{port}", "--instance", str(bad_path),
+        return main([
+            "verify", "--listen", "127.0.0.1:0", "--instance", str(bad_path),
             "--rounds", "8", "--timeout-ms", "5000", "--seed", "16",
         ])
 
-    th = threading.Thread(target=verifier)
-    th.start()
-    try:
-        assert loading.wait(10), "verify never reached the instance load"
-        prover_code = main([
-            "prove", "--connect", f"127.0.0.1:{port}", "--instance", str(inst_path),
-            "--witness", str(wit_path), "--rounds", "8", "--timeout-ms", "5000", "--seed", "17",
-        ])
-    finally:
-        dialled.set()
-        th.join(10)
-    assert not th.is_alive()
+    announced = []
+
+    def prover():
+        try:
+            assert loading.wait(10), "verify never reached the instance load"
+            announced.append(capsys.readouterr().err)  # its port, announced before the load
+            code = main([
+                "prove", "--connect", re.search(r"^listening on (\S+)$", announced[0], re.M)[1],
+                "--instance", str(inst_path), "--witness", str(wit_path),
+                "--rounds", "8", "--timeout-ms", "5000", "--seed", "17",
+            ])
+            assert dialled.is_set() and code != EXIT_ACCEPT
+        finally:
+            dialled.set()  # so that no failure here leaves the verifier waiting
+
+    code, error, _ = peer_session(verifier, prover, over=None, thread="verifier")
     captured = capsys.readouterr()
-    assert result.get("dialled") and result["code"] == EXIT_USAGE
-    assert prover_code != EXIT_ACCEPT
+    err = announced[0] + captured.err
+    assert code == EXIT_USAGE and error is None
     assert "ACCEPT" not in captured.out and "proof session completed" not in captured.out
-    assert "Traceback" not in captured.err
-    listening = captured.err.index(f"listening on 127.0.0.1:{port}")
-    assert captured.err.index("error:", listening) > listening
+    assert "Traceback" not in err
+    listening = err.index("listening on 127.0.0.1:")
+    assert err.index("error:", listening) > listening
 
 
 def test_cli_offers_every_preset():
@@ -549,42 +491,21 @@ def test_fs_verify_refuses_a_one_round_forgery_at_the_default_count(tmp_path, ca
     assert captured.err.splitlines()[-1] == "error: need at least one round"
 
 
-# Runs one CLI command in a fresh interpreter, then prints the sdzkp modules it
-# loaded, and logging and dataclasses if it loaded them, as the last line of
-# stdout.
-_LOADED_MODULES = (
-    "import json, sys\n"
-    "from sdzkp.cli import main\n"
-    "code = main(sys.argv[1:])\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in ('sdzkp', 'logging', 'dataclasses'))))\n"
-    "sys.exit(code)\n"
-)
-
-
-def _src_env(**extra):
-    src = str(Path(sdzkp.cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    env.pop("SDZKP_LOG", None)
-    return {**env, **extra}
-
-
-def _cli_process(*args, **env):
-    return subprocess.Popen(
-        [sys.executable, "-c", _LOADED_MODULES, *map(str, args)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_src_env(**env),
-    )
+def _modules(stdout):
+    """The modules a cli_process run loaded, from the last line of its stdout."""
+    return json.loads(stdout.splitlines()[-1])
 
 
 def _loaded_modules(proc, timeout=60):
-    """(stdout, stderr, loaded modules) of a finished _cli_process."""
+    """(stdout, stderr, loaded modules) of a finished cli_process."""
     out, err = proc.communicate(timeout=timeout)
     assert proc.returncode == EXIT_ACCEPT, err
-    return out, err, json.loads(out.splitlines()[-1])
+    return out, err, _modules(out)
 
 
 def test_importing_the_cli_loads_no_layer():
     script = "import json, sys, sdzkp.cli; print(json.dumps(sorted(m for m in sys.modules if 'sdzkp' in m)))"
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_src_env(), timeout=60)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=src_env(), timeout=60)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == ["sdzkp", "sdzkp.cli"]
 
@@ -602,53 +523,32 @@ def test_offline_commands_load_neither_net_nor_analysis(tmp_path, capsys, comman
                      "--rounds", "8", "--seed", "9"],
         "fs-verify": ["--instance", inst_path, "--proof", proof, "--rounds", "8"],
     }[command]
-    _, _, loaded = _loaded_modules(_cli_process(command, *args))
+    _, _, loaded = _loaded_modules(cli_process(command, *args))
     assert "sdzkp.instance" in loaded
     assert "sdzkp.net" not in loaded and "sdzkp.analysis" not in loaded
     assert "logging" not in loaded and "dataclasses" not in loaded
 
 
 def test_analyze_loads_no_dataclasses():
-    _, _, loaded = _loaded_modules(_cli_process("analyze", "distribution", "--samples", 320, "--seed", 5))
+    _, _, loaded = _loaded_modules(cli_process("analyze", "distribution", "--samples", 320, "--seed", 5))
     assert "sdzkp.analysis" in loaded and "dataclasses" not in loaded
 
 
 def _loopback_session(tmp_path, host="127.0.0.1", **verifier_env):
-    """A real `sdzkp verify` and `sdzkp prove` process over loopback at host
-    (an IPv6 literal in brackets); returns each one's (stdout, stderr, loaded
-    modules), the prover's first.  The verifier's stderr goes to a file,
-    polled for its port, so no line is lost to a pipe reader's read-ahead.
-    The prover dials the address the verifier announces."""
+    """An 8-round cli_session at host (an IPv6 literal in brackets) that
+    both processes finish with ACCEPT; returns each one's CompletedProcess,
+    the prover's first."""
     inst_path, wit_path = keygen(tmp_path)
     common = ["--instance", inst_path, "--rounds", "8", "--timeout-ms", "20000"]
-    err_path = tmp_path / "verifier.err"
-    with open(err_path, "w") as err_file:
-        verifier = subprocess.Popen(
-            [sys.executable, "-c", _LOADED_MODULES, "verify", "--listen", f"{host}:0", *map(str, common)],
-            stdout=subprocess.PIPE, stderr=err_file, text=True, env=_src_env(**verifier_env),
-        )
-    try:
-        deadline = time.monotonic() + 60
-        while "\n" not in err_path.read_text():
-            assert verifier.poll() is None and time.monotonic() < deadline, err_path.read_text()
-            time.sleep(0.01)
-        line = err_path.read_text().splitlines()[0]
-        assert line.startswith(f"listening on {host}:"), line
-        prover = _cli_process("prove", "--connect", line.removeprefix("listening on "), "--witness", wit_path, *common)
-        prover_run = _loaded_modules(prover)
-        out, _, loaded = _loaded_modules(verifier)
-    finally:
-        verifier.kill()
-        verifier.communicate()
-    verifier_run = out, err_path.read_text(), loaded
-    assert "proof session completed" in prover_run[0] and verifier_run[0].splitlines()[0] == "ACCEPT"
-    assert "WARNING: 8 rounds give 4.7 bits of soundness, below the 128 bits of the default 219" in \
-        verifier_run[1].splitlines()
-    return prover_run, verifier_run
+    prover, verifier = cli_session(common, ["--witness", wit_path, *common], host, **verifier_env)
+    assert (prover.returncode, verifier.returncode) == (EXIT_ACCEPT, EXIT_ACCEPT), (prover.stderr, verifier.stderr)
+    assert "proof session completed" in prover.stdout and verifier.stdout.splitlines()[0] == "ACCEPT"
+    return prover, verifier
 
 
 def test_loopback_session_leaves_analysis_unloaded(tmp_path):
-    for _, _, loaded in _loopback_session(tmp_path):
+    for run in _loopback_session(tmp_path):
+        loaded = _modules(run.stdout)
         assert "sdzkp.net" in loaded and "sdzkp.analysis" not in loaded
         assert "logging" not in loaded and "dataclasses" not in loaded
 
@@ -666,31 +566,21 @@ def _can_bind_ipv6_loopback():
 def test_ipv6_loopback_session(tmp_path):
     # the IPv6 literal goes in brackets on both ends, and the verifier
     # announces its bound address in the same form
-    _, (_, verifier_err, _) = _loopback_session(tmp_path, host="[::1]")
-    assert re.fullmatch(r"listening on \[::1\]:[1-9][0-9]*", verifier_err.splitlines()[0])
+    _, verifier = _loopback_session(tmp_path, host="[::1]")
+    assert re.fullmatch(r"listening on \[::1\]:[1-9][0-9]*", verifier.stderr.splitlines()[0])
 
 
 def test_verify_warns_after_listening_below_the_default_round_count(tmp_path):
-    inst_path, wit_path = keygen(tmp_path)
-    common = ["--instance", inst_path, "--rounds", "8", "--timeout-ms", "20000"]
-    verifier = _cli_process("verify", "--listen", "127.0.0.1:0", *common)
-    try:
-        listening, warning = verifier.stderr.readline(), verifier.stderr.readline()
-        assert listening.startswith("listening on 127.0.0.1:"), listening
-        assert warning == "WARNING: 8 rounds give 4.7 bits of soundness, below the 128 bits of the default 219\n"
-        port = int(listening.rsplit(":", 1)[1])
-        prover = _cli_process("prove", "--connect", f"127.0.0.1:{port}", "--witness", wit_path, *common)
-        assert "proof session completed" in _loaded_modules(prover)[0]
-        assert _loaded_modules(verifier)[0].splitlines()[0] == "ACCEPT"
-    finally:
-        verifier.kill()
-        verifier.communicate()
+    _, verifier = _loopback_session(tmp_path)
+    listening, warning = verifier.stderr.splitlines()[:2]
+    assert listening.startswith("listening on 127.0.0.1:"), listening
+    assert warning == "WARNING: 8 rounds give 4.7 bits of soundness, below the 128 bits of the default 219"
 
 
 def test_sdzkp_log_loads_logging_and_logs_the_session(tmp_path):
-    prover_run, (_, verifier_err, verifier_loaded) = _loopback_session(tmp_path, SDZKP_LOG="info")
-    assert "logging" in verifier_loaded and "logging" not in prover_run[2]
-    assert "sdzkp.net INFO session with" in verifier_err
+    prover, verifier = _loopback_session(tmp_path, SDZKP_LOG="info")
+    assert "logging" in _modules(verifier.stdout) and "logging" not in _modules(prover.stdout)
+    assert "sdzkp.net INFO session with" in verifier.stderr
 
 
 @pytest.mark.parametrize("args", [
@@ -779,9 +669,7 @@ def test_analyze_distribution_needs_no_scipy():
         "import sys; sys.modules['scipy'] = None; from sdzkp.cli import main; "
         "sys.exit(main(['analyze', 'distribution', '--samples', '320', '--seed', '5']))"
     )
-    src = str(Path(sdzkp.cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=src_env(), timeout=60)
     assert result.returncode == EXIT_ACCEPT, result.stderr
     assert json.loads(result.stdout)["pass"] is True
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import inspect
+import itertools
 import logging
 import random
 import socket
@@ -25,7 +26,7 @@ from sdzkp.protocol import (
     prover_commit,
     prover_respond,
 )
-from reference import frame
+from reference import frame, peer_session
 
 
 @pytest.fixture(scope="module")
@@ -163,45 +164,39 @@ def test_recv_expected_type_mismatch():
             net.recv_expected(b, MSG_COMMIT, COMMIT_FRAME_MAX, soon(), bytearray())
 
 
-def run_session(inst, wit, rounds, prover_fn=None):
-    """Verifier in this thread, prover (or an impostor) in another."""
-    a, b = pair()
-    errors = []
+# The drivers as peer_session sides: over a socket pair with a deadline
+# `seconds` away, or over loopback TCP with timeout_s.
 
-    def prover_side():
-        try:
-            with a:
-                if prover_fn is None:
-                    net.prover_session(a, honest_rounds(inst, wit, rounds, random.Random(101)), soon())
-                else:
-                    prover_fn(a)
-        except (net.SessionError, OSError) as exc:
-            errors.append(exc)
-
-    th = threading.Thread(target=prover_side)
-    th.start()
-    try:
-        with b:
-            ok = net.verifier_session(b, inst, rounds, random.Random(102), soon())
-    finally:
-        th.join(10)
-    return ok, errors
+def verifier_side(inst, rounds, seed=102, seconds=10):
+    return lambda sock: net.verifier_session(sock, inst, rounds, random.Random(seed), soon(seconds))
 
 
-def test_honest_session_accepts(planted):
-    inst, wit = planted
-    ok, errors = run_session(inst, wit, 32)
-    assert ok
-    assert not errors
+def prover_side(inst, wit, rounds, seed=101, seconds=10):
+    return lambda sock: net.prover_session(sock, honest_rounds(inst, wit, rounds, random.Random(seed)), soon(seconds))
+
+
+def tcp_verifier(inst, rounds, timeout_s):
+    return lambda listener: net.accept_and_verify(listener, inst, rounds, random.Random(107), timeout_s=timeout_s)
+
+
+def tcp_prover(inst, wit, rounds, timeout_s, seed=108):
+    return lambda address: net.connect_and_prove(*address, inst, wit, rounds, random.Random(seed), timeout_s=timeout_s)
 
 
 class _Recorder:
-    """A socket that hashes every byte it sends and keeps each write."""
+    """A session side run on a socket that hashes every byte it sends and
+    keeps each write."""
 
-    def __init__(self, sock):
-        self._sock = sock
+    _sock = None
+
+    def __init__(self, side):
+        self._side = side
         self.sent = hashlib.sha256()
         self.writes = []
+
+    def __call__(self, sock):
+        self._sock = sock
+        return self._side(self)
 
     def sendall(self, data):
         self.sent.update(data)
@@ -217,15 +212,9 @@ def test_session_bytes_are_pinned():
     # and the order in which it draws its coins; overlapping the rounds
     # must change none of them.
     inst, wit = plant_instance(64, 3, 16, random.Random(120))
-    a, b = pair()
-    prover, verifier = _Recorder(a), _Recorder(b)
-    states = honest_rounds(inst, wit, 219, random.Random(121))
-    th = threading.Thread(target=net.prover_session, args=(prover, states, soon()))
-    th.start()
-    with a, b:
-        ok = net.verifier_session(verifier, inst, 219, random.Random(122), soon())
-        th.join(10)
-    assert ok and not th.is_alive()
+    prover, verifier = _Recorder(prover_side(inst, wit, 219, seed=121)), _Recorder(verifier_side(inst, 219, seed=122))
+    ok, error, _ = peer_session(verifier, prover)
+    assert ok and error is None
     assert prover.sent.hexdigest() == "404fc79721372725826a3cbe347ce62f133f8b3f27c45130c9e844bf98efd5be"
     assert verifier.sent.hexdigest() == "7b95078da55fcfe6ee7d6358ccf6a3ee42c2100a80ce1aaca80c442b2f3fbce1"
 
@@ -245,15 +234,10 @@ def test_the_prover_writes_each_round_in_one_sendall(planted):
     # i+1 in one write: the bytes send_frame writes one frame at a time.
     inst, wit = planted
     rounds = 12
-    a, b = pair()
-    prover, verifier = _Recorder(a), _Recorder(b)
-    states = honest_rounds(inst, wit, rounds, random.Random(123))
-    th = threading.Thread(target=net.prover_session, args=(prover, states, soon()))
-    th.start()
-    with a, b:
-        ok = net.verifier_session(verifier, inst, rounds, random.Random(124), soon())
-        th.join(10)
-    assert ok and not th.is_alive()
+    prover = _Recorder(prover_side(inst, wit, rounds, seed=123))
+    verifier = _Recorder(verifier_side(inst, rounds, seed=124))
+    ok, error, _ = peer_session(verifier, prover)
+    assert ok and error is None
     assert len(prover.writes) == 1 + rounds
     challenges = [frame[-1] for frame in verifier.writes]
     states = list(honest_rounds(inst, wit, rounds, random.Random(123)))
@@ -284,7 +268,7 @@ def test_verifier_rejects_one_flipped_response_byte(planted, monkeypatch, caplog
 
     monkeypatch.setattr(net, "prover_respond", flip_one_byte)
     with caplog.at_level(logging.INFO, logger="sdzkp.net"):
-        ok, _ = run_session(inst, wit, rounds)
+        ok, _, _ = peer_session(verifier_side(inst, rounds), prover_side(inst, wit, rounds))
     assert ok is False
     assert len(sent) > bad_round
     assert f"round {bad_round} failed verification" in caplog.text
@@ -295,8 +279,8 @@ def test_prover_session_checks_the_witness_once(planted, monkeypatch):
     calls = []
     check = sdzkp.protocol.validate_witness
     monkeypatch.setattr(sdzkp.protocol, "validate_witness", lambda i, h: calls.append(h) or check(i, h))
-    ok, errors = run_session(inst, wit, 219)
-    assert ok and not errors
+    ok, error, _ = peer_session(verifier_side(inst, 219), prover_side(inst, wit, 219))
+    assert ok and error is None
     assert calls == [wit.element]
 
     _, foreign = plant_instance(16, 4, 6, random.Random(112))
@@ -317,9 +301,9 @@ def test_impostor_sends_garbage_commit(planted):
         while chunk := sock.recv(4096):  # everything the verifier sends before it hangs up
             received.extend(chunk)
 
-    ok, errors = run_session(inst, wit, 4, impostor)
+    ok, error, _ = peer_session(verifier_side(inst, 4), impostor)
     assert not ok
-    assert not errors and received == b""  # refused before a challenge was sent
+    assert error is None and received == b""  # refused before a challenge was sent
 
 
 def test_impostor_sends_wrong_type(planted):
@@ -328,7 +312,7 @@ def test_impostor_sends_wrong_type(planted):
     def impostor(sock):
         net.send_frame(sock, MSG_RESPONSE, bytes(96))
 
-    ok, _ = run_session(inst, wit, 4, impostor)
+    ok, _, _ = peer_session(verifier_side(inst, 4), impostor)
     assert not ok
 
 
@@ -340,7 +324,7 @@ def test_impostor_disconnects_mid_session(planted):
         net.recv_expected(sock, MSG_CHALLENGE, 2, soon(), bytearray())
         # hang up instead of responding
 
-    ok, _ = run_session(inst, wit, 4, impostor)
+    ok, _, _ = peer_session(verifier_side(inst, 4), impostor)
     assert not ok
 
 
@@ -352,11 +336,11 @@ def test_impostor_sends_malformed_response(planted, caplog):
         net.recv_expected(sock, MSG_CHALLENGE, 2, soon(), bytearray())
         net.send_frame(sock, MSG_RESPONSE, b"\x07garbage")
 
-    ok, _ = run_session(inst, wit, 4, impostor)
+    ok, _, _ = peer_session(verifier_side(inst, 4), impostor)
     assert not ok
     # the round check refuses it, so the log names the round
     with caplog.at_level(logging.INFO, logger="sdzkp.net"):
-        ok, _ = run_session(inst, wit, 1, impostor)
+        ok, _, _ = peer_session(verifier_side(inst, 1), impostor)
     assert not ok
     assert "round 0 failed verification" in caplog.text
 
@@ -371,25 +355,8 @@ def test_commit_without_witness_fails_rounds(planted):
             net.recv_expected(sock, MSG_CHALLENGE, 2, soon(), bytearray())
             net.send_frame(sock, MSG_RESPONSE, b"\x00" + b"\x00" * 200)
 
-    ok, _ = run_session(inst, wit, 2, impostor)
+    ok, _, _ = peer_session(verifier_side(inst, 2), impostor)
     assert not ok
-
-
-def test_tcp_listener_accept_and_prove(planted):
-    inst, wit = planted
-    listener = socket.create_server(("127.0.0.1", 0), backlog=1)
-    host, port = listener.getsockname()
-    result = {}
-
-    def verifier_side():
-        with listener:
-            result["ok"] = net.accept_and_verify(listener, inst, 16, random.Random(103), timeout_s=10)
-
-    th = threading.Thread(target=verifier_side)
-    th.start()
-    net.connect_and_prove(host, port, inst, wit, 16, random.Random(104), timeout_s=10)
-    th.join(10)
-    assert result["ok"]
 
 
 def test_connect_and_prove_checks_the_witness_once(planted, monkeypatch):
@@ -398,8 +365,8 @@ def test_connect_and_prove_checks_the_witness_once(planted, monkeypatch):
     calls = []
     check = sdzkp.protocol.validate_witness
     monkeypatch.setattr(sdzkp.protocol, "validate_witness", lambda i, h: calls.append(h) or check(i, h))
-    ok, _ = tcp_session(inst, wit, 16, timeout_s=10)
-    assert ok
+    ok, error, _ = peer_session(tcp_verifier(inst, 16, 10), tcp_prover(inst, wit, 16, 10), over="tcp")
+    assert ok and error is None
     assert calls == [wit.element]
 
 
@@ -412,47 +379,28 @@ def test_accept_timeout_rejects(planted):
 
 def test_prover_session_rejects_invalid_challenge(planted):
     inst, wit = planted
-    a, b = pair()
-    errors = []
 
-    def prover_side():
-        try:
-            with a:
-                net.prover_session(a, honest_rounds(inst, wit, 1, random.Random(106)), soon())
-        except net.SessionError as exc:
-            errors.append(exc)
+    def verifier(sock):
+        net.recv_expected(sock, MSG_COMMIT, COMMIT_FRAME_MAX, soon(), bytearray())
+        net.send_frame(sock, MSG_CHALLENGE, bytes([9]))
 
-    th = threading.Thread(target=prover_side)
-    th.start()
-    with b:
-        net.recv_expected(b, MSG_COMMIT, COMMIT_FRAME_MAX, soon(), bytearray())
-        net.send_frame(b, MSG_CHALLENGE, bytes([9]))
-    th.join(10)
-    assert errors
+    _, error, _ = peer_session(verifier, prover_side(inst, wit, 1, seed=106))
+    assert isinstance(error, net.SessionError)
 
 
 def test_prover_refuses_an_oversized_challenge_before_its_body(planted):
     inst, wit = planted
-    a, b = pair()
-    errors = []
 
-    def prover_side():
-        try:
-            with a:
-                net.prover_session(a, honest_rounds(inst, wit, 1, random.Random(112)), soon(3))
-        except OSError as exc:
-            errors.append(exc)
-
-    th = threading.Thread(target=prover_side)
-    th.start()
-    with b:
-        net.recv_expected(b, MSG_COMMIT, COMMIT_FRAME_MAX, soon(), bytearray())
-        t0 = time.monotonic()
+    def verifier(sock):
+        net.recv_expected(sock, MSG_COMMIT, COMMIT_FRAME_MAX, soon(), bytearray())
         # announce 1 MiB, send nothing behind it, and hold the line open
-        b.sendall(struct.pack("<I", 1 << 20))
-        th.join(10)
-    assert time.monotonic() - t0 < 1.0
-    assert len(errors) == 1 and type(errors[0]) is net.SessionError
+        # until the prover hangs up
+        sock.sendall(struct.pack("<I", 1 << 20))
+        assert sock.recv(1) == b""
+
+    _, error, seconds = peer_session(verifier, prover_side(inst, wit, 1, seed=112, seconds=3))
+    assert seconds < 1.0
+    assert type(error) is net.SessionError
 
 
 def test_zero_round_sessions_refused_before_any_io(planted):
@@ -478,99 +426,55 @@ def test_zero_round_sessions_refused_before_any_io(planted):
         conn.close()
 
 
-def tcp_session(inst, wit, rounds, timeout_s, prover_fn=None):
-    """Verifier over real loopback TCP in a thread; returns (ok, seconds)."""
-    listener = socket.create_server(("127.0.0.1", 0), backlog=1)
-    host, port = listener.getsockname()
-    result = {}
-
-    def verifier_side():
-        with listener:
-            t0 = time.monotonic()
-            result["ok"] = net.accept_and_verify(listener, inst, rounds, random.Random(107), timeout_s=timeout_s)
-            result["seconds"] = time.monotonic() - t0
-
-    th = threading.Thread(target=verifier_side)
-    th.start()
-    try:
-        if prover_fn is None:
-            net.connect_and_prove(host, port, inst, wit, rounds, random.Random(108), timeout_s=timeout_s)
-        else:
-            prover_fn(host, port)
-    finally:
-        th.join(timeout_s + 10)
-    assert not th.is_alive()
-    return result["ok"], result["seconds"]
-
-
 def test_full_tcp_session_is_not_stalled_by_nagle(planted):
     # Without TCP_NODELAY every round waits out a delayed ACK (about 40 ms),
     # so 219 rounds took close to 10 s.
     inst, wit = planted
-    ok, seconds = tcp_session(inst, wit, 219, timeout_s=30)
-    assert ok
+    ok, error, seconds = peer_session(tcp_verifier(inst, 219, 30), tcp_prover(inst, wit, 219, 30), over="tcp")
+    assert ok and error is None
     assert seconds < 2.0
 
 
 def test_session_deadline_bounds_a_trickling_peer(planted):
     inst, _ = planted
-    stop = threading.Event()
 
-    def trickler(host, port):
+    def trickler(address):
         # A well-formed commit frame, one byte per 50 ms: each recv returns
         # well inside the timeout, but the session as a whole must not.
-        with socket.create_connection((host, port), timeout=5) as sock:
+        with socket.create_connection(address, timeout=5) as sock:
             for b in frame(MSG_COMMIT, bytes(96)):
-                if stop.wait(0.05):
-                    return
-                try:
-                    sock.sendall(bytes([b]))
-                except OSError:
-                    return
+                time.sleep(0.05)
+                sock.sendall(bytes([b]))
 
     timeout_s = 0.5
-    try:
-        ok, seconds = tcp_session(inst, None, 4, timeout_s, prover_fn=trickler)
-    finally:
-        stop.set()
+    ok, _, seconds = peer_session(tcp_verifier(inst, 4, timeout_s), trickler, over="tcp")
     assert not ok
     assert seconds < timeout_s + 1.0
 
 
 def test_prover_deadline_bounds_a_trickling_verifier(planted):
     inst, wit = planted
-    listener = socket.create_server(("127.0.0.1", 0), backlog=1)
-    listener.settimeout(5)
-    host, port = listener.getsockname()
     stop = threading.Event()
 
-    def trickler():
-        # Well-formed challenge frames, one byte per 300 ms: each recv returns
-        # well inside the prover's timeout, but the session as a whole must not.
-        with listener:
-            conn, _ = listener.accept()
+    def trickler(listener):
+        # Well-formed challenge frames, one byte per 300 ms, until the prover
+        # gives up: each recv returns well inside the prover's timeout, but
+        # the session as a whole must not.
+        conn, _ = listener.accept()
         with conn:
-            while True:
-                for b in frame(MSG_CHALLENGE, b"\x00"):
-                    if stop.wait(0.3):
-                        return
-                    try:
-                        conn.sendall(bytes([b]))
-                    except OSError:
-                        return
+            for b in itertools.cycle(frame(MSG_CHALLENGE, b"\x00")):
+                if stop.wait(0.3):
+                    return
+                conn.sendall(bytes([b]))
 
-    th = threading.Thread(target=trickler)
-    th.start()
     timeout_s = 0.5
-    t0 = time.monotonic()
-    try:
+
+    def prover(address):
         with pytest.raises(socket.timeout):
-            net.connect_and_prove(host, port, inst, wit, 4, random.Random(109), timeout_s=timeout_s)
-        seconds = time.monotonic() - t0
-    finally:
+            tcp_prover(inst, wit, 4, timeout_s, seed=109)(address)
         stop.set()
-        th.join(5)
-    assert not th.is_alive()
+
+    _, _, seconds = peer_session(trickler, prover, over="tcp", thread="verifier")
     assert seconds < timeout_s + 1.0
 
 
@@ -615,29 +519,16 @@ def _frames(foreign):
 def test_verifier_rejects_an_adversarial_peer_without_raising(planted, foreign_frames, data):
     inst, _ = planted
     chunks = data.draw(_frames(foreign_frames))
-    a, b = pair()
 
-    def peer():
-        with a:
-            for chunk, stall in chunks:
-                time.sleep(stall)
-                try:
-                    a.sendall(chunk)
-                except OSError:
-                    return
+    def peer(sock):
+        for chunk, stall in chunks:
+            time.sleep(stall)
+            sock.sendall(chunk)
 
-    th = threading.Thread(target=peer)
-    th.start()
     timeout_s = 0.5
-    t0 = time.monotonic()
-    try:
-        with b:
-            ok = net.verifier_session(b, inst, 2, random.Random(111), soon(timeout_s))
-    finally:
-        th.join(5)
-    assert not th.is_alive()
+    ok, _, seconds = peer_session(verifier_side(inst, 2, seed=111, seconds=timeout_s), peer)
     assert ok is False
-    assert time.monotonic() - t0 < timeout_s + 1.0
+    assert seconds < timeout_s + 1.0
 
 
 @pytest.mark.parametrize("stage", ["commit", "response"])
@@ -654,10 +545,9 @@ def test_oversized_frame_rejected_before_its_body(planted, stage):
         sock.sendall(struct.pack("<I", 1 << 20))
         sock.recv(1)
 
-    t0 = time.monotonic()
-    ok, _ = run_session(inst, None, 4, impostor)
+    ok, _, seconds = peer_session(verifier_side(inst, 4), impostor)
     assert not ok
-    assert time.monotonic() - t0 < 2.0
+    assert seconds < 2.0
 
 
 @pytest.mark.parametrize("n", [4, 7, 16, 64])
@@ -677,8 +567,8 @@ def test_small_degree_tcp_session_accepts():
     # while a masked value is under the seed's 32 bytes the longest
     # response is kind 0 or 1, not kind 2
     inst, wit = plant_instance(4, 2, 2, random.Random(110))
-    ok, _ = tcp_session(inst, wit, 40, timeout_s=10)
-    assert ok
+    ok, error, _ = peer_session(tcp_verifier(inst, 40, 10), tcp_prover(inst, wit, 40, 10), over="tcp")
+    assert ok and error is None
 
 
 @pytest.mark.parametrize("foreign_witness, rounds, error", [

@@ -4,7 +4,6 @@ import ast
 import importlib
 import importlib.util
 import json
-import os
 import re
 import subprocess
 import sys
@@ -14,6 +13,7 @@ import pytest
 
 import sdzkp
 import sdzkp.protocol
+from reference import src_env
 
 ROOT = Path(__file__).parents[1]
 
@@ -77,9 +77,7 @@ def test_bare_import_reaches_every_submodule():
         f"names = {SUBMODULES!r}\n"
         "print(json.dumps([getattr(sdzkp, m) is sys.modules['sdzkp.' + m] for m in names]))\n"
     )
-    src = str(Path(sdzkp.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=src_env(), timeout=60)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == [True] * len(SUBMODULES)
 
@@ -87,7 +85,8 @@ def test_bare_import_reaches_every_submodule():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         sdzkp.no_such_name
-    assert not hasattr(sdzkp, "require_witness")  # public in protocol, not in the package
+    assert hasattr(sdzkp.protocol, "derive_challenges")
+    assert not hasattr(sdzkp, "derive_challenges")  # public in protocol, not in the package
 
 
 def test_package_names_follow_a_rebinding(monkeypatch):
