@@ -194,6 +194,29 @@ def corrupted(prover):
                 yield slot, prover._replace(**{field: broken}), bad is not None
 
 
+@pytest.mark.parametrize("fixture", ["planted", "small_abelian"])
+def test_accepted_challenges_equals_one_verify_round_per_challenge(fixture, request):
+    inst, wit = request.getfixturevalue(fixture)
+    rng = random.Random(86)
+    for _ in range(3):
+        states = [honest_rewindable_prover(inst, wit, rng)]
+        states += [make_cheating_prover(inst, targets, rng) for targets in TARGET_SETS]
+        states += [analysis._simulated_state(inst, guess, rng) for guess in CHALLENGES]
+        for prover in states:
+            expected = verified_challenges(inst, prover)
+            assert len(expected) >= 2
+            assert accepted_challenges(inst, prover) == expected
+            for slot, broken, on_the_wire in corrupted(prover):
+                accepted = accepted_challenges(inst, broken)
+                if len(broken.commitment) == COMMITMENT_BYTES:
+                    # a broken part fails exactly the challenges that open its slot
+                    assert accepted == {ch for ch in expected if slot not in OPENS[ch]}
+                else:  # a cut commitment is no round's: it fails every challenge
+                    assert accepted == set()
+                if on_the_wire:
+                    assert accepted == verified_challenges(inst, broken)
+
+
 def opens_then_holds(inst, commitment, challenge, response):
     """verify_round's two steps on a round's decoded response: slot_opens
     for each slot the challenge opens, then whether _shown shows anything
@@ -310,9 +333,7 @@ def test_accepted_challenges_equals_the_round_readers_verdicts(make, giant):
     challenge on the state's wire bytes, must show something at exactly the
     challenges it accepts: on honest states, each cheating strategy's, the
     simulator's under each guess, and each of those with one byte of a
-    value, an opening or a digest flipped.  With one slot's part broken by
-    `corrupted`, a state loses exactly the challenges that open that slot,
-    and all of them when its commitment is cut."""
+    value, an opening or a digest flipped."""
     inst, wit = make()
     assert inst.group.giant == giant
     rng = random.Random(91)
@@ -324,18 +345,10 @@ def test_accepted_challenges_equals_the_round_readers_verdicts(make, giant):
     assert judged[5] >= {0, 1} and judged[6] >= {0, 1} and 2 in judged[7]  # what each guess covers
     narrowed = 0
     for state, accepted in zip(states, judged):
-        assert len(accepted) >= 2 and accepted == verified_challenges(inst, state)
+        assert accepted == verified_challenges(inst, state)
         for broken in one_byte_flipped(state, rng):
             assert accepted_challenges(inst, broken) == verified_challenges(inst, broken)
             narrowed += accepted_challenges(inst, broken) < accepted
-        for slot, broken, on_the_wire in corrupted(state):
-            survived = accepted_challenges(inst, broken)
-            if len(broken.commitment) == COMMITMENT_BYTES:
-                assert survived == {ch for ch in accepted if slot not in OPENS[ch]}
-            else:  # a cut commitment is no round's: it fails every challenge
-                assert survived == set()
-            if on_the_wire:
-                assert survived == verified_challenges(inst, broken)
     assert narrowed == 9 * len(states)
 
 
