@@ -19,8 +19,9 @@ Everything here treats the protocol as an object of study.  The tools are:
   realizing the 2/3 single-round soundness error;
 * a rewinding simulator that produces accepting transcripts without the
   witness, and a distribution test comparing them to real ones.  Its
-  attempts (_attempt) are shared with the two simulator rates, which
-  count hits and make no transcript.
+  attempts (_attempt) are shared with the attempt success rate, which
+  counts hits and makes no transcript; the abort rate counts the runs
+  of simulate itself that end in None.
 
 The package exports the five rates `sdzkp analyze` reports, completeness
 (the one in-process honest session) among them, and nothing else here.
@@ -40,7 +41,6 @@ from .instance import SDPInstance, Witness
 from .perm import Permutation, _sample, random_support_perm
 from .protocol import (
     CHALLENGES,
-    COMMITMENT_BYTES,
     SEED,
     Z1,
     Z2,
@@ -49,7 +49,6 @@ from .protocol import (
     _response_layout,
     _shown,
     commit_round,
-    commitment_digests,
     honest_rounds,
     masked_round,
     prover_commit,
@@ -99,22 +98,19 @@ def accepted_challenges(inst: SDPInstance, prover: ProverState) -> set[int]:
     """Which challenges this committed state would survive: the set of ch
     for which read_round shows something on its commitment and
     prover_respond(prover, ch).
-    One pass: the commitment is checked once (bytes, COMMITMENT_BYTES long;
-    else no challenge passes), then each slot once (slot_opens) rather than
-    under both challenges that open it.  Challenge 2 opens Z1 and Z2, and
-    _shown judges them; 0 and 1 each open theirs beside the seed (OPENS),
-    and _member judges the words that one crypto.mask_values read unmasks
-    for both, unchecked, as slot_opens has fixed the seed's and the values'
-    lengths.
+    One pass: each slot is checked once (slot_opens, which refuses a
+    commitment that is not COMMITMENT_BYTES of bytes, so then no challenge
+    passes) rather than under both challenges that open it.  Challenge 2
+    opens Z1 and Z2, and _shown judges them; 0 and 1 each open theirs
+    beside the seed (OPENS), and _member judges the words that one
+    crypto.mask_values read unmasks for both, unchecked, as slot_opens has
+    fixed the seed's and the values' lengths.
     A part that fails its check fails just the challenges that open its
     slot."""
-    com = prover.commitment
-    if not isinstance(com, bytes) or len(com) != COMMITMENT_BYTES:
-        return set()
-    (z1, z2, seed), (d1, d2, d3), (o1, o2, o3) = prover.values, commitment_digests(com), prover.openings
-    ok1, ok2 = slot_opens(inst, d1, Z1, z1, o1), slot_opens(inst, d2, Z2, z2, o2)
+    com, (z1, z2, seed), (o1, o2, o3) = prover.commitment, prover.values, prover.openings
+    ok1, ok2 = slot_opens(inst, com, Z1, z1, o1), slot_opens(inst, com, Z2, z2, o2)
     accepted = {2} if ok1 and ok2 and _shown(inst, 2, z1, z2) is not None else set()
-    if (ok1 or ok2) and slot_opens(inst, d3, SEED, seed, o3):
+    if (ok1 or ok2) and slot_opens(inst, com, SEED, seed, o3):
         if ok1 and ok2:
             w1, w2 = mask_values(seed, z1, z2)
         else:  # the one value that opened; the other's words go unread
@@ -321,12 +317,11 @@ def simulator_attempt_success_rate(inst: SDPInstance, attempts: int, rng: Random
 
 def simulator_abort_rate(inst: SDPInstance, max_rewinds: int, runs: int, rng: Random) -> float:
     """Fraction of `runs` simulations of up to max_rewinds attempts each
-    (simulate's coins, without its transcript) that no attempt wins."""
+    that no attempt wins, so that simulate returns None."""
     require_positive(runs, "run")
     require_positive(max_rewinds, "attempt")
     verifier = honest_verifier(rng)
-    aborts = sum(all(_attempt(inst, verifier, rng) is None for _ in range(max_rewinds)) for _ in range(runs))
-    return aborts / runs
+    return sum(simulate(inst, verifier, max_rewinds, rng) is None for _ in range(runs)) / runs
 
 
 # --- reports ---

@@ -2,7 +2,10 @@
 
 Slot i (0, 1, 2) of a round is committed as SHA-256 (FIPS 180-4) over
 (ASCII tag COMMIT_TAGS[i] || 32-byte opening || message); _digest alone
-writes that input.  Binding needs the 128-bit collision resistance of a
+writes that input.  A round's commitment is its three slots' digests,
+COMMITMENT_BYTES in all, slot i's at bytes [32i, 32i+32): commit writes
+it and opens reads a slot of it, and no other code knows where a slot's
+digest lies.  Binding needs the 128-bit collision resistance of a
 256-bit digest, and hiding rests on the secret opening; every message is
 read at its slot's fixed length, so length extension, which lengthens a
 message, gives no second opening of a digest.
@@ -34,6 +37,7 @@ from typing import Sequence
 SEED_BYTES = 32
 OPENING_BYTES = 32
 DIGEST_BYTES = 32
+COMMITMENT_BYTES = 3 * DIGEST_BYTES
 COMMIT_TAGS = ("C1", "C2", "C3")
 
 _TAG_SLOTS = {tag: slot for slot, tag in enumerate(COMMIT_TAGS)}
@@ -52,32 +56,26 @@ def _digest(slot: int, opening: bytes, message: bytes) -> bytes:
 def commit(z1: bytes, z2: bytes, seed: bytes, openings: bytes) -> tuple[tuple[bytes, bytes, bytes], bytes]:
     """Commit to a round's slots z1, z2 and seed (tags C1, C2, C3) under
     openings, the 96 bytes the caller drew: bytes [32i, 32i+32) open slot
-    i.  Returns the three openings and the 96 bytes of the slots' digests,
-    each in that order."""
+    i.  Returns the three openings and the round's commitment, the slots'
+    digests, each in that order."""
     o1, o2, o3 = openings[:OPENING_BYTES], openings[OPENING_BYTES:-OPENING_BYTES], openings[-OPENING_BYTES:]
     return (o1, o2, o3), _digest(0, o1, z1) + _digest(1, o2, z2) + _digest(2, o3, seed)
 
 
-def opens(digest: bytes, slot: int, opening: bytes, message: bytes) -> bool:
-    """Whether opening opens digest to message in slot 0, 1 or 2 (commit's
-    order): the hash and a compare only, on bytes the caller has sized."""
-    return hmac.compare_digest(digest, _digest(slot, opening, message))
-
-
-def both_open(
-    digests: bytes, s: int, s_opening: bytes, s_message: bytes, t: int, t_opening: bytes, t_message: bytes
-) -> bool:
-    """Whether slots s and t both open, each as opens checks one: digests is
-    slot s's digest, then slot t's (64 bytes), and one constant-time compare
-    sets it against the two hashes.  The hashes and the compare only, on
-    bytes the caller has sized."""
-    return hmac.compare_digest(digests, _digest(s, s_opening, s_message) + _digest(t, t_opening, t_message))
+def opens(commitment: bytes, slot: int, opening: bytes, message: bytes) -> bool:
+    """Whether opening opens slot 0, 1 or 2 (commit's order) of a round's
+    commitment to message: bytes [32·slot, 32·slot+32) of the commitment
+    against the slot's hash, in one constant-time compare.  The hash and
+    the compare only, on bytes the caller has sized."""
+    at = slot * DIGEST_BYTES
+    return hmac.compare_digest(commitment[at : at + DIGEST_BYTES], _digest(slot, opening, message))
 
 
 def verify_commitment(digest: bytes, message: bytes, tag: str, opening: bytes) -> bool:
-    """opens behind checks of the tag and of each part's type and length:
-    total, False before any hash on malformed input.  Kept for the
-    benchmark's tracer until ROADMAP item 8."""
+    """Whether opening opens one slot's lone digest to message, behind
+    checks of the tag and of each part's type and length: total, False
+    before any hash on malformed input.  Kept for the benchmark's tracer
+    until ROADMAP item 8."""
     slot = _TAG_SLOTS.get(tag) if isinstance(tag, str) else None
     if (
         slot is None
@@ -85,7 +83,7 @@ def verify_commitment(digest: bytes, message: bytes, tag: str, opening: bytes) -
         or len(digest) != DIGEST_BYTES or len(opening) != OPENING_BYTES
     ):
         return False
-    return opens(digest, slot, opening, message)
+    return hmac.compare_digest(digest, _digest(slot, opening, message))
 
 
 def expand_mask(seed: bytes, n: int, width: int) -> tuple[int, ...]:

@@ -41,10 +41,10 @@ from itertools import chain
 from random import Random
 from typing import Iterator
 
+from .crypto import COMMITMENT_BYTES
 from .instance import SDPInstance, Witness
 from .protocol import (
     CHALLENGES,
-    COMMITMENT_BYTES,
     ProverState,
     honest_rounds,
     max_response_bytes,

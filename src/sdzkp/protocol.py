@@ -4,10 +4,10 @@ One round: the prover picks a uniform shuffle u from H and a mask seed s,
 and commits to three values, its slots: 0 is Z1 = oneline(u∘h) + mask,
 1 is Z2 = oneline(u∘g) + mask, 2 is s, where + adds words in GF(2^8w),
 which is XOR (crypto).  Slot i is committed under tag
-crypto.COMMIT_TAGS[i] as digest i of the round's 96-byte commitment,
-which commitment_digests alone reads.  The verifier sends a challenge in
-{0, 1, 2}, and the opening table OPENS says which slots the answer
-reveals, in wire order:
+crypto.COMMIT_TAGS[i] as digest i of the round's 96-byte commitment, a
+layout that crypto alone writes (commit) and reads (opens).  The
+verifier sends a challenge in {0, 1, 2}, and the opening table OPENS
+says which slots the answer reveals, in wire order:
 
   challenge  opens     the verifier checks the openings, then
   0          Z1, s     unmasking Z1 must give an element of H (this is u∘h)
@@ -51,9 +51,7 @@ from operator import itemgetter
 from random import Random
 from typing import Iterator, NamedTuple, Sequence
 
-from .crypto import (
-    DIGEST_BYTES, OPENING_BYTES, SEED_BYTES, both_open, commit, mask_rounds, mask_values, opens,
-)
+from .crypto import COMMITMENT_BYTES, OPENING_BYTES, SEED_BYTES, commit, mask_rounds, mask_values, opens
 from .group import word_width
 from .instance import SDPInstance, Witness, instance_digest, validate_witness
 
@@ -67,12 +65,6 @@ CHALLENGES = tuple(OPENS)
 # Each challenge opens two slots, so each getter returns a pair.
 _OPENED = {challenge: itemgetter(*slots) for challenge, slots in OPENS.items()}
 _KIND_BYTES = tuple(bytes((kind,)) for kind in CHALLENGES)
-
-COMMITMENT_BYTES = 3 * DIGEST_BYTES
-
-# The one statement of the commitment's layout: the digests of slots Z1, Z2
-# and SEED, in that order, slot i's at bytes [32i, 32i+32) of the commitment.
-commitment_digests = itemgetter(*(slice(i * DIGEST_BYTES, (i + 1) * DIGEST_BYTES) for i in SLOTS))
 
 PROOF_MAGIC = b"SDP4"
 _PROOF_HEADER_BYTES = 8  # the magic, then a u32 round count
@@ -99,7 +91,7 @@ class ProverState(NamedTuple):
     function of it, so any challenge can be answered, in any order and more
     than once.
     values and openings hold one entry per slot (Z1, Z2, seed); commitment
-    is the round's 96 bytes, slot i's digest at [32i, 32i+32)."""
+    is the round's 96 bytes, as crypto.commit writes them."""
 
     values: tuple[bytes, bytes, bytes]
     openings: tuple[bytes, bytes, bytes]
@@ -257,19 +249,20 @@ def prover_respond(state: ProverState, challenge: int) -> bytes:
     return _write_response(challenge, state.values, state.openings)
 
 
-def slot_opens(inst: SDPInstance, digest: bytes, slot: int, value: bytes, opening: bytes) -> bool:
+def slot_opens(inst: SDPInstance, commitment: bytes, slot: int, value: bytes, opening: bytes) -> bool:
     """The one check of one slot of a ProverState, for
-    analysis.accepted_challenges: slot is Z1, Z2 or SEED, digest is bytes,
+    analysis.accepted_challenges: slot is Z1, Z2 or SEED, commitment is
+    COMMITMENT_BYTES of bytes (a longer buffer would pass on its first 96),
     value is bytes of slot_size's length at the instance's degree (its only
     form check), opening is OPENING_BYTES of bytes, and crypto.opens, the
-    unchecked hash and compare, opens digest to value.  Total: returns
-    False, never raises."""
+    unchecked hash and compare, opens the commitment's slot to value.
+    Total: returns False, never raises."""
     try:
         return (
-            slot in SLOTS and isinstance(digest, bytes)
+            slot in SLOTS and isinstance(commitment, bytes) and len(commitment) == COMMITMENT_BYTES
             and isinstance(value, bytes) and len(value) == slot_size(slot, inst.degree)
             and isinstance(opening, bytes) and len(opening) == OPENING_BYTES
-            and opens(digest, slot, opening, value)
+            and opens(commitment, slot, opening, value)
         )
     except TypeError:  # a slot equal to one of SLOTS that is no index (1.0)
         return False
@@ -279,10 +272,9 @@ def read_round(inst: SDPInstance, commitment: bytes, challenge: int, response: b
     """What one round shows (_shown) if it verifies, else None, from its wire
     bytes, each bytes: the 96-byte commitment and the encoded response,
     whose kind byte must be the challenge and whose length _response_layout
-    fixes, and so every value's and opening's; then both slots the
-    challenge opens must open, checked by one crypto.both_open call on
-    their digests, read through commitment_digests.  Total: None, never an
-    exception."""
+    fixes, and so every value's and opening's; then each slot the challenge
+    opens must open (crypto.opens), in OPENS order, and the first that does
+    not ends the check.  Total: None, never an exception."""
     try:
         if (
             challenge not in OPENS or not isinstance(commitment, bytes) or not isinstance(response, bytes)
@@ -293,8 +285,8 @@ def read_round(inst: SDPInstance, commitment: bytes, challenge: int, response: b
         end, ((s, a, a_opening), (t, b, b_opening)) = _response_layout(challenge, inst.degree)
         if len(response) != end:
             return None
-        digests, value, other = commitment_digests(commitment), response[a], response[b]
-        if both_open(digests[s] + digests[t], s, response[a_opening], value, t, response[b_opening], other):
+        value, other = response[a], response[b]
+        if opens(commitment, s, response[a_opening], value) and opens(commitment, t, response[b_opening], other):
             return _shown(inst, challenge, value, other)
         return None
     except (ValueError, TypeError, struct.error):

@@ -108,11 +108,10 @@ def digests_of(commitment):
 
 
 def commit_slot(message, tag, rng):
-    """The digest and opening of message in the slot of `tag`, from one
-    crypto.commit of a round that holds message in all three slots."""
-    slot = COMMIT_TAGS.index(tag)
+    """The commitment and the opening of message in the slot of `tag`, from
+    one crypto.commit of a round that holds message in all three slots."""
     openings, commitment = commit(message, message, message, rng.randbytes(3 * 32))
-    return digests_of(commitment)[slot], openings[slot]
+    return commitment, openings[COMMIT_TAGS.index(tag)]
 
 
 def reference_read_response(data, at, n):

@@ -25,13 +25,12 @@ from sdzkp.analysis import (
     transcript_distribution_test,
     transcript_for,
 )
-from sdzkp.crypto import COMMIT_TAGS, DIGEST_BYTES, mask_values
+from sdzkp.crypto import COMMIT_TAGS, COMMITMENT_BYTES, DIGEST_BYTES, mask_values
 from sdzkp.group import word_width
 from sdzkp.instance import SDPInstance, Witness, instance_digest, plant_instance, validate_witness
 from sdzkp.perm import Permutation, compose, random_support_perm
 from sdzkp.protocol import (
     CHALLENGES,
-    COMMITMENT_BYTES,
     OPENS,
     SEED,
     SLOTS,
@@ -224,7 +223,7 @@ def opens_then_holds(inst, commitment, challenge, response):
     (_, values, openings), _ = reference_read_response(response, 0, inst.degree)
     opened = zip(OPENS[challenge], values, openings)
     return all(
-        slot_opens(inst, digests_of(commitment)[slot], slot, value, opening) for slot, value, opening in opened
+        slot_opens(inst, commitment, slot, value, opening) for slot, value, opening in opened
     ) and _shown(inst, challenge, *values) is not None
 
 
@@ -249,8 +248,8 @@ def test_slot_opens_then_holds_is_verify_round(fixture, request):
     assert verdicts.count(True) >= 3 * 3 + 3 * 2 + 3 * 1 and False in verdicts
 
     honest = states[0]
-    com, values, openings = digests_of(honest.commitment), honest.values, honest.openings
-    assert all(slot_opens(inst, com[slot], slot, values[slot], openings[slot]) for slot in range(3))
+    com, values, openings = honest.commitment, honest.values, honest.openings
+    assert all(slot_opens(inst, com, slot, values[slot], openings[slot]) for slot in range(3))
     assert all(_shown(inst, ch, *(values[slot] for slot in OPENS[ch])) is not None for ch in CHALLENGES)
 
     def foreign(value):  # the same bytes as a str, None, or a bytearray
@@ -258,13 +257,13 @@ def test_slot_opens_then_holds_is_verify_round(fixture, request):
 
     for slot in range(3):
         value, opening = values[slot], openings[slot]
-        # a digest that is no bytes, or 31 bytes
-        for digest in [*foreign(com[slot]), com[slot][:31]]:
-            assert slot_opens(inst, digest, slot, value, opening) is False
+        # a commitment that is no bytes, or a byte short or long
+        for bad in [*foreign(com), com[:-1], com + b"\x00"]:
+            assert slot_opens(inst, bad, slot, value, opening) is False
         for bad in foreign(value):
-            assert slot_opens(inst, com[slot], slot, bad, opening) is False
+            assert slot_opens(inst, com, slot, bad, opening) is False
         for bad in foreign(opening):
-            assert slot_opens(inst, com[slot], slot, value, bad) is False
+            assert slot_opens(inst, com, slot, value, bad) is False
 
     def verifies(state, ch):
         return verify_round(inst, state.commitment, ch, prover_respond(state, ch))
@@ -273,16 +272,16 @@ def test_slot_opens_then_holds_is_verify_round(fixture, request):
     short_seed = values[SEED][:31]
     (words,) = mask_values(values[SEED], values[0])
     z1 = masked_value(words_of(words, n), short_seed, n)
-    digest, opening = commit_slot(short_seed, COMMIT_TAGS[SEED], rng)
-    assert slot_opens(inst, digest, SEED, short_seed, opening) is False
+    commitment, opening = commit_slot(short_seed, COMMIT_TAGS[SEED], rng)
+    assert slot_opens(inst, commitment, SEED, short_seed, opening) is False
     assert verifies(commit_round(z1, values[1], short_seed, rng), 0) is False
 
     # masked values, committed, a byte short or long
     for resize in (lambda z: z[:-1], lambda z: z + b"\x00"):
         for slot in (0, 1):
             bad = resize(values[slot])
-            digest, opening = commit_slot(bad, COMMIT_TAGS[slot], rng)
-            assert slot_opens(inst, digest, slot, bad, opening) is False
+            commitment, opening = commit_slot(bad, COMMIT_TAGS[slot], rng)
+            assert slot_opens(inst, commitment, slot, bad, opening) is False
         z1, z2 = (resize(values[slot]) for slot in (0, 1))
         state = commit_round(z1, z2, values[SEED], rng)
         assert not any(verifies(state, ch) for ch in CHALLENGES)
@@ -383,8 +382,8 @@ def test_wire_forms_hold_at_the_byte_table_boundary(n, gens, k):
     assert len(mask_values(seed, z1)[0]) == word_width(n) * n
     for bad1, bad2 in zip(_misshapen_values(z1, n), _misshapen_values(z2, n)):
         for slot, bad in ((0, bad1), (1, bad2)):
-            digest, opening = commit_slot(bad, COMMIT_TAGS[slot], rng)
-            assert slot_opens(inst, digest, slot, bad, opening) is False
+            commitment, opening = commit_slot(bad, COMMIT_TAGS[slot], rng)
+            assert slot_opens(inst, commitment, slot, bad, opening) is False
 
     # a proof whose every round commits both masked values in the form under
     # test, so each challenge opens one; the canonical pair verifies

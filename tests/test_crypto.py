@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from sdzkp.crypto import (
     COMMIT_TAGS,
+    COMMITMENT_BYTES,
     DIGEST_BYTES,
     OPENING_BYTES,
     SEED_BYTES,
-    both_open,
     commit,
     mask_rounds,
     mask_values,
@@ -30,40 +30,40 @@ from reference import arbitrary_words, commit_slot, edge_words, masked_value, ma
 def test_commit_verify_round_trip():
     rng = random.Random(30)
     for slot, tag in enumerate(COMMIT_TAGS):
-        digest, opening = commit_slot(b"payload", tag, rng)
-        assert len(digest) == DIGEST_BYTES
+        commitment, opening = commit_slot(b"payload", tag, rng)
+        assert len(commitment) == COMMITMENT_BYTES
         assert len(opening) == OPENING_BYTES
-        assert opens(digest, slot, opening, b"payload")
+        assert opens(commitment, slot, opening, b"payload")
 
 
 def test_commit_rejects_any_tamper():
     rng = random.Random(31)
-    digest, opening = commit_slot(b"payload", "C1", rng)
-    assert not opens(digest, 0, opening, b"payloae")
-    assert not opens(digest, 1, opening, b"payload")
+    commitment, opening = commit_slot(b"payload", "C1", rng)
+    assert not opens(commitment, 0, opening, b"payloae")
+    assert not opens(commitment, 1, opening, b"payload")
     other = bytes(b ^ 1 for b in opening)
-    assert not opens(digest, 0, other, b"payload")
-    wrong = bytes(b ^ 0x80 for b in digest)
+    assert not opens(commitment, 0, other, b"payload")
+    wrong = bytes(b ^ 0x80 for b in commitment[:DIGEST_BYTES]) + commitment[DIGEST_BYTES:]
     assert not opens(wrong, 0, opening, b"payload")
 
 
 def test_round_commit_is_three_tagged_hashes():
     """commit's 96 bytes are SHA-256(tag || opening || message) of each
-    slot in order, and opens accepts each slot's own triple only."""
+    slot in order, and opens, on the whole commitment, accepts each slot's
+    own triple only."""
     rng = random.Random(35)
     messages = (b"z1", b"z2" * 40, bytes(SEED_BYTES))
     openings, commitment = commit(*messages, rng.randbytes(3 * OPENING_BYTES))
-    assert len(commitment) == 3 * DIGEST_BYTES and all(len(o) == OPENING_BYTES for o in openings)
+    assert len(commitment) == COMMITMENT_BYTES == 3 * DIGEST_BYTES and all(len(o) == OPENING_BYTES for o in openings)
     assert commitment == b"".join(
         hashlib.sha256(tag.encode() + opening + message).digest()
         for tag, opening, message in zip(COMMIT_TAGS, openings, messages)
     )
     for slot, (message, opening) in enumerate(zip(messages, openings)):
-        digest = commitment[32 * slot : 32 * slot + 32]
         for other in range(3):
-            assert opens(digest, other, opening, message) is (other == slot)
-        assert opens(digest, slot, opening, message + b"\x00") is False
-        assert opens(digest, slot, bytes(b ^ 1 for b in opening), message) is False
+            assert opens(commitment, other, opening, message) is (other == slot)
+        assert opens(commitment, slot, opening, message + b"\x00") is False
+        assert opens(commitment, slot, bytes(b ^ 1 for b in opening), message) is False
 
 
 def flip_a_byte(data, rng):
@@ -72,38 +72,30 @@ def flip_a_byte(data, rng):
     return data[:at] + bytes((data[at] ^ rng.randrange(1, 256),)) + data[at + 1 :]
 
 
-def test_both_open_is_two_opens():
-    # both_open(digests, s, ...) must say what opens says of slot s on the
-    # first 32 digest bytes and of slot t on the last 32, in one compare
+def test_opens_reads_its_own_slot_of_the_commitment():
+    # on whole commitments of messages of 1 to 1040 bytes: each slot opens,
+    # a flip in its digest, its opening or its message closes it, and a flip
+    # in another slot's digest leaves it open, for every pair of slots
     rng = random.Random(12)
-
-    def agree(digests, s, s_opening, s_message, t, t_opening, t_message):
-        two = opens(digests[:DIGEST_BYTES], s, s_opening, s_message)
-        two = two and opens(digests[DIGEST_BYTES:], t, t_opening, t_message)
-        assert both_open(digests, s, s_opening, s_message, t, t_opening, t_message) is two
-        return two
-
     for _ in range(150):
-        s, t = rng.sample(range(3), 2)
         messages = [rng.randbytes(rng.choice((1, 16, 32, 128, 1040))) for _ in range(3)]
         openings, commitment = commit(*messages, rng.randbytes(3 * OPENING_BYTES))
-        digests = [commitment[i * DIGEST_BYTES : (i + 1) * DIGEST_BYTES] for i in range(3)]
-        args = [digests[s] + digests[t], s, openings[s], messages[s], t, openings[t], messages[t]]
-        assert agree(*args)
-        assert not agree(rng.randbytes(2 * DIGEST_BYTES), *args[1:])  # random digests
-        first, second = args[0][:DIGEST_BYTES], args[0][DIGEST_BYTES:]
-        # a flip in the first digest, the second, either opening, either value
-        flips = [(0, flip_a_byte(first, rng) + second), (0, first + flip_a_byte(second, rng))]
-        flips += [(at, flip_a_byte(args[at], rng)) for at in (2, 5, 3, 6)]
-        for at, flipped in flips:
-            assert not agree(*args[:at], flipped, *args[at + 1 :])
+        assert not any(opens(rng.randbytes(COMMITMENT_BYTES), s, openings[s], messages[s]) for s in range(3))
+        for s in range(3):
+            assert opens(commitment, s, openings[s], messages[s])
+            assert not opens(commitment, s, flip_a_byte(openings[s], rng), messages[s])
+            assert not opens(commitment, s, openings[s], flip_a_byte(messages[s], rng))
+            for t in range(3):  # a flip in slot t's digest
+                at = t * DIGEST_BYTES + rng.randrange(DIGEST_BYTES)
+                flipped = commitment[:at] + flip_a_byte(commitment[at : at + 1], rng) + commitment[at + 1 :]
+                assert opens(flipped, s, openings[s], messages[s]) is (s != t)
 
 
 def test_commit_randomized():
     rng = random.Random(32)
-    d1, o1 = commit_slot(b"m", "C1", rng)
-    d2, o2 = commit_slot(b"m", "C1", rng)
-    assert d1 != d2 and o1 != o2
+    c1, o1 = commit_slot(b"m", "C1", rng)
+    c2, o2 = commit_slot(b"m", "C1", rng)
+    assert c1[:DIGEST_BYTES] != c2[:DIGEST_BYTES] and o1 != o2
 
 
 def assert_masking_matches_the_reference(seed, words):
@@ -178,8 +170,8 @@ def test_masking_refuses_what_the_tuple_reference_refuses(words, value):
     inst = make_instance(identity(3), (identity(3),), 0)
     # a value that is not bytes stands beside the commitment to its bytes
     message = value if isinstance(value, bytes) else bytes((0, 1, 2))
-    digest, opening = commit_slot(message, COMMIT_TAGS[Z1], random.Random(0))
-    assert slot_opens(inst, digest, Z1, value, opening) is False
+    commitment, opening = commit_slot(message, COMMIT_TAGS[Z1], random.Random(0))
+    assert slot_opens(inst, commitment, Z1, value, opening) is False
 
 
 def test_mask_rounds_is_the_word_wise_mask_round_by_round():

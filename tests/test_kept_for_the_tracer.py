@@ -23,7 +23,9 @@ from sdzkp.protocol import (
     CHALLENGES, Z1, _write_response, commit_round, decode_proof, decode_response, encode_proof, encode_response,
     fs_prove, prover_commit, prover_respond, slot_size,
 )
-from reference import FAMILIES, OPENED, arbitrary_words, commit_slot, edge_words, masked_value, pack_words
+from reference import (
+    FAMILIES, OPENED, arbitrary_words, commit_slot, digests_of, edge_words, masked_value, pack_words,
+)
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +45,8 @@ def test_verify_commitment_is_total():
     rng = random.Random(34)
     message = b"payload"
     for tag in COMMIT_TAGS:
-        digest, opening = commit_slot(message, tag, rng)
+        commitment, opening = commit_slot(message, tag, rng)
+        digest = digests_of(commitment)[COMMIT_TAGS.index(tag)]
         assert verify_commitment(digest, message, tag, opening) is True
         for other in ("C9", b"C1", tag.encode(), None, 1, [tag], *(t for t in COMMIT_TAGS if t != tag)):
             assert verify_commitment(digest, message, other, opening) is False

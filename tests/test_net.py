@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 
 import sdzkp.protocol
 from sdzkp import net
+from sdzkp.crypto import COMMITMENT_BYTES
 from sdzkp.group import word_width
 from sdzkp.instance import plant_instance, validate_witness
 from sdzkp.net import MSG_CHALLENGE, MSG_COMMIT, MSG_RESPONSE
 from sdzkp.protocol import (
-    COMMITMENT_BYTES,
     honest_rounds,
     max_response_bytes,
     prover_commit,

@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 
 import sdzkp.protocol
 from sdzkp.analysis import accepted_challenges, completeness_rate
-from sdzkp.crypto import COMMIT_TAGS, OPENING_BYTES, SEED_BYTES, mask_values, opens
+from sdzkp.crypto import COMMIT_TAGS, COMMITMENT_BYTES, OPENING_BYTES, SEED_BYTES, mask_values, opens
 from sdzkp.group import _ChainBuilder, _Level, _normalize, _sift, word_width
 from sdzkp.instance import Witness, instance_digest, make_instance, plant_instance, validate_witness
 from sdzkp.perm import Permutation, compose_images, hamming, identity, random_perm
 from sdzkp.protocol import (
     CHALLENGES,
-    COMMITMENT_BYTES,
     NIZKProof,
     OPENS,
     SEED,
@@ -29,7 +28,6 @@ from sdzkp.protocol import (
     _split_proof,
     _write_response,
     commit_round,
-    commitment_digests,
     derive_challenges,
     encode_proof,
     fs_prove,
@@ -47,7 +45,7 @@ from sdzkp.protocol import (
     verify_round,
 )
 from reference import (
-    commit_slot, digests_of, fs_prefix, masked_value, masked_words, pack_words, reference_challenges,
+    commit_slot, fs_prefix, masked_value, masked_words, pack_words, reference_challenges,
     reference_read_proof, reference_read_response,
 )
 
@@ -221,7 +219,7 @@ def test_non_permutation_unmask_rejected(planted):
     state = commit_round(*mask_values(seed, value, value), seed, rng)
     com = state.commitment
     for slot in (Z1, Z2, SEED):
-        assert opens(digests_of(com)[slot], slot, state.openings[slot], state.values[slot])
+        assert opens(com, slot, state.openings[slot], state.values[slot])
     assert not verify_round(inst, com, 0, prover_respond(state, 0))
     assert not verify_round(inst, com, 1, prover_respond(state, 1))
     assert verify_round(inst, com, 2, prover_respond(state, 2))  # the openings themselves are sound
@@ -252,11 +250,10 @@ def test_verify_round_rejects_honestly_committed_non_canonical_encodings(planted
     z1, z2, seed = honest.values
     com = honest.commitment
     assert all(verify_round(inst, com, ch, prover_respond(honest, ch)) for ch in CHALLENGES)
-    digests = commitment_digests(com)
     for bad1, bad2 in zip(non_canonical_encodings(z1), non_canonical_encodings(z2)):
         if not isinstance(bad1, bytes):  # only bytes can be committed; the slot check refuses the rest
-            assert not slot_opens(inst, digests[Z1], Z1, bad1, honest.openings[Z1])
-            assert not slot_opens(inst, digests[Z2], Z2, bad2, honest.openings[Z2])
+            assert not slot_opens(inst, com, Z1, bad1, honest.openings[Z1])
+            assert not slot_opens(inst, com, Z2, bad2, honest.openings[Z2])
             continue
         # the forged value beside an honest one, and a pair forged alike
         for pair, challenges in (((bad1, z2), (0, 2)), ((z1, bad2), (1, 2)), ((bad1, bad2), CHALLENGES)):
@@ -614,36 +611,36 @@ def test_derive_challenges_matches_the_plain_reference_on_both_rejections():
         assert derive_challenges(statement, context, commitments) == reference_challenges(statement, context, commitments)
 
 
-def test_commitment_digests_read_each_slot_as_commit_round_writes_it(planted):
+def test_opens_reads_each_slot_as_commit_round_writes_it(planted):
     inst, wit = planted
     state = prover_commit(inst, wit, random.Random(69))
-    digests = commitment_digests(state.commitment)
-    assert digests == digests_of(state.commitment)
     for slot in (Z1, Z2, SEED):
-        assert opens(digests[slot], slot, state.openings[slot], state.values[slot])
+        for other in (Z1, Z2, SEED):
+            assert opens(state.commitment, other, state.openings[slot], state.values[slot]) is (other == slot)
 
 
 def test_slot_opens_accepts_only_the_committed_slot(planted):
-    """slot_opens is True only for a slot's own digest, value and opening as
-    committed; every other slot, 1.0 (equal to Z2 but no index) among
-    them, a non-bytes part, and a digest or opening one byte short or long
-    is False, never an exception."""
+    """slot_opens is True only for a slot's own value and opening under the
+    round's commitment as committed; every other slot, 1.0 (equal to Z2
+    but no index) among them, a non-bytes part, and a commitment or
+    opening one byte short or long is False, never an exception."""
     inst, wit = planted
     state = prover_commit(inst, wit, random.Random(70))
-    digests, values, openings = commitment_digests(state.commitment), state.values, state.openings
+    com, values, openings = state.commitment, state.values, state.openings
     for slot in (Z1, Z2, SEED):
-        digest, value, opening = digests[slot], values[slot], openings[slot]
-        assert slot_opens(inst, digest, slot, value, opening) is True
+        value, opening = values[slot], openings[slot]
+        assert slot_opens(inst, com, slot, value, opening) is True
         for other in (3, -1, "C1", b"C1", None, 1.5, 1.0, *({Z1, Z2, SEED} - {slot})):
-            assert slot_opens(inst, digest, other, value, opening) is False
+            assert slot_opens(inst, com, other, value, opening) is False
         for form in (bytearray, memoryview):
-            assert slot_opens(inst, form(digest), slot, value, opening) is False
-            assert slot_opens(inst, digest, slot, form(value), opening) is False
-            assert slot_opens(inst, digest, slot, value, form(opening)) is False
-        for bad in (digest[:-1], digest + b"\x00"):
+            assert slot_opens(inst, form(com), slot, value, opening) is False
+            assert slot_opens(inst, com, slot, form(value), opening) is False
+            assert slot_opens(inst, com, slot, value, form(opening)) is False
+        # a longer buffer would hold the slot's digest where a commitment does
+        for bad in (com[:-1], com + b"\x00", None, com.decode("latin-1")):
             assert slot_opens(inst, bad, slot, value, opening) is False
         for bad in (opening[:-1], opening + b"\x00"):
-            assert slot_opens(inst, digest, slot, value, bad) is False
+            assert slot_opens(inst, com, slot, value, bad) is False
 
 
 @pytest.mark.parametrize("n", [5, 256, 257, 260])
@@ -656,12 +653,12 @@ def test_every_byte_string_of_a_slots_length_is_its_value(n):
         size = slot_size(slot, n)
         assert size == (32 if slot == SEED else word_width(n) * n)
         for value in (bytes(size), b"\xff" * size, rng.randbytes(size)):
-            digest, opening = commit_slot(value, COMMIT_TAGS[slot], rng)
-            assert slot_opens(inst, digest, slot, value, opening) is True
+            commitment, opening = commit_slot(value, COMMIT_TAGS[slot], rng)
+            assert slot_opens(inst, commitment, slot, value, opening) is True
         for length in sorted({0, 1, size - 1, size + 1, n, 4 * n, 4 * n + 4} - {size}):
             value = rng.randbytes(length)
-            digest, opening = commit_slot(value, COMMIT_TAGS[slot], rng)
-            assert slot_opens(inst, digest, slot, value, opening) is False
+            commitment, opening = commit_slot(value, COMMIT_TAGS[slot], rng)
+            assert slot_opens(inst, commitment, slot, value, opening) is False
 
 
 def test_a_proof_with_the_old_magic_is_refused(planted):
